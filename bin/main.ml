@@ -19,9 +19,20 @@
 
 open Cmdliner
 
+(* A NaN or infinite budget never expires, so refuse it up front. *)
+let budget_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some b when Float.is_finite b && b >= 0.0 -> Ok b
+    | _ ->
+      Error
+        (`Msg (Fmt.str "expected a finite, non-negative number, got %S" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let budget_arg =
   let doc = "Virtual time budget in seconds (the paper uses 3600)." in
-  Arg.(value & opt float 3600.0 & info [ "budget" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt budget_conv 3600.0 & info [ "budget" ] ~docv:"SECONDS" ~doc)
 
 let seed_arg =
   let doc = "PRNG seed for randomized tools." in

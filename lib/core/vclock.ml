@@ -1,6 +1,12 @@
 type t = { mutable spent : float; budget : float }
 
-let create ~budget = { spent = 0.0; budget }
+(* [charge] clamps with [Float.min], which never reaches a NaN budget
+   and reaches an infinite one only at full coverage: either would run
+   forever *)
+let create ~budget =
+  if not (Float.is_finite budget && budget >= 0.0) then
+    invalid_arg "Vclock.create: budget must be finite and non-negative";
+  { spent = 0.0; budget }
 
 let charge t d =
   assert (d >= 0.0);

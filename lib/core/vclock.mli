@@ -13,7 +13,8 @@
 type t
 
 val create : budget:float -> t
-(** [budget] in virtual seconds (the paper uses 3600). *)
+(** [budget] in virtual seconds (the paper uses 3600).  Raises
+    [Invalid_argument] unless it is finite and non-negative. *)
 
 val charge : t -> float -> unit
 (** Advance the clock; clamps at the budget. *)

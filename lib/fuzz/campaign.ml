@@ -39,8 +39,8 @@ type summary = {
 let case_seed ~seed i =
   (* one create + one draw = two rounds of the SplitMix finalizer over
      an injective (seed, i) combination — independent per-case streams *)
-  let g = Splitmix.create (seed lxor (i * 0x9E3779B1)) in
-  Int64.to_int (Int64.shift_right_logical (Splitmix.bits64 g) 2)
+  let g = Util.Splitmix.create (seed lxor (i * 0x9E3779B1)) in
+  Int64.to_int (Int64.shift_right_logical (Util.Splitmix.bits64 g) 2)
 
 let is_chart = function Gen.M_chart _ -> true | Gen.M_diagram _ -> false
 
@@ -71,17 +71,17 @@ let shrunk_failure ~shrink_checks ~still_fails ~index ~oracle ~message model
 
 let case_gen ~seed ~max_steps i =
   let cs = case_seed ~seed i in
-  let rng = Splitmix.create cs in
-  let model_rng = Splitmix.split rng in
-  let input_rng = Splitmix.split rng in
-  let size = 8 + Splitmix.int rng 16 in
-  let steps = 1 + Splitmix.int rng (max 1 max_steps) in
+  let rng = Util.Splitmix.create cs in
+  let model_rng = Util.Splitmix.split rng in
+  let input_rng = Util.Splitmix.split rng in
+  let size = 8 + Util.Splitmix.int rng 16 in
+  let steps = 1 + Util.Splitmix.int rng (max 1 max_steps) in
   let model = Gen.gen_model model_rng ~size in
   (* copy the input stream so the thunk replays identically however
      often it is called (corpus export re-derives the same inputs) *)
   ( model,
     steps,
-    fun prog -> Gen.gen_inputs (Splitmix.copy input_rng) prog ~steps )
+    fun prog -> Gen.gen_inputs (Util.Splitmix.copy input_rng) prog ~steps )
 
 let tel_cases = Telemetry.Counter.make "fuzz.cases"
 let tel_failures = Telemetry.Counter.make "fuzz.failures"

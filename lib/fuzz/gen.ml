@@ -396,32 +396,36 @@ let size_of = function
 (* ------------------------------------------------------------------ *)
 (* Random generation                                                   *)
 
-let gen_sty rng = Splitmix.weighted rng [ (3, S_bool); (4, S_int); (3, S_real) ]
+let gen_sty rng =
+  Util.Splitmix.weighted rng [ (3, S_bool); (4, S_int); (3, S_real) ]
 
 let gen_const rng = function
-  | S_bool -> Value.Bool (Splitmix.bool rng)
-  | S_int -> Value.Int (Splitmix.int_in rng (-5) 5)
+  | S_bool -> Value.Bool (Util.Splitmix.bool rng)
+  | S_int -> Value.Int (Util.Splitmix.int_in rng (-5) 5)
   | S_real -> (
-    match Splitmix.int rng 4 with
-    | 0 -> Value.Real (float_of_int (Splitmix.int_in rng (-4) 4))
+    match Util.Splitmix.int rng 4 with
+    | 0 -> Value.Real (float_of_int (Util.Splitmix.int_in rng (-4) 4))
     | 1 -> Value.Real 0.5
-    | _ -> Value.Real (Splitmix.float_in rng (-4.) 4.))
+    | _ -> Value.Real (Util.Splitmix.float_in rng (-4.) 4.))
 
-let gen_cmpop rng = Splitmix.choose rng [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ]
+let gen_cmpop rng =
+  Util.Splitmix.choose rng [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ]
 
 (* thresholds land on small integers (and the occasional half) so that
    comparisons against the bounded input domains actually flip *)
 let gen_threshold rng =
-  if Splitmix.int rng 4 = 0 then 0.5
-  else float_of_int (Splitmix.int_in rng (-3) 3)
+  if Util.Splitmix.int rng 4 = 0 then 0.5
+  else float_of_int (Util.Splitmix.int_in rng (-3) 3)
 
 (* ---- charts ---- *)
 
 let gen_chart rng ~name ~ins ~out ~size : chartspec =
-  let ndata = Splitmix.int rng 3 in
+  let ndata = Util.Splitmix.int rng 3 in
   let data =
     List.init ndata (fun _ ->
-        let s = Splitmix.weighted rng [ (2, S_bool); (4, S_int); (2, S_real) ] in
+        let s =
+          Util.Splitmix.weighted rng [ (2, S_bool); (4, S_int); (2, S_real) ]
+        in
         (s, gen_const rng s))
   in
   let idxs p l = List.filteri (fun _ x -> p x) (List.mapi (fun i _ -> i) l) in
@@ -431,7 +435,7 @@ let gen_chart rng ~name ~ins ~out ~size : chartspec =
   let bool_data = idxs (fun i -> fst (List.nth data i) = S_bool) data in
   let rec arith depth =
     let tag =
-      Splitmix.weighted rng
+      Util.Splitmix.weighted rng
         [
           ((if num_ins <> [] then 3 else 0), `In);
           ((if num_data <> [] then 3 else 0), `Data);
@@ -442,17 +446,17 @@ let gen_chart rng ~name ~ins ~out ~size : chartspec =
         ]
     in
     match tag with
-    | `In -> CA_in (Splitmix.choose rng num_ins)
-    | `Data -> CA_data (Splitmix.choose rng num_data)
+    | `In -> CA_in (Util.Splitmix.choose rng num_ins)
+    | `Data -> CA_data (Util.Splitmix.choose rng num_data)
     | `Const ->
-      CA_const (gen_const rng (Splitmix.choose rng [ S_int; S_int; S_real ]))
+      CA_const (gen_const rng (Util.Splitmix.choose rng [ S_int; S_int; S_real ]))
     | `Add -> CA_add (arith (depth - 1), arith (depth - 1))
     | `Sub -> CA_sub (arith (depth - 1), arith (depth - 1))
-    | `Mod -> CA_mod (arith (depth - 1), Splitmix.int_in rng 2 5)
+    | `Mod -> CA_mod (arith (depth - 1), Util.Splitmix.int_in rng 2 5)
   in
   let rec cexpr depth =
     let tag =
-      Splitmix.weighted rng
+      Util.Splitmix.weighted rng
         [
           (5, `Cmp);
           ((if bool_ins <> [] then 2 else 0), `In);
@@ -465,8 +469,8 @@ let gen_chart rng ~name ~ins ~out ~size : chartspec =
     in
     match tag with
     | `Cmp -> CE_cmp (gen_cmpop rng, arith 1, arith 1)
-    | `In -> CE_in (Splitmix.choose rng bool_ins)
-    | `Data -> CE_data (Splitmix.choose rng bool_data)
+    | `In -> CE_in (Util.Splitmix.choose rng bool_ins)
+    | `Data -> CE_data (Util.Splitmix.choose rng bool_data)
     | `And -> CE_and (cexpr (depth - 1), cexpr (depth - 1))
     | `Or -> CE_or (cexpr (depth - 1), cexpr (depth - 1))
     | `Not -> CE_not (cexpr (depth - 1))
@@ -476,20 +480,20 @@ let gen_chart rng ~name ~ins ~out ~size : chartspec =
     (T_out, out) :: List.mapi (fun k (s, _) -> (T_data k, s)) data
   in
   let action () =
-    let t, s = Splitmix.choose rng targets in
+    let t, s = Util.Splitmix.choose rng targets in
     if s = S_bool then CSet_bool (t, cexpr 1) else CSet_num (t, arith 2)
   in
-  let actions n = List.init (Splitmix.int rng (n + 1)) (fun _ -> action ()) in
-  let nstates = Splitmix.int_in rng 2 (2 + min 2 (size / 8)) in
+  let actions n = List.init (Util.Splitmix.int rng (n + 1)) (fun _ -> action ()) in
+  let nstates = Util.Splitmix.int_in rng 2 (2 + min 2 (size / 8)) in
   let states =
     Array.init nstates (fun _ -> { cs_entry = actions 2; cs_during = actions 2 })
   in
-  let ntrans = Splitmix.int_in rng (nstates - 1) (2 * nstates) in
+  let ntrans = Util.Splitmix.int_in rng (nstates - 1) (2 * nstates) in
   let trans =
     List.init ntrans (fun _ ->
         {
-          ct_src = Splitmix.int rng nstates;
-          ct_dst = Splitmix.int rng nstates;
+          ct_src = Util.Splitmix.int rng nstates;
+          ct_dst = Util.Splitmix.int rng nstates;
           ct_guard = cexpr 2;
           ct_acts = actions 1;
         })
@@ -499,7 +503,7 @@ let gen_chart rng ~name ~ins ~out ~size : chartspec =
     ch_ins = ins;
     ch_out = out;
     ch_data = data;
-    ch_init = Splitmix.int rng nstates;
+    ch_init = Util.Splitmix.int rng nstates;
     ch_states = states;
     ch_trans = trans;
   }
@@ -507,7 +511,7 @@ let gen_chart rng ~name ~ins ~out ~size : chartspec =
 (* ---- diagrams ---- *)
 
 type gctx = {
-  rng : Splitmix.t;
+  rng : Util.Splitmix.t;
   mutable acc : node list;  (* newest first *)
   mutable count : int;
   stores : (sty * Value.t) list;
@@ -533,8 +537,8 @@ let store_idxs ctx p =
   in
   go 0 ctx.stores
 
-let gen_gain_int rng = float_of_int (Splitmix.choose rng [ -2; -1; 2; 3 ])
-let gen_gain_real rng = Splitmix.choose rng [ 0.5; 1.5; -0.5; -1.25 ]
+let gen_gain_int rng = float_of_int (Util.Splitmix.choose rng [ -2; -1; 2; 3 ])
+let gen_gain_real rng = Util.Splitmix.choose rng [ 0.5; 1.5; -0.5; -1.25 ]
 
 (* [gen_node ctx ~depth ~allow_in s] draws one node of class [s] whose
    operands all come from already-generated nodes.  [depth] = 0 at the
@@ -548,12 +552,12 @@ let rec gen_node ctx ~depth ~allow_in s : node =
   let stores_of p = store_idxs ctx p in
   let top = depth = 0 in
   let w c w tag = ((if c then w else 0), tag) in
-  let pick l = Splitmix.choose rng l in
+  let pick l = Util.Splitmix.choose rng l in
   let kind =
     match s with
     | S_bool -> (
       let tag =
-        Splitmix.weighted rng
+        Util.Splitmix.weighted rng
           [
             w allow_in 3 `In;
             w true 1 `Const;
@@ -576,8 +580,8 @@ let rec gen_node ctx ~depth ~allow_in s : node =
       | `Cmp_const -> Cmp_const (gen_cmpop rng, gen_threshold rng, pick nums)
       | `Not -> Not (pick bools)
       | `Logic ->
-        let op = Splitmix.choose rng [ `And; `Or; `Xor ] in
-        let arity = Splitmix.int_in rng 2 3 in
+        let op = Util.Splitmix.choose rng [ `And; `Or; `Xor ] in
+        let arity = Util.Splitmix.int_in rng 2 3 in
         Logic (op, List.init arity (fun _ -> pick bools))
       | `Delay1 -> Unit_delay (gen_const rng S_bool, pick bools)
       | `Switch ->
@@ -595,7 +599,7 @@ let rec gen_node ctx ~depth ~allow_in s : node =
       | `Sub_if -> gen_sub_if ctx ~out:S_bool ~bools)
     | S_int -> (
       let tag =
-        Splitmix.weighted rng
+        Util.Splitmix.weighted rng
           [
             w allow_in 3 `In;
             w true 2 `Const;
@@ -618,11 +622,11 @@ let rec gen_node ctx ~depth ~allow_in s : node =
       | `In -> In ("i" ^ string_of_int ctx.count)
       | `Const -> Const (gen_const rng S_int)
       | `Counter ->
-        let modulo = Splitmix.int_in rng 2 6 in
-        Counter { initial = Splitmix.int rng modulo; modulo }
+        let modulo = Util.Splitmix.int_in rng 2 6 in
+        Counter { initial = Util.Splitmix.int rng modulo; modulo }
       | `Arith ->
         let op =
-          Splitmix.weighted rng
+          Util.Splitmix.weighted rng
             [ (3, A_add); (3, A_sub); (1, A_mul); (2, A_min); (2, A_max) ]
         in
         Arith (op, pick ints, pick ints)
@@ -631,7 +635,7 @@ let rec gen_node ctx ~depth ~allow_in s : node =
       | `Gain -> Gain (gen_gain_int rng, pick ints)
       | `Delay1 -> Unit_delay (gen_const rng S_int, pick ints)
       | `DelayN ->
-        Delay (gen_const rng S_int, Splitmix.int_in rng 1 4, pick ints)
+        Delay (gen_const rng S_int, Util.Splitmix.int_in rng 1 4, pick ints)
       | `Switch ->
         Switch
           {
@@ -648,7 +652,7 @@ let rec gen_node ctx ~depth ~allow_in s : node =
       | `Sub_en -> gen_sub_enabled ctx ~out:S_int ~bools)
     | S_real -> (
       let tag =
-        Splitmix.weighted rng
+        Util.Splitmix.weighted rng
           [
             w allow_in 3 `In;
             w true 2 `Const;
@@ -670,7 +674,7 @@ let rec gen_node ctx ~depth ~allow_in s : node =
       | `Const -> Const (gen_const rng S_real)
       | `Arith ->
         let op =
-          Splitmix.weighted rng
+          Util.Splitmix.weighted rng
             [ (3, A_add); (3, A_sub); (1, A_mul); (2, A_min); (2, A_max) ]
         in
         Arith (op, pick reals, pick nums)
@@ -681,19 +685,19 @@ let rec gen_node ctx ~depth ~allow_in s : node =
         Guard_div (x, y)
       | `Gain -> Gain (gen_gain_real rng, pick nums)
       | `Sat ->
-        let lo = float_of_int (Splitmix.int_in rng (-3) 0) in
-        let hi = lo +. float_of_int (Splitmix.int_in rng 1 4) in
+        let lo = float_of_int (Util.Splitmix.int_in rng (-3) 0) in
+        let hi = lo +. float_of_int (Util.Splitmix.int_in rng 1 4) in
         Saturate (lo, hi, pick reals)
       | `Integr ->
         Integrator
           {
-            initial = float_of_int (Splitmix.int_in rng (-2) 2);
-            igain = Splitmix.choose rng [ 1.0; 0.5; 2.0; -1.0 ];
+            initial = float_of_int (Util.Splitmix.int_in rng (-2) 2);
+            igain = Util.Splitmix.choose rng [ 1.0; 0.5; 2.0; -1.0 ];
             src = pick nums;
           }
       | `Delay1 -> Unit_delay (gen_const rng S_real, pick reals)
       | `DelayN ->
-        Delay (gen_const rng S_real, Splitmix.int_in rng 1 4, pick reals)
+        Delay (gen_const rng S_real, Util.Splitmix.int_in rng 1 4, pick reals)
       | `Switch ->
         Switch
           {
@@ -711,31 +715,31 @@ let rec gen_node ctx ~depth ~allow_in s : node =
 
 and gen_multiport ctx ~pool ~ints =
   let rng = ctx.rng in
-  let ncases = Splitmix.int_in rng 1 3 in
+  let ncases = Util.Splitmix.int_in rng 1 3 in
   Multiport
     {
-      selector = Splitmix.choose rng ints;
-      cases = List.init ncases (fun l -> (l, Splitmix.choose rng pool));
-      default = Splitmix.choose rng pool;
+      selector = Util.Splitmix.choose rng ints;
+      cases = List.init ncases (fun l -> (l, Util.Splitmix.choose rng pool));
+      default = Util.Splitmix.choose rng pool;
     }
 
 and gen_chart_node ctx ~out =
   let rng = ctx.rng in
   let all = candidates ctx (fun _ -> true) in
-  let ndeps = Splitmix.int_in rng 1 2 in
-  let deps = List.init ndeps (fun _ -> Splitmix.choose rng all) in
+  let ndeps = Util.Splitmix.int_in rng 1 2 in
+  let deps = List.init ndeps (fun _ -> Util.Splitmix.choose rng all) in
   let nodes = Array.of_list (List.rev ctx.acc) in
   let ins = List.map (fun i -> nodes.(i).n_sty) deps in
   let c =
     gen_chart rng
       ~name:("c" ^ string_of_int ctx.count)
-      ~ins ~out ~size:(8 + Splitmix.int rng 8)
+      ~ins ~out ~size:(8 + Util.Splitmix.int rng 8)
   in
   Chart (c, deps)
 
 and gen_sub_if ctx ~out ~bools =
   let rng = ctx.rng in
-  let cond = Splitmix.choose rng bools in
+  let cond = Util.Splitmix.choose rng bools in
   let formals, ins = gen_sub_formals ctx in
   let base = "sub" ^ string_of_int ctx.count in
   let then_ = gen_sub ctx ~formals ~out ~name:(base ^ "t") in
@@ -744,16 +748,16 @@ and gen_sub_if ctx ~out ~bools =
 
 and gen_sub_enabled ctx ~out ~bools =
   let rng = ctx.rng in
-  let enable = Splitmix.choose rng bools in
+  let enable = Util.Splitmix.choose rng bools in
   let formals, ins = gen_sub_formals ctx in
   let sub = gen_sub ctx ~formals ~out ~name:("sub" ^ string_of_int ctx.count) in
-  Sub_enabled { enable; held = Splitmix.bool rng; ins; sub }
+  Sub_enabled { enable; held = Util.Splitmix.bool rng; ins; sub }
 
 and gen_sub_formals ctx =
   let rng = ctx.rng in
   let all = candidates ctx (fun _ -> true) in
-  let ndeps = Splitmix.int rng 3 in
-  let deps = List.init ndeps (fun _ -> Splitmix.choose rng all) in
+  let ndeps = Util.Splitmix.int rng 3 in
+  let deps = List.init ndeps (fun _ -> Util.Splitmix.choose rng all) in
   let nodes = Array.of_list (List.rev ctx.acc) in
   (List.map (fun i -> nodes.(i).n_sty) deps, deps)
 
@@ -767,7 +771,7 @@ and gen_sub ctx ~formals ~out ~name : subspec =
     (fun k s ->
       ignore (add sctx { n_sty = s; n_kind = In ("i" ^ string_of_int k) }))
     formals;
-  let budget = Splitmix.int_in rng 3 6 in
+  let budget = Util.Splitmix.int_in rng 3 6 in
   for _ = 1 to budget do
     let s = gen_sty rng in
     ignore (add sctx (gen_node sctx ~depth:1 ~allow_in:false s))
@@ -775,7 +779,7 @@ and gen_sub ctx ~formals ~out ~name : subspec =
   let of_out = candidates sctx (fun n -> n.n_sty = out) in
   let out_idx =
     match of_out with
-    | _ :: _ -> Splitmix.choose rng of_out
+    | _ :: _ -> Util.Splitmix.choose rng of_out
     | [] ->
       let nums = candidates sctx (fun n -> is_num n.n_sty) in
       let coercion =
@@ -791,12 +795,12 @@ and gen_sub ctx ~formals ~out ~name : subspec =
   let writes =
     let numeric_stores = store_idxs sctx is_num in
     let bool_stores = store_idxs sctx (fun s -> s = S_bool) in
-    if Splitmix.bool rng then []
+    if Util.Splitmix.bool rng then []
     else
       let num_nodes = candidates sctx (fun n -> is_num n.n_sty) in
       let bool_nodes = candidates sctx (fun n -> n.n_sty = S_bool) in
       match
-        Splitmix.weighted rng
+        Util.Splitmix.weighted rng
           [
             ((if numeric_stores <> [] && num_nodes <> [] then 2 else 0), `Num);
             ((if bool_stores <> [] && bool_nodes <> [] then 1 else 0), `Bool);
@@ -804,9 +808,15 @@ and gen_sub ctx ~formals ~out ~name : subspec =
           ]
       with
       | `Num ->
-        [ (Splitmix.choose rng numeric_stores, Splitmix.choose rng num_nodes) ]
+        [
+          ( Util.Splitmix.choose rng numeric_stores,
+            Util.Splitmix.choose rng num_nodes );
+        ]
       | `Bool ->
-        [ (Splitmix.choose rng bool_stores, Splitmix.choose rng bool_nodes) ]
+        [
+          ( Util.Splitmix.choose rng bool_stores,
+            Util.Splitmix.choose rng bool_nodes );
+        ]
       | `None -> []
   in
   {
@@ -818,7 +828,7 @@ and gen_sub ctx ~formals ~out ~name : subspec =
 
 let gen_spec rng ~size ~name : spec =
   let nstores =
-    Splitmix.weighted rng [ (3, 0); (3, 1); (2, 2); (1, 3) ]
+    Util.Splitmix.weighted rng [ (3, 0); (3, 1); (2, 2); (1, 3) ]
   in
   let stores =
     List.init nstores (fun _ ->
@@ -826,7 +836,7 @@ let gen_spec rng ~size ~name : spec =
         (s, gen_const rng s))
   in
   let ctx = { rng; acc = []; count = 0; stores } in
-  let nseed = Splitmix.int_in rng 2 4 in
+  let nseed = Util.Splitmix.int_in rng 2 4 in
   for _ = 1 to nseed do
     let s = gen_sty rng in
     ignore (add ctx { n_sty = s; n_kind = In ("i" ^ string_of_int ctx.count) })
@@ -837,22 +847,22 @@ let gen_spec rng ~size ~name : spec =
     ignore (add ctx (gen_node ctx ~depth:0 ~allow_in:true s))
   done;
   let n = ctx.count in
-  let nouts = Splitmix.int_in rng 1 3 in
+  let nouts = Util.Splitmix.int_in rng 1 3 in
   let outs =
-    List.sort_uniq compare (List.init nouts (fun _ -> Splitmix.int rng n))
+    List.sort_uniq compare (List.init nouts (fun _ -> Util.Splitmix.int rng n))
   in
   let nodes = Array.of_list (List.rev ctx.acc) in
-  let nwrites = Splitmix.weighted rng [ (4, 0); (3, 1); (1, 2) ] in
+  let nwrites = Util.Splitmix.weighted rng [ (4, 0); (3, 1); (1, 2) ] in
   let writes = ref [] in
   for _ = 1 to nwrites do
     if stores <> [] then begin
-      let k = Splitmix.int rng (List.length stores) in
+      let k = Util.Splitmix.int rng (List.length stores) in
       if not (List.mem_assoc k !writes) then begin
         let ssty = fst (List.nth stores k) in
         let ok n = if ssty = S_bool then n.n_sty = S_bool else is_num n.n_sty in
         match candidates ctx ok with
         | [] -> ()
-        | l -> writes := (k, Splitmix.choose rng l) :: !writes
+        | l -> writes := (k, Util.Splitmix.choose rng l) :: !writes
       end
     end
   done;
@@ -865,8 +875,8 @@ let gen_spec rng ~size ~name : spec =
   }
 
 let gen_model rng ~size =
-  if Splitmix.int rng 5 = 0 then
-    let nins = Splitmix.int_in rng 1 3 in
+  if Util.Splitmix.int rng 5 = 0 then
+    let nins = Util.Splitmix.int_in rng 1 3 in
     let ins = List.init nins (fun _ -> gen_sty rng) in
     let out = gen_sty rng in
     M_chart (gen_chart rng ~name:"fuzz_chart" ~ins ~out ~size)
@@ -876,26 +886,26 @@ let gen_model rng ~size =
 
 let rec gen_value rng (ty : Value.ty) =
   match ty with
-  | Value.Tbool -> Value.Bool (Splitmix.bool rng)
+  | Value.Tbool -> Value.Bool (Util.Splitmix.bool rng)
   | Value.Tint { lo; hi } -> (
     match
-      Splitmix.weighted rng [ (5, `U); (1, `Lo); (1, `Hi); (2, `Zero) ]
+      Util.Splitmix.weighted rng [ (5, `U); (1, `Lo); (1, `Hi); (2, `Zero) ]
     with
-    | `U -> Value.Int (Splitmix.int_in rng lo hi)
+    | `U -> Value.Int (Util.Splitmix.int_in rng lo hi)
     | `Lo -> Value.Int lo
     | `Hi -> Value.Int hi
     | `Zero -> Value.Int (if lo <= 0 && 0 <= hi then 0 else lo))
   | Value.Treal { lo; hi } -> (
     match
-      Splitmix.weighted rng
+      Util.Splitmix.weighted rng
         [ (4, `U); (2, `Intv); (1, `Lo); (1, `Hi); (2, `Zero) ]
     with
-    | `U -> Value.Real (Splitmix.float_in rng lo hi)
+    | `U -> Value.Real (Util.Splitmix.float_in rng lo hi)
     | `Intv ->
       let ilo = int_of_float (Float.ceil lo)
       and ihi = int_of_float (Float.floor hi) in
-      if ilo > ihi then Value.Real (Splitmix.float_in rng lo hi)
-      else Value.Real (float_of_int (Splitmix.int_in rng ilo ihi))
+      if ilo > ihi then Value.Real (Util.Splitmix.float_in rng lo hi)
+      else Value.Real (float_of_int (Util.Splitmix.int_in rng ilo ihi))
     | `Lo -> Value.Real lo
     | `Hi -> Value.Real hi
     | `Zero -> Value.Real (if lo <= 0. && 0. <= hi then 0. else lo))

@@ -117,17 +117,20 @@ type model_spec = M_diagram of spec | M_chart of chartspec
 
 (** {1 Generation} *)
 
-val gen_model : Splitmix.t -> size:int -> model_spec
+val gen_model : Util.Splitmix.t -> size:int -> model_spec
 (** Draw a random model spec; [size] bounds the node count of diagrams
     (charts scale state/transition counts from it).  All randomness
     comes from the given generator: equal states generate equal specs. *)
 
-val gen_value : Splitmix.t -> Slim.Value.ty -> Slim.Value.t
+val gen_value : Util.Splitmix.t -> Slim.Value.ty -> Slim.Value.t
 (** One biased in-domain draw (used by {!gen_inputs} and by the
     oracles' concrete refutation search). *)
 
 val gen_inputs :
-  Splitmix.t -> Slim.Ir.program -> steps:int -> (string * Slim.Value.t) list list
+  Util.Splitmix.t ->
+  Slim.Ir.program ->
+  steps:int ->
+  (string * Slim.Value.t) list list
 (** One input valuation per step, drawn from the declared input types
     with boundary values (bounds, zero, integer-valued reals) mixed in
     so thresholds actually trip. *)

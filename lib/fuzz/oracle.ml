@@ -203,16 +203,17 @@ let pick_at_most rng n l =
   let len = Array.length arr in
   if len <= n then l
   else
-    List.init n (fun _ -> arr.(Splitmix.int rng len)) |> List.sort_uniq compare
+    List.init n (fun _ -> arr.(Util.Splitmix.int rng len))
+    |> List.sort_uniq compare
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 3: symexec path-predicate soundness                          *)
 
 let symexec ~seed ?(max_targets = 6) prog steps =
   let ex = Exec.handle prog in
-  let rng = Splitmix.create (seed lxor 0x53594d) in
+  let rng = Util.Splitmix.create (seed lxor 0x53594d) in
   let states = visited_states ex steps in
-  let pick_state () = states.(Splitmix.int rng (Array.length states)) in
+  let pick_state () = states.(Util.Splitmix.int rng (Array.length states)) in
   let config =
     {
       Symexec.Explore.max_paths = 64;
@@ -260,8 +261,8 @@ let symexec ~seed ?(max_targets = 6) prog steps =
     | (Symexec.Explore.Unknown, _) -> None
   in
   let check_condition (decision, natoms) =
-    let atom = Splitmix.int rng natoms in
-    let value = Splitmix.bool rng in
+    let atom = Util.Splitmix.int rng natoms in
+    let value = Util.Splitmix.bool rng in
     let state = pick_state () in
     let vectors_of events =
       List.filter_map
@@ -341,7 +342,7 @@ let symexec ~seed ?(max_targets = 6) prog steps =
 let solver ~seed ?(max_problems = 5) prog steps =
   ignore steps;
   let module T = Solver.Term in
-  let rng = Splitmix.create (seed lxor 0x501e3) in
+  let rng = Util.Splitmix.create (seed lxor 0x501e3) in
   let scalar_vars =
     List.filter_map
       (fun (v : Ir.var) ->
@@ -358,7 +359,7 @@ let solver ~seed ?(max_problems = 5) prog steps =
     let bool_vars = List.filter (fun (_, ty) -> ty = Value.Tbool) scalar_vars in
     let rec gen_num depth =
       let tag =
-        Splitmix.weighted rng
+        Util.Splitmix.weighted rng
           [
             ((if num_vars <> [] then 4 else 0), `Var);
             (3, `Const);
@@ -374,10 +375,10 @@ let solver ~seed ?(max_problems = 5) prog steps =
           ]
       in
       match tag with
-      | `Var -> T.var (fst (Splitmix.choose rng num_vars))
+      | `Var -> T.var (fst (Util.Splitmix.choose rng num_vars))
       | `Const ->
-        if Splitmix.bool rng then T.cint (Splitmix.int_in rng (-8) 8)
-        else T.creal (float_of_int (Splitmix.int_in rng (-4) 4) /. 2.)
+        if Util.Splitmix.bool rng then T.cint (Util.Splitmix.int_in rng (-8) 8)
+        else T.creal (float_of_int (Util.Splitmix.int_in rng (-4) 4) /. 2.)
       | `Add -> T.binop Ir.Add (gen_num (depth - 1)) (gen_num (depth - 1))
       | `Sub -> T.binop Ir.Sub (gen_num (depth - 1)) (gen_num (depth - 1))
       | `Mul -> T.binop Ir.Mul (gen_num (depth - 1)) (gen_num (depth - 1))
@@ -390,7 +391,7 @@ let solver ~seed ?(max_problems = 5) prog steps =
     in
     let rec gen_pred depth =
       let tag =
-        Splitmix.weighted rng
+        Util.Splitmix.weighted rng
           [
             (5, `Cmp);
             ((if bool_vars <> [] then 2 else 0), `Bvar);
@@ -402,10 +403,10 @@ let solver ~seed ?(max_problems = 5) prog steps =
       match tag with
       | `Cmp ->
         let op =
-          Splitmix.choose rng [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ]
+          Util.Splitmix.choose rng [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ]
         in
         T.cmp op (gen_num 2) (gen_num 2)
-      | `Bvar -> T.var (fst (Splitmix.choose rng bool_vars))
+      | `Bvar -> T.var (fst (Util.Splitmix.choose rng bool_vars))
       | `And -> T.and_ (gen_pred (depth - 1)) (gen_pred (depth - 1))
       | `Or -> T.or_ (gen_pred (depth - 1)) (gen_pred (depth - 1))
       | `Not -> T.not_ (gen_pred (depth - 1))
@@ -611,15 +612,16 @@ let spec_mon ~seed prog steps =
       if not finite then Pass
       else begin
         let n = Spec.Monitor.length trace in
-        let rng = Splitmix.create (seed lxor 0x57EC) in
+        let rng = Util.Splitmix.create (seed lxor 0x57EC) in
         let open Spec.Stl in
         let rec gen_sig depth =
-          if depth = 0 || Splitmix.int rng 3 = 0 then
-            if Splitmix.bool rng then Sig (Splitmix.choose rng scalar_outs)
-            else Const (float_of_int (Splitmix.int_in rng (-50) 50))
+          if depth = 0 || Util.Splitmix.int rng 3 = 0 then
+            if Util.Splitmix.bool rng then
+              Sig (Util.Splitmix.choose rng scalar_outs)
+            else Const (float_of_int (Util.Splitmix.int_in rng (-50) 50))
           else
             let a = gen_sig (depth - 1) and b = gen_sig (depth - 1) in
-            match Splitmix.int rng 7 with
+            match Util.Splitmix.int rng 7 with
             | 0 -> Add (a, b)
             | 1 -> Sub (a, b)
             | 2 -> Mul (a, b)
@@ -629,18 +631,18 @@ let spec_mon ~seed prog steps =
             | _ -> Max (a, b)
         in
         let gen_cmp () =
-          Splitmix.choose rng [ Le; Lt; Ge; Gt; Eq ]
+          Util.Splitmix.choose rng [ Le; Lt; Ge; Gt; Eq ]
         in
         let gen_bounds () =
-          let a = Splitmix.int rng 7 in
-          (a, a + Splitmix.int rng 9)
+          let a = Util.Splitmix.int rng 7 in
+          (a, a + Util.Splitmix.int rng 9)
         in
         let rec gen_formula depth =
-          if depth = 0 || Splitmix.int rng 4 = 0 then
+          if depth = 0 || Util.Splitmix.int rng 4 = 0 then
             Atom (gen_cmp (), gen_sig 2, gen_sig 2)
           else
             let f = gen_formula (depth - 1) in
-            match Splitmix.int rng 7 with
+            match Util.Splitmix.int rng 7 with
             | 0 -> Not f
             | 1 -> And (f, gen_formula (depth - 1))
             | 2 -> Or (f, gen_formula (depth - 1))

@@ -186,7 +186,7 @@ let table1 ?(budget = 3600.0) ?(seed = 1) () =
       | Engine.Ev_testcase _ -> ())
     run.Engine.r_events;
   let table =
-    Text_table.render
+    Telemetry.Text_table.render
       ~header:
         [ "Step"; "Target"; "Target state"; "New branches"; "Total achieved" ]
       (List.rev !rows)
@@ -216,7 +216,7 @@ let table2 () =
       Registry.entries
   in
   Fmt.str "Table II - benchmark models (ours vs paper)\n%s"
-    (Text_table.render
+    (Telemetry.Text_table.render
        ~header:
          [
            "Model"; "Functionality"; "#Branch"; "paper"; "#Stmt"; "paper #Block";
@@ -382,7 +382,7 @@ let table3_of_cells ?budget ?seeds ?models cells =
   let d_sldv, c_sldv, m_sldv = improvement SLDV in
   let d_sct, c_sct, m_sct = improvement SimCoTest in
   let table =
-    Text_table.render
+    Telemetry.Text_table.render
       ~header:
         [
           "Model"; "Tool"; "Decision"; "paper"; "Condition"; "paper"; "MCDC";
@@ -671,7 +671,7 @@ let ablations_of_cells ?(budget = 3600.0) ?(seeds = ab_default_seeds) ?models
   in
   Fmt.str "Ablations (avg over %d seeds; time = virtual time to full coverage, budget %.0fs)\n%s"
     (List.length seeds) budget
-    (Text_table.render
+    (Telemetry.Text_table.render
        ~header:[ "Model"; "Variant"; "Decision"; "Time-to-done" ]
        rows)
 

@@ -37,14 +37,17 @@ type t
 val compile : Ir.program -> t
 
 val handle : Ir.program -> t
-(** Memoizing [compile], keyed on physical equality of the program value
-    (bounded move-to-front cache).  Callers that hold one program value and
-    call repeatedly — the normal pattern — pay compilation once.
+(** Memoizing [compile], keyed on physical equality of the program value.
+    Callers that hold one program value and call repeatedly — the normal
+    pattern — pay compilation once.
 
-    Domain-safe: the memo is mutex-protected, and the returned handle is
-    immutable after construction, so one handle may be shared read-only
-    across worker domains (the parallel harness compiles each model once
-    up front and lets every run reuse it). *)
+    Domain-safe: the memo is an immutable snapshot array of at most 32
+    entries, newest first, published through an [Atomic.t].  A hit is a
+    lock-free scan; only a miss takes a lock, to compile and publish a new
+    snapshot.  The returned handle is immutable after construction, so one
+    handle may be shared read-only across worker domains (the parallel
+    harness compiles each model once up front and lets every run reuse
+    it). *)
 
 (** {1 Accessors} *)
 

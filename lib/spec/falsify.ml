@@ -24,7 +24,7 @@ type row = {
 (* A requirement's search seed depends only on the campaign seed and its
    table position — not on scheduling — so the campaign is replayable
    per row and byte-stable for any worker count. *)
-let req_seed cfg index = Prng.mix_seed cfg.seed index
+let req_seed cfg index = Util.Splitmix.mix_seed cfg.seed index
 
 let exec_of_model name =
   match Models.Registry.find name with

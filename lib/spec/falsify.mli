@@ -4,7 +4,7 @@
 
     Determinism contract: each requirement's search seed is mixed from
     the campaign seed and the requirement's position in the table
-    ({!Prng.mix_seed}), every search is a pure function of its seed and
+    ({!Util.Splitmix.mix_seed}), every search is a pure function of its seed and
     budgets, and results merge in table order — so {!render} output is
     byte-identical for any [jobs] value. *)
 

@@ -22,7 +22,7 @@ let witness_trace ~plan vec = run_params plan vec
 
 let run ?(samples = 32) ?(descent = 64) ~plan ~seed formula =
   Telemetry.Span.with_ sp_search (fun () ->
-      let rng = Prng.create seed in
+      let rng = Util.Splitmix.create seed in
       let n = Signal.n_params plan in
       let traces = ref 0 in
       let best_rob = ref infinity in
@@ -54,11 +54,13 @@ let run ?(samples = 32) ?(descent = 64) ~plan ~seed formula =
         let scale = ref 0.25 in
         let j = ref 0 in
         while !j < descent && !at_trace = None do
-          let coord = Prng.int rng n in
+          let coord = Util.Splitmix.int rng n in
           let lo, hi = Signal.domain plan coord in
           let span = hi -. lo in
           let cand = Array.copy !best_params in
-          let delta = Prng.float_in rng (-. !scale *. span) (!scale *. span) in
+          let delta =
+            Util.Splitmix.float_in rng (-. !scale *. span) (!scale *. span)
+          in
           let v = cand.(coord) +. delta in
           cand.(coord) <- (if v < lo then lo else if v > hi then hi else v);
           let before = !best_rob in

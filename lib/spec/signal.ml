@@ -52,7 +52,7 @@ let domain p i =
   (q.lo, q.hi)
 
 let random_params p rng =
-  Array.map (fun q -> Prng.float_in rng q.lo q.hi) p.params
+  Array.map (fun q -> Util.Splitmix.float_in rng q.lo q.hi) p.params
 
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 

@@ -35,7 +35,7 @@ val exec : plan -> Slim.Exec.t
 val domain : plan -> int -> float * float
 (** Inclusive parameter box for coordinate [i]. *)
 
-val random_params : plan -> Prng.t -> float array
+val random_params : plan -> Util.Splitmix.t -> float array
 (** Uniform point in the box; draws parameters in coordinate order
     (stable PRNG consumption). *)
 

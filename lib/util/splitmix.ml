@@ -31,6 +31,11 @@ let split t = { state = mix64_variant (bits64 t) }
 
 let copy t = { state = t.state }
 
+(* mix two seeds into one: job [i] of campaign seed [s] draws from an
+   independent stream for any job count *)
+let mix_seed a b =
+  Int64.to_int (mix64 (Int64.add (mix64 (Int64.of_int a)) (Int64.of_int b)))
+
 (* top 62 bits as a non-negative OCaml int *)
 let bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 

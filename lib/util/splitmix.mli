@@ -1,7 +1,7 @@
 (** A hand-rolled splittable PRNG (SplitMix64, Steele–Lea–Flood 2014).
 
-    The fuzzer needs reproducibility properties the stdlib [Random]
-    does not give cheaply:
+    The fuzzer and the falsification search need reproducibility
+    properties the stdlib [Random] does not give cheaply:
 
     - {b determinism}: the same integer seed yields the same stream on
       every platform and OCaml version (the stdlib reserves the right
@@ -26,6 +26,11 @@ val split : t -> t
 
 val copy : t -> t
 (** Duplicate the current state without advancing it. *)
+
+val mix_seed : int -> int -> int
+(** [mix_seed s i] derives the seed of job [i] of a campaign seeded
+    with [s]: two finalizer rounds, so neighbouring jobs share no
+    structure and a job's stream does not depend on the job count. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

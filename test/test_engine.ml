@@ -218,6 +218,17 @@ let test_budget_respected () =
   check Alcotest.bool "clock within budget" true
     (Stcg.Vclock.now run.Engine.r_clock <= 2.0 +. 1e-9)
 
+let test_vclock_budget_guard () =
+  List.iter
+    (fun budget ->
+      Alcotest.check_raises
+        (Fmt.str "budget %g refused" budget)
+        (Invalid_argument "Vclock.create: budget must be finite and non-negative")
+        (fun () -> ignore (Stcg.Vclock.create ~budget)))
+    [ nan; infinity; neg_infinity; -1.0 ];
+  check Alcotest.bool "a zero budget is expired at once" true
+    (Stcg.Vclock.expired (Stcg.Vclock.create ~budget:0.0))
+
 let test_export_roundtrip () =
   let run = Engine.run ~config:(config ()) mini_cputask in
   let text = Testcase.to_text mini_cputask run.Engine.r_testcases in
@@ -303,6 +314,7 @@ let () =
           Alcotest.test_case "hc4 memo identity" `Quick test_hc4_memo_identity;
           Alcotest.test_case "timeline monotone" `Quick test_timeline_monotone;
           Alcotest.test_case "budget respected" `Quick test_budget_respected;
+          Alcotest.test_case "vclock budget guard" `Quick test_vclock_budget_guard;
           Alcotest.test_case "hybrid random-first" `Quick test_random_first_hybrid;
         ] );
       ( "artifacts",

@@ -97,7 +97,7 @@ let chart_programs =
   let rec collect seed acc n =
     if n = 0 then List.rev acc
     else
-      let rng = Fuzzer.Splitmix.create seed in
+      let rng = Util.Splitmix.create seed in
       match Fuzzer.Gen.gen_model rng ~size:10 with
       | Fuzzer.Gen.M_chart c ->
         collect (seed + 1)
@@ -112,8 +112,8 @@ let chart_programs =
 let chart_differential (name, prog) () =
   let ex = Exec.handle prog in
   let rng = Random.State.make [| 0xC4A7; String.length name |]
-  and seed_rng = Fuzzer.Splitmix.create (String.length name) in
-  let irng = Fuzzer.Splitmix.split seed_rng in
+  and seed_rng = Util.Splitmix.create (String.length name) in
+  let irng = Util.Splitmix.split seed_rng in
   let st_ref = ref (Interp.initial_state prog) in
   let st_new = ref (Exec.initial_state ex) in
   for step = 1 to 120 do

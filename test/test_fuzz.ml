@@ -9,17 +9,16 @@ module Gen = Fuzzer.Gen
 module Shrink = Fuzzer.Shrink
 module Oracle = Fuzzer.Oracle
 module Campaign = Fuzzer.Campaign
-module Splitmix = Fuzzer.Splitmix
 
 let check = Alcotest.check
 
 (* Mirror one campaign case draw: model spec + input sequence. *)
 let draw_case seed =
-  let rng = Splitmix.create seed in
-  let model_rng = Splitmix.split rng in
-  let input_rng = Splitmix.split rng in
-  let size = 8 + Splitmix.int rng 16 in
-  let steps = 1 + Splitmix.int rng 11 in
+  let rng = Util.Splitmix.create seed in
+  let model_rng = Util.Splitmix.split rng in
+  let input_rng = Util.Splitmix.split rng in
+  let size = 8 + Util.Splitmix.int rng 16 in
+  let steps = 1 + Util.Splitmix.int rng 11 in
   let m = Gen.gen_model model_rng ~size in
   let inputs =
     match Gen.program_of m with

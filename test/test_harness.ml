@@ -10,7 +10,7 @@ let contains sub s =
 
 let test_text_table () =
   let t =
-    Harness.Text_table.render
+    Telemetry.Text_table.render
       ~header:[ "Model"; "Coverage" ]
       [ [ "CPUTask"; "100%" ]; [ "AFC"; "83%" ] ]
   in

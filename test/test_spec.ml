@@ -9,7 +9,6 @@
 
 module Stl = Spec.Stl
 module Monitor = Spec.Monitor
-module Prng = Spec.Prng
 module Requirements = Spec.Requirements
 module Falsify = Spec.Falsify
 
@@ -104,12 +103,12 @@ let test_structure () =
 
 let gen_sig rng names depth =
   let rec go depth =
-    if depth = 0 || Prng.int rng 3 = 0 then
-      if Prng.int rng 2 = 0 then
-        Stl.Sig (List.nth names (Prng.int rng (List.length names)))
-      else Stl.Const (float_of_int (Prng.int rng 101 - 50))
+    if depth = 0 || Util.Splitmix.int rng 3 = 0 then
+      if Util.Splitmix.int rng 2 = 0 then
+        Stl.Sig (List.nth names (Util.Splitmix.int rng (List.length names)))
+      else Stl.Const (float_of_int (Util.Splitmix.int rng 101 - 50))
     else
-      match Prng.int rng 7 with
+      match Util.Splitmix.int rng 7 with
       | 0 -> Stl.Add (go (depth - 1), go (depth - 1))
       | 1 -> Stl.Sub (go (depth - 1), go (depth - 1))
       | 2 -> Stl.Mul (go (depth - 1), go (depth - 1))
@@ -122,12 +121,12 @@ let gen_sig rng names depth =
 
 let gen_formula rng names depth =
   let gen_bounds () =
-    let a = Prng.int rng 7 in
-    (a, a + Prng.int rng 9)
+    let a = Util.Splitmix.int rng 7 in
+    (a, a + Util.Splitmix.int rng 9)
   in
   let gen_atom () =
     let cmp =
-      match Prng.int rng 5 with
+      match Util.Splitmix.int rng 5 with
       | 0 -> Stl.Le
       | 1 -> Stl.Lt
       | 2 -> Stl.Ge
@@ -139,7 +138,7 @@ let gen_formula rng names depth =
   let rec go depth =
     if depth = 0 then gen_atom ()
     else
-      match Prng.int rng 8 with
+      match Util.Splitmix.int rng 8 with
       | 0 -> gen_atom ()
       | 1 -> Stl.Not (go (depth - 1))
       | 2 -> Stl.And (go (depth - 1), go (depth - 1))
@@ -162,12 +161,12 @@ let gen_formula rng names depth =
    nonzero finite robustness must decide the independent boolean
    semantics. *)
 let test_monitor_differential () =
-  let rng = Prng.create 0xD1FF in
+  let rng = Util.Splitmix.create 0xD1FF in
   for case = 1 to 520 do
-    let n = 1 + Prng.int rng 50 in
+    let n = 1 + Util.Splitmix.int rng 50 in
     let names =
       List.filteri
-        (fun i _ -> i <= Prng.int rng 3)
+        (fun i _ -> i <= Util.Splitmix.int rng 3)
         [ "a"; "b"; "c" ]
     in
     let cols =
@@ -175,9 +174,9 @@ let test_monitor_differential () =
         (fun name ->
           ( name,
             Array.init n (fun _ ->
-                if Prng.int rng 2 = 0 then
-                  float_of_int (Prng.int rng 41 - 20)
-                else Prng.float_in rng (-100.0) 100.0) ))
+                if Util.Splitmix.int rng 2 = 0 then
+                  float_of_int (Util.Splitmix.int rng 41 - 20)
+                else Util.Splitmix.float_in rng (-100.0) 100.0) ))
         names
     in
     let t = trace cols in

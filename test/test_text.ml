@@ -15,7 +15,6 @@ module Printer = Text.Printer
 module Parser = Text.Parser
 module Syntax = Text.Syntax
 module Gen = Fuzzer.Gen
-module Splitmix = Fuzzer.Splitmix
 module Exec = Slim.Exec
 
 let check = Alcotest.check
@@ -59,7 +58,7 @@ let roundtrip ?(steps = 40) name src =
     text (Printer.print src');
   let p1 = Source.program_of src in
   let p2 = Source.program_of src' in
-  let rows = Gen.gen_inputs (Splitmix.create 7) p1 ~steps in
+  let rows = Gen.gen_inputs (Util.Splitmix.create 7) p1 ~steps in
   exec_equiv name p1 p2 rows
 
 (* --- registry models ---------------------------------------------------- *)
@@ -203,10 +202,10 @@ let test_parser_fuzz () =
       (fun k -> try_parse (String.sub text 0 (n * k / 4)))
       [ 1; 2; 3 ];
     (* deterministic random single-byte edits *)
-    let rng = Splitmix.create (1000 + i) in
+    let rng = Util.Splitmix.create (1000 + i) in
     for _ = 1 to 20 do
-      let at = Splitmix.int rng n in
-      let c = alphabet.(Splitmix.int rng (Array.length alphabet)) in
+      let at = Util.Splitmix.int rng n in
+      let c = alphabet.(Util.Splitmix.int rng (Array.length alphabet)) in
       let b = Bytes.of_string text in
       Bytes.set b at c;
       try_parse (Bytes.to_string b)
