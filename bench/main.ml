@@ -441,53 +441,42 @@ let falsify_bench () =
 
 (* --- micro-benchmarks --------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ?telemetry ?(derived = []) path (results : (string * float) list) =
+  let module J = Util.Json in
+  let jobs = Harness.Pool.default_jobs () in
+  let doc =
+    J.Obj
+      ([
+         ("quick", J.Bool quick);
+         (* worker-domain count the harness artifacts ran with (STCG_JOBS
+            or cores - 1) — wall-clock entries are only comparable at
+            equal jobs — and what that request clamps to on this
+            machine's core count *)
+         ("jobs", J.Int jobs);
+         ("jobs_effective", J.Int (Harness.Pool.effective_jobs jobs));
+         ("unit", J.String "ns/run");
+       ]
+      (* headline efficiency ratios of the end-to-end phases, promoted to
+         top-level fields so cross-PR tracking can diff them without
+         digging into the telemetry object: solve-cache hit rate, term-DAG
+         dedup ratio, HC4 memo intensity *)
+      @ List.map (fun (name, v) -> (name, J.Float v)) derived
+      (* counter/histogram/span snapshot of the end-to-end phases (paper
+         artifacts, wall-clock matrix, fuzz campaign); micro-benchmarks
+         run after telemetry is reset and measure the disabled path *)
+      @ (match telemetry with Some t -> [ ("telemetry", t) ] | None -> [])
+      @ [
+          ( "results",
+            J.List
+              (List.map
+                 (fun (name, ns) ->
+                   J.Obj [ ("name", J.String name); ("ns_per_run", J.Float ns) ])
+                 results) );
+        ])
+  in
   let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc (Fmt.str "  \"quick\": %b,\n" quick);
-  (* worker-domain count the harness artifacts ran with (STCG_JOBS or
-     cores - 1) — wall-clock entries are only comparable at equal jobs —
-     and what that request clamps to on this machine's core count *)
-  output_string oc (Fmt.str "  \"jobs\": %d,\n" (Harness.Pool.default_jobs ()));
-  output_string oc
-    (Fmt.str "  \"jobs_effective\": %d,\n"
-       (Harness.Pool.effective_jobs (Harness.Pool.default_jobs ())));
-  output_string oc "  \"unit\": \"ns/run\",\n";
-  (* headline efficiency ratios of the end-to-end phases, promoted to
-     top-level fields so cross-PR tracking can diff them without digging
-     into the telemetry object: solve-cache hit rate, term-DAG dedup
-     ratio, HC4 memo intensity *)
-  List.iter
-    (fun (name, v) ->
-      output_string oc (Fmt.str "  \"%s\": %.6f,\n" (json_escape name) v))
-    derived;
-  (* counter/histogram/span snapshot of the end-to-end phases (paper
-     artifacts, wall-clock matrix, fuzz campaign); micro-benchmarks run
-     after telemetry is reset and measure the disabled path *)
-  (match telemetry with
-   | Some obj -> output_string oc (Fmt.str "  \"telemetry\": %s,\n" obj)
-   | None -> ());
-  output_string oc "  \"results\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      output_string oc
-        (Fmt.str "    { \"name\": \"%s\", \"ns_per_run\": %.1f }%s\n"
-           (json_escape name) ns
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  output_string oc "  ]\n}\n";
+  output_string oc (J.to_string doc);
+  output_char oc '\n';
   close_out oc;
   Fmt.pr "@.wrote %d results to %s@." (List.length results) path
 

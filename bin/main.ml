@@ -486,64 +486,53 @@ let lint_cmd =
       let text = try read_file f with Sys_error _ -> "" in
       (f, Analysis.Lint.run prog, Text.Doclint.run ~text doc, None)
   in
-  let json_escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let print_json results issues =
-    Fmt.pr "{@.  \"issues\": %d,@.  \"targets\": [@." issues;
-    let last_t = List.length results - 1 in
-    List.iteri
-      (fun ti (target, diags, sfindings, err) ->
-        Fmt.pr "    { \"target\": \"%s\", \"findings\": [@."
-          (json_escape target);
-        let items =
-          (match err with
-           | Some (e : Text.Syntax.error) ->
-             [ Fmt.str
-                 "{ \"code\": \"%s\", \"line\": %d, \"col\": %d, \
-                  \"msg\": \"%s\" }"
-                 (json_escape e.Text.Syntax.code) e.Text.Syntax.pos.line
-                 e.Text.Syntax.pos.col (json_escape e.Text.Syntax.msg) ]
-           | None -> [])
-          @ List.map
-              (fun (d : Analysis.Diag.t) ->
-                Fmt.str
-                  "{ \"code\": \"%s\", \"loc\": \"%s\", \"msg\": \"%s\" }"
-                  (Analysis.Diag.code_id d.Analysis.Diag.d_code)
-                  (json_escape d.Analysis.Diag.d_loc)
-                  (json_escape d.Analysis.Diag.d_msg))
-              diags
-          @ List.map
-              (fun (f : Text.Doclint.finding) ->
-                Fmt.str
-                  "{ \"code\": \"%s\", \"line\": %d, \"col\": %d, \
-                   \"req\": \"%s\", \"msg\": \"%s\" }"
-                  (Text.Doclint.code_id f.Text.Doclint.s_code)
-                  f.Text.Doclint.s_pos.line f.Text.Doclint.s_pos.col
-                  (json_escape f.Text.Doclint.s_req)
-                  (json_escape f.Text.Doclint.s_msg))
-              sfindings
-        in
-        let last_i = List.length items - 1 in
-        List.iteri
-          (fun i item ->
-            Fmt.pr "      %s%s@." item (if i = last_i then "" else ","))
-          items;
-        Fmt.pr "    ] }%s@." (if ti = last_t then "" else ","))
-      results;
-    Fmt.pr "  ]@.}@."
+    let module J = Util.Json in
+    let str x = J.String x in
+    let target (name, diags, sfindings, err) =
+      let findings =
+        (match err with
+         | Some (e : Text.Syntax.error) ->
+           [
+             J.Obj
+               [
+                 ("code", str e.Text.Syntax.code);
+                 ("line", J.Int e.Text.Syntax.pos.line);
+                 ("col", J.Int e.Text.Syntax.pos.col);
+                 ("msg", str e.Text.Syntax.msg);
+               ];
+           ]
+         | None -> [])
+        @ List.map
+            (fun (d : Analysis.Diag.t) ->
+              J.Obj
+                [
+                  ("code", str (Analysis.Diag.code_id d.Analysis.Diag.d_code));
+                  ("loc", str d.Analysis.Diag.d_loc);
+                  ("msg", str d.Analysis.Diag.d_msg);
+                ])
+            diags
+        @ List.map
+            (fun (f : Text.Doclint.finding) ->
+              J.Obj
+                [
+                  ("code", str (Text.Doclint.code_id f.Text.Doclint.s_code));
+                  ("line", J.Int f.Text.Doclint.s_pos.line);
+                  ("col", J.Int f.Text.Doclint.s_pos.col);
+                  ("req", str f.Text.Doclint.s_req);
+                  ("msg", str f.Text.Doclint.s_msg);
+                ])
+            sfindings
+      in
+      J.Obj [ ("target", str name); ("findings", J.List findings) ]
+    in
+    print_endline
+      (J.to_string
+         (J.Obj
+            [
+              ("issues", J.Int issues);
+              ("targets", J.List (List.map target results));
+            ]))
   in
   let run model all files json tel =
     let finish = telemetry_setup tel in

@@ -220,55 +220,40 @@ let pp_summary ppf s =
       (Fmt.list ~sep:Fmt.cut pp_failure)
       s.s_failures
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?telemetry s =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\"seed\": %d, \"count\": %d, \"max_steps\": %d" s.s_seed s.s_count
-    s.s_max_steps;
-  pf ", \"oracles\": [%s]"
-    (String.concat ", "
-       (List.map (fun o -> Printf.sprintf "\"%s\"" (json_escape o)) s.s_oracles));
-  pf ", \"diagrams\": %d, \"charts\": %d" s.s_diagrams s.s_charts;
-  pf ", \"blocks\": %d, \"steps\": %d, \"decisions\": %d" s.s_blocks_total
-    s.s_steps_total s.s_decisions_total;
-  pf ", \"oracle_runs\": {%s}"
-    (String.concat ", "
-       (List.map
-          (fun (o, runs) ->
-            Printf.sprintf "\"%s\": {\"cases\": %d, \"failures\": %d}"
-              (json_escape o) runs (oracle_failures s o))
-          s.s_oracle_runs));
-  pf ", \"failures\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then pf ", ";
-      pf
-        "{\"case\": %d, \"oracle\": \"%s\", \"message\": \"%s\", \
-         \"orig_size\": %d, \"size\": %d, \"steps\": %d, \"rounds\": %d, \
-         \"checks\": %d, \"repro\": \"%s\"}"
-        f.f_case (json_escape f.f_oracle) (json_escape f.f_message)
-        f.f_orig_size f.f_size f.f_steps f.f_rounds f.f_checks
-        (json_escape f.f_repro))
-    s.s_failures;
-  pf "]";
-  (match telemetry with
-   | Some obj -> pf ", \"telemetry\": %s" obj
-   | None -> ());
-  pf ", \"pass\": %b}" (s.s_failures = []);
-  Buffer.contents b
+  let module J = Util.Json in
+  let str x = J.String x in
+  let failure f =
+    J.Obj
+      [
+        ("case", J.Int f.f_case); ("oracle", str f.f_oracle);
+        ("message", str f.f_message); ("orig_size", J.Int f.f_orig_size);
+        ("size", J.Int f.f_size); ("steps", J.Int f.f_steps);
+        ("rounds", J.Int f.f_rounds); ("checks", J.Int f.f_checks);
+        ("repro", str f.f_repro);
+      ]
+  in
+  J.to_string
+    (J.Obj
+       ([
+          ("seed", J.Int s.s_seed); ("count", J.Int s.s_count);
+          ("max_steps", J.Int s.s_max_steps);
+          ("oracles", J.List (List.map str s.s_oracles));
+          ("diagrams", J.Int s.s_diagrams); ("charts", J.Int s.s_charts);
+          ("blocks", J.Int s.s_blocks_total); ("steps", J.Int s.s_steps_total);
+          ("decisions", J.Int s.s_decisions_total);
+          ( "oracle_runs",
+            J.Obj
+              (List.map
+                 (fun (o, runs) ->
+                   ( o,
+                     J.Obj
+                       [
+                         ("cases", J.Int runs);
+                         ("failures", J.Int (oracle_failures s o));
+                       ] ))
+                 s.s_oracle_runs) );
+          ("failures", J.List (List.map failure s.s_failures));
+        ]
+       @ (match telemetry with Some t -> [ ("telemetry", t) ] | None -> [])
+       @ [ ("pass", J.Bool (s.s_failures = [])) ]))

@@ -96,11 +96,7 @@ val pp_summary : summary Fmt.t
 (** Human-readable report: totals, per-oracle table, then each failure
     with its minimized reproducer. *)
 
-val json_escape : string -> string
-(** JSON string-body escaping shared with {!Corpus}. *)
-
-val to_json : ?telemetry:string -> summary -> string
-(** The same data as a single-line-friendly JSON object (reproducers
-    included as escaped strings), consumed by the bench harness.
-    [telemetry] is a pre-rendered JSON object spliced in under the
-    ["telemetry"] key (see {!Telemetry.json_summary}). *)
+val to_json : ?telemetry:Util.Json.t -> summary -> string
+(** The same data as a one-line JSON object (reproducers included as
+    escaped strings), consumed by the bench harness.  [telemetry] is
+    placed under the ["telemetry"] key (see {!Telemetry.json_summary}). *)

@@ -8,130 +8,38 @@ type entry = {
 
 let schema_version = 1
 
-let to_line e =
-  Printf.sprintf
-    "{\"schema_version\": %d, \"seed\": %d, \"index\": %d, \"oracle\": \
-     \"%s\", \"max_steps\": %d, \"message\": \"%s\"}"
-    schema_version e.e_seed e.e_index
-    (Campaign.json_escape e.e_oracle)
-    e.e_max_steps
-    (Campaign.json_escape e.e_message)
+module J = Util.Json
 
-(* Strict scanner for the flat one-line object [to_line] emits (plus
-   arbitrary key order and whitespace).  Not a general JSON parser on
-   purpose: the corpus format is ours, and a malformed line should be a
-   loud error, not a guess. *)
-exception Bad of string
+let to_line e =
+  J.to_string
+    (J.Obj
+       [
+         ("schema_version", J.Int schema_version); ("seed", J.Int e.e_seed);
+         ("index", J.Int e.e_index); ("oracle", J.String e.e_oracle);
+         ("max_steps", J.Int e.e_max_steps); ("message", J.String e.e_message);
+       ])
 
 let of_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos
-    else raise (Bad (Printf.sprintf "expected %C at offset %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string")
+  match J.of_string line with
+  | Error m -> Error m
+  | Ok json -> (
+    let field conv key = conv key (J.member key json) in
+    match
+      let version = field J.int "schema_version" in
+      if version <> schema_version then
+        Error (Printf.sprintf "unsupported schema_version %d" version)
       else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          if !pos >= n then raise (Bad "dangling escape");
-          (match line.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | 'n' -> Buffer.add_char b '\n'
-           | 'r' -> Buffer.add_char b '\r'
-           | 't' -> Buffer.add_char b '\t'
-           | 'u' ->
-             if !pos + 4 >= n then raise (Bad "short \\u escape");
-             let hex = String.sub line (!pos + 1) 4 in
-             (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 256 -> Buffer.add_char b (Char.chr code)
-              | Some _ | None -> raise (Bad ("bad \\u escape " ^ hex)));
-             pos := !pos + 4
-           | c -> raise (Bad (Printf.sprintf "unknown escape \\%c" c)));
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if !pos < n && line.[!pos] = '-' then incr pos;
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      incr pos
-    done;
-    match int_of_string_opt (String.sub line start (!pos - start)) with
-    | Some i -> i
-    | None -> raise (Bad (Printf.sprintf "expected integer at offset %d" start))
-  in
-  match
-    let fields = Hashtbl.create 8 in
-    expect '{';
-    skip_ws ();
-    (if peek () <> Some '}' then
-       let rec members () =
-         skip_ws ();
-         let key = parse_string () in
-         expect ':';
-         skip_ws ();
-         (match peek () with
-          | Some '"' -> Hashtbl.replace fields key (`S (parse_string ()))
-          | _ -> Hashtbl.replace fields key (`I (parse_int ())));
-         skip_ws ();
-         match peek () with
-         | Some ',' ->
-           incr pos;
-           members ()
-         | _ -> ()
-       in
-       members ());
-    expect '}';
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing characters");
-    let int_field k =
-      match Hashtbl.find_opt fields k with
-      | Some (`I i) -> i
-      | Some (`S _) -> raise (Bad (k ^ " must be an integer"))
-      | None -> raise (Bad ("missing field " ^ k))
-    in
-    let str_field k =
-      match Hashtbl.find_opt fields k with
-      | Some (`S s) -> s
-      | Some (`I _) -> raise (Bad (k ^ " must be a string"))
-      | None -> raise (Bad ("missing field " ^ k))
-    in
-    let version = int_field "schema_version" in
-    if version <> schema_version then
-      raise (Bad (Printf.sprintf "unsupported schema_version %d" version));
-    {
-      e_seed = int_field "seed";
-      e_index = int_field "index";
-      e_oracle = str_field "oracle";
-      e_max_steps = int_field "max_steps";
-      e_message = str_field "message";
-    }
-  with
-  | entry -> Ok entry
-  | exception Bad m -> Error m
+        Ok
+          {
+            e_seed = field J.int "seed";
+            e_index = field J.int "index";
+            e_oracle = field J.string "oracle";
+            e_max_steps = field J.int "max_steps";
+            e_message = field J.string "message";
+          }
+    with
+    | r -> r
+    | exception J.Type_error m -> Error m)
 
 let load path =
   match open_in path with

@@ -27,7 +27,8 @@ val to_line : entry -> string
 (** One JSONL line, no trailing newline. *)
 
 val of_line : string -> (entry, string) result
-(** Strict parse of {!to_line}'s format; [Error] explains the defect.
+(** Strict parse of one corpus object, in any key order and spacing;
+    [Error] explains the defect.
     Blank lines and [#] comments yield [Error] — filter first. *)
 
 val load : string -> (entry list, string) result

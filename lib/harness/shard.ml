@@ -42,253 +42,26 @@ exception Malformed of string
 
 let malformed fmt = Fmt.kstr (fun s -> raise (Malformed s)) fmt
 
-(* --- a minimal JSON layer ---------------------------------------------- *)
-
-(* The image has no JSON library and telemetry only *writes* JSON, so
-   partial files get their own ~100-line reader.  Floats are the only
-   subtlety: the writer prints "%.17g" (shortest-exact would also do,
-   but 17 significant digits round-trips every IEEE double) and the
-   reader hands the raw token to [float_of_string], so merged averages
-   see bit-identical inputs. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = malformed "%s at byte %d" msg !pos in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = Some c then incr pos else fail (Fmt.str "expected '%c'" c)
-  in
-  let lit word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (
-      pos := !pos + l;
-      v)
-    else fail (Fmt.str "expected %s" word)
-  in
-  let digits () =
-    while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-      incr pos
-    done
-  in
-  let number () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    digits ();
-    if peek () = Some '.' then (
-      incr pos;
-      digits ());
-    (match peek () with
-     | Some ('e' | 'E') ->
-       incr pos;
-       (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-       digits ()
-     | _ -> ());
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let utf8_of_code buf c =
-    (* partials only ever contain ASCII, but decode \uXXXX properly *)
-    if c < 0x80 then Buffer.add_char buf (Char.chr c)
-    else if c < 0x800 then (
-      Buffer.add_char buf (Char.chr (0xC0 lor (c lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3F))))
-    else (
-      Buffer.add_char buf (Char.chr (0xE0 lor (c lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((c lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3F))))
-  in
-  let string_lit () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        (if !pos >= n then fail "unterminated escape";
-         match s.[!pos] with
-         | ('"' | '\\' | '/') as c ->
-           Buffer.add_char buf c;
-           incr pos
-         | 'b' -> Buffer.add_char buf '\b'; incr pos
-         | 'f' -> Buffer.add_char buf '\012'; incr pos
-         | 'n' -> Buffer.add_char buf '\n'; incr pos
-         | 'r' -> Buffer.add_char buf '\r'; incr pos
-         | 't' -> Buffer.add_char buf '\t'; incr pos
-         | 'u' ->
-           if !pos + 4 >= n then fail "truncated \\u escape";
-           (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-            | Some c -> utf8_of_code buf c
-            | None -> fail "bad \\u escape");
-           pos := !pos + 5
-         | _ -> fail "bad escape");
-        loop ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> lit "true" (Bool true)
-    | Some 'f' -> lit "false" (Bool false)
-    | Some 'n' -> lit "null" Null
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail "unexpected character"
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then (
-      incr pos;
-      Arr [])
-    else begin
-      let items = ref [] in
-      let rec loop () =
-        items := value () :: !items;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          loop ()
-        | Some ']' -> incr pos
-        | _ -> fail "expected ',' or ']'"
-      in
-      loop ();
-      Arr (List.rev !items)
-    end
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then (
-      incr pos;
-      Obj [])
-    else begin
-      let fields = ref [] in
-      let rec loop () =
-        skip_ws ();
-        let key = string_lit () in
-        skip_ws ();
-        expect ':';
-        fields := (key, value ()) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          loop ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}'"
-      in
-      loop ();
-      Obj (List.rev !fields)
-    end
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* typed accessors *)
-
-let member key = function
-  | Obj fields -> (
-    match List.assoc_opt key fields with
-    | Some v -> v
-    | None -> malformed "missing field %S" key)
-  | _ -> malformed "expected an object with field %S" key
-
-let to_float key = function
-  | Num f -> f
-  | _ -> malformed "field %S: expected a number" key
-
-let to_int key v =
-  let f = to_float key v in
-  let i = int_of_float f in
-  if float_of_int i <> f then malformed "field %S: expected an integer" key;
-  i
-
-let to_string key = function
-  | Str s -> s
-  | _ -> malformed "field %S: expected a string" key
-
-let to_list key = function
-  | Arr l -> l
-  | _ -> malformed "field %S: expected an array" key
-
-(* writing *)
-
-let add_float buf f =
-  (* %.17g round-trips every finite IEEE double exactly *)
-  Buffer.add_string buf (Fmt.str "%.17g" f)
-
-let add_string buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (Telemetry.json_escape s);
-  Buffer.add_char buf '"'
-
-let add_sep buf first = if !first then first := false else Buffer.add_char buf ','
-
 (* --- the partial format ------------------------------------------------- *)
+
+module J = Util.Json
 
 let format_tag = "stcg-shard/1"
 
-let header_of_spec buf spec ~shard:(si, sn) =
-  let total = njobs spec in
-  Buffer.add_string buf "{\"format\":";
-  add_string buf format_tag;
-  Buffer.add_string buf ",\"kind\":";
-  add_string buf (kind_name spec.sp_kind);
-  Buffer.add_string buf ",\"budget\":";
-  add_float buf spec.sp_budget;
-  Buffer.add_string buf ",\"seeds\":[";
-  let first = ref true in
-  List.iter
-    (fun s ->
-      add_sep buf first;
-      Buffer.add_string buf (string_of_int s))
-    spec.sp_seeds;
-  Buffer.add_string buf "],\"seed\":";
-  Buffer.add_string buf (string_of_int spec.sp_seed);
-  Buffer.add_string buf ",\"models\":";
-  (match spec.sp_models with
-   | None -> Buffer.add_string buf "null"
-   | Some ms ->
-     Buffer.add_char buf '[';
-     let first = ref true in
-     List.iter
-       (fun m ->
-         add_sep buf first;
-         add_string buf m)
-       ms;
-     Buffer.add_char buf ']');
-  Buffer.add_string buf ",\"njobs\":";
-  Buffer.add_string buf (string_of_int total);
-  Buffer.add_string buf (Fmt.str ",\"shard\":[%d,%d]" si sn)
+let header_of_spec spec ~shard:(si, sn) =
+  [
+    ("format", J.String format_tag);
+    ("kind", J.String (kind_name spec.sp_kind));
+    ("budget", J.Float spec.sp_budget);
+    ("seeds", J.List (List.map (fun s -> J.Int s) spec.sp_seeds));
+    ("seed", J.Int spec.sp_seed);
+    ( "models",
+      match spec.sp_models with
+      | None -> J.Null
+      | Some ms -> J.List (List.map (fun m -> J.String m) ms) );
+    ("njobs", J.Int (njobs spec));
+    ("shard", J.List [ J.Int si; J.Int sn ]);
+  ]
 
 let origin_name = function
   | Stcg.Testcase.Solved -> "solved"
@@ -299,53 +72,36 @@ let origin_of_name key = function
   | "random" -> Stcg.Testcase.Random_exec
   | s -> malformed "field %S: unknown origin %S" key s
 
-let add_t3_cell buf (i, (c : Experiment.t3_cell)) =
-  Buffer.add_string buf (Fmt.str "{\"i\":%d,\"d\":" i);
-  add_float buf c.Experiment.t3_decision;
-  Buffer.add_string buf ",\"c\":";
-  add_float buf c.Experiment.t3_condition;
-  Buffer.add_string buf ",\"m\":";
-  add_float buf c.Experiment.t3_mcdc;
-  Buffer.add_string buf (Fmt.str ",\"t\":%d}" c.Experiment.t3_tests)
+let t3_cell_json (i, (c : Experiment.t3_cell)) =
+  J.Obj
+    [
+      ("i", J.Int i); ("d", J.Float c.Experiment.t3_decision);
+      ("c", J.Float c.Experiment.t3_condition);
+      ("m", J.Float c.Experiment.t3_mcdc); ("t", J.Int c.Experiment.t3_tests);
+    ]
 
-let add_f4_curve buf (i, (c : Experiment.f4_curve)) =
-  Buffer.add_string buf (Fmt.str "{\"i\":%d,\"tool\":" i);
-  add_string buf c.Experiment.f4_tool;
-  Buffer.add_string buf ",\"timeline\":[";
-  let first = ref true in
-  List.iter
-    (fun (t, p) ->
-      add_sep buf first;
-      Buffer.add_char buf '[';
-      add_float buf t;
-      Buffer.add_char buf ',';
-      add_float buf p;
-      Buffer.add_char buf ']')
-    c.Experiment.f4_timeline;
-  Buffer.add_string buf "],\"markers\":[";
-  let first = ref true in
-  List.iter
-    (fun (t, origin) ->
-      add_sep buf first;
-      Buffer.add_char buf '[';
-      add_float buf t;
-      Buffer.add_char buf ',';
-      add_string buf (origin_name origin);
-      Buffer.add_char buf ']')
-    c.Experiment.f4_markers;
-  Buffer.add_string buf "]}"
+let f4_curve_json (i, (c : Experiment.f4_curve)) =
+  let pair (t, v) = J.List [ J.Float t; v ] in
+  J.Obj
+    [
+      ("i", J.Int i); ("tool", J.String c.Experiment.f4_tool);
+      ( "timeline",
+        J.List
+          (List.map (fun (t, p) -> pair (t, J.Float p)) c.Experiment.f4_timeline)
+      );
+      ( "markers",
+        J.List
+          (List.map
+             (fun (t, o) -> pair (t, J.String (origin_name o)))
+             c.Experiment.f4_markers) );
+    ]
 
-let add_ab_cell buf (i, (c : Experiment.ab_cell)) =
-  Buffer.add_string buf (Fmt.str "{\"i\":%d,\"d\":" i);
-  add_float buf c.Experiment.ab_decision;
-  Buffer.add_string buf ",\"tt\":";
-  add_float buf c.Experiment.ab_time;
-  Buffer.add_string buf "}"
-
-type cells =
-  | C_table3 of (int * Experiment.t3_cell) list
-  | C_fig4 of (int * Experiment.f4_curve) list
-  | C_ablations of (int * Experiment.ab_cell) list
+let ab_cell_json (i, (c : Experiment.ab_cell)) =
+  J.Obj
+    [
+      ("i", J.Int i); ("d", J.Float c.Experiment.ab_decision);
+      ("tt", J.Float c.Experiment.ab_time);
+    ]
 
 let run_partial ?pool ?jobs ~shard spec =
   let si, sn = shard in
@@ -357,100 +113,73 @@ let run_partial ?pool ?jobs ~shard spec =
   let cells =
     match spec.sp_kind with
     | Table3 ->
-      C_table3
+      List.map t3_cell_json
         (Experiment.table3_cells ~budget ~seeds:spec.sp_seeds ?models ?pool
            ?jobs ?stripe ())
     | Fig4 ->
-      C_fig4
+      List.map f4_curve_json
         (Experiment.fig4_curves ~budget ~seed:spec.sp_seed ?models ?pool ?jobs
            ?stripe ())
     | Ablations ->
-      C_ablations
+      List.map ab_cell_json
         (Experiment.ablations_cells ~budget ~seeds:spec.sp_seeds ?models ?pool
            ?jobs ?stripe ())
   in
-  let buf = Buffer.create 4096 in
-  header_of_spec buf spec ~shard;
-  Buffer.add_string buf ",\"cells\":[";
-  let first = ref true in
-  (match cells with
-   | C_table3 cs ->
-     List.iter
-       (fun c ->
-         add_sep buf first;
-         add_t3_cell buf c)
-       cs
-   | C_fig4 cs ->
-     List.iter
-       (fun c ->
-         add_sep buf first;
-         add_f4_curve buf c)
-       cs
-   | C_ablations cs ->
-     List.iter
-       (fun c ->
-         add_sep buf first;
-         add_ab_cell buf c)
-       cs);
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  J.to_string (J.Obj (header_of_spec spec ~shard @ [ ("cells", J.List cells) ]))
+  ^ "\n"
 
 (* --- merging ------------------------------------------------------------ *)
 
+let field conv key json = conv key (J.member key json)
+
 let spec_of_header json =
   let kind =
-    let k = to_string "kind" (member "kind" json) in
+    let k = field J.string "kind" json in
     match kind_of_name k with
     | Some k -> k
     | None -> malformed "unknown kind %S" k
   in
   {
     sp_kind = kind;
-    sp_budget = to_float "budget" (member "budget" json);
-    sp_seeds = List.map (to_int "seeds") (to_list "seeds" (member "seeds" json));
-    sp_seed = to_int "seed" (member "seed" json);
+    sp_budget = field J.float "budget" json;
+    sp_seeds = List.map (J.int "seeds") (field J.list "seeds" json);
+    sp_seed = field J.int "seed" json;
     sp_models =
-      (match member "models" json with
-       | Null -> None
-       | v -> Some (List.map (to_string "models") (to_list "models" v)));
+      (match J.member "models" json with
+       | J.Null -> None
+       | v -> Some (List.map (J.string "models") (J.list "models" v)));
   }
 
 let t3_cell_of_json json =
-  ( to_int "i" (member "i" json),
+  ( field J.int "i" json,
     {
-      Experiment.t3_decision = to_float "d" (member "d" json);
-      t3_condition = to_float "c" (member "c" json);
-      t3_mcdc = to_float "m" (member "m" json);
-      t3_tests = to_int "t" (member "t" json);
+      Experiment.t3_decision = field J.float "d" json;
+      t3_condition = field J.float "c" json;
+      t3_mcdc = field J.float "m" json;
+      t3_tests = field J.int "t" json;
     } )
 
 let f4_curve_of_json json =
-  let pair key = function
-    | Arr [ a; b ] -> (to_float key a, b)
-    | _ -> malformed "field %S: expected [time, value] pairs" key
+  let pairs key second =
+    List.map
+      (function
+        | J.List [ t; v ] -> (J.float key t, second key v)
+        | _ -> malformed "field %S: expected [time, value] pairs" key)
+      (field J.list key json)
   in
-  ( to_int "i" (member "i" json),
+  ( field J.int "i" json,
     {
-      Experiment.f4_tool = to_string "tool" (member "tool" json);
-      f4_timeline =
-        List.map
-          (fun v ->
-            let t, p = pair "timeline" v in
-            (t, to_float "timeline" p))
-          (to_list "timeline" (member "timeline" json));
+      Experiment.f4_tool = field J.string "tool" json;
+      f4_timeline = pairs "timeline" J.float;
       f4_markers =
-        List.map
-          (fun v ->
-            let t, o = pair "markers" v in
-            (t, origin_of_name "markers" (to_string "markers" o)))
-          (to_list "markers" (member "markers" json));
+        pairs "markers" (fun key v -> origin_of_name key (J.string key v));
     } )
 
 let ab_cell_of_json json =
-  ( to_int "i" (member "i" json),
+  ( field J.int "i" json,
     {
-      Experiment.ab_decision = to_float "d" (member "d" json);
-      ab_time = to_float "tt" (member "tt" json);
+      Experiment.ab_decision = field J.float "d" json;
+      ab_time = field J.float "tt" json;
     } )
 
 type merged =
@@ -480,9 +209,10 @@ let check_coverage ~total cells =
     seen;
   List.map snd cells
 
-let merge_strings parts =
-  if parts = [] then malformed "no partials to merge";
-  let parsed = List.map parse parts in
+let parse text =
+  match J.of_string text with Ok json -> json | Error m -> malformed "%s" m
+
+let merge_parsed parsed =
   let headers = List.map spec_of_header parsed in
   let spec = List.hd headers in
   List.iteri
@@ -493,7 +223,7 @@ let merge_strings parts =
   let total = njobs spec in
   List.iter
     (fun json ->
-      let declared = to_int "njobs" (member "njobs" json) in
+      let declared = field J.int "njobs" json in
       if declared <> total then
         malformed
           "partial declares a %d-job matrix but this binary computes %d \
@@ -502,7 +232,7 @@ let merge_strings parts =
     parsed;
   let all_cells key of_json =
     List.concat_map
-      (fun json -> List.map of_json (to_list key (member key json)))
+      (fun json -> List.map of_json (field J.list key json))
       parsed
     |> List.sort (fun (i, _) (j, _) -> compare (i : int) j)
     |> check_coverage ~total
@@ -526,6 +256,11 @@ let merge_strings parts =
     M_ablations
       (Experiment.ablations_of_cells ~budget ~seeds:spec.sp_seeds ?models
          (all_cells "cells" ab_cell_of_json))
+
+let merge_strings parts =
+  if parts = [] then malformed "no partials to merge";
+  try merge_parsed (List.map parse parts)
+  with J.Type_error m -> raise (Malformed m)
 
 let read_file path =
   let ic = open_in_bin path in

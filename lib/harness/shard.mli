@@ -12,9 +12,9 @@
 
     The partial format records every campaign parameter (kind, budget,
     seeds, models, matrix size), so [merge] needs no flags and refuses
-    to combine partials from different campaigns.  Floats are printed
-    with ["%.17g"], which round-trips every IEEE double exactly — the
-    merged averages are computed from bit-identical inputs.
+    to combine partials from different campaigns.  Partials are
+    written and read by {!Util.Json}, whose floats round-trip exactly —
+    the merged averages are computed from bit-identical inputs.
 
     Processes are the escape hatch from OCaml 5's shared-heap ceiling:
     worker domains share one major heap and stop the world together at

@@ -84,20 +84,25 @@ let tel_paths = Telemetry.Counter.make "symexec.paths"
 let tel_prunes = Telemetry.Counter.make "symexec.prunes"
 let tel_solver_nodes = Telemetry.Counter.make "symexec.solver_nodes"
 let tel_h_paths = Telemetry.Histogram.make "symexec.paths_per_solve"
+let tel_seed_sym_error = Telemetry.Counter.make "symexec.seed_sym_error"
 
-let tel_finish ((outcome, cost) as r) =
-  if Telemetry.enabled () then begin
-    Telemetry.Counter.incr tel_solves;
-    Telemetry.Counter.add tel_paths cost.paths_explored;
-    Telemetry.Counter.add tel_solver_nodes cost.solver_nodes;
-    Telemetry.Histogram.observe tel_h_paths cost.paths_explored;
-    Telemetry.Counter.incr
-      (match outcome with
-       | Sat _ -> tel_sat
-       | Unsat -> tel_unsat
-       | Unknown -> tel_unknown)
-  end;
-  r
+(* Why a search ended [Unknown]: the first cap or failure it hit.
+   Constant constructors, so recording one allocates nothing. *)
+type unknown_cause =
+  | No_unknown
+  | Term_cap
+  | Node_budget
+  | Solver_unknown
+  | Path_budget_hit
+  | Sym_error
+
+let tel_unknown_term_cap = Telemetry.Counter.make "symexec.unknown.term_cap"
+let tel_unknown_node_budget =
+  Telemetry.Counter.make "symexec.unknown.node_budget"
+let tel_unknown_solver = Telemetry.Counter.make "symexec.unknown.solver"
+let tel_unknown_path_budget =
+  Telemetry.Counter.make "symexec.unknown.path_budget"
+let tel_unknown_sym_error = Telemetry.Counter.make "symexec.unknown.sym_error"
 
 (* Constraint for taking [outcome] of a decision whose guard/scrutinee
    symbolically evaluates to [t]. *)
@@ -147,8 +152,42 @@ type ctx = {
           variables) share one propagation *)
   mutable remaining_nodes : int;
   mutable paths_left : int;
-  mutable saw_unknown : bool;
+  mutable unknown : unknown_cause;  (** the first cause seen *)
 }
+
+let note_unknown ctx cause =
+  if ctx.unknown = No_unknown then ctx.unknown <- cause
+
+let tel_finish ctx outcome =
+  let cost = ctx.cost in
+  if Telemetry.enabled () then begin
+    Telemetry.Counter.incr tel_solves;
+    Telemetry.Counter.add tel_paths cost.paths_explored;
+    Telemetry.Counter.add tel_solver_nodes cost.solver_nodes;
+    Telemetry.Histogram.observe tel_h_paths cost.paths_explored;
+    match outcome with
+    | Sat _ -> Telemetry.Counter.incr tel_sat
+    | Unsat -> Telemetry.Counter.incr tel_unsat
+    | Unknown -> (
+      Telemetry.Counter.incr tel_unknown;
+      match ctx.unknown with
+      | Term_cap -> Telemetry.Counter.incr tel_unknown_term_cap
+      | Node_budget -> Telemetry.Counter.incr tel_unknown_node_budget
+      | Solver_unknown -> Telemetry.Counter.incr tel_unknown_solver
+      | Path_budget_hit -> Telemetry.Counter.incr tel_unknown_path_budget
+      | Sym_error -> Telemetry.Counter.incr tel_unknown_sym_error
+      (* unreachable: every [Unknown] records its cause first *)
+      | No_unknown -> ())
+  end;
+  (outcome, cost)
+
+(* The outcome of a search that ran to completion without a model. *)
+let exhausted ctx = if ctx.unknown = No_unknown then Unsat else Unknown
+
+(* A symbolic-evaluation failure ends the search [Unknown]. *)
+let sym_error ctx =
+  note_unknown ctx Sym_error;
+  Unknown
 
 let required_outcome ctx id = List.assoc_opt id ctx.required
 
@@ -163,11 +202,11 @@ let try_solve ctx pc =
   let size = Term.size_capped max_term_size constraint_ in
   ctx.cost.term_nodes <- ctx.cost.term_nodes + size;
   if size >= max_term_size then begin
-    ctx.saw_unknown <- true;
+    note_unknown ctx Term_cap;
     None
   end
   else if ctx.remaining_nodes <= 0 then begin
-    ctx.saw_unknown <- true;
+    note_unknown ctx Node_budget;
     None
   end
   else begin
@@ -186,7 +225,7 @@ let try_solve ctx pc =
     | Csp.Sat a -> Some a
     | Csp.Unsat -> None
     | Csp.Unknown ->
-      ctx.saw_unknown <- true;
+      note_unknown ctx Solver_unknown;
       None
   end
 
@@ -197,7 +236,7 @@ let hit_target ctx pc =
 
 let spend_path ctx =
   if ctx.paths_left <= 0 then begin
-    ctx.saw_unknown <- true;
+    note_unknown ctx Path_budget_hit;
     raise Path_budget
   end;
   ctx.paths_left <- ctx.paths_left - 1;
@@ -433,7 +472,7 @@ let make_ctx cfg ex target ~vars ~multi =
     prefix_cache = None;
     remaining_nodes = cfg.node_budget;
     paths_left = cfg.max_paths;
-    saw_unknown = false;
+    unknown = No_unknown;
   }
 
 (* Does the expression read only inputs and state (no locals/outputs)?
@@ -492,14 +531,16 @@ let solve_target ?(config = default_config) ?(symbolic_state = false) prog
     match seed_constraint ex env target with
     | Some c -> [ c ]
     | None -> []
-    | exception SV.Sym_error _ -> []
+    | exception SV.Sym_error _ ->
+      if Telemetry.enabled () then Telemetry.Counter.incr tel_seed_sym_error;
+      []
   in
-  tel_finish
+  tel_finish ctx
     (match walk ctx prog.Ir.body env pc0 (fun _ _ -> ()) with
-     | () -> ((if ctx.saw_unknown then Unknown else Unsat), ctx.cost)
-     | exception Found a -> (Sat [ SV.inputs_of_assignment prog a ], ctx.cost)
-     | exception Path_budget -> (Unknown, ctx.cost)
-     | exception SV.Sym_error _ -> (Unknown, ctx.cost))
+     | () -> exhausted ctx
+     | exception Found a -> Sat [ SV.inputs_of_assignment prog a ]
+     | exception Path_budget -> Unknown
+     | exception SV.Sym_error _ -> sym_error ctx)
 
 let solve_branch ?config ?symbolic_state prog ~state ~target =
   solve_target ?config ?symbolic_state prog ~state
@@ -561,18 +602,16 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
         raise (Found a)
     end
   in
-  tel_finish
+  tel_finish ctx
     (match run_step 0 env0 [] with
-     | () -> ((if ctx.saw_unknown then Unknown else Unsat), ctx.cost)
+     | () -> exhausted ctx
      | exception Found a ->
        let steps = Option.value ~default:0 !depth_of_found + 1 in
-       let inputs =
-         List.init steps (fun k ->
-             SV.inputs_of_assignment ~prefix:(Fmt.str "s%d$" k) prog a)
-       in
-       (Sat inputs, ctx.cost)
-     | exception Path_budget -> (Unknown, ctx.cost)
-     | exception SV.Sym_error _ -> (Unknown, ctx.cost))
+       Sat
+         (List.init steps (fun k ->
+              SV.inputs_of_assignment ~prefix:(Fmt.str "s%d$" k) prog a))
+     | exception Path_budget -> Unknown
+     | exception SV.Sym_error _ -> sym_error ctx)
 
 (* --- state relevance -------------------------------------------------- *)
 

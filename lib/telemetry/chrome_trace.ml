@@ -7,13 +7,14 @@
    starts near t=0 regardless of the process epoch; ts/dur are in
    microseconds as the format requires. *)
 
-let esc = Core.json_escape
+module J = Util.Json
 
-let add_event buf ~first fmt =
-  if not !first then Buffer.add_string buf ",\n";
-  first := false;
-  Buffer.add_string buf "    ";
-  Printf.ksprintf (Buffer.add_string buf) fmt
+let meta ~tid name value =
+  J.Obj
+    [
+      ("name", J.String name); ("ph", J.String "M"); ("pid", J.Int 0);
+      ("tid", J.Int tid); ("args", J.Obj [ ("name", J.String value) ]);
+    ]
 
 let to_string () =
   let records = Core.span_records () in
@@ -25,52 +26,46 @@ let to_string () =
       (match records with [] -> 0L | r :: _ -> r.Core.sr_start_ns)
       records
   in
-  let us ns = Int64.to_float ns /. 1e3 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"traceEvents\": [\n";
-  let first = ref true in
-  add_event buf ~first
-    "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
-     \"args\": {\"name\": \"stcg\"}}";
+  let us ns = J.Float (Int64.to_float ns /. 1e3) in
   let domains =
     List.sort_uniq Int.compare
       (List.map (fun (r : Core.span_record) -> r.Core.sr_domain) records)
   in
-  List.iter
-    (fun d ->
-      add_event buf ~first
-        "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \
-         \"args\": {\"name\": \"domain %d\"}}"
-        d d)
-    domains;
-  List.iter
-    (fun (r : Core.span_record) ->
-      let args =
-        match r.Core.sr_note with
-        | Some note ->
-          Printf.sprintf ", \"args\": {\"note\": \"%s\"}" (esc note)
-        | None -> ""
-      in
-      add_event buf ~first
-        "{\"name\": \"%s\", \"cat\": \"stcg\", \"ph\": \"X\", \"pid\": 0, \
-         \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f%s}"
-        (esc r.Core.sr_name) r.Core.sr_domain
-        (us (Int64.sub r.Core.sr_start_ns t0))
-        (us r.Core.sr_dur_ns) args)
-    records;
-  let snap = Core.snapshot ~nondet:true () in
-  let counter_args =
-    String.concat ", "
-      (List.map
-         (fun (n, v) -> Printf.sprintf "\"%s\": %d" (esc n) v)
-         snap.Core.sn_counters)
+  let span (r : Core.span_record) =
+    J.Obj
+      ([
+         ("name", J.String r.Core.sr_name); ("cat", J.String "stcg");
+         ("ph", J.String "X"); ("pid", J.Int 0); ("tid", J.Int r.Core.sr_domain);
+         ("ts", us (Int64.sub r.Core.sr_start_ns t0));
+         ("dur", us r.Core.sr_dur_ns);
+       ]
+      @
+      match r.Core.sr_note with
+      | Some note -> [ ("args", J.Obj [ ("note", J.String note) ]) ]
+      | None -> [])
   in
-  add_event buf ~first
-    "{\"name\": \"counters\", \"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \
-     \"tid\": 0, \"ts\": 0, \"args\": {%s}}"
-    counter_args;
-  Buffer.add_string buf "\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n";
-  Buffer.contents buf
+  let snap = Core.snapshot ~nondet:true () in
+  let counters =
+    J.Obj
+      [
+        ("name", J.String "counters"); ("ph", J.String "i"); ("s", J.String "g");
+        ("pid", J.Int 0); ("tid", J.Int 0); ("ts", J.Int 0);
+        ( "args",
+          J.Obj (List.map (fun (n, v) -> (n, J.Int v)) snap.Core.sn_counters) );
+      ]
+  in
+  let threads =
+    List.map
+      (fun d -> meta ~tid:d "thread_name" (Printf.sprintf "domain %d" d))
+      domains
+  in
+  let events =
+    (meta ~tid:0 "process_name" "stcg" :: threads)
+    @ List.map span records @ [ counters ]
+  in
+  J.to_string
+    (J.Obj [ ("traceEvents", J.List events); ("displayTimeUnit", J.String "ms") ])
+  ^ "\n"
 
 let write ~path =
   let oc = open_out path in

@@ -485,51 +485,33 @@ let render_summary () =
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_summary ?(spans = true) () =
+let json_summary () =
+  let module J = Util.Json in
   let full = snapshot ~nondet:true () in
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\"counters\": {%s}"
-    (String.concat ", "
-       (List.map
-          (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v)
-          full.sn_counters));
-  pf ", \"histograms\": {%s}"
-    (String.concat ", "
-       (List.map
+  let obj f xs = J.Obj (List.map f xs) in
+  J.Obj
+    [
+      ("counters", obj (fun (n, v) -> (n, J.Int v)) full.sn_counters);
+      ( "histograms",
+        obj
           (fun (n, (s : hist_stats)) ->
-            Printf.sprintf
-              "\"%s\": {\"count\": %d, \"sum\": %d, \"max\": %d, \"p50\": %d, \
-               \"p90\": %d, \"p99\": %d}"
-              (json_escape n) s.h_count s.h_sum s.h_max s.h_p50 s.h_p90 s.h_p99)
-          full.sn_histograms));
-  pf ", \"derived\": {%s}"
-    (String.concat ", "
-       (List.map
-          (fun (n, v) -> Printf.sprintf "\"%s\": %.6f" (json_escape n) v)
-          (derived_rates ())));
-  if spans then
-    pf ", \"spans\": {%s}"
-      (String.concat ", "
-         (List.map
-            (fun (n, count, total_ns) ->
-              Printf.sprintf "\"%s\": {\"count\": %d, \"total_ms\": %.3f}"
-                (json_escape n) count
-                (Int64.to_float total_ns /. 1e6))
-            (span_totals ())));
-  pf "}";
-  Buffer.contents b
+            ( n,
+              J.Obj
+                [
+                  ("count", J.Int s.h_count); ("sum", J.Int s.h_sum);
+                  ("max", J.Int s.h_max); ("p50", J.Int s.h_p50);
+                  ("p90", J.Int s.h_p90); ("p99", J.Int s.h_p99);
+                ] ))
+          full.sn_histograms );
+      ("derived", obj (fun (n, v) -> (n, J.Float v)) (derived_rates ()));
+      ( "spans",
+        obj
+          (fun (n, count, total_ns) ->
+            ( n,
+              J.Obj
+                [
+                  ("count", J.Int count);
+                  ("total_ms", J.Float (Int64.to_float total_ns /. 1e6));
+                ] ))
+          (span_totals ()) );
+    ]

@@ -117,9 +117,7 @@ val render_summary : unit -> string
 (** {!render_deterministic} plus scheduling counters, derived rates and
     wall-clock span totals, clearly sectioned. *)
 
-val json_summary : ?spans:bool -> unit -> string
+val json_summary : unit -> Util.Json.t
 (** One JSON object: [{"counters": {...}, "histograms": {...},
     "derived": {...}, "spans": {...}}] — includes nondeterministic
     instruments. *)
-
-val json_escape : string -> string

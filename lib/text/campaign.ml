@@ -6,9 +6,9 @@
    models whose result file matches the campaign configuration (tool,
    budget, seed) are loaded instead of re-run, so an interrupted
    campaign resumes where it stopped.  The summary is a pure function
-   of the per-model outcomes — floats are stored with %.17g and
-   round-trip exactly — so a resumed campaign renders byte-identical
-   output to an uninterrupted one. *)
+   of the per-model outcomes — {!Util.Json} floats round-trip exactly —
+   so a resumed campaign renders byte-identical output to an
+   uninterrupted one. *)
 
 module E = Harness.Experiment
 
@@ -45,102 +45,25 @@ let discover dir =
 
 (* --- the per-model result store ----------------------------------------- *)
 
-let fstr f = Printf.sprintf "%.17g" f
-
-let json_str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char b '\\'; Buffer.add_char b c
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+module J = Util.Json
 
 let result_line ~tool ~budget ~seed model r =
-  Printf.sprintf
-    "{\"stcg-campaign-result\":1,\"model\":%s,\"tool\":%s,\"budget\":%s,\"seed\":%d,\"kind\":%s,\"branches\":%d,\"decision\":%s,\"condition\":%s,\"mcdc\":%s,\"tests\":%d}\n"
-    (json_str model) (json_str (E.tool_name tool)) (fstr budget) seed
-    (json_str r.kind) r.branches (fstr r.decision) (fstr r.condition)
-    (fstr r.mcdc) r.tests
-
-(* Strict scanner for the flat one-line object [result_line] writes:
-   string or number values only.  Returns the key/value list with
-   strings unescaped and numbers as their raw text, or [None] on any
-   deviation — a truncated or hand-edited file just falls back to
-   re-running the model. *)
-let scan_line line =
-  let exception Bad in
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else raise Bad in
-  let adv () = incr pos in
-  let expect c = if peek () <> c then raise Bad else adv () in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> adv (); Buffer.contents b
-      | '\\' ->
-        adv ();
-        (match peek () with
-         | ('"' | '\\' | '/') as c -> Buffer.add_char b c
-         | 'n' -> Buffer.add_char b '\n'
-         | 't' -> Buffer.add_char b '\t'
-         | 'u' ->
-           adv (); adv (); adv ();
-           (* \u00XX: only control chars are ever encoded *)
-           let hex c = int_of_string ("0x" ^ String.make 1 c) in
-           Buffer.add_char b (Char.chr ((hex (peek ()) * 16) + hex (line.[!pos + 1])));
-           adv ()
-         | _ -> raise Bad);
-        adv ();
-        go ()
-      | c -> Buffer.add_char b c; adv (); go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    let is_num = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'i' | 'n' | 'f' | 'a' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num line.[!pos] do incr pos done;
-    if !pos = start then raise Bad;
-    String.sub line start (!pos - start)
-  in
-  match
-    expect '{';
-    let fields = ref [] in
-    let rec go () =
-      let key = string_lit () in
-      expect ':';
-      let v = if peek () = '"' then string_lit () else number () in
-      fields := (key, v) :: !fields;
-      match peek () with
-      | ',' -> adv (); go ()
-      | '}' ->
-        adv ();
-        while !pos < n do
-          if line.[!pos] <> '\n' && line.[!pos] <> ' ' then raise Bad;
-          adv ()
-        done;
-        List.rev !fields
-      | _ -> raise Bad
-    in
-    go ()
-  with
-  | fields -> Some fields
-  | exception _ -> None
+  J.to_string
+    (J.Obj
+       [
+         ("stcg-campaign-result", J.Int 1); ("model", J.String model);
+         ("tool", J.String (E.tool_name tool)); ("budget", J.Float budget);
+         ("seed", J.Int seed); ("kind", J.String r.kind);
+         ("branches", J.Int r.branches); ("decision", J.Float r.decision);
+         ("condition", J.Float r.condition); ("mcdc", J.Float r.mcdc);
+         ("tests", J.Int r.tests);
+       ])
+  ^ "\n"
 
 let result_path results_dir model = Filename.concat results_dir (model ^ ".json")
 
+(* [None] on any defect — a truncated, hand-edited or stale file just
+   falls back to re-running the model. *)
 let load_result ~tool ~budget ~seed path model =
   match
     let ic = open_in_bin path in
@@ -149,30 +72,32 @@ let load_result ~tool ~budget ~seed path model =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error _ -> None
-  | line -> (
-    match scan_line line with
-    | None -> None
-    | Some fields -> (
-      let get k = List.assoc_opt k fields in
+  | text -> (
+    match J.of_string text with
+    | Error _ -> None
+    | Ok json -> (
+      let field conv key = conv key (J.member key json) in
       match
-        ( get "stcg-campaign-result", get "model", get "tool", get "budget",
-          get "seed", get "kind", get "branches", get "decision",
-          get "condition", get "mcdc", get "tests" )
+        if
+          field J.int "stcg-campaign-result" = 1
+          && field J.string "model" = model
+          && field J.string "tool" = E.tool_name tool
+          && field J.float "budget" = budget
+          && field J.int "seed" = seed
+        then
+          Some
+            {
+              kind = field J.string "kind";
+              branches = field J.int "branches";
+              decision = field J.float "decision";
+              condition = field J.float "condition";
+              mcdc = field J.float "mcdc";
+              tests = field J.int "tests";
+            }
+        else None
       with
-      | ( Some "1", Some m, Some t, Some b, Some s, Some kind, Some branches,
-          Some decision, Some condition, Some mcdc, Some tests )
-        when m = model && t = E.tool_name tool
-             && float_of_string_opt b = Some budget
-             && int_of_string_opt s = Some seed -> (
-        match
-          ( int_of_string_opt branches, float_of_string_opt decision,
-            float_of_string_opt condition, float_of_string_opt mcdc,
-            int_of_string_opt tests )
-        with
-        | Some branches, Some decision, Some condition, Some mcdc, Some tests
-          -> Some { kind; branches; decision; condition; mcdc; tests }
-        | _ -> None)
-      | _ -> None))
+      | r -> r
+      | exception J.Type_error _ -> None))
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin

@@ -7,7 +7,7 @@
     the campaign configuration (tool, budget, seed) are loaded instead
     of re-run — an interrupted campaign resumes with only the missing
     models, and half-written or stale result files simply fall back to
-    re-running.  Stored floats use [%.17g] (exact round-trip), and the
+    re-running.  Stored floats round-trip exactly ({!Util.Json}), and the
     summary is a pure function of the per-model outcomes, so a resumed
     campaign's summary is byte-identical to an uninterrupted run's. *)
 

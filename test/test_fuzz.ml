@@ -50,6 +50,23 @@ let test_same_seed_same_model () =
     | exception _ -> ())
   done
 
+(* Known-answer values for SplitMix64: [--seed N] replays and corpus
+   entries address cases through these exact streams. *)
+let test_splitmix_known_answers () =
+  let module S = Util.Splitmix in
+  let draws n g = List.init n (fun _ -> S.bits64 g) in
+  let int64s = Alcotest.(list int64) in
+  check int64s "create 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ]
+    (draws 3 (S.create 0));
+  check int64s "create 1"
+    [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L ]
+    (draws 3 (S.create 1));
+  check int64s "split (create 0)"
+    [ 2574300039037486544L; -1179888577145165458L ]
+    (draws 2 (S.split (S.create 0)));
+  check Alcotest.int "mix_seed 1 0" (-381664636346942851) (S.mix_seed 1 0)
+
 let test_case_seed_independent_of_count () =
   (* case i is addressed by (seed, i) alone — the derived per-case
      seeds must not depend on how many cases the campaign runs *)
@@ -191,6 +208,8 @@ let () =
             test_same_seed_same_model;
           Alcotest.test_case "case seeds are index-addressed" `Quick
             test_case_seed_independent_of_count;
+          Alcotest.test_case "splitmix known answers" `Quick
+            test_splitmix_known_answers;
           Alcotest.test_case "campaign summary independent of jobs/chunk"
             `Quick test_campaign_summary_deterministic;
         ] );

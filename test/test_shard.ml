@@ -92,6 +92,52 @@ let test_ablations_shards_byte_identical () =
     check Alcotest.string "ablations byte-identical" seq_text text
   | _ -> Alcotest.fail "merge returned the wrong artifact kind"
 
+(* Partials written by the previous, compact writer (no spaces, floats
+   as %.17g, a float budget of 30 printed as "30"), one per line:
+   table3 shards 0/2 and 1/2 of [t3_spec], fig4 shard 0/2 and ablations
+   shard 0/2 of the specs above.  They must still merge, alone and mixed
+   with partials from the current writer. *)
+let legacy_partials () =
+  In_channel.with_open_bin "legacy/shard_partials.jsonl" In_channel.input_lines
+
+let test_legacy_partials_merge () =
+  let t3_0, t3_1, f4_0, ab_0 =
+    match legacy_partials () with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | _ -> Alcotest.fail "expected four legacy partials"
+  in
+  let _, seq_text =
+    Experiment.table3 ~budget:30.0 ~seeds:[ 1; 2 ]
+      ~models:[ "CPUTask"; "AFC" ] ~jobs:1 ()
+  in
+  check Alcotest.string "legacy table3 pair" seq_text
+    (snd (merge_t3 [ t3_0; t3_1 ]));
+  check Alcotest.string "legacy + current table3" seq_text
+    (snd
+       (merge_t3 [ t3_0; Shard.run_partial ~jobs:1 ~shard:(1, 2) t3_spec ]));
+  let f4 = Shard.spec ~budget:30.0 ~seed:1 ~models:[ "CPUTask" ] Shard.Fig4 in
+  let seq_panels, _ =
+    Experiment.fig4 ~budget:30.0 ~seed:1 ~models:[ "CPUTask" ] ~jobs:1 ()
+  in
+  (match
+     Shard.merge_strings [ f4_0; Shard.run_partial ~jobs:1 ~shard:(1, 2) f4 ]
+   with
+   | Shard.M_fig4 (panels, _) ->
+     check Alcotest.string "legacy + current fig4" seq_panels panels
+   | _ -> Alcotest.fail "merge returned the wrong artifact kind");
+  let ab =
+    Shard.spec ~budget:30.0 ~seeds:[ 1 ] ~models:[ "CPUTask" ] Shard.Ablations
+  in
+  match
+    Shard.merge_strings [ ab_0; Shard.run_partial ~jobs:1 ~shard:(1, 2) ab ]
+  with
+  | Shard.M_ablations text ->
+    check Alcotest.string "legacy + current ablations"
+      (Experiment.ablations ~budget:30.0 ~seeds:[ 1 ] ~models:[ "CPUTask" ]
+         ~jobs:1 ())
+      text
+  | _ -> Alcotest.fail "merge returned the wrong artifact kind"
+
 (* merge validation: anything that is not a full, disjoint, same-
    campaign cover must be refused *)
 
@@ -150,6 +196,8 @@ let () =
             test_fig4_shards_byte_identical;
           Alcotest.test_case "ablations merge = jobs=1" `Quick
             test_ablations_shards_byte_identical;
+          Alcotest.test_case "legacy partials merge" `Quick
+            test_legacy_partials_merge;
         ] );
       ( "validation",
         [

@@ -337,6 +337,32 @@ let test_cost_accounting () =
   check Alcotest.bool "solver was consulted" true (cost.Ex.solver_calls >= 1);
   check Alcotest.bool "terms were submitted" true (cost.Ex.term_nodes > 0)
 
+(* No silent failure mode: every [Unknown] outcome is counted under
+   exactly one cause.  TCP hits the path budget, so the total is
+   non-zero. *)
+let test_unknown_causes_counted () =
+  let prog = (Option.get (Models.Registry.find "TCP")).Models.Registry.program () in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      ignore
+        (Stcg.Engine.run
+           ~config:{ Stcg.Engine.default_config with budget = 300.0; seed = 1 }
+           prog);
+      let counters = (Telemetry.snapshot ()).Telemetry.sn_counters in
+      let get name = Option.value ~default:0 (List.assoc_opt name counters) in
+      let total = get "symexec.unknown" in
+      check Alcotest.bool "some solves end Unknown" true (total > 0);
+      check Alcotest.int "causes sum to symexec.unknown" total
+        (List.fold_left
+           (fun acc cause -> acc + get ("symexec.unknown." ^ cause))
+           0
+           [ "term_cap"; "node_budget"; "solver"; "path_budget"; "sym_error" ]))
+
 let () =
   Alcotest.run "symexec"
     [
@@ -351,6 +377,8 @@ let () =
           Alcotest.test_case "free decision" `Quick test_free_decision_before_target;
           Alcotest.test_case "switch cases" `Quick test_switch_targets;
           Alcotest.test_case "cost accounting" `Quick test_cost_accounting;
+          Alcotest.test_case "unknown causes counted" `Quick
+            test_unknown_causes_counted;
         ] );
       ( "multi-step",
         [

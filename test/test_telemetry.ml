@@ -160,6 +160,182 @@ let test_json_checker_sanity () =
   check Alcotest.bool "unclosed" false (json_valid {|{"a": 1|});
   check Alcotest.bool "bare word" false (json_valid "undefined")
 
+(* --- the Util.Json codec, checked against [json_valid] ---------------- *)
+
+module J = Util.Json
+
+(* structural equality with floats compared bit for bit *)
+let rec json_equal a b =
+  match (a, b) with
+  | J.Float x, J.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | J.List xs, J.List ys ->
+    List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | J.Obj xs, J.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+let all_bytes = String.init 256 Char.chr
+
+let gen_json =
+  let open QCheck.Gen in
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let float_gen =
+    oneof
+      [
+        oneofl
+          [
+            0.0; -0.0; 5e-324; 2.2250738585072009e-308; min_float; max_float;
+            -.max_float; 3600.0; 0.1; 1e21; 4.611686018427388e18;
+          ];
+        map (fun b -> finite (Int64.float_of_bits b)) ui64;
+        map finite float;
+      ]
+  in
+  let str = oneof [ string_size ~gen:char (int_bound 12); return all_bytes ] in
+  let leaf =
+    oneof
+      [
+        return J.Null; map (fun b -> J.Bool b) bool;
+        map (fun i -> J.Int i) (oneof [ int; oneofl [ max_int; min_int; 0 ] ]);
+        map (fun f -> J.Float f) float_gen; map (fun s -> J.String s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> J.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string v) = v, floats bit for bit"
+    ~count:500
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun v ->
+      let text = J.to_string v in
+      json_valid text
+      && (not (String.contains text '\n'))
+      && match J.of_string text with Ok v' -> json_equal v v' | Error _ -> false)
+
+let test_json_printer () =
+  let pr v = J.to_string v in
+  check Alcotest.string "layout" {|{"a": [1, 2.5, null], "b": {}, "c": []}|}
+    (pr
+       (J.Obj
+          [
+            ("a", J.List [ J.Int 1; J.Float 2.5; J.Null ]); ("b", J.Obj []);
+            ("c", J.List []);
+          ]));
+  check Alcotest.string "integral floats keep a point" "[3600.0, -0.0, 1e+21]"
+    (pr (J.List [ J.Float 3600.0; J.Float (-0.0); J.Float 1e21 ]));
+  check Alcotest.string "shortest exact digits" "[0.1, 0.30000000000000004]"
+    (pr (J.List [ J.Float 0.1; J.Float (0.1 +. 0.2) ]));
+  check Alcotest.string "escapes" {|"q\"b\\n\nr\rt\t\u0001\u001f é"|}
+    (pr (J.String "q\"b\\n\nr\rt\t\001\031 \xc3\xa9"));
+  List.iter
+    (fun f ->
+      match J.to_string (J.Float f) with
+      | _ -> Alcotest.failf "printed non-finite %h" f
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_json_parser () =
+  let ok text expected =
+    match J.of_string text with
+    | Ok v ->
+      check Alcotest.bool (Fmt.str "%S parses as expected" text) true
+        (json_equal v expected)
+    | Error m -> Alcotest.failf "%S: %s" text m
+  in
+  ok " [1, -0, 1.0, 2e3, 4611686018427387904] "
+    (J.List
+       [ J.Int 1; J.Int 0; J.Float 1.0; J.Float 2000.0; J.Float 4611686018427387904.0 ]);
+  ok {|"a\/b\b\f"|} (J.String "a/b\b\012");
+  ok {|"caf\u00e9 \u20AC \ud83d\ude00"|}
+    (J.String "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80");
+  ok {|{"k": 1, "k": 2}|} (J.Obj [ ("k", J.Int 1); ("k", J.Int 2) ]);
+  List.iter
+    (fun text ->
+      match J.of_string text with
+      | Ok _ -> Alcotest.failf "%S accepted" text
+      | Error m ->
+        check Alcotest.bool (Fmt.str "%S error names a byte" text) true
+          (contains "at byte" m))
+    [
+      "{} x"; "[1] [2]"; "NaN"; "-Infinity"; "Infinity"; {|"abc|}; {|{"a": "b|};
+      {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83dA"|}; "01"; "-01"; "[00]";
+      "1."; ".5"; "+1"; "1e"; "[1,]"; {|{"a" 1}|}; ""; "tru"; "1e400";
+      "\"raw\ttab\""; {|"\x"|}; {|"\u12"|};
+    ]
+
+let test_json_accessors () =
+  let v =
+    match J.of_string {|{"i": 3, "f": 3600, "s": "x", "l": [true]}|} with
+    | Ok v -> v
+    | Error m -> Alcotest.fail m
+  in
+  check Alcotest.int "int" 3 (J.int "i" (J.member "i" v));
+  check (Alcotest.float 0.0) "float accepts Int" 3600.0
+    (J.float "f" (J.member "f" v));
+  check Alcotest.string "string" "x" (J.string "s" (J.member "s" v));
+  check Alcotest.int "list" 1 (List.length (J.list "l" (J.member "l" v)));
+  let names_key what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Type_error" what
+    | exception J.Type_error m ->
+      check Alcotest.bool (what ^ " names the key") true (contains "\"s\"" m)
+  in
+  names_key "missing" (fun () -> ignore (J.member "s" (J.Obj [])));
+  names_key "not an object" (fun () -> ignore (J.member "s" (J.Int 1)));
+  names_key "wrong type" (fun () -> ignore (J.int "s" (J.member "s" v)))
+
+(* The committed regression corpus loads, and every entry re-serialises
+   to the bytes on disk. *)
+let corpus_file = "corpus/corpus.jsonl"
+
+let test_corpus_file_roundtrip () =
+  let lines =
+    In_channel.with_open_bin corpus_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  check Alcotest.bool "corpus has entries" true (lines <> []);
+  List.iter
+    (fun line ->
+      match Fuzzer.Corpus.of_line line with
+      | Ok e -> check Alcotest.string "to_line byte-identical" line (Fuzzer.Corpus.to_line e)
+      | Error m -> Alcotest.failf "%s: %s" line m)
+    lines;
+  match Fuzzer.Corpus.load corpus_file with
+  | Ok es -> check Alcotest.int "load sees every entry" (List.length lines) (List.length es)
+  | Error m -> Alcotest.fail m
+
+let test_corpus_unicode_messages () =
+  let message escaped =
+    match
+      Fuzzer.Corpus.of_line
+        (Fmt.str
+           {|{"schema_version": 1, "seed": 0, "index": 0, "oracle": "exec", "max_steps": 12, "message": "%s"}|}
+           escaped)
+    with
+    | Ok e -> e.Fuzzer.Corpus.e_message
+    | Error m -> Alcotest.failf "%s: %s" escaped m
+  in
+  check Alcotest.string "\\u00e9 decodes to UTF-8" "caf\xc3\xa9"
+    (message {|caf\u00e9|});
+  check Alcotest.string "\\/ is an escape" "a/b" (message {|a\/b|});
+  check Alcotest.string "surrogate pair decodes to UTF-8" "\xf0\x9f\x98\x80"
+    (message {|\ud83d\ude00|})
+
 (* --- instruments -------------------------------------------------------- *)
 
 let test_counter_basics () =
@@ -352,7 +528,7 @@ let test_json_summary_valid () =
   Telemetry.Counter.add c 5;
   Telemetry.Histogram.observe h 12;
   Telemetry.Span.with_ sp (fun () -> ());
-  let doc = Telemetry.json_summary () in
+  let doc = Util.Json.to_string (Telemetry.json_summary ()) in
   check Alcotest.bool "summary parses as JSON" true (json_valid doc);
   check Alcotest.bool "has counters key" true (contains "\"counters\"" doc);
   check Alcotest.bool "has histograms key" true (contains "\"histograms\"" doc);
@@ -363,6 +539,17 @@ let () =
     [
       ( "json-checker",
         [ Alcotest.test_case "sanity" `Quick test_json_checker_sanity ] );
+      ( "json-codec",
+        [
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "printer" `Quick test_json_printer;
+          Alcotest.test_case "strict parser" `Quick test_json_parser;
+          Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "corpus file round trip" `Quick
+            test_corpus_file_roundtrip;
+          Alcotest.test_case "corpus unicode messages" `Quick
+            test_corpus_unicode_messages;
+        ] );
       ( "instruments",
         [
           Alcotest.test_case "counter basics" `Quick test_counter_basics;

@@ -320,6 +320,44 @@ let test_campaign_resume () =
       check Alcotest.string "settled: summary byte-identical"
         full.Text.Campaign.summary again.Text.Campaign.summary)
 
+(* --- result files from the previous writer ------------------------------ *)
+
+(* The previous writer's compact layout: no spaces, floats as %.17g (the
+   budget 10.0 printed as "10"). *)
+let legacy_result_line json =
+  let module J = Util.Json in
+  let get conv key = conv key (J.member key json) in
+  let num key = Printf.sprintf "%.17g" (get J.float key) in
+  Printf.sprintf
+    "{\"stcg-campaign-result\":1,\"model\":\"%s\",\"tool\":\"%s\",\"budget\":%s,\"seed\":%d,\"kind\":\"%s\",\"branches\":%d,\"decision\":%s,\"condition\":%s,\"mcdc\":%s,\"tests\":%d}\n"
+    (get J.string "model") (get J.string "tool") (num "budget")
+    (get J.int "seed") (get J.string "kind") (get J.int "branches")
+    (num "decision") (num "condition") (num "mcdc") (get J.int "tests")
+
+let test_campaign_legacy_results () =
+  let dir = fresh_dir "stcg-text-campaign-legacy" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      populate dir;
+      let full = run_campaign dir in
+      for k = 0 to 5 do
+        let path = Filename.concat dir (Fmt.str "results/m%d.json" k) in
+        let current = read_file path in
+        match Util.Json.of_string current with
+        | Ok json ->
+          let legacy = legacy_result_line json in
+          check Alcotest.bool "legacy layout differs" true (legacy <> current);
+          write_file path legacy
+        | Error m -> Alcotest.fail m
+      done;
+      let resumed = run_campaign dir in
+      check Alcotest.int "legacy: nothing executed" 0
+        resumed.Text.Campaign.executed;
+      check Alcotest.int "legacy: all cached" 6 resumed.Text.Campaign.cached;
+      check Alcotest.string "legacy: summary byte-identical"
+        full.Text.Campaign.summary resumed.Text.Campaign.summary)
+
 (* --- config mismatches invalidate the store ------------------------------ *)
 
 let test_campaign_config_mismatch () =
@@ -367,5 +405,7 @@ let () =
             test_campaign_resume;
           Alcotest.test_case "config mismatch re-runs" `Quick
             test_campaign_config_mismatch;
+          Alcotest.test_case "legacy result files resume" `Quick
+            test_campaign_legacy_results;
         ] );
     ]
