@@ -169,7 +169,8 @@ let intern_target st target =
 
 (* Project a snapshot onto the solver-relevant state slots.  Short
    snapshot arrays fall back to the declared initial value — the same
-   contract as [Sym_value.env_of_program], so env-equal states project
+   contract by which [Sym_value.env_of_program] fills the state slots of
+   its register file, so states the solver sees as equal project
    equal. *)
 let relevant_projection st snapshot =
   let vals = ref [] in

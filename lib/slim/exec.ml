@@ -9,8 +9,12 @@
    hashing and zero per-step environment construction.
 
    Slot [i] of a state/input/output array always corresponds to the [i]-th
-   entry of [prog.states] / [prog.inputs] / [prog.outputs]; that positional
-   contract is shared with Symexec.Sym_value and Stcg.Testcase. *)
+   entry of [prog.states] / [prog.inputs] / [prog.outputs], and a name
+   declared twice resolves to its last declaration.  Stcg.Testcase shares
+   that positional contract, and Symexec.Sym_value takes its symbolic
+   slots from a handle's [*_slot] lookups (one register file: inputs,
+   then states, then locals, then outputs), so this is the only place
+   the resolution rule is written. *)
 
 module Smap = Map.Make (String)
 
@@ -58,6 +62,7 @@ type t = {
   input_index : (string, int) Hashtbl.t;
   output_index : (string, int) Hashtbl.t;
   state_index : (string, int) Hashtbl.t;
+  local_index : (string, int) Hashtbl.t;
   body : frame -> unit;
   branches : Branch.t list;
   branch_by_key : Branch.t Branch.Key_map.t;
@@ -388,6 +393,7 @@ let compile (prog : Ir.program) : t =
     input_index = ctx.c_inp;
     output_index = ctx.c_out;
     state_index = ctx.c_st;
+    local_index = ctx.c_loc;
     body;
     branches;
     branch_by_key;
@@ -457,6 +463,7 @@ let n_states t = Array.length t.state_vars
 let input_slot t name = Hashtbl.find_opt t.input_index name
 let output_slot t name = Hashtbl.find_opt t.output_index name
 let state_slot t name = Hashtbl.find_opt t.state_index name
+let local_slot t name = Hashtbl.find_opt t.local_index name
 
 let find_in index arr kind name =
   match Hashtbl.find_opt index name with

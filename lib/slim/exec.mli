@@ -61,6 +61,10 @@ val input_slot : t -> string -> int option
 val output_slot : t -> string -> int option
 val state_slot : t -> string -> int option
 
+val local_slot : t -> string -> int option
+(** Position of a local in [prog.locals] (last declaration wins).  Locals
+    live in a per-step frame, so only layout code needs this. *)
+
 val find_input : t -> inputs -> string -> Value.t
 (** Name-based lookup; raises {!Eval_error} on unknown names.  For tests and
     boundary code — hot paths index by slot. *)

@@ -7,9 +7,9 @@ module Ir = Slim.Ir
    equality, [hash]/[size] are stored fields, and every consumer that
    memoizes per-term can key on [id].
 
-   Domain safety: the table, like {!Sym_value}'s variable interner, is
-   domain-local ([Domain.DLS]) rather than a single mutex-guarded
-   global.  Term construction is the hottest allocation site in the
+   Domain safety: the table is domain-local ([Domain.DLS]) rather than
+   a single mutex-guarded global, and so is {!Sym_value}'s memo of
+   lowered programs, which holds terms built from it.  Term construction is the hottest allocation site in the
    symbolic executor, and no term ever crosses a domain boundary (each
    engine run / solver call / fuzz case is confined to one worker
    domain; results carry [Value.t]s, never terms), so per-domain tables

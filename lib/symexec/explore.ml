@@ -316,147 +316,130 @@ let arm_feasible _ctx prefix c_opt =
   if not feasible then Telemetry.Counter.incr tel_prunes;
   feasible
 
-(* Walk a statement list in CPS.  [k] receives (env, pc) at the end of
-   the list.  Entering the target branch solves the accumulated path
-   condition immediately; success raises [Found]. *)
-let rec walk ctx (stmts : Ir.stmt list) env pc k =
+(* Walk a statement list in CPS over the environment's register file.
+   [k] receives the path condition at the end of the list.  Entering the
+   target branch solves the accumulated path condition immediately;
+   success raises [Found].  Assignments go through the undo trail: each
+   arm of a fork rolls the environment back to the fork's mark when it
+   returns, so the next arm starts from the same state.  [Found],
+   [Path_budget] and [Sym_error] end the whole search, so they need no
+   roll-back. *)
+let rec walk ctx env (stmts : SV.stmt list) pc k =
   match stmts with
-  | [] -> k env pc
-  | stmt :: rest -> (
-    let continue_ env pc = walk ctx rest env pc k in
-    match stmt with
-    | Ir.Assign (lhs, e) ->
-      let v = SV.eval env e in
-      continue_ (SV.write_lvalue env lhs v) pc
-    | Ir.If { id; cond; then_; else_ } -> (
-      (* condition / vector objectives fire as soon as the guard of the
-         target decision is about to be evaluated *)
-      let atoms_spec =
-        if id = ctx.target_decision then
-          match ctx.target with
-          | Condition_target { atom; value; _ } -> Some (`Cond (atom, value))
-          | Vector_target { vector; _ } -> Some (`Vec vector)
-          | Branch_target _ -> None
-        else None
+  | [] -> k pc
+  | SV.Assign (lhs, e) :: rest ->
+    let v = SV.eval env e in
+    SV.assign env lhs v;
+    walk ctx env rest pc k
+  | SV.If { id; cond; atoms; then_; else_; _ } :: rest -> (
+    (* condition / vector objectives fire as soon as the guard of the
+       target decision is about to be evaluated *)
+    let atoms_spec =
+      if id = ctx.target_decision then
+        match ctx.target with
+        | Condition_target { atom; value; _ } -> Some (`Cond (atom, value))
+        | Vector_target { vector; _ } -> Some (`Vec vector)
+        | Branch_target _ -> None
+      else None
+    in
+    match atoms_spec with
+    | Some spec -> (
+      let terms = List.map (fun a -> SV.scalar (SV.eval env a)) atoms in
+      let c =
+        match spec with
+        | `Cond (i, v) -> (
+          match List.nth_opt terms i with
+          | Some t -> if v then t else Term.not_ t
+          | None -> Term.cbool false)
+        | `Vec vec ->
+          if List.length terms <> Array.length vec then Term.cbool false
+          else
+            Term.conj
+              (List.mapi (fun i t -> if vec.(i) then t else Term.not_ t) terms)
       in
-      match atoms_spec with
-      | Some spec -> (
-        let atoms = Ir.atoms_of_condition cond in
-        let terms = List.map (fun a -> SV.scalar (SV.eval env a)) atoms in
-        let c =
-          match spec with
-          | `Cond (i, v) -> (
-            match List.nth_opt terms i with
-            | Some t -> if v then t else Term.not_ t
-            | None -> Term.cbool false)
-          | `Vec vec ->
-            if List.length terms <> Array.length vec then Term.cbool false
-            else
-              Term.conj
-                (List.mapi
-                   (fun i t -> if vec.(i) then t else Term.not_ t)
-                   terms)
-        in
-        match Term.is_const c with
-        | Some (Value.Bool true) -> hit_target ctx pc
-        | Some _ -> ()
-        | None -> hit_target ctx (c :: pc))
-      | None -> (
-        let t = SV.scalar (SV.eval env cond) in
-        let arm outcome =
-          let body = if outcome = Branch.Then then then_ else else_ in
-          match outcome_constraint outcome t ~case_labels:[] with
-          | `Taken -> Some (body, pc, None)
-          | `Not_taken -> None
-          | `Constraint c -> Some (body, c :: pc, Some c)
-        in
-        let enter outcome body pc =
-          if ctx.target = Branch_target (id, outcome) then hit_target ctx pc
-          else walk ctx body env pc continue_
-        in
-        match required_outcome ctx id with
-        | Some req -> (
-          match arm req with
-          | Some (body, pc', c_opt) ->
-            if arm_feasible ctx (fork_prefix ctx pc) c_opt then
-              enter req body pc'
-          | None -> ())
-        | None ->
-          (* explore the target-relevant arm first when at the target
-             decision, then the other arm *)
-          let order =
-            match ctx.target with
-            | Branch_target (d, o) when d = id ->
-              [ o; (if o = Branch.Then then Branch.Else else Branch.Then) ]
-            | Branch_target _ | Condition_target _ | Vector_target _ -> (
-              match List.assoc_opt id ctx.preferred with
-              | Some Branch.Then -> [ Branch.Then; Branch.Else ]
-              | Some Branch.Else -> [ Branch.Else; Branch.Then ]
-              | Some (Branch.Case _ | Branch.Default) | None ->
-                [ Branch.Then; Branch.Else ])
-          in
-          let prefix = fork_prefix ctx pc in
-          List.iter
-            (fun outcome ->
-              match arm outcome with
-              | None -> ()
-              | Some (body, pc', c_opt) ->
-                if arm_feasible ctx prefix c_opt then begin
-                  spend_path ctx;
-                  enter outcome body pc'
-                end)
-            order))
-    | Ir.Switch { id; scrut; cases; default } -> (
-      let t = SV.scalar (SV.eval env scrut) in
-      let labels = List.map fst cases in
+      match Term.is_const c with
+      | Some (Value.Bool true) -> hit_target ctx pc
+      | Some _ -> ()
+      | None -> hit_target ctx (c :: pc))
+    | None -> (
+      let t = SV.scalar (SV.eval env cond) in
       let arm outcome =
-        let body =
-          match outcome with
-          | Branch.Case c ->
-            (match List.assoc_opt c cases with
-             | Some b -> b
-             | None -> default)
-          | Branch.Default -> default
-          | Branch.Then | Branch.Else -> default
-        in
-        match outcome_constraint outcome t ~case_labels:labels with
+        let body = if outcome = Branch.Then then then_ else else_ in
+        match outcome_constraint outcome t ~case_labels:[] with
         | `Taken -> Some (body, pc, None)
         | `Not_taken -> None
         | `Constraint c -> Some (body, c :: pc, Some c)
       in
-      let enter outcome body pc =
-        if ctx.target = Branch_target (id, outcome) then hit_target ctx pc
-        else walk ctx body env pc continue_
+      let order () =
+        match ctx.target with
+        | Branch_target (d, o) when d = id ->
+          [ o; (if o = Branch.Then then Branch.Else else Branch.Then) ]
+        | Branch_target _ | Condition_target _ | Vector_target _ -> (
+          match List.assoc_opt id ctx.preferred with
+          | Some Branch.Else -> [ Branch.Else; Branch.Then ]
+          | Some (Branch.Then | Branch.Case _ | Branch.Default) | None ->
+            [ Branch.Then; Branch.Else ])
       in
-      match required_outcome ctx id with
-      | Some req -> (
-        match arm req with
+      decide ctx env id arm order pc (fun pc -> walk ctx env rest pc k)))
+  | SV.Switch { id; scrut; labels; cases; default; outcomes; _ } :: rest ->
+    let t = SV.scalar (SV.eval env scrut) in
+    let arm outcome =
+      let body =
+        match outcome with
+        | Branch.Case c ->
+          (match List.assoc_opt c cases with
+           | Some b -> b
+           | None -> default)
+        | Branch.Default | Branch.Then | Branch.Else -> default
+      in
+      match outcome_constraint outcome t ~case_labels:labels with
+      | `Taken -> Some (body, pc, None)
+      | `Not_taken -> None
+      | `Constraint c -> Some (body, c :: pc, Some c)
+    in
+    let order () =
+      match ctx.target with
+      | Branch_target (d, o) when d = id ->
+        o :: List.filter (fun x -> x <> o) outcomes
+      | Branch_target _ | Condition_target _ | Vector_target _ -> (
+        match List.assoc_opt id ctx.preferred with
+        | Some o when List.mem o outcomes ->
+          o :: List.filter (fun x -> x <> o) outcomes
+        | Some _ | None -> outcomes)
+    in
+    decide ctx env id arm order pc (fun pc -> walk ctx env rest pc k)
+
+(* One decision: take the required outcome when the target's ancestor
+   chain fixes it, otherwise fork over [order ()], rolling the environment
+   back after each arm.  [arm] gives an outcome's body, path condition
+   and own constraint, or [None] when the outcome is constantly false. *)
+and decide ctx env id arm order pc continue_ =
+  let enter outcome body pc =
+    match ctx.target with
+    | Branch_target (d, o) when d = id && o = outcome -> hit_target ctx pc
+    | Branch_target _ | Condition_target _ | Vector_target _ ->
+      walk ctx env body pc continue_
+  in
+  match required_outcome ctx id with
+  | Some req -> (
+    match arm req with
+    | Some (body, pc', c_opt) ->
+      if arm_feasible ctx (fork_prefix ctx pc) c_opt then enter req body pc'
+    | None -> ())
+  | None ->
+    let prefix = fork_prefix ctx pc in
+    let mark = SV.mark env in
+    List.iter
+      (fun outcome ->
+        match arm outcome with
+        | None -> ()
         | Some (body, pc', c_opt) ->
-          if arm_feasible ctx (fork_prefix ctx pc) c_opt then
-            enter req body pc'
-        | None -> ())
-      | None ->
-        let all = List.map (fun l -> Branch.Case l) labels @ [ Branch.Default ] in
-        let order =
-          match ctx.target with
-          | Branch_target (d, o) when d = id ->
-            o :: List.filter (fun x -> x <> o) all
-          | Branch_target _ | Condition_target _ | Vector_target _ -> (
-            match List.assoc_opt id ctx.preferred with
-            | Some o when List.mem o all -> o :: List.filter (fun x -> x <> o) all
-            | Some _ | None -> all)
-        in
-        let prefix = fork_prefix ctx pc in
-        List.iter
-          (fun outcome ->
-            match arm outcome with
-            | None -> ()
-            | Some (body, pc', c_opt) ->
-              if arm_feasible ctx prefix c_opt then begin
-                spend_path ctx;
-                enter outcome body pc'
-              end)
-          order))
+          if arm_feasible ctx prefix c_opt then begin
+            spend_path ctx;
+            enter outcome body pc';
+            SV.undo env mark
+          end)
+      (order ())
 
 let make_ctx cfg ex target ~vars ~multi =
   let reqs = requirements ex target in
@@ -475,41 +458,28 @@ let make_ctx cfg ex target ~vars ~multi =
     unknown = No_unknown;
   }
 
-(* Does the expression read only inputs and state (no locals/outputs)?
-   Such guards have the same value on every path, so the target's
-   outcome constraint can seed the path condition and prune every
-   incompatible fork from the start — goal-directed search. *)
-let rec input_state_only (e : Ir.expr) =
-  match e with
-  | Ir.Const _ -> true
-  | Ir.Var ((Ir.Input | Ir.State), _) -> true
-  | Ir.Var ((Ir.Local | Ir.Output), _) -> false
-  | Ir.Unop (_, a) -> input_state_only a
-  | Ir.Binop (_, a, b) | Ir.Cmp (_, a, b) | Ir.And (a, b) | Ir.Or (a, b) ->
-    input_state_only a && input_state_only b
-  | Ir.Ite (c, a, b) ->
-    input_state_only c && input_state_only a && input_state_only b
-  | Ir.Index (a, i) -> input_state_only a && input_state_only i
-
-let seed_constraint ex env (target : target) =
-  match Exec.find_decision ex (target_decision_of target) with
+(* When the target's own guard reads only inputs and state, it has the
+   same value on every path, so the target's outcome constraint can seed
+   the path condition and prune every incompatible fork from the start —
+   goal-directed search. *)
+let seed_constraint env (target : target) =
+  match SV.decision env (target_decision_of target) with
   | None -> None
   | Some d -> (
     match target, d with
-    | Branch_target (_, outcome), `If cond when input_state_only cond -> (
+    | Branch_target (_, outcome), SV.If { cond; input_state_only = true; _ } -> (
       let t = SV.scalar (SV.eval env cond) in
       match outcome_constraint outcome t ~case_labels:[] with
       | `Constraint c -> Some c
       | `Taken | `Not_taken -> None)
-    | Branch_target (_, outcome), `Switch (scrut, labels)
-      when input_state_only scrut -> (
+    | ( Branch_target (_, outcome),
+        SV.Switch { scrut; labels; input_state_only = true; _ } ) -> (
       let t = SV.scalar (SV.eval env scrut) in
       match outcome_constraint outcome t ~case_labels:labels with
       | `Constraint c -> Some c
       | `Taken | `Not_taken -> None)
-    | Condition_target { atom; value; _ }, `If cond
-      when input_state_only cond -> (
-      let atoms = Ir.atoms_of_condition cond in
+    | ( Condition_target { atom; value; _ },
+        SV.If { atoms; input_state_only = true; _ } ) -> (
       match List.nth_opt atoms atom with
       | Some a ->
         let t = SV.scalar (SV.eval env a) in
@@ -518,17 +488,16 @@ let seed_constraint ex env (target : target) =
       | None -> None)
     | _, _ -> None)
 
+let input_var name _ty = Term.var name
+
 let solve_target ?(config = default_config) ?(symbolic_state = false) prog
     ~state ~target =
   let ex = Exec.handle prog in
-  let env, vars =
-    SV.env_of_program ~symbolic_state prog ~state
-      ~input_var:(fun name _ty -> Term.var name)
-  in
+  let env, vars = SV.env_of_program ~symbolic_state prog ~state ~input_var in
   let ctx = make_ctx config ex target ~vars:(ref vars) ~multi:false in
   ctx.cost.paths_explored <- ctx.cost.paths_explored + 1;
   let pc0 =
-    match seed_constraint ex env target with
+    match seed_constraint env target with
     | Some c -> [ c ]
     | None -> []
     | exception SV.Sym_error _ ->
@@ -536,7 +505,7 @@ let solve_target ?(config = default_config) ?(symbolic_state = false) prog
       []
   in
   tel_finish ctx
-    (match walk ctx prog.Ir.body env pc0 (fun _ _ -> ()) with
+    (match walk ctx env (SV.body env) pc0 (fun _ -> ()) with
      | () -> exhausted ctx
      | exception Found a -> Sat [ SV.inputs_of_assignment prog a ]
      | exception Path_budget -> Unknown
@@ -553,49 +522,39 @@ let solve_branch ?config ?symbolic_state prog ~state ~target =
 let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
   let ex = Exec.handle prog in
   let initial = Exec.initial_state ex in
-  let env0, vars0 =
-    SV.env_of_program ~prefix:"s0$" prog ~state:initial
-      ~input_var:(fun name _ty -> Term.var name)
+  let env, vars0 =
+    SV.env_of_program ~prefix:"s0$" prog ~state:initial ~input_var
   in
   let vars = ref vars0 in
   let ctx =
     make_ctx config ex (Branch_target target) ~vars ~multi:true
   in
   let depth_of_found = ref None in
-  let rebind_step env step =
-    let prefix = Fmt.str "s%d$" step in
-    let env = ref env in
-    List.iter
-      (fun (v : Ir.var) ->
-        let sv, vs =
-          SV.flatten_input (prefix ^ v.Ir.name) v.Ir.ty
-            ~input_var:(fun name _ty -> Term.var name)
+  (* Step [k]'s input variables are made, and added to the solver's
+     variables, on the first path that reaches step [k]; later paths
+     reuse them. *)
+  let step_inputs = Array.make (max 1 (horizon + 1)) None in
+  let start_step step =
+    let inputs =
+      match step_inputs.(step) with
+      | Some inputs -> inputs
+      | None ->
+        let inputs, vs =
+          SV.step_inputs env ~prefix:(Fmt.str "s%d$" step) ~input_var
         in
-        env := SV.bind !env Ir.Input v.Ir.name sv;
-        List.iter
-          (fun binding ->
-            if not (List.mem binding !vars) then vars := binding :: !vars)
-          vs)
-      prog.Ir.inputs;
-    List.iter
-      (fun (v : Ir.var) ->
-        env :=
-          SV.bind !env Ir.Local v.Ir.name
-            (SV.sval_of_value (Value.default_of_ty v.Ir.ty)))
-      prog.Ir.locals;
-    List.iter
-      (fun (v : Ir.var) ->
-        env :=
-          SV.bind !env Ir.Output v.Ir.name
-            (SV.sval_of_value (Value.default_of_ty v.Ir.ty)))
-      prog.Ir.outputs;
-    !env
+        step_inputs.(step) <- Some inputs;
+        vars := List.rev_append vs !vars;
+        inputs
+    in
+    SV.start_step env inputs
   in
-  let rec run_step step env pc =
+  let body = SV.body env in
+  let rec run_step step pc =
     if step < horizon then begin
       try
-        walk ctx prog.Ir.body env pc (fun env' pc' ->
-            run_step (step + 1) (rebind_step env' (step + 1)) pc')
+        walk ctx env body pc (fun pc' ->
+            start_step (step + 1);
+            run_step (step + 1) pc')
       with Found a ->
         (* the innermost handler fires first and pins the hit step *)
         if !depth_of_found = None then depth_of_found := Some step;
@@ -603,7 +562,7 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
     end
   in
   tel_finish ctx
-    (match run_step 0 env0 [] with
+    (match run_step 0 [] with
      | () -> exhausted ctx
      | exception Found a ->
        let steps = Option.value ~default:0 !depth_of_found + 1 in

@@ -1,4 +1,5 @@
-(** Symbolic values and environments for one-step symbolic execution.
+(** Symbolic values and slot-compiled programs for one-step symbolic
+    execution.
 
     A symbolic value is a scalar solver term or a (possibly nested)
     array of symbolic values.  Model state enters as constants — the
@@ -7,49 +8,60 @@
     [Tite] chains over the (statically known) element count; array
     writes at symbolic indices blend every element with a guarded
     [Tite].  Because state arrays are constants, those chains fold to
-    small terms. *)
+    small terms.
+
+    Each program is lowered once per domain to a slot-addressed form:
+    variables become indices into one register file laid out as in
+    {!Slim.Exec} (inputs, then states, then locals, then outputs),
+    constants become pre-built symbolic values, and each decision's
+    guard, atoms and input/state-only flag are resolved up front. *)
 
 type sval =
   | Scalar of Solver.Term.t
   | Arr of sval array
 
-type env
-(** Persistent (functional) environment: forking a path is O(1).
-    Keys are [(scope, name)] pairs interned to per-domain integer ids,
-    so lookups compare ints rather than hashing strings. *)
-
 exception Sym_error of string
-
-val sval_of_value : Slim.Value.t -> sval
-(** Constant injection (deep). *)
-
-val value_of_sval : sval -> Slim.Value.t option
-(** [Some v] when the symbolic value is fully constant. *)
 
 val scalar : sval -> Solver.Term.t
 (** Raises {!Sym_error} on arrays. *)
 
-val empty_env : env
+(** {1 Lowered programs} *)
 
-val bind : env -> Slim.Ir.scope -> string -> sval -> env
-val find : env -> Slim.Ir.scope -> string -> sval
-(** Raises {!Sym_error} when unbound. *)
+type expr
+(** A slot-addressed expression. *)
 
-val eval : env -> Slim.Ir.expr -> sval
-(** Symbolic evaluation; array reads/writes expand as described above.
-    Raises {!Sym_error} on unbound variables and {!Slim.Value.Type_error}
-    on type confusion. *)
+type lvalue
 
-val write_lvalue : env -> Slim.Ir.lvalue -> sval -> env
-(** Assignment, copy-on-write through arrays.  A write at a symbolic
-    index turns every element [e_k] into [ite (idx = k) v e_k]. *)
+type stmt =
+  | Assign of lvalue * expr
+  | If of {
+      id : int;
+      cond : expr;
+      atoms : expr list;  (** {!Slim.Ir.atoms_of_condition} order *)
+      input_state_only : bool;
+          (** the guard reads no local or output, so it has the same
+              value on every path through the step *)
+      then_ : stmt list;
+      else_ : stmt list;
+    }
+  | Switch of {
+      id : int;
+      scrut : expr;
+      labels : int list;
+      input_state_only : bool;
+      cases : (int * stmt list) list;
+      default : stmt list;
+      outcomes : Slim.Branch.outcome list;
+          (** one [Case] per label in order, then [Default] *)
+    }
 
-val flatten_input :
-  string ->
-  Slim.Value.ty ->
-  input_var:(string -> Slim.Value.ty -> Solver.Term.t) ->
-  sval * (string * Slim.Value.ty) list
-(** Expand one (possibly vector) input into scalar solver variables. *)
+(** {1 Environments} *)
+
+type env
+(** A mutable register file over one lowered program, with an undo
+    trail: {!assign} records the slot's old value, and {!undo} rolls
+    back to a {!mark}.  Symbolic values themselves are immutable (array
+    writes copy), so restoring a slot restores the whole variable. *)
 
 val env_of_program :
   ?prefix:string ->
@@ -58,20 +70,57 @@ val env_of_program :
   state:Slim.Exec.state ->
   input_var:(string -> Slim.Value.ty -> Solver.Term.t) ->
   env * (string * Slim.Value.ty) list
-(** Build the starting environment for one step: state variables bound
-    to snapshot constants (slot [i] of [state] is the [i]-th declared
-    state variable, the {!Slim.Exec} positional contract; short arrays
-    fall back to declared initial values), locals and outputs to type
-    defaults, and each (flattened, scalar) input bound through
-    [input_var].  Returns the environment and the list of solver
-    variables created for the inputs (vector inports flatten to
-    [name.k] scalars; [prefix] distinguishes unrolled steps in
-    multi-step solving). *)
+(** The starting environment for one step.  The program is lowered on
+    its first use in the calling domain (memoized, newest first, keyed
+    on physical equality; each lowering counts [symexec.compiles]).
+    State slots hold snapshot constants (slot [i] of [state] is the
+    [i]-th declared state variable, the {!Slim.Exec} positional
+    contract; a short snapshot falls back to declared initial values),
+    locals and outputs type defaults, and each (flattened, scalar)
+    input a variable made by [input_var].  Returns the environment and
+    the solver variables created for the inputs, in declaration order
+    (vector inports flatten to [name.k] scalars; [prefix] distinguishes
+    unrolled steps in multi-step solving).  With [symbolic_state] the
+    state slots hold variables [st$name] instead, appended to the
+    list. *)
+
+val body : env -> stmt list
+
+val decision : env -> int -> stmt option
+(** The [If] or [Switch] with this id (the last one in syntactic order
+    when an id repeats, as in {!Slim.Exec.find_decision}). *)
+
+val eval : env -> expr -> sval
+(** Symbolic evaluation; array reads expand as described above.
+    Raises {!Sym_error} on a variable no declaration binds (unless an
+    assignment wrote it first) and on a constant out-of-bounds index,
+    and {!Slim.Value.Type_error} on type confusion. *)
+
+val assign : env -> lvalue -> sval -> unit
+(** Assignment through the trail, copy-on-write through arrays.  A
+    write at a symbolic index turns every element [e_k] into
+    [ite (idx = k) v e_k].  Raises {!Sym_error} on an input. *)
+
+type mark
+
+val mark : env -> mark
+val undo : env -> mark -> unit
+(** Restore every slot assigned since the mark. *)
+
+val step_inputs :
+  env ->
+  prefix:string ->
+  input_var:(string -> Slim.Value.ty -> Solver.Term.t) ->
+  sval array * (string * Slim.Value.ty) list
+(** Fresh input values for one unrolled step (one per declared input)
+    and their solver variables, each distinct variable once. *)
+
+val start_step : env -> sval array -> unit
+(** Begin the next unrolled step: write the inputs and reset locals and
+    outputs to their defaults, through the trail.  State carries over. *)
 
 val inputs_of_assignment :
   ?prefix:string -> Slim.Ir.program -> Slim.Value.t Solver.Csp.Smap.t ->
   Slim.Exec.inputs
 (** Reassemble slot-addressed inputs from a solver assignment over
     flattened input variables; unassigned inputs take type defaults. *)
-
-val pp_sval : sval Fmt.t

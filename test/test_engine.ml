@@ -296,6 +296,112 @@ let test_random_first_hybrid () =
   check Alcotest.bool "hybrid reaches full coverage" true
     (Tracker.fully_covered run.Engine.r_tracker)
 
+(* --- registry fingerprint ---------------------------------------------- *)
+
+(* Bit-identity pin for the solving path: every solve the engine issues
+   (target, node, result, virtual time) and every emitted test case
+   (origin, timestamp, new branches, inputs), with floats printed as
+   exact hex.  Covers STCG on all registry models, the state-blind
+   ablation on two models and SLDV multi-step solving on two models.
+   A refactor that changes any outcome, virtual charge or emitted input
+   changes this text.  On a mismatch the observed text is written next
+   to the test binary as [engine_fingerprint.observed.txt]. *)
+
+let rec pp_value_exact ppf (v : V.t) =
+  match v with
+  | V.Bool b -> Fmt.pf ppf "%b" b
+  | V.Int i -> Fmt.pf ppf "%d" i
+  | V.Real r -> Fmt.pf ppf "%h" r
+  | V.Vec a -> Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ",") pp_value_exact) a
+
+let pp_testcase_exact buf (tc : Testcase.t) =
+  Buffer.add_string buf
+    (Fmt.str "tc %d %a t=%h new=%a
+" tc.Testcase.tc_id Testcase.pp_origin
+       tc.Testcase.origin tc.Testcase.found_at
+       Fmt.(list ~sep:(any ",") Branch.pp_key)
+       tc.Testcase.new_branches);
+  List.iter
+    (fun step ->
+      Buffer.add_string buf
+        (Fmt.str "  %a
+" Fmt.(array ~sep:(any " ") pp_value_exact) step))
+    tc.Testcase.steps
+
+let fingerprint_engine buf label ~budget ?(state_aware = true) name =
+  let prog = (Option.get (Models.Registry.find name)).Models.Registry.program () in
+  let run =
+    Engine.run
+      ~config:{ (config ~budget ~seed:1 ()) with Engine.state_aware }
+      prog
+  in
+  Buffer.add_string buf
+    (Fmt.str "== %s %s budget=%g end=%h
+" label name budget
+       (Stcg.Vclock.now run.Engine.r_clock));
+  List.iter
+    (function
+      | Engine.Ev_solve { time; target; node; result } ->
+        Buffer.add_string buf
+          (Fmt.str "solve %a node=%d %s t=%h
+" Symexec.Explore.pp_target target
+             node
+             (match result with
+              | `Sat -> "sat"
+              | `Unsat -> "unsat"
+              | `Unknown -> "unknown")
+             time)
+      | Engine.Ev_testcase tc -> pp_testcase_exact buf tc
+      | Engine.Ev_random_exec _ | Engine.Ev_coverage _ -> ())
+    run.Engine.r_events
+
+let fingerprint_sldv buf ~budget name =
+  let prog = (Option.get (Models.Registry.find name)).Models.Registry.program () in
+  let r =
+    Baselines.Sldv.run
+      ~config:{ Baselines.Sldv.default_config with Baselines.Sldv.budget }
+      ~model:name prog
+  in
+  Buffer.add_string buf
+    (Fmt.str "== sldv %s budget=%g end=%h
+" name budget
+       r.Stcg.Run_result.final_time);
+  List.iter (pp_testcase_exact buf) r.Stcg.Run_result.testcases
+
+let engine_fingerprint () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun name ->
+      let budget = if name = "LANSwitch" then 100.0 else 200.0 in
+      fingerprint_engine buf "stcg" ~budget name)
+    Models.Registry.names;
+  List.iter
+    (fingerprint_engine buf "blind" ~budget:200.0 ~state_aware:false)
+    [ "TCP"; "CPUTask" ];
+  List.iter (fingerprint_sldv buf ~budget:300.0) [ "CPUTask"; "TCP" ];
+  Buffer.contents buf
+
+let test_engine_fingerprint () =
+  let expected =
+    In_channel.with_open_bin "goldens/engine_fingerprint.txt"
+      In_channel.input_all
+  in
+  let observed = engine_fingerprint () in
+  if observed <> expected then begin
+    Out_channel.with_open_bin "engine_fingerprint.observed.txt" (fun oc ->
+        Out_channel.output_string oc observed);
+    let lines s = String.split_on_char '\n' s in
+    let rec first_diff k = function
+      | a :: ra, b :: rb -> if a = b then first_diff (k + 1) (ra, rb) else (k, a, b)
+      | a :: _, [] -> (k, a, "<end>")
+      | [], b :: _ -> (k, "<end>", b)
+      | [], [] -> (k, "", "")
+    in
+    let k, e, o = first_diff 1 (lines expected, lines observed) in
+    Alcotest.failf "fingerprint differs at line %d:\n  expected: %s\n  observed: %s"
+      k e o
+  end
+
 let () =
   Alcotest.run "engine"
     [
@@ -316,6 +422,7 @@ let () =
           Alcotest.test_case "budget respected" `Quick test_budget_respected;
           Alcotest.test_case "vclock budget guard" `Quick test_vclock_budget_guard;
           Alcotest.test_case "hybrid random-first" `Quick test_random_first_hybrid;
+          Alcotest.test_case "registry fingerprint" `Quick test_engine_fingerprint;
         ] );
       ( "artifacts",
         [

@@ -363,6 +363,203 @@ let test_unknown_causes_counted () =
            0
            [ "term_cap"; "node_budget"; "solver"; "path_budget"; "sym_error" ]))
 
+(* --- symbolic errors and name resolution ---------------------------------- *)
+
+(* Run [f] with telemetry on; return its result and a counter reader. *)
+let with_counters f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      let r = f () in
+      let counters = (Telemetry.snapshot ()).Telemetry.sn_counters in
+      (r, fun name -> Option.value ~default:0 (List.assoc_opt name counters)))
+
+let outcome_name = function
+  | Ex.Sat _ -> "sat"
+  | Ex.Unsat -> "unsat"
+  | Ex.Unknown -> "unknown"
+
+(* Decision 0's then arm reads an undeclared local; its else arm reads
+   element 7 of a 4-element state vector.  Neither is a type error the
+   solver sees up front: each fails only when the walk evaluates it. *)
+let faulty_prog =
+  let open Ir in
+  renumber_decisions
+    {
+      name = "faulty";
+      inputs = [ input "x" (V.tint_range 0 100) ];
+      outputs = [ output "y" V.tint ];
+      states =
+        [ state "q" (V.Tvec (V.tint_range 0 9, 4))
+            (V.Vec (Array.make 4 (V.Int 0))) ];
+      locals = [];
+      body =
+        [
+          if_ (iv "x" >: ci 5)
+            [ assign_out "y" (lv "ghost") ]
+            [ assign_out "y" (index (sv "q") (ci 7)) ];
+          if_ (iv "x" =: ci 50) [ assign_out "y" (ci 1) ] [];
+          if_ (iv "x" =: ci 3) [ assign_out "y" (ci 2) ] [];
+        ];
+    }
+
+let solve_faulty target =
+  let st = Exec.initial_state (Exec.handle faulty_prog) in
+  with_counters (fun () ->
+      fst (Ex.solve_branch faulty_prog ~state:st ~target))
+
+let test_unexplored_errors_harmless () =
+  (* the target is decision 0's own arm: the walk stops on entry, so
+     neither faulty body is evaluated *)
+  List.iter
+    (fun target ->
+      let outcome, count = solve_faulty target in
+      check Alcotest.string "faulty arm never walked" "sat" (outcome_name outcome);
+      check Alcotest.int "no sym_error" 0 (count "symexec.unknown.sym_error"))
+    [ (0, Branch.Then); (0, Branch.Else) ]
+
+let test_unbound_on_explored_arm () =
+  (* x = 50 keeps decision 0's then arm feasible: walking it reads the
+     undeclared local, which ends the whole solve *)
+  let outcome, count = solve_faulty (1, Branch.Then) in
+  check Alcotest.string "unknown" "unknown" (outcome_name outcome);
+  check Alcotest.int "counted as sym_error" 1 (count "symexec.unknown.sym_error");
+  check Alcotest.int "one unknown" 1 (count "symexec.unknown")
+
+let test_oob_index_on_explored_arm () =
+  (* x = 3 prunes the then arm; the else arm's constant index 7 is out
+     of bounds *)
+  let outcome, count = solve_faulty (2, Branch.Then) in
+  check Alcotest.string "unknown" "unknown" (outcome_name outcome);
+  check Alcotest.int "counted as sym_error" 1 (count "symexec.unknown.sym_error")
+
+let test_unbound_target_guard () =
+  (* an unbound input in the target's own guard fails the seed
+     constraint (counted separately) and then the walk *)
+  let open Ir in
+  let prog =
+    renumber_decisions
+      {
+        name = "ghost_guard";
+        inputs = [ input "x" (V.tint_range 0 10) ];
+        outputs = [];
+        states = [];
+        locals = [];
+        body = [ if_ (iv "ghost" >: ci 0) [] [] ];
+      }
+  in
+  let st = Exec.initial_state (Exec.handle prog) in
+  let outcome, count =
+    with_counters (fun () ->
+        fst (Ex.solve_branch prog ~state:st ~target:(0, Branch.Then)))
+  in
+  check Alcotest.string "unknown" "unknown" (outcome_name outcome);
+  check Alcotest.int "seed failure counted" 1 (count "symexec.seed_sym_error");
+  check Alcotest.int "walk failure counted" 1 (count "symexec.unknown.sym_error")
+
+let test_duplicate_declarations_last_wins () =
+  (* two locals named [t] with defaults 0 and 5, two states named [s]
+     with snapshot values 3 and 4: the last declaration of each is the
+     one the body reads, as in the concrete executor *)
+  let open Ir in
+  let prog =
+    renumber_decisions
+      {
+        name = "dups";
+        inputs = [ input "x" (V.tint_range 0 10) ];
+        outputs = [];
+        states =
+          [ state "s" (V.tint_range 0 9) (V.Int 1);
+            state "s" (V.tint_range 0 9) (V.Int 2) ];
+        locals = [ local "t" (V.tint_range 0 10); local "t" (V.tint_range 5 10) ];
+        body =
+          [
+            if_ (lv "t" =: ci 5) [] [];
+            if_ (sv "s" =: ci 4) [] [];
+          ];
+      }
+  in
+  let st = [| V.Int 3; V.Int 4 |] in
+  let solve target = outcome_name (fst (Ex.solve_branch prog ~state:st ~target)) in
+  check Alcotest.string "local t is the second one" "sat" (solve (0, Branch.Then));
+  check Alcotest.string "local t is not the first one" "unsat" (solve (0, Branch.Else));
+  check Alcotest.string "state s is slot 1" "sat" (solve (1, Branch.Then));
+  check Alcotest.string "state s is not slot 0" "unsat" (solve (1, Branch.Else));
+  check Alcotest.bool "concrete run agrees" true (hits prog st [ [| V.Int 0 |] ] (1, Branch.Then))
+
+let test_vector_input_reassembles () =
+  let open Ir in
+  let prog =
+    renumber_decisions
+      {
+        name = "vec_in";
+        inputs =
+          [ input "k" (V.tint_range 0 2); input "v" (V.Tvec (V.tint_range 0 9, 3)) ];
+        outputs = [ output "y" V.Tbool ];
+        states = [];
+        locals = [];
+        body =
+          [
+            if_
+              (index (iv "v") (ci 1) =: ci 7 &&: (index (iv "v") (iv "k") =: ci 4))
+              [ assign_out "y" (cb true) ]
+              [ assign_out "y" (cb false) ];
+          ];
+      }
+  in
+  let ex = Exec.handle prog in
+  let st = Exec.initial_state ex in
+  (match Ex.solve_branch prog ~state:st ~target:(0, Branch.Then) with
+   | Ex.Sat [ ins ], _ -> (
+     match Exec.find_input ex ins "v" with
+     | V.Vec ([| _; _; _ |] as v) ->
+       let k = V.to_int (Exec.find_input ex ins "k") in
+       check Alcotest.int "v.1 = 7" 7 (V.to_int v.(1));
+       check Alcotest.bool "k avoids slot 1" true (k <> 1);
+       check Alcotest.int "v.k = 4" 4 (V.to_int v.(k));
+       check Alcotest.bool "hits" true (hits prog st [ ins ] (0, Branch.Then))
+     | _ -> Alcotest.fail "v must reassemble to a 3-vector")
+   | _ -> Alcotest.fail "expected one-step sat");
+  (* flattened names [v.k] reassemble; missing ones take the default *)
+  let a =
+    Solver.Csp.Smap.(
+      empty |> add "s1$v.0" (V.Int 1) |> add "s1$v.2" (V.Int 3)
+      |> add "s1$k" (V.Int 2))
+  in
+  match SV.inputs_of_assignment ~prefix:"s1$" prog a with
+  | [| V.Int 2; V.Vec [| V.Int 1; V.Int 0; V.Int 3 |] |] -> ()
+  | _ -> Alcotest.fail "inputs_of_assignment reassembly"
+
+let test_lowered_once () =
+  (* the slot-lowered form is memoized per program: many solves against
+     one program value lower it once, and a structurally equal but
+     distinct program value is lowered again *)
+  let fresh () = { simple_prog with Ir.name = "simple" } in
+  let p1 = fresh () in
+  let st = Exec.initial_state (Exec.handle p1) in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      let compiles () =
+        Option.value ~default:0
+          (List.assoc_opt "symexec.compiles"
+             (Telemetry.snapshot ~nondet:true ()).Telemetry.sn_counters)
+      in
+      for _ = 1 to 5 do
+        ignore (Ex.solve_branch p1 ~state:st ~target:(0, Branch.Then))
+      done;
+      check Alcotest.int "one lowering for five solves" 1 (compiles ());
+      ignore (Ex.solve_branch (fresh ()) ~state:st ~target:(0, Branch.Then));
+      check Alcotest.int "a new program value is lowered" 2 (compiles ()))
+
 let () =
   Alcotest.run "symexec"
     [
@@ -379,6 +576,23 @@ let () =
           Alcotest.test_case "cost accounting" `Quick test_cost_accounting;
           Alcotest.test_case "unknown causes counted" `Quick
             test_unknown_causes_counted;
+        ] );
+      ( "semantics",
+        [
+          Alcotest.test_case "unexplored errors harmless" `Quick
+            test_unexplored_errors_harmless;
+          Alcotest.test_case "unbound on explored arm" `Quick
+            test_unbound_on_explored_arm;
+          Alcotest.test_case "oob index on explored arm" `Quick
+            test_oob_index_on_explored_arm;
+          Alcotest.test_case "unbound target guard" `Quick
+            test_unbound_target_guard;
+          Alcotest.test_case "duplicate declarations" `Quick
+            test_duplicate_declarations_last_wins;
+          Alcotest.test_case "vector input reassembles" `Quick
+            test_vector_input_reassembles;
+          Alcotest.test_case "lowered once per program" `Quick
+            test_lowered_once;
         ] );
       ( "multi-step",
         [
