@@ -44,6 +44,7 @@ let tel_runs = Telemetry.Counter.make "analysis.runs"
 let tel_iterations = Telemetry.Counter.make "analysis.fixpoint_iterations"
 let tel_widenings = Telemetry.Counter.make "analysis.widenings"
 let tel_span = Telemetry.Span.make "analysis.analyze"
+let tel_octvars_dropped = Telemetry.Counter.make "analysis.octvars_dropped"
 
 type reach = Never | May | Must
 
@@ -244,6 +245,7 @@ module Octvars = struct
         keys := (key, is_int) :: !keys;
         incr count
       end
+      else Telemetry.Counter.incr tel_octvars_dropped
     in
     let scalar scope (v : Ir.var) =
       match v.ty with
