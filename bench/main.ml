@@ -199,21 +199,25 @@ let analysis_bench () =
       let t0 = Unix.gettimeofday () in
       let r = Analysis.Analyzer.analyze prog in
       let dt = Unix.gettimeofday () -. t0 in
+      let w1 = Gc.minor_words () in
       let t1 = Unix.gettimeofday () in
       let ro = Analysis.Analyzer.analyze ~config:oct prog in
       let dto = Unix.gettimeofday () -. t1 in
+      (* allocated words do not vary between runs, unlike the time *)
+      let wo = Gc.minor_words () -. w1 in
       let s = Analysis.Verdict.of_result r in
       let db, dc, dm = Analysis.Verdict.counts s Analysis.Verdict.Dead in
       let so = Analysis.Verdict.of_result ro in
       let ob, oc, om = Analysis.Verdict.counts so Analysis.Verdict.Dead in
       total_dead := !total_dead + db + dc + dm;
       Fmt.pr
-        "%-12s iv %8.2f ms oct %8.2f ms  %3d sweeps %2d widened  dead \
-         (%d,%d,%d) oct (%d,%d,%d)@."
-        name (dt *. 1e3) (dto *. 1e3) r.Analysis.Analyzer.r_iterations
+        "%-12s iv %8.2f ms oct %8.2f ms %8.2f Mwords  %3d sweeps %2d widened  \
+         dead (%d,%d,%d) oct (%d,%d,%d)@."
+        name (dt *. 1e3) (dto *. 1e3) (wo /. 1e6) r.Analysis.Analyzer.r_iterations
         r.Analysis.Analyzer.r_widenings db dc dm ob oc om;
       entries :=
-        (Fmt.str "analysis: octagon fixpoint %s" name, dto *. 1e9)
+        (Fmt.str "analysis: octagon fixpoint words %s" name, wo)
+        :: (Fmt.str "analysis: octagon fixpoint %s" name, dto *. 1e9)
         :: (Fmt.str "analysis: fixpoint %s" name, dt *. 1e9)
         :: !entries)
     models;

@@ -8,11 +8,28 @@
     [m(i,j) <- min m(i,j) ((m(i,i') + m(j',j)) / 2)]; variables marked
     integer additionally tighten their unary edges to even values.
 
-    The matrix is kept {e strongly closed} by construction: constraint
-    adds run an [O(n^2)] incremental closure, [forget]/[assign]/[shift]
-    preserve closure, and join (pointwise max) of two strongly closed
-    octagons is strongly closed.  Only {!widen} leaves the matrix open —
-    as required for termination — and the caller re-closes via {!close}.
+    The matrix is kept {e strongly closed} by construction: a constraint
+    add re-runs the Floyd-Warshall pivots of the (up to four) touched
+    indices, then strengthens; [forget]/[assign]/[shift] preserve
+    closure, and join (pointwise max) of two strongly closed octagons is
+    strongly closed.  Only {!widen} leaves the matrix open — as required
+    for termination — and the caller re-closes via {!close}.
+
+    The closure kernels only visit entries that can change, and the
+    result is the same, bit for bit, as the full loops:
+    - a pivot [k] collects the finite entries of row [k] once, and each
+      row with a finite [m(i,k)] walks only those columns (an infinite
+      entry cannot become finite during the pivot);
+    - a strengthening pass never moves a unary edge [m(i, bar i)], so
+      each octagon keeps a snapshot of the unary edges its last pass
+      saw.  A pass then visits only the rows [i] and columns [bar i]
+      whose unary edge differs from the snapshot, against the finite
+      unary edges: every other pair already satisfies the
+      strengthening bound, because between passes entries only fall.
+      The invariant breaks where an entry can rise, so {!create},
+      {!forget} and {!shift} (on the touched variable's indices) and
+      the results of {!join} and {!widen} (everywhere) invalidate the
+      snapshot; {!copy} copies it.
 
     All bounds are floats; [infinity] means "no constraint".  Callers
     are responsible for only adding constraints that are {e exact} for
@@ -27,7 +44,6 @@ val create : ints:bool array -> t
 (** Top octagon over [Array.length ints] variables; [ints.(k)] marks
     [v_k] integer-valued (enables integral tightening). *)
 
-val dim : t -> int
 val copy : t -> t
 val equal : t -> t -> bool
 
@@ -50,12 +66,6 @@ val add_lower : t -> int -> float -> unit
 
 val add_diff : t -> int -> int -> float -> unit
 (** [add_diff t a b c]: [v_a - v_b <= c] ([a <> b]). *)
-
-val add_sum : t -> int -> int -> float -> unit
-(** [add_sum t a b c]: [v_a + v_b <= c] ([a <> b]). *)
-
-val add_nsum : t -> int -> int -> float -> unit
-(** [add_nsum t a b c]: [- v_a - v_b <= c] ([a <> b]). *)
 
 (** {1 Transfer} *)
 
@@ -103,6 +113,3 @@ val meet_interval : t -> int -> lo:float -> hi:float -> unit
 val constrain_raw : t -> int -> lo:float -> hi:float -> unit
 (** Like {!meet_interval} but without re-closing: bulk seeding calls
     this per variable and then runs a single {!close}. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug rendering of the finite constraints. *)
