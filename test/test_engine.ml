@@ -381,26 +381,7 @@ let engine_fingerprint () =
   List.iter (fingerprint_sldv buf ~budget:300.0) [ "CPUTask"; "TCP" ];
   Buffer.contents buf
 
-let test_engine_fingerprint () =
-  let expected =
-    In_channel.with_open_bin "goldens/engine_fingerprint.txt"
-      In_channel.input_all
-  in
-  let observed = engine_fingerprint () in
-  if observed <> expected then begin
-    Out_channel.with_open_bin "engine_fingerprint.observed.txt" (fun oc ->
-        Out_channel.output_string oc observed);
-    let lines s = String.split_on_char '\n' s in
-    let rec first_diff k = function
-      | a :: ra, b :: rb -> if a = b then first_diff (k + 1) (ra, rb) else (k, a, b)
-      | a :: _, [] -> (k, a, "<end>")
-      | [], b :: _ -> (k, "<end>", b)
-      | [], [] -> (k, "", "")
-    in
-    let k, e, o = first_diff 1 (lines expected, lines observed) in
-    Alcotest.failf "fingerprint differs at line %d:\n  expected: %s\n  observed: %s"
-      k e o
-  end
+let test_engine_fingerprint () = Golden.check "engine_fingerprint" (engine_fingerprint ())
 
 let () =
   Alcotest.run "engine"
