@@ -328,23 +328,55 @@ let pp_testcase_exact buf (tc : Testcase.t) =
 " Fmt.(array ~sep:(any " ") pp_value_exact) step))
     tc.Testcase.steps
 
-let fingerprint_engine buf label ~budget ?(state_aware = true) name =
-  let prog = (Option.get (Models.Registry.find name)).Models.Registry.program () in
-  let run =
-    Engine.run
-      ~config:{ (config ~budget ~seed:1 ()) with Engine.state_aware }
-      prog
-  in
+(* Every run both fingerprints pin, made once per test binary: STCG on
+   all registry models, the state-blind ablation on two models, and
+   SLDV and SimCoTest on two models each. *)
+type fp_run =
+  | Fp_engine of string * Engine.run
+  | Fp_baseline of Stcg.Run_result.t
+
+let fingerprint_runs =
+  lazy
+    (let prog name =
+       (Option.get (Models.Registry.find name)).Models.Registry.program ()
+     in
+     let engine label ?(state_aware = true) ~budget name =
+       let run =
+         Engine.run
+           ~config:{ (config ~budget ~seed:1 ()) with Engine.state_aware }
+           (prog name)
+       in
+       Fp_engine (Fmt.str "%s %s budget=%g" label name budget, run)
+     in
+     List.map
+       (fun name ->
+         engine "stcg" ~budget:(if name = "LANSwitch" then 100.0 else 200.0) name)
+       Models.Registry.names
+     @ List.map (engine "blind" ~budget:200.0 ~state_aware:false) [ "TCP"; "CPUTask" ]
+     @ List.map
+         (fun name ->
+           Fp_baseline
+             (Baselines.Sldv.run
+                ~config:{ Baselines.Sldv.default_config with Baselines.Sldv.budget = 300.0 }
+                ~model:name (prog name)))
+         [ "CPUTask"; "TCP" ]
+     @ List.map
+         (fun name ->
+           Fp_baseline
+             (Baselines.Simcotest.run
+                ~config:
+                  { Baselines.Simcotest.default_config with Baselines.Simcotest.budget = 300.0 }
+                ~model:name (prog name)))
+         [ "CPUTask"; "TCP" ])
+
+let fingerprint_engine buf header (run : Engine.run) =
   Buffer.add_string buf
-    (Fmt.str "== %s %s budget=%g end=%h
-" label name budget
-       (Stcg.Vclock.now run.Engine.r_clock));
+    (Fmt.str "== %s end=%h\n" header (Stcg.Vclock.now run.Engine.r_clock));
   List.iter
     (function
       | Engine.Ev_solve { time; target; node; result } ->
         Buffer.add_string buf
-          (Fmt.str "solve %a node=%d %s t=%h
-" Symexec.Explore.pp_target target
+          (Fmt.str "solve %a node=%d %s t=%h\n" Symexec.Explore.pp_target target
              node
              (match result with
               | `Sat -> "sat"
@@ -355,33 +387,62 @@ let fingerprint_engine buf label ~budget ?(state_aware = true) name =
       | Engine.Ev_random_exec _ | Engine.Ev_coverage _ -> ())
     run.Engine.r_events
 
-let fingerprint_sldv buf ~budget name =
-  let prog = (Option.get (Models.Registry.find name)).Models.Registry.program () in
-  let r =
-    Baselines.Sldv.run
-      ~config:{ Baselines.Sldv.default_config with Baselines.Sldv.budget }
-      ~model:name prog
-  in
-  Buffer.add_string buf
-    (Fmt.str "== sldv %s budget=%g end=%h
-" name budget
-       r.Stcg.Run_result.final_time);
-  List.iter (pp_testcase_exact buf) r.Stcg.Run_result.testcases
-
 let engine_fingerprint () =
   let buf = Buffer.create 65536 in
   List.iter
-    (fun name ->
-      let budget = if name = "LANSwitch" then 100.0 else 200.0 in
-      fingerprint_engine buf "stcg" ~budget name)
-    Models.Registry.names;
-  List.iter
-    (fingerprint_engine buf "blind" ~budget:200.0 ~state_aware:false)
-    [ "TCP"; "CPUTask" ];
-  List.iter (fingerprint_sldv buf ~budget:300.0) [ "CPUTask"; "TCP" ];
+    (function
+      | Fp_engine (header, run) -> fingerprint_engine buf header run
+      | Fp_baseline r when r.Stcg.Run_result.tool = "SLDV" ->
+        Buffer.add_string buf
+          (Fmt.str "== sldv %s budget=300 end=%h\n" r.Stcg.Run_result.model
+             r.Stcg.Run_result.final_time);
+        List.iter (pp_testcase_exact buf) r.Stcg.Run_result.testcases
+      | Fp_baseline _ -> ())
+    (Lazy.force fingerprint_runs);
   Buffer.contents buf
 
 let test_engine_fingerprint () = Golden.check "engine_fingerprint" (engine_fingerprint ())
+
+(* Coverage timeline pin, over the same runs: every [Ev_coverage] and
+   [Ev_random_exec] of an engine run, every timeline point of a
+   baseline run, and the final decision, condition and MC/DC ratios. *)
+let coverage_fingerprint () =
+  let buf = Buffer.create 65536 in
+  let ratios tracker =
+    let r name (x : Tracker.ratio) =
+      Fmt.str " %s=%d/%d" name x.Tracker.covered x.Tracker.total
+    in
+    Buffer.add_string buf
+      (Fmt.str "final%s%s%s\n"
+         (r "decision" (Tracker.decision tracker))
+         (r "condition" (Tracker.condition tracker))
+         (r "mcdc" (Tracker.mcdc tracker)))
+  in
+  List.iter
+    (function
+      | Fp_engine (header, run) ->
+        Buffer.add_string buf (Fmt.str "== %s\n" header);
+        List.iter
+          (function
+            | Engine.Ev_coverage { time; decision_covered } ->
+              Buffer.add_string buf (Fmt.str "cov t=%h covered=%d\n" time decision_covered)
+            | Engine.Ev_random_exec { time; node; len } ->
+              Buffer.add_string buf (Fmt.str "random t=%h node=%d len=%d\n" time node len)
+            | Engine.Ev_solve _ | Engine.Ev_testcase _ -> ())
+          run.Engine.r_events;
+        ratios run.Engine.r_tracker
+      | Fp_baseline r ->
+        Buffer.add_string buf
+          (Fmt.str "== %s %s budget=300\n" r.Stcg.Run_result.tool r.Stcg.Run_result.model);
+        List.iter
+          (fun (time, pct) -> Buffer.add_string buf (Fmt.str "cov t=%h pct=%h\n" time pct))
+          r.Stcg.Run_result.timeline;
+        ratios r.Stcg.Run_result.tracker)
+    (Lazy.force fingerprint_runs);
+  Buffer.contents buf
+
+let test_coverage_fingerprint () =
+  Golden.check "coverage_fingerprint" (coverage_fingerprint ())
 
 let () =
   Alcotest.run "engine"
@@ -404,6 +465,7 @@ let () =
           Alcotest.test_case "vclock budget guard" `Quick test_vclock_budget_guard;
           Alcotest.test_case "hybrid random-first" `Quick test_random_first_hybrid;
           Alcotest.test_case "registry fingerprint" `Quick test_engine_fingerprint;
+          Alcotest.test_case "coverage fingerprint" `Quick test_coverage_fingerprint;
         ] );
       ( "artifacts",
         [
