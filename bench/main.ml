@@ -178,8 +178,7 @@ let harness_wallclock () =
 (* --- static analysis ---------------------------------------------------- *)
 
 (* Fixpoint wall-clock of the abstract interpreter on every registry
-   model (interval and octagon domains), the Unknown objectives the
-   snapshot-seeded refinement decides, plus the end-to-end effect on
+   model (interval and octagon domains), plus the end-to-end effect on
    the engine: how many coverage objectives the analyzer lets the
    solving loop skip, and the verdict-priority on/off wall-clock.
    Tracked in the BENCH json so analyzer slowdowns (or lost
@@ -221,43 +220,6 @@ let analysis_bench () =
         :: (Fmt.str "analysis: fixpoint %s" name, dt *. 1e9)
         :: !entries)
     models;
-  (* snapshot-seeded refinement: how many Unknown objectives do 40
-     concretely reached states decide, and at what cost *)
-  section "analysis: snapshot-refined verdicts";
-  let total_refined = ref 0 in
-  let refine_ns = ref 0.0 in
-  List.iter
-    (fun name ->
-      let prog = (Option.get (Models.Registry.find name)).program () in
-      let s0 = Analysis.Verdict.of_program prog in
-      let h = Slim.Exec.compile prog in
-      let rng = Random.State.make [| 7 |] in
-      let st = ref (Slim.Exec.initial_state h) in
-      let seeds = ref [] in
-      for _ = 1 to 40 do
-        let inp = Slim.Exec.random_inputs rng h in
-        let _, st' = Slim.Exec.run_step h !st inp in
-        st := st';
-        seeds := Array.copy st' :: !seeds
-      done;
-      let unknown s =
-        let b, c, m = Analysis.Verdict.counts s Analysis.Verdict.Unknown in
-        b + c + m
-      in
-      let t0 = Unix.gettimeofday () in
-      let s1 = Analysis.Verdict.refine s0 ~seeds:!seeds in
-      let dt = Unix.gettimeofday () -. t0 in
-      refine_ns := !refine_ns +. (dt *. 1e9);
-      let decided = unknown s0 - unknown s1 in
-      total_refined := !total_refined + decided;
-      Fmt.pr "%-12s %8.2f ms  unknown %3d -> %3d (%d decided)@." name
-        (dt *. 1e3) (unknown s0) (unknown s1) decided)
-    models;
-  entries :=
-    ("analysis: refine wall-clock (bench models)", !refine_ns)
-    :: ( "analysis: refine objectives decided (bench models)",
-         float_of_int !total_refined )
-    :: !entries;
   (* drive the engine once with the analyzer on: the skipped-objective
      counter is the proof the dead verdicts reach the solving loop *)
   let tel_skipped = Telemetry.Counter.make "engine.objectives_skipped_dead" in

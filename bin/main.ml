@@ -238,8 +238,7 @@ let list_models_cmd =
     Term.(const run $ const ())
 
 let run_cmd =
-  let run model tool budget seed analyze domain verdict_priority
-      reanalyze_every export tel =
+  let run model tool budget seed analyze domain verdict_priority export tel =
     let finish = telemetry_setup tel in
     let entry = find_model model in
     let tool = parse_tool tool in
@@ -251,7 +250,7 @@ let run_cmd =
     in
     let result =
       Harness.Experiment.run_tool ~budget ~analyze ~domain ~verdict_priority
-        ~reanalyze_every ~seed tool entry
+        ~seed tool entry
     in
     Fmt.pr "%a@." Stcg.Run_result.pp_summary result;
     (match export with
@@ -294,19 +293,10 @@ let run_cmd =
                    tree nodes (testcase output is unchanged on saturating \
                    runs).")
   in
-  let reanalyze_arg =
-    Arg.(value & opt int 0
-         & info [ "reanalyze-every" ] ~docv:"N"
-             ~doc:"With $(b,--analyze): re-run the analysis seeded from \
-                   reached state snapshots every $(docv) solving \
-                   iterations, justifying newly-proven-dead objectives \
-                   mid-run (0 disables).")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one tool on one benchmark model.")
     Term.(const run $ model_arg $ tool_arg $ budget_arg $ seed_arg
-          $ analyze_arg $ domain_arg $ verdict_priority_arg $ reanalyze_arg
-          $ export_arg $ telemetry_term)
+          $ analyze_arg $ domain_arg $ verdict_priority_arg $ export_arg $ telemetry_term)
 
 let table1_cmd =
   let run budget seed tel =

@@ -1313,7 +1313,7 @@ let result_of ctx (state : Absval.t array) env ~iterations ~widenings =
       List.mapi (fun i (v : Ir.var) -> (v.name, env.e_out.(i))) prog.Ir.outputs;
   }
 
-let analyze ?(config = default_config) ?(seeds = []) (prog : Ir.program) :
+let analyze ?(config = default_config) (prog : Ir.program) :
     result =
   Telemetry.Counter.incr tel_runs;
   Telemetry.Span.with_ ~note:(fun () -> prog.Ir.name) tel_span @@ fun () ->
@@ -1338,17 +1338,6 @@ let analyze ?(config = default_config) ?(seeds = []) (prog : Ir.program) :
        | None -> 0)
   in
   let state = Array.copy info.i_state_init in
-  (* seeding: joining reached snapshots into the initial abstract state
-     analyzes reachability from [init ∪ seeds]; since the snapshots are
-     themselves reachable, the fixpoint still over-approximates every
-     reachable state and all Never/Must facts keep their meaning *)
-  List.iter
-    (fun snap ->
-      if Array.length snap = n_state then
-        Array.iteri
-          (fun i v -> state.(i) <- Absval.join state.(i) (Absval.of_value v))
-          snap)
-    seeds;
   let oct_state =
     ref
       (Option.map
@@ -1433,8 +1422,7 @@ let analyze ?(config = default_config) ?(seeds = []) (prog : Ir.program) :
    it reports hold for the single step taken from [state]; because the
    snapshot is concretely reachable, such facts witness reachability.
    Its [Never] facts are only step-local and must NOT be promoted to
-   global deadness — {!Verdict.refine} uses the former and ignores the
-   latter. *)
+   global deadness. *)
 let record_at ?(config = default_config) (prog : Ir.program)
     ~(state : Value.t array) : result =
   Telemetry.Counter.incr tel_runs;

@@ -62,15 +62,8 @@ type result = {
           output variable (every path through one step joined) *)
 }
 
-val analyze :
-  ?config:config -> ?seeds:Slim.Value.t array list -> Slim.Ir.program -> result
-(** Fixpoint analysis of the step program.  [seeds] are concretely
-    reached state snapshots (in state-slot order, see
-    {!Slim.Exec.state_vars}) joined into the initial abstract state:
-    the fixpoint then over-approximates reachability from
-    [init ∪ seeds], which preserves the meaning of every verdict while
-    typically tightening it — widening from a grown region discards
-    fewer bounds than widening from the initial point. *)
+val analyze : ?config:config -> Slim.Ir.program -> result
+(** Fixpoint analysis of the step program from its initial state. *)
 
 val record_at :
   ?config:config -> Slim.Ir.program -> state:Slim.Value.t array -> result

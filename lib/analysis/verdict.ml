@@ -106,69 +106,6 @@ let condition s d i value =
 let mcdc s d i =
   match List.assoc_opt (d, i) s.v_mcdc with Some v -> v | None -> Unknown
 
-let tel_refined_dead = Telemetry.Counter.make "analysis.verdict.refined_dead"
-
-let tel_refined_reachable =
-  Telemetry.Counter.make "analysis.verdict.refined_reachable"
-
-(* Monotone merge: a sound refinement only decides Unknowns.  Two sound
-   analyses cannot disagree on decided verdicts; keep the original
-   defensively if they ever would. *)
-let merge_v old v = match old with Unknown -> v | Dead | Reachable -> old
-
-let refine ?config (s : summary) ~(seeds : Slim.Value.t array list) : summary =
-  if seeds = [] then s
-  else begin
-    let prog = s.v_result.Analyzer.r_prog in
-    (* a seeded fixpoint still over-approximates every reachable state
-       (the seeds are reachable and the fixpoint is closed under the
-       step relation), so both its Dead and Reachable verdicts hold *)
-    let seeded = of_result (Analyzer.analyze ?config ~seeds prog) in
-    (* a recording pass from an exact snapshot: Must facts there are
-       witnessed by one concrete step, so only Reachable transfers *)
-    let witnesses =
-      List.map
-        (fun st -> of_result (Analyzer.record_at ?config prog ~state:st))
-        seeds
-    in
-    let keep_reachable v = if v = Reachable then Reachable else Unknown in
-    let merged lookup old_list =
-      List.map
-        (fun (k, old) ->
-          let v = List.fold_left merge_v old (lookup k) in
-          (match (old, v) with
-           | Unknown, Dead -> Telemetry.Counter.incr tel_refined_dead
-           | Unknown, Reachable -> Telemetry.Counter.incr tel_refined_reachable
-           | _ -> ());
-          (k, v))
-        old_list
-    in
-    let v_branches =
-      merged
-        (fun k ->
-          branch seeded k
-          :: List.map (fun w -> keep_reachable (branch w k)) witnesses)
-        s.v_branches
-    in
-    let v_conditions =
-      merged
-        (fun (d, i, value) ->
-          condition seeded d i value
-          :: List.map
-               (fun w -> keep_reachable (condition w d i value))
-               witnesses)
-        s.v_conditions
-    in
-    let v_mcdc =
-      merged
-        (fun (d, i) ->
-          mcdc seeded d i
-          :: List.map (fun w -> keep_reachable (mcdc w d i)) witnesses)
-        s.v_mcdc
-    in
-    { s with v_branches; v_conditions; v_mcdc }
-  end
-
 let keep verdict l = List.filter_map (fun (k, v) -> if v = verdict then Some k else None) l
 let dead_branches s = keep Dead s.v_branches
 let dead_conditions s = keep Dead s.v_conditions

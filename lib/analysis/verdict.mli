@@ -32,19 +32,6 @@ type summary = {
 val of_result : Analyzer.result -> summary
 val of_program : ?config:Analyzer.config -> Slim.Ir.program -> summary
 
-val refine :
-  ?config:Analyzer.config ->
-  summary ->
-  seeds:Slim.Value.t array list ->
-  summary
-(** Snapshot-refined verdicts: monotonically decide [Unknown]
-    objectives from concretely reached state snapshots (state-slot
-    order).  Two sound sources are merged in: a fixpoint re-seeded from
-    [init ∪ seeds] (both its [Dead] and [Reachable] verdicts hold), and
-    a single recording pass per snapshot whose [Must] facts are
-    witnessed by one concrete step (only [Reachable] transfers).
-    Decided verdicts never change. *)
-
 val branch : summary -> Slim.Branch.key -> t
 (** Defaults to [Unknown] for unknown keys. *)
 

@@ -118,14 +118,13 @@ let run ?(config = default_config) ~model (prog : Ir.program) =
   while (not (Vclock.expired clock)) && not (Tracker.fully_covered tracker) do
     Vclock.charge clock config.gen_overhead;
     let inputs = candidate rng ex config.horizon in
-    let before = Tracker.covered_branches tracker in
+    let m = Tracker.mark tracker in
     let _, _ =
       Exec.run_sequence ~on_event:(Tracker.observe tracker) ex
         (Exec.initial_state ex) inputs
     in
     Vclock.charge_steps clock (List.length inputs);
-    let after = Tracker.covered_branches tracker in
-    let fresh = Branch.Key_set.diff after before in
+    let fresh = Tracker.fresh_since tracker m in
     if not (Branch.Key_set.is_empty fresh) then begin
       let tc =
         {

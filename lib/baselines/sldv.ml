@@ -36,15 +36,14 @@ let run ?(config = default_config) ~model (prog : Slim.Ir.program) =
     in
     timeline := (Vclock.now clock, pct) :: !timeline
   in
-  let execute_testcase inputs fresh_target =
-    let before = Tracker.covered_branches tracker in
+  let execute_testcase inputs =
+    let m = Tracker.mark tracker in
     let _, _ =
       Exec.run_sequence ~on_event:(Tracker.observe tracker) ex
         (Exec.initial_state ex) inputs
     in
     Vclock.charge_steps clock (List.length inputs);
-    let after = Tracker.covered_branches tracker in
-    let fresh = Branch.Key_set.diff after before in
+    let fresh = Tracker.fresh_since tracker m in
     if not (Branch.Key_set.is_empty fresh) then begin
       let tc =
         {
@@ -58,8 +57,7 @@ let run ?(config = default_config) ~model (prog : Slim.Ir.program) =
       incr next_tc;
       testcases := tc :: !testcases;
       record_timeline ()
-    end;
-    ignore fresh_target
+    end
   in
   (* Iterative deepening over unroll horizons: each pass attacks every
      still-uncovered branch with a whole-trace query. *)
@@ -84,7 +82,7 @@ let run ?(config = default_config) ~model (prog : Slim.Ir.program) =
             Vclock.charge clock
               (Vclock.cost_solve_episode *. float_of_int (horizon - 1));
             match outcome with
-            | Explore.Sat inputs -> execute_testcase inputs b.key
+            | Explore.Sat inputs -> execute_testcase inputs
             | Explore.Unsat | Explore.Unknown -> ()
           end)
         branches)

@@ -23,4 +23,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Dynarr.get";
   t.data.(i)
 
-let to_list t = List.init t.len (fun i -> t.data.(i))
+let set t i x =
+  if i < 0 || i >= t.len then invalid_arg "Dynarr.set";
+  t.data.(i) <- x

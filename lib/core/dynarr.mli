@@ -16,5 +16,5 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** O(1); raises [Invalid_argument] out of bounds. *)
 
-val to_list : 'a t -> 'a list
-(** Elements in push order. *)
+val set : 'a t -> int -> 'a -> unit
+(** O(1); raises [Invalid_argument] out of bounds. *)

@@ -19,7 +19,6 @@ type config = {
   max_tree_nodes : int;
   analyze : bool;
   verdict_priority : bool;
-  reanalyze_every : int;
   analysis_config : Analyzer.config;
 }
 
@@ -38,7 +37,6 @@ let default_config =
     max_tree_nodes = 30_000;
     analyze = false;
     verdict_priority = false;
-    reanalyze_every = 0;
     analysis_config = Analyzer.default_config;
   }
 
@@ -55,7 +53,6 @@ let tel_testcases = Telemetry.Counter.make "engine.testcases"
 let tel_tree_nodes = Telemetry.Counter.make "engine.tree_nodes"
 let tel_skipped_dead = Telemetry.Counter.make "engine.objectives_skipped_dead"
 let tel_pruned_static = Telemetry.Counter.make "engine.solves_pruned_static"
-let tel_reanalyses = Telemetry.Counter.make "engine.reanalyses"
 let tel_h_solve_nodes = Telemetry.Histogram.make "engine.solve_nodes"
 let tel_sp_run = Telemetry.Span.make "engine.run"
 let tel_sp_solve = Telemetry.Span.make "engine.solve"
@@ -86,12 +83,13 @@ type run = {
   r_stop : stop_reason;
 }
 
-(* A coverage objective with a stable key for the per-node solved set
-   and a depth used for shallow-first ordering.  Keys are dense integers
-   interned per run from the structural target (see [intern_target]):
-   the solving loop hashes them on every cursor/miss/cache probe, so a
-   boxed [Fmt.str]-rendered string there would cost an allocation and a
-   string hash per probe. *)
+(* A coverage objective with a stable key for the per-node solved set,
+   the cursors, the miss counts and the solve cache, and a depth used
+   for shallow-first ordering.  Keys are dense integers: a branch
+   objective is its branch id and a condition objective is
+   [n_branches] plus its condition id (the program's objective index,
+   {!Exec.branch_id}); dynamic MC/DC flip targets are interned after
+   those (see [intern_vector]). *)
 type objective = {
   obj_target : Explore.target;
   obj_key : int;
@@ -100,43 +98,36 @@ type objective = {
 
 type state = {
   cfg : config;
+  solver_cfg : Explore.config;  (** [cfg.solver] seeded with [cfg.seed] *)
   prog : Ir.program;
   exec : Exec.t;  (** compiled handle: slot-addressed execution *)
   tracker : Tracker.t;
   tree : State_tree.t;
   clock : Vclock.t;
   rng : Random.State.t;
-  mutable objectives : objective list;
-      (** traversal order of Algorithm 1; re-sorted after a mid-run
-          re-analysis when [verdict_priority] is on *)
-  mutable summary : Verdict.summary option;
-      (** current static verdicts (present iff [cfg.analyze]); replaced
-          by the monotone refinement of the periodic re-analysis *)
+  objectives : objective list;  (** traversal order of Algorithm 1 *)
   never_cache : (int, Analyzer.result) Hashtbl.t;
       (** state uid -> one recording pass from that snapshot.  Its
           step-local [Never] facts prove one-step solver queries Unsat
           (the static prune of [verdict_priority]); nodes sharing a
           snapshot share the verdicts *)
-  dead_objs : (int, unit) Hashtbl.t;
-      (** objective ids proven dead after the worklists were built
-          (periodic re-analysis); checked alongside coverage before
-          each solve sweep *)
-  target_ids : (Explore.target, int) Hashtbl.t;
-      (** structural target -> dense id; ids are assigned in
-          first-encounter order, so a regenerated MCDC objective for
-          the same vector reuses its id (retries stay idempotent) *)
-  mutable next_target_id : int;
-  cursors : (int, int) Hashtbl.t;
-      (** per-objective index of the next unattempted tree node; nodes
-          are append-only, so attempted pairs are never rescanned *)
-  misses : (int, int) Hashtbl.t;
+  vector_ids : (Explore.target, int) Hashtbl.t;
+      (** MC/DC flip target -> objective id, assigned in
+          first-encounter order after the static objectives, so a
+          regenerated objective for the same vector reuses its id
+          (retries stay idempotent) *)
+  cursors : int Dynarr.t;
+      (** per objective id, the index of the next unattempted tree
+          node; nodes are append-only, so attempted pairs are never
+          rescanned *)
+  misses : int Dynarr.t;
       (** consecutive failed attempts per objective: objectives that
           keep failing are probed on progressively fewer states (the
           back-off the paper's Discussion calls for to stop "multiple
           solving for this type of branch" from eating the budget) *)
-  solve_cache : (int * int, unit) Hashtbl.t;
-      (** (objective id, state signature) pairs that already failed to
-          solve: two nodes whose snapshots agree on every solver-relevant
+  solve_cache : (int, unit) Hashtbl.t Dynarr.t;
+      (** per objective id, the state signatures from which it already
+          failed to solve: two nodes whose snapshots agree on every solver-relevant
           state slot give identical one-step answers, so re-solving is
           skipped (the "duplicate solving" waste the paper's Discussion
           flags).  Signatures are hashcons ids of constant terms over
@@ -158,13 +149,18 @@ type state = {
   mutable next_tc : int;
 }
 
-let intern_target st target =
-  match Hashtbl.find_opt st.target_ids target with
+(* The empty failure set every objective starts with; never written. *)
+let no_failures : (int, unit) Hashtbl.t = Hashtbl.create 1
+
+let intern_vector st target =
+  match Hashtbl.find_opt st.vector_ids target with
   | Some id -> id
   | None ->
-    let id = st.next_target_id in
-    st.next_target_id <- id + 1;
-    Hashtbl.replace st.target_ids target id;
+    let id = Dynarr.length st.cursors in
+    Dynarr.push st.cursors 0;
+    Dynarr.push st.misses 0;
+    Dynarr.push st.solve_cache no_failures;
+    Hashtbl.replace st.vector_ids target id;
     id
 
 (* Project a snapshot onto the solver-relevant state slots.  Short
@@ -193,9 +189,9 @@ let relevant_projection st snapshot =
    equal answers.  Memoized per state uid. *)
 let solve_signature st (node : State_tree.node) =
   let uid = node.State_tree.state_uid in
-  match Hashtbl.find_opt st.sig_terms uid with
-  | Some t -> Solver.Term.id t
-  | None ->
+  match Hashtbl.find st.sig_terms uid with
+  | t -> Solver.Term.id t
+  | exception Not_found ->
     let t =
       if not st.cfg.state_aware then
         (* state-blind ablation: the solver never reads the snapshot,
@@ -214,34 +210,9 @@ let objective_covered st obj =
   | Explore.Condition_target { decision; atom; value } ->
     Tracker.is_condition_covered st.tracker decision atom value
   | Explore.Vector_target { decision; vector } ->
-    List.exists
-      (fun (v, _) -> v = vector)
-      (Tracker.observed_vectors st.tracker decision)
+    Tracker.is_vector_observed st.tracker decision vector
 
 let emit st ev = st.events <- ev :: st.events
-
-let emit_coverage st =
-  emit st
-    (Ev_coverage
-       {
-         time = Vclock.now st.clock;
-         decision_covered = (Tracker.decision st.tracker).Tracker.covered;
-       })
-
-(* Execute one input from [snapshot]; update the tracker and clock;
-   return the new snapshot and the freshly covered branches. *)
-let execute_raw st snapshot input =
-  let before = Tracker.covered_branches st.tracker in
-  let _, state' =
-    Exec.run_step ~on_event:(Tracker.observe st.tracker) st.exec snapshot
-      input
-  in
-  Vclock.charge_steps st.clock 1;
-  Telemetry.Counter.incr tel_steps;
-  let after = Tracker.covered_branches st.tracker in
-  let fresh = Branch.Key_set.diff after before in
-  if not (Branch.Key_set.is_empty fresh) then emit_coverage st;
-  (state', fresh)
 
 (* Record the transition in the state tree unless the node cap is
    reached — the cap bounds memory, never the run itself. *)
@@ -252,11 +223,6 @@ let maybe_record st (parent : State_tree.node option) input state' =
     if is_new then Telemetry.Counter.incr tel_tree_nodes;
     Some child
   | Some _ | None -> None
-
-let execute_step st (node : State_tree.node) input =
-  let state', fresh = execute_raw st node.State_tree.state input in
-  let child = maybe_record st (Some node) input state' in
-  (child, state', fresh)
 
 (* [steps] is the actual executed sequence: the (replayable) tree path
    of the start node followed by the inputs executed in this episode.
@@ -276,8 +242,7 @@ let synthesize_testcase st ~steps origin fresh =
   st.next_tc <- st.next_tc + 1;
   st.testcases <- tc :: st.testcases;
   Telemetry.Counter.incr tel_testcases;
-  emit st (Ev_testcase tc);
-  tc
+  emit st (Ev_testcase tc)
 
 (* Dynamic MCDC objectives: for each condition whose independent effect
    is still unshown, propose the unique-cause flip of already observed
@@ -301,7 +266,7 @@ let mcdc_objectives st =
       in
       List.map
         (fun target ->
-          { obj_target = target; obj_key = intern_target st target; obj_depth = 0 })
+          { obj_target = target; obj_key = intern_vector st target; obj_depth = 0 })
         (take flips_per_condition observed))
     (Tracker.uncovered_mcdc st.tracker)
 
@@ -348,123 +313,161 @@ let statically_unsat st node obj =
           && Array.exists2 b3_excludes g.Analyzer.g_atoms vector)
     | None -> false)
 
-(* Algorithm 1: state-aware solving.  Returns the first (node,
-   objective, input) that solves, or None when no (open objective,
-   state) pair yields a solution.  A per-objective cursor into the
-   append-only node list makes re-sweeps cost only the new work. *)
+let miss st obj =
+  Dynarr.set st.misses obj.obj_key (1 + Dynarr.get st.misses obj.obj_key)
+
+(* Remember that [obj] failed to solve from states with [signature]. *)
+let record_failure st obj signature =
+  let failed = Dynarr.get st.solve_cache obj.obj_key in
+  if failed == no_failures then begin
+    let failed = Hashtbl.create 8 in
+    Hashtbl.replace failed signature ();
+    Dynarr.set st.solve_cache obj.obj_key failed
+  end
+  else Hashtbl.replace failed signature ()
+
+type sweep = Exhausted | Expired | Solved of State_tree.node * Exec.inputs
+
+(* One objective's sweep over the tree nodes from [id] to [size - 1],
+   stopping at the first that solves. *)
+let rec sweep_nodes st obj size id =
+  if id >= size then begin
+    Dynarr.set st.cursors obj.obj_key id;
+    Exhausted
+  end
+  else if Vclock.expired st.clock then begin
+    Dynarr.set st.cursors obj.obj_key id;
+    Expired
+  end
+  else if id mod (1 lsl min 5 (Dynarr.get st.misses obj.obj_key / 40)) <> 0
+  then begin
+    (* back-off: this objective failed many times in a row; probe only
+       a thinning subset of new states *)
+    Telemetry.Counter.incr tel_stride_skips;
+    sweep_nodes st obj size (id + 1)
+  end
+  else begin
+    let node = State_tree.node st.tree id in
+    let signature = solve_signature st node in
+    if State_tree.is_solved node obj.obj_key then sweep_nodes st obj size (id + 1)
+    else if Hashtbl.mem (Dynarr.get st.solve_cache obj.obj_key) signature then begin
+      Telemetry.Counter.incr tel_cache_hits;
+      sweep_nodes st obj size (id + 1)
+    end
+    else if st.cfg.verdict_priority && statically_unsat st node obj then begin
+      (* provably Unsat from this snapshot: replay the solver's Unsat
+         bookkeeping exactly (solved mark, cache entry, miss count) so
+         cursor, stride and cache behaviour — and therefore the emitted
+         test cases — match a run without pruning, but charge no solver
+         time *)
+      Telemetry.Counter.incr tel_pruned_static;
+      State_tree.mark_solved node obj.obj_key;
+      record_failure st obj signature;
+      miss st obj;
+      sweep_nodes st obj size (id + 1)
+    end
+    else begin
+      State_tree.mark_solved node obj.obj_key;
+      Telemetry.Counter.incr tel_solve_attempts;
+      let outcome, cost =
+        Telemetry.Span.with_ tel_sp_solve
+          ~note:(fun () -> Fmt.str "%a" Explore.pp_target obj.obj_target)
+          (fun () ->
+            Explore.solve_target ~config:st.solver_cfg
+              ~symbolic_state:(not st.cfg.state_aware) st.prog
+              ~state:node.state ~target:obj.obj_target)
+      in
+      Telemetry.Histogram.observe tel_h_solve_nodes cost.Explore.solver_nodes;
+      (match outcome with
+       | Explore.Sat _ -> ()
+       | Explore.Unsat | Explore.Unknown -> record_failure st obj signature);
+      Vclock.charge_solve st.clock cost;
+      let result : solve_result =
+        match outcome with
+        | Explore.Sat _ -> `Sat
+        | Explore.Unsat -> `Unsat
+        | Explore.Unknown -> `Unknown
+      in
+      Telemetry.Counter.incr
+        (match result with
+         | `Sat -> tel_solve_sat
+         | `Unsat -> tel_solve_unsat
+         | `Unknown -> tel_solve_unknown);
+      emit st
+        (Ev_solve
+           { time = Vclock.now st.clock; target = obj.obj_target; node = node.id; result });
+      match outcome with
+      | Explore.Sat (input :: _) ->
+        Dynarr.push st.library input;
+        Dynarr.set st.cursors obj.obj_key id;
+        Dynarr.set st.misses obj.obj_key 0;
+        Solved (node, input)
+      | Explore.Sat [] | Explore.Unsat | Explore.Unknown ->
+        miss st obj;
+        sweep_nodes st obj size (id + 1)
+    end
+  end
+
+(* Algorithm 1: state-aware solving.  Returns the first (node, input)
+   that solves an open objective, static objectives first, or None when
+   no (open objective, state) pair yields a solution.  A per-objective
+   cursor into the append-only node list makes re-sweeps cost only the
+   new work. *)
 let state_aware_solving st =
-  let solver_cfg = { st.cfg.solver with Explore.rng_seed = st.cfg.seed } in
   if Tracker.progress st.tracker <> st.mcdc_stamp then begin
     st.mcdc_stamp <- Tracker.progress st.tracker;
     st.mcdc_cache <- mcdc_objectives st
   end;
-  let rec try_objectives = function
-    | [] -> None
+  let rec try_objectives objs later =
+    match objs with
+    | [] -> if later == [] then None else try_objectives later []
     | obj :: rest ->
-      if objective_covered st obj || Hashtbl.mem st.dead_objs obj.obj_key
-      then try_objectives rest
-      else begin
-        let size = State_tree.size st.tree in
-        let stride () =
-          let m = Option.value ~default:0 (Hashtbl.find_opt st.misses obj.obj_key) in
-          1 lsl min 5 (m / 40)
-        in
-        let rec try_nodes id =
-          if id >= size then begin
-            Hashtbl.replace st.cursors obj.obj_key id;
-            try_objectives rest
-          end
-          else if Vclock.expired st.clock then begin
-            Hashtbl.replace st.cursors obj.obj_key id;
-            None
-          end
-          else if id mod stride () <> 0 then begin
-            (* back-off: this objective failed many times in a row;
-               probe only a thinning subset of new states *)
-            Telemetry.Counter.incr tel_stride_skips;
-            try_nodes (id + 1)
-          end
-          else begin
-            let node = State_tree.node st.tree id in
-            let cache_key = (obj.obj_key, solve_signature st node) in
-            if State_tree.is_solved node obj.obj_key then try_nodes (id + 1)
-            else if Hashtbl.mem st.solve_cache cache_key then begin
-              Telemetry.Counter.incr tel_cache_hits;
-              try_nodes (id + 1)
-            end
-            else if st.cfg.verdict_priority && statically_unsat st node obj
-            then begin
-              (* provably Unsat from this snapshot: replay the solver's
-                 Unsat bookkeeping exactly (solved mark, cache entry,
-                 miss count) so cursor, stride and cache behaviour — and
-                 therefore the emitted test cases — match a run without
-                 pruning, but charge no solver time *)
-              Telemetry.Counter.incr tel_pruned_static;
-              State_tree.mark_solved node obj.obj_key;
-              Hashtbl.replace st.solve_cache cache_key ();
-              Hashtbl.replace st.misses obj.obj_key
-                (1 + Option.value ~default:0
-                       (Hashtbl.find_opt st.misses obj.obj_key));
-              try_nodes (id + 1)
-            end
-            else begin
-              State_tree.mark_solved node obj.obj_key;
-              Telemetry.Counter.incr tel_solve_attempts;
-              let outcome, cost =
-                Telemetry.Span.with_ tel_sp_solve
-                  ~note:(fun () -> Fmt.str "%a" Explore.pp_target obj.obj_target)
-                  (fun () ->
-                    Explore.solve_target ~config:solver_cfg
-                      ~symbolic_state:(not st.cfg.state_aware) st.prog
-                      ~state:node.state ~target:obj.obj_target)
-              in
-              Telemetry.Histogram.observe tel_h_solve_nodes
-                cost.Explore.solver_nodes;
-              (match outcome with
-               | Explore.Sat _ -> ()
-               | Explore.Unsat | Explore.Unknown ->
-                 Hashtbl.replace st.solve_cache cache_key ());
-              Vclock.charge_solve st.clock cost;
-              let result : solve_result =
-                match outcome with
-                | Explore.Sat _ -> `Sat
-                | Explore.Unsat -> `Unsat
-                | Explore.Unknown -> `Unknown
-              in
-              Telemetry.Counter.incr
-                (match result with
-                 | `Sat -> tel_solve_sat
-                 | `Unsat -> tel_solve_unsat
-                 | `Unknown -> tel_solve_unknown);
-              emit st
-                (Ev_solve
-                   {
-                     time = Vclock.now st.clock;
-                     target = obj.obj_target;
-                     node = node.id;
-                     result;
-                   });
-              match outcome with
-              | Explore.Sat (input :: _) ->
-                Dynarr.push st.library input;
-                Hashtbl.replace st.cursors obj.obj_key id;
-                Hashtbl.replace st.misses obj.obj_key 0;
-                Some (node, obj, input)
-              | Explore.Sat [] | Explore.Unsat | Explore.Unknown ->
-                Hashtbl.replace st.misses obj.obj_key
-                  (1 + Option.value ~default:0
-                         (Hashtbl.find_opt st.misses obj.obj_key));
-                try_nodes (id + 1)
-            end
-          end
-        in
-        let start =
-          Option.value ~default:0 (Hashtbl.find_opt st.cursors obj.obj_key)
-        in
-        try_nodes start
-      end
+      if objective_covered st obj then try_objectives rest later
+      else
+        match
+          sweep_nodes st obj (State_tree.size st.tree)
+            (Dynarr.get st.cursors obj.obj_key)
+        with
+        | Exhausted -> try_objectives rest later
+        | Expired -> None
+        | Solved (node, input) -> Some (node, input)
   in
-  try_objectives (st.objectives @ st.mcdc_cache)
+  try_objectives st.objectives st.mcdc_cache
+
+(* An episode from [node]: [len] steps with inputs drawn from [next],
+   each recorded in the tree, ending early when the budget runs out if
+   [stop_on_expiry].  A step that covers a new branch records the
+   coverage; if the episode did, the executed sequence becomes a test
+   case of the given origin. *)
+let run_episode st (node : State_tree.node) ~origin ~len ?(stop_on_expiry = true)
+    next =
+  let m = Tracker.mark st.tracker in
+  let rec steps snapshot node_opt executed k =
+    if k = 0 || (stop_on_expiry && Vclock.expired st.clock) then executed
+    else begin
+      let input = next () in
+      let step_mark = Tracker.mark st.tracker in
+      let _, state' =
+        Exec.run_step ~on_event:(Tracker.observe st.tracker) st.exec snapshot input
+      in
+      Vclock.charge_steps st.clock 1;
+      Telemetry.Counter.incr tel_steps;
+      if Tracker.mark st.tracker <> step_mark then
+        emit st
+          (Ev_coverage
+             {
+               time = Vclock.now st.clock;
+               decision_covered = (Tracker.decision st.tracker).Tracker.covered;
+             });
+      steps state' (maybe_record st node_opt input state') (input :: executed) (k - 1)
+    end
+  in
+  let executed = steps node.State_tree.state (Some node) [] len in
+  let fresh = Tracker.fresh_since st.tracker m in
+  if not (Branch.Key_set.is_empty fresh) then begin
+    let steps = State_tree.path_inputs st.tree node @ List.rev executed in
+    synthesize_testcase st ~steps origin fresh
+  end
 
 (* Algorithm 2, random mode: a random sequence of previously solved
    inputs executed from a random tree node.  Sequences are bursty —
@@ -510,28 +513,7 @@ let random_execution st =
       previous := Some input;
       input
   in
-  let rec steps snapshot node_opt executed fresh_acc k =
-    if k = 0 || Vclock.expired st.clock then (executed, fresh_acc)
-    else begin
-      let input = pick_input () in
-      let state', fresh = execute_raw st snapshot input in
-      let node_opt' =
-        match node_opt with
-        | Some parent -> maybe_record st (Some parent) input state'
-        | None -> None
-      in
-      steps state' node_opt' (input :: executed)
-        (Branch.Key_set.union fresh_acc fresh)
-        (k - 1)
-    end
-  in
-  let executed, fresh =
-    steps node.State_tree.state (Some node) [] Branch.Key_set.empty len
-  in
-  if not (Branch.Key_set.is_empty fresh) then begin
-    let steps = State_tree.path_inputs st.tree node @ List.rev executed in
-    ignore (synthesize_testcase st ~steps Testcase.Random_exec fresh)
-  end
+  run_episode st node ~origin:Testcase.Random_exec ~len pick_input
 
 (* Optional hybrid prelude (paper Discussion): cheap random exploration
    before any solving. *)
@@ -541,29 +523,8 @@ let random_first_phase st =
     if not (Vclock.expired st.clock) && not (Tracker.fully_covered st.tracker)
     then begin
       let node = State_tree.random_node st.tree st.rng in
-      let rec steps snapshot node_opt executed fresh_acc k =
-        if k = 0 then (executed, fresh_acc)
-        else begin
-          let input = Exec.random_inputs st.rng st.exec in
-          let state', fresh = execute_raw st snapshot input in
-          let node_opt' =
-            match node_opt with
-            | Some parent -> maybe_record st (Some parent) input state'
-            | None -> None
-          in
-          steps state' node_opt' (input :: executed)
-            (Branch.Key_set.union fresh_acc fresh)
-            (k - 1)
-        end
-      in
-      let executed, fresh =
-        steps node.State_tree.state (Some node) [] Branch.Key_set.empty
-          st.cfg.random_seq_len
-      in
-      if not (Branch.Key_set.is_empty fresh) then begin
-        let steps = State_tree.path_inputs st.tree node @ List.rev executed in
-        ignore (synthesize_testcase st ~steps Testcase.Random_exec fresh)
-      end
+      run_episode st node ~origin:Testcase.Random_exec ~len:st.cfg.random_seq_len
+        ~stop_on_expiry:false (fun () -> Exec.random_inputs st.rng st.exec)
     end
   done
 
@@ -587,53 +548,6 @@ let order_by_verdict summary objs =
     in
     let first, rest = List.partition hot objs in
     first @ rest
-
-(* Mid-run re-analysis: refine the verdicts from the most recently
-   reached distinct snapshots, justify any newly proven-dead objective
-   and drop it from the worklist.  [Verdict.refine] is monotone, so
-   feeding the previous summary back keeps the justification lists
-   cumulative even though [Tracker.set_justified] replaces. *)
-let reanalyze st =
-  match st.summary with
-  | None -> ()
-  | Some s ->
-    Telemetry.Counter.incr tel_reanalyses;
-    let max_seeds = 64 in
-    let seen = Hashtbl.create 128 in
-    let seeds = ref [] in
-    let count = ref 0 in
-    let id = ref (State_tree.size st.tree - 1) in
-    while !count < max_seeds && !id >= 0 do
-      let node = State_tree.node st.tree !id in
-      let uid = node.State_tree.state_uid in
-      if not (Hashtbl.mem seen uid) then begin
-        Hashtbl.replace seen uid ();
-        seeds := node.State_tree.state :: !seeds;
-        incr count
-      end;
-      decr id
-    done;
-    let s' = Verdict.refine ~config:st.cfg.analysis_config s ~seeds:!seeds in
-    st.summary <- Some s';
-    let db = Verdict.dead_branches s' in
-    let dc = Verdict.dead_conditions s' in
-    let dm = Verdict.dead_mcdc s' in
-    Tracker.set_justified st.tracker ~branches:db ~conditions:dc ~mcdc:dm;
-    let kill target =
-      match Hashtbl.find_opt st.target_ids target with
-      | Some id -> Hashtbl.replace st.dead_objs id ()
-      | None -> ()
-    in
-    List.iter (fun key -> kill (Explore.Branch_target key)) db;
-    List.iter
-      (fun (decision, atom, value) ->
-        kill (Explore.Condition_target { decision; atom; value }))
-      dc;
-    (* justified MCDC pairs drop out of [uncovered_mcdc]; invalidate
-       the stamp so the dynamic sweep rebuilds from it *)
-    st.mcdc_stamp <- -1;
-    if st.cfg.verdict_priority then
-      st.objectives <- order_by_verdict st.summary st.objectives
 
 (* Every coverage requirement satisfied: decision, condition and MCDC. *)
 let all_requirements_met tracker =
@@ -670,19 +584,7 @@ let run ?(config = default_config) prog =
   in
   let tree = State_tree.create prog in
   let clock = Vclock.create ~budget:config.budget in
-  (* target intern table: shared with the run state so the dynamic MCDC
-     sweep keeps assigning consistent ids *)
-  let target_ids : (Explore.target, int) Hashtbl.t = Hashtbl.create 256 in
-  let next_target_id = ref 0 in
-  let intern target =
-    match Hashtbl.find_opt target_ids target with
-    | Some id -> id
-    | None ->
-      let id = !next_target_id in
-      incr next_target_id;
-      Hashtbl.replace target_ids target id;
-      id
-  in
+  let n_branches = Exec.n_branches exec in
   let branch_objectives =
     (* branch table comes precomputed from the handle *)
     let bs = Exec.branches exec in
@@ -692,7 +594,7 @@ let run ?(config = default_config) prog =
       (fun (b : Branch.t) ->
         {
           obj_target = Explore.Branch_target b.key;
-          obj_key = intern (Explore.Branch_target b.key);
+          obj_key = Exec.branch_id exec b.key;
           obj_depth = b.depth;
         })
       bs
@@ -701,14 +603,10 @@ let run ?(config = default_config) prog =
      objectives (branches usually cover most condition outcomes along
      the way). *)
   let condition_objectives =
-    let depth_of_decision =
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (b : Branch.t) ->
-          if not (Hashtbl.mem tbl b.decision) then
-            Hashtbl.replace tbl b.decision b.depth)
-        (Exec.branches exec);
-      fun d -> Option.value ~default:0 (Hashtbl.find_opt tbl d)
+    let depth_of_decision d =
+      match Exec.find_branch exec (d, Branch.Then) with
+      | Some b -> b.depth
+      | None -> 0
     in
     let criteria = Tracker.criteria tracker in
     List.concat_map
@@ -717,26 +615,34 @@ let run ?(config = default_config) prog =
           (fun atom ->
             List.filter_map
               (fun value ->
-                if dead_cond (d.Coverage.Criteria.d_id, atom, value) then None
+                let decision = d.Coverage.Criteria.d_id in
+                if dead_cond (decision, atom, value) then None
                 else
-                  let target =
-                    Explore.Condition_target
-                      { decision = d.Coverage.Criteria.d_id; atom; value }
-                  in
                   Some
                     {
-                      obj_target = target;
-                      obj_key = intern target;
-                      obj_depth = depth_of_decision d.Coverage.Criteria.d_id;
+                      obj_target = Explore.Condition_target { decision; atom; value };
+                      obj_key =
+                        n_branches + Exec.condition_id exec decision atom value;
+                      obj_depth = depth_of_decision decision;
                     })
               [ true; false ])
           (List.init d.Coverage.Criteria.d_atom_count Fun.id))
       criteria.Coverage.Criteria.decisions
     |> List.stable_sort (fun a b -> Int.compare a.obj_depth b.obj_depth)
   in
+  (* per-objective counters, indexed by id: the static objectives now,
+     each dynamic MC/DC target as [intern_vector] first meets it *)
+  let per_objective init =
+    let a = Dynarr.create () in
+    for _ = 1 to n_branches + (2 * Exec.n_atoms exec) do
+      Dynarr.push a init
+    done;
+    a
+  in
   let st =
     {
       cfg = config;
+      solver_cfg = { config.solver with Explore.rng_seed = config.seed };
       prog;
       exec;
       tracker;
@@ -747,16 +653,13 @@ let run ?(config = default_config) prog =
         (let objs = branch_objectives @ condition_objectives in
          if config.verdict_priority then order_by_verdict summary0 objs
          else objs);
-      summary = summary0;
       never_cache = Hashtbl.create 256;
-      dead_objs = Hashtbl.create 64;
-      target_ids;
-      next_target_id = !next_target_id;
-      cursors = Hashtbl.create 256;
-      solve_cache = Hashtbl.create 4096;
+      vector_ids = Hashtbl.create 256;
+      cursors = per_objective 0;
+      solve_cache = per_objective no_failures;
       relevant_slots = Explore.relevant_state_slots prog;
       sig_terms = Hashtbl.create 1024;
-      misses = Hashtbl.create 256;
+      misses = per_objective 0;
       mcdc_stamp = -1;
       mcdc_cache = [];
       library = Dynarr.create ();
@@ -780,29 +683,16 @@ let run ?(config = default_config) prog =
     end
   in
   let stop = ref None in
-  let iters = ref 0 in
   while !stop = None do
     if requirements_met () then stop := Some Full_coverage
     else if Vclock.expired st.clock then stop := Some Budget_exhausted
     else begin
-      incr iters;
-      if config.reanalyze_every > 0 && !iters mod config.reanalyze_every = 0
-      then begin
-        reanalyze st;
-        (* justification shrinks denominators without bumping the
-           progress stamp; force the next termination check *)
-        met_cache := (-1, false)
-      end;
       match state_aware_solving st with
-      | Some (node, branch, input) ->
-        let _child, _state', fresh = execute_step st node input in
+      | Some (node, input) ->
         (* the solved branch may cover siblings too; any new coverage
            yields a test case (Algorithm 2, lines 21-25) *)
-        if not (Branch.Key_set.is_empty fresh) then begin
-          let steps = State_tree.path_inputs st.tree node @ [ input ] in
-          ignore (synthesize_testcase st ~steps Testcase.Solved fresh)
-        end
-        else ignore branch
+        run_episode st node ~origin:Testcase.Solved ~len:1 ~stop_on_expiry:false
+          (fun () -> input)
       | None ->
         if Vclock.expired st.clock then stop := Some Budget_exhausted
         else if st.cfg.random_fallback then random_execution st

@@ -38,16 +38,10 @@ type config = {
           cases of a [Full_coverage] run are identical with the flag on
           or off (up to [found_at] timestamps — pruned solves charge no
           virtual time) *)
-  reanalyze_every : int;
-      (** when positive (and [analyze] is set), every N solving-loop
-          iterations the verdict fixpoint is re-run seeded from reached
-          state-tree snapshots ({!Analysis.Verdict.refine}), monotonically
-          tightening [Unknown] verdicts; newly proven-dead objectives are
-          justified mid-run and dropped from the worklist.  [0] disables *)
   analysis_config : Analysis.Analyzer.config;
       (** abstract domain for every engine-side analysis (the startup
-          verdicts of [analyze], the static prune of [verdict_priority],
-          the periodic re-analysis of [reanalyze_every]) *)
+          verdicts of [analyze] and the static prune of
+          [verdict_priority]) *)
 }
 
 val default_config : config

@@ -3,7 +3,11 @@
     A tracker consumes {!Slim.Exec.event}s (feed {!observe} as the
     [on_event] callback of {!Slim.Exec.run_step} or
     {!Slim.Interp.run_step}) and accumulates the three criteria of
-    {!Criteria}. *)
+    {!Criteria}.  It keeps its objectives by the program's objective
+    index ({!Slim.Exec.branch_id}): bitsets for branches, condition
+    outcomes and MC/DC pairs, and one table of condition vectors per
+    decision.  Observing an event that adds nothing allocates
+    nothing. *)
 
 type t
 
@@ -11,6 +15,8 @@ val create : Slim.Ir.program -> t
 val criteria : t -> Criteria.t
 
 val observe : t -> Slim.Exec.event -> unit
+(** Raises [Invalid_argument] on an event that does not belong to the
+    tracker's program. *)
 
 val set_justified :
   t ->
@@ -36,6 +42,17 @@ val progress : t -> int
 val covered_branches : t -> Slim.Branch.Key_set.t
 val is_branch_covered : t -> Slim.Branch.key -> bool
 
+type mark
+(** A point in the tracker's branch history. *)
+
+val mark : t -> mark
+
+val fresh_since : t -> mark -> Slim.Branch.Key_set.t
+(** Branches first covered after the mark was taken: the difference of
+    {!covered_branches} now and then, computed without a set diff.  The
+    empty set, with no allocation, when there are none.  A mark taken
+    on a tracker stays valid on its {!copy}. *)
+
 type ratio = { covered : int; total : int }
 
 val pct : ratio -> float
@@ -52,12 +69,15 @@ val is_condition_covered : t -> int -> int -> bool -> bool
     decision [decision] been observed with the given truth value? *)
 
 val observed_vectors : t -> int -> (bool array * bool) list
-(** Condition vectors (with outcomes) observed for a decision. *)
+(** Condition vectors (with outcomes) observed for a decision, as fresh
+    arrays.  The order is fixed by the observation history (the
+    engine's dynamic MC/DC sweep proposes flips in it). *)
+
+val is_vector_observed : t -> int -> bool array -> bool
+(** [is_vector_observed t decision vector]: one probe, no allocation. *)
 
 val uncovered_mcdc : t -> (int * int) list
 (** (decision, atom) pairs whose independent effect is not yet shown. *)
-
-val find_decision : t -> int -> Criteria.decision_info option
 
 val fully_covered : t -> bool
 (** All branches covered (decision coverage complete). *)

@@ -118,6 +118,8 @@ let coverage prog steps =
     | [] -> None
     | row :: rest -> (
       let prev_progress = Tracker.progress tr in
+      let before = Tracker.covered_branches tr in
+      let mark = Tracker.mark tr in
       let step_events = ref [] in
       let observe e =
         collect step_events e;
@@ -129,6 +131,11 @@ let coverage prog steps =
         recorded := List.rev_append !step_events !recorded;
         match invariants prev_progress with
         | Some m -> Some (Fmt.str "step %d: %s" k m)
+        | None when
+            not
+              (Branch.Key_set.equal (Tracker.fresh_since tr mark)
+                 (Branch.Key_set.diff (Tracker.covered_branches tr) before)) ->
+          Some (Fmt.str "step %d: fresh_since disagrees with the covered-set diff" k)
         | None ->
           (* re-observing the same events must add nothing *)
           let p = Tracker.progress tr in

@@ -13,16 +13,14 @@ let tool_name = function
   | SimCoTest -> "SimCoTest"
 
 let run_tool ?(budget = 3600.0) ?(analyze = false)
-    ?(domain = `Interval) ?(verdict_priority = false) ?(reanalyze_every = 0)
-    ~seed tool (entry : Registry.entry) =
+    ?(domain = `Interval) ?(verdict_priority = false) ~seed tool (entry : Registry.entry) =
   let prog = entry.Registry.program () in
   let analysis_config = { Analysis.Analyzer.domain } in
   match tool with
   | STCG ->
     let config =
       { Engine.default_config with
-        Engine.seed; budget; analyze; analysis_config; verdict_priority;
-        reanalyze_every }
+        Engine.seed; budget; analyze; analysis_config; verdict_priority }
     in
     Run_result.of_engine_run ~model:entry.Registry.name
       (Engine.run ~config prog)
@@ -30,7 +28,7 @@ let run_tool ?(budget = 3600.0) ?(analyze = false)
     let config =
       { Engine.default_config with
         Engine.seed; budget; random_first = true; analyze; analysis_config;
-        verdict_priority; reanalyze_every }
+        verdict_priority }
     in
     let result =
       Run_result.of_engine_run ~model:entry.Registry.name

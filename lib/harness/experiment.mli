@@ -35,7 +35,6 @@ val run_tool :
   ?analyze:bool ->
   ?domain:Analysis.Analyzer.domain ->
   ?verdict_priority:bool ->
-  ?reanalyze_every:int ->
   seed:int ->
   tool ->
   Models.Registry.entry ->
@@ -43,10 +42,8 @@ val run_tool :
 (** [analyze] (default false, STCG variants only): run the static
     analyzer first so proven-dead objectives are justified and skipped.
     [domain] (default [`Interval]) picks the abstract domain,
-    [verdict_priority] (default false) enables verdict-ordered solving
-    with static Unsat pruning, and [reanalyze_every] (default 0 =
-    never) re-runs the analysis from reached snapshots every N solving
-    iterations (see {!Stcg.Engine.config}). *)
+    and [verdict_priority] (default false) enables verdict-ordered
+    solving with static Unsat pruning (see {!Stcg.Engine.config}). *)
 
 type averaged = {
   a_model : string;

@@ -11,13 +11,13 @@ type t = {
   depth : int;
 }
 
-let outcome_rank = function
-  | Then -> (0, 0)
-  | Else -> (1, 0)
-  | Case k -> (2, k)
-  | Default -> (3, 0)
-
-let compare_outcome a b = compare (outcome_rank a) (outcome_rank b)
+(* Then < Else < Case k (by k) < Default, without allocating. *)
+let compare_outcome a b =
+  match (a, b) with
+  | Case j, Case k -> Int.compare j k
+  | _ ->
+    let rank = function Then -> 0 | Else -> 1 | Case _ -> 2 | Default -> 3 in
+    Int.compare (rank a) (rank b)
 
 let compare_key (d1, o1) (d2, o2) =
   match Int.compare d1 d2 with
@@ -79,4 +79,3 @@ module Key_ord = struct
 end
 
 module Key_set = Set.Make (Key_ord)
-module Key_map = Map.Make (Key_ord)

@@ -35,4 +35,3 @@ val sort_by_depth : t list -> t list
 val count : Ir.program -> int
 
 module Key_set : Set.S with type elt = key
-module Key_map : Map.S with type key = key

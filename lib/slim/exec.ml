@@ -50,6 +50,24 @@ type frame = {
 
 type decision_shape = [ `If of Ir.expr | `Switch of Ir.expr * int list ]
 
+module Key_tbl = Hashtbl.Make (struct
+  type t = Branch.key
+
+  let equal = Branch.equal_key
+
+  let hash ((d, o) : t) =
+    let code =
+      match o with
+      | Branch.Then -> 0
+      | Branch.Else -> 1
+      | Branch.Default -> 2
+      | Branch.Case k -> 3 + (4 * k)
+    in
+    Hashtbl.hash ((d lsl 20) lxor code)
+end)
+
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   prog : Ir.program;
   input_vars : Ir.var array;
@@ -65,10 +83,16 @@ type t = {
   local_index : (string, int) Hashtbl.t;
   body : frame -> unit;
   branches : Branch.t list;
-  branch_by_key : Branch.t Branch.Key_map.t;
-  req_chains : (int * Branch.outcome) list Branch.Key_map.t;
+  branch_arr : Branch.t array;  (** by branch id *)
+  req_chains : (int * Branch.outcome) list array;  (** by branch id *)
   decisions : (int * decision_shape) list;
-  decision_index : (int, decision_shape) Hashtbl.t;
+  decision_shapes : decision_shape array;  (** by position in [decisions] *)
+  (* objective index *)
+  branch_ids : int Key_tbl.t;  (** key -> position in [branches] *)
+  decision_pos : int Int_tbl.t;  (** decision id -> position in [decisions] *)
+  atom_bases : int array;
+      (** per decision position, its first atom id; one extra final
+          entry holds the atom total *)
 }
 
 (* --- compilation ------------------------------------------------------- *)
@@ -106,6 +130,13 @@ let compile_read ctx scope name : frame -> Value.t =
     (* The error is raised at execution time, like the reference path. *)
     fun _ -> eval_error "unbound %s variable %s" (Ir.scope_name scope) name
 
+(* Boolean results are one of two shared values: values are immutable
+   and [Value.copy] returns scalars as they are, so a guard or
+   comparison allocates nothing. *)
+let v_true = Value.Bool true
+let v_false = Value.Bool false
+let of_bool b = if b then v_true else v_false
+
 let rec compile_expr ctx (e : Ir.expr) : frame -> Value.t =
   match e with
   | Const v -> fun _ -> v
@@ -114,7 +145,7 @@ let rec compile_expr ctx (e : Ir.expr) : frame -> Value.t =
     let f = compile_expr ctx e in
     (match op with
      | Neg -> fun fr -> Value.neg (f fr)
-     | Not -> fun fr -> Value.Bool (not (Value.to_bool (f fr)))
+     | Not -> fun fr -> of_bool (not (Value.to_bool (f fr)))
      | Abs_op -> fun fr -> Value.abs_v (f fr)
      | To_real -> fun fr -> Value.Real (Value.to_real (f fr))
      | To_int -> fun fr -> Value.Int (Value.to_int (f fr))
@@ -145,32 +176,32 @@ let rec compile_expr ctx (e : Ir.expr) : frame -> Value.t =
        fun fr ->
          let va = fa fr in
          let vb = fb fr in
-         Value.Bool (Value.equal va vb)
+         of_bool (Value.equal va vb)
      | Ir.Ne ->
        fun fr ->
          let va = fa fr in
          let vb = fb fr in
-         Value.Bool (not (Value.equal va vb))
+         of_bool (not (Value.equal va vb))
      | Ir.Lt ->
        fun fr ->
          let va = fa fr in
          let vb = fb fr in
-         Value.Bool (Value.compare_num va vb < 0)
+         of_bool (Value.compare_num va vb < 0)
      | Ir.Le ->
        fun fr ->
          let va = fa fr in
          let vb = fb fr in
-         Value.Bool (Value.compare_num va vb <= 0)
+         of_bool (Value.compare_num va vb <= 0)
      | Ir.Gt ->
        fun fr ->
          let va = fa fr in
          let vb = fb fr in
-         Value.Bool (Value.compare_num va vb > 0)
+         of_bool (Value.compare_num va vb > 0)
      | Ir.Ge ->
        fun fr ->
          let va = fa fr in
          let vb = fb fr in
-         Value.Bool (Value.compare_num va vb >= 0))
+         of_bool (Value.compare_num va vb >= 0))
   | And (a, b) ->
     (* Full (non-short-circuit) evaluation, like Simulink logic blocks. *)
     let fa = compile_expr ctx a in
@@ -178,14 +209,14 @@ let rec compile_expr ctx (e : Ir.expr) : frame -> Value.t =
     fun fr ->
       let va = Value.to_bool (fa fr) in
       let vb = Value.to_bool (fb fr) in
-      Value.Bool (va && vb)
+      of_bool (va && vb)
   | Or (a, b) ->
     let fa = compile_expr ctx a in
     let fb = compile_expr ctx b in
     fun fr ->
       let va = Value.to_bool (fa fr) in
       let vb = Value.to_bool (fb fr) in
-      Value.Bool (va || vb)
+      of_bool (va || vb)
   | Ite (c, t, e) ->
     let fc = compile_expr ctx c in
     let ft = compile_expr ctx t in
@@ -359,28 +390,35 @@ let compile (prog : Ir.program) : t =
   in
   let body = compile_stmts ctx prog.body in
   let branches = Branch.of_program prog in
-  let branch_by_key =
-    List.fold_left
-      (fun m (b : Branch.t) -> Branch.Key_map.add b.key b m)
-      Branch.Key_map.empty branches
-  in
+  let branch_arr = Array.of_list branches in
+  (* On a repeated key or decision id (which [Ir.type_check] rejects)
+     the last occurrence wins. *)
+  let branch_ids = Key_tbl.create (Array.length branch_arr) in
+  Array.iteri (fun i (b : Branch.t) -> Key_tbl.replace branch_ids b.key i) branch_arr;
   let req_chains =
     (* Requirement chain of a branch: decisions that must take a specific
        outcome for control to reach it, root-first, including itself. *)
-    List.fold_left
-      (fun m (b : Branch.t) ->
-        let rec chain acc (b : Branch.t) =
-          let acc = (b.Branch.decision, b.Branch.outcome) :: acc in
-          match b.Branch.parent with
-          | None -> acc
-          | Some p -> chain acc (Branch.Key_map.find p branch_by_key)
-        in
-        Branch.Key_map.add b.Branch.key (chain [] b) m)
-      Branch.Key_map.empty branches
+    let rec chain acc (b : Branch.t) =
+      let acc = (b.decision, b.outcome) :: acc in
+      match b.parent with
+      | None -> acc
+      | Some p -> chain acc branch_arr.(Key_tbl.find branch_ids p)
+    in
+    Array.map (chain []) branch_arr
   in
   let decisions = (Ir.decisions_of_program prog :> (int * decision_shape) list) in
-  let decision_index = Hashtbl.create (2 * List.length decisions + 1) in
-  List.iter (fun (id, shape) -> Hashtbl.replace decision_index id shape) decisions;
+  let decision_pos = Int_tbl.create (List.length decisions) in
+  List.iteri (fun p (id, _) -> Int_tbl.replace decision_pos id p) decisions;
+  let atom_bases = Array.make (List.length decisions + 1) 0 in
+  List.iteri
+    (fun p ((_ : int), shape) ->
+      let atoms =
+        match shape with
+        | `If cond -> List.length (Ir.atoms_of_condition cond)
+        | `Switch _ -> 0
+      in
+      atom_bases.(p + 1) <- atom_bases.(p) + atoms)
+    decisions;
   {
     prog;
     input_vars;
@@ -396,10 +434,13 @@ let compile (prog : Ir.program) : t =
     local_index = ctx.c_loc;
     body;
     branches;
-    branch_by_key;
+    branch_arr;
     req_chains;
     decisions;
-    decision_index;
+    decision_shapes = Array.of_list (List.map snd decisions);
+    branch_ids;
+    decision_pos;
+    atom_bases;
   }
 
 (* --- per-program handle memo ------------------------------------------- *)
@@ -477,17 +518,18 @@ let find_state t (a : state) name = find_in t.state_index a "state" name
 (* --- branch / decision metadata (memoized, satellite of the refactor) -- *)
 
 let branches t = t.branches
-let find_branch t key = Branch.Key_map.find_opt key t.branch_by_key
+let find_branch t key =
+  Option.map (Array.get t.branch_arr) (Key_tbl.find_opt t.branch_ids key)
 
 let branch_chain t key =
-  match Branch.Key_map.find_opt key t.req_chains with
-  | Some c -> c
+  match Key_tbl.find_opt t.branch_ids key with
+  | Some i -> t.req_chains.(i)
   | None -> Value.type_error "solve_target: unknown branch %a" Branch.pp_key key
 
 let decision_chain t decision =
   (* Ancestor requirements of the decision itself: the parent chain of its
      Then branch (both outcomes share the same enclosing context). *)
-  match Branch.Key_map.find_opt (decision, Branch.Then) t.branch_by_key with
+  match find_branch t (decision, Branch.Then) with
   | None ->
     Value.type_error "solve_target: unknown branch %a" Branch.pp_key
       (decision, Branch.Then)
@@ -497,7 +539,26 @@ let decision_chain t decision =
      | None -> [])
 
 let decisions t = t.decisions
-let find_decision t id = Hashtbl.find_opt t.decision_index id
+let find_decision t id =
+  Option.map (Array.get t.decision_shapes) (Int_tbl.find_opt t.decision_pos id)
+
+(* --- objective index ---------------------------------------------------- *)
+
+let n_branches t = Array.length t.branch_arr
+let branch_id t key = Key_tbl.find t.branch_ids key
+let n_decisions t = Array.length t.atom_bases - 1
+let decision_pos t id = Int_tbl.find t.decision_pos id
+let atom_base t pos = t.atom_bases.(pos)
+let n_atoms t = t.atom_bases.(n_decisions t)
+
+let mcdc_id t decision atom =
+  let p = decision_pos t decision in
+  if atom < 0 || atom >= t.atom_bases.(p + 1) - t.atom_bases.(p) then
+    invalid_arg "Exec.mcdc_id: atom out of range";
+  t.atom_bases.(p) + atom
+
+let condition_id t decision atom value =
+  (2 * mcdc_id t decision atom) + Bool.to_int value
 
 (* --- state / input construction ---------------------------------------- *)
 

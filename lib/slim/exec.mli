@@ -88,6 +88,43 @@ val decision_chain : t -> int -> (int * Branch.outcome) list
 val decisions : t -> (int * [ `If of Ir.expr | `Switch of Ir.expr * int list ]) list
 val find_decision : t -> int -> [ `If of Ir.expr | `Switch of Ir.expr * int list ] option
 
+(** {1 Objective index}
+
+    Every coverage objective of the program has a dense integer id,
+    fixed once per handle:
+    - branch [b] is its position in {!branches}, in [0, n_branches);
+    - decision [d] has a position in {!decisions} and a first atom id
+      ([atom_base]); the atoms of [If] guards are numbered
+      consecutively, [Switch] decisions have none;
+    - MC/DC pair [(d, a)] is [atom_base d + a], in [0, n_atoms);
+    - condition outcome [(d, a, v)] is [2 * (atom_base d + a) + v]
+      (false = 0, true = 1), in [0, 2 * n_atoms).
+
+    Ids never reach the text formats, which stay name-based. *)
+
+val n_branches : t -> int
+
+val branch_id : t -> Branch.key -> int
+(** Raises [Not_found] for a key that is not a branch of the program. *)
+
+val n_decisions : t -> int
+
+val decision_pos : t -> int -> int
+(** Position of a decision id in {!decisions}; raises [Not_found]. *)
+
+val atom_base : t -> int -> int
+(** First atom id of the decision at a position; [atom_base t
+    (n_decisions t)] is {!n_atoms}. *)
+
+val n_atoms : t -> int
+
+val mcdc_id : t -> int -> int -> int
+(** [mcdc_id t decision atom]; raises [Not_found] for an unknown
+    decision and [Invalid_argument] for an atom out of range. *)
+
+val condition_id : t -> int -> int -> bool -> int
+(** [condition_id t decision atom value], with {!mcdc_id}'s errors. *)
+
 (** {1 State and input construction} *)
 
 val initial_state : t -> state

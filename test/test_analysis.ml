@@ -904,47 +904,6 @@ let test_dense_reference_reach () =
   check Alcotest.bool "some sequences reach a negative cycle" true (bottoms > 0);
   check Alcotest.bool "some sums round up" true (!Dense_oct.inexact > 0)
 
-(* --- snapshot-refined verdicts ------------------------------------------ *)
-
-let unknown_total s =
-  let b, c, m = Verdict.counts s Verdict.Unknown in
-  b + c + m
-
-let test_snapshot_refinement () =
-  let strictly_reduced = ref 0 in
-  List.iter
-    (fun (e : Models.Registry.entry) ->
-      let name = e.Models.Registry.name in
-      let prog = e.Models.Registry.program () in
-      let s0 = Verdict.of_program prog in
-      let h = Slim.Exec.compile prog in
-      let rng = Random.State.make [| 7 |] in
-      let seeds = ref [] in
-      let st = ref (Slim.Exec.initial_state h) in
-      for _ = 1 to 40 do
-        let inp = Slim.Exec.random_inputs rng h in
-        let _, st' = Slim.Exec.run_step h !st inp in
-        st := st';
-        seeds := Array.copy st' :: !seeds
-      done;
-      let s1 = Verdict.refine s0 ~seeds:!seeds in
-      (* decided verdicts never change *)
-      List.iter2
-        (fun (_, v0) (_, v1) ->
-          if v0 <> Verdict.Unknown then
-            check Alcotest.bool (Fmt.str "%s decided branch stable" name)
-              true (v0 = v1))
-        s0.Verdict.v_branches s1.Verdict.v_branches;
-      let u0 = unknown_total s0 and u1 = unknown_total s1 in
-      check Alcotest.bool (Fmt.str "%s refinement monotone" name) true
-        (u1 <= u0);
-      if u1 < u0 then incr strictly_reduced)
-    Models.Registry.entries;
-  (* the acceptance bar: at least two registry models strictly reduce
-     their Unknown count from concretely reached snapshots *)
-  check Alcotest.bool "at least two models strictly reduce" true
-    (!strictly_reduced >= 2)
-
 (* --- engine: verdict priority ------------------------------------------- *)
 
 (* x drives a saturating counter; the interesting decision needs both
@@ -981,7 +940,6 @@ let vp_demo =
 
 let tel_pruned = Telemetry.Counter.make "engine.solves_pruned_static"
 let tel_attempts = Telemetry.Counter.make "engine.solve_attempts"
-let tel_reanalyses = Telemetry.Counter.make "engine.reanalyses"
 
 let test_engine_verdict_priority () =
   Telemetry.enable ();
@@ -1015,27 +973,6 @@ let test_engine_verdict_priority () =
      or off (found_at excluded — pruned solves charge no virtual time) *)
   check Alcotest.bool "identical testcases" true
     (steps_equal (tc_essence off) (tc_essence on));
-  Telemetry.reset ();
-  Telemetry.disable ()
-
-let test_engine_reanalyze () =
-  Telemetry.enable ();
-  Telemetry.reset ();
-  let config =
-    {
-      Engine.default_config with
-      Engine.budget = 60.0;
-      seed = 5;
-      analyze = true;
-      random_first = true;
-      reanalyze_every = 1;
-    }
-  in
-  let r = Engine.run ~config vp_demo in
-  check Alcotest.bool "reanalysis fired" true
-    (Telemetry.Counter.total tel_reanalyses > 0);
-  check Alcotest.bool "run still saturates" true
-    (r.Engine.r_stop = Engine.Full_coverage);
   Telemetry.reset ();
   Telemetry.disable ()
 
@@ -1080,16 +1017,9 @@ let () =
           Alcotest.test_case "dense reference reaches bottom and round-up"
             `Quick test_dense_reference_reach;
         ] );
-      ( "refinement",
-        [
-          Alcotest.test_case "snapshot refinement reduces Unknown" `Quick
-            test_snapshot_refinement;
-        ] );
       ( "engine verdicts",
         [
           Alcotest.test_case "verdict priority is output-identical" `Quick
             test_engine_verdict_priority;
-          Alcotest.test_case "reanalysis loop fires" `Quick
-            test_engine_reanalyze;
         ] );
     ]
