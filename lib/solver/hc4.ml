@@ -12,10 +12,28 @@
    backward entry is recorded only when the call completed without
    narrowing anything, so skipping it on the same box is a no-op by
    construction.  Memoized and unmemoized propagation are therefore
-   bit-identical, which [create_store ~memo:false] exposes for tests. *)
+   bit-identical, which [create_store ~memo:false] exposes for tests.
+
+   The symbolic executor checks each fork arm against one propagated
+   prefix box and must leave the box as it found it for the next arm.
+   [propagate_and_restore] does that without copying: while it runs,
+   every write propagation makes to the store is pushed on an undo
+   trail (a domain narrowing with the old domain, a memo write with the
+   old binding or its absence), and afterwards, normally or by an
+   exception, the trail is replayed newest first and [generation] and
+   [changed] are reset.  The store then holds exactly the bindings it
+   held before, so the answer, and every later propagation on the box
+   (answers, domains, memo hits, rounds), is what a copy of the box
+   would have given. *)
 
 module Value = Slim.Value
 module Ir = Slim.Ir
+
+(* A write to undo: the key and what it was bound to before. *)
+type undo =
+  | Undo_dom of string * Dom.t
+  | Undo_fwd of int * (int * Dom.t) option
+  | Undo_bwd of (int * Dom.t) * int option
 
 type store = {
   doms : (string, Dom.t) Hashtbl.t;
@@ -25,6 +43,10 @@ type store = {
   fwd_memo : (int, int * Dom.t) Hashtbl.t;  (* term id -> generation, dom *)
   bwd_memo : (int * Dom.t, int) Hashtbl.t;
       (* (term id, requirement) -> generation at which the call was a no-op *)
+  mutable trailing : bool;
+      (* inside [propagate_and_restore]; tested before an undo record is
+         built, so other propagations allocate nothing for the trail *)
+  mutable trail : undo list;  (* newest first *)
 }
 
 let create_store ?(memo = true) bindings =
@@ -37,6 +59,8 @@ let create_store ?(memo = true) bindings =
     generation = 0;
     fwd_memo = Hashtbl.create (if memo then 64 else 1);
     bwd_memo = Hashtbl.create (if memo then 64 else 1);
+    trailing = false;
+    trail = [];
   }
 
 (* Memo entries are only valid for the exact box they were computed
@@ -52,6 +76,8 @@ let copy_store store =
     doms = Hashtbl.copy store.doms;
     fwd_memo = Hashtbl.copy store.fwd_memo;
     bwd_memo = Hashtbl.copy store.bwd_memo;
+    trailing = false;
+    trail = [];
   }
 
 let get store x =
@@ -68,6 +94,7 @@ let narrow store x d =
   let old = get store x in
   let d' = Dom.meet old d in
   if not (Dom.equal d' old) then begin
+    if store.trailing then store.trail <- Undo_dom (x, old) :: store.trail;
     Hashtbl.replace store.doms x d';
     store.changed <- true;
     store.generation <- store.generation + 1
@@ -94,10 +121,12 @@ let rec fwd store (t : Term.t) : Dom.t =
       | Some (g, d) when g = store.generation ->
         Telemetry.Counter.incr tel_memo_hits;
         d
-      | _ ->
+      | prev ->
         (* raising computations are not cached: they re-raise on the
            next visit exactly as recomputation would *)
         let d = fwd_node store t in
+        if store.trailing then
+          store.trail <- Undo_fwd (t.Term.id, prev) :: store.trail;
         Hashtbl.replace store.fwd_memo t.Term.id (store.generation, d);
         d
     end
@@ -221,12 +250,16 @@ let rec bwd store (t : Term.t) (req : Dom.t) : unit =
       let key = (t.Term.id, req) in
       match Hashtbl.find_opt store.bwd_memo key with
       | Some g when g = store.generation -> Telemetry.Counter.incr tel_memo_hits
-      | _ ->
+      | prev ->
         let g0 = store.generation in
         bwd_node store t req;
         (* record only completed no-op calls; a raising call never gets
            here, a narrowing call fails the generation check *)
-        if store.generation = g0 then Hashtbl.replace store.bwd_memo key g0
+        if store.generation = g0 then begin
+          if store.trailing then
+            store.trail <- Undo_bwd (key, prev) :: store.trail;
+          Hashtbl.replace store.bwd_memo key g0
+        end
     end
 
 and bwd_node store (t : Term.t) (req : Dom.t) : unit =
@@ -373,10 +406,7 @@ and bwd_num store t n =
   let d =
     if n.nint then
       Dom.Dint
-        {
-          lo = int_of_float (Float.max (-1e9) (Float.ceil n.nlo));
-          hi = int_of_float (Float.min 1e9 (Float.floor n.nhi));
-        }
+        { lo = Dom.int_of_float_up n.nlo; hi = Dom.int_of_float_down n.nhi }
     else Dom.Dreal { lo = n.nlo; hi = n.nhi }
   in
   (match fwd store t with
@@ -469,3 +499,35 @@ let propagate ?(max_rounds = default_max_rounds) store (t : Term.t) =
     done;
     finish `Ok
   with Dom.Empty -> finish `Unsat
+
+(* [propagate] on [store], then undo every write it made (see the
+   header).  A memo undo records the binding found by the lookup that
+   preceded the write, not one read at write time.  That is exact: the
+   restore replays newest first, so each key ends at the binding saved
+   by its oldest record, and no write to that key can precede the
+   lookup behind the oldest record. *)
+let propagate_and_restore ?max_rounds store t =
+  if store.trailing then invalid_arg "Hc4.propagate_and_restore: nested";
+  let generation = store.generation and changed = store.changed in
+  store.trailing <- true;
+  let restore () =
+    List.iter
+      (function
+        | Undo_dom (x, d) -> Hashtbl.replace store.doms x d
+        | Undo_fwd (k, None) -> Hashtbl.remove store.fwd_memo k
+        | Undo_fwd (k, Some v) -> Hashtbl.replace store.fwd_memo k v
+        | Undo_bwd (k, None) -> Hashtbl.remove store.bwd_memo k
+        | Undo_bwd (k, Some g) -> Hashtbl.replace store.bwd_memo k g)
+      store.trail;
+    store.trail <- [];
+    store.trailing <- false;
+    store.generation <- generation;
+    store.changed <- changed
+  in
+  match propagate ?max_rounds store t with
+  | r ->
+    restore ();
+    r
+  | exception e ->
+    restore ();
+    raise e

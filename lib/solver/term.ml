@@ -1,19 +1,20 @@
 module Value = Slim.Value
 module Ir = Slim.Ir
 
-(* Hash-consed DAG terms.  Every [t] is allocated through [make], which
-   consults a per-domain weak hashcons table: structurally equal terms
-   (after normalization) are the *same* node, so [equal] is physical
-   equality, [hash]/[size] are stored fields, and every consumer that
-   memoizes per-term can key on [id].
+(* Hash-consed DAG terms.  Every [t] is allocated through the node
+   constructors below, which consult a per-domain weak hashcons table:
+   structurally equal terms (after normalization) are the *same* node,
+   so [equal] is physical equality, [hash]/[size] are stored fields,
+   and every consumer that memoizes per-term can key on [id].
 
    Domain safety: the table is domain-local ([Domain.DLS]) rather than
    a single mutex-guarded global, and so is {!Sym_value}'s memo of
-   lowered programs, which holds terms built from it.  Term construction is the hottest allocation site in the
-   symbolic executor, and no term ever crosses a domain boundary (each
-   engine run / solver call / fuzz case is confined to one worker
-   domain; results carry [Value.t]s, never terms), so per-domain tables
-   give the same uniqueness guarantee without hot-path locking.
+   lowered programs, which holds terms built from it.  Term construction
+   is the hottest allocation site in the symbolic executor, and no term
+   ever crosses a domain boundary (each engine run / solver call / fuzz
+   case is confined to one worker domain; results carry [Value.t]s,
+   never terms), so per-domain tables give the same uniqueness
+   guarantee without hot-path locking.
    Consequence: ids are unique *per domain*; [equal]/[compare]/[id] are
    only meaningful between terms built on the same domain — which is
    every comparison the codebase performs.
@@ -29,7 +30,19 @@ module Ir = Slim.Ir
 
    The weak table lets the GC reclaim dead terms while uniqueness holds
    for all live ones; ids are never reused either way (the counter only
-   grows), so an id-keyed cache can at worst miss, never alias. *)
+   grows), so an id-keyed cache can at worst miss, never alias.
+
+   Hits allocate nothing.  Nearly every construction is a hit (state
+   constants make a one-step solve rebuild the same guard terms), and
+   [Weak.Make.merge] can only find a node by building a candidate
+   first.  So a 256-slot direct-mapped array of strong references sits
+   in front of the weak table (probe-before-allocate, as in Filliatre &
+   Conchon, "Type-Safe Modular Hash-Consing", 2006): each constructor
+   hashes its components, and a slot holding an equal node is returned
+   as is.  Every cached term is live, hence still in the weak table, so
+   the cache returns exactly the node [merge] would have: uniqueness
+   and ids are unchanged.  The price is up to 256 terms, with their
+   subterms, kept alive past their last use. *)
 
 type t = {
   id : int;  (* unique per domain, dense-ish, never reused *)
@@ -63,17 +76,6 @@ let compare a b = Int.compare a.id b.id
    collisions — the weak-set lookup compares structurally. *)
 let mix h d = ((h * 0x01000193) lxor d) land max_int
 
-let hash_node = function
-  | Cst v -> mix 0x11 (Hashtbl.hash v)
-  | Tvar x -> mix 0x22 (Hashtbl.hash x)
-  | Tunop (op, e) -> mix (mix 0x33 (Hashtbl.hash op)) e.hkey
-  | Tbinop (op, a, b) -> mix (mix (mix 0x44 (Hashtbl.hash op)) a.hkey) b.hkey
-  | Tcmp (op, a, b) -> mix (mix (mix 0x55 (Hashtbl.hash op)) a.hkey) b.hkey
-  | Tand (a, b) -> mix (mix 0x66 a.hkey) b.hkey
-  | Tor (a, b) -> mix (mix 0x77 a.hkey) b.hkey
-  | Tnot e -> mix 0x88 e.hkey
-  | Tite (c, a, b) -> mix (mix (mix 0x99 c.hkey) a.hkey) b.hkey
-
 (* Tree sizes of shared DAGs grow exponentially; saturate far above
    every cap used by callers (all <= 60_000) so [size_capped cap t =
    min cap (tree size)] exactly as the old streaming counter computed. *)
@@ -82,13 +84,6 @@ let size_sat_cap = 1 lsl 30
 let sat a b =
   let s = a + b in
   if s >= size_sat_cap then size_sat_cap else s
-
-let size_node = function
-  | Cst _ | Tvar _ -> 1
-  | Tunop (_, e) | Tnot e -> sat 1 e.tsize
-  | Tbinop (_, a, b) | Tcmp (_, a, b) | Tand (a, b) | Tor (a, b) ->
-    sat 1 (sat a.tsize b.tsize)
-  | Tite (c, a, b) -> sat 1 (sat c.tsize (sat a.tsize b.tsize))
 
 (* --- the hashcons table ------------------------------------------------ *)
 
@@ -118,29 +113,54 @@ end
 
 module W = Weak.Make (H)
 
-type hstate = { tbl : W.t; mutable next_id : int }
+(* The front cache (see the header).  A slot is [hkey land (cache_slots
+   - 1)]; the count must be a power of two.  256 slots take nearly every
+   hit of a one-step solve; 1024 and 16 k slots hit barely more and grow
+   the live heap about 4x and 12x as much. *)
+let cache_slots = 256
+
+(* Never matches: real hashes are non-negative. *)
+let empty_slot = { id = -1; node = Tvar ""; hkey = -1; tsize = 0 }
+
+type hstate = { tbl : W.t; mutable next_id : int; cache : t array }
 
 let hstate_key =
-  Domain.DLS.new_key (fun () -> { tbl = W.create 4096; next_id = 0 })
+  Domain.DLS.new_key (fun () ->
+      {
+        tbl = W.create 4096;
+        next_id = 0;
+        cache = Array.make cache_slots empty_slot;
+      })
 
 (* Hit/node counts depend on GC timing (weak table) and on which runs
    landed on this domain, so they are nondeterministic across worker
-   counts: excluded from the deterministic snapshot. *)
+   counts: excluded from the deterministic snapshot.  Cache hits are a
+   subset of hits. *)
 let tel_nodes = Telemetry.Counter.make ~nondet:true "term.hashcons_nodes"
 let tel_hits = Telemetry.Counter.make ~nondet:true "term.hashcons_hits"
 
-let make node =
-  let hs = Domain.DLS.get hstate_key in
-  let cand =
-    { id = hs.next_id; node; hkey = hash_node node; tsize = size_node node }
-  in
+let tel_cache_hits =
+  Telemetry.Counter.make ~nondet:true "term.hashcons_cache_hits"
+
+let cache_hit t =
+  Telemetry.Counter.incr tel_hits;
+  Telemetry.Counter.incr tel_cache_hits;
+  t
+
+(* The miss path: build the node, intern it, and cache what the weak
+   table returned. *)
+let intern hs node hkey tsize =
+  let cand = { id = hs.next_id; node; hkey; tsize } in
   let r = W.merge hs.tbl cand in
   if r == cand then begin
     hs.next_id <- hs.next_id + 1;
     Telemetry.Counter.incr tel_nodes
   end
   else Telemetry.Counter.incr tel_hits;
+  hs.cache.(hkey land (cache_slots - 1)) <- r;
   r
+
+let slot hs hkey = hs.cache.(hkey land (cache_slots - 1))
 
 (* --- canonical commutative order --------------------------------------- *)
 
@@ -183,20 +203,102 @@ and compare_structural2 a1 b1 a2 b2 =
   let c = compare_structural a1 a2 in
   if c <> 0 then c else compare_structural b1 b2
 
-let canon a b =
-  if a == b then (a, b)
-  else if a.hkey < b.hkey then (a, b)
-  else if a.hkey > b.hkey then (b, a)
-  else if compare_structural a b <= 0 then (a, b)
-  else (b, a)
+(* The canonical commutative order: [a] goes first iff [ordered a b].
+   A test rather than a swapped pair, so the constructors below
+   allocate nothing on a hit. *)
+let ordered a b =
+  a.hkey < b.hkey || (a.hkey = b.hkey && compare_structural a b <= 0)
+
+(* --- node constructors ------------------------------------------------- *)
+
+(* One per tag: hash the components with the same [mix] formulas the
+   weak table keys on, probe the slot, and intern on a miss.  The
+   [hkey] test comes first: it is the cheap reject, and it keeps
+   [empty_slot] from ever matching. *)
+
+let cst v =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix 0x11 (Hashtbl.hash v) in
+  match slot hs h with
+  | { node = Cst u; hkey; _ } as t when hkey = h && Stdlib.compare u v = 0 ->
+    cache_hit t
+  | _ -> intern hs (Cst v) h 1
+
+let var x =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix 0x22 (Hashtbl.hash x) in
+  match slot hs h with
+  | { node = Tvar y; hkey; _ } as t when hkey = h && String.equal x y ->
+    cache_hit t
+  | _ -> intern hs (Tvar x) h 1
+
+let mk_unop op e =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix (mix 0x33 (Hashtbl.hash op)) e.hkey in
+  match slot hs h with
+  | { node = Tunop (o, e'); hkey; _ } as t when hkey = h && o = op && e' == e
+    ->
+    cache_hit t
+  | _ -> intern hs (Tunop (op, e)) h (sat 1 e.tsize)
+
+let mk_binop op a b =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix (mix (mix 0x44 (Hashtbl.hash op)) a.hkey) b.hkey in
+  match slot hs h with
+  | { node = Tbinop (o, a', b'); hkey; _ } as t
+    when hkey = h && o = op && a' == a && b' == b ->
+    cache_hit t
+  | _ -> intern hs (Tbinop (op, a, b)) h (sat 1 (sat a.tsize b.tsize))
+
+let mk_cmp op a b =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix (mix (mix 0x55 (Hashtbl.hash op)) a.hkey) b.hkey in
+  match slot hs h with
+  | { node = Tcmp (o, a', b'); hkey; _ } as t
+    when hkey = h && o = op && a' == a && b' == b ->
+    cache_hit t
+  | _ -> intern hs (Tcmp (op, a, b)) h (sat 1 (sat a.tsize b.tsize))
+
+let mk_and a b =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix (mix 0x66 a.hkey) b.hkey in
+  match slot hs h with
+  | { node = Tand (a', b'); hkey; _ } as t when hkey = h && a' == a && b' == b
+    ->
+    cache_hit t
+  | _ -> intern hs (Tand (a, b)) h (sat 1 (sat a.tsize b.tsize))
+
+let mk_or a b =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix (mix 0x77 a.hkey) b.hkey in
+  match slot hs h with
+  | { node = Tor (a', b'); hkey; _ } as t when hkey = h && a' == a && b' == b
+    ->
+    cache_hit t
+  | _ -> intern hs (Tor (a, b)) h (sat 1 (sat a.tsize b.tsize))
+
+let mk_not e =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix 0x88 e.hkey in
+  match slot hs h with
+  | { node = Tnot e'; hkey; _ } as t when hkey = h && e' == e -> cache_hit t
+  | _ -> intern hs (Tnot e) h (sat 1 e.tsize)
+
+let mk_ite c a b =
+  let hs = Domain.DLS.get hstate_key in
+  let h = mix (mix (mix 0x99 c.hkey) a.hkey) b.hkey in
+  match slot hs h with
+  | { node = Tite (c', a', b'); hkey; _ } as t
+    when hkey = h && c' == c && a' == a && b' == b ->
+    cache_hit t
+  | _ ->
+    intern hs (Tite (c, a, b)) h (sat 1 (sat c.tsize (sat a.tsize b.tsize)))
 
 (* --- smart constructors ------------------------------------------------ *)
 
-let cst v = make (Cst v)
 let cbool b = cst (Value.Bool b)
 let cint i = cst (Value.Int i)
 let creal r = cst (Value.Real r)
-let var name = make (Tvar name)
 
 let is_const t = match t.node with Cst v -> Some v | _ -> None
 
@@ -230,24 +332,19 @@ let eval_cmp (op : Ir.cmpop) a b =
   | Ir.Gt -> c () > 0
   | Ir.Ge -> c () >= 0
 
-let mk_unop op e = make (Tunop (op, e))
-
 (* [+] and [*] commute over every value combination the evaluator
    accepts, and the HC4 projections for them are symmetric, so the
    canonical operand order is semantically invisible. *)
-let mk_binop op a b =
+let canon_binop op a b =
   match op with
-  | Ir.Add | Ir.Mul ->
-    let a, b = canon a b in
-    make (Tbinop (op, a, b))
-  | Ir.Sub | Ir.Div | Ir.Mod | Ir.Min | Ir.Max -> make (Tbinop (op, a, b))
+  | (Ir.Add | Ir.Mul) when not (ordered a b) -> mk_binop op b a
+  | Ir.Add | Ir.Mul | Ir.Sub | Ir.Div | Ir.Mod | Ir.Min | Ir.Max ->
+    mk_binop op a b
 
-let mk_cmp op a b =
+let canon_cmp op a b =
   match op with
-  | Ir.Eq | Ir.Ne ->
-    let a, b = canon a b in
-    make (Tcmp (op, a, b))
-  | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge -> make (Tcmp (op, a, b))
+  | (Ir.Eq | Ir.Ne) when not (ordered a b) -> mk_cmp op b a
+  | Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge -> mk_cmp op a b
 
 let unop op e =
   match e.node with
@@ -257,45 +354,41 @@ let unop op e =
 let binop op a b =
   match a.node, b.node with
   | Cst va, Cst vb ->
-    (try cst (eval_binop op va vb) with Value.Type_error _ -> mk_binop op a b)
-  | _ -> mk_binop op a b
+    (try cst (eval_binop op va vb) with Value.Type_error _ -> canon_binop op a b)
+  | _ -> canon_binop op a b
 
 let cmp op a b =
   match a.node, b.node with
   | Cst va, Cst vb ->
     (try cst (Value.Bool (eval_cmp op va vb))
-     with Value.Type_error _ -> mk_cmp op a b)
-  | _ -> mk_cmp op a b
+     with Value.Type_error _ -> canon_cmp op a b)
+  | _ -> canon_cmp op a b
 
 let and_ a b =
   match a.node, b.node with
   | Cst (Value.Bool true), _ -> b
   | _, Cst (Value.Bool true) -> a
   | Cst (Value.Bool false), _ | _, Cst (Value.Bool false) -> cbool false
-  | _ ->
-    let a, b = canon a b in
-    make (Tand (a, b))
+  | _ -> if ordered a b then mk_and a b else mk_and b a
 
 let or_ a b =
   match a.node, b.node with
   | Cst (Value.Bool false), _ -> b
   | _, Cst (Value.Bool false) -> a
   | Cst (Value.Bool true), _ | _, Cst (Value.Bool true) -> cbool true
-  | _ ->
-    let a, b = canon a b in
-    make (Tor (a, b))
+  | _ -> if ordered a b then mk_or a b else mk_or b a
 
 let not_ e =
   match e.node with
   | Cst (Value.Bool b) -> cbool (not b)
   | Tnot inner -> inner
-  | _ -> make (Tnot e)
+  | _ -> mk_not e
 
 let ite c t e =
   match c.node with
   | Cst (Value.Bool true) -> t
   | Cst (Value.Bool false) -> e
-  | _ -> if t == e then t else make (Tite (c, t, e))
+  | _ -> if t == e then t else mk_ite c t e
 
 let conj = function
   | [] -> cbool true

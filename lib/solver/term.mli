@@ -12,6 +12,12 @@
     structurally equal terms (after normalization) are physically equal:
     {!equal} is [==], {!hash}/{!size} are O(1) stored fields, and {!id}
     is a never-reused per-domain identifier suitable as a memo key.
+    A small direct-mapped cache of strong references (256 slots) sits in
+    front of the weak table, so rebuilding a recently built term
+    allocates nothing.  A cached term is live and therefore still in the
+    weak table, so the cache returns the very node the table would:
+    uniqueness and ids are unaffected.  It keeps up to 256 terms, with
+    their subterms, alive past their last other reference.
     Construction additionally normalizes commutative operands ([+],
     [*], [&&], [||], [=], [<>]) into a canonical order decided by the
     deterministic structural hash ({!hash}) with {!compare_structural}

@@ -257,8 +257,9 @@ let infeasible pc =
    The window over the shared path condition is propagated once per
    decision ([fork_prefix], cached across consecutive constraint-free
    decisions via [prefix_cache]); every sibling arm then propagates
-   only its own branch constraint on a copy of the prefix box
-   ([arm_feasible]) instead of redoing the prefix from scratch. *)
+   only its own branch constraint on the prefix box, which
+   [Hc4.propagate_and_restore] leaves as it found it ([arm_feasible]),
+   instead of redoing the prefix from scratch. *)
 let prefix_window = 9
 
 let fork_prefix ctx pc =
@@ -298,7 +299,7 @@ let fork_prefix ctx pc =
 
 (* [c_opt] is the arm's own branch constraint, [None] for arms taken
    concretely (which add nothing to the path condition). *)
-let arm_feasible _ctx prefix c_opt =
+let arm_feasible prefix c_opt =
   let feasible =
     match prefix, c_opt with
     | Pf_unsat, _ -> false
@@ -307,8 +308,7 @@ let arm_feasible _ctx prefix c_opt =
     | Pf_box box, Some c ->
       if Term.size_capped 2_000 c >= 2_000 then true
       else begin
-        let store = Solver.Hc4.copy_store box in
-        match Solver.Hc4.propagate ~max_rounds:3 store c with
+        match Solver.Hc4.propagate_and_restore ~max_rounds:3 box c with
         | `Ok -> true
         | `Unsat -> false
       end
@@ -424,7 +424,7 @@ and decide ctx env id arm order pc continue_ =
   | Some req -> (
     match arm req with
     | Some (body, pc', c_opt) ->
-      if arm_feasible ctx (fork_prefix ctx pc) c_opt then enter req body pc'
+      if arm_feasible (fork_prefix ctx pc) c_opt then enter req body pc'
     | None -> ())
   | None ->
     let prefix = fork_prefix ctx pc in
@@ -434,7 +434,7 @@ and decide ctx env id arm order pc continue_ =
         match arm outcome with
         | None -> ()
         | Some (body, pc', c_opt) ->
-          if arm_feasible ctx prefix c_opt then begin
+          if arm_feasible prefix c_opt then begin
             spend_path ctx;
             enter outcome body pc';
             SV.undo env mark

@@ -159,6 +159,162 @@ let prop_forward_eval_contains_value =
         if concrete then can_true else can_false
       | _ -> false)
 
+(* --- the trail check against a copy -------------------------------------- *)
+
+(* [Hc4.propagate_and_restore] on a box must answer as [propagate] on a
+   copy of it does, and leave the box so that any later propagation
+   (answer, domains, memo hits, rounds) is the one a pristine copy
+   gives.  Boxes mix bool, int and real variables and carry memo
+   entries from a prefix propagation, as the symbolic executor's prefix
+   boxes do; some constraints hold a vector constant and raise
+   [Value.Type_error]. *)
+let mixed_vars = [ "b0"; "b1"; "i0"; "i1"; "r0"; "r1" ]
+
+let gen_box =
+  let open QCheck.Gen in
+  let bool_dom = oneofl [ Dom.top_bool; Dom.booln true; Dom.booln false ] in
+  let int_dom =
+    map2 (fun lo span -> Dom.intn lo (lo + span)) (int_range (-20) 10)
+      (int_range 0 20)
+  in
+  let real_dom =
+    map2 (fun lo span -> Dom.realn lo (lo +. span)) (float_range (-10.) 5.)
+      (float_range 0. 10.)
+  in
+  map3
+    (fun (b0, b1) (i0, i1) (r0, r1) ->
+      [ ("b0", b0); ("b1", b1); ("i0", i0); ("i1", i1); ("r0", r0); ("r1", r1) ])
+    (pair bool_dom bool_dom) (pair int_dom int_dom) (pair real_dom real_dom)
+
+let vec_cst = T.cst (V.Vec [| V.Int 1; V.Int 2 |])
+
+let gen_mixed_constraint =
+  let open QCheck.Gen in
+  let int_leaf =
+    oneof
+      [ map T.cint (int_range (-20) 20); oneofl [ T.var "i0"; T.var "i1" ] ]
+  in
+  let real_leaf =
+    oneof
+      [
+        map T.creal (float_range (-10.) 10.);
+        oneofl [ T.var "r0"; T.var "r1" ];
+        map (T.unop Ir.To_real) int_leaf;
+      ]
+  in
+  let num leaf ops =
+    oneof
+      [ leaf; map3 (fun op a b -> T.binop op a b) (oneofl ops) leaf leaf ]
+  in
+  let int_num = num int_leaf [ Ir.Add; Ir.Sub; Ir.Mul; Ir.Min; Ir.Max ] in
+  let real_num = num real_leaf [ Ir.Add; Ir.Sub; Ir.Mul; Ir.Div ] in
+  let ops = [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ] in
+  let atom =
+    frequency
+      [
+        (4, map3 T.cmp (oneofl ops) int_num int_num);
+        (4, map3 T.cmp (oneofl ops) real_num real_num);
+        (2, oneofl [ T.var "b0"; T.var "b1" ]);
+        ( 1,
+          map
+            (fun op -> T.cmp op (T.var "b0") (T.var "b1"))
+            (oneofl [ Ir.Eq; Ir.Ne ]) );
+        (1, map (fun a -> T.cmp Ir.Eq a vec_cst) int_leaf);
+      ]
+  in
+  let rec bool_expr depth =
+    if depth = 0 then atom
+    else
+      let sub = bool_expr (depth - 1) in
+      frequency
+        [
+          (2, atom);
+          (2, map2 T.and_ sub sub);
+          (1, map2 T.or_ sub sub);
+          (1, map T.not_ sub);
+          (1, map3 T.ite sub sub sub);
+        ]
+  in
+  bool_expr 3
+
+let memo_hits = Telemetry.Counter.make "solver.hc4_memo_hits"
+let rounds = Telemetry.Counter.make "solver.hc4_rounds"
+let box_doms store = List.map (Hc4.get store) mixed_vars
+
+let outcome f =
+  match f () with r -> Ok r | exception V.Type_error m -> Error m
+
+(* answer, domains and counter deltas of one later propagation *)
+let later_propagation store d =
+  let h0 = Telemetry.Counter.total memo_hits in
+  let r0 = Telemetry.Counter.total rounds in
+  let answer = outcome (fun () -> Hc4.propagate store d) in
+  ( answer,
+    box_doms store,
+    Telemetry.Counter.total memo_hits - h0,
+    Telemetry.Counter.total rounds - r0 )
+
+let trail_matches_copy box_spec prefix c d =
+  Telemetry.enable ();
+  let box = Hc4.create_store box_spec in
+  ignore (outcome (fun () -> Hc4.propagate ~max_rounds:3 box prefix));
+  let pristine = Hc4.copy_store box in
+  let by_copy =
+    outcome (fun () -> Hc4.propagate ~max_rounds:3 (Hc4.copy_store box) c)
+  in
+  let by_trail =
+    outcome (fun () -> Hc4.propagate_and_restore ~max_rounds:3 box c)
+  in
+  let same =
+    by_copy = by_trail
+    && box_doms box = box_doms pristine
+    && later_propagation box d = later_propagation pristine d
+  in
+  Telemetry.disable ();
+  same
+
+let prop_trail_matches_copy =
+  QCheck.Test.make ~name:"trail check = propagation on a copy" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         let* box = gen_box in
+         let* prefix = gen_mixed_constraint in
+         (* shared subterms make the memo entries of one call matter
+            to the next *)
+         let* c = oneof [ return prefix; gen_mixed_constraint ] in
+         let+ d = oneof [ return prefix; return c; gen_mixed_constraint ] in
+         (box, prefix, c, d)))
+    (fun (box_spec, prefix, c, d) -> trail_matches_copy box_spec prefix c d)
+
+(* A check that narrows the box and then raises restores the box.  The
+   conjuncts' order is the hash order, so vary both until, on a copy,
+   the raise comes after a narrowing. *)
+let test_trail_restores_on_type_error () =
+  let box_spec =
+    [
+      ("b0", Dom.top_bool); ("b1", Dom.top_bool);
+      ("i0", Dom.intn 0 20); ("i1", Dom.intn 0 20);
+      ("r0", Dom.realn 0. 1.); ("r1", Dom.realn 0. 1.);
+    ]
+  in
+  let narrowed_first = ref 0 in
+  for k = 0 to 19 do
+    let c =
+      T.and_ (T.var "b0")
+        (T.cmp Ir.Eq (T.var "i1") (T.cst (V.Vec [| V.Int k |])))
+    in
+    let copy = Hc4.create_store box_spec in
+    (match Hc4.propagate copy c with
+     | _ -> Alcotest.fail "a vector constant must raise"
+     | exception V.Type_error _ -> ());
+    if Hc4.get copy "b0" <> Dom.top_bool then incr narrowed_first;
+    check Alcotest.bool "box restored" true
+      (trail_matches_copy box_spec (T.cbool true) c
+         (T.cmp Ir.Le (T.var "i0") (T.cint k)))
+  done;
+  check Alcotest.bool "some check narrowed before raising" true
+    (!narrowed_first > 0)
+
 (* --- explicit regression cases ---------------------------------------- *)
 
 let test_propagate_equality_chain () =
@@ -220,6 +376,13 @@ let () =
       ( "hc4-soundness",
         List.map QCheck_alcotest.to_alcotest
           [ prop_propagation_keeps_solutions; prop_forward_eval_contains_value ] );
+      ( "trail check",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+            prop_trail_matches_copy;
+          Alcotest.test_case "restored on Type_error" `Quick
+            test_trail_restores_on_type_error;
+        ] );
       ( "regressions",
         [
           Alcotest.test_case "equality chain" `Quick test_propagate_equality_chain;

@@ -219,6 +219,24 @@ let test_dom_meet_saturates () =
   | _ -> Alcotest.fail "expected an int domain"
   | exception Dom.Empty -> Alcotest.fail "huge real bounds emptied the meet"
 
+let test_bwd_num_large_int_bounds () =
+  (* [Hc4.bwd_num] clamped integer requirements to +-1e9: a required
+     bound beyond that built an inverted domain and an unsound Unsat
+     (witnesses x = y = 1e6 and x = -y = 1e6). *)
+  let vars =
+    [ ("x", i_ty (-1_000_000) 1_000_000); ("y", i_ty (-1_000_000) 1_000_000) ]
+  in
+  let xy = T.binop Ir.Mul (ivar "x") (ivar "y") in
+  List.iter
+    (fun (name, c) ->
+      let a = get_sat (solve vars c) in
+      check Alcotest.bool (name ^ ": verified") true (verify vars c a))
+    [
+      ("x*y > 2e9", T.cmp Ir.Gt xy (T.cint 2_000_000_000));
+      ("x*y < -2e9", T.cmp Ir.Lt xy (T.cint (-2_000_000_000)));
+      ("x*y = 1e12", T.cmp Ir.Eq xy (T.cint 1_000_000_000_000));
+    ]
+
 let test_mod_positive_divisor_range () =
   (* sign follows the divisor: x mod 3 is in [0,2], so < 0 is unsat *)
   let c = T.cmp Ir.Lt (T.binop Ir.Mod (ivar "x") (T.cint 3)) (T.cint 0) in
@@ -487,6 +505,8 @@ let () =
             test_div_overflow_regression;
           Alcotest.test_case "Dom.meet saturates huge bounds" `Quick
             test_dom_meet_saturates;
+          Alcotest.test_case "bwd_num keeps int bounds past 1e9" `Quick
+            test_bwd_num_large_int_bounds;
           Alcotest.test_case "mod: positive divisor range" `Quick
             test_mod_positive_divisor_range;
           Alcotest.test_case "mod: negative divisor range" `Quick

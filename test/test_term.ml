@@ -307,6 +307,96 @@ let test_vars_sorted_dedup () =
   check (Alcotest.list Alcotest.string) "sorted, no duplicates"
     [ "a"; "b"; "c" ] (T.vars t)
 
+(* --- the front cache ------------------------------------------------------ *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Rebuilding a term that is in its cache slot allocates nothing, for
+   every node constructor.  Telemetry is off (a counter bump is then a
+   flag test) and the [Cst] payload is built beforehand. *)
+let test_hit_allocates_nothing () =
+  Telemetry.disable ();
+  let x = T.var "hx" and y = T.var "hy" in
+  let p = T.cmp Ir.Lt x y and q = T.cmp Ir.Ge x y in
+  let seven = V.Int 7 and name = "hx" in
+  let builds =
+    [
+      ("cst", fun () -> T.cst seven);
+      ("var", fun () -> T.var name);
+      ("unop", fun () -> T.unop Ir.Neg x);
+      ("binop", fun () -> T.binop Ir.Add y x);
+      ("cmp", fun () -> T.cmp Ir.Eq y x);
+      ("and_", fun () -> T.and_ q p);
+      ("or_", fun () -> T.or_ q p);
+      ("not_", fun () -> T.not_ p);
+      ("ite", fun () -> T.ite p x y);
+    ]
+  in
+  let baseline = minor_words_of (fun () -> x) in
+  List.iter
+    (fun (ctor, build) ->
+      let t = build () in
+      let words = minor_words_of build -. baseline in
+      check (Alcotest.float 0.) (ctor ^ ": a hit allocates nothing") 0. words;
+      check Alcotest.bool (ctor ^ ": same node") true (build () == t))
+    builds
+
+(* More distinct terms than cache slots, built interleaved so that
+   slots collide and evict each other, then rebuilt in another order:
+   every rebuild is the node first built, and commutative operands sit
+   in the canonical order (structural hash, then [compare_structural]). *)
+let gen_thrash_specs =
+  QCheck.Gen.(
+    list_size (int_range 300 600)
+      (quad (int_bound 5) (int_bound 30) (int_bound 30) (int_range (-50) 50)))
+
+let build_thrash_term (kind, i, j, k) =
+  let a = T.var (Printf.sprintf "v%d" i) in
+  let b = T.binop Ir.Sub (T.var (Printf.sprintf "v%d" j)) (T.cint k) in
+  match kind with
+  | 0 -> T.binop Ir.Add a b
+  | 1 -> T.binop Ir.Mul b a
+  | 2 -> T.cmp Ir.Eq a b
+  | 3 -> T.cmp Ir.Ne b a
+  | 4 -> T.and_ (T.cmp Ir.Lt a b) (T.cmp Ir.Le b (T.cint k))
+  | _ -> T.or_ (T.cmp Ir.Gt b a) (T.not_ (T.cmp Ir.Ge a (T.cint k)))
+
+let canonical_pair t =
+  let in_order a b =
+    T.hash a < T.hash b
+    || (T.hash a = T.hash b && T.compare_structural a b <= 0)
+  in
+  match T.view t with
+  | T.Tbinop ((Ir.Add | Ir.Mul), a, b)
+  | T.Tcmp ((Ir.Eq | Ir.Ne), a, b)
+  | T.Tand (a, b)
+  | T.Tor (a, b) ->
+    in_order a b
+  | _ -> true
+
+let prop_cache_thrash =
+  QCheck.Test.make ~name:"uniqueness holds while cache slots collide"
+    ~count:50 (QCheck.make gen_thrash_specs) (fun specs ->
+      let built = List.map (fun s -> (s, build_thrash_term s)) specs in
+      let distinct =
+        List.sort_uniq Int.compare (List.map (fun (_, t) -> T.id t) built)
+      in
+      if List.length distinct <= 256 then
+        QCheck.Test.fail_reportf "only %d distinct terms"
+          (List.length distinct);
+      List.iter
+        (fun (s, t) ->
+          let t' = build_thrash_term s in
+          if not (t' == t && T.id t' = T.id t) then
+            QCheck.Test.fail_reportf "rebuild of %a is a new node" T.pp t;
+          if not (canonical_pair t') then
+            QCheck.Test.fail_reportf "operands of %a out of order" T.pp t)
+        (List.rev built);
+      true)
+
 let () =
   Alcotest.run "term"
     [
@@ -326,5 +416,12 @@ let () =
           Alcotest.test_case "memoized eval" `Quick
             test_memoized_eval_on_shared_dag;
           Alcotest.test_case "vars" `Quick test_vars_sorted_dedup;
+        ] );
+      ( "front cache",
+        [
+          Alcotest.test_case "a hit allocates nothing" `Quick
+            test_hit_allocates_nothing;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+            prop_cache_thrash;
         ] );
     ]
