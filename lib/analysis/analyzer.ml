@@ -386,8 +386,8 @@ let big = 1e15
    result passes through. *)
 let legal_num (n : I.num) : Dom.t =
   if Float.is_nan n.nlo || Float.is_nan n.nhi then
-    if n.nint then Absval.int_top else Absval.real_top
-  else if n.nint then begin
+    if I.is_int n then Absval.int_top else Absval.real_top
+  else if I.is_int n then begin
     if n.nlo < -.big || n.nhi > big then Absval.int_top
     else
       let lo = int_of_float (Float.ceil n.nlo)
@@ -397,7 +397,7 @@ let legal_num (n : I.num) : Dom.t =
   else Dom.Dreal { lo = n.nlo; hi = n.nhi }
 
 let nan_possible (n : I.num) =
-  (not n.nint) && n.nlo = neg_infinity && n.nhi = infinity
+  (not (I.is_int n)) && n.nlo = neg_infinity && n.nhi = infinity
 
 let has_inf (n : I.num) = n.nlo = neg_infinity || n.nhi = infinity
 let has_zero (n : I.num) = n.nlo <= 0.0 && n.nhi >= 0.0
@@ -411,7 +411,7 @@ let num_of_abs a = I.num_of_dom (to_dom a)
 let sc d = Absval.Scalar d
 
 let binop_abs env op (na : I.num) (nb : I.num) : Absval.t =
-  let real_result = not (na.nint && nb.nint) in
+  let real_result = not (I.is_int na && I.is_int nb) in
   match op with
   | Ir.Add -> sc (legal_num (I.nadd na nb))
   | Ir.Sub -> sc (legal_num (I.nsub na nb))
@@ -691,7 +691,7 @@ let meet_num (orig : Dom.t) (n : I.num) : Dom.t =
     | Dom.Dbool _ ->
       let bt = n.nlo <= 1.0 && 1.0 <= n.nhi in
       let bf = n.nlo <= 0.0 && 0.0 <= n.nhi in
-      I.(dom_of_b3 (b3_meet (b3_of_dom orig) { bt; bf }))
+      I.(dom_of_b3 (b3_meet (b3_of_dom orig) (b3 bt bf)))
     | Dom.Dint { lo; hi } ->
       let lo' =
         if n.nlo < -.big then lo else max lo (int_of_float (Float.ceil n.nlo))
@@ -723,7 +723,9 @@ let oct_writeback ctx env idx =
     let lo, hi = Octagon.bounds o idx in
     if lo > neg_infinity || hi < infinity then begin
       let scope, name, elem = ov.Octvars.ov_keys.(idx) in
-      let n' = { I.nlo = lo; nhi = hi; nint = ov.Octvars.ov_ints.(idx) } in
+      let n' =
+        { I.nlo = lo; nhi = hi; nint = I.int_flag ov.Octvars.ov_ints.(idx) }
+      in
       if elem < 0 then narrow_var ctx env scope name (fun d -> meet_num d n')
       else begin
         let arr, i = slot_of ctx env scope name in
@@ -790,11 +792,11 @@ let rec refine ctx env (e : Ir.expr) (want : bool) : unit =
             else if lo = 0 then Dom.Dint { lo = 1; hi }
             else if hi = 0 then Dom.Dint { lo; hi = -1 }
             else d
-          else meet_num d { I.nlo = 0.0; nhi = 0.0; nint = true }
+          else meet_num d { I.nlo = 0.0; nhi = 0.0; nint = 1.0 }
         | Dom.Dreal { lo; hi } ->
           if want then
             if lo = 0.0 && hi = 0.0 then raise Dom.Empty else d
-          else meet_num d { I.nlo = 0.0; nhi = 0.0; nint = false })
+          else meet_num d { I.nlo = 0.0; nhi = 0.0; nint = 0.0 })
   | Ir.Unop (Ir.Not, e1) -> refine ctx env e1 (not want)
   | Ir.And (a, b) ->
     if want then begin
@@ -840,8 +842,8 @@ and refine_cmp ctx env op a b =
       | Ir.Ite _ | Ir.Index _ ->
         ()
     in
-    let eps_lt hi = if na.I.nint && nb.I.nint then hi -. 1.0 else hi in
-    let eps_gt lo = if na.I.nint && nb.I.nint then lo +. 1.0 else lo in
+    let eps_lt hi = if I.is_int na && I.is_int nb then hi -. 1.0 else hi in
+    let eps_gt lo = if I.is_int na && I.is_int nb then lo +. 1.0 else lo in
     oct_refine_cmp ctx env op a b na nb;
     match op with
     | Ir.Le ->
@@ -862,7 +864,7 @@ and refine_cmp ctx env op a b =
       upd b { m with I.nint = nb.I.nint }
     | Ir.Ne ->
       let prune this other =
-        if other.I.nlo = other.I.nhi && this.I.nint && other.I.nint then begin
+        if other.I.nlo = other.I.nhi && I.is_int this && I.is_int other then begin
           let k = other.I.nlo in
           if this.I.nlo = k && this.I.nhi = k then raise Dom.Empty
           else if this.I.nlo = k then Some { this with I.nlo = k +. 1.0 }
@@ -1148,7 +1150,7 @@ and exec_stmt ctx env reach loc (s : Ir.stmt) =
        | Ir.Var (s, n) ->
          narrow_var ctx e' s n (fun d ->
              meet_num d
-               { I.nlo = float_of_int k; nhi = float_of_int k; nint = true })
+               { I.nlo = float_of_int k; nhi = float_of_int k; nint = 1.0 })
        | _ -> ());
       match (ctx.c_oct, e'.e_oct) with
       | Some ov, Some o -> (

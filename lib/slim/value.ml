@@ -239,8 +239,39 @@ let of_string ty s =
   in
   parse ty s
 
+(* [Random.State.full_int] draws exactly as [Random.State.int] does
+   below 2^30, so narrow ranges keep their historical draws; wider ones
+   no longer raise.  When [hi - lo + 1] overflows the range holds more
+   than half of all ints, so rejection sampling ends after two draws on
+   average. *)
+let random_int rng lo hi =
+  if lo > hi then invalid_arg "Value.random_int: empty range";
+  let span = hi - lo in
+  if span >= 0 && span < max_int then lo + Random.State.full_int rng (span + 1)
+  else begin
+    let r = ref (Int64.to_int (Random.State.bits64 rng)) in
+    while !r < lo || !r > hi do
+      r := Int64.to_int (Random.State.bits64 rng)
+    done;
+    !r
+  end
+
+(* The historical draw while [hi -. lo] is finite.  An overflowing
+   width is drawn as a convex combination of the bounds, clamped into
+   [lo, hi]; infinite bounds that make it [nan] fall back to the point
+   of [lo, hi] nearest 0. *)
+let random_real rng lo hi =
+  let w = hi -. lo in
+  if Float.is_finite w then lo +. Random.State.float rng w
+  else begin
+    let u = Random.State.float rng 1.0 in
+    let x = (lo *. (1.0 -. u)) +. (hi *. u) in
+    let x = if Float.is_nan x then 0.0 else x in
+    Float.min hi (Float.max lo x)
+  end
+
 let rec random rng = function
   | Tbool -> Bool (Random.State.bool rng)
-  | Tint { lo; hi } -> Int (lo + Random.State.int rng (hi - lo + 1))
-  | Treal { lo; hi } -> Real (lo +. Random.State.float rng (hi -. lo))
+  | Tint { lo; hi } -> Int (random_int rng lo hi)
+  | Treal { lo; hi } -> Real (random_real rng lo hi)
   | Tvec (ty, n) -> Vec (Array.init n (fun _ -> random rng ty))

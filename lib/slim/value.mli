@@ -93,3 +93,14 @@ val of_string : ty -> string -> t
 
 val random : Random.State.t -> ty -> t
 (** Uniform sample inside the type's domain. *)
+
+val random_int : Random.State.t -> int -> int -> int
+(** [random_int rng lo hi]: uniform in [lo, hi], for any [lo <= hi]
+    (the full int range included).  Below 2{^30} values it draws as
+    [lo + Random.State.int rng (hi - lo + 1)] does.  Raises
+    [Invalid_argument] when [lo > hi]. *)
+
+val random_real : Random.State.t -> float -> float -> float
+(** [random_real rng lo hi]: [lo +. Random.State.float rng (hi -. lo)]
+    while that width is finite; otherwise a draw that stays in
+    [lo, hi] instead of overflowing to an infinity. *)

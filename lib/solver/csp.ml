@@ -35,8 +35,8 @@ let assignment_of_store (store : Hc4.store) vars pick =
 
 let pick_mid = function
   | Dom.Dbool { can_true; _ } -> Value.Bool can_true
-  | Dom.Dint { lo; hi } -> Value.Int (lo + ((hi - lo) / 2))
-  | Dom.Dreal { lo; hi } -> Value.Real (lo +. ((hi -. lo) /. 2.0))
+  | Dom.Dint { lo; hi } -> Value.Int (Dom.int_mid lo hi)
+  | Dom.Dreal { lo; hi } -> Value.Real (Dom.real_mid lo hi)
 
 let pick_lo = function
   | Dom.Dbool { can_false; _ } -> Value.Bool (not can_false)
@@ -61,9 +61,9 @@ let pick_random rng = function
   | Dom.Dbool { can_true; can_false } ->
     if can_true && can_false then Value.Bool (Random.State.bool rng)
     else Value.Bool can_true
-  | Dom.Dint { lo; hi } -> Value.Int (lo + Random.State.int rng (hi - lo + 1))
+  | Dom.Dint { lo; hi } -> Value.Int (Value.random_int rng lo hi)
   | Dom.Dreal { lo; hi } ->
-    Value.Real (if hi > lo then lo +. Random.State.float rng (hi -. lo) else lo)
+    Value.Real (if hi > lo then Value.random_real rng lo hi else lo)
 
 let satisfied constraint_ assignment =
   match Term.eval (fun x -> Smap.find x assignment) constraint_ with
@@ -174,14 +174,10 @@ let solve ?(node_budget = default_budget) ?(hc4_memo = true) ?rng problem =
             if all_exact then Exhausted else Gave_up
           | Some (x, (l, r), _) -> (
             Telemetry.Counter.incr tel_splits;
-            let sl = Hc4.copy_store store in
-            Hc4.set_dom sl x l;
-            match dfs sl with
+            match dfs (Hc4.split_store store x l) with
             | Found a -> Found a
             | left_out -> (
-              let sr = Hc4.copy_store store in
-              Hc4.set_dom sr x r;
-              match dfs sr with
+              match dfs (Hc4.split_store store x r) with
               | Found a -> Found a
               | Exhausted ->
                 if left_out = Gave_up then Gave_up else Exhausted

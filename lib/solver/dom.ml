@@ -7,16 +7,25 @@ type t =
 
 exception Empty
 
+(* The three non-empty boolean domains, shared: every boolean result
+   is one of them, so building one allocates nothing. *)
+let top_bool = Dbool { can_true = true; can_false = true }
+let bool_true = Dbool { can_true = true; can_false = false }
+let bool_false = Dbool { can_true = false; can_false = true }
+let[@inline] booln b = if b then bool_true else bool_false
+
+let[@inline] bool_of can_true can_false =
+  if can_true then if can_false then top_bool else bool_true
+  else if can_false then bool_false
+  else Dbool { can_true; can_false }
+
 let of_ty = function
-  | Value.Tbool -> Dbool { can_true = true; can_false = true }
+  | Value.Tbool -> top_bool
   | Value.Tint { lo; hi } -> Dint { lo; hi }
   | Value.Treal { lo; hi } -> Dreal { lo; hi }
   | Value.Tvec _ -> Value.type_error "Dom.of_ty: vector type"
 
-let top_bool = Dbool { can_true = true; can_false = true }
-let booln b = Dbool { can_true = b; can_false = not b }
-
-let intn lo hi =
+let[@inline] intn lo hi =
   if lo > hi then raise Empty;
   Dint { lo; hi }
 
@@ -27,17 +36,17 @@ let intn lo hi =
    1e18 is exactly representable and far above any model constant. *)
 let int_bound_max = 1_000_000_000_000_000_000
 
-let int_of_float_up f =
+let[@inline] int_of_float_up f =
   if f >= 1e18 then int_bound_max
   else if f <= -1e18 then -int_bound_max
   else int_of_float (Float.ceil f)
 
-let int_of_float_down f =
+let[@inline] int_of_float_down f =
   if f >= 1e18 then int_bound_max
   else if f <= -1e18 then -int_bound_max
   else int_of_float (Float.floor f)
 
-let realn lo hi =
+let[@inline] realn lo hi =
   if lo > hi then raise Empty;
   Dreal { lo; hi }
 
@@ -71,7 +80,7 @@ let meet a b =
     let can_true = x.can_true && y.can_true in
     let can_false = x.can_false && y.can_false in
     if not (can_true || can_false) then raise Empty;
-    Dbool { can_true; can_false }
+    bool_of can_true can_false
   | Dint x, Dint y -> intn (max x.lo y.lo) (min x.hi y.hi)
   | Dreal x, Dreal y -> realn (Float.max x.lo y.lo) (Float.min x.hi y.hi)
   | Dint x, Dreal y | Dreal y, Dint x ->
@@ -84,9 +93,7 @@ let meet a b =
 let hull a b =
   match a, b with
   | Dbool x, Dbool y ->
-    Dbool
-      { can_true = x.can_true || y.can_true;
-        can_false = x.can_false || y.can_false }
+    bool_of (x.can_true || y.can_true) (x.can_false || y.can_false)
   | Dint x, Dint y -> Dint { lo = min x.lo y.lo; hi = max x.hi y.hi }
   | Dreal x, Dreal y ->
     Dreal { lo = Float.min x.lo y.lo; hi = Float.max x.hi y.hi }
@@ -99,21 +106,50 @@ let hull a b =
 
 let width = function
   | Dbool { can_true; can_false } -> if can_true && can_false then 1.0 else 0.0
-  | Dint { lo; hi } -> float_of_int (hi - lo)
+  | Dint { lo; hi } ->
+    (* [hi - lo] wraps past [max_int]: a full-range domain would read
+       as negative width and never be split *)
+    let w = hi - lo in
+    if w >= 0 then float_of_int w else float_of_int hi -. float_of_int lo
   | Dreal { lo; hi } -> hi -. lo
 
 let real_width_floor = 1e-6
 
+(* The midpoint of an int interval: the historical formula while
+   [hi - lo] does not overflow, else the sum of the halved bounds, which
+   lies in [lo, hi) because then [lo < 0 < hi]. *)
+let int_mid lo hi =
+  let w = hi - lo in
+  if w >= 0 then lo + (w / 2) else (lo asr 1) + (hi asr 1)
+
+(* The midpoint of a real interval.  While [hi -. lo] is finite this
+   is the historical formula, bit for bit.  A width that overflows
+   means [lo < 0 < hi] or an infinite bound: halving each bound first
+   cannot overflow, and an infinite side is cut at a finite point.  The
+   result is clamped into [lo, hi], so a child is never inverted or
+   outside its parent. *)
+let real_mid lo hi =
+  let w = hi -. lo in
+  if Float.is_finite w then lo +. (w /. 2.0)
+  else
+    let mid =
+      if Float.is_finite lo && Float.is_finite hi then (lo /. 2.0) +. (hi /. 2.0)
+      else if lo = neg_infinity then
+        Float.max (-.max_float) (Float.min 0.0 ((2.0 *. hi) -. 1.0))
+      else Float.min max_float (Float.max 0.0 ((2.0 *. lo) +. 1.0))
+    in
+    Float.min hi (Float.max lo mid)
+
 let split = function
   | Dbool { can_true = true; can_false = true } ->
-    Some (booln true, booln false)
+    Some (bool_true, bool_false)
   | Dbool _ -> None
   | Dint { lo; hi } when lo < hi ->
-    let mid = lo + ((hi - lo) / 2) in
+    let mid = int_mid lo hi in
     Some (Dint { lo; hi = mid }, Dint { lo = mid + 1; hi })
   | Dint _ -> None
   | Dreal { lo; hi } when hi -. lo > real_width_floor ->
-    let mid = lo +. ((hi -. lo) /. 2.0) in
+    let mid = real_mid lo hi in
     Some (Dreal { lo; hi = mid }, Dreal { lo = mid; hi })
   | Dreal _ -> None
 
@@ -122,7 +158,7 @@ let sample = function
     (if can_true then [ Value.Bool true ] else [])
     @ (if can_false then [ Value.Bool false ] else [])
   | Dint { lo; hi } ->
-    let mid = lo + ((hi - lo) / 2) in
+    let mid = int_mid lo hi in
     let candidates =
       [ Value.Int lo; Value.Int hi; Value.Int mid ]
       @ (if lo <= 0 && 0 <= hi then [ Value.Int 0 ] else [])
@@ -130,7 +166,7 @@ let sample = function
     in
     List.sort_uniq compare candidates
   | Dreal { lo; hi } ->
-    let mid = lo +. ((hi -. lo) /. 2.0) in
+    let mid = real_mid lo hi in
     let candidates =
       [ Value.Real lo; Value.Real hi; Value.Real mid ]
       @ (if lo <= 0.0 && 0.0 <= hi then [ Value.Real 0.0 ] else [])
@@ -146,4 +182,11 @@ let pp ppf = function
   | Dint { lo; hi } -> Fmt.pf ppf "[%d,%d]" lo hi
   | Dreal { lo; hi } -> Fmt.pf ppf "[%g,%g]" lo hi
 
-let equal = ( = )
+(* Polymorphic [=] without the generic walk: floats compare with float
+   [=] ([nan] differs from itself, [-0.] equals [0.]). *)
+let equal a b =
+  match a, b with
+  | Dbool x, Dbool y -> x.can_true = y.can_true && x.can_false = y.can_false
+  | Dint x, Dint y -> x.lo = y.lo && x.hi = y.hi
+  | Dreal x, Dreal y -> (x.lo : float) = y.lo && (x.hi : float) = y.hi
+  | (Dbool _ | Dint _ | Dreal _), _ -> false

@@ -13,7 +13,18 @@ val of_ty : Slim.Value.ty -> t
 (** Scalar types only; raises {!Slim.Value.Type_error} on vectors. *)
 
 val top_bool : t
+val bool_true : t
+val bool_false : t
+(** The three non-empty boolean domains.  Every boolean domain this
+    module builds, and every one {!Interval} builds, is one of these
+    shared values, so making one allocates nothing. *)
+
 val booln : bool -> t
+(** [bool_true] or [bool_false]. *)
+
+val bool_of : bool -> bool -> t
+(** [bool_of can_true can_false]: the shared value when non-empty. *)
+
 val intn : int -> int -> t
 val realn : float -> float -> t
 
@@ -36,14 +47,27 @@ val hull : t -> t -> t
 val width : t -> float
 (** 0 for singletons; used to pick split variables. *)
 
+val int_mid : int -> int -> int
+(** Midpoint of an int interval, [lo + (hi - lo) / 2] unless [hi - lo]
+    overflows; always in [lo, hi]. *)
+
+val real_mid : float -> float -> float
+(** Midpoint of a real interval: [lo +. (hi -. lo) /. 2.] while the
+    width is finite; otherwise a point of [lo, hi] computed without
+    overflow (an infinite side is cut at a finite point). *)
+
 val split : t -> (t * t) option
 (** Bisect a non-singleton domain; [None] for singletons.  Integer
     domains split on the midpoint; boolean domains into the two
-    constants; real domains bisect (down to a width floor). *)
+    constants; real domains bisect at {!real_mid} (down to a width
+    floor), so no child is inverted or leaves its parent. *)
 
 val sample : t -> Slim.Value.t list
 (** Candidate concrete values to try, most promising first (bounds,
     midpoint, zero when contained). *)
 
 val pp : t Fmt.t
+
 val equal : t -> t -> bool
+(** Structural equality with float [=] on real bounds, as polymorphic
+    [=] gives ([nan] differs from itself, [-0.] equals [0.]). *)

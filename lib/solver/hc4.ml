@@ -14,34 +14,174 @@
    construction.  Memoized and unmemoized propagation are therefore
    bit-identical, which [create_store ~memo:false] exposes for tests.
 
+   Memo tables.  Each direction has one open-addressed table: parallel
+   arrays indexed by slot, probed linearly from the key's hash, with
+   room for twice the keys (the arrays double when half full).  A slot
+   holds a term id, a generation and a domain: the backward table keys
+   on the requirement too and keeps it there, the forward table keeps
+   its result there.  Key equality on the requirement is [compare = 0],
+   as [Hashtbl]'s was, so [nan] matches [nan] and [-0.] matches [0.].
+   An entry is never removed: a key keeps its slot for the table's
+   lifetime, and generation -1 stands for "absent".  The store's
+   generation is never negative, so no lookup matches -1, and a free
+   slot carries -1 too.  Hits and overwrites therefore allocate
+   nothing, and undoing an insertion is a write of -1.  Each table
+   also keeps the largest generation ever bound in it ([top]): a
+   search split ([split_store]) shares its parent's tables and starts
+   its generation past [top], so no entry of the parent or of the
+   sibling subtree can match, exactly as in a copy whose generation
+   [set_dom] has moved past every copied stamp.
+
    The symbolic executor checks each fork arm against one propagated
    prefix box and must leave the box as it found it for the next arm.
    [propagate_and_restore] does that without copying: while it runs,
    every write propagation makes to the store is pushed on an undo
    trail (a domain narrowing with the old domain, a memo write with the
-   old binding or its absence), and afterwards, normally or by an
-   exception, the trail is replayed newest first and [generation] and
-   [changed] are reset.  The store then holds exactly the bindings it
-   held before, so the answer, and every later propagation on the box
-   (answers, domains, memo hits, rounds), is what a copy of the box
-   would have given. *)
+   key, the old generation and the old value), and afterwards, normally
+   or by an exception, the trail is replayed newest first and
+   [generation] and [changed] are reset.  The store then holds exactly
+   the bindings it held before, so the answer, and every later
+   propagation on the box (answers, domains, memo hits, rounds), is
+   what a copy of the box would have given.
+
+   Pooled stores.  [reset_store] puts a store back in exactly the state
+   [create_store] gives (initial domains, empty memo tables, generation
+   0, clean trail), so a caller may keep used stores and reuse them.
+   Rebinding a store to the binding list it last held (physically the
+   same list) overwrites the domains in place and allocates nothing.
+   The symbolic executor keeps such a pool of prefix boxes
+   ([Explore]): a box is held by the decision frames that check its
+   arms and by the executor's prefix cache, and returns to the pool
+   only when none holds it, so no box in the pool is still in use.  A
+   frame lets go on every exit, exceptions included. *)
 
 module Value = Slim.Value
 module Ir = Slim.Ir
 
-(* A write to undo: the key and what it was bound to before. *)
+(* --- memo tables ------------------------------------------------------ *)
+
+type table = {
+  mutable keys : int array;  (* term id; -1 marks a free slot *)
+  mutable gens : int array;  (* -1: absent *)
+  mutable doms : Dom.t array;
+      (* the requirement in the backward table, the result forward *)
+  mutable used : int;  (* slots holding a key *)
+  mutable top : int;  (* the largest generation ever bound, or -1 *)
+  by_req : bool;  (* keys differ in their requirement: the backward table *)
+}
+
+(* Initial slots.  64 allocated 0.5% more words per stcg-solve pass of
+   the benchmark than 16 (seed 1), and the same on fuzz. *)
+let table_slots = 16
+
+(* the requirement of every forward key *)
+let no_req = Dom.top_bool
+
+let new_table ~by_req slots =
+  {
+    by_req;
+    keys = Array.make slots (-1);
+    gens = Array.make slots (-1);
+    doms = Array.make slots no_req;
+    used = 0;
+    top = -1;
+  }
+
+let copy_table t =
+  {
+    keys = Array.copy t.keys;
+    gens = Array.copy t.gens;
+    doms = Array.copy t.doms;
+    used = t.used;
+    top = t.top;
+    by_req = t.by_req;
+  }
+
+(* Empty, and holding no domain of its last use. *)
+let clear_table t =
+  let n = Array.length t.keys in
+  Array.fill t.keys 0 n (-1);
+  Array.fill t.gens 0 n (-1);
+  Array.fill t.doms 0 n no_req;
+  t.used <- 0;
+  t.top <- -1
+
+(* [compare a b = 0], the key equality [Hashtbl] used. *)
+let same_req (a : Dom.t) (b : Dom.t) =
+  a == b
+  ||
+  match a, b with
+  | Dom.Dbool x, Dom.Dbool y ->
+    x.can_true = y.can_true && x.can_false = y.can_false
+  | Dom.Dint x, Dom.Dint y -> x.lo = y.lo && x.hi = y.hi
+  | Dom.Dreal x, Dom.Dreal y ->
+    Float.compare x.lo y.lo = 0 && Float.compare x.hi y.hi = 0
+  | (Dom.Dbool _ | Dom.Dint _ | Dom.Dreal _), _ -> false
+
+(* Forward keys hash as their id: ids are dense, so they spread
+   evenly.  [Hashtbl.hash] maps [-0.] with [0.] and every [nan]
+   together, so keys equal under [same_req] hash alike. *)
+let key_hash t id req =
+  if t.by_req then (id * 65599) + Hashtbl.hash req else id
+
+(* The slot holding the key, or the free slot where it would go. *)
+let slot t id req =
+  let keys = t.keys in
+  let mask = Array.length keys - 1 in
+  let i = ref (key_hash t id req land mask) in
+  while
+    let k = keys.(!i) in
+    k <> -1 && not (k = id && ((not t.by_req) || same_req t.doms.(!i) req))
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let rec grow t =
+  let keys = t.keys and gens = t.gens and doms = t.doms in
+  let n = 2 * Array.length keys in
+  t.keys <- Array.make n (-1);
+  t.gens <- Array.make n (-1);
+  t.doms <- Array.make n no_req;
+  t.used <- 0;
+  Array.iteri
+    (fun i k ->
+      if k <> -1 then
+        let req = if t.by_req then doms.(i) else no_req in
+        bind t k req gens.(i) doms.(i))
+    keys
+
+(* Bind the key to generation [g] and, forward, to the result [v]. *)
+and bind t id req g v =
+  let i = slot t id req in
+  if g > t.top then t.top <- g;
+  t.gens.(i) <- g;
+  if not t.by_req then t.doms.(i) <- v;
+  if t.keys.(i) = -1 then begin
+    t.keys.(i) <- id;
+    if t.by_req then t.doms.(i) <- req;
+    t.used <- t.used + 1;
+    if 2 * t.used > Array.length t.keys then grow t
+  end
+
+(* --- stores ------------------------------------------------------------ *)
+
+(* A write to undo: the key and what it was bound to before (generation
+   -1 when absent). *)
 type undo =
   | Undo_dom of string * Dom.t
-  | Undo_fwd of int * (int * Dom.t) option
-  | Undo_bwd of (int * Dom.t) * int option
+  | Undo_fwd of int * int * Dom.t  (* term id, generation, domain *)
+  | Undo_bwd of int * Dom.t * int  (* term id, requirement, generation *)
 
 type store = {
   doms : (string, Dom.t) Hashtbl.t;
+  mutable bound : (string * Dom.t) list;  (* the bindings last applied *)
+  mutable n_bound : int;  (* [Hashtbl.length doms] right after *)
   mutable changed : bool;
-  memo : bool;
+  mutable memo : bool;
   mutable generation : int;  (* bumped on every narrowing *)
-  fwd_memo : (int, int * Dom.t) Hashtbl.t;  (* term id -> generation, dom *)
-  bwd_memo : (int * Dom.t, int) Hashtbl.t;
+  fwd_memo : table;  (* term id -> generation, dom *)
+  bwd_memo : table;
       (* (term id, requirement) -> generation at which the call was a no-op *)
   mutable trailing : bool;
       (* inside [propagate_and_restore]; tested before an undo record is
@@ -49,43 +189,105 @@ type store = {
   mutable trail : undo list;  (* newest first *)
 }
 
+(* [create_store] and [reset_store] calls.  A pool that outlives one
+   run (the symbolic executor's is per domain) makes these depend on
+   which runs landed on the domain before, so like [Term]'s cache
+   counters they are nondeterministic across worker counts. *)
+let tel_stores_created =
+  Telemetry.Counter.make ~nondet:true "solver.hc4_stores_created"
+
+let tel_stores_reused =
+  Telemetry.Counter.make ~nondet:true "solver.hc4_stores_reused"
+
+let rec bind_doms doms = function
+  | [] -> ()
+  | (x, d) :: rest ->
+    Hashtbl.replace doms x d;
+    bind_doms doms rest
+
 let create_store ?(memo = true) bindings =
+  Telemetry.Counter.incr tel_stores_created;
   let doms = Hashtbl.create 16 in
-  List.iter (fun (x, d) -> Hashtbl.replace doms x d) bindings;
+  bind_doms doms bindings;
   {
     doms;
+    bound = bindings;
+    n_bound = Hashtbl.length doms;
     changed = false;
     memo;
     generation = 0;
-    fwd_memo = Hashtbl.create (if memo then 64 else 1);
-    bwd_memo = Hashtbl.create (if memo then 64 else 1);
+    fwd_memo = new_table ~by_req:false table_slots;
+    bwd_memo = new_table ~by_req:true table_slots;
     trailing = false;
     trail = [];
   }
+
+(* Back to the state [create_store ~memo bindings] gives.  The same
+   binding list as last time, on a store whose variables are still the
+   ones it bound, only overwrites domains, which allocates nothing.  *)
+let reset_store ?(memo = true) store bindings =
+  Telemetry.Counter.incr tel_stores_reused;
+  if store.bound == bindings && Hashtbl.length store.doms = store.n_bound
+  then bind_doms store.doms bindings
+  else begin
+    Hashtbl.reset store.doms;
+    bind_doms store.doms bindings;
+    store.bound <- bindings;
+    store.n_bound <- Hashtbl.length store.doms
+  end;
+  store.changed <- false;
+  store.memo <- memo;
+  store.generation <- 0;
+  clear_table store.fwd_memo;
+  clear_table store.bwd_memo;
+  store.trailing <- false;
+  store.trail <- []
 
 (* Memo entries are only valid for the exact box they were computed
    against, so a copy may keep them — but the copy gets fresh tables:
    the branches diverge, and sharing mutable tables across stores whose
    generations advance independently would let one branch's entries
-   shadow the other's.  Callers that mutate [doms] directly after
-   copying (the DFS split) must go through [set_dom] so the generation
-   advances past every cached stamp. *)
+   shadow the other's.  Callers that change a copy's domains must go
+   through [set_dom] so the generation advances past every cached
+   stamp. *)
 let copy_store store =
   {
     store with
     doms = Hashtbl.copy store.doms;
-    fwd_memo = Hashtbl.copy store.fwd_memo;
-    bwd_memo = Hashtbl.copy store.bwd_memo;
+    fwd_memo = copy_table store.fwd_memo;
+    bwd_memo = copy_table store.bwd_memo;
+    trailing = false;
+    trail = [];
+  }
+
+(* The store for one half of a search split: [store]'s domains with [x]
+   set to [d].  A copy followed by [set_dom] would copy the memo tables
+   only never to hit them: [set_dom] moves the generation past every
+   stamp they hold, and a store's generation only grows.  So the half
+   shares [store]'s tables and starts past every stamp any store wrote
+   into them, which gives the same hits without the copy.  This needs
+   the depth-first discipline of [Csp]: [store] never propagates again,
+   and one half's subtree is done before the other half is made, so no
+   two live stores write the same tables. *)
+let split_store store x d =
+  let top = max store.fwd_memo.top store.bwd_memo.top in
+  let doms = Hashtbl.copy store.doms in
+  Hashtbl.replace doms x d;
+  {
+    store with
+    doms;
+    generation = 1 + max store.generation top;
     trailing = false;
     trail = [];
   }
 
 let get store x =
-  match Hashtbl.find_opt store.doms x with
-  | Some d -> d
-  | None -> Value.type_error "unknown solver variable %s" x
+  match Hashtbl.find store.doms x with
+  | d -> d
+  | exception Not_found -> Value.type_error "unknown solver variable %s" x
 
-(* Unconditional domain replacement (search splits): invalidates memos. *)
+(* Unconditional domain replacement: invalidates memos.  A copy
+   followed by [set_dom] is what [split_store] must match. *)
 let set_dom store x d =
   Hashtbl.replace store.doms x d;
   store.generation <- store.generation + 1
@@ -110,6 +312,37 @@ let tel_memo_hits = Telemetry.Counter.make "solver.hc4_memo_hits"
 
 (* --- forward evaluation ---------------------------------------------- *)
 
+(* Domains of constant terms, cached per domain by term id in 256
+   direct-mapped slots, as [Term]'s front cache is: a term's id is never
+   reused, so a slot whose id matches holds exactly the domain
+   recomputation would build. *)
+type cst_cache = { cst_ids : int array; cst_doms : Dom.t array }
+
+let cst_slots = 256
+
+let cst_cache_key =
+  Domain.DLS.new_key (fun () ->
+      { cst_ids = Array.make cst_slots (-1);
+        cst_doms = Array.make cst_slots no_req })
+
+let cst_dom (t : Term.t) v =
+  let c = Domain.DLS.get cst_cache_key in
+  let i = t.Term.id land (cst_slots - 1) in
+  if c.cst_ids.(i) = t.Term.id then c.cst_doms.(i)
+  else begin
+    let d =
+      match v with
+      | Value.Bool b -> Dom.booln b
+      | Value.Int n -> Dom.intn n n
+      | Value.Real r -> Dom.realn r r
+      | Value.Vec _ ->
+        Value.type_error "solver: vector constant in scalar position"
+    in
+    c.cst_ids.(i) <- t.Term.id;
+    c.cst_doms.(i) <- d;
+    d
+  end
+
 (* Every term evaluates to a Dom. *)
 let rec fwd store (t : Term.t) : Dom.t =
   match t.Term.node with
@@ -117,27 +350,29 @@ let rec fwd store (t : Term.t) : Dom.t =
   | _ ->
     if not store.memo then fwd_node store t
     else begin
-      match Hashtbl.find_opt store.fwd_memo t.Term.id with
-      | Some (g, d) when g = store.generation ->
+      let id = t.Term.id in
+      let tbl = store.fwd_memo in
+      let i = slot tbl id no_req in
+      let g = tbl.gens.(i) in
+      if g = store.generation then begin
         Telemetry.Counter.incr tel_memo_hits;
-        d
-      | prev ->
+        tbl.doms.(i)
+      end
+      else begin
+        let prev = tbl.doms.(i) in
         (* raising computations are not cached: they re-raise on the
            next visit exactly as recomputation would *)
         let d = fwd_node store t in
         if store.trailing then
-          store.trail <- Undo_fwd (t.Term.id, prev) :: store.trail;
-        Hashtbl.replace store.fwd_memo t.Term.id (store.generation, d);
+          store.trail <- Undo_fwd (id, g, prev) :: store.trail;
+        bind tbl id no_req store.generation d;
         d
+      end
     end
 
 and fwd_node store (t : Term.t) : Dom.t =
   match t.Term.node with
-  | Term.Cst (Value.Bool b) -> Dom.booln b
-  | Term.Cst (Value.Int i) -> Dom.intn i i
-  | Term.Cst (Value.Real r) -> Dom.realn r r
-  | Term.Cst (Value.Vec _) ->
-    Value.type_error "solver: vector constant in scalar position"
+  | Term.Cst v -> cst_dom t v
   | Term.Tvar x -> get store x
   | Term.Tunop (op, e) ->
     let d = fwd store e in
@@ -240,6 +475,21 @@ let negate_cmp = function
   | Ir.Gt -> Ir.Le
   | Ir.Ge -> Ir.Lt
 
+(* the strict-bound steps of [bwd_cmp]: one when both sides are ints *)
+let eps_lt ints hi = if ints then hi -. 1.0 else hi
+let eps_gt ints lo = if ints then lo +. 1.0 else lo
+
+(* [Ne] prunes only when [other] is an integer singleton at a boundary
+   of [this] *)
+let prune_ne this other =
+  if other.nlo = other.nhi && is_int this && is_int other then begin
+    let k = other.nlo in
+    if this.nlo = k then Some { this with nlo = k +. 1.0 }
+    else if this.nhi = k then Some { this with nhi = k -. 1.0 }
+    else None
+  end
+  else None
+
 (* Narrow the variables under [t] so that its value may lie in [req]. *)
 let rec bwd store (t : Term.t) (req : Dom.t) : unit =
   match t.Term.node with
@@ -247,19 +497,21 @@ let rec bwd store (t : Term.t) (req : Dom.t) : unit =
   | _ ->
     if not store.memo then bwd_node store t req
     else begin
-      let key = (t.Term.id, req) in
-      match Hashtbl.find_opt store.bwd_memo key with
-      | Some g when g = store.generation -> Telemetry.Counter.incr tel_memo_hits
-      | prev ->
+      let id = t.Term.id in
+      let tbl = store.bwd_memo in
+      let g = tbl.gens.(slot tbl id req) in
+      if g = store.generation then Telemetry.Counter.incr tel_memo_hits
+      else begin
         let g0 = store.generation in
         bwd_node store t req;
         (* record only completed no-op calls; a raising call never gets
            here, a narrowing call fails the generation check *)
         if store.generation = g0 then begin
           if store.trailing then
-            store.trail <- Undo_bwd (key, prev) :: store.trail;
-          Hashtbl.replace store.bwd_memo key g0
+            store.trail <- Undo_bwd (id, req, g) :: store.trail;
+          bind tbl id req g0 no_req
         end
+      end
     end
 
 and bwd_node store (t : Term.t) (req : Dom.t) : unit =
@@ -331,24 +583,24 @@ and bwd_node store (t : Term.t) (req : Dom.t) : unit =
          else if e_now.nhi <= 0.0 then (-.r.nhi, -.rlo)
          else (-.r.nhi, r.nhi)
        in
-       bwd_num store e (nmk r.nint lo hi)
+       bwd_num store e (nmk (is_int r) lo hi)
      | Ir.To_real ->
        (match fwd store e with
         | Dom.Dbool _ ->
           let r = num_of_dom req in
           let bt = r.nhi >= 1.0 && 1.0 >= r.nlo in
           let bf = r.nlo <= 0.0 && 0.0 <= r.nhi in
-          bwd store e (dom_of_b3 (b3_meet (b3_of_dom (fwd store e)) { bt; bf }))
+          bwd store e (dom_of_b3 (b3_meet (b3_of_dom (fwd store e)) (b3 bt bf)))
         | _ ->
           let r = num_of_dom req in
-          bwd_num store e { r with nint = false })
+          bwd_num store e { r with nint = 0.0 })
      | Ir.To_int ->
        (match fwd store e with
         | Dom.Dbool _ ->
           let r = num_of_dom req in
           let bt = r.nhi >= 1.0 && 1.0 >= r.nlo in
           let bf = r.nlo <= 0.0 && 0.0 <= r.nhi in
-          bwd store e (dom_of_b3 (b3_meet (b3_of_dom (fwd store e)) { bt; bf }))
+          bwd store e (dom_of_b3 (b3_meet (b3_of_dom (fwd store e)) (b3 bt bf)))
         | _ ->
           let r = num_of_dom req in
           (* e truncates into [lo,hi]: e in (lo-1, hi+1) *)
@@ -377,13 +629,13 @@ and bwd_node store (t : Term.t) (req : Dom.t) : unit =
          bwd_num store b (ndiv r na)
      | Ir.Div ->
        (* a / b = r  =>  a in r*b (real case; skip for ints: truncation) *)
-       if not (na.nint && nb.nint) then bwd_num store a (nmul r nb)
+       if not (is_int na && is_int nb) then bwd_num store a (nmul r nb)
      | Ir.Mod ->
        (* No useful projection onto the dividend (mod wraps), but the
           result's sign follows the divisor: a result bounded away from
           zero pins the divisor's sign, and |result| < |divisor| bounds
           its magnitude from below. *)
-       let one = if r.nint && nb.nint then 1.0 else 0.0 in
+       let one = if is_int r && is_int nb then 1.0 else 0.0 in
        if r.nlo > 0.0 then
          bwd_num store b { nb with nlo = Float.max nb.nlo (r.nlo +. one) }
        else if r.nhi < 0.0 then
@@ -403,19 +655,20 @@ and bwd_node store (t : Term.t) (req : Dom.t) : unit =
 
 and bwd_num store t n =
   (* only push numeric requirements when they actually constrain *)
-  let d =
-    if n.nint then
-      Dom.Dint
-        { lo = Dom.int_of_float_up n.nlo; hi = Dom.int_of_float_down n.nhi }
-    else Dom.Dreal { lo = n.nlo; hi = n.nhi }
-  in
-  (match fwd store t with
-   | Dom.Dbool _ ->
-     (* a boolean in numeric position: constrain via 0/1 coercion *)
-     let bt = n.nhi >= 1.0 && 1.0 >= n.nlo in
-     let bf = n.nlo <= 0.0 && 0.0 <= n.nhi in
-     bwd store t (dom_of_b3 { bt; bf })
-   | _ -> bwd store t d)
+  match fwd store t with
+  | Dom.Dbool _ ->
+    (* a boolean in numeric position: constrain via 0/1 coercion *)
+    let bt = n.nhi >= 1.0 && 1.0 >= n.nlo in
+    let bf = n.nlo <= 0.0 && 0.0 <= n.nhi in
+    bwd store t (dom_of_b3 (b3 bt bf))
+  | _ ->
+    let d =
+      if is_int n then
+        Dom.Dint
+          { lo = Dom.int_of_float_up n.nlo; hi = Dom.int_of_float_down n.nhi }
+      else Dom.Dreal { lo = n.nlo; hi = n.nhi }
+    in
+    bwd store t d
 
 and bwd_cmp store op a b =
   let da = fwd store a and db = fwd store b in
@@ -427,47 +680,37 @@ and bwd_cmp store op a b =
        if Dom.is_singleton db then bwd store a db
      | Ir.Ne ->
        if Dom.is_singleton da then
-         bwd store b (dom_of_b3 (b3_not { bt = x.can_true; bf = x.can_false }));
+         bwd store b (dom_of_b3 (b3_not (b3 x.can_true x.can_false)));
        if Dom.is_singleton db then
-         bwd store a (dom_of_b3 (b3_not { bt = y.can_true; bf = y.can_false }))
+         bwd store a (dom_of_b3 (b3_not (b3 y.can_true y.can_false)))
      | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge ->
        Value.type_error "solver: ordering on booleans")
   | _, _ ->
     let na = num_of_dom da and nb = num_of_dom db in
-    let eps_lt hi = if na.nint && nb.nint then hi -. 1.0 else hi in
-    let eps_gt lo = if na.nint && nb.nint then lo +. 1.0 else lo in
+    let ints = is_int na && is_int nb in
     (match op with
      | Ir.Le ->
        bwd_num store a { na with nhi = Float.min na.nhi nb.nhi };
        bwd_num store b { nb with nlo = Float.max nb.nlo na.nlo }
      | Ir.Lt ->
-       bwd_num store a { na with nhi = Float.min na.nhi (eps_lt nb.nhi) };
-       bwd_num store b { nb with nlo = Float.max nb.nlo (eps_gt na.nlo) }
+       bwd_num store a { na with nhi = Float.min na.nhi (eps_lt ints nb.nhi) };
+       bwd_num store b { nb with nlo = Float.max nb.nlo (eps_gt ints na.nlo) }
      | Ir.Ge ->
        bwd_num store a { na with nlo = Float.max na.nlo nb.nlo };
        bwd_num store b { nb with nhi = Float.min nb.nhi na.nhi }
      | Ir.Gt ->
-       bwd_num store a { na with nlo = Float.max na.nlo (eps_gt nb.nlo) };
-       bwd_num store b { nb with nhi = Float.min nb.nhi (eps_lt na.nhi) }
+       bwd_num store a { na with nlo = Float.max na.nlo (eps_gt ints nb.nlo) };
+       bwd_num store b { nb with nhi = Float.min nb.nhi (eps_lt ints na.nhi) }
      | Ir.Eq ->
        let m = nmeet na nb in
        bwd_num store a { m with nint = na.nint };
        bwd_num store b { m with nint = nb.nint }
      | Ir.Ne ->
        (* only prune when one side is an integer singleton at a boundary *)
-       let prune this other =
-         if other.nlo = other.nhi && this.nint && other.nint then begin
-           let k = other.nlo in
-           if this.nlo = k then Some { this with nlo = k +. 1.0 }
-           else if this.nhi = k then Some { this with nhi = k -. 1.0 }
-           else None
-         end
-         else None
-       in
-       (match prune na nb with
+       (match prune_ne na nb with
         | Some na' -> bwd_num store a na'
         | None -> ());
-       (match prune nb na with
+       (match prune_ne nb na with
         | Some nb' -> bwd_num store b nb'
         | None -> ()))
 
@@ -480,54 +723,54 @@ let tel_rounds = Telemetry.Counter.make "solver.hc4_rounds"
 (* Propagate [t] = true.  Returns [`Unsat] if the store becomes empty. *)
 let propagate ?(max_rounds = default_max_rounds) store (t : Term.t) =
   let rounds = ref 0 in
-  let finish r =
-    Telemetry.Counter.add tel_rounds !rounds;
-    r
+  let r =
+    try
+      let continue_ = ref true in
+      while !continue_ && !rounds < max_rounds do
+        store.changed <- false;
+        bwd store t Dom.bool_true;
+        if not (b3_of_dom (fwd store t)).bt then raise Dom.Empty;
+        continue_ := store.changed;
+        incr rounds
+      done;
+      `Ok
+    with Dom.Empty -> `Unsat
   in
-  try
-    let continue_ = ref true in
-    while !continue_ && !rounds < max_rounds do
-      store.changed <- false;
-      bwd store t (Dom.booln true);
-      (match fwd store t with
-       | d ->
-         let b = b3_of_dom d in
-         if not b.bt then raise Dom.Empty
-       | exception Dom.Empty -> raise Dom.Empty);
-      continue_ := store.changed;
-      incr rounds
-    done;
-    finish `Ok
-  with Dom.Empty -> finish `Unsat
+  Telemetry.Counter.add tel_rounds !rounds;
+  r
+
+let rec undo store = function
+  | [] -> ()
+  | u :: rest ->
+    (match u with
+     | Undo_dom (x, d) -> Hashtbl.replace store.doms x d
+     | Undo_fwd (id, g, d) -> bind store.fwd_memo id no_req g d
+     | Undo_bwd (id, req, g) ->
+       bind store.bwd_memo id req g no_req);
+    undo store rest
+
+let restore store generation changed =
+  undo store store.trail;
+  store.trail <- [];
+  store.trailing <- false;
+  store.generation <- generation;
+  store.changed <- changed
 
 (* [propagate] on [store], then undo every write it made (see the
    header).  A memo undo records the binding found by the lookup that
    preceded the write, not one read at write time.  That is exact: the
    restore replays newest first, so each key ends at the binding saved
    by its oldest record, and no write to that key can precede the
-   lookup behind the oldest record. *)
+   lookup behind the oldest record.  An undone insertion leaves its key
+   in the table at generation -1, i.e. absent. *)
 let propagate_and_restore ?max_rounds store t =
   if store.trailing then invalid_arg "Hc4.propagate_and_restore: nested";
   let generation = store.generation and changed = store.changed in
   store.trailing <- true;
-  let restore () =
-    List.iter
-      (function
-        | Undo_dom (x, d) -> Hashtbl.replace store.doms x d
-        | Undo_fwd (k, None) -> Hashtbl.remove store.fwd_memo k
-        | Undo_fwd (k, Some v) -> Hashtbl.replace store.fwd_memo k v
-        | Undo_bwd (k, None) -> Hashtbl.remove store.bwd_memo k
-        | Undo_bwd (k, Some g) -> Hashtbl.replace store.bwd_memo k g)
-      store.trail;
-    store.trail <- [];
-    store.trailing <- false;
-    store.generation <- generation;
-    store.changed <- changed
-  in
   match propagate ?max_rounds store t with
   | r ->
-    restore ();
+    restore store generation changed;
     r
   | exception e ->
-    restore ();
+    restore store generation changed;
     raise e

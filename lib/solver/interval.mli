@@ -2,7 +2,8 @@
 
     A [num] is a closed float interval uniform over int and real
     operands ([nint] records that every member is integral, which lets
-    bounds tighten to the contained integers).  The operations are the
+    bounds tighten to the contained integers; read it through
+    {!is_int}).  The operations are the
     conservative (over-approximating) transfer functions used both by
     the HC4 propagator ({!Hc4}) and by the abstract interpreter in
     [lib/analysis]: for any values [x] in [a] and [y] in [b], the
@@ -17,7 +18,18 @@
     Constructors raise {!Dom.Empty} when the interval would be empty
     ([nlo > nhi]). *)
 
-type num = { nlo : float; nhi : float; nint : bool }
+type num = { nlo : float; nhi : float; nint : float }
+(** All three fields are floats so that OCaml stores the record flat,
+    as one block of unboxed doubles: a [num] costs 4 words, where a
+    [bool] flag would force a block of pointers to three 3-word boxed
+    floats.  [nint] is [1.0] when every member is an integer and [0.0]
+    otherwise; build it with {!int_flag} and test it with {!is_int}. *)
+
+val int_flag : bool -> float
+(** [1.0] for [true], [0.0] for [false]. *)
+
+val is_int : num -> bool
+(** Every member of the interval is an integer. *)
 
 val ntop : num
 (** A huge two-sided interval ([±1e18], non-integer) used where no
@@ -74,11 +86,17 @@ val b3_top : bool3
 val b3_true : bool3
 val b3_false : bool3
 
+val b3 : bool -> bool -> bool3
+(** [b3 bt bf] is one of four shared values: the three above and the
+    neither-value.  Every [bool3] this module returns is one of them,
+    so none allocates. *)
+
 val b3_of_dom : Dom.t -> bool3
 (** Ints and reals coerce as [(<> 0)]. *)
 
 val dom_of_b3 : bool3 -> Dom.t
-(** Raises {!Dom.Empty} on the (unsatisfiable) neither-value case. *)
+(** One of {!Dom}'s shared boolean domains.  Raises {!Dom.Empty} on the
+    (unsatisfiable) neither-value case. *)
 
 val b3_and : bool3 -> bool3 -> bool3
 val b3_or : bool3 -> bool3 -> bool3

@@ -124,13 +124,25 @@ let outcome_constraint (outcome : Branch.outcome) (t : Term.t) ~case_labels =
   | Some _ -> `Not_taken
   | None -> `Constraint term
 
+(* A propagated prefix box and the number of its holders: the
+   [prefix_cache] entry and the [decide] frames checking its arms.  A
+   box returns to the per-domain pool when its last holder lets go;
+   [reset_for] and [reset_memo] record the [Hc4.reset_store] it got on
+   the way in. *)
+type box = {
+  store : Solver.Hc4.store;
+  mutable holds : int;
+  mutable reset_for : (string * Solver.Dom.t) list;
+  mutable reset_memo : bool;
+}
+
 (* Shared feasibility prefix for the sibling arms of one fork: the path
    condition is propagated once per decision; each arm then only checks
-   its own branch constraint against a copy of the resulting box. *)
+   its own branch constraint against the resulting box. *)
 type prefix =
   | Pf_unsat  (** the path condition itself is contradictory *)
   | Pf_any  (** empty or oversize prefix: no pruning information *)
-  | Pf_box of Solver.Hc4.store  (** propagated box for the prefix window *)
+  | Pf_box of box  (** propagated box for the prefix window *)
 
 type ctx = {
   cost : cost;
@@ -262,12 +274,81 @@ let infeasible pc =
    instead of redoing the prefix from scratch. *)
 let prefix_window = 9
 
+(* Prefix boxes are pooled per domain (see [Hc4]'s header): a box is
+   reset when its last holder releases it, so a pooled box keeps no
+   domain of its last use alive, and the next prefix propagation takes
+   it from [free] instead of creating a store.  A search ending by
+   [Found] or [Path_budget] unwinds through every [decide] frame, which
+   releases its hold, and the solve then drops the cache's hold; only a
+   box whose own propagation raised is left to the GC.  The initial
+   bindings are built once per variable list, so resetting a box to the
+   same list allocates nothing. *)
+type pool = {
+  mutable free : box list;
+  mutable vars_of : (string * Value.ty) list;  (* [bindings] were built from *)
+  mutable bindings : (string * Solver.Dom.t) list;
+}
+
+let pool_key =
+  Domain.DLS.new_key (fun () -> { free = []; vars_of = []; bindings = [] })
+
+(* The store of a box is in the state [Hc4.create_store ~memo] gives
+   for [pool.bindings] *)
+let reset_box pool ~memo b =
+  Solver.Hc4.reset_store ~memo b.store pool.bindings;
+  b.reset_for <- pool.bindings;
+  b.reset_memo <- memo
+
+let acquire_box ~memo vars =
+  let pool = Domain.DLS.get pool_key in
+  if pool.vars_of != vars then begin
+    pool.vars_of <- vars;
+    pool.bindings <- List.map (fun (x, ty) -> (x, Solver.Dom.of_ty ty)) vars
+  end;
+  match pool.free with
+  | b :: rest ->
+    pool.free <- rest;
+    if b.reset_for != pool.bindings || b.reset_memo <> memo then
+      reset_box pool ~memo b;
+    b.holds <- 1;
+    b
+  | [] ->
+    {
+      store = Solver.Hc4.create_store ~memo pool.bindings;
+      holds = 1;
+      reset_for = pool.bindings;
+      reset_memo = memo;
+    }
+
+let hold = function
+  | Pf_box b -> b.holds <- b.holds + 1
+  | Pf_unsat | Pf_any -> ()
+
+let release ctx = function
+  | Pf_box b ->
+    b.holds <- b.holds - 1;
+    if b.holds = 0 then begin
+      let pool = Domain.DLS.get pool_key in
+      reset_box pool ~memo:ctx.hc4_memo b;
+      pool.free <- b :: pool.free
+    end
+  | Pf_unsat | Pf_any -> ()
+
+let drop_prefix_cache ctx =
+  match ctx.prefix_cache with
+  | Some (_, _, p) ->
+    ctx.prefix_cache <- None;
+    release ctx p
+  | None -> ()
+
 let fork_prefix ctx pc =
   match ctx.prefix_cache with
   | Some (cached_pc, cached_vars, p)
     when cached_pc == pc && cached_vars == !(ctx.vars) ->
     p
   | _ ->
+    (* release first: a box only the cache held is reused at once *)
+    drop_prefix_cache ctx;
     let p =
       match pc with
       | [] -> Pf_any
@@ -285,13 +366,14 @@ let fork_prefix ctx pc =
         if List.exists (fun t -> Term.size_capped 2_000 t >= 2_000) window
         then Pf_any
         else begin
-          let store =
-            Solver.Hc4.create_store ~memo:ctx.hc4_memo
-              (List.map (fun (x, ty) -> (x, Solver.Dom.of_ty ty)) !(ctx.vars))
-          in
-          match Solver.Hc4.propagate ~max_rounds:3 store (Term.conj window) with
-          | `Ok -> Pf_box store
-          | `Unsat -> Pf_unsat
+          let box = acquire_box ~memo:ctx.hc4_memo !(ctx.vars) in
+          match
+            Solver.Hc4.propagate ~max_rounds:3 box.store (Term.conj window)
+          with
+          | `Ok -> Pf_box box
+          | `Unsat ->
+            release ctx (Pf_box box);
+            Pf_unsat
         end
     in
     ctx.prefix_cache <- Some (pc, !(ctx.vars), p);
@@ -308,7 +390,7 @@ let arm_feasible prefix c_opt =
     | Pf_box box, Some c ->
       if Term.size_capped 2_000 c >= 2_000 then true
       else begin
-        match Solver.Hc4.propagate_and_restore ~max_rounds:3 box c with
+        match Solver.Hc4.propagate_and_restore ~max_rounds:3 box.store c with
         | `Ok -> true
         | `Unsat -> false
       end
@@ -427,19 +509,29 @@ and decide ctx env id arm order pc continue_ =
       if arm_feasible (fork_prefix ctx pc) c_opt then enter req body pc'
     | None -> ())
   | None ->
+    (* this frame holds the box while its arms run: walking an arm
+       replaces the cached prefix.  An exception ending the search lets
+       go of it on the way out, so the box still returns to the pool. *)
     let prefix = fork_prefix ctx pc in
+    hold prefix;
     let mark = SV.mark env in
-    List.iter
-      (fun outcome ->
-        match arm outcome with
-        | None -> ()
-        | Some (body, pc', c_opt) ->
-          if arm_feasible prefix c_opt then begin
-            spend_path ctx;
-            enter outcome body pc';
-            SV.undo env mark
-          end)
-      (order ())
+    match
+      List.iter
+        (fun outcome ->
+          match arm outcome with
+          | None -> ()
+          | Some (body, pc', c_opt) ->
+            if arm_feasible prefix c_opt then begin
+              spend_path ctx;
+              enter outcome body pc';
+              SV.undo env mark
+            end)
+        (order ())
+    with
+    | () -> release ctx prefix
+    | exception e ->
+      release ctx prefix;
+      raise e
 
 let make_ctx cfg ex target ~vars ~multi =
   let reqs = requirements ex target in
@@ -504,12 +596,15 @@ let solve_target ?(config = default_config) ?(symbolic_state = false) prog
       if Telemetry.enabled () then Telemetry.Counter.incr tel_seed_sym_error;
       []
   in
-  tel_finish ctx
-    (match walk ctx env (SV.body env) pc0 (fun _ -> ()) with
-     | () -> exhausted ctx
-     | exception Found a -> Sat [ SV.inputs_of_assignment prog a ]
-     | exception Path_budget -> Unknown
-     | exception SV.Sym_error _ -> sym_error ctx)
+  let outcome =
+    match walk ctx env (SV.body env) pc0 (fun _ -> ()) with
+    | () -> exhausted ctx
+    | exception Found a -> Sat [ SV.inputs_of_assignment prog a ]
+    | exception Path_budget -> Unknown
+    | exception SV.Sym_error _ -> sym_error ctx
+  in
+  drop_prefix_cache ctx;
+  tel_finish ctx outcome
 
 let solve_branch ?config ?symbolic_state prog ~state ~target =
   solve_target ?config ?symbolic_state prog ~state
@@ -561,16 +656,19 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
         raise (Found a)
     end
   in
-  tel_finish ctx
-    (match run_step 0 [] with
-     | () -> exhausted ctx
-     | exception Found a ->
-       let steps = Option.value ~default:0 !depth_of_found + 1 in
-       Sat
-         (List.init steps (fun k ->
-              SV.inputs_of_assignment ~prefix:(Fmt.str "s%d$" k) prog a))
-     | exception Path_budget -> Unknown
-     | exception SV.Sym_error _ -> sym_error ctx)
+  let outcome =
+    match run_step 0 [] with
+    | () -> exhausted ctx
+    | exception Found a ->
+      let steps = Option.value ~default:0 !depth_of_found + 1 in
+      Sat
+        (List.init steps (fun k ->
+             SV.inputs_of_assignment ~prefix:(Fmt.str "s%d$" k) prog a))
+    | exception Path_budget -> Unknown
+    | exception SV.Sym_error _ -> sym_error ctx
+  in
+  drop_prefix_cache ctx;
+  tel_finish ctx outcome
 
 (* --- state relevance -------------------------------------------------- *)
 

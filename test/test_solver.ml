@@ -399,7 +399,7 @@ let prop_solver_sound =
 
 module I = Solver.Interval
 
-let npoint ?(int = true) v = { I.nlo = v; nhi = v; nint = int }
+let npoint ?(int = true) v = { I.nlo = v; nhi = v; nint = I.int_flag int }
 
 (* [nmod] on point operands must return the exact singleton matching
    [Value.modulo] (MATLAB sign convention), for every sign combination.
@@ -452,7 +452,7 @@ let test_interval_abs_points () =
 (* Range soundness sweep: every concrete (a mod b) must land inside
    [nmod] of the operand hulls, for divisor ranges of every sign. *)
 let test_interval_mod_range_sound () =
-  let hull lo hi = { I.nlo = float_of_int lo; nhi = float_of_int hi; nint = true } in
+  let hull lo hi = { I.nlo = float_of_int lo; nhi = float_of_int hi; nint = 1.0 } in
   List.iter
     (fun (alo, ahi, blo, bhi) ->
       let n = I.nmod (hull alo ahi) (hull blo bhi) in
@@ -471,6 +471,96 @@ let test_interval_mod_range_sound () =
         done
       done)
     [ (-9, 9, 1, 4); (-9, 9, -4, -1); (-9, 9, -3, 3); (0, 20, 5, 5) ]
+
+(* --- wide ranges ---------------------------------------------------------- *)
+
+let x_sq_is_49 = T.cmp Ir.Eq (T.binop Ir.Mul (ivar "x") (ivar "x")) (T.cint 49)
+
+let check_root name a =
+  let x = V.to_int (Csp.Smap.find "x" a) in
+  check Alcotest.bool (name ^ ": x*x = 49") true (x * x = 49)
+
+(* Random draws over int ranges of 2^30 values or more used to raise
+   [Invalid_argument "Random.int"] out of [Csp.solve]; the full int
+   range also read as negative width and was refuted without a split. *)
+let test_wide_int_ranges () =
+  List.iter
+    (fun (name, lo, hi) ->
+      check_root name (get_sat (solve [ ("x", i_ty lo hi) ] x_sq_is_49)))
+    [
+      ("int16", -32768, 32767);
+      ("2^29", -(1 lsl 29), 1 lsl 29);
+      ("int32", -(1 lsl 31), (1 lsl 31) - 1);
+      ("full int", min_int, max_int);
+    ]
+
+(* [Value.random] stays inside its type on ranges whose width
+   overflows, and draws as [Random.State.int] does below 2^30. *)
+let test_value_random_in_range () =
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun ty ->
+      for _ = 1 to 200 do
+        let v = V.random rng ty in
+        if not (V.member ty v) then
+          Alcotest.failf "%a drew %a" V.pp_ty ty V.pp v
+      done)
+    [
+      i_ty 0 99; i_ty (-(1 lsl 31)) ((1 lsl 31) - 1); i_ty min_int max_int;
+      i_ty (-(1 lsl 61)) (1 lsl 61); i_ty 0 (1 lsl 40);
+      r_ty (-1e308) 1e308; r_ty (-1e6) 1e6; r_ty neg_infinity infinity;
+      r_ty neg_infinity 0.0; r_ty 5.0 infinity;
+    ];
+  let a = Random.State.make [| 3 |] and b = Random.State.make [| 3 |] in
+  for _ = 1 to 100 do
+    check Alcotest.int "narrow int draw unchanged"
+      (-500 + Random.State.int a 1001)
+      (V.to_int (V.random b (i_ty (-500) 500)))
+  done
+
+(* The real midpoint used to overflow: [-1e308, 1e308] split into
+   [-1e308, inf] and the inverted [inf, 1e308]. *)
+let test_real_split_no_overflow () =
+  let inside (plo, phi) d =
+    match d with
+    | Dom.Dreal { lo; hi } -> plo <= lo && lo <= hi && hi <= phi
+    | Dom.Dbool _ | Dom.Dint _ -> false
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let d = Dom.realn lo hi in
+      (match Dom.split d with
+       | Some (l, r) ->
+         check Alcotest.bool
+           (Printf.sprintf "[%g,%g]: children inside" lo hi)
+           true
+           (inside (lo, hi) l && inside (lo, hi) r)
+       | None -> Alcotest.failf "[%g,%g] must split" lo hi);
+      List.iter
+        (fun v ->
+          check Alcotest.bool
+            (Printf.sprintf "[%g,%g]: sample inside" lo hi)
+            true (Dom.member d v))
+        (Dom.sample d))
+    [
+      (-1e308, 1e308); (-.max_float, max_float); (neg_infinity, infinity);
+      (neg_infinity, -1e300); (1e300, infinity); (-1.0, 3.0);
+    ];
+  check Alcotest.(float 0.0) "finite width keeps the formula" 1.0
+    (Dom.real_mid (-1.0) 3.0)
+
+let test_huge_real_domains () =
+  let y_ty = r_ty (-1e308) 1e308 in
+  let c =
+    T.cmp Ir.Gt (T.binop Ir.Mul (ivar "x") (ivar "y")) (T.creal 1.0)
+  in
+  let a = get_sat (solve [ ("x", r_ty 0.0 5.0); ("y", y_ty) ] c) in
+  let y = Csp.Smap.find "y" a in
+  check Alcotest.bool "x*y > 1: y inside its range" true (V.member y_ty y);
+  let c = T.cmp Ir.Eq (T.binop Ir.Mul (ivar "y") (ivar "y")) (T.creal 4.0) in
+  let a = get_sat (solve [ ("y", y_ty) ] c) in
+  check Alcotest.(float 0.0) "y*y = 4" 2.0
+    (Float.abs (V.to_real (Csp.Smap.find "y" a)))
 
 let () =
   Alcotest.run "solver"
@@ -528,6 +618,16 @@ let () =
             test_interval_abs_points;
           Alcotest.test_case "mod: range soundness sweep" `Quick
             test_interval_mod_range_sound;
+        ] );
+      ( "wide ranges",
+        [
+          Alcotest.test_case "int ranges of 2^30 and more" `Quick
+            test_wide_int_ranges;
+          Alcotest.test_case "Value.random in range" `Quick
+            test_value_random_in_range;
+          Alcotest.test_case "real split without overflow" `Quick
+            test_real_split_no_overflow;
+          Alcotest.test_case "huge real domains" `Quick test_huge_real_domains;
         ] );
       ("props", List.map QCheck_alcotest.to_alcotest [ prop_solver_sound ]);
     ]
