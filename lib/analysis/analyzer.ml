@@ -26,13 +26,14 @@
    full real line is treated as possibly-[nan]: comparisons on it stay
    unknown and guard refinement never narrows through it.
 
-   SOUND/aliasing: [Exec] stores vector values without copying, so a
-   whole-vector assignment aliases two slots and a later element write
-   mutates both (element writes through an [Lindex] whose root is an
-   input mutate the input array, too — only a direct whole-value store
-   to an input raises).  A static union-find over whole-vector data
-   flow yields may-alias classes; element writes weakly update the
-   whole class unless it is a singleton. *)
+   SOUND/aliasing: the analysis assumes a whole-vector assignment may
+   alias two slots, so that a later element write mutates both (and an
+   element write through an [Lindex] whose root is an input mutates the
+   input).  [Exec] and the reference interpreter now copy on every store
+   (value semantics), so no such aliasing happens; the assumption only
+   over-approximates and stays sound.  A static union-find over
+   whole-vector data flow yields may-alias classes; element writes
+   weakly update the whole class unless it is a singleton. *)
 
 module Ir = Slim.Ir
 module Value = Slim.Value

@@ -13,7 +13,16 @@
     of structural equality walks or serialized-string keys.
 
     Nodes are deduplicated against their parent: executing an input
-    that leaves the state unchanged does not grow the tree. *)
+    that leaves the state unchanged does not grow the tree.
+
+    Layout: nodes sit in a growable array indexed by id.  Children are
+    int links per id, first child (the newest) and next sibling, so a
+    dedup check walks the parent's children without allocating.  The
+    intern table is open-addressed with linear probing over two
+    parallel int arrays, structural hash and uid, kept at most half
+    full; the snapshots themselves are stored by uid.  An insert
+    allocates the node it creates (and, amortised, the growth of those
+    arrays); a dedup hit allocates only its result pair. *)
 
 type node = {
   id : int;

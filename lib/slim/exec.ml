@@ -77,6 +77,9 @@ type t = {
   input_defaults : Value.t array;
   output_defaults : Value.t array;
   local_defaults : Value.t array;
+  vector_inputs : bool;
+      (** some input is a vector, so a step copies the inputs in: an
+          [Lindex] write could otherwise reach the caller's array *)
   input_index : (string, int) Hashtbl.t;
   output_index : (string, int) Hashtbl.t;
   state_index : (string, int) Hashtbl.t;
@@ -148,7 +151,7 @@ let rec compile_expr ctx (e : Ir.expr) : frame -> Value.t =
      | Not -> fun fr -> of_bool (not (Value.to_bool (f fr)))
      | Abs_op -> fun fr -> Value.abs_v (f fr)
      | To_real -> fun fr -> Value.Real (Value.to_real (f fr))
-     | To_int -> fun fr -> Value.Int (Value.to_int (f fr))
+     | To_int -> fun fr -> Value.int (Value.to_int (f fr))
      | Floor -> fun fr -> Value.floor_v (f fr)
      | Ceil -> fun fr -> Value.ceil_v (f fr))
   | Binop (op, a, b) ->
@@ -245,6 +248,10 @@ let rec compile_lvalue_resolve ctx (l : Ir.lvalue) : frame -> Value.t =
         eval_error "lvalue index %d out of bounds" k
       else a.(k)
 
+(* Stores have value semantics: a slot or element receives its own copy
+   of a vector (a scalar is stored as it is), so no two slots, and no slot
+   and a program constant, ever share a mutable payload.  A later
+   [Lindex] write then changes exactly the one variable it names. *)
 let compile_write ctx (lhs : Ir.lvalue) : frame -> Value.t -> unit =
   match lhs with
   | Lvar (scope, name) ->
@@ -261,9 +268,9 @@ let compile_write ctx (lhs : Ir.lvalue) : frame -> Value.t -> unit =
        (match Hashtbl.find_opt tbl name with
         | Some i ->
           (match scope with
-           | Ir.Output -> fun fr v -> fr.f_out.(i) <- v
-           | Ir.State -> fun fr v -> fr.f_st.(i) <- v
-           | Ir.Local -> fun fr v -> fr.f_loc.(i) <- v
+           | Ir.Output -> fun fr v -> fr.f_out.(i) <- Value.copy v
+           | Ir.State -> fun fr v -> fr.f_st.(i) <- Value.copy v
+           | Ir.Local -> fun fr v -> fr.f_loc.(i) <- Value.copy v
            | Ir.Input -> assert false)
         | None ->
           fun _ _ ->
@@ -276,25 +283,61 @@ let compile_write ctx (lhs : Ir.lvalue) : frame -> Value.t -> unit =
       let k = Value.to_int (fi fr) in
       if k < 0 || k >= Array.length a then
         eval_error "lvalue index %d out of bounds [0,%d)" k (Array.length a)
-      else a.(k) <- v
+      else a.(k) <- Value.copy v
 
-(* Guard of an [If]: atoms are evaluated left to right into a fresh vector
-   (every atom value is observable for condition/MCDC coverage), then the
-   whole condition, then one Cond_vector event is emitted. *)
+(* Guard of an [If]: atoms are evaluated left to right (every atom value
+   is observable for condition/MCDC coverage), then the whole condition,
+   then one Cond_vector event is emitted.
+
+   A guard of at most [max_shared_atoms] atoms packs its atom values into
+   an int mask and emits a shared event: slot [mask * 2 + outcome] of a
+   per-guard table, filled the first time that combination is seen.
+   Events are immutable in fact (no consumer writes to one), so a shared
+   one is as good as a fresh one and the guard allocates nothing once
+   warm.  The table lives in the handle, which worker domains share; two
+   domains racing on an empty slot each store a structurally equal event
+   and either may win, so the unsynchronised fill is idempotent.  Wider
+   guards build a fresh vector and event on every evaluation. *)
+let max_shared_atoms = 6
+
+let no_event = Branch_hit (-1, Branch.Then)
+
+let vector_of_mask n mask = Array.init n (fun i -> mask land (1 lsl i) <> 0)
+
+let fill_event table slot id n mask outcome =
+  let ev = Cond_vector { id; vector = vector_of_mask n mask; outcome } in
+  table.(slot) <- ev;
+  ev
+
 let compile_guard ctx id cond : frame -> bool =
   let atom_fns =
     Array.of_list (List.map (compile_expr ctx) (Ir.atoms_of_condition cond))
   in
   let n = Array.length atom_fns in
   let cond_fn = compile_expr ctx cond in
-  fun fr ->
-    let vector = Array.make n false in
-    for i = 0 to n - 1 do
-      vector.(i) <- Value.to_bool (atom_fns.(i) fr)
-    done;
-    let outcome = Value.to_bool (cond_fn fr) in
-    fr.f_emit (Cond_vector { id; vector; outcome });
-    outcome
+  if n <= max_shared_atoms then begin
+    let table = Array.make (1 lsl (n + 1)) no_event in
+    fun fr ->
+      let mask = ref 0 in
+      for i = 0 to n - 1 do
+        if Value.to_bool (atom_fns.(i) fr) then mask := !mask lor (1 lsl i)
+      done;
+      let outcome = Value.to_bool (cond_fn fr) in
+      let slot = (!mask lsl 1) lor Bool.to_int outcome in
+      let ev = Array.unsafe_get table slot in
+      fr.f_emit
+        (if ev != no_event then ev else fill_event table slot id n !mask outcome);
+      outcome
+  end
+  else
+    fun fr ->
+      let vector = Array.make n false in
+      for i = 0 to n - 1 do
+        vector.(i) <- Value.to_bool (atom_fns.(i) fr)
+      done;
+      let outcome = Value.to_bool (cond_fn fr) in
+      fr.f_emit (Cond_vector { id; vector; outcome });
+      outcome
 
 (* Switch label -> arm index.  Dense labels get a direct table; sparse ones
    fall back to a Hashtbl.  Either way dispatch is O(1), replacing the
@@ -323,7 +366,10 @@ let rec compile_stmts ctx (ss : Ir.stmt list) : frame -> unit =
   | [ f ] -> f
   | fs ->
     let arr = Array.of_list fs in
-    fun fr -> Array.iter (fun f -> f fr) arr
+    fun fr ->
+      for i = 0 to Array.length arr - 1 do
+        (Array.unsafe_get arr i) fr
+      done
 
 and compile_stmt ctx : Ir.stmt -> frame -> unit = function
   | Ir.Assign (lhs, e) ->
@@ -428,6 +474,10 @@ let compile (prog : Ir.program) : t =
     input_defaults = defaults input_vars;
     output_defaults = defaults output_vars;
     local_defaults = defaults local_vars;
+    vector_inputs =
+      Array.exists
+        (fun (v : Ir.var) -> match v.ty with Value.Tvec _ -> true | _ -> false)
+        input_vars;
     input_index = ctx.c_inp;
     output_index = ctx.c_out;
     state_index = ctx.c_st;
@@ -458,7 +508,9 @@ let compile (prog : Ir.program) : t =
    entry in front, evicting the oldest entry beyond [memo_capacity]
    (O(capacity) copy on the cold path only).  The returned handle itself
    is immutable after construction (its index Hashtbls are never written
-   past [compile]) and freely shareable across domains. *)
+   past [compile]) apart from the guards' event tables, whose racy fill
+   is idempotent (see [compile_guard]), and freely shareable across
+   domains. *)
 let memo_capacity = 32
 let memo : (Ir.program * t) array Atomic.t = Atomic.make [||]
 let memo_lock = Mutex.create ()
@@ -617,19 +669,23 @@ let smap_of_outputs t a = smap_of_arr t.output_vars a
 
 (* --- equality / hashing for state dedup -------------------------------- *)
 
+let rec values_equal_from (a : Value.t array) (b : Value.t array) i =
+  i < 0
+  || (Value.equal (Array.unsafe_get a i) (Array.unsafe_get b i)
+      && values_equal_from a b (i - 1))
+
 let values_equal (a : Value.t array) (b : Value.t array) =
   a == b
   || (Array.length a = Array.length b
-      &&
-      let rec go i = i < 0 || (Value.equal a.(i) b.(i) && go (i - 1)) in
-      go (Array.length a - 1))
+      && values_equal_from a b (Array.length a - 1))
 
 (* Structural hash consistent with [Value.equal]: [equal] identifies
    [Int n] with [Real (float n)] (and [-0.] with [0.]), so both hash via
    the IEEE bits of the normalized float.  NaN payloads other than the
    canonical quiet NaN would collide-or-split, but no Value operation
-   produces them. *)
-let float_hash_bits r =
+   produces them.  [float_hash_bits] is inlined so its float argument and
+   the intermediate [int64] stay unboxed: hashing allocates nothing. *)
+let[@inline] float_hash_bits r =
   let b = Int64.bits_of_float (r +. 0.0) in
   Int64.to_int (Int64.logxor b (Int64.shift_right_logical b 32))
 
@@ -657,9 +713,12 @@ let run_step ?(on_event = fun (_ : event) -> ()) t (st : state) (inp : inputs)
   if Array.length inp <> Array.length t.input_defaults then
     invalid_arg "Exec.run_step: inputs array length mismatch";
   Telemetry.Counter.incr tel_steps;
+  (* The state is copied in: the copy is the frame's register file and,
+     after the body has run, the returned snapshot.  Scalar inputs are
+     read in place, because nothing can write to an input scalar. *)
   let fr =
     {
-      f_inp = Array.map Value.copy inp;
+      f_inp = (if t.vector_inputs then Array.map Value.copy inp else inp);
       f_out = Array.map Value.copy t.output_defaults;
       f_st = Array.map Value.copy st;
       f_loc = Array.map Value.copy t.local_defaults;
@@ -667,9 +726,10 @@ let run_step ?(on_event = fun (_ : event) -> ()) t (st : state) (inp : inputs)
     }
   in
   t.body fr;
-  (* Copy-out, like the reference path: returned arrays never alias program
-     constants or the caller's arrays, so snapshots are immutable-in-fact. *)
-  (Array.map Value.copy fr.f_out, Array.map Value.copy fr.f_st)
+  (* No copy-out: stores have value semantics, so the frame's output and
+     state arrays share nothing with the caller's arrays or with program
+     constants. *)
+  (fr.f_out, fr.f_st)
 
 let run_sequence ?on_event t st inputs_list =
   let outs, final =

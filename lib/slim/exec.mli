@@ -18,7 +18,8 @@ module Smap : Map.S with type key = string
 
 type state = Value.t array
 (** One model state (Definition 2): slot [i] holds the [i]-th declared state
-    variable.  Returned arrays are fresh copies and never aliased. *)
+    variable.  Returned arrays are fresh and share no vector with any
+    other array (see {!run_step}). *)
 
 type inputs = Value.t array
 type outputs = Value.t array
@@ -28,11 +29,23 @@ type event =
   | Cond_vector of { id : int; vector : bool array; outcome : bool }
       (** an [If] guard was evaluated: per-atom truth values (in
           {!Ir.atoms_of_condition} order) and the guard's value *)
+(** Events are shared and must not be mutated.  A guard of at most six
+    atoms emits one [Cond_vector] per combination of atom values and
+    outcome, built the first time that combination occurs and then the
+    same value on every step and in every domain that uses the handle;
+    [Branch_hit] events are preallocated per outcome.  A consumer that
+    keeps a [vector] may keep it as it is, but must copy it before
+    writing to it.  Two domains that reach an unfilled combination at
+    once may both build it; each stores a structurally equal event, so
+    the unsynchronised fill is idempotent and either result is right. *)
 
 exception Eval_error of string
 
 type t
-(** A compiled program handle.  Immutable once built; freely shareable. *)
+(** A compiled program handle.  Immutable once built, apart from the
+    guards' shared-event tables, which fill on first use with values
+    that do not depend on who fills them (see {!event}); freely
+    shareable. *)
 
 val compile : Ir.program -> t
 
@@ -44,8 +57,9 @@ val handle : Ir.program -> t
     Domain-safe: the memo is an immutable snapshot array of at most 32
     entries, newest first, published through an [Atomic.t].  A hit is a
     lock-free scan; only a miss takes a lock, to compile and publish a new
-    snapshot.  The returned handle is immutable after construction, so one
-    handle may be shared read-only across worker domains (the parallel
+    snapshot.  The returned handle is immutable after construction (its
+    event tables aside, see {!t}), so one handle may be shared across
+    worker domains (the parallel
     harness compiles each model once up front and lets every run reuse
     it). *)
 
@@ -163,10 +177,26 @@ val state_hash : state -> int
 (** {1 Execution} *)
 
 val run_step : ?on_event:(event -> unit) -> t -> state -> inputs -> outputs * state
-(** Execute one iteration.  The given state and inputs are copied on entry
-    and never mutated; returned arrays are fresh.  Event order and error
-    messages are bit-identical to the reference interpreter
-    ({!Interp.run_step_reference}). *)
+(** Execute one iteration.
+
+    - The state is copied in (vectors deeply); the copy is the step's
+      register file and becomes the returned state.
+    - The inputs are read in place when every input is a scalar, since
+      nothing can write to a scalar; if some input is a vector they are
+      copied in too.  Neither argument is ever mutated.
+    - Stores have value semantics: assigning a vector to a variable, or
+      into a vector element, stores a copy.  So no two variables share a
+      vector, a write through [x[i]] changes [x] alone, and program
+      constants are never written.
+    - The returned arrays are the step's own, not copied out again: they
+      share no vector with the caller's arrays, with program constants,
+      or with each other.
+
+    Apart from the values its expressions compute, a step allocates its
+    state, output and local arrays, the frame that holds them and the
+    result pair; guard events are shared (see {!event}).
+    Event order and error messages are bit-identical to the reference
+    interpreter ({!Interp.run_step_reference}). *)
 
 val run_sequence :
   ?on_event:(event -> unit) -> t -> state -> inputs list -> outputs list * state

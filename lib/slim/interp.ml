@@ -48,7 +48,9 @@ let read env scope name =
   | Some v -> v
   | None -> eval_error "unbound %s variable %s" (Ir.scope_name scope) name
 
-let write env scope name v = Hashtbl.replace (table_of env scope) name v
+(* Stores copy the value (a no-op for scalars), so a variable never
+   shares a vector with another variable or with a program constant. *)
+let write env scope name v = Hashtbl.replace (table_of env scope) name (Value.copy v)
 
 (* Guards are evaluated fully (no short circuit), matching Simulink logic
    blocks, so every atom value is observable for condition/MCDC coverage. *)
@@ -131,7 +133,7 @@ let eval_lvalue_write env (lhs : Ir.lvalue) v =
     let k = Value.to_int (eval env idx) in
     if k < 0 || k >= Array.length a then
       eval_error "lvalue index %d out of bounds [0,%d)" k (Array.length a)
-    else a.(k) <- v
+    else a.(k) <- Value.copy v
 
 let eval_guard env id cond =
   let atoms = Ir.atoms_of_condition cond in

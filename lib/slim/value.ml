@@ -85,49 +85,87 @@ let rec copy = function
   | (Bool _ | Int _ | Real _) as v -> v
   | Vec a -> Vec (Array.map copy a)
 
+(* Shared boxes for the small integers that counters, modes and
+   indices take, so most integer results allocate nothing.  Values are
+   immutable apart from [Vec] payloads, so sharing a scalar is
+   unobservable. *)
+let small_lo = -256
+let small_ints = Array.init (1024 - small_lo) (fun i -> Int (i + small_lo))
+
+let[@inline] int n =
+  let i = n - small_lo in
+  if i >= 0 && i < Array.length small_ints then Array.unsafe_get small_ints i
+  else Int n
+
 let rec equal a b =
   match a, b with
   | Bool x, Bool y -> x = y
   | Int x, Int y -> x = y
   | Real x, Real y -> Float.equal x y
   | Int x, Real y | Real y, Int x -> Float.equal (float_of_int x) y
-  | Vec x, Vec y ->
-    Array.length x = Array.length y
-    && (let ok = ref true in
-        Array.iteri (fun i xv -> if not (equal xv y.(i)) then ok := false) x;
-        !ok)
+  | Vec x, Vec y -> Array.length x = Array.length y && equal_from x y 0
   | (Bool _ | Int _ | Real _ | Vec _), (Bool _ | Int _ | Real _ | Vec _) ->
     false
+
+and equal_from x y i =
+  i >= Array.length x
+  || (equal (Array.unsafe_get x i) (Array.unsafe_get y i) && equal_from x y (i + 1))
 
 let compare_num a b =
   match a, b with
   | Int x, Int y -> Int.compare x y
+  | Real x, Real y -> Float.compare x y
+  | Int x, Real y -> Float.compare (float_of_int x) y
+  | Real x, Int y -> Float.compare x (float_of_int y)
   | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
     Float.compare (to_real a) (to_real b)
   | Vec _, _ | _, Vec _ -> type_error "compare_num: vector"
 
 (* Arithmetic follows Simulink double/int promotion: any real operand makes
-   the result real; booleans behave as 0/1. *)
-let arith name fi fr a b =
-  match a, b with
-  | Int x, Int y -> Int (fi x y)
-  | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
-    Real (fr (to_real a) (to_real b))
-  | Vec _, _ | _, Vec _ -> type_error "%s: vector operand" name
+   the result real; booleans behave as 0/1.  Each operation is written out
+   per operand shape, so a real result boxes its float once and an integer
+   result in [int]'s range allocates nothing. *)
+let vector_operand name = type_error "%s: vector operand" name
 
-let add = arith "add" ( + ) ( +. )
-let sub = arith "sub" ( - ) ( -. )
-let mul = arith "mul" ( * ) ( *. )
+let add a b =
+  match a, b with
+  | Int x, Int y -> int (x + y)
+  | Real x, Real y -> Real (x +. y)
+  | Int x, Real y -> Real (float_of_int x +. y)
+  | Real x, Int y -> Real (x +. float_of_int y)
+  | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+    Real (to_real a +. to_real b)
+  | Vec _, _ | _, Vec _ -> vector_operand "add"
+
+let sub a b =
+  match a, b with
+  | Int x, Int y -> int (x - y)
+  | Real x, Real y -> Real (x -. y)
+  | Int x, Real y -> Real (float_of_int x -. y)
+  | Real x, Int y -> Real (x -. float_of_int y)
+  | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+    Real (to_real a -. to_real b)
+  | Vec _, _ | _, Vec _ -> vector_operand "sub"
+
+let mul a b =
+  match a, b with
+  | Int x, Int y -> int (x * y)
+  | Real x, Real y -> Real (x *. y)
+  | Int x, Real y -> Real (float_of_int x *. y)
+  | Real x, Int y -> Real (x *. float_of_int y)
+  | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+    Real (to_real a *. to_real b)
+  | Vec _, _ | _, Vec _ -> vector_operand "mul"
 
 let div a b =
   match a, b with
   | Int _, Int 0 -> type_error "div: integer division by zero"
-  | Int x, Int y -> Int (x / y)
+  | Int x, Int y -> int (x / y)
   | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
     let d = to_real b in
     if d = 0.0 then type_error "div: real division by zero"
     else Real (to_real a /. d)
-  | Vec _, _ | _, Vec _ -> type_error "div: vector operand"
+  | Vec _, _ | _, Vec _ -> vector_operand "div"
 
 let modulo a b =
   match a, b with
@@ -135,38 +173,52 @@ let modulo a b =
   | Int x, Int y ->
     (* Euclidean-style: result has the sign of the divisor, like MATLAB. *)
     let r = x mod y in
-    Int (if (r < 0 && y > 0) || (r > 0 && y < 0) then r + y else r)
+    int (if (r < 0 && y > 0) || (r > 0 && y < 0) then r + y else r)
   | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
     let x = to_real a and y = to_real b in
     if y = 0.0 then type_error "mod: modulo by zero"
     else
       let r = Float.rem x y in
       Real (if (r < 0.0 && y > 0.0) || (r > 0.0 && y < 0.0) then r +. y else r)
-  | Vec _, _ | _, Vec _ -> type_error "mod: vector operand"
+  | Vec _, _ | _, Vec _ -> vector_operand "mod"
 
-let min_v = arith "min" Stdlib.min Float.min
-let max_v = arith "max" Stdlib.max Float.max
+(* An integer minimum or maximum is one of the operands, returned as it is. *)
+let min_v a b =
+  match a, b with
+  | Int x, Int y -> if x <= y then a else b
+  | Real x, Real y -> Real (Float.min x y)
+  | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+    Real (Float.min (to_real a) (to_real b))
+  | Vec _, _ | _, Vec _ -> vector_operand "min"
+
+let max_v a b =
+  match a, b with
+  | Int x, Int y -> if x >= y then a else b
+  | Real x, Real y -> Real (Float.max x y)
+  | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+    Real (Float.max (to_real a) (to_real b))
+  | Vec _, _ | _, Vec _ -> vector_operand "max"
 
 let neg = function
-  | Int x -> Int (-x)
+  | Int x -> int (-x)
   | Real r -> Real (-.r)
   | Bool _ -> type_error "neg: bool operand"
   | Vec _ -> type_error "neg: vector operand"
 
 let abs_v = function
-  | Int x -> Int (abs x)
+  | Int x -> int (abs x)
   | Real r -> Real (Float.abs r)
   | Bool _ -> type_error "abs: bool operand"
   | Vec _ -> type_error "abs: vector operand"
 
 let floor_v = function
-  | Int x -> Int x
+  | Int _ as v -> v
   | Real r -> Real (Float.floor r)
   | Bool _ -> type_error "floor: bool operand"
   | Vec _ -> type_error "floor: vector operand"
 
 let ceil_v = function
-  | Int x -> Int x
+  | Int _ as v -> v
   | Real r -> Real (Float.ceil r)
   | Bool _ -> type_error "ceil: bool operand"
   | Vec _ -> type_error "ceil: vector operand"
@@ -176,7 +228,7 @@ let clamp ~lo ~hi v =
   | Int x ->
     let flo = int_of_float (Float.ceil lo)
     and fhi = int_of_float (Float.floor hi) in
-    Int (Stdlib.min fhi (Stdlib.max flo x))
+    int (Stdlib.min fhi (Stdlib.max flo x))
   | Real r -> Real (Float.min hi (Float.max lo r))
   | Bool _ -> type_error "clamp: bool operand"
   | Vec _ -> type_error "clamp: vector operand"
@@ -272,6 +324,6 @@ let random_real rng lo hi =
 
 let rec random rng = function
   | Tbool -> Bool (Random.State.bool rng)
-  | Tint { lo; hi } -> Int (random_int rng lo hi)
+  | Tint { lo; hi } -> int (random_int rng lo hi)
   | Treal { lo; hi } -> Real (random_real rng lo hi)
   | Tvec (ty, n) -> Vec (Array.init n (fun _ -> random rng ty))

@@ -8,7 +8,9 @@ type t =
   | Bool of bool
   | Int of int
   | Real of float
-  | Vec of t array  (** mutable in place; copy before sharing *)
+  | Vec of t array
+      (** mutable in place; copy before sharing.  Execution gives vectors
+          value semantics by copying on every store. *)
 
 type ty =
   | Tbool
@@ -54,7 +56,15 @@ val to_real : t -> float
 val to_vec : t -> t array
 
 val copy : t -> t
-(** Deep copy ([Vec] payloads are mutable). *)
+(** Deep copy ([Vec] payloads are mutable).  Scalars are returned as
+    they are: they are immutable, so copying one costs nothing. *)
+
+val int : int -> t
+(** [int n] is [Int n].  For [n] in [-256, 1023] it is one shared,
+    preallocated value, so it allocates nothing; outside that range it
+    allocates as [Int n] does.  The arithmetic below builds its integer
+    results with it.  Scalars are immutable, so sharing is not
+    observable except through physical equality. *)
 
 val equal : t -> t -> bool
 val compare_num : t -> t -> int

@@ -287,6 +287,117 @@ let test_state_tree_path () =
   check Alcotest.int "path length = depth" 2 (List.length path);
   check Alcotest.int "depth" 2 n2.State_tree.depth
 
+(* --- state tree vs the reference tree ------------------------------------
+
+   [Ref_state_tree] is the tree as it was before its array-backed layout.
+   Both trees get one random sequence of [add_child] calls over a small
+   pool of snapshots, some of them equal under [Value.equal] but built
+   differently ([Int n] and [Real n], [0.] and [-0.]), so dedup and equal
+   hashes happen.  A pool of up to 300 snapshots lets the intern table
+   grow.  After every insert every observable must agree. *)
+
+module Ref_tree = Ref_state_tree
+
+let pool_state m variant =
+  match variant with
+  | 0 -> [| V.Int m |]
+  | 1 -> [| V.Real (if m = 0 then -0.0 else float m) |]
+  | 2 -> [| V.Real (float m +. 0.5) |]
+  | _ -> [| V.Vec [| V.Int m |] |]
+
+let tree_disagreement tree rtree (n : State_tree.node) (is_new : bool)
+    (rn : Ref_tree.node) (r_is_new : bool) =
+  let same_node (a : State_tree.node) (b : Ref_tree.node) =
+    a.State_tree.id = b.Ref_tree.id
+    && a.State_tree.parent = b.Ref_tree.parent
+    && a.State_tree.state_uid = b.Ref_tree.state_uid
+    && a.State_tree.depth = b.Ref_tree.depth
+    (* each tree builds its own root snapshot; every other one is the
+       caller's array *)
+    && (if a.State_tree.id = 0 then
+          Slim.Exec.state_equal a.State_tree.state b.Ref_tree.state
+        else a.State_tree.state == b.Ref_tree.state)
+    && Option.equal ( == ) a.State_tree.input b.Ref_tree.input
+  in
+  let same_path =
+    List.equal ( == ) (State_tree.path_inputs tree n) (Ref_tree.path_inputs rtree rn)
+  in
+  if not (same_node n rn) then Some "returned node"
+  else if is_new <> r_is_new then Some "is_new"
+  else if State_tree.size tree <> Ref_tree.size rtree then Some "size"
+  else if State_tree.distinct_states tree <> Ref_tree.distinct_states rtree then
+    Some "distinct_states"
+  else if
+    not
+      (List.compare_lengths (State_tree.nodes tree) (Ref_tree.nodes rtree) = 0
+       && List.for_all2 same_node (State_tree.nodes tree) (Ref_tree.nodes rtree))
+  then Some "nodes"
+  else if not same_path then Some "path_inputs"
+  else if Fmt.str "%a" State_tree.pp tree <> Fmt.str "%a" Ref_tree.pp rtree then Some "pp"
+  else None
+
+(* The first disagreement over one sequence of inserts, if any. *)
+let tree_case_disagreement (distinct, ops) =
+  let tree = State_tree.create multi_prog in
+  let rtree = Ref_tree.create multi_prog in
+  let ex = State_tree.exec tree in
+  let inputs =
+    [| Slim.Exec.inputs_of_list ex [ ("tick", V.Bool false) ];
+       Slim.Exec.inputs_of_list ex [ ("tick", V.Bool true) ] |]
+  in
+  let rec go k = function
+    | [] ->
+      let rng = Random.State.make [| distinct |]
+      and rrng = Random.State.make [| distinct |] in
+      if
+        List.for_all
+          (fun _ ->
+            (State_tree.random_node tree rng).State_tree.id
+            = (Ref_tree.random_node rtree rrng).Ref_tree.id)
+          (List.init 20 Fun.id)
+      then None
+      else Some "random_node differs"
+    | (p, m, variant, tick) :: rest ->
+      let id = p mod State_tree.size tree in
+      let state = pool_state (m mod max 1 ((distinct + 3) / 4)) variant in
+      let input = inputs.(Bool.to_int tick) in
+      let n, is_new =
+        State_tree.add_child tree ~parent:(State_tree.node tree id) ~input state
+      in
+      let rn, r_is_new =
+        Ref_tree.add_child rtree ~parent:(Ref_tree.node rtree id) ~input state
+      in
+      (match tree_disagreement tree rtree n is_new rn r_is_new with
+       | None -> go (k + 1) rest
+       | Some what -> Some (Fmt.str "insert %d: %s differs" k what))
+  in
+  go 0 ops
+
+let prop_state_tree_reference =
+  QCheck.Test.make ~name:"state tree agrees with the reference tree" ~count:30
+    QCheck.(
+      pair (int_range 1 300)
+        (list_of_size (Gen.int_range 1 240)
+           (quad small_nat small_nat (int_bound 3) bool)))
+    (fun case ->
+      match tree_case_disagreement case with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s" msg)
+
+(* Enough distinct snapshots (over 256) that the intern table grows twice. *)
+let test_state_tree_growth () =
+  let rng = Random.State.make [| 0x7EE |] in
+  let ops =
+    List.init 450 (fun _ ->
+        ( Random.State.int rng 1000,
+          Random.State.int rng 1000,
+          Random.State.int rng 4,
+          Random.State.bool rng ))
+  in
+  match tree_case_disagreement (1000, ops) with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
 let test_random_first_hybrid () =
   let run =
     Engine.run
@@ -475,5 +586,8 @@ let () =
         [
           Alcotest.test_case "dedup" `Quick test_state_tree_dedup;
           Alcotest.test_case "path" `Quick test_state_tree_path;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
+            prop_state_tree_reference;
+          Alcotest.test_case "intern growth vs reference" `Quick test_state_tree_growth;
         ] );
     ]

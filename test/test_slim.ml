@@ -66,6 +66,149 @@ let prop_copy_independent =
       (match c with V.Vec a -> a.(0) <- vi 999 | _ -> ());
       match v with V.Vec a -> V.equal a.(0) (vi 0) | _ -> false)
 
+(* The arithmetic as it was before it was written out per operand shape:
+   one [arith] combinator over [to_real].  Kept as the reference for the
+   bit-for-bit property below. *)
+module Ref_arith = struct
+  open V
+
+  let arith name fi fr a b =
+    match a, b with
+    | Int x, Int y -> Int (fi x y)
+    | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+      Real (fr (to_real a) (to_real b))
+    | Vec _, _ | _, Vec _ -> type_error "%s: vector operand" name
+
+  let add = arith "add" ( + ) ( +. )
+  let sub = arith "sub" ( - ) ( -. )
+  let mul = arith "mul" ( * ) ( *. )
+
+  let div a b =
+    match a, b with
+    | Int _, Int 0 -> type_error "div: integer division by zero"
+    | Int x, Int y -> Int (x / y)
+    | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+      let d = to_real b in
+      if d = 0.0 then type_error "div: real division by zero"
+      else Real (to_real a /. d)
+    | Vec _, _ | _, Vec _ -> type_error "div: vector operand"
+
+  let modulo a b =
+    match a, b with
+    | Int _, Int 0 -> type_error "mod: modulo by zero"
+    | Int x, Int y ->
+      let r = x mod y in
+      Int (if (r < 0 && y > 0) || (r > 0 && y < 0) then r + y else r)
+    | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+      let x = to_real a and y = to_real b in
+      if y = 0.0 then type_error "mod: modulo by zero"
+      else
+        let r = Float.rem x y in
+        Real (if (r < 0.0 && y > 0.0) || (r > 0.0 && y < 0.0) then r +. y else r)
+    | Vec _, _ | _, Vec _ -> type_error "mod: vector operand"
+
+  let min_v = arith "min" Stdlib.min Float.min
+  let max_v = arith "max" Stdlib.max Float.max
+
+  let neg = function
+    | Int x -> Int (-x)
+    | Real r -> Real (-.r)
+    | Bool _ -> type_error "neg: bool operand"
+    | Vec _ -> type_error "neg: vector operand"
+
+  let abs_v = function
+    | Int x -> Int (abs x)
+    | Real r -> Real (Float.abs r)
+    | Bool _ -> type_error "abs: bool operand"
+    | Vec _ -> type_error "abs: vector operand"
+
+  let compare_num a b =
+    match a, b with
+    | Int x, Int y -> Int.compare x y
+    | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
+      Float.compare (to_real a) (to_real b)
+    | Vec _, _ | _, Vec _ -> type_error "compare_num: vector"
+end
+
+(* Same constructor and the same bits: [Real nan] matches only a nan
+   with the same payload, and [0.] does not match [-0.]. *)
+let rec same_bits a b =
+  match a, b with
+  | V.Bool x, V.Bool y -> x = y
+  | V.Int x, V.Int y -> x = y
+  | V.Real x, V.Real y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | V.Vec x, V.Vec y ->
+    Array.length x = Array.length y && Array.for_all2 same_bits x y
+  | (V.Bool _ | V.Int _ | V.Real _ | V.Vec _), _ -> false
+
+let outcome f = match f () with v -> Ok v | exception V.Type_error m -> Error m
+
+let same_outcome eq a b =
+  match a, b with
+  | Ok x, Ok y -> eq x y
+  | Error m, Error n -> m = n
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let edge_ints =
+  [ 0; 1; -1; 2; -3; 7; -255; -256; -257; 1022; 1023; 1024; 1025; max_int;
+    min_int; max_int - 1; min_int + 1 ]
+
+let edge_reals =
+  [ 0.0; -0.0; 1.0; -1.0; 0.5; -2.5; 3.0; Float.nan; -.Float.nan;
+    Float.infinity; Float.neg_infinity; 1e308; -1e308; 1023.0; -256.0;
+    Float.of_int max_int; Float.of_int min_int; 5e-324 ]
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> V.Int i) (oneofl edge_ints));
+        (3, map (fun r -> V.Real r) (oneofl edge_reals));
+        (3, map (fun i -> V.Int i) (int_range (-2000) 2000));
+        (2, map (fun r -> V.Real r) (float_range (-1e3) 1e3));
+        (1, map (fun b -> V.Bool b) bool);
+        (1, return (V.Vec [| V.Int 1 |]));
+      ])
+
+let arb_pair = QCheck.make ~print:(fun (a, b) -> V.to_string a ^ ", " ^ V.to_string b)
+    (QCheck.Gen.pair gen_value gen_value)
+
+let prop_ops_match_reference =
+  QCheck.Test.make ~name:"ops agree with the arith reference bit for bit"
+    ~count:3000 arb_pair (fun (a, b) ->
+      let binops =
+        [
+          ("add", V.add, Ref_arith.add); ("sub", V.sub, Ref_arith.sub);
+          ("mul", V.mul, Ref_arith.mul); ("div", V.div, Ref_arith.div);
+          ("mod", V.modulo, Ref_arith.modulo); ("min", V.min_v, Ref_arith.min_v);
+          ("max", V.max_v, Ref_arith.max_v);
+        ]
+      and unops = [ ("neg", V.neg, Ref_arith.neg); ("abs", V.abs_v, Ref_arith.abs_v) ] in
+      List.iter
+        (fun (name, f, g) ->
+          if not (same_outcome same_bits (outcome (fun () -> f a b))
+                    (outcome (fun () -> g a b)))
+          then QCheck.Test.fail_reportf "%s differs" name)
+        binops;
+      List.iter
+        (fun (name, f, g) ->
+          if not (same_outcome same_bits (outcome (fun () -> f a)) (outcome (fun () -> g a)))
+          then QCheck.Test.fail_reportf "%s differs" name)
+        unops;
+      same_outcome ( = ) (outcome (fun () -> V.compare_num a b))
+        (outcome (fun () -> Ref_arith.compare_num a b))
+      || QCheck.Test.fail_reportf "compare_num differs")
+
+let test_small_int_table () =
+  List.iter
+    (fun n ->
+      let name = string_of_int n in
+      check Alcotest.bool (name ^ ": int n equals Int n") true (V.equal (V.int n) (V.Int n));
+      check Alcotest.bool (name ^ ": same bits") true (same_bits (V.int n) (V.Int n)))
+    [ -257; -256; -255; 0; 1022; 1023; 1024; max_int; min_int ];
+  check Alcotest.bool "shared inside the table" true (V.int 1023 == V.int 1023);
+  check Alcotest.bool "shared at the low edge" true (V.int (-256) == V.int (-256))
+
 (* --- IR --------------------------------------------------------------- *)
 
 let test_atoms () =
@@ -533,6 +676,12 @@ let () =
           Alcotest.test_case "string roundtrip" `Quick test_value_string_roundtrip;
         ] );
       qsuite "value-props" [ prop_random_member; prop_copy_independent ];
+      ( "value-ref",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
+            prop_ops_match_reference;
+          Alcotest.test_case "small-int table edges" `Quick test_small_int_table;
+        ] );
       ( "ir",
         [
           Alcotest.test_case "atoms" `Quick test_atoms;
