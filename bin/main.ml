@@ -38,9 +38,19 @@ let seed_arg =
   let doc = "PRNG seed for randomized tools." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let seeds_arg =
+(* Zero seeds average over nothing (NaN cells) and a negative count has
+   no seed list, so refuse both up front. *)
+let seeds_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let seeds_arg ~default =
   let doc = "Number of seeds to average randomized tools over." in
-  Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc)
+  Arg.(value & opt seeds_conv default & info [ "seeds" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   let doc =
@@ -331,7 +341,7 @@ let table3_cmd =
     finish ()
   in
   Cmd.v (Cmd.info "table3" ~doc:"Coverage comparison (Table III).")
-    Term.(const run $ budget_arg $ seeds_arg $ jobs_arg $ shard_arg
+    Term.(const run $ budget_arg $ seeds_arg ~default:5 $ jobs_arg $ shard_arg
           $ shards_arg $ out_arg $ telemetry_term)
 
 let fig3_cmd =
@@ -406,9 +416,8 @@ let ablations_cmd =
   Cmd.v
     (Cmd.info "ablations"
        ~doc:"Ablate STCG's design choices (depth sort, state constants, random fallback, hybrid).")
-    Term.(const run $ budget_arg
-          $ Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Seeds to average over.")
-          $ jobs_arg $ shard_arg $ shards_arg $ out_arg $ telemetry_term)
+    Term.(const run $ budget_arg $ seeds_arg ~default:3 $ jobs_arg $ shard_arg
+          $ shards_arg $ out_arg $ telemetry_term)
 
 let merge_cmd =
   let run output parts csv_dir =

@@ -56,8 +56,8 @@ val case_gen :
 (** [case_gen ~seed ~max_steps i] draws case [i]'s model, step count
     and input generator — exactly the random draws {!run_case} makes
     before judging, exposed so corpus tooling (the [.stcg] exporter,
-    the text round-trip suite, the bench harness) can materialize the
-    same cases without running any oracle.  The returned input thunk
+    the text round-trip suite, the analysis fingerprint) can
+    materialize the same cases without running any oracle.  The returned input thunk
     is pure: it replays the same input rows however often it is
     called. *)
 
@@ -98,5 +98,5 @@ val pp_summary : summary Fmt.t
 
 val to_json : ?telemetry:Util.Json.t -> summary -> string
 (** The same data as a one-line JSON object (reproducers included as
-    escaped strings), consumed by the bench harness.  [telemetry] is
+    escaped strings), printed by [fuzz --json].  [telemetry] is
     placed under the ["telemetry"] key (see {!Telemetry.json_summary}). *)

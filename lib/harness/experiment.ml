@@ -69,10 +69,8 @@ type averaged = {
 (* SLDV is deterministic: one run regardless of the seed list. *)
 let seeds_for tool seeds = match tool with SLDV -> [ 1 ] | _ -> seeds
 
-(* Run on the caller's shared pool when given one; otherwise spin up a
-   private pool for this experiment ([?jobs] workers).  Sharing one pool
-   across a whole bench run keeps the worker domains warm instead of
-   respawning them per artifact. *)
+(* Run on the caller's pool when given one; otherwise spin up a private
+   pool for this experiment ([?jobs] workers). *)
 let pmap ?pool ?jobs ?cost f items =
   match pool with
   | Some p -> Pool.map p ?cost f items
@@ -112,6 +110,23 @@ let precompile entries =
     (fun (e : Registry.entry) ->
       ignore (Slim.Exec.handle (e.Registry.program ())))
     entries
+
+(* The registry entries a [?models] list names, all of them by default;
+   unknown names are dropped. *)
+let entries_of = function
+  | None -> Registry.entries
+  | Some names -> List.filter_map Registry.find names
+
+(* Execute (a stripe of) a job matrix over [entries]: precompile the
+   models, keep the stripe's jobs, run them on the pool and pair each
+   result with its job index. *)
+let run_matrix ?pool ?jobs ?stripe ~cost entries matrix f =
+  precompile entries;
+  let indexed = stripe_filter stripe (List.mapi (fun i j -> (i, j)) matrix) in
+  let results =
+    pmap ?pool ?jobs ~cost:(fun (_, j) -> cost j) (fun (_, j) -> f j) indexed
+  in
+  List.map2 (fun (i, _) r -> (i, r)) indexed results
 
 let average_of_runs ~tool (entry : Registry.entry) results =
   let n = float (List.length results) in
@@ -243,11 +258,7 @@ type t3_cell = {
 }
 
 let table3_matrix ?(seeds = t3_default_seeds) ?models () =
-  let entries =
-    match models with
-    | None -> Registry.entries
-    | Some names -> List.filter_map Registry.find names
-  in
+  let entries = entries_of models in
   (* the full (model, tool, seed) matrix, in canonical row order *)
   let matrix =
     List.concat_map
@@ -273,17 +284,10 @@ let t3_cell_of_run (r : Run_result.t) =
 
 let table3_cells ?budget ?seeds ?models ?pool ?jobs ?stripe () =
   let entries, matrix = table3_matrix ?seeds ?models () in
-  precompile entries;
-  let indexed = stripe_filter stripe (List.mapi (fun i j -> (i, j)) matrix) in
-  let cells =
-    pmap ?pool ?jobs
-      ~cost:(fun (_, ((e : Registry.entry), t, _)) ->
-        tool_cost_weight t * entry_cost e)
-      (fun (_, ((entry : Registry.entry), tool, seed)) ->
-        t3_cell_of_run (run_tool ?budget ~seed tool entry))
-      indexed
-  in
-  List.map2 (fun (i, _) c -> (i, c)) indexed cells
+  run_matrix ?pool ?jobs ?stripe entries matrix
+    ~cost:(fun (e, t, _) -> tool_cost_weight t * entry_cost e)
+    (fun (entry, tool, seed) ->
+      t3_cell_of_run (run_tool ?budget ~seed tool entry))
 
 let average_of_cells ~tool (entry : Registry.entry) cells =
   let n = float (List.length cells) in
@@ -461,11 +465,7 @@ type f4_curve = {
 }
 
 let fig4_matrix ?models () =
-  let entries =
-    match models with
-    | None -> Registry.entries
-    | Some names -> List.filter_map Registry.find names
-  in
+  let entries = entries_of models in
   let matrix =
     List.concat_map
       (fun entry -> List.map (fun tool -> (entry, tool)) f4_tools)
@@ -477,22 +477,15 @@ let fig4_njobs ?models () = List.length (snd (fig4_matrix ?models ()))
 
 let fig4_curves ?(budget = 3600.0) ?(seed = 1) ?models ?pool ?jobs ?stripe () =
   let entries, matrix = fig4_matrix ?models () in
-  precompile entries;
-  let indexed = stripe_filter stripe (List.mapi (fun i j -> (i, j)) matrix) in
-  let curves =
-    pmap ?pool ?jobs
-      ~cost:(fun (_, ((e : Registry.entry), t)) ->
-        tool_cost_weight t * entry_cost e)
-      (fun (_, ((entry : Registry.entry), tool)) ->
-        let r = run_tool ~budget ~seed tool entry in
-        {
-          f4_tool = r.Run_result.tool;
-          f4_timeline = r.Run_result.timeline;
-          f4_markers = r.Run_result.markers;
-        })
-      indexed
-  in
-  List.map2 (fun (i, _) c -> (i, c)) indexed curves
+  run_matrix ?pool ?jobs ?stripe entries matrix
+    ~cost:(fun (e, t) -> tool_cost_weight t * entry_cost e)
+    (fun (entry, tool) ->
+      let r = run_tool ~budget ~seed tool entry in
+      {
+        f4_tool = r.Run_result.tool;
+        f4_timeline = r.Run_result.timeline;
+        f4_markers = r.Run_result.markers;
+      })
 
 let csv_of_curve (c : f4_curve) =
   let buf = Buffer.create 512 in
@@ -588,56 +581,43 @@ let ab_default_models = [ "CPUTask"; "TCP" ]
 type ab_cell = { ab_decision : float; ab_time : float }
 
 let ablations_matrix ?(seeds = ab_default_seeds) ?models () =
-  let models = match models with Some ms -> ms | None -> ab_default_models in
-  let entries = List.filter_map Registry.find models in
+  let entries =
+    entries_of (Some (Option.value models ~default:ab_default_models))
+  in
   let matrix =
     List.concat_map
-      (fun mname ->
+      (fun entry ->
         List.concat_map
-          (fun (label, _tweak) ->
-            List.map (fun seed -> (mname, label, seed)) seeds)
+          (fun variant -> List.map (fun seed -> (entry, variant, seed)) seeds)
           ab_variants)
-      models
+      entries
   in
-  (models, entries, matrix)
+  (entries, matrix)
 
 let ablations_njobs ?seeds ?models () =
-  let _, _, matrix = ablations_matrix ?seeds ?models () in
-  List.length matrix
+  List.length (snd (ablations_matrix ?seeds ?models ()))
 
 (* one job per (model, variant, seed); both reported metrics come from
    the same run (runs are deterministic, so this also halves the work
    the old per-metric re-execution did) *)
 let ablations_cells ?(budget = 3600.0) ?seeds ?models ?pool ?jobs ?stripe () =
-  let _, entries, matrix = ablations_matrix ?seeds ?models () in
-  precompile entries;
-  let indexed = stripe_filter stripe (List.mapi (fun i j -> (i, j)) matrix) in
-  let cells =
-    pmap ?pool ?jobs
-      ~cost:(fun (_, (mname, _, _)) ->
-        match Registry.find mname with
-        | Some e -> tool_cost_weight STCG * entry_cost e
-        | None -> 1)
-      (fun (_, (mname, label, seed)) ->
-        let entry = Option.get (Registry.find mname) in
-        let prog = entry.Registry.program () in
-        let tweak = List.assoc label ab_variants in
-        let config = tweak { Engine.default_config with Engine.seed; budget } in
-        let run = Engine.run ~config prog in
-        let decision = Tracker.pct (Tracker.decision run.Engine.r_tracker) in
-        let time_to_full =
-          match run.Engine.r_stop with
-          | Engine.Full_coverage -> Stcg.Vclock.now run.Engine.r_clock
-          | Engine.Budget_exhausted -> budget
-        in
-        { ab_decision = decision; ab_time = time_to_full })
-      indexed
-  in
-  List.map2 (fun (i, _) c -> (i, c)) indexed cells
+  let entries, matrix = ablations_matrix ?seeds ?models () in
+  run_matrix ?pool ?jobs ?stripe entries matrix
+    ~cost:(fun (e, _, _) -> tool_cost_weight STCG * entry_cost e)
+    (fun (entry, (_, tweak), seed) ->
+      let config = tweak { Engine.default_config with Engine.seed; budget } in
+      let run = Engine.run ~config (entry.Registry.program ()) in
+      let decision = Tracker.pct (Tracker.decision run.Engine.r_tracker) in
+      let time_to_full =
+        match run.Engine.r_stop with
+        | Engine.Full_coverage -> Stcg.Vclock.now run.Engine.r_clock
+        | Engine.Budget_exhausted -> budget
+      in
+      { ab_decision = decision; ab_time = time_to_full })
 
 let ablations_of_cells ?(budget = 3600.0) ?(seeds = ab_default_seeds) ?models
     cells =
-  let models, _, matrix = ablations_matrix ~seeds ?models () in
+  let entries, matrix = ablations_matrix ~seeds ?models () in
   if List.length cells <> List.length matrix then
     invalid_arg
       (Fmt.str "Experiment.ablations_of_cells: %d cells for a %d-job matrix"
@@ -645,13 +625,15 @@ let ablations_of_cells ?(budget = 3600.0) ?(seeds = ab_default_seeds) ?models
   let tagged = List.combine matrix cells in
   let rows =
     List.concat_map
-      (fun mname ->
+      (fun (entry : Registry.entry) ->
+        let mname = entry.Registry.name in
         List.map
           (fun (label, _tweak) ->
             let cell =
               List.filter_map
-                (fun ((m, l, _), metric) ->
-                  if m = mname && l = label then Some metric else None)
+                (fun (((e : Registry.entry), (l, _), _), metric) ->
+                  if e.Registry.name = mname && l = label then Some metric
+                  else None)
                 tagged
             in
             let mean f =
@@ -665,7 +647,7 @@ let ablations_of_cells ?(budget = 3600.0) ?(seeds = ab_default_seeds) ?models
               Fmt.str "%.0fs" (mean (fun c -> c.ab_time));
             ])
           ab_variants)
-      models
+      entries
   in
   Fmt.str "Ablations (avg over %d seeds; time = virtual time to full coverage, budget %.0fs)\n%s"
     (List.length seeds) budget

@@ -13,9 +13,9 @@
     byte-identical for any [jobs] value; [jobs = 1] runs the exact
     sequential path.
 
-    Pass [?pool] to run several experiments on one shared pool (the
-    bench harness does this for the whole artifact sweep); it takes
-    precedence over [?jobs].
+    Pass [?pool] to run several experiments on one shared pool, or on
+    one built with [~oversubscribe:true] (the jobs-invariance tests do
+    this); it takes precedence over [?jobs].
 
     Sharding: the parallel experiments additionally expose their
     canonical job matrix ([*_njobs]), a cell executor ([*_cells]) that

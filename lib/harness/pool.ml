@@ -347,8 +347,6 @@ let map t ?cost f items_list =
         (Array.map (function Some v -> v | None -> assert false) results)
   end
 
-let run_all t thunks = map t (fun f -> f ()) thunks
-
 (* Group tiny jobs into chunks of [chunk] so that deque/steal traffic is
    paid once per chunk instead of once per item.  Chunks are formed in
    input order and results concatenated in chunk order, so the
@@ -369,6 +367,3 @@ let map_chunked t ~chunk f items =
 
 let parallel_map ?jobs ?oversubscribe ?cost f items =
   with_pool ?jobs ?oversubscribe (fun t -> map t ?cost f items)
-
-let parallel_run_all ?jobs ?oversubscribe thunks =
-  with_pool ?jobs ?oversubscribe (fun t -> run_all t thunks)

@@ -36,7 +36,7 @@
     [Domain.recommended_domain_count () - 1] (at least 1). *)
 
 exception Nested_pool
-(** Raised by {!map}/{!run_all} when called from inside a pool job:
+(** Raised by {!map}/{!map_chunked} when called from inside a pool job:
     nested data-parallelism would oversubscribe the machine and break
     the sequential-equivalence contract, so it is an error. *)
 
@@ -102,9 +102,6 @@ val map : t -> ?cost:('a -> int) -> ('a -> 'b) -> 'a list -> 'b list
     unaffected; a bad estimate can only cost speed.  Ignored on the
     sequential path. *)
 
-val run_all : t -> (unit -> 'a) list -> 'a list
-(** [run_all pool thunks = map pool (fun f -> f ()) thunks]. *)
-
 val map_chunked : t -> chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Like {!map}, but schedules items in contiguous chunks of [chunk]
     (the last chunk may be shorter) so that jobs much smaller than the
@@ -118,6 +115,3 @@ val parallel_map :
   ?jobs:int -> ?oversubscribe:bool -> ?cost:('a -> int) -> ('a -> 'b) ->
   'a list -> 'b list
 (** One-shot convenience: {!with_pool} around {!map}. *)
-
-val parallel_run_all :
-  ?jobs:int -> ?oversubscribe:bool -> (unit -> 'a) list -> 'a list

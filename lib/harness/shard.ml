@@ -139,10 +139,13 @@ let spec_of_header json =
     | Some k -> k
     | None -> malformed "unknown kind %S" k
   in
+  (* an empty seed list averages over no runs: every cell would be NaN *)
+  let seeds = List.map (J.int "seeds") (field J.list "seeds" json) in
+  if seeds = [] then malformed "empty seed list";
   {
     sp_kind = kind;
     sp_budget = field J.float "budget" json;
-    sp_seeds = List.map (J.int "seeds") (field J.list "seeds" json);
+    sp_seeds = seeds;
     sp_seed = field J.int "seed" json;
     sp_models =
       (match J.member "models" json with

@@ -49,8 +49,9 @@ val njobs : spec -> int
 
 exception Malformed of string
 (** Raised by the parsing/merging functions on syntactically invalid
-    JSON, a partial from a different campaign, or a cell set that does
-    not cover the job matrix exactly once. *)
+    JSON, a partial from a different campaign or with an empty seed
+    list, or a cell set that does not cover the job matrix exactly
+    once. *)
 
 val run_partial :
   ?pool:Pool.t -> ?jobs:int -> shard:int * int -> spec -> string

@@ -233,7 +233,7 @@ module Span = struct
      records whose promotion to the shared major heap is measurable GC
      pressure under jobs > 1.  [`Aggregate] only bumps the per-domain
      (count, total ns) cell, which is all {!span_totals} (and thus the
-     --stats summary and the bench JSON) ever reads. *)
+     --stats summary and perfbench's ledger) ever reads. *)
   let retention : [ `Records | `Aggregate ] ref = ref `Records
 
   let sink_key : sink Domain.DLS.key =
@@ -388,7 +388,7 @@ let snapshot ?(nondet = false) () =
   { sn_counters = counters; sn_histograms = histograms }
 
 (* Headline efficiency ratios derived from the full (nondet-inclusive)
-   snapshot — the numbers the bench tracks across PRs.  A rate is only
+   snapshot — the ratios perfbench's ledger reports.  A rate is only
    reported when its denominator is positive.  [hits_per_attempt] keeps
    the historical hits/attempts definition (a hit is not an attempt, so
    it can exceed 1); [hit_rate] is the bounded hits/(hits+probes)

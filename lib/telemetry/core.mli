@@ -30,7 +30,7 @@ val set_span_retention : [ `Records | `Aggregate ] -> unit
     per-name (count, total ns) cells behind {!span_totals}: a long run
     then retains O(span names) instead of O(spans) memory, which
     removes measurable shared-major-heap pressure under [jobs > 1].
-    Callers that never export a trace (bench, [--stats] without
+    Callers that never export a trace (perfbench, [--stats] without
     [--trace]) should switch to [`Aggregate] right after {!enable}.
     Like {!enable}, meant to be set before worker domains spawn. *)
 

@@ -292,6 +292,23 @@ let test_engine_skip () =
   Telemetry.reset ();
   Telemetry.disable ()
 
+(* The same skip on a registry model: AFC's dead objectives must reach
+   the solving loop of a plain STCG run with [analyze] on. *)
+let test_engine_skip_afc () =
+  Telemetry.enable ();
+  Telemetry.reset ();
+  let config =
+    { Engine.default_config with Engine.budget = 30.0; seed = 1;
+      analyze = true }
+  in
+  ignore (Engine.run ~config (registry_prog "AFC"));
+  let skipped = Telemetry.Counter.total tel_skipped in
+  check Alcotest.bool
+    (Fmt.str "AFC skipped %d dead objectives, expected > 0" skipped)
+    true (skipped > 0);
+  Telemetry.reset ();
+  Telemetry.disable ()
+
 (* --- lint rendering ----------------------------------------------------- *)
 
 let test_lint_lines () =
@@ -999,8 +1016,12 @@ let () =
         [ Alcotest.test_case "widening terminates soundly" `Quick
             test_widening_sound ] );
       ( "engine skip",
-        [ Alcotest.test_case "dead objective justified+skipped" `Quick
-            test_engine_skip ] );
+        [
+          Alcotest.test_case "dead objective justified+skipped" `Quick
+            test_engine_skip;
+          Alcotest.test_case "AFC dead objectives skipped" `Quick
+            test_engine_skip_afc;
+        ] );
       ( "octagon",
         [
           Alcotest.test_case "sampled states contained" `Quick

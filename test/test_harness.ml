@@ -87,6 +87,24 @@ let test_registry_lookup () =
   check Alcotest.bool "unknown is None" true (Models.Registry.find "nope" = None);
   check Alcotest.int "eight models" 8 (List.length Models.Registry.entries)
 
+(* Table I and Figure 3 are pure functions of their seed: two calls
+   render the same bytes, and each names its artifact. *)
+let test_table1_fig3 () =
+  let t1 = Harness.Experiment.table1 ~budget:120. ~seed:1 () in
+  check Alcotest.string "table1 deterministic" t1
+    (Harness.Experiment.table1 ~budget:120. ~seed:1 ());
+  check Alcotest.bool "table1 title" true (contains "Table I" t1);
+  let explored =
+    Scanf.sscanf
+      (List.find (contains "states explored") (String.split_on_char '\n' t1))
+      "states explored: %d" Fun.id
+  in
+  check Alcotest.bool "table1 explores states" true (explored > 0);
+  let f3 = Harness.Experiment.fig3 () in
+  check Alcotest.string "fig3 deterministic" f3 (Harness.Experiment.fig3 ());
+  check Alcotest.bool "fig3 panel (a)" true (contains "Figure 3(a)" f3);
+  check Alcotest.bool "fig3 panel (b)" true (contains "Figure 3(b)" f3)
+
 let test_fig4_csv_format () =
   let _, csvs =
     Harness.Experiment.fig4 ~budget:20.0 ~seed:1 ~models:[ "AFC" ] ()
@@ -114,5 +132,6 @@ let () =
           Alcotest.test_case "averaging" `Quick test_average_seed_count;
           Alcotest.test_case "registry" `Quick test_registry_lookup;
           Alcotest.test_case "fig4 csv" `Quick test_fig4_csv_format;
+          Alcotest.test_case "table1 + fig3" `Quick test_table1_fig3;
         ] );
     ]

@@ -52,14 +52,6 @@ let test_jobs1_is_sequential () =
   check Alcotest.(list int) "results" [ 2; 3; 4 ] out;
   check Alcotest.(list int) "effect order" [ 3; 2; 1 ] !trace
 
-let test_run_all () =
-  let thunks = List.init 10 (fun i () -> 10 * i) in
-  check
-    Alcotest.(list int)
-    "run_all order"
-    (List.init 10 (fun i -> 10 * i))
-    (Pool.parallel_run_all ~jobs:3 ~oversubscribe:true thunks)
-
 let test_exception_propagation () =
   List.iter
     (fun jobs ->
@@ -175,6 +167,9 @@ let test_effective_jobs_clamp () =
     (Pool.effective_jobs ~oversubscribe:true 8);
   check Alcotest.bool "clamped to the core count" true
     (Pool.effective_jobs 64 <= max 1 (Domain.recommended_domain_count ()));
+  check Alcotest.int "jobs=2 gets min 2 cores"
+    (min 2 (max 1 (Domain.recommended_domain_count ())))
+    (Pool.effective_jobs 2);
   check Alcotest.int "requests below 1 clamp to 1" 1 (Pool.effective_jobs 0);
   Pool.with_pool ~jobs:3 (fun p ->
       check Alcotest.int "size reports the request" 3 (Pool.size p);
@@ -246,7 +241,6 @@ let () =
           Alcotest.test_case "map ordering" `Quick test_map_ordering;
           Alcotest.test_case "empty + singleton" `Quick test_empty_and_singleton;
           Alcotest.test_case "jobs=1 sequential" `Quick test_jobs1_is_sequential;
-          Alcotest.test_case "run_all" `Quick test_run_all;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested use rejected" `Quick

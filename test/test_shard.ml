@@ -167,6 +167,18 @@ let test_merge_validation () =
   expect_malformed "mismatched campaigns" (fun () ->
       Shard.merge_strings [ p0; q1 ])
 
+(* A campaign over no seeds averages nothing; its partials are refused
+   rather than merged into NaN cells (SLDV still has its one job). *)
+let test_empty_seeds_refused () =
+  List.iter
+    (fun kind ->
+      let spec = Shard.spec ~budget:30.0 ~seeds:[] ~models:[ "AFC" ] kind in
+      let part = Shard.run_partial ~jobs:1 ~shard:(0, 1) spec in
+      expect_malformed
+        (Fmt.str "empty seed list (%s)" (Shard.kind_name kind))
+        (fun () -> Shard.merge_strings [ part ]))
+    [ Shard.Table3; Shard.Ablations ]
+
 let test_run_partial_validation () =
   Alcotest.check_raises "shard index out of range"
     (Invalid_argument "Shard.run_partial: shard must satisfy 0 <= i < n")
@@ -203,6 +215,8 @@ let () =
         [
           Alcotest.test_case "merge refuses bad partial sets" `Quick
             test_merge_validation;
+          Alcotest.test_case "empty seed list refused" `Quick
+            test_empty_seeds_refused;
           Alcotest.test_case "run_partial bounds" `Quick
             test_run_partial_validation;
           Alcotest.test_case "kind names" `Quick test_kind_names;
