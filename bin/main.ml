@@ -362,6 +362,7 @@ let write_csvs dir csvs =
 
 let fig4_cmd =
   let run budget seed models csv_dir jobs shard shards out tel =
+    List.iter (fun m -> ignore (find_model m)) models;
     let finish = telemetry_setup tel in
     let models_opt = match models with [] -> None | l -> Some l in
     let spec =

@@ -99,6 +99,7 @@ type objective = {
 type state = {
   cfg : config;
   solver_cfg : Explore.config;  (** [cfg.solver] seeded with [cfg.seed] *)
+  solver_memo : Explore.memo;  (** the run's propagated fork prefixes *)
   prog : Ir.program;
   exec : Exec.t;  (** compiled handle: slot-addressed execution *)
   tracker : Tracker.t;
@@ -374,7 +375,8 @@ let rec sweep_nodes st obj size id =
           ~note:(fun () -> Fmt.str "%a" Explore.pp_target obj.obj_target)
           (fun () ->
             Explore.solve_target ~config:st.solver_cfg
-              ~symbolic_state:(not st.cfg.state_aware) st.prog
+              ~symbolic_state:(not st.cfg.state_aware) ~memo:st.solver_memo
+              st.prog
               ~state:node.state ~target:obj.obj_target)
       in
       Telemetry.Histogram.observe tel_h_solve_nodes cost.Explore.solver_nodes;
@@ -643,6 +645,7 @@ let run ?(config = default_config) prog =
     {
       cfg = config;
       solver_cfg = { config.solver with Explore.rng_seed = config.seed };
+      solver_memo = Explore.create_memo ();
       prog;
       exec;
       tracker;

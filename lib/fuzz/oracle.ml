@@ -229,11 +229,12 @@ let symexec ~seed ?(max_targets = 6) prog steps =
       hc4_memo = true;
     }
   in
+  let memo = Symexec.Explore.create_memo () in
   let refute_budget = 20 in
   let check_branch key =
     let state = pick_state () in
     match
-      Symexec.Explore.solve_target ~config prog ~state
+      Symexec.Explore.solve_target ~config ~memo prog ~state
         ~target:(Symexec.Explore.Branch_target key)
     with
     | (Symexec.Explore.Sat [ inputs ], _) ->
@@ -284,7 +285,7 @@ let symexec ~seed ?(max_targets = 6) prog steps =
         vecs
     in
     match
-      Symexec.Explore.solve_target ~config prog ~state
+      Symexec.Explore.solve_target ~config ~memo prog ~state
         ~target:(Symexec.Explore.Condition_target { decision; atom; value })
     with
     | (Symexec.Explore.Sat [ inputs ], _) ->

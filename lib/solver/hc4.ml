@@ -44,16 +44,13 @@
    propagation on the box (answers, domains, memo hits, rounds), is
    what a copy of the box would have given.
 
-   Pooled stores.  [reset_store] puts a store back in exactly the state
-   [create_store] gives (initial domains, empty memo tables, generation
-   0, clean trail), so a caller may keep used stores and reuse them.
-   Rebinding a store to the binding list it last held (physically the
-   same list) overwrites the domains in place and allocates nothing.
-   The symbolic executor keeps such a pool of prefix boxes
-   ([Explore]): a box is held by the decision frames that check its
-   arms and by the executor's prefix cache, and returns to the pool
-   only when none holds it, so no box in the pool is still in use.  A
-   frame lets go on every exit, exceptions included. *)
+   Kept boxes.  A fresh store propagated once depends only on its
+   initial bindings and the term, and a check through
+   [propagate_and_restore] changes nothing, so a propagated box may be
+   kept and checked against for as long as its caller likes.  The
+   symbolic executor keeps one per fork window for a whole engine run
+   ([Explore]'s prefix memo) and lets the GC have them when the run
+   ends. *)
 
 module Value = Slim.Value
 module Ir = Slim.Ir
@@ -96,15 +93,6 @@ let copy_table t =
     top = t.top;
     by_req = t.by_req;
   }
-
-(* Empty, and holding no domain of its last use. *)
-let clear_table t =
-  let n = Array.length t.keys in
-  Array.fill t.keys 0 n (-1);
-  Array.fill t.gens 0 n (-1);
-  Array.fill t.doms 0 n no_req;
-  t.used <- 0;
-  t.top <- -1
 
 (* [compare a b = 0], the key equality [Hashtbl] used. *)
 let same_req (a : Dom.t) (b : Dom.t) =
@@ -175,10 +163,8 @@ type undo =
 
 type store = {
   doms : (string, Dom.t) Hashtbl.t;
-  mutable bound : (string * Dom.t) list;  (* the bindings last applied *)
-  mutable n_bound : int;  (* [Hashtbl.length doms] right after *)
   mutable changed : bool;
-  mutable memo : bool;
+  memo : bool;
   mutable generation : int;  (* bumped on every narrowing *)
   fwd_memo : table;  (* term id -> generation, dom *)
   bwd_memo : table;
@@ -189,30 +175,11 @@ type store = {
   mutable trail : undo list;  (* newest first *)
 }
 
-(* [create_store] and [reset_store] calls.  A pool that outlives one
-   run (the symbolic executor's is per domain) makes these depend on
-   which runs landed on the domain before, so like [Term]'s cache
-   counters they are nondeterministic across worker counts. *)
-let tel_stores_created =
-  Telemetry.Counter.make ~nondet:true "solver.hc4_stores_created"
-
-let tel_stores_reused =
-  Telemetry.Counter.make ~nondet:true "solver.hc4_stores_reused"
-
-let rec bind_doms doms = function
-  | [] -> ()
-  | (x, d) :: rest ->
-    Hashtbl.replace doms x d;
-    bind_doms doms rest
-
 let create_store ?(memo = true) bindings =
-  Telemetry.Counter.incr tel_stores_created;
   let doms = Hashtbl.create 16 in
-  bind_doms doms bindings;
+  List.iter (fun (x, d) -> Hashtbl.replace doms x d) bindings;
   {
     doms;
-    bound = bindings;
-    n_bound = Hashtbl.length doms;
     changed = false;
     memo;
     generation = 0;
@@ -221,27 +188,6 @@ let create_store ?(memo = true) bindings =
     trailing = false;
     trail = [];
   }
-
-(* Back to the state [create_store ~memo bindings] gives.  The same
-   binding list as last time, on a store whose variables are still the
-   ones it bound, only overwrites domains, which allocates nothing.  *)
-let reset_store ?(memo = true) store bindings =
-  Telemetry.Counter.incr tel_stores_reused;
-  if store.bound == bindings && Hashtbl.length store.doms = store.n_bound
-  then bind_doms store.doms bindings
-  else begin
-    Hashtbl.reset store.doms;
-    bind_doms store.doms bindings;
-    store.bound <- bindings;
-    store.n_bound <- Hashtbl.length store.doms
-  end;
-  store.changed <- false;
-  store.memo <- memo;
-  store.generation <- 0;
-  clear_table store.fwd_memo;
-  clear_table store.bwd_memo;
-  store.trailing <- false;
-  store.trail <- []
 
 (* Memo entries are only valid for the exact box they were computed
    against, so a copy may keep them — but the copy gets fresh tables:

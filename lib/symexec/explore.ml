@@ -85,6 +85,9 @@ let tel_prunes = Telemetry.Counter.make "symexec.prunes"
 let tel_solver_nodes = Telemetry.Counter.make "symexec.solver_nodes"
 let tel_h_paths = Telemetry.Histogram.make "symexec.paths_per_solve"
 let tel_seed_sym_error = Telemetry.Counter.make "symexec.seed_sym_error"
+let tel_memo_hits = Telemetry.Counter.make "symexec.prefix_memo_hits"
+let tel_memo_misses = Telemetry.Counter.make "symexec.prefix_memo_misses"
+let tel_memo_clears = Telemetry.Counter.make "symexec.prefix_memo_clears"
 
 (* Why a search ended [Unknown]: the first cap or failure it hit.
    Constant constructors, so recording one allocates nothing. *)
@@ -124,17 +127,11 @@ let outcome_constraint (outcome : Branch.outcome) (t : Term.t) ~case_labels =
   | Some _ -> `Not_taken
   | None -> `Constraint term
 
-(* A propagated prefix box and the number of its holders: the
-   [prefix_cache] entry and the [decide] frames checking its arms.  A
-   box returns to the per-domain pool when its last holder lets go;
-   [reset_for] and [reset_memo] record the [Hc4.reset_store] it got on
-   the way in. *)
-type box = {
-  store : Solver.Hc4.store;
-  mutable holds : int;
-  mutable reset_for : (string * Solver.Dom.t) list;
-  mutable reset_memo : bool;
-}
+(* A propagated prefix box, and the answers of the arm checks already
+   made on it, by arm constraint id.  [Hc4.propagate_and_restore] leaves
+   the box as it found it, so a recorded answer is the one a new check
+   would give. *)
+type box = { store : Solver.Hc4.store; arms : (int, bool) Hashtbl.t }
 
 (* Shared feasibility prefix for the sibling arms of one fork: the path
    condition is propagated once per decision; each arm then only checks
@@ -143,6 +140,27 @@ type prefix =
   | Pf_unsat  (** the path condition itself is contradictory *)
   | Pf_any  (** empty or oversize prefix: no pruning information *)
   | Pf_box of box  (** propagated box for the prefix window *)
+
+(* Propagated prefixes by the id of their window conjunction (the term
+   is kept, so its id stays in use).  A fresh store propagated once is a
+   function of the initial bindings and the term alone, so the entries
+   hold for every solve over the same variable list and [hc4_memo]
+   setting; a solve over others empties the table first.  One memo
+   serves one engine run: its boxes go to the GC with it. *)
+type memo = {
+  prefixes : (int, Term.t * prefix) Hashtbl.t;
+  mutable vars_of : (string * Value.ty) list;  (* physically *)
+  mutable bindings : (string * Solver.Dom.t) list;  (* built from [vars_of] *)
+  mutable hc4_memo_of : bool;
+}
+
+let create_memo () =
+  {
+    prefixes = Hashtbl.create 64;
+    vars_of = [];
+    bindings = [];
+    hc4_memo_of = default_config.hc4_memo;
+  }
 
 type ctx = {
   cost : cost;
@@ -156,6 +174,7 @@ type ctx = {
   target_decision : int;
   rng : Random.State.t;
   hc4_memo : bool;
+  memo : memo;
   mutable prefix_cache :
     (Term.t list * (string * Value.ty) list * prefix) option;
       (** last propagated prefix, keyed by physical identity of the
@@ -267,79 +286,51 @@ let infeasible pc =
    keeps the per-fork cost constant on deep (multi-step) paths.
 
    The window over the shared path condition is propagated once per
-   decision ([fork_prefix], cached across consecutive constraint-free
-   decisions via [prefix_cache]); every sibling arm then propagates
-   only its own branch constraint on the prefix box, which
-   [Hc4.propagate_and_restore] leaves as it found it ([arm_feasible]),
-   instead of redoing the prefix from scratch. *)
+   run ([fork_prefix] through the [memo]; consecutive constraint-free
+   decisions share it via [prefix_cache] without a lookup).  Every
+   sibling arm then propagates only its own branch constraint on the
+   prefix box, which [Hc4.propagate_and_restore] leaves as it found it
+   ([arm_feasible]), and the box records the answer for later solves
+   that fork on the same window. *)
 let prefix_window = 9
 
-(* Prefix boxes are pooled per domain (see [Hc4]'s header): a box is
-   reset when its last holder releases it, so a pooled box keeps no
-   domain of its last use alive, and the next prefix propagation takes
-   it from [free] instead of creating a store.  A search ending by
-   [Found] or [Path_budget] unwinds through every [decide] frame, which
-   releases its hold, and the solve then drops the cache's hold; only a
-   box whose own propagation raised is left to the GC.  The initial
-   bindings are built once per variable list, so resetting a box to the
-   same list allocates nothing. *)
-type pool = {
-  mutable free : box list;
-  mutable vars_of : (string * Value.ty) list;  (* [bindings] were built from *)
-  mutable bindings : (string * Solver.Dom.t) list;
-}
+(* Several times the prefixes an engine run propagates (685 on
+   TWC at seed 16, the most of the registry models); a memo that
+   reaches it starts over, and counts the clear. *)
+let memo_cap = 4096
 
-let pool_key =
-  Domain.DLS.new_key (fun () -> { free = []; vars_of = []; bindings = [] })
+let clear_memo memo =
+  if Hashtbl.length memo.prefixes > 0 then begin
+    Telemetry.Counter.incr tel_memo_clears;
+    Hashtbl.reset memo.prefixes
+  end
 
-(* The store of a box is in the state [Hc4.create_store ~memo] gives
-   for [pool.bindings] *)
-let reset_box pool ~memo b =
-  Solver.Hc4.reset_store ~memo b.store pool.bindings;
-  b.reset_for <- pool.bindings;
-  b.reset_memo <- memo
-
-let acquire_box ~memo vars =
-  let pool = Domain.DLS.get pool_key in
-  if pool.vars_of != vars then begin
-    pool.vars_of <- vars;
-    pool.bindings <- List.map (fun (x, ty) -> (x, Solver.Dom.of_ty ty)) vars
+(* The propagated prefix of window conjunction [w], from the memo or
+   propagated now and recorded.  A propagation that raises records
+   nothing, so the next lookup raises again. *)
+let memo_prefix ctx w =
+  let memo = ctx.memo and vars = !(ctx.vars) in
+  if memo.vars_of != vars || memo.hc4_memo_of <> ctx.hc4_memo then begin
+    clear_memo memo;
+    memo.vars_of <- vars;
+    memo.bindings <- List.map (fun (x, ty) -> (x, Solver.Dom.of_ty ty)) vars;
+    memo.hc4_memo_of <- ctx.hc4_memo
   end;
-  match pool.free with
-  | b :: rest ->
-    pool.free <- rest;
-    if b.reset_for != pool.bindings || b.reset_memo <> memo then
-      reset_box pool ~memo b;
-    b.holds <- 1;
-    b
-  | [] ->
-    {
-      store = Solver.Hc4.create_store ~memo pool.bindings;
-      holds = 1;
-      reset_for = pool.bindings;
-      reset_memo = memo;
-    }
-
-let hold = function
-  | Pf_box b -> b.holds <- b.holds + 1
-  | Pf_unsat | Pf_any -> ()
-
-let release ctx = function
-  | Pf_box b ->
-    b.holds <- b.holds - 1;
-    if b.holds = 0 then begin
-      let pool = Domain.DLS.get pool_key in
-      reset_box pool ~memo:ctx.hc4_memo b;
-      pool.free <- b :: pool.free
-    end
-  | Pf_unsat | Pf_any -> ()
-
-let drop_prefix_cache ctx =
-  match ctx.prefix_cache with
-  | Some (_, _, p) ->
-    ctx.prefix_cache <- None;
-    release ctx p
-  | None -> ()
+  match Hashtbl.find memo.prefixes (Term.id w) with
+  | _, p ->
+    Telemetry.Counter.incr tel_memo_hits;
+    p
+  | exception Not_found ->
+    Telemetry.Counter.incr tel_memo_misses;
+    let store = Solver.Hc4.create_store ~memo:ctx.hc4_memo memo.bindings in
+    let p =
+      match Solver.Hc4.propagate ~max_rounds:3 store w with
+      | `Ok -> Pf_box { store; arms = Hashtbl.create 8 }
+      | `Unsat -> Pf_unsat
+    in
+    if Hashtbl.length memo.prefixes >= memo_cap then clear_memo memo;
+    Hashtbl.replace memo.prefixes (Term.id w) (w, p);
+    p
 
 let fork_prefix ctx pc =
   match ctx.prefix_cache with
@@ -347,8 +338,6 @@ let fork_prefix ctx pc =
     when cached_pc == pc && cached_vars == !(ctx.vars) ->
     p
   | _ ->
-    (* release first: a box only the cache held is reused at once *)
-    drop_prefix_cache ctx;
     let p =
       match pc with
       | [] -> Pf_any
@@ -365,16 +354,7 @@ let fork_prefix ctx pc =
            oversize prefixes as unconstraining rather than walk them *)
         if List.exists (fun t -> Term.size_capped 2_000 t >= 2_000) window
         then Pf_any
-        else begin
-          let box = acquire_box ~memo:ctx.hc4_memo !(ctx.vars) in
-          match
-            Solver.Hc4.propagate ~max_rounds:3 box.store (Term.conj window)
-          with
-          | `Ok -> Pf_box box
-          | `Unsat ->
-            release ctx (Pf_box box);
-            Pf_unsat
-        end
+        else memo_prefix ctx (Term.conj window)
     in
     ctx.prefix_cache <- Some (pc, !(ctx.vars), p);
     p
@@ -387,13 +367,21 @@ let arm_feasible prefix c_opt =
     | Pf_unsat, _ -> false
     | (Pf_any | Pf_box _), None -> true
     | Pf_any, Some _ -> true
-    | Pf_box box, Some c ->
+    | Pf_box box, Some c -> (
       if Term.size_capped 2_000 c >= 2_000 then true
-      else begin
-        match Solver.Hc4.propagate_and_restore ~max_rounds:3 box.store c with
-        | `Ok -> true
-        | `Unsat -> false
-      end
+      else
+        match Hashtbl.find box.arms (Term.id c) with
+        | feasible -> feasible
+        | exception Not_found ->
+          let feasible =
+            match
+              Solver.Hc4.propagate_and_restore ~max_rounds:3 box.store c
+            with
+            | `Ok -> true
+            | `Unsat -> false
+          in
+          Hashtbl.replace box.arms (Term.id c) feasible;
+          feasible)
   in
   if not feasible then Telemetry.Counter.incr tel_prunes;
   feasible
@@ -509,31 +497,21 @@ and decide ctx env id arm order pc continue_ =
       if arm_feasible (fork_prefix ctx pc) c_opt then enter req body pc'
     | None -> ())
   | None ->
-    (* this frame holds the box while its arms run: walking an arm
-       replaces the cached prefix.  An exception ending the search lets
-       go of it on the way out, so the box still returns to the pool. *)
     let prefix = fork_prefix ctx pc in
-    hold prefix;
     let mark = SV.mark env in
-    match
-      List.iter
-        (fun outcome ->
-          match arm outcome with
-          | None -> ()
-          | Some (body, pc', c_opt) ->
-            if arm_feasible prefix c_opt then begin
-              spend_path ctx;
-              enter outcome body pc';
-              SV.undo env mark
-            end)
-        (order ())
-    with
-    | () -> release ctx prefix
-    | exception e ->
-      release ctx prefix;
-      raise e
+    List.iter
+      (fun outcome ->
+        match arm outcome with
+        | None -> ()
+        | Some (body, pc', c_opt) ->
+          if arm_feasible prefix c_opt then begin
+            spend_path ctx;
+            enter outcome body pc';
+            SV.undo env mark
+          end)
+      (order ())
 
-let make_ctx cfg ex target ~vars ~multi =
+let make_ctx cfg ex target ~memo ~vars ~multi =
   let reqs = requirements ex target in
   {
     cost = zero_cost ();
@@ -544,6 +522,7 @@ let make_ctx cfg ex target ~vars ~multi =
     target_decision = target_decision_of target;
     rng = Random.State.make [| cfg.rng_seed; target_decision_of target |];
     hc4_memo = cfg.hc4_memo;
+    memo;
     prefix_cache = None;
     remaining_nodes = cfg.node_budget;
     paths_left = cfg.max_paths;
@@ -582,11 +561,11 @@ let seed_constraint env (target : target) =
 
 let input_var name _ty = Term.var name
 
-let solve_target ?(config = default_config) ?(symbolic_state = false) prog
-    ~state ~target =
+let solve_target ?(config = default_config) ?(symbolic_state = false)
+    ?(memo = create_memo ()) prog ~state ~target =
   let ex = Exec.handle prog in
   let env, vars = SV.env_of_program ~symbolic_state prog ~state ~input_var in
-  let ctx = make_ctx config ex target ~vars:(ref vars) ~multi:false in
+  let ctx = make_ctx config ex target ~memo ~vars:(ref vars) ~multi:false in
   ctx.cost.paths_explored <- ctx.cost.paths_explored + 1;
   let pc0 =
     match seed_constraint env target with
@@ -603,7 +582,6 @@ let solve_target ?(config = default_config) ?(symbolic_state = false) prog
     | exception Path_budget -> Unknown
     | exception SV.Sym_error _ -> sym_error ctx
   in
-  drop_prefix_cache ctx;
   tel_finish ctx outcome
 
 let solve_branch ?config ?symbolic_state prog ~state ~target =
@@ -622,7 +600,8 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
   in
   let vars = ref vars0 in
   let ctx =
-    make_ctx config ex (Branch_target target) ~vars ~multi:true
+    make_ctx config ex (Branch_target target) ~memo:(create_memo ()) ~vars
+      ~multi:true
   in
   let depth_of_found = ref None in
   (* Step [k]'s input variables are made, and added to the solver's
@@ -667,7 +646,6 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
     | exception Path_budget -> Unknown
     | exception SV.Sym_error _ -> sym_error ctx
   in
-  drop_prefix_cache ctx;
   tel_finish ctx outcome
 
 (* --- state relevance -------------------------------------------------- *)

@@ -51,16 +51,28 @@ type target =
 
 val pp_target : target Fmt.t
 
+type memo
+(** The propagated path-condition prefixes of the solves it is passed
+    to, kept across them.  A memo never changes an outcome, a cost or a
+    counter other than [solver.hc4_rounds], [solver.hc4_memo_hits] and
+    its own [symexec.prefix_memo_hits], [_misses] and [_clears]: it only
+    saves propagations.  Make one per engine run, on the domain that
+    runs it; it keeps its boxes alive until it is dropped. *)
+
+val create_memo : unit -> memo
+
 val solve_target :
   ?config:config ->
   ?symbolic_state:bool ->
+  ?memo:memo ->
   Slim.Ir.program ->
   state:Slim.Exec.state ->
   target:target ->
   outcome * cost
 (** One-step state-aware solving of any coverage objective.  The branch
     table and requirement chains come from the program's compiled handle
-    ({!Slim.Exec.handle}), so repeated solves pay no per-call setup. *)
+    ({!Slim.Exec.handle}), so repeated solves pay no per-call setup.
+    Without [memo] the solve uses a fresh one of its own. *)
 
 val solve_branch :
   ?config:config ->

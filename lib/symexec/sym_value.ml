@@ -78,6 +78,9 @@ type program = {
   states : shape array;  (** named [st$name…], for symbolic state *)
   input_leaves : (string * Value.ty) list;
   state_leaves : (string * Value.ty) list;
+  all_leaves : (string * Value.ty) list;
+      (** [input_leaves @ state_leaves], built once: with symbolic
+          state, every solve gets this very list *)
   step_leaves : (string * Value.ty) list;
       (** [input_leaves] without repeats (first occurrence kept) *)
   decisions : (int, stmt) Hashtbl.t;
@@ -251,6 +254,7 @@ let lower (prog : Ir.program) =
       (List.map (fun (v : Ir.var) -> shape_of ("st$" ^ v.name) v.ty) state_vars)
   in
   let input_leaves = leaves_of inputs in
+  let state_leaves = leaves_of states in
   {
     body;
     template;
@@ -260,7 +264,8 @@ let lower (prog : Ir.program) =
     inputs;
     states;
     input_leaves;
-    state_leaves = leaves_of states;
+    state_leaves;
+    all_leaves = input_leaves @ state_leaves;
     step_leaves =
       List.rev
         (List.fold_left
@@ -437,7 +442,6 @@ let env_of_program ?(prefix = "") ?(symbolic_state = false)
   Array.iteri
     (fun i shape -> regs.(i) <- build_input ~prefix ~input_var shape)
     code.inputs;
-  let input_vars = prefixed prefix code.input_leaves in
   let vars =
     if symbolic_state then begin
       (* ablation mode: the state is a solver unknown, as a whole-trace
@@ -446,7 +450,8 @@ let env_of_program ?(prefix = "") ?(symbolic_state = false)
         (fun k shape ->
           regs.(code.n_inputs + k) <- build_input ~prefix:"" ~input_var shape)
         code.states;
-      input_vars @ code.state_leaves
+      if prefix = "" then code.all_leaves
+      else prefixed prefix code.input_leaves @ code.state_leaves
     end
     else begin
       (* positional slot contract with Slim.Exec: state slot [k] is the
@@ -455,7 +460,7 @@ let env_of_program ?(prefix = "") ?(symbolic_state = false)
       for k = 0 to min code.n_states (Array.length state) - 1 do
         regs.(code.n_inputs + k) <- sval_of_value state.(k)
       done;
-      input_vars
+      prefixed prefix code.input_leaves
     end
   in
   ({ code; regs; trail_slots = [||]; trail_old = [||]; trail_len = 0 }, vars)

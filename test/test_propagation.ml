@@ -315,45 +315,7 @@ let test_trail_restores_on_type_error () =
   check Alcotest.bool "some check narrowed before raising" true
     (!narrowed_first > 0)
 
-(* --- pooled stores: reset = create ---------------------------------------- *)
-
-(* After any mix of propagations and trail checks, [reset_store] leaves
-   a store that answers every later propagation (answer, domains, memo
-   hits, rounds) as a fresh [create_store] does.  Half the cases rebind
-   the very list the store was built from, the in-place path. *)
-let prop_reset_matches_create =
-  QCheck.Test.make ~name:"reset_store = create_store" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         let* spec = gen_box in
-         let* spec' = oneof [ return None; map Option.some gen_box ] in
-         let* memo0, memo = pair bool bool in
-         let* steps = list_size (int_range 0 4) (pair bool gen_mixed_constraint) in
-         (* a later constraint from the steps meets their memo entries *)
-         let+ d =
-           oneof (gen_mixed_constraint :: List.map (fun (_, c) -> return c) steps)
-         in
-         (spec, spec', memo0, memo, steps, d)))
-    (fun (spec, spec', memo0, memo, steps, d) ->
-      Telemetry.enable ();
-      let store = Hc4.create_store ~memo:memo0 spec in
-      List.iter
-        (fun (trail, c) ->
-          ignore
-            (outcome (fun () ->
-                 if trail then Hc4.propagate_and_restore ~max_rounds:3 store c
-                 else Hc4.propagate ~max_rounds:3 store c)))
-        steps;
-      let spec = Option.value spec' ~default:spec in
-      Hc4.reset_store ~memo store spec;
-      let fresh = Hc4.create_store ~memo spec in
-      let same =
-        box_doms store = box_doms fresh
-        && later_propagation store d = later_propagation fresh d
-        && later_propagation store d = later_propagation fresh d
-      in
-      Telemetry.disable ();
-      same)
+(* --- search splits ------------------------------------------------------ *)
 
 (* A search split made by [split_store] shares its parent's memo
    tables; it must answer as a copy with [set_dom] does, also after the
@@ -602,9 +564,8 @@ let minor_words_of f =
   ignore (Sys.opaque_identity (f ()));
   Gc.minor_words () -. before
 
-(* Memo hits, [get] and the shared boolean domains allocate nothing;
-   nor does rebinding a store to the list it was built from.  Telemetry
-   is off, so a counter bump is a flag test. *)
+(* Memo hits, [get] and the shared boolean domains allocate nothing.
+   Telemetry is off, so a counter bump is a flag test. *)
 let test_hits_allocate_nothing () =
   Telemetry.disable ();
   let x = T.var "ax" and y = T.var "ay" in
@@ -627,7 +588,6 @@ let test_hits_allocate_nothing () =
       ("Hc4.get", fun () -> ignore (Hc4.get store name));
       ("Dom.booln", fun () -> ignore (Dom.booln true));
       ("Interval.dom_of_b3", fun () -> ignore (I.dom_of_b3 yes));
-      ("rebinding the same list", fun () -> Hc4.reset_store store bindings);
     ]
 
 (* --- explicit regression cases ---------------------------------------- *)
@@ -700,8 +660,6 @@ let () =
         ] );
       ( "store reuse",
         [
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
-            prop_reset_matches_create;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
             prop_split_matches_copy;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])

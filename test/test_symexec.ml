@@ -560,6 +560,267 @@ let test_lowered_once () =
       ignore (Ex.solve_branch (fresh ()) ~state:st ~target:(0, Branch.Then));
       check Alcotest.int "a new program value is lowered" 2 (compiles ()))
 
+(* --- the prefix memo ----------------------------------------------------- *)
+
+(* A memo only saves propagations: solving through one shared memo must
+   give every outcome, cost and path/prune count that solving with a
+   fresh memo per solve gives. *)
+
+let c_paths = Telemetry.Counter.make "symexec.paths"
+let c_prunes = Telemetry.Counter.make "symexec.prunes"
+let c_hits = Telemetry.Counter.make "symexec.prefix_memo_hits"
+let c_misses = Telemetry.Counter.make "symexec.prefix_memo_misses"
+let c_clears = Telemetry.Counter.make "symexec.prefix_memo_clears"
+let total = Telemetry.Counter.total
+
+let with_telemetry f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    f
+
+(* One solve: its outcome and cost (or the exception it raised) and its
+   [symexec.paths] and [symexec.prunes] deltas. *)
+let observe ?memo prog (config, symbolic_state, state, target) =
+  let paths = total c_paths and prunes = total c_prunes in
+  let result =
+    match Ex.solve_target ~config ~symbolic_state ?memo prog ~state ~target with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (result, total c_paths - paths, total c_prunes - prunes)
+
+(* [compare], not [=]: a real input may be [nan]. *)
+let same_observations a b =
+  List.compare_lengths a b = 0 && List.for_all2 (fun x y -> compare x y = 0) a b
+
+let small_config =
+  { Ex.default_config with Ex.max_paths = 64; node_budget = 4000 }
+
+(* Random (state, target) solves on one fuzz-generated program, with
+   repeats, and with the [hc4_memo] flag and the state-blind mode (a
+   second variable list) switching between solves. *)
+let prop_memo_differential memo_hits =
+  QCheck.Test.make ~name:"shared prefix memo = fresh memo per solve" ~count:80
+    QCheck.(make Gen.(pair (int_bound 1_000_000) (int_range 4 24)))
+    (fun (seed, n) ->
+      let rng = Util.Splitmix.create seed in
+      match
+        Fuzzer.Gen.program_of
+          (Fuzzer.Gen.gen_model rng ~size:(8 + Util.Splitmix.int rng 16))
+      with
+      | exception _ -> QCheck.assume_fail ()
+      | prog ->
+        let ex = Exec.handle prog in
+        let states =
+          let rec go st acc = function
+            | [] -> Array.of_list (List.rev acc)
+            | row :: rest -> (
+              match Exec.run_step ex st (Exec.inputs_of_list ex row) with
+              | _, st' -> go st' (st' :: acc) rest
+              | exception Exec.Eval_error _ -> Array.of_list (List.rev acc))
+          in
+          let st0 = Exec.initial_state ex in
+          go st0 [ st0 ] (Fuzzer.Gen.gen_inputs rng prog ~steps:4)
+        in
+        let targets =
+          Array.of_list
+            (List.map (fun (b : Branch.t) -> Ex.Branch_target b.Branch.key)
+               (Exec.branches ex)
+            @ List.concat_map
+                (fun (decision, d) ->
+                  match d with
+                  | `If cond ->
+                    List.concat
+                      (List.mapi
+                         (fun atom _ ->
+                           [
+                             Ex.Condition_target { decision; atom; value = true };
+                             Ex.Condition_target { decision; atom; value = false };
+                           ])
+                         (Ir.atoms_of_condition cond))
+                  | `Switch _ -> [])
+                (Exec.decisions ex))
+        in
+        if Array.length targets = 0 then QCheck.assume_fail ();
+        let pick a = a.(Util.Splitmix.int rng (Array.length a)) in
+        let solves =
+          List.init n (fun _ ->
+              let hc4_memo = Util.Splitmix.int rng 8 > 0 in
+              let symbolic_state = Util.Splitmix.int rng 8 = 0 in
+              ( { small_config with Ex.hc4_memo },
+                symbolic_state,
+                pick states,
+                pick targets ))
+        in
+        with_telemetry (fun () ->
+            let memo = Ex.create_memo () in
+            let hits = total c_hits in
+            let shared = List.map (observe ~memo prog) solves in
+            memo_hits := !memo_hits + total c_hits - hits;
+            let fresh = List.map (observe prog) solves in
+            same_observations shared fresh))
+
+let test_memo_differential () =
+  let memo_hits = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |])
+    (prop_memo_differential memo_hits);
+  check Alcotest.bool "the shared memo was hit" true (!memo_hits > 0)
+
+(* Solving across unrolled steps grows the variable list, which empties
+   the memo: a box without the new step's variables cannot check its
+   constraints. *)
+let test_memo_cleared_by_new_vars () =
+  with_telemetry (fun () ->
+      let st = Exec.initial_state (Exec.handle multi_prog) in
+      (match
+         Ex.solve_branch_multi multi_prog ~horizon:4 ~target:(0, Branch.Then)
+       with
+       | Ex.Sat inputs, _ ->
+         check Alcotest.bool "sequence hits target" true
+           (hits multi_prog st inputs (0, Branch.Then))
+       | (Ex.Unsat | Ex.Unknown), _ -> Alcotest.fail "multi-step should find it");
+      check Alcotest.bool "the memo was cleared" true (total c_clears > 0))
+
+(* Each solve from a new state constant [s] forks on two new windows
+   ([x < s + 3], then [x > s && x < s + 3]), so 2,100 states make 4,200
+   prefixes: one clear at the 4,096 cap, and every answer as before. *)
+let window_prog =
+  let open Ir in
+  renumber_decisions
+    {
+      name = "windows";
+      inputs = [ input "x" (V.tint_range (-100_000) 100_000) ];
+      outputs = [ output "y" V.tint ];
+      states = [ state "s" (V.tint_range 0 100_000) (V.Int 0) ];
+      locals = [];
+      body =
+        [
+          if_ (iv "x" >: sv "s")
+            [ if_ (iv "x" <: sv "s" +: ci 3) [ assign_out "y" (ci 1) ] [] ]
+            [];
+        ];
+    }
+
+let test_memo_cap () =
+  let ex = Exec.handle window_prog in
+  let solves =
+    List.init 2_100 (fun k ->
+        ( Ex.default_config,
+          false,
+          Exec.state_of_list ex [ ("s", V.Int (7 * k)) ],
+          Ex.Branch_target (1, Branch.Then) ))
+  in
+  with_telemetry (fun () ->
+      let memo = Ex.create_memo () in
+      let shared = List.map (observe ~memo window_prog) solves in
+      check Alcotest.int "prefixes propagated" 4_200 (total c_misses);
+      check Alcotest.int "one clear at the cap" 1 (total c_clears);
+      let fresh = List.map (observe window_prog) solves in
+      check Alcotest.int "fresh memos never clear" 1 (total c_clears);
+      check Alcotest.bool "same answers" true (same_observations shared fresh);
+      check Alcotest.bool "every solve is Sat" true
+        (List.for_all
+           (function Ok (Ex.Sat _, _), _, _ -> true | _ -> false)
+           shared))
+
+(* A search that ends by [Found] or by the path budget unwinds through
+   its forks; the boxes it left in the memo still answer as new ones. *)
+let test_memo_after_found_and_budget () =
+  let open Ir in
+  let prog =
+    renumber_decisions
+      {
+        name = "forks";
+        inputs =
+          [
+            input "a" (V.tint_range 0 100); input "b" (V.tint_range 0 100);
+            input "c" (V.tint_range 0 100);
+          ];
+        outputs = [ output "y" V.tint ];
+        states = [];
+        locals = [ local "t" V.tint; local "u" V.tint ];
+        body =
+          [
+            if_ (iv "a" >: ci 50) [ assign "t" (ci 1) ] [ assign "t" (ci 0) ];
+            if_ (iv "b" >: ci 50) [ assign "u" (ci 1) ] [ assign "u" (ci 0) ];
+            if_ (iv "c" >: lv "t" +: lv "u" +: ci 90)
+              [ assign_out "y" (ci 1) ]
+              [ assign_out "y" (ci 0) ];
+          ];
+      }
+  in
+  let st = Exec.initial_state (Exec.handle prog) in
+  let solve ?(max_paths = Ex.default_config.Ex.max_paths) outcome =
+    ( { Ex.default_config with Ex.max_paths },
+      false,
+      st,
+      Ex.Branch_target (2, outcome) )
+  in
+  let solves =
+    [ solve ~max_paths:1 Branch.Then; solve Branch.Then; solve Branch.Else ]
+  in
+  with_telemetry (fun () ->
+      let memo = Ex.create_memo () in
+      let shared =
+        List.map
+          (fun s ->
+            let hits = total c_hits in
+            let o = observe ~memo prog s in
+            (o, total c_hits - hits))
+          solves
+      in
+      let fresh = List.map (observe prog) solves in
+      check Alcotest.bool "same answers" true
+        (same_observations (List.map fst shared) fresh);
+      match shared with
+      | [
+       ((Ok (Ex.Unknown, _), _, _), _);
+       ((Ok (Ex.Sat _, _), _, _), after_budget);
+       ((Ok (Ex.Sat _, _), _, _), after_found);
+      ] ->
+        check Alcotest.bool "hit after a path-budget stop" true
+          (after_budget > 0);
+        check Alcotest.bool "hit after a Found" true (after_found > 0)
+      | _ -> Alcotest.fail "expected Unknown, Sat, Sat")
+
+(* The same arm constraint can be feasible under one window and not
+   under another: [a > 70] after [a <= 50] is pruned, after [a > 50] it
+   is not, so the walk takes 6 paths and prunes 4 times (the unreachable
+   target arm [a > 100] on each of the three paths that reach it, and
+   [a > 70] once). *)
+let test_arm_answers_per_window () =
+  let open Ir in
+  let prog =
+    renumber_decisions
+      {
+        name = "arms";
+        inputs = [ input "a" (V.tint_range 0 100) ];
+        outputs = [ output "y" V.tint ];
+        states = [];
+        locals = [ local "t" V.tint ];
+        body =
+          [
+            assign "t" (iv "a");
+            if_ (iv "a" >: ci 50) [] [];
+            if_ (iv "a" >: ci 70) [] [];
+            if_ (lv "t" >: ci 100)
+              [ assign_out "y" (ci 1) ]
+              [ assign_out "y" (ci 0) ];
+          ];
+      }
+  in
+  let st = Exec.initial_state (Exec.handle prog) in
+  with_telemetry (fun () ->
+      match Ex.solve_branch prog ~state:st ~target:(2, Branch.Then) with
+      | Ex.Unsat, cost ->
+        check Alcotest.int "paths" 6 cost.Ex.paths_explored;
+        check Alcotest.int "prunes" 4 (total c_prunes)
+      | (Ex.Sat _ | Ex.Unknown), _ -> Alcotest.fail "a > 100 is unreachable")
+
 let () =
   Alcotest.run "symexec"
     [
@@ -602,4 +863,16 @@ let () =
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest [ prop_sat_implies_hit ] );
+      ( "prefix memo",
+        [
+          Alcotest.test_case "shared = fresh (fuzz programs)" `Quick
+            test_memo_differential;
+          Alcotest.test_case "cleared by new variables" `Quick
+            test_memo_cleared_by_new_vars;
+          Alcotest.test_case "cleared at the cap" `Quick test_memo_cap;
+          Alcotest.test_case "reused after Found and budget" `Quick
+            test_memo_after_found_and_budget;
+          Alcotest.test_case "arm answers per window" `Quick
+            test_arm_answers_per_window;
+        ] );
     ]
