@@ -26,7 +26,7 @@ let max_steps_arg =
 let oracle_arg =
   let doc =
     "Oracles to run: comma-separated subset of exec, coverage, symexec, \
-     solver, analysis (repeatable).  Default: all five."
+     solver, analysis, spec (repeatable).  Default: all six."
   in
   Arg.(
     value

@@ -33,9 +33,14 @@
    (value semantics), so no such aliasing happens; the assumption only
    over-approximates and stays sound.  A static union-find over
    whole-vector data flow yields may-alias classes; element writes
-   weakly update the whole class unless it is a singleton. *)
+   weakly update the whole class unless it is a singleton.
+
+   SOUND/int-cells: execution keeps a real stored into an int-declared
+   variable, so only int-only cells ([int_only_slots]) get the
+   octagon's integer reasoning. *)
 
 module Ir = Slim.Ir
+module L = Slim.Lower
 module Value = Slim.Value
 module Branch = Slim.Branch
 module Dom = Solver.Dom
@@ -48,9 +53,6 @@ let tel_span = Telemetry.Span.make "analysis.analyze"
 let tel_octvars_dropped = Telemetry.Counter.make "analysis.octvars_dropped"
 
 type reach = Never | May | Must
-
-let pp_reach ppf r =
-  Fmt.string ppf (match r with Never -> "never" | May -> "may" | Must -> "must")
 
 type guard_fact = {
   g_reach : reach;
@@ -72,148 +74,151 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Static program info                                                 *)
 
-type scope_info = {
-  si_vars : Ir.var array;
-  si_index : (string, int) Hashtbl.t;
-}
-
-let scope_info vars =
-  let si_vars = Array.of_list vars in
-  let si_index = Hashtbl.create (max 8 (Array.length si_vars)) in
-  Array.iteri (fun i (v : Ir.var) -> Hashtbl.replace si_index v.name i) si_vars;
-  { si_vars; si_index }
-
+(* What the analyzer knows of a program's {!Slim.Lower} form, by slot. *)
 type info = {
   i_prog : Ir.program;
-  i_in : scope_info;
-  i_out : scope_info;
-  i_st : scope_info;
-  i_lo : scope_info;
-  i_state_init : Absval.t array;
-  i_input_top : Absval.t array;
-  i_output_init : Absval.t array;
-  i_local_init : Absval.t array;
-  i_alias : (Ir.scope * string, (Ir.scope * string) list) Hashtbl.t;
-      (* may-alias class of each element-written vector root; absent
-         for roots whose class is a singleton (strong updates allowed) *)
-  i_consts_mutable : bool;
-      (* some vector literal may be mutated in place through an alias *)
+  i_lp : L.t;
+  i_consts : Absval.t array;  (* each constant, converted once *)
+  i_template : Absval.t array;
+      (* the register file before a step: input tops, declared state
+         inits, local and output defaults *)
+  i_alias : int list array;
+      (* may-alias class of each element-written vector root slot;
+         empty for roots whose class is a singleton (strong updates) *)
+  i_int_only : bool array;
+      (* per slot: declared int and every store into it is an [Int] *)
 }
+
+(* Every assignment to a declared root, as (root slot, lvalue, rhs). *)
+let stores (lp : L.t) =
+  L.fold
+    (fun acc -> function
+      | L.Assign (lhs, e) -> (
+        match L.lvalue_root lhs with Some r -> (r, lhs, e) :: acc | None -> acc)
+      | L.If _ | L.Switch _ -> acc)
+    [] lp.body
 
 (* May-alias classes: union the target of every whole-value assignment
    with the variables (and vector literals) its right-hand side could
-   alias.  Only classes that are actually element-written matter. *)
-module Alias = struct
-  type key = V of Ir.scope * string | Const_vec
-
-  let roots e =
-    let rec go acc = function
-      | Ir.Var (s, n) -> V (s, n) :: acc
-      | Ir.Ite (_, a, b) -> go (go acc a) b
-      | Ir.Index (v, _) -> go acc v
-      | Ir.Const (Value.Vec _) -> Const_vec :: acc
-      | Ir.Const _ | Ir.Unop _ | Ir.Binop _ | Ir.Cmp _ | Ir.And _ | Ir.Or _ ->
-        acc
-    in
-    go [] e
-
-  let rec lv_root = function
-    | Ir.Lvar (s, n) -> V (s, n)
-    | Ir.Lindex (inner, _) -> lv_root inner
-
+   alias.  Only classes that are actually element-written matter.  Keys
+   are slots; key [n_slots] stands for every vector literal.  Returns
+   the classes and whether some vector literal may be mutated in place
+   through an alias. *)
+let alias_classes (lp : L.t) stores =
+  let rec roots acc = function
+    | L.Slot s -> s :: acc
+    | L.Ite (_, a, b) -> roots (roots acc a) b
+    | L.Index (v, _) -> roots acc v
+    | L.Const c -> (
+      match lp.consts.(c) with
+      | Value.Vec _ -> lp.n_slots :: acc
+      | Value.Bool _ | Value.Int _ | Value.Real _ -> acc)
+    | L.Unbound _ | L.Unop _ | L.Binop _ | L.Cmp _ | L.And _ | L.Or _ -> acc
+  in
+  let parent = Array.init (lp.n_slots + 1) Fun.id in
   (* representative lookup with path compression *)
-  let rec find parent k =
-    match Hashtbl.find_opt parent k with
-    | None -> k
-    | Some p ->
-      let r = find parent p in
-      if r <> p then Hashtbl.replace parent k r;
+  let rec find k =
+    let p = parent.(k) in
+    if p = k then k
+    else begin
+      let r = find p in
+      parent.(k) <- r;
       r
+    end
+  in
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra <> rb then parent.(ra) <- rb
+  in
+  let mutated =
+    List.fold_left
+      (fun acc (r, lhs, e) ->
+        List.iter (union r) (roots [] e);
+        match lhs with L.Lindex _ -> r :: acc | L.Lslot _ | L.Lunbound _ -> acc)
+      [] stores
+  in
+  let alias = Array.make lp.n_slots [] in
+  let consts_mutable = ref false in
+  List.iter
+    (fun r ->
+      let rep = find r in
+      if find lp.n_slots = rep then consts_mutable := true;
+      let cls = List.filter (fun s -> find s = rep) (List.init lp.n_slots Fun.id) in
+      if List.length cls > 1 then List.iter (fun s -> alias.(s) <- cls) cls)
+    mutated;
+  (alias, !consts_mutable)
 
-  let compute (prog : Ir.program) =
-    let parent : (key, key) Hashtbl.t = Hashtbl.create 16 in
-    let keys : (key, unit) Hashtbl.t = Hashtbl.create 16 in
-    let touch k = Hashtbl.replace keys k () in
-    let union a b =
-      touch a;
-      touch b;
-      let ra = find parent a and rb = find parent b in
-      if ra <> rb then Hashtbl.replace parent ra rb
-    in
-    let mutated_roots : key list ref = ref [] in
-    let rec stmts ss = List.iter stmt ss
-    and stmt = function
-      | Ir.Assign (lhs, e) ->
-        let lroot = lv_root lhs in
-        (match lhs with
-         | Ir.Lindex _ ->
-           touch lroot;
-           mutated_roots := lroot :: !mutated_roots
-         | Ir.Lvar _ -> ());
-        List.iter (fun r -> union lroot r) (roots e)
-      | Ir.If { then_; else_; _ } ->
-        stmts then_;
-        stmts else_
-      | Ir.Switch { cases; default; _ } ->
-        List.iter (fun (_, ss) -> stmts ss) cases;
-        stmts default
-    in
-    stmts prog.Ir.body;
-    let classes : (key, key list) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun k () ->
-        let r = find parent k in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt classes r) in
-        Hashtbl.replace classes r (k :: cur))
-      keys;
-    let mutated_reps : (key, unit) Hashtbl.t = Hashtbl.create 8 in
+(* SOUND/int-cells: a slot is int-only when it is declared int, starts
+   as an [Int] and no store can put anything else into it (a fixpoint
+   over [stores], closed over reads of slots that are not int-only). *)
+let int_only_slots (prog : Ir.program) (lp : L.t) stores =
+  let rec int_value = function
+    | Value.Int _ -> true
+    | Value.Vec a -> Array.for_all int_value a
+    | Value.Bool _ | Value.Real _ -> false
+  in
+  (* declared int: the type's default is an [Int] (or a vector of them) *)
+  let ok =
+    Array.map (fun (v : Ir.var) -> int_value (Value.default_of_ty v.ty)) lp.vars
+  in
+  List.iteri
+    (fun k (_, init) ->
+      if not (int_value init) then ok.(lp.n_inputs + k) <- false)
+    prog.states;
+  (* every value of [e] is an [Int] (or a vector of them); an unbound
+     read raises, so it stores nothing *)
+  let rec ints = function
+    | L.Const c -> int_value lp.consts.(c)
+    | L.Slot s -> ok.(s)
+    | L.Unbound _ | L.Unop (Ir.To_int, _) -> true
+    | L.Unop ((Ir.Neg | Ir.Abs_op | Ir.Floor | Ir.Ceil), a) | L.Index (a, _) ->
+      ints a
+    | L.Unop ((Ir.Not | Ir.To_real), _) | L.Cmp _ | L.And _ | L.Or _ -> false
+    | L.Binop (_, a, b) | L.Ite (_, a, b) -> ints a && ints b
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
     List.iter
-      (fun k -> Hashtbl.replace mutated_reps (find parent k) ())
-      !mutated_roots;
-    let alias = Hashtbl.create 8 in
-    let consts_mutable = ref false in
-    Hashtbl.iter
-      (fun rep members ->
-        if Hashtbl.mem mutated_reps rep then begin
-          let vars =
-            List.filter_map
-              (function V (s, n) -> Some (s, n) | Const_vec -> None)
-              members
-          in
-          if List.exists (function Const_vec -> true | V _ -> false) members
-          then consts_mutable := true;
-          if List.length vars > 1 then
-            List.iter (fun v -> Hashtbl.replace alias v vars) vars
+      (fun (r, _, e) ->
+        if ok.(r) && not (ints e) then begin
+          ok.(r) <- false;
+          changed := true
         end)
-      classes;
-    (alias, !consts_mutable)
-end
+      stores
+  done;
+  ok
 
 let build_info (prog : Ir.program) =
-  let alias, consts_mutable = Alias.compute prog in
+  let lp = Slim.Exec.lowered (Slim.Exec.handle prog) in
+  let stores = stores lp in
+  let alias, consts_mutable = alias_classes lp stores in
+  let inits = Array.of_list (List.map snd prog.states) in
   {
     i_prog = prog;
-    i_in = scope_info prog.inputs;
-    i_out = scope_info prog.outputs;
-    i_st = scope_info (List.map fst prog.states);
-    i_lo = scope_info prog.locals;
-    i_state_init =
-      Array.of_list (List.map (fun (_, v) -> Absval.of_value v) prog.states);
-    i_input_top =
-      Array.of_list
-        (List.map (fun (v : Ir.var) -> Absval.top_of_ty v.ty) prog.inputs);
-    i_output_init =
-      Array.of_list
-        (List.map
-           (fun (v : Ir.var) -> Absval.of_value (Value.default_of_ty v.ty))
-           prog.outputs);
-    i_local_init =
-      Array.of_list
-        (List.map
-           (fun (v : Ir.var) -> Absval.of_value (Value.default_of_ty v.ty))
-           prog.locals);
+    i_lp = lp;
+    i_consts =
+      Array.map
+        (fun v ->
+          let a = Absval.of_value v in
+          match v with
+          | Value.Vec _ when consts_mutable ->
+            (* SOUND/aliasing: a vector literal stored into a slot and
+               then element-written is mutated in place, so later
+               evaluations of the literal may see arbitrary contents *)
+            Absval.top_like a
+          | Value.Bool _ | Value.Int _ | Value.Real _ | Value.Vec _ -> a)
+        lp.consts;
+    i_template =
+      Array.mapi
+        (fun s (v : Ir.var) ->
+          match L.scope_of lp s with
+          | Ir.Input -> Absval.top_of_ty v.ty
+          | Ir.State -> Absval.of_value inits.(s - lp.n_inputs)
+          | Ir.Local | Ir.Output -> Absval.of_value (Value.default_of_ty v.ty))
+        lp.vars;
     i_alias = alias;
-    i_consts_mutable = consts_mutable;
+    i_int_only = int_only_slots prog lp stores;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -227,132 +232,108 @@ let default_config = { domain = `Interval }
 (* The relational domain tracks a bounded universe of numeric cells:
    every int/real scalar (inputs, states, locals), then the elements of
    State-scope vectors outside any may-alias class (their element
-   writes are strong, so exact relations survive).  [-1] as the element
-   index marks a scalar cell. *)
+   writes are strong, so exact relations survive).  A cell is a slot
+   and an element index, [-1] for a scalar cell. *)
 module Octvars = struct
   type t = {
-    ov_keys : (Ir.scope * string * int) array;
-    ov_ints : bool array;
-    ov_index : (Ir.scope * string * int, int) Hashtbl.t;
+    ov_keys : (int * int) array;
+    ov_ints : bool array;  (* int-only cells: integer tightening is sound *)
+    ov_base : int array;
+        (* per slot: its first cell, or -1; element [k] of a vector is
+           cell [ov_base + k] when it is tracked *)
   }
 
   let max_vars = 48
 
   let build (info : info) =
+    let lp = info.i_lp in
     let keys = ref [] in
     let count = ref 0 in
-    let push key is_int =
+    let base = Array.make lp.n_slots (-1) in
+    let push s elem is_int =
       if !count < max_vars then begin
-        keys := (key, is_int) :: !keys;
+        keys := ((s, elem), is_int) :: !keys;
+        if elem <= 0 then base.(s) <- !count;
         incr count
       end
       else Telemetry.Counter.incr tel_octvars_dropped
     in
-    let scalar scope (v : Ir.var) =
-      match v.ty with
-      | Value.Tint _ -> push (scope, v.name, -1) true
-      | Value.Treal _ -> push (scope, v.name, -1) false
+    (* [i_int_only] is false for every real-declared slot *)
+    for s = 0 to lp.output_base - 1 do
+      match lp.vars.(s).ty with
+      | Value.Tint _ | Value.Treal _ -> push s (-1) info.i_int_only.(s)
       | Value.Tbool | Value.Tvec _ -> ()
-    in
-    List.iter (scalar Ir.Input) info.i_prog.Ir.inputs;
-    List.iter (fun ((v : Ir.var), _) -> scalar Ir.State v) info.i_prog.Ir.states;
-    List.iter (scalar Ir.Local) info.i_prog.Ir.locals;
-    List.iter
-      (fun ((v : Ir.var), _) ->
-        match v.ty with
-        | Value.Tvec (elt, len)
-          when not (Hashtbl.mem info.i_alias (Ir.State, v.name)) -> (
-          match elt with
-          | Value.Tint _ ->
-            for k = 0 to len - 1 do
-              push (Ir.State, v.name, k) true
-            done
-          | Value.Treal _ ->
-            for k = 0 to len - 1 do
-              push (Ir.State, v.name, k) false
-            done
-          | Value.Tbool | Value.Tvec _ -> ())
-        | Value.Tbool | Value.Tint _ | Value.Treal _ | Value.Tvec _ -> ())
-      info.i_prog.Ir.states;
+    done;
+    for s = lp.n_inputs to lp.local_base - 1 do
+      match lp.vars.(s).ty with
+      | Value.Tvec ((Value.Tint _ | Value.Treal _), len) when info.i_alias.(s) = [] ->
+        for k = 0 to len - 1 do
+          push s k info.i_int_only.(s)
+        done
+      | Value.Tbool | Value.Tint _ | Value.Treal _ | Value.Tvec _ -> ()
+    done;
     let l = List.rev !keys in
-    let ov_keys = Array.of_list (List.map fst l) in
-    let ov_ints = Array.of_list (List.map snd l) in
-    let ov_index = Hashtbl.create (max 8 (Array.length ov_keys)) in
-    Array.iteri (fun i k -> Hashtbl.replace ov_index k i) ov_keys;
-    { ov_keys; ov_ints; ov_index }
+    {
+      ov_keys = Array.of_list (List.map fst l);
+      ov_ints = Array.of_list (List.map snd l);
+      ov_base = base;
+    }
 
-  let find t key = Hashtbl.find_opt t.ov_index key
+  let find t s elem =
+    let c = t.ov_base.(s) + max elem 0 in
+    if t.ov_base.(s) < 0 || c >= Array.length t.ov_keys then None
+    else
+      let s', elem' = t.ov_keys.(c) in
+      if s' = s && elem' = elem then Some c else None
 end
 
 (* ------------------------------------------------------------------ *)
 (* Abstract environments                                               *)
 
 type env = {
-  e_in : Absval.t array;
-  e_out : Absval.t array;
-  e_st : Absval.t array;
-  e_lo : Absval.t array;
-  e_lw : int array;  (* local write status: 0 never, 1 maybe, 2 definitely *)
-  e_pout : string option array;  (* unread pending write, per output slot *)
-  e_pst : string option array;
-  e_plo : string option array;
+  e_regs : Absval.t array;  (* by slot *)
+  e_lw : int array;
+      (* per local (slot minus [local_base]): write status, 0 never,
+         1 maybe, 2 definitely *)
+  e_pend : string option array;  (* per slot: an unread pending write *)
   mutable e_err : bool;  (* a step-aborting Eval_error may have occurred *)
   mutable e_oct : Octagon.t option;  (* relational companion (octagon) *)
 }
 
 let env_make info state =
+  let lp = info.i_lp in
+  let regs = Array.copy info.i_template in
+  Array.blit state 0 regs lp.L.n_inputs (Array.length state);
   {
-    e_in = Array.copy info.i_input_top;
-    e_out = Array.copy info.i_output_init;
-    e_st = Array.copy state;
-    e_lo = Array.copy info.i_local_init;
-    e_lw = Array.make (Array.length info.i_local_init) 0;
-    e_pout = Array.make (Array.length info.i_output_init) None;
-    e_pst = Array.make (Array.length state) None;
-    e_plo = Array.make (Array.length info.i_local_init) None;
+    e_regs = regs;
+    e_lw = Array.make (lp.output_base - lp.local_base) 0;
+    e_pend = Array.make lp.n_slots None;
     e_err = false;
     e_oct = None;
   }
 
 let env_copy e =
   {
-    e_in = Array.copy e.e_in;
-    e_out = Array.copy e.e_out;
-    e_st = Array.copy e.e_st;
-    e_lo = Array.copy e.e_lo;
+    e_regs = Array.copy e.e_regs;
     e_lw = Array.copy e.e_lw;
-    e_pout = Array.copy e.e_pout;
-    e_pst = Array.copy e.e_pst;
-    e_plo = Array.copy e.e_plo;
+    e_pend = Array.copy e.e_pend;
     e_err = e.e_err;
     e_oct = Option.map Octagon.copy e.e_oct;
   }
 
 let env_blit ~src ~dst =
   let b a b = Array.blit a 0 b 0 (Array.length a) in
-  b src.e_in dst.e_in;
-  b src.e_out dst.e_out;
-  b src.e_st dst.e_st;
-  b src.e_lo dst.e_lo;
+  b src.e_regs dst.e_regs;
   b src.e_lw dst.e_lw;
-  b src.e_pout dst.e_pout;
-  b src.e_pst dst.e_pst;
-  b src.e_plo dst.e_plo;
+  b src.e_pend dst.e_pend;
   dst.e_err <- src.e_err;
   dst.e_oct <- src.e_oct
 
 (* join [src] into [dst] pointwise *)
 let env_join_into ~src ~dst =
-  let j a b = Array.iteri (fun i v -> b.(i) <- Absval.join v b.(i)) a in
-  j src.e_in dst.e_in;
-  j src.e_out dst.e_out;
-  j src.e_st dst.e_st;
-  j src.e_lo dst.e_lo;
+  Array.iteri (fun i v -> dst.e_regs.(i) <- Absval.join v dst.e_regs.(i)) src.e_regs;
   Array.iteri (fun i v -> if v <> dst.e_lw.(i) then dst.e_lw.(i) <- 1) src.e_lw;
-  let jp a b = Array.iteri (fun i v -> if v <> b.(i) then b.(i) <- None) a in
-  jp src.e_pout dst.e_pout;
-  jp src.e_pst dst.e_pst;
-  jp src.e_plo dst.e_plo;
+  Array.iteri (fun i v -> if v <> dst.e_pend.(i) then dst.e_pend.(i) <- None) src.e_pend;
   dst.e_err <- src.e_err || dst.e_err;
   dst.e_oct <-
     (match (src.e_oct, dst.e_oct) with
@@ -489,11 +470,18 @@ let within_big (n : I.num) = n.I.nlo >= -.big && n.I.nhi <= big
    attach to int cells: float [v + c] rounds, while int [v + c] is
    exact whenever the enclosing interval did not collapse (which the
    callers check via [within_big] on the evaluated side). *)
-let oct_term (ov : Octvars.t) (e : Ir.expr) : (int * float) option =
+let int_const (info : info) = function
+  | L.Const c -> (
+    match info.i_lp.consts.(c) with Value.Int k -> Some k | _ -> None)
+  | _ -> None
+
+let oct_term info (ov : Octvars.t) (e : L.expr) : (int * float) option =
   let cell = function
-    | Ir.Var (s, n) -> Octvars.find ov (s, n, -1)
-    | Ir.Index (Ir.Var (s, n), Ir.Const (Value.Int k)) ->
-      Octvars.find ov (s, n, k)
+    | L.Slot s -> Octvars.find ov s (-1)
+    | L.Index (L.Slot s, ix) -> (
+      match int_const info ix with
+      | Some k -> Octvars.find ov s k
+      | None -> None)
     | _ -> None
   in
   let int_cell v c =
@@ -502,11 +490,16 @@ let oct_term (ov : Octvars.t) (e : Ir.expr) : (int * float) option =
     | Some _ | None -> None
   in
   match e with
-  | Ir.Binop (Ir.Add, v, Ir.Const (Value.Int k)) -> int_cell v (float_of_int k)
-  | Ir.Binop (Ir.Add, Ir.Const (Value.Int k), v) -> int_cell v (float_of_int k)
-  | Ir.Binop (Ir.Sub, v, Ir.Const (Value.Int k)) ->
-    int_cell v (-.float_of_int k)
-  | _ -> ( match cell e with Some i -> Some (i, 0.0) | None -> None)
+  | L.Binop (Ir.Add, a, b) -> (
+    match (int_const info b, int_const info a) with
+    | Some k, _ -> int_cell a (float_of_int k)
+    | None, Some k -> int_cell b (float_of_int k)
+    | None, None -> None)
+  | L.Binop (Ir.Sub, v, k) -> (
+    match int_const info k with
+    | Some k -> int_cell v (-.float_of_int k)
+    | None -> None)
+  | _ -> Option.map (fun i -> (i, 0.0)) (cell e)
 
 (* Decide [x op k] from [x in [lo, hi]]: both sides concretely evaluate
    to finite doubles inside the exact window (the callers check), so
@@ -532,7 +525,7 @@ let oct_cmp ctx env op a b (na : I.num) (nb : I.num) : I.bool3 option =
       || not (within_big na && within_big nb)
     then None
     else begin
-      match (oct_term ov a, oct_term ov b) with
+      match (oct_term ctx.ci ov a, oct_term ctx.ci ov b) with
       | Some (ia, ca), Some (ib, cb) ->
         if ia = ib then
           (* lhs - rhs is the constant [ca - cb] *)
@@ -549,48 +542,53 @@ let oct_cmp ctx env op a b (na : I.num) (nb : I.num) : I.bool3 option =
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 
-let slot_of ctx env scope name =
-  let si, arr =
-    match scope with
-    | Ir.Input -> (ctx.ci.i_in, env.e_in)
-    | Ir.Output -> (ctx.ci.i_out, env.e_out)
-    | Ir.State -> (ctx.ci.i_st, env.e_st)
-    | Ir.Local -> (ctx.ci.i_lo, env.e_lo)
-  in
-  match Hashtbl.find_opt si.si_index name with
-  | Some i -> (arr, i)
-  | None ->
-    Value.type_error "analysis: unbound %s variable %s" (Ir.scope_name scope)
-      name
+let unbound scope name =
+  Value.type_error "analysis: unbound %s variable %s" (Ir.scope_name scope) name
 
-let read_var ctx env scope name =
-  let arr, i = slot_of ctx env scope name in
-  (match scope with
-   | Ir.Input -> ()
-   | Ir.Output -> env.e_pout.(i) <- None
-   | Ir.State -> env.e_pst.(i) <- None
-   | Ir.Local ->
-     env.e_plo.(i) <- None;
-     if env.e_lw.(i) = 0 then
-       diag ctx Diag.Uninit_local_read
-         (Fmt.str "local %s read before any write (default value)" name));
-  arr.(i)
+let read_slot ctx env s =
+  let lp = ctx.ci.i_lp in
+  if s >= lp.L.n_inputs then env.e_pend.(s) <- None;
+  if
+    ctx.c_live && s >= lp.local_base && s < lp.output_base
+    && env.e_lw.(s - lp.local_base) = 0
+  then
+    diag ctx Diag.Uninit_local_read
+      (Fmt.str "local %s read before any write (default value)" lp.vars.(s).name);
+  env.e_regs.(s)
 
-let rec eval ctx env (e : Ir.expr) : Absval.t =
+let eval_unop op a =
+  match op with
+  | Ir.Not -> sc (I.dom_of_b3 (I.b3_not (b3_of_abs a)))
+  | Ir.Neg -> sc (legal_num (I.nneg (num_of_abs a)))
+  | Ir.Abs_op ->
+    let n = num_of_abs a in
+    (* SOUND/nan: abs of a possibly-nan value is nan, but nabs would
+       report [0, inf] *)
+    if nan_possible n then sc Absval.real_top else sc (legal_num (I.nabs n))
+  | Ir.To_real ->
+    let n = num_of_abs a in
+    sc (Dom.Dreal { lo = n.nlo; hi = n.nhi })
+  | Ir.To_int -> sc (legal_num (I.ntrunc (num_of_abs a)))
+  | Ir.Floor -> sc (legal_num (I.nfloor (num_of_abs a)))
+  | Ir.Ceil -> sc (legal_num (I.nceil (num_of_abs a)))
+
+(* int range of an index expression under [Value.to_int] truncation *)
+let index_range ai n =
+  match legal_num (I.ntrunc (num_of_abs ai)) with
+  | Dom.Dint { lo; hi } -> (lo, hi)
+  | Dom.Dbool _ | Dom.Dreal _ -> (0, n - 1)
+
+let rec eval ctx env (e : L.expr) : Absval.t =
   match e with
-  | Ir.Const (Value.Vec _ as v) when ctx.ci.i_consts_mutable ->
-    (* SOUND/aliasing: a vector literal stored into a slot and then
-       element-written is mutated in place, so later evaluations of the
-       literal may see arbitrary contents *)
-    Absval.top_like (Absval.of_value v)
-  | Ir.Const v -> Absval.of_value v
-  | Ir.Var (scope, name) -> read_var ctx env scope name
-  | Ir.Unop (op, e1) -> eval_unop ctx env op (eval ctx env e1)
-  | Ir.Binop (op, a, b) ->
+  | L.Const c -> ctx.ci.i_consts.(c)
+  | L.Slot s -> read_slot ctx env s
+  | L.Unbound (scope, name) -> unbound scope name
+  | L.Unop (op, e1) -> eval_unop op (eval ctx env e1)
+  | L.Binop (op, a, b) ->
     let va = eval ctx env a in
     let vb = eval ctx env b in
     binop_abs env op (num_of_abs va) (num_of_abs vb)
-  | Ir.Cmp (op, a, b) ->
+  | L.Cmp (op, a, b) ->
     let va = eval ctx env a in
     let vb = eval ctx env b in
     let bv = cmp_b3 op (to_dom va) (to_dom vb) in
@@ -602,21 +600,21 @@ let rec eval ctx env (e : Ir.expr) : Absval.t =
       else bv
     in
     sc (I.dom_of_b3 bv)
-  | Ir.And (a, b) ->
+  | L.And (a, b) ->
     (* no short-circuit: Exec evaluates both operands *)
     let ba = b3_of_abs (eval ctx env a) in
     let bb = b3_of_abs (eval ctx env b) in
     sc (I.dom_of_b3 (I.b3_and ba bb))
-  | Ir.Or (a, b) ->
+  | L.Or (a, b) ->
     let ba = b3_of_abs (eval ctx env a) in
     let bb = b3_of_abs (eval ctx env b) in
     sc (I.dom_of_b3 (I.b3_or ba bb))
-  | Ir.Ite (c, t, e1) ->
+  | L.Ite (c, t, e1) ->
     let bc = b3_of_abs (eval ctx env c) in
     if not bc.I.bf then eval ctx env t
     else if not bc.I.bt then eval ctx env e1
     else Absval.join (eval ctx env t) (eval ctx env e1)
-  | Ir.Index (v, ix) ->
+  | L.Index (v, ix) ->
     let av = eval ctx env v in
     let ai = eval ctx env ix in
     (match av with
@@ -645,41 +643,16 @@ let rec eval ctx env (e : Ir.expr) : Absval.t =
        end
      | Absval.Scalar _ -> Value.type_error "analysis: Index on scalar")
 
-and eval_unop ctx env op a =
-  ignore ctx;
-  ignore env;
-  match op with
-  | Ir.Not -> sc (I.dom_of_b3 (I.b3_not (b3_of_abs a)))
-  | Ir.Neg -> sc (legal_num (I.nneg (num_of_abs a)))
-  | Ir.Abs_op ->
-    let n = num_of_abs a in
-    (* SOUND/nan: abs of a possibly-nan value is nan, but nabs would
-       report [0, inf] *)
-    if nan_possible n then sc Absval.real_top else sc (legal_num (I.nabs n))
-  | Ir.To_real ->
-    let n = num_of_abs a in
-    sc (Dom.Dreal { lo = n.nlo; hi = n.nhi })
-  | Ir.To_int -> sc (legal_num (I.ntrunc (num_of_abs a)))
-  | Ir.Floor -> sc (legal_num (I.nfloor (num_of_abs a)))
-  | Ir.Ceil -> sc (legal_num (I.nceil (num_of_abs a)))
-
-(* int range of an index expression under [Value.to_int] truncation *)
-and index_range ai n =
-  match legal_num (I.ntrunc (num_of_abs ai)) with
-  | Dom.Dint { lo; hi } -> (lo, hi)
-  | Dom.Dbool _ | Dom.Dreal _ -> (0, n - 1)
-
 (* ------------------------------------------------------------------ *)
 (* Guard refinement (backward narrowing on variable leaves)            *)
 
-let narrow_var ctx env scope name (f : Dom.t -> Dom.t) =
-  let arr, i = slot_of ctx env scope name in
-  match arr.(i) with
+let narrow_slot env s (f : Dom.t -> Dom.t) =
+  match env.e_regs.(s) with
   | Absval.Scalar d ->
     (* SOUND/nan: a possibly-nan value satisfies guards its interval
        image contradicts; never narrow through it *)
     if not (nan_possible (I.num_of_dom d)) then
-      arr.(i) <- Absval.Scalar (f d) (* Dom.Empty propagates: infeasible *)
+      env.e_regs.(s) <- Absval.Scalar (f d) (* Dom.Empty propagates: infeasible *)
   | Absval.Vector _ -> ()
 
 (* Meet [orig] with the float interval [n], keeping any bound the float
@@ -723,20 +696,19 @@ let oct_writeback ctx env idx =
   | Some ov, Some o ->
     let lo, hi = Octagon.bounds o idx in
     if lo > neg_infinity || hi < infinity then begin
-      let scope, name, elem = ov.Octvars.ov_keys.(idx) in
+      let s, elem = ov.Octvars.ov_keys.(idx) in
       let n' =
         { I.nlo = lo; nhi = hi; nint = I.int_flag ov.Octvars.ov_ints.(idx) }
       in
-      if elem < 0 then narrow_var ctx env scope name (fun d -> meet_num d n')
+      if elem < 0 then narrow_slot env s (fun d -> meet_num d n')
       else begin
-        let arr, i = slot_of ctx env scope name in
-        match arr.(i) with
+        match env.e_regs.(s) with
         | Absval.Vector els when elem < Array.length els -> (
           match els.(elem) with
           | Absval.Scalar d when not (nan_possible (I.num_of_dom d)) ->
             let els' = Array.copy els in
             els'.(elem) <- Absval.Scalar (meet_num d n');
-            arr.(i) <- Absval.Vector els'
+            env.e_regs.(s) <- Absval.Vector els'
           | Absval.Scalar _ | Absval.Vector _ -> ())
         | Absval.Vector _ | Absval.Scalar _ -> ()
       end
@@ -750,7 +722,7 @@ let oct_writeback ctx env idx =
 let oct_refine_cmp ctx env op a b (na : I.num) (nb : I.num) =
   match (ctx.c_oct, env.e_oct) with
   | Some ov, Some o when within_big na && within_big nb -> (
-    match (oct_term ov a, oct_term ov b) with
+    match (oct_term ctx.ci ov a, oct_term ctx.ci ov b) with
     | Some (ia, ca), Some (ib, cb) when ia <> ib ->
       let both_int = ov.Octvars.ov_ints.(ia) && ov.Octvars.ov_ints.(ib) in
       (* (v_a + ca) op (v_b + cb)  <=>  (v_a - v_b) op k, k = cb - ca *)
@@ -776,11 +748,12 @@ let oct_refine_cmp ctx env op a b (na : I.num) (nb : I.num) =
     | ((Some _ | None), _) -> ())
   | _ -> ()
 
-let rec refine ctx env (e : Ir.expr) (want : bool) : unit =
+let rec refine ctx env (e : L.expr) (want : bool) : unit =
   match e with
-  | Ir.Const v -> if Value.to_bool v <> want then raise Dom.Empty
-  | Ir.Var (scope, name) ->
-    narrow_var ctx env scope name (fun d ->
+  | L.Const c -> if Value.to_bool ctx.ci.i_lp.consts.(c) <> want then raise Dom.Empty
+  | L.Unbound (scope, name) -> unbound scope name
+  | L.Slot s ->
+    narrow_slot env s (fun d ->
         match d with
         | Dom.Dbool _ ->
           I.(
@@ -798,8 +771,8 @@ let rec refine ctx env (e : Ir.expr) (want : bool) : unit =
           if want then
             if lo = 0.0 && hi = 0.0 then raise Dom.Empty else d
           else meet_num d { I.nlo = 0.0; nhi = 0.0; nint = 0.0 })
-  | Ir.Unop (Ir.Not, e1) -> refine ctx env e1 (not want)
-  | Ir.And (a, b) ->
+  | L.Unop (Ir.Not, e1) -> refine ctx env e1 (not want)
+  | L.And (a, b) ->
     if want then begin
       refine ctx env a true;
       refine ctx env b true
@@ -810,7 +783,7 @@ let rec refine ctx env (e : Ir.expr) (want : bool) : unit =
       if not ba.I.bf then refine ctx env b false
       else if not bb.I.bf then refine ctx env a false
     end
-  | Ir.Or (a, b) ->
+  | L.Or (a, b) ->
     if not want then begin
       refine ctx env a false;
       refine ctx env b false
@@ -821,13 +794,13 @@ let rec refine ctx env (e : Ir.expr) (want : bool) : unit =
       if not ba.I.bt then refine ctx env b true
       else if not bb.I.bt then refine ctx env a true
     end
-  | Ir.Cmp (op, a, b) ->
+  | L.Cmp (op, a, b) ->
     refine_cmp ctx env (if want then op else negate_cmp op) a b
-  | Ir.Ite (c, t, e1) ->
+  | L.Ite (c, t, e1) ->
     let bc = b3_of_abs (eval ctx env c) in
     if not bc.I.bf then refine ctx env t want
     else if not bc.I.bt then refine ctx env e1 want
-  | Ir.Unop _ | Ir.Binop _ | Ir.Index _ -> ()
+  | L.Unop _ | L.Binop _ | L.Index _ -> ()
 
 and refine_cmp ctx env op a b =
   let da = to_dom (eval ctx env a) and db = to_dom (eval ctx env b) in
@@ -838,9 +811,9 @@ and refine_cmp ctx env op a b =
   else begin
     let upd side n' =
       match side with
-      | Ir.Var (s, nm) -> narrow_var ctx env s nm (fun d -> meet_num d n')
-      | Ir.Const _ | Ir.Unop _ | Ir.Binop _ | Ir.Cmp _ | Ir.And _ | Ir.Or _
-      | Ir.Ite _ | Ir.Index _ ->
+      | L.Slot s -> narrow_slot env s (fun d -> meet_num d n')
+      | L.Const _ | L.Unbound _ | L.Unop _ | L.Binop _ | L.Cmp _ | L.And _
+      | L.Or _ | L.Ite _ | L.Index _ ->
         ()
     in
     let eps_lt hi = if I.is_int na && I.is_int nb then hi -. 1.0 else hi in
@@ -883,8 +856,9 @@ and refine_cmp ctx env op a b =
 
 let eff_reach reach env = if reach = Must && env.e_err then May else reach
 
-let is_chart_dispatch = function
-  | Ir.Var (Ir.State, n) ->
+let is_chart_dispatch (lp : L.t) = function
+  | L.Slot s when L.scope_of lp s = Ir.State ->
+    let n = lp.vars.(s).name in
     n = "loc" || (String.length n > 4 && String.sub n 0 4 = "loc.")
   | _ -> false
 
@@ -894,24 +868,19 @@ let record_branch ctx key r =
 let record_guard ctx id gf =
   if ctx.c_final then ctx.c_guards <- (id, gf) :: ctx.c_guards
 
-let rec lv_root = function
-  | Ir.Lvar (s, n) -> (s, n)
-  | Ir.Lindex (inner, _) -> lv_root inner
-
 let rec rebase_lv lv new_root =
   match lv with
-  | Ir.Lvar _ -> new_root
-  | Ir.Lindex (inner, ix) -> Ir.Lindex (rebase_lv inner new_root, ix)
+  | L.Lslot _ | L.Lunbound _ -> new_root
+  | L.Lindex (inner, ix) -> L.Lindex (rebase_lv inner new_root, ix)
 
 (* Rebuild the lvalue path rooted at a variable, applying [f] at the
    innermost position: a strong update when every index on the way is a
    valid singleton, a weak (join) update otherwise. *)
-let rec update_lv ctx env (lv : Ir.lvalue) (f : Absval.t -> Absval.t) : unit =
+let rec update_lv ctx env (lv : L.lvalue) (f : Absval.t -> Absval.t) : unit =
   match lv with
-  | Ir.Lvar (scope, name) ->
-    let arr, i = slot_of ctx env scope name in
-    arr.(i) <- f arr.(i)
-  | Ir.Lindex (inner, ix) ->
+  | L.Lslot s -> env.e_regs.(s) <- f env.e_regs.(s)
+  | L.Lunbound (scope, name) -> unbound scope name
+  | L.Lindex (inner, ix) ->
     let ai = eval ctx env ix in
     update_lv ctx env inner (fun cur ->
         match cur with
@@ -941,60 +910,53 @@ let rec update_lv ctx env (lv : Ir.lvalue) (f : Absval.t -> Absval.t) : unit =
           end
         | Absval.Scalar _ -> Value.type_error "analysis: Lindex on scalar")
 
-let assign_stmt ctx env reach loc (lhs : Ir.lvalue) (v : Absval.t) =
+let assign_stmt ctx env reach loc (lhs : L.lvalue) (v : Absval.t) =
+  let lp = ctx.ci.i_lp in
   match lhs with
-  | Ir.Lvar (Ir.Input, _) ->
+  | L.Lslot s when s < lp.L.n_inputs ->
     (* a direct whole-value store to an input raises at runtime *)
     env.e_err <- true
-  | Ir.Lvar (((Ir.Output | Ir.State | Ir.Local) as scope), name) ->
-    let _, i = slot_of ctx env scope name in
-    let pend =
-      match scope with
-      | Ir.Output -> env.e_pout
-      | Ir.State -> env.e_pst
-      | Ir.Local -> env.e_plo
-      | Ir.Input -> assert false
-    in
-    (match pend.(i) with
+  | L.Lunbound (Ir.Input, _) -> env.e_err <- true
+  | L.Lunbound (scope, name) -> unbound scope name
+  | L.Lslot s ->
+    (match env.e_pend.(s) with
      | Some first when reach <> Never && ctx.c_final && ctx.c_live ->
        ctx.c_diags <-
          Diag.make Diag.Dead_store ~loc:first
            (Fmt.str "%s %s may be overwritten before any read"
-              (Ir.scope_name scope) name)
+              (Ir.scope_name (L.scope_of lp s)) lp.vars.(s).name)
          :: ctx.c_diags
      | Some _ | None -> ());
-    pend.(i) <- Some loc;
-    if scope = Ir.Local then env.e_lw.(i) <- 2;
+    env.e_pend.(s) <- Some loc;
+    if s >= lp.local_base && s < lp.output_base then
+      env.e_lw.(s - lp.local_base) <- 2;
     update_lv ctx env lhs (fun _ -> v)
-  | Ir.Lindex _ ->
+  | L.Lindex _ -> (
     (* a partial write both reads and writes the root: clear pending
        state, then strong/weak-update the element(s).  Note an Lindex
        whose root is an input does NOT raise — it mutates the input
        array in place. *)
-    let scope, name = lv_root lhs in
-    let _, i = slot_of ctx env scope name in
-    (match scope with
-     | Ir.Input -> ()
-     | Ir.Output -> env.e_pout.(i) <- None
-     | Ir.State -> env.e_pst.(i) <- None
-     | Ir.Local ->
-       env.e_plo.(i) <- None;
-       if env.e_lw.(i) = 0 then env.e_lw.(i) <- 1);
-    (match Hashtbl.find_opt ctx.ci.i_alias (scope, name) with
-     | None -> update_lv ctx env lhs (fun _ -> v)
-     | Some cls ->
-       (* SOUND/aliasing: the slot may share its array with every
-          member of its class — weak-update all of them *)
-       List.iter
-         (fun (s, n) ->
-           let arr, j = slot_of ctx env s n in
-           match arr.(j) with
-           | Absval.Vector _ ->
-             update_lv ctx env
-               (rebase_lv lhs (Ir.Lvar (s, n)))
-               (fun old -> Absval.join old v)
-           | Absval.Scalar _ -> ())
-         cls)
+    match L.lvalue_root lhs with
+    | None -> update_lv ctx env lhs (fun _ -> v) (* raises at the root *)
+    | Some s ->
+      if s >= lp.n_inputs then env.e_pend.(s) <- None;
+      if s >= lp.local_base && s < lp.output_base then begin
+        let i = s - lp.local_base in
+        if env.e_lw.(i) = 0 then env.e_lw.(i) <- 1
+      end;
+      (match ctx.ci.i_alias.(s) with
+       | [] -> update_lv ctx env lhs (fun _ -> v)
+       | cls ->
+         (* SOUND/aliasing: the slot may share its array with every
+            member of its class — weak-update all of them *)
+         List.iter
+           (fun m ->
+             match env.e_regs.(m) with
+             | Absval.Vector _ ->
+               update_lv ctx env (rebase_lv lhs (L.Lslot m)) (fun old ->
+                   Absval.join old v)
+             | Absval.Scalar _ -> ())
+           cls))
 
 (* Octagon transfer for an assignment (runs after the interval store):
    an exact copy/shift when the rhs is a tracked cell plus an int
@@ -1003,7 +965,7 @@ let assign_stmt ctx env reach loc (lhs : Ir.lvalue) (v : Absval.t) =
    result.  Destinations that may overlap tracked vector cells without
    naming one (whole-vector stores, weak or non-constant element
    writes) forget every cell of the root. *)
-let oct_assign ctx env (lhs : Ir.lvalue) (rhs : Ir.expr) (v : Absval.t) =
+let oct_assign ctx env (lhs : L.lvalue) (rhs : L.expr) (v : Absval.t) =
   match (ctx.c_oct, env.e_oct) with
   | Some ov, Some o ->
     let seed idx av =
@@ -1015,9 +977,9 @@ let oct_assign ctx env (lhs : Ir.lvalue) (rhs : Ir.expr) (v : Absval.t) =
       | Absval.Vector _ -> ()
     in
     (* tracked cells of a vector form a contiguous prefix 0..j-1 *)
-    let forget_elems s name av =
+    let forget_elems s av =
       let rec loop k =
-        match Octvars.find ov (s, name, k) with
+        match Octvars.find ov s k with
         | Some idx ->
           Octagon.forget o idx;
           (match av with
@@ -1039,27 +1001,31 @@ let oct_assign ctx env (lhs : Ir.lvalue) (rhs : Ir.expr) (v : Absval.t) =
         (not (nan_possible n)) && within_big n
       | Absval.Vector _ -> false
     in
+    let input s = s < ctx.ci.i_lp.n_inputs in
     let dst =
       match lhs with
-      | Ir.Lvar (Ir.Input, _) -> None
-      | Ir.Lvar (s, name) -> Octvars.find ov (s, name, -1)
-      | Ir.Lindex (Ir.Lvar (s, name), Ir.Const (Value.Int k)) ->
-        Octvars.find ov (s, name, k)
-      | Ir.Lindex _ -> None
+      | L.Lslot s when input s -> None
+      | L.Lslot s -> Octvars.find ov s (-1)
+      | L.Lindex (L.Lslot s, ix) -> (
+        match int_const ctx.ci ix with
+        | Some k -> Octvars.find ov s k
+        | None -> None)
+      | L.Lunbound _ | L.Lindex _ -> None
     in
     (match (dst, lhs) with
      | Some d, _ ->
-       (match oct_term ov rhs with
+       (match oct_term ctx.ci ov rhs with
         | Some (src, off) when exact ->
           if src = d then Octagon.shift o d off
           else Octagon.assign_copy o ~dst:d ~src ~offset:off
         | Some _ | None -> Octagon.forget o d);
        seed d v
-     | None, Ir.Lvar (Ir.Input, _) -> ()  (* the store raises *)
-     | None, Ir.Lvar (s, name) -> forget_elems s name (Some v)
-     | None, Ir.Lindex _ ->
-       let s, name = lv_root lhs in
-       forget_elems s name None)
+     | None, L.Lslot s when input s -> ()  (* the store raises *)
+     | None, L.Lslot s -> forget_elems s (Some v)
+     | None, (L.Lunbound _ | L.Lindex _) -> (
+       match L.lvalue_root lhs with
+       | Some s -> forget_elems s None
+       | None -> ()))
   | _ -> ()
 
 let rec exec_stmts ctx env reach prefix stmts =
@@ -1067,16 +1033,15 @@ let rec exec_stmts ctx env reach prefix stmts =
     (fun i s -> exec_stmt ctx env reach (Fmt.str "%s[%d]" prefix i) s)
     stmts
 
-and exec_stmt ctx env reach loc (s : Ir.stmt) =
+and exec_stmt ctx env reach loc (s : L.stmt) =
   ctx.c_loc <- loc;
   ctx.c_live <- ctx.c_final && reach <> Never;
   match s with
-  | Ir.Assign (lhs, e) ->
+  | L.Assign (lhs, e) ->
     let v = eval ctx env e in
     assign_stmt ctx env reach loc lhs v;
     oct_assign ctx env lhs e v
-  | Ir.If { id; cond; then_; else_ } ->
-    let atoms = Ir.atoms_of_condition cond in
+  | L.If { id; cond; atoms; then_; else_; _ } ->
     let g_atoms =
       Array.of_list (List.map (fun a -> b3_of_abs (eval ctx env a)) atoms)
     in
@@ -1121,8 +1086,8 @@ and exec_stmt ctx env reach loc (s : Ir.stmt) =
        (* both sides infeasible: the decision cannot complete; keep the
           pre-state (a superset of nothing) *)
        ())
-  | Ir.Switch { id; scrut; cases; default } ->
-    let chart = is_chart_dispatch scrut in
+  | L.Switch { id; scrut; labels; cases; default; _ } ->
+    let chart = is_chart_dispatch ctx.ci.i_lp scrut in
     let ds = eval ctx env scrut in
     let slo, shi =
       match legal_num (I.ntrunc (num_of_abs ds)) with
@@ -1130,7 +1095,6 @@ and exec_stmt ctx env reach loc (s : Ir.stmt) =
       | Dom.Dbool _ | Dom.Dreal _ -> (min_int, max_int)
     in
     let dec_reach = eff_reach reach env in
-    let labels = List.map fst cases in
     let in_scrut k = slo <= k && k <= shi in
     let default_possible =
       (* a value outside the label set must exist in [slo, shi]; only
@@ -1148,8 +1112,8 @@ and exec_stmt ctx env reach loc (s : Ir.stmt) =
     let default_forced = not (List.exists in_scrut labels) in
     let refine_case k e' =
       (match scrut with
-       | Ir.Var (s, n) ->
-         narrow_var ctx e' s n (fun d ->
+       | L.Slot s ->
+         narrow_slot e' s (fun d ->
              meet_num d
                { I.nlo = float_of_int k; nhi = float_of_int k; nint = 1.0 })
        | _ -> ());
@@ -1157,7 +1121,7 @@ and exec_stmt ctx env reach loc (s : Ir.stmt) =
       | Some ov, Some o -> (
         (* [Exec] dispatches on [Value.to_int scrut]; for an int cell
            that truncation is the identity, so the case pins it *)
-        match oct_term ov scrut with
+        match oct_term ctx.ci ov scrut with
         | Some (i, c) when ov.Octvars.ov_ints.(i) ->
           let v = float_of_int k -. c in
           Octagon.meet_interval o i ~lo:v ~hi:v;
@@ -1168,8 +1132,8 @@ and exec_stmt ctx env reach loc (s : Ir.stmt) =
     in
     let refine_default e' =
       match scrut with
-      | Ir.Var (s, n) ->
-        narrow_var ctx e' s n (fun d ->
+      | L.Slot s ->
+        narrow_slot e' s (fun d ->
             match d with
             | Dom.Dint { lo; hi } ->
               let lo = ref lo and hi = ref hi in
@@ -1253,10 +1217,13 @@ let rec count_scalars = function
   | Absval.Vector a ->
     Array.fold_left (fun acc v -> acc + count_scalars v) 0 a
 
-let fresh_ctx info octvars final =
+let fresh_ctx config info final =
   {
     ci = info;
-    c_oct = octvars;
+    c_oct =
+      (match config.domain with
+       | `Octagon -> Some (Octvars.build info)
+       | `Interval -> None);
     c_final = final;
     c_live = false;
     c_loc = "";
@@ -1267,15 +1234,12 @@ let fresh_ctx info octvars final =
   }
 
 (* the abstract value currently held by a tracked cell, if scalar *)
-let cell_absval (si : scope_info) (arr : Absval.t array) name elem =
-  match Hashtbl.find_opt si.si_index name with
-  | None -> None
-  | Some i ->
-    if elem < 0 then Some arr.(i)
-    else (
-      match arr.(i) with
-      | Absval.Vector els when elem < Array.length els -> Some els.(elem)
-      | Absval.Vector _ | Absval.Scalar _ -> None)
+let cell_absval (regs : Absval.t array) ((s, elem) : int * int) =
+  if elem < 0 then Some regs.(s)
+  else
+    match regs.(s) with
+    | Absval.Vector els when elem < Array.length els -> Some els.(elem)
+    | Absval.Vector _ | Absval.Scalar _ -> None
 
 (* refresh the unary bounds of every tracked cell from an interval
    lookup (raw stores), then close once *)
@@ -1291,18 +1255,9 @@ let oct_seed (ov : Octvars.t) o lookup =
     ov.Octvars.ov_keys;
   Octagon.close o
 
-let env_lookup info env ((scope, name, elem) : Ir.scope * string * int) =
-  let si, arr =
-    match scope with
-    | Ir.Input -> (info.i_in, env.e_in)
-    | Ir.Output -> (info.i_out, env.e_out)
-    | Ir.State -> (info.i_st, env.e_st)
-    | Ir.Local -> (info.i_lo, env.e_lo)
-  in
-  cell_absval si arr name elem
-
 let result_of ctx (state : Absval.t array) env ~iterations ~widenings =
   let prog = ctx.ci.i_prog in
+  let lp = ctx.ci.i_lp in
   {
     r_prog = prog;
     r_iterations = iterations;
@@ -1313,7 +1268,9 @@ let result_of ctx (state : Absval.t array) env ~iterations ~widenings =
     r_state =
       List.mapi (fun i ((v : Ir.var), _) -> (v.name, state.(i))) prog.Ir.states;
     r_out =
-      List.mapi (fun i (v : Ir.var) -> (v.name, env.e_out.(i))) prog.Ir.outputs;
+      List.mapi
+        (fun i (v : Ir.var) -> (v.name, env.e_regs.(lp.output_base + i)))
+        prog.Ir.outputs;
   }
 
 let analyze ?(config = default_config) (prog : Ir.program) :
@@ -1321,15 +1278,13 @@ let analyze ?(config = default_config) (prog : Ir.program) :
   Telemetry.Counter.incr tel_runs;
   Telemetry.Span.with_ ~note:(fun () -> prog.Ir.name) tel_span @@ fun () ->
   let info = build_info prog in
-  let octvars =
-    match config.domain with
-    | `Octagon -> Some (Octvars.build info)
-    | `Interval -> None
-  in
-  let ctx = fresh_ctx info octvars false in
-  let n_state = Array.length info.i_state_init in
+  let ctx = fresh_ctx config info false in
+  let octvars = ctx.c_oct in
+  let lp = info.i_lp in
+  let n_state = lp.n_states in
+  let state = Array.sub info.i_template lp.n_inputs n_state in
   let n_bounds =
-    2 * Array.fold_left (fun acc v -> acc + count_scalars v) 0 info.i_state_init
+    2 * Array.fold_left (fun acc v -> acc + count_scalars v) 0 state
   in
   (* widening moves each bound at most once to its top (plus one kind
      collapse per slot), so this cap is never reached in practice; the
@@ -1340,15 +1295,14 @@ let analyze ?(config = default_config) (prog : Ir.program) :
        | Some ov -> 8 * Array.length ov.Octvars.ov_keys
        | None -> 0)
   in
-  let state = Array.copy info.i_state_init in
+  let is_state s = L.scope_of lp s = Ir.State in
   let oct_state =
     ref
       (Option.map
          (fun ov ->
            let o = Octagon.create ~ints:ov.Octvars.ov_ints in
-           oct_seed ov o (fun (scope, name, elem) ->
-               if scope = Ir.State then
-                 cell_absval info.i_st state name elem
+           oct_seed ov o (fun (s, elem) ->
+               if is_state s then cell_absval info.i_template (s, elem)
                else None);
            o)
          octvars)
@@ -1360,7 +1314,7 @@ let analyze ?(config = default_config) (prog : Ir.program) :
        let o = Octagon.copy os in
        (* meet in the current interval image of every cell; this also
           re-closes the matrix (open after widening) *)
-       oct_seed ov o (env_lookup info env);
+       oct_seed ov o (cell_absval env.e_regs);
        env.e_oct <- Some o
      | _ -> ());
     env
@@ -1371,8 +1325,11 @@ let analyze ?(config = default_config) (prog : Ir.program) :
   while (not !stable) && !iterations < hard_cap do
     incr iterations;
     let env = fresh_env () in
-    exec_stmts ctx env Must "body" prog.Ir.body;
-    let next = Array.map2 Absval.join state env.e_st in
+    exec_stmts ctx env Must "body" lp.body;
+    let next =
+      Array.init n_state (fun i ->
+          Absval.join state.(i) env.e_regs.(lp.n_inputs + i))
+    in
     let next =
       if !iterations > join_iters then begin
         incr widenings;
@@ -1388,8 +1345,7 @@ let analyze ?(config = default_config) (prog : Ir.program) :
            and widening sends a grown entry straight to infinity, so
            this terminates alongside the interval iteration. *)
         Array.iteri
-          (fun idx ((scope, _, _) : Ir.scope * string * int) ->
-            if scope <> Ir.State then Octagon.forget o idx)
+          (fun idx (s, _) -> if not (is_state s) then Octagon.forget o idx)
           (Option.get octvars).Octvars.ov_keys;
         let nxt =
           if !iterations > join_iters then Octagon.widen os o
@@ -1415,7 +1371,7 @@ let analyze ?(config = default_config) (prog : Ir.program) :
   (* final recording pass over the stabilized state *)
   ctx.c_final <- true;
   let env = fresh_env () in
-  exec_stmts ctx env Must "body" prog.Ir.body;
+  exec_stmts ctx env Must "body" lp.body;
   incr iterations;
   Telemetry.Counter.add tel_iterations !iterations;
   Telemetry.Counter.add tel_widenings !widenings;
@@ -1430,25 +1386,20 @@ let record_at ?(config = default_config) (prog : Ir.program)
     ~(state : Value.t array) : result =
   Telemetry.Counter.incr tel_runs;
   let info = build_info prog in
-  let octvars =
-    match config.domain with
-    | `Octagon -> Some (Octvars.build info)
-    | `Interval -> None
-  in
+  let lp = info.i_lp in
   let st =
-    if Array.length state = Array.length info.i_state_init then
-      Array.map Absval.of_value state
-    else Array.copy info.i_state_init
+    if Array.length state = lp.n_states then Array.map Absval.of_value state
+    else Array.sub info.i_template lp.n_inputs lp.n_states
   in
-  let ctx = fresh_ctx info octvars true in
+  let ctx = fresh_ctx config info true in
   let env = env_make info st in
-  (match octvars with
+  (match ctx.c_oct with
    | Some ov ->
      let o = Octagon.create ~ints:ov.Octvars.ov_ints in
-     oct_seed ov o (env_lookup info env);
+     oct_seed ov o (cell_absval env.e_regs);
      env.e_oct <- Some o
    | None -> ());
-  exec_stmts ctx env Must "body" prog.Ir.body;
+  exec_stmts ctx env Must "body" lp.body;
   result_of ctx st env ~iterations:1 ~widenings:0
 
 let branch_reach r key =

@@ -77,5 +77,3 @@ val branch_reach : result -> Slim.Branch.key -> reach
 (** Defaults to [May] for unknown keys. *)
 
 val guard_fact : result -> int -> guard_fact option
-
-val pp_reach : reach Fmt.t

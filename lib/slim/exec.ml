@@ -1,20 +1,13 @@
 (* Slot-compiled execution core.
 
-   [compile] runs once per program: every variable reference is resolved to
-   an integer slot into one of four flat [Value.t array]s (inputs / outputs /
-   states / locals), the statement body is lowered to closures over those
-   slots, Switch dispatch becomes a precomputed table, and the branch table,
-   requirement chains and per-decision condition metadata are all computed up
-   front.  [run_step] then executes one model iteration with zero string
-   hashing and zero per-step environment construction.
-
-   Slot [i] of a state/input/output array always corresponds to the [i]-th
-   entry of [prog.states] / [prog.inputs] / [prog.outputs], and a name
-   declared twice resolves to its last declaration.  Stcg.Testcase shares
-   that positional contract, and Symexec.Sym_value takes its symbolic
-   slots from a handle's [*_slot] lookups (one register file: inputs,
-   then states, then locals, then outputs), so this is the only place
-   the resolution rule is written. *)
+   [compile] runs once per program.  It builds the program's [Lower.t],
+   which Symexec.Sym_value and Analysis.Analyzer walk as well, and
+   compiles it to closures over four flat [Value.t array]s (register
+   slot [s] is entry [s - base] of its scope's array, the positional
+   contract Stcg.Testcase shares).  Switch dispatch becomes a table,
+   and the branch table, requirement chains and objective index are
+   computed up front, so [run_step] does no string hashing and builds
+   no per-step environment. *)
 
 module Smap = Map.Make (String)
 
@@ -69,7 +62,7 @@ end)
 module Int_tbl = Hashtbl.Make (Int)
 
 type t = {
-  prog : Ir.program;
+  lowered : Lower.t;
   input_vars : Ir.var array;
   output_vars : Ir.var array;
   state_vars : Ir.var array;
@@ -80,16 +73,11 @@ type t = {
   vector_inputs : bool;
       (** some input is a vector, so a step copies the inputs in: an
           [Lindex] write could otherwise reach the caller's array *)
-  input_index : (string, int) Hashtbl.t;
-  output_index : (string, int) Hashtbl.t;
-  state_index : (string, int) Hashtbl.t;
-  local_index : (string, int) Hashtbl.t;
   body : frame -> unit;
   branches : Branch.t list;
   branch_arr : Branch.t array;  (** by branch id *)
   req_chains : (int * Branch.outcome) list array;  (** by branch id *)
   decisions : (int * decision_shape) list;
-  decision_shapes : decision_shape array;  (** by position in [decisions] *)
   (* objective index *)
   branch_ids : int Key_tbl.t;  (** key -> position in [branches] *)
   decision_pos : int Int_tbl.t;  (** decision id -> position in [decisions] *)
@@ -100,38 +88,33 @@ type t = {
 
 (* --- compilation ------------------------------------------------------- *)
 
+(* A slot of the lowered register file lives in the frame array of its
+   scope, at its offset within that scope. *)
+let offset (lp : Lower.t) s =
+  match Lower.scope_of lp s with
+  | Ir.Input -> s
+  | Ir.State -> s - lp.n_inputs
+  | Ir.Local -> s - lp.local_base
+  | Ir.Output -> s - lp.output_base
+
+let reader (lp : Lower.t) s : frame -> Value.t =
+  let i = offset lp s in
+  match Lower.scope_of lp s with
+  | Ir.Input -> fun fr -> fr.f_inp.(i)
+  | Ir.State -> fun fr -> fr.f_st.(i)
+  | Ir.Local -> fun fr -> fr.f_loc.(i)
+  | Ir.Output -> fun fr -> fr.f_out.(i)
+
+(* One closure per slot and per constant, shared by every reference. *)
 type cctx = {
-  c_inp : (string, int) Hashtbl.t;
-  c_out : (string, int) Hashtbl.t;
-  c_st : (string, int) Hashtbl.t;
-  c_loc : (string, int) Hashtbl.t;
+  lp : Lower.t;
+  readers : (frame -> Value.t) array;
+  consts : (frame -> Value.t) array;
 }
 
-let index_of_vars (vars : Ir.var list) =
-  let tbl = Hashtbl.create (List.length vars * 2) in
-  (* [replace]: on duplicate names the last declaration wins, matching the
-     reference interpreter's bind order. *)
-  List.iteri (fun i (v : Ir.var) -> Hashtbl.replace tbl v.name i) vars;
-  tbl
-
-let compile_read ctx scope name : frame -> Value.t =
-  let tbl =
-    match (scope : Ir.scope) with
-    | Ir.Input -> ctx.c_inp
-    | Ir.Output -> ctx.c_out
-    | Ir.State -> ctx.c_st
-    | Ir.Local -> ctx.c_loc
-  in
-  match Hashtbl.find_opt tbl name with
-  | Some i ->
-    (match scope with
-     | Ir.Input -> fun fr -> fr.f_inp.(i)
-     | Ir.Output -> fun fr -> fr.f_out.(i)
-     | Ir.State -> fun fr -> fr.f_st.(i)
-     | Ir.Local -> fun fr -> fr.f_loc.(i))
-  | None ->
-    (* The error is raised at execution time, like the reference path. *)
-    fun _ -> eval_error "unbound %s variable %s" (Ir.scope_name scope) name
+(* The error is raised at execution time, like the reference path. *)
+let unbound scope name =
+  eval_error "unbound %s variable %s" (Ir.scope_name scope) name
 
 (* Boolean results are one of two shared values: values are immutable
    and [Value.copy] returns scalars as they are, so a guard or
@@ -140,10 +123,11 @@ let v_true = Value.Bool true
 let v_false = Value.Bool false
 let of_bool b = if b then v_true else v_false
 
-let rec compile_expr ctx (e : Ir.expr) : frame -> Value.t =
+let rec compile_expr ctx (e : Lower.expr) : frame -> Value.t =
   match e with
-  | Const v -> fun _ -> v
-  | Var (scope, name) -> compile_read ctx scope name
+  | Const k -> ctx.consts.(k)
+  | Slot s -> ctx.readers.(s)
+  | Unbound (scope, name) -> fun _ -> unbound scope name
   | Unop (op, e) ->
     let f = compile_expr ctx e in
     (match op with
@@ -235,9 +219,10 @@ let rec compile_expr ctx (e : Ir.expr) : frame -> Value.t =
         eval_error "index %d out of bounds [0,%d)" k (Array.length a)
       else a.(k)
 
-let rec compile_lvalue_resolve ctx (l : Ir.lvalue) : frame -> Value.t =
+let rec compile_lvalue_resolve ctx (l : Lower.lvalue) : frame -> Value.t =
   match l with
-  | Lvar (scope, name) -> compile_read ctx scope name
+  | Lslot s -> ctx.readers.(s)
+  | Lunbound (scope, name) -> fun _ -> unbound scope name
   | Lindex (inner, idx) ->
     let fl = compile_lvalue_resolve ctx inner in
     let fi = compile_expr ctx idx in
@@ -252,29 +237,20 @@ let rec compile_lvalue_resolve ctx (l : Ir.lvalue) : frame -> Value.t =
    of a vector (a scalar is stored as it is), so no two slots, and no slot
    and a program constant, ever share a mutable payload.  A later
    [Lindex] write then changes exactly the one variable it names. *)
-let compile_write ctx (lhs : Ir.lvalue) : frame -> Value.t -> unit =
+let compile_write ctx (lhs : Lower.lvalue) : frame -> Value.t -> unit =
   match lhs with
-  | Lvar (scope, name) ->
-    (match scope with
-     | Ir.Input -> fun _ _ -> eval_error "assignment to input %s" name
-     | Ir.Output | Ir.State | Ir.Local ->
-       let tbl =
-         match scope with
-         | Ir.Output -> ctx.c_out
-         | Ir.State -> ctx.c_st
-         | Ir.Local -> ctx.c_loc
-         | Ir.Input -> assert false
-       in
-       (match Hashtbl.find_opt tbl name with
-        | Some i ->
-          (match scope with
-           | Ir.Output -> fun fr v -> fr.f_out.(i) <- Value.copy v
-           | Ir.State -> fun fr v -> fr.f_st.(i) <- Value.copy v
-           | Ir.Local -> fun fr v -> fr.f_loc.(i) <- Value.copy v
-           | Ir.Input -> assert false)
-        | None ->
-          fun _ _ ->
-            eval_error "unbound %s variable %s" (Ir.scope_name scope) name))
+  | Lslot s -> (
+    let i = offset ctx.lp s in
+    match Lower.scope_of ctx.lp s with
+    | Ir.Input ->
+      let name = ctx.lp.vars.(s).name in
+      fun _ _ -> eval_error "assignment to input %s" name
+    | Ir.State -> fun fr v -> fr.f_st.(i) <- Value.copy v
+    | Ir.Local -> fun fr v -> fr.f_loc.(i) <- Value.copy v
+    | Ir.Output -> fun fr v -> fr.f_out.(i) <- Value.copy v)
+  | Lunbound (Ir.Input, name) ->
+    fun _ _ -> eval_error "assignment to input %s" name
+  | Lunbound (scope, name) -> fun _ _ -> unbound scope name
   | Lindex (inner, idx) ->
     let fl = compile_lvalue_resolve ctx inner in
     let fi = compile_expr ctx idx in
@@ -309,10 +285,8 @@ let fill_event table slot id n mask outcome =
   table.(slot) <- ev;
   ev
 
-let compile_guard ctx id cond : frame -> bool =
-  let atom_fns =
-    Array.of_list (List.map (compile_expr ctx) (Ir.atoms_of_condition cond))
-  in
+let compile_guard ctx id cond atoms : frame -> bool =
+  let atom_fns = Array.of_list (List.map (compile_expr ctx) atoms) in
   let n = Array.length atom_fns in
   let cond_fn = compile_expr ctx cond in
   if n <= max_shared_atoms then begin
@@ -360,7 +334,7 @@ let compile_dispatch (labels : int list) : int -> int =
       fun k -> (match Hashtbl.find_opt tbl k with Some i -> i | None -> -1)
     end
 
-let rec compile_stmts ctx (ss : Ir.stmt list) : frame -> unit =
+let rec compile_stmts ctx (ss : Lower.stmt list) : frame -> unit =
   match List.map (compile_stmt ctx) ss with
   | [] -> fun _ -> ()
   | [ f ] -> f
@@ -371,15 +345,15 @@ let rec compile_stmts ctx (ss : Ir.stmt list) : frame -> unit =
         (Array.unsafe_get arr i) fr
       done
 
-and compile_stmt ctx : Ir.stmt -> frame -> unit = function
-  | Ir.Assign (lhs, e) ->
+and compile_stmt ctx : Lower.stmt -> frame -> unit = function
+  | Lower.Assign (lhs, e) ->
     let fe = compile_expr ctx e in
     let fw = compile_write ctx lhs in
     fun fr ->
       let v = fe fr in
       fw fr v
-  | Ir.If { id; cond; then_; else_ } ->
-    let guard = compile_guard ctx id cond in
+  | Lower.If { id; cond; atoms; then_; else_; _ } ->
+    let guard = compile_guard ctx id cond atoms in
     let ft = compile_stmts ctx then_ in
     let fe = compile_stmts ctx else_ in
     let hit_then = Branch_hit (id, Branch.Then) in
@@ -393,7 +367,7 @@ and compile_stmt ctx : Ir.stmt -> frame -> unit = function
         fr.f_emit hit_else;
         fe fr
       end
-  | Ir.Switch { id; scrut; cases; default } ->
+  | Lower.Switch { id; scrut; labels; cases; default; _ } ->
     let fs = compile_expr ctx scrut in
     let arms =
       Array.of_list
@@ -403,7 +377,7 @@ and compile_stmt ctx : Ir.stmt -> frame -> unit = function
     in
     let fdef = compile_stmts ctx default in
     let hit_default = Branch_hit (id, Branch.Default) in
-    let dispatch = compile_dispatch (List.map fst cases) in
+    let dispatch = compile_dispatch labels in
     fun fr ->
       let k = Value.to_int (fs fr) in
       (match dispatch k with
@@ -418,6 +392,7 @@ and compile_stmt ctx : Ir.stmt -> frame -> unit = function
 let compile (prog : Ir.program) : t =
   Telemetry.Counter.incr tel_compiles;
   Telemetry.Span.with_ tel_compile_span @@ fun () ->
+  let lp = Lower.of_program prog in
   let input_vars = Array.of_list prog.inputs in
   let output_vars = Array.of_list prog.outputs in
   let state_vars = Array.of_list (List.map fst prog.states) in
@@ -425,16 +400,15 @@ let compile (prog : Ir.program) : t =
   let defaults vars =
     Array.map (fun (v : Ir.var) -> Value.default_of_ty v.ty) vars
   in
-  let local_vars = Array.of_list prog.locals in
-  let ctx =
-    {
-      c_inp = index_of_vars prog.inputs;
-      c_out = index_of_vars prog.outputs;
-      c_st = index_of_vars (List.map fst prog.states);
-      c_loc = index_of_vars prog.locals;
-    }
+  let body =
+    compile_stmts
+      {
+        lp;
+        readers = Array.init lp.n_slots (reader lp);
+        consts = Array.map (fun v -> let read _ = v in read) lp.consts;
+      }
+      lp.body
   in
-  let body = compile_stmts ctx prog.body in
   let branches = Branch.of_program prog in
   let branch_arr = Array.of_list branches in
   (* On a repeated key or decision id (which [Ir.type_check] rejects)
@@ -443,51 +417,55 @@ let compile (prog : Ir.program) : t =
   Array.iteri (fun i (b : Branch.t) -> Key_tbl.replace branch_ids b.key i) branch_arr;
   let req_chains =
     (* Requirement chain of a branch: decisions that must take a specific
-       outcome for control to reach it, root-first, including itself. *)
-    let rec chain acc (b : Branch.t) =
-      let acc = (b.decision, b.outcome) :: acc in
-      match b.parent with
-      | None -> acc
-      | Some p -> chain acc branch_arr.(Key_tbl.find branch_ids p)
+       outcome for control to reach it, root-first, including itself.
+       Each parent is looked up once, not once per descendant. *)
+    let parent =
+      Array.map
+        (fun (b : Branch.t) ->
+          match b.parent with Some p -> Key_tbl.find branch_ids p | None -> -1)
+        branch_arr
     in
-    Array.map (chain []) branch_arr
+    let rec chain acc i =
+      let acc = branch_arr.(i).key :: acc in
+      if parent.(i) < 0 then acc else chain acc parent.(i)
+    in
+    Array.init (Array.length branch_arr) (chain [])
   in
-  let decisions = (Ir.decisions_of_program prog :> (int * decision_shape) list) in
-  let decision_pos = Int_tbl.create (List.length decisions) in
-  List.iteri (fun p (id, _) -> Int_tbl.replace decision_pos id p) decisions;
-  let atom_bases = Array.make (List.length decisions + 1) 0 in
-  List.iteri
-    (fun p ((_ : int), shape) ->
+  let n_decisions = Array.length lp.decisions in
+  let decision_pos = Int_tbl.create n_decisions in
+  let atom_bases = Array.make (n_decisions + 1) 0 in
+  Array.iteri
+    (fun p (d : Lower.stmt) ->
       let atoms =
-        match shape with
-        | `If cond -> List.length (Ir.atoms_of_condition cond)
-        | `Switch _ -> 0
+        match d with
+        | Lower.If { id; atoms; _ } ->
+          Int_tbl.replace decision_pos id p;
+          List.length atoms
+        | Lower.Switch { id; _ } ->
+          Int_tbl.replace decision_pos id p;
+          0
+        | Lower.Assign _ -> 0
       in
       atom_bases.(p + 1) <- atom_bases.(p) + atoms)
-    decisions;
+    lp.decisions;
   {
-    prog;
+    lowered = lp;
     input_vars;
     output_vars;
     state_vars;
     state_init;
     input_defaults = defaults input_vars;
     output_defaults = defaults output_vars;
-    local_defaults = defaults local_vars;
+    local_defaults = defaults (Array.of_list prog.locals);
     vector_inputs =
       Array.exists
         (fun (v : Ir.var) -> match v.ty with Value.Tvec _ -> true | _ -> false)
         input_vars;
-    input_index = ctx.c_inp;
-    output_index = ctx.c_out;
-    state_index = ctx.c_st;
-    local_index = ctx.c_loc;
     body;
     branches;
     branch_arr;
     req_chains;
-    decisions;
-    decision_shapes = Array.of_list (List.map snd decisions);
+    decisions = (Ir.decisions_of_program prog :> (int * decision_shape) list);
     branch_ids;
     decision_pos;
     atom_bases;
@@ -547,25 +525,25 @@ let handle (prog : Ir.program) : t =
 
 (* --- accessors --------------------------------------------------------- *)
 
-let program t = t.prog
+let lowered t = t.lowered
 let input_vars t = t.input_vars
 let output_vars t = t.output_vars
-let state_vars t = t.state_vars
-let n_inputs t = Array.length t.input_vars
-let n_states t = Array.length t.state_vars
-let input_slot t name = Hashtbl.find_opt t.input_index name
-let output_slot t name = Hashtbl.find_opt t.output_index name
-let state_slot t name = Hashtbl.find_opt t.state_index name
-let local_slot t name = Hashtbl.find_opt t.local_index name
+(* A name's position within its own scope's array. *)
+let scope_slot scope t name =
+  Option.map (offset t.lowered) (Lower.slot t.lowered scope name)
 
-let find_in index arr kind name =
-  match Hashtbl.find_opt index name with
+let input_slot = scope_slot Ir.Input
+let state_slot = scope_slot Ir.State
+let output_slot = scope_slot Ir.Output
+
+let find_in slot arr kind name =
+  match slot name with
   | Some i -> arr.(i)
   | None -> eval_error "unknown %s variable %s" kind name
 
-let find_input t (a : inputs) name = find_in t.input_index a "input" name
-let find_output t (a : outputs) name = find_in t.output_index a "output" name
-let find_state t (a : state) name = find_in t.state_index a "state" name
+let find_input t (a : inputs) name = find_in (input_slot t) a "input" name
+let find_output t (a : outputs) name = find_in (output_slot t) a "output" name
+let find_state t (a : state) name = find_in (state_slot t) a "state" name
 
 (* --- branch / decision metadata (memoized, satellite of the refactor) -- *)
 
@@ -591,8 +569,6 @@ let decision_chain t decision =
      | None -> [])
 
 let decisions t = t.decisions
-let find_decision t id =
-  Option.map (Array.get t.decision_shapes) (Int_tbl.find_opt t.decision_pos id)
 
 (* --- objective index ---------------------------------------------------- *)
 
@@ -627,18 +603,18 @@ let random_inputs rng t : inputs =
   done;
   a
 
-let of_list index defaults l =
+let of_list slot defaults l =
   let a = Array.map Value.copy defaults in
   List.iter
     (fun (name, v) ->
-      match Hashtbl.find_opt index name with
+      match slot name with
       | Some i -> a.(i) <- v
       | None -> ())
     l;
   a
 
-let inputs_of_list t l : inputs = of_list t.input_index t.input_defaults l
-let state_of_list t l : state = of_list t.state_index t.state_init l
+let inputs_of_list t l : inputs = of_list (input_slot t) t.input_defaults l
+let state_of_list t l : state = of_list (state_slot t) t.state_init l
 
 (* --- Smap bridge (legacy Interp API, test-case text format) ------------ *)
 

@@ -1,13 +1,14 @@
-(** Slot-compiled execution core.
+(** Slot-compiled execution core, and the owner of a program's lowering.
 
-    [compile] (or the memoizing [handle]) performs a one-time pass over an
-    {!Ir.program}: every variable reference is resolved to an integer slot,
-    the body is lowered to slot-addressed closures with O(1) [Switch]
-    dispatch, and the branch table / requirement chains / per-decision
-    condition metadata are precomputed.  Steps then execute against flat
-    [Value.t array]s — no string hashing, no per-step environment — which is
-    what lets the engine spend its virtual-clock budget on exploration
-    instead of interpretation overhead.
+    [compile] (or the memoizing [handle]) makes one pass over an
+    {!Ir.program}: it builds the program's {!Lower.t}, the slot-resolved
+    form that the symbolic executor and the static analyzer walk too,
+    compiles that form to slot-addressed closures with O(1) [Switch]
+    dispatch, and precomputes the branch table, requirement chains and
+    objective index.  Steps then execute against flat [Value.t array]s —
+    no string hashing, no per-step environment — which is what lets the
+    engine spend its virtual-clock budget on exploration instead of
+    interpretation overhead.
 
     Positional contract: slot [i] of a state / input / output array is the
     [i]-th entry of [prog.states] / [prog.inputs] / [prog.outputs].  The
@@ -65,19 +66,13 @@ val handle : Ir.program -> t
 
 (** {1 Accessors} *)
 
-val program : t -> Ir.program
+val lowered : t -> Lower.t
+(** The lowering the closures were compiled from. *)
+
 val input_vars : t -> Ir.var array
 val output_vars : t -> Ir.var array
-val state_vars : t -> Ir.var array
-val n_inputs : t -> int
-val n_states : t -> int
 val input_slot : t -> string -> int option
-val output_slot : t -> string -> int option
-val state_slot : t -> string -> int option
-
-val local_slot : t -> string -> int option
-(** Position of a local in [prog.locals] (last declaration wins).  Locals
-    live in a per-step frame, so only layout code needs this. *)
+(** Position of a name in the inputs (the last declaration, see {!Lower}). *)
 
 val find_input : t -> inputs -> string -> Value.t
 (** Name-based lookup; raises {!Eval_error} on unknown names.  For tests and
@@ -100,7 +95,6 @@ val decision_chain : t -> int -> (int * Branch.outcome) list
 (** Ancestor requirements of a decision (excluding the decision itself). *)
 
 val decisions : t -> (int * [ `If of Ir.expr | `Switch of Ir.expr * int list ]) list
-val find_decision : t -> int -> [ `If of Ir.expr | `Switch of Ir.expr * int list ] option
 
 (** {1 Objective index}
 
@@ -124,7 +118,8 @@ val branch_id : t -> Branch.key -> int
 val n_decisions : t -> int
 
 val decision_pos : t -> int -> int
-(** Position of a decision id in {!decisions}; raises [Not_found]. *)
+(** Position of a decision id in {!decisions} and in the lowering's
+    [decisions] (the last one when an id repeats); raises [Not_found]. *)
 
 val atom_base : t -> int -> int
 (** First atom id of the decision at a position; [atom_base t

@@ -49,8 +49,14 @@ let read env scope name =
   | None -> eval_error "unbound %s variable %s" (Ir.scope_name scope) name
 
 (* Stores copy the value (a no-op for scalars), so a variable never
-   shares a vector with another variable or with a program constant. *)
-let write env scope name v = Hashtbl.replace (table_of env scope) name (Value.copy v)
+   shares a vector with another variable or with a program constant.
+   Only a declared variable can be written: a name no declaration binds
+   raises, as a read of it does. *)
+let write env scope name v =
+  let table = table_of env scope in
+  if not (Hashtbl.mem table name) then
+    eval_error "unbound %s variable %s" (Ir.scope_name scope) name;
+  Hashtbl.replace table name (Value.copy v)
 
 (* Guards are evaluated fully (no short circuit), matching Simulink logic
    blocks, so every atom value is observable for condition/MCDC coverage. *)

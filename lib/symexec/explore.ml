@@ -4,6 +4,7 @@ module Exec = Slim.Exec
 module Branch = Slim.Branch
 module Term = Solver.Term
 module Csp = Solver.Csp
+module Lower = Slim.Lower
 module SV = Sym_value
 
 type cost = {
@@ -15,12 +16,6 @@ type cost = {
 
 let zero_cost () =
   { paths_explored = 0; solver_nodes = 0; solver_calls = 0; term_nodes = 0 }
-
-let add_cost acc c =
-  acc.paths_explored <- acc.paths_explored + c.paths_explored;
-  acc.solver_nodes <- acc.solver_nodes + c.solver_nodes;
-  acc.solver_calls <- acc.solver_calls + c.solver_calls;
-  acc.term_nodes <- acc.term_nodes + c.term_nodes
 
 type outcome =
   | Sat of Exec.inputs list
@@ -394,14 +389,14 @@ let arm_feasible prefix c_opt =
    returns, so the next arm starts from the same state.  [Found],
    [Path_budget] and [Sym_error] end the whole search, so they need no
    roll-back. *)
-let rec walk ctx env (stmts : SV.stmt list) pc k =
+let rec walk ctx env (stmts : Lower.stmt list) pc k =
   match stmts with
   | [] -> k pc
-  | SV.Assign (lhs, e) :: rest ->
+  | Lower.Assign (lhs, e) :: rest ->
     let v = SV.eval env e in
     SV.assign env lhs v;
     walk ctx env rest pc k
-  | SV.If { id; cond; atoms; then_; else_; _ } :: rest -> (
+  | Lower.If { id; cond; atoms; then_; else_; _ } :: rest -> (
     (* condition / vector objectives fire as soon as the guard of the
        target decision is about to be evaluated *)
     let atoms_spec =
@@ -451,7 +446,7 @@ let rec walk ctx env (stmts : SV.stmt list) pc k =
             [ Branch.Then; Branch.Else ])
       in
       decide ctx env id arm order pc (fun pc -> walk ctx env rest pc k)))
-  | SV.Switch { id; scrut; labels; cases; default; outcomes; _ } :: rest ->
+  | Lower.Switch { id; scrut; labels; cases; default; outcomes; _ } :: rest ->
     let t = SV.scalar (SV.eval env scrut) in
     let arm outcome =
       let body =
@@ -533,24 +528,24 @@ let make_ctx cfg ex target ~memo ~vars ~multi =
    same value on every path, so the target's outcome constraint can seed
    the path condition and prune every incompatible fork from the start —
    goal-directed search. *)
-let seed_constraint env (target : target) =
-  match SV.decision env (target_decision_of target) with
-  | None -> None
-  | Some d -> (
-    match target, d with
-    | Branch_target (_, outcome), SV.If { cond; input_state_only = true; _ } -> (
+let seed_constraint ex env (target : target) =
+  match Exec.decision_pos ex (target_decision_of target) with
+  | exception Not_found -> None
+  | pos -> (
+    match target, (SV.lowered env).decisions.(pos) with
+    | Branch_target (_, outcome), Lower.If { cond; input_state_only = true; _ } -> (
       let t = SV.scalar (SV.eval env cond) in
       match outcome_constraint outcome t ~case_labels:[] with
       | `Constraint c -> Some c
       | `Taken | `Not_taken -> None)
     | ( Branch_target (_, outcome),
-        SV.Switch { scrut; labels; input_state_only = true; _ } ) -> (
+        Lower.Switch { scrut; labels; input_state_only = true; _ } ) -> (
       let t = SV.scalar (SV.eval env scrut) in
       match outcome_constraint outcome t ~case_labels:labels with
       | `Constraint c -> Some c
       | `Taken | `Not_taken -> None)
     | ( Condition_target { atom; value; _ },
-        SV.If { atoms; input_state_only = true; _ } ) -> (
+        Lower.If { atoms; input_state_only = true; _ } ) -> (
       match List.nth_opt atoms atom with
       | Some a ->
         let t = SV.scalar (SV.eval env a) in
@@ -568,7 +563,7 @@ let solve_target ?(config = default_config) ?(symbolic_state = false)
   let ctx = make_ctx config ex target ~memo ~vars:(ref vars) ~multi:false in
   ctx.cost.paths_explored <- ctx.cost.paths_explored + 1;
   let pc0 =
-    match seed_constraint env target with
+    match seed_constraint ex env target with
     | Some c -> [ c ]
     | None -> []
     | exception SV.Sym_error _ ->
@@ -576,7 +571,7 @@ let solve_target ?(config = default_config) ?(symbolic_state = false)
       []
   in
   let outcome =
-    match walk ctx env (SV.body env) pc0 (fun _ -> ()) with
+    match walk ctx env (SV.lowered env).body pc0 (fun _ -> ()) with
     | () -> exhausted ctx
     | exception Found a -> Sat [ SV.inputs_of_assignment prog a ]
     | exception Path_budget -> Unknown
@@ -622,7 +617,7 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
     in
     SV.start_step env inputs
   in
-  let body = SV.body env in
+  let body = (SV.lowered env).body in
   let rec run_step step pc =
     if step < horizon then begin
       try
@@ -650,84 +645,59 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
 
 (* --- state relevance -------------------------------------------------- *)
 
-module VSet = Set.Make (struct
-  type t = Ir.scope * string
-
-  let compare = compare
-end)
-
-let rec expr_vars acc (e : Ir.expr) =
+(* Slots read under [e]; with [~index], only those read in index
+   position anywhere under it: their values pick array elements and
+   decide concrete out-of-bounds aborts, so they influence solve
+   outcomes even when the surrounding expression never reaches a
+   guard. *)
+let rec slots ~index acc (e : Lower.expr) =
   match e with
-  | Ir.Const _ -> acc
-  | Ir.Var (s, n) -> VSet.add (s, n) acc
-  | Ir.Unop (_, a) -> expr_vars acc a
-  | Ir.Binop (_, a, b) | Ir.Cmp (_, a, b) | Ir.And (a, b) | Ir.Or (a, b) ->
-    expr_vars (expr_vars acc a) b
-  | Ir.Ite (c, a, b) -> expr_vars (expr_vars (expr_vars acc c) a) b
-  | Ir.Index (a, i) -> expr_vars (expr_vars acc a) i
+  | Lower.Const _ | Lower.Unbound _ -> acc
+  | Lower.Slot s -> if index then acc else s :: acc
+  | Lower.Unop (_, a) -> slots ~index acc a
+  | Lower.Binop (_, a, b) | Lower.Cmp (_, a, b) | Lower.And (a, b) | Lower.Or (a, b) ->
+    slots ~index (slots ~index acc a) b
+  | Lower.Ite (c, a, b) -> slots ~index (slots ~index (slots ~index acc c) a) b
+  | Lower.Index (a, i) -> slots ~index (slots ~index:false acc i) a
 
-(* Variables read by index positions anywhere under [e]: their values
-   pick array elements and decide concrete out-of-bounds aborts, so
-   they influence solve outcomes even when the surrounding expression
-   never reaches a guard. *)
-let rec index_vars acc (e : Ir.expr) =
-  match e with
-  | Ir.Const _ | Ir.Var _ -> acc
-  | Ir.Unop (_, a) -> index_vars acc a
-  | Ir.Binop (_, a, b) | Ir.Cmp (_, a, b) | Ir.And (a, b) | Ir.Or (a, b) ->
-    index_vars (index_vars acc a) b
-  | Ir.Ite (c, a, b) -> index_vars (index_vars (index_vars acc c) a) b
-  | Ir.Index (a, i) -> index_vars (expr_vars acc i) a
-
-let rec lvalue_base = function
-  | Ir.Lvar (s, n) -> (s, n)
-  | Ir.Lindex (l, _) -> lvalue_base l
-
-let rec lvalue_index_vars acc = function
-  | Ir.Lvar _ -> acc
-  | Ir.Lindex (l, i) ->
-    lvalue_index_vars (index_vars (expr_vars acc i) i) l
+let rec lvalue_index_slots acc = function
+  | Lower.Lslot _ | Lower.Lunbound _ -> acc
+  | Lower.Lindex (l, i) ->
+    lvalue_index_slots (slots ~index:true (slots ~index:false acc i) i) l
 
 let relevant_state_slots (prog : Ir.program) : bool array =
-  (* seeds: everything a guard or scrutinee reads, plus every variable
-     read in index position anywhere *)
-  let assigns = ref [] in
-  let rec scan acc (s : Ir.stmt) =
-    match s with
-    | Ir.Assign (lhs, e) ->
-      let deps = lvalue_index_vars (expr_vars VSet.empty e) lhs in
-      assigns := (lvalue_base lhs, deps) :: !assigns;
-      lvalue_index_vars (index_vars acc e) lhs
-    | Ir.If { cond; then_; else_; _ } ->
-      let acc = expr_vars acc cond in
-      List.fold_left scan (List.fold_left scan acc then_) else_
-    | Ir.Switch { scrut; cases; default; _ } ->
-      let acc = expr_vars acc scrut in
-      let acc =
-        List.fold_left
-          (fun acc (_, body) -> List.fold_left scan acc body)
-          acc cases
-      in
-      List.fold_left scan acc default
+  let lp = Exec.lowered (Exec.handle prog) in
+  let relevant = Array.make lp.n_slots false in
+  let mark = List.iter (fun s -> relevant.(s) <- true) in
+  (* seeds: everything a guard or scrutinee reads, plus every slot read
+     in index position anywhere *)
+  let assigns =
+    Lower.fold
+      (fun acc -> function
+        | Lower.Assign (lhs, e) -> (
+          mark (lvalue_index_slots (slots ~index:true [] e) lhs);
+          match Lower.lvalue_root lhs with
+          | Some root ->
+            (root, lvalue_index_slots (slots ~index:false [] e) lhs) :: acc
+          | None -> acc)
+        | Lower.If { cond = g; _ } | Lower.Switch { scrut = g; _ } ->
+          mark (slots ~index:false [] g);
+          acc)
+      [] lp.body
   in
-  let seeds = List.fold_left scan VSet.empty prog.Ir.body in
-  (* flow-insensitive closure: an assignment to a relevant variable
-     makes everything its right-hand side (and lvalue indices) reads
-     relevant too.  Control dependences need no extra step — every
-     guard variable is already a seed. *)
-  let relevant = ref seeds in
+  (* flow-insensitive closure over slot sets: an assignment to a
+     relevant slot makes every slot its right-hand side (and lvalue
+     indices) reads relevant too.  Control dependences need no extra
+     step — every guard slot is already a seed. *)
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (base, deps) ->
-        if VSet.mem base !relevant && not (VSet.subset deps !relevant) then begin
-          relevant := VSet.union deps !relevant;
+      (fun (root, deps) ->
+        if relevant.(root) && List.exists (fun s -> not relevant.(s)) deps then begin
+          mark deps;
           changed := true
         end)
-      !assigns
+      assigns
   done;
-  Array.of_list
-    (List.map
-       (fun ((v : Ir.var), _init) -> VSet.mem (Ir.State, v.Ir.name) !relevant)
-       prog.Ir.states)
+  Array.sub relevant lp.n_inputs lp.n_states

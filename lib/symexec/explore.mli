@@ -18,9 +18,6 @@ type cost = {
   mutable term_nodes : int;  (** total constraint size submitted *)
 }
 
-val zero_cost : unit -> cost
-val add_cost : cost -> cost -> unit
-
 type outcome =
   | Sat of Slim.Exec.inputs list
       (** slot-addressed input vector per step ({!Slim.Exec} positional
@@ -101,6 +98,8 @@ val relevant_state_slots : Slim.Ir.program -> bool array
     {!Slim.Exec.state} slot order): [false] means the slot provably
     cannot influence any {!solve_target} outcome — it never flows into
     a guard, scrutinee or index position.  Conservative (flow-
-    insensitive backward slice), so [true] is always safe.  The engine
+    insensitive backward slice over the slots of {!Slim.Lower}, so a
+    state declaration that no name resolves to is never relevant), so
+    [true] is always safe.  The engine
     uses this to key its solve cache on the projection of the state
     snapshot onto relevant slots. *)

@@ -1,6 +1,6 @@
 module Value = Slim.Value
 module Ir = Slim.Ir
-module Branch = Slim.Branch
+module L = Slim.Lower
 module Term = Solver.Term
 
 type sval =
@@ -19,46 +19,7 @@ let scalar = function
   | Scalar t -> t
   | Arr _ -> sym_error "expected scalar symbolic value, got array"
 
-(* --- slot-compiled programs ------------------------------------------- *)
-
-type expr =
-  | Const of sval
-  | Slot of int
-  | Undeclared of int * Ir.scope * string
-      (** a name no declaration binds: its slot holds [unset] until an
-          assignment writes it, and reading [unset] is an error *)
-  | Unop of Ir.unop * expr
-  | Binop of Ir.binop * expr * expr
-  | Cmp of Ir.cmpop * expr * expr
-  | And of expr * expr
-  | Or of expr * expr
-  | Ite of expr * expr * expr
-  | Index of expr * expr
-
-type lvalue =
-  | Lslot of expr * int  (** how the base reads, and the slot it writes *)
-  | Linput of expr * string  (** inputs read like any slot; writing fails *)
-  | Lindex of lvalue * expr
-
-type stmt =
-  | Assign of lvalue * expr
-  | If of {
-      id : int;
-      cond : expr;
-      atoms : expr list;
-      input_state_only : bool;
-      then_ : stmt list;
-      else_ : stmt list;
-    }
-  | Switch of {
-      id : int;
-      scrut : expr;
-      labels : int list;
-      input_state_only : bool;
-      cases : (int * stmt list) list;
-      default : stmt list;
-      outcomes : Branch.outcome list;
-    }
+(* --- lowered programs, with this domain's constants ------------------- *)
 
 (* A (possibly vector) input or symbolic state, flattened: each leaf is
    one scalar solver variable named [name.k…]. *)
@@ -67,13 +28,12 @@ type shape =
   | Node of shape array
 
 type program = {
-  body : stmt list;
+  lowered : L.t;
+  consts : sval array;  (** [lowered.consts] as terms of this domain *)
   template : sval array;
       (** the register file before a step: declared state inits, type
-          defaults for locals and outputs, [unset] elsewhere *)
-  n_inputs : int;
-  n_states : int;
-  n_declared : int;  (** locals and outputs end here: reset every step *)
+          defaults for locals and outputs; the input slots hold a
+          placeholder that every environment overwrites *)
   inputs : shape array;
   states : shape array;  (** named [st$name…], for symbolic state *)
   input_leaves : (string * Value.ty) list;
@@ -83,11 +43,7 @@ type program = {
           state, every solve gets this very list *)
   step_leaves : (string * Value.ty) list;
       (** [input_leaves] without repeats (first occurrence kept) *)
-  decisions : (int, stmt) Hashtbl.t;
 }
-
-(* Never a value of any expression: a fresh block compared with [==]. *)
-let unset = Arr [||]
 
 let rec shape_of name (ty : Value.ty) =
   match ty with
@@ -102,165 +58,34 @@ let rec leaves acc = function
 let leaves_of shapes =
   List.rev (Array.fold_left leaves [] shapes)
 
-(* Does the expression read only inputs and state (no locals/outputs)?
-   Such guards have the same value on every path. *)
-let rec input_state_only (e : Ir.expr) =
-  match e with
-  | Ir.Const _ -> true
-  | Ir.Var ((Ir.Input | Ir.State), _) -> true
-  | Ir.Var ((Ir.Local | Ir.Output), _) -> false
-  | Ir.Unop (_, a) -> input_state_only a
-  | Ir.Binop (_, a, b) | Ir.Cmp (_, a, b) | Ir.And (a, b) | Ir.Or (a, b) ->
-    input_state_only a && input_state_only b
-  | Ir.Ite (c, a, b) ->
-    input_state_only c && input_state_only a && input_state_only b
-  | Ir.Index (a, i) -> input_state_only a && input_state_only i
-
-(* Name resolution for lowering.  Slots are inputs, then states, then
-   locals, then outputs: each declared name takes its scope's offset plus
-   the position {!Slim.Exec} resolves it to, so the layout rule (a
-   duplicated name resolves to its last declaration) lives in
-   [Slim.Exec] only.  Names no declaration binds get slots from
-   [n_declared] on. *)
-type lowering = {
-  exec : Slim.Exec.t;
-  local_base : int;
-  output_base : int;
-  n_declared : int;
-  undeclared : (Ir.scope * string, int) Hashtbl.t;
-  mutable next_slot : int;
-}
-
-let declared_slot lx (scope : Ir.scope) name =
-  let find, base =
-    match scope with
-    | Ir.Input -> (Slim.Exec.input_slot, 0)
-    | Ir.State -> (Slim.Exec.state_slot, Slim.Exec.n_inputs lx.exec)
-    | Ir.Local -> (Slim.Exec.local_slot, lx.local_base)
-    | Ir.Output -> (Slim.Exec.output_slot, lx.output_base)
-  in
-  Option.map (fun i -> base + i) (find lx.exec name)
-
-(* The slot a name reads and writes, and its read form. *)
-let resolve lx scope name =
-  match declared_slot lx scope name with
-  | Some i -> (i, Slot i)
-  | None ->
-    let i =
-      match Hashtbl.find_opt lx.undeclared (scope, name) with
-      | Some i -> i
-      | None ->
-        let i = lx.next_slot in
-        lx.next_slot <- i + 1;
-        Hashtbl.replace lx.undeclared (scope, name) i;
-        i
-    in
-    (i, Undeclared (i, scope, name))
-
-let rec lower_expr lx (e : Ir.expr) =
-  match e with
-  | Ir.Const v -> Const (sval_of_value v)
-  | Ir.Var (scope, name) -> snd (resolve lx scope name)
-  | Ir.Unop (op, a) -> Unop (op, lower_expr lx a)
-  | Ir.Binop (op, a, b) -> Binop (op, lower_expr lx a, lower_expr lx b)
-  | Ir.Cmp (op, a, b) -> Cmp (op, lower_expr lx a, lower_expr lx b)
-  | Ir.And (a, b) -> And (lower_expr lx a, lower_expr lx b)
-  | Ir.Or (a, b) -> Or (lower_expr lx a, lower_expr lx b)
-  | Ir.Ite (c, a, b) -> Ite (lower_expr lx c, lower_expr lx a, lower_expr lx b)
-  | Ir.Index (a, i) -> Index (lower_expr lx a, lower_expr lx i)
-
-let rec lower_lvalue lx (l : Ir.lvalue) =
-  match l with
-  | Ir.Lvar (Ir.Input, name) -> Linput (snd (resolve lx Ir.Input name), name)
-  | Ir.Lvar (scope, name) ->
-    let slot, base = resolve lx scope name in
-    Lslot (base, slot)
-  | Ir.Lindex (l, i) -> Lindex (lower_lvalue lx l, lower_expr lx i)
-
-let rec lower_stmt lx (s : Ir.stmt) =
-  match s with
-  | Ir.Assign (l, e) -> Assign (lower_lvalue lx l, lower_expr lx e)
-  | Ir.If { id; cond; then_; else_ } ->
-    If
-      {
-        id;
-        cond = lower_expr lx cond;
-        atoms = List.map (lower_expr lx) (Ir.atoms_of_condition cond);
-        input_state_only = input_state_only cond;
-        then_ = List.map (lower_stmt lx) then_;
-        else_ = List.map (lower_stmt lx) else_;
-      }
-  | Ir.Switch { id; scrut; cases; default } ->
-    let labels = List.map fst cases in
-    Switch
-      {
-        id;
-        scrut = lower_expr lx scrut;
-        labels;
-        input_state_only = input_state_only scrut;
-        cases = List.map (fun (k, b) -> (k, List.map (lower_stmt lx) b)) cases;
-        default = List.map (lower_stmt lx) default;
-        outcomes = List.map (fun l -> Branch.Case l) labels @ [ Branch.Default ];
-      }
-
-(* Decisions by id, in syntactic order: on a repeated id the last one
-   wins, as in [Exec.find_decision]. *)
-let rec index_decisions tbl stmts =
-  List.iter
-    (fun s ->
-      match s with
-      | Assign _ -> ()
-      | If { id; then_; else_; _ } ->
-        Hashtbl.replace tbl id s;
-        index_decisions tbl then_;
-        index_decisions tbl else_
-      | Switch { id; cases; default; _ } ->
-        Hashtbl.replace tbl id s;
-        List.iter (fun (_, b) -> index_decisions tbl b) cases;
-        index_decisions tbl default)
-    stmts
-
 let tel_compiles = Telemetry.Counter.make ~nondet:true "symexec.compiles"
 let tel_compile_span = Telemetry.Span.make "symexec.compile"
 
-let lower (prog : Ir.program) =
+let build (prog : Ir.program) =
   Telemetry.Counter.incr tel_compiles;
   Telemetry.Span.with_ tel_compile_span @@ fun () ->
-  let state_vars = List.map fst prog.states in
-  let exec = Slim.Exec.handle prog in
-  let n_inputs = Slim.Exec.n_inputs exec in
-  let n_states = Slim.Exec.n_states exec in
-  let local_base = n_inputs + n_states in
-  let output_base = local_base + List.length prog.locals in
-  let n_declared = output_base + List.length prog.outputs in
-  let lx =
-    { exec; local_base; output_base; n_declared; undeclared = Hashtbl.create 8;
-      next_slot = n_declared }
+  let lowered = Slim.Exec.lowered (Slim.Exec.handle prog) in
+  let consts = Array.map sval_of_value lowered.consts in
+  let inits = Array.of_list (List.map snd prog.states) in
+  let template =
+    Array.init lowered.n_slots (fun s ->
+        if s < lowered.n_inputs then Arr [||]
+        else if s < lowered.local_base then sval_of_value inits.(s - lowered.n_inputs)
+        else sval_of_value (Value.default_of_ty lowered.vars.(s).ty))
   in
-  let body = List.map (lower_stmt lx) prog.body in
-  let decisions = Hashtbl.create 64 in
-  index_decisions decisions body;
-  let template = Array.make lx.next_slot unset in
-  List.iteri (fun k (_, init) -> template.(n_inputs + k) <- sval_of_value init) prog.states;
-  List.iteri
-    (fun k (v : Ir.var) ->
-      template.(local_base + k) <- sval_of_value (Value.default_of_ty v.ty))
-    (prog.locals @ prog.outputs);
   let inputs =
     Array.of_list (List.map (fun (v : Ir.var) -> shape_of v.name v.ty) prog.inputs)
   in
   let states =
     Array.of_list
-      (List.map (fun (v : Ir.var) -> shape_of ("st$" ^ v.name) v.ty) state_vars)
+      (List.map (fun ((v : Ir.var), _) -> shape_of ("st$" ^ v.name) v.ty) prog.states)
   in
   let input_leaves = leaves_of inputs in
   let state_leaves = leaves_of states in
   {
-    body;
+    lowered;
+    consts;
     template;
-    n_inputs;
-    n_states;
-    n_declared;
     inputs;
     states;
     input_leaves;
@@ -271,12 +96,11 @@ let lower (prog : Ir.program) =
         (List.fold_left
            (fun acc leaf -> if List.mem leaf acc then acc else leaf :: acc)
            [] input_leaves);
-    decisions;
   }
 
 (* Per-domain memo, newest first, keyed on physical equality of the
-   program like [Exec.handle].  Per domain because the lowered form holds
-   hash-consed terms, which are per domain.  A solve runs one program at
+   program like [Exec.handle].  Per domain because the constants and the
+   template are hash-consed terms, which are per domain.  A solve runs one program at
    a time, so a few entries suffice; an eviction shows up as an extra
    [symexec.compiles]. *)
 let memo_capacity = 4
@@ -289,7 +113,7 @@ let compile (prog : Ir.program) =
   match List.assq_opt prog !memo with
   | Some c -> c
   | None ->
-    let c = lower prog in
+    let c = build prog in
     memo := (prog, c) :: List.filteri (fun i _ -> i < memo_capacity - 1) !memo;
     c
 
@@ -303,8 +127,7 @@ type env = {
   mutable trail_len : int;
 }
 
-let body env = env.code.body
-let decision env id = Hashtbl.find_opt env.code.decisions id
+let lowered env = env.code.lowered
 
 type mark = int
 
@@ -321,7 +144,7 @@ let write env slot v =
   if n = Array.length env.trail_slots then begin
     let cap = max 16 (2 * n) in
     let slots = Array.make cap 0 in
-    let old = Array.make cap unset in
+    let old = Array.make cap v in
     Array.blit env.trail_slots 0 slots 0 n;
     Array.blit env.trail_old 0 old 0 n;
     env.trail_slots <- slots;
@@ -385,39 +208,44 @@ let write_index arr idx v =
        in
        Arr a')
 
-let rec eval env (e : expr) : sval =
+let unbound scope name =
+  sym_error "unbound %s variable %s" (Ir.scope_name scope) name
+
+let rec eval env (e : L.expr) : sval =
   match e with
-  | Const v -> v
-  | Slot i -> env.regs.(i)
-  | Undeclared (i, scope, name) ->
-    let v = env.regs.(i) in
-    if v == unset then sym_error "unbound %s variable %s" (Ir.scope_name scope) name
-    else v
-  | Unop (op, e) -> Scalar (Term.unop op (scalar (eval env e)))
-  | Binop (op, a, b) ->
+  | L.Const c -> env.code.consts.(c)
+  | L.Slot i -> env.regs.(i)
+  | L.Unbound (scope, name) -> unbound scope name
+  | L.Unop (op, e) -> Scalar (Term.unop op (scalar (eval env e)))
+  | L.Binop (op, a, b) ->
     Scalar (Term.binop op (scalar (eval env a)) (scalar (eval env b)))
-  | Cmp (op, a, b) ->
+  | L.Cmp (op, a, b) ->
     Scalar (Term.cmp op (scalar (eval env a)) (scalar (eval env b)))
-  | And (a, b) ->
+  | L.And (a, b) ->
     Scalar (Term.and_ (scalar (eval env a)) (scalar (eval env b)))
-  | Or (a, b) ->
+  | L.Or (a, b) ->
     Scalar (Term.or_ (scalar (eval env a)) (scalar (eval env b)))
-  | Ite (c, t, f) ->
+  | L.Ite (c, t, f) ->
     let sc = scalar (eval env c) in
     (match Term.is_const sc with
      | Some v -> if Value.to_bool v then eval env t else eval env f
      | None -> Scalar (Term.ite sc (scalar (eval env t)) (scalar (eval env f))))
-  | Index (v, i) -> read_index (eval env v) (scalar (eval env i))
+  | L.Index (v, i) -> read_index (eval env v) (scalar (eval env i))
 
-let rec assign env (lhs : lvalue) v =
+let rec assign env (lhs : L.lvalue) v =
   match lhs with
-  | Lslot (_, slot) -> write env slot v
-  | Linput (_, name) -> sym_error "assignment to input %s" name
-  | Lindex (inner, idx_expr) ->
+  | L.Lslot slot ->
+    let lp = env.code.lowered in
+    if slot < lp.n_inputs then sym_error "assignment to input %s" lp.vars.(slot).name
+    else write env slot v
+  | L.Lunbound (Ir.Input, name) -> sym_error "assignment to input %s" name
+  | L.Lunbound (scope, name) -> unbound scope name
+  | L.Lindex (inner, idx_expr) ->
     let container =
       let rec resolve = function
-        | Lslot (base, _) | Linput (base, _) -> eval env base
-        | Lindex (l, i) -> read_index (resolve l) (scalar (eval env i))
+        | L.Lslot slot -> env.regs.(slot)
+        | L.Lunbound (scope, name) -> unbound scope name
+        | L.Lindex (l, i) -> read_index (resolve l) (scalar (eval env i))
       in
       resolve inner
     in
@@ -438,6 +266,9 @@ let prefixed prefix leaves =
 let env_of_program ?(prefix = "") ?(symbolic_state = false)
     (prog : Ir.program) ~state ~input_var =
   let code = compile prog in
+  let n_in = code.lowered.n_inputs in
+  (* a copy, then the inputs: cheaper per solve than building the
+     register file element by element *)
   let regs = Array.copy code.template in
   Array.iteri
     (fun i shape -> regs.(i) <- build_input ~prefix ~input_var shape)
@@ -448,7 +279,7 @@ let env_of_program ?(prefix = "") ?(symbolic_state = false)
          solver without dynamic state feedback would treat it *)
       Array.iteri
         (fun k shape ->
-          regs.(code.n_inputs + k) <- build_input ~prefix:"" ~input_var shape)
+          regs.(n_in + k) <- build_input ~prefix:"" ~input_var shape)
         code.states;
       if prefix = "" then code.all_leaves
       else prefixed prefix code.input_leaves @ code.state_leaves
@@ -457,8 +288,8 @@ let env_of_program ?(prefix = "") ?(symbolic_state = false)
       (* positional slot contract with Slim.Exec: state slot [k] is the
          [k]-th declared state variable; a short snapshot keeps the
          declared initial values of the template *)
-      for k = 0 to min code.n_states (Array.length state) - 1 do
-        regs.(code.n_inputs + k) <- sval_of_value state.(k)
+      for k = 0 to min code.lowered.n_states (Array.length state) - 1 do
+        regs.(n_in + k) <- sval_of_value state.(k)
       done;
       prefixed prefix code.input_leaves
     end
@@ -471,7 +302,8 @@ let step_inputs env ~prefix ~input_var =
 
 let start_step env inputs =
   Array.iteri (fun i v -> write env i v) inputs;
-  for slot = env.code.n_inputs + env.code.n_states to env.code.n_declared - 1 do
+  let lp = env.code.lowered in
+  for slot = lp.local_base to lp.n_slots - 1 do
     write env slot env.code.template.(slot)
   done
 

@@ -10,11 +10,10 @@
     [Tite].  Because state arrays are constants, those chains fold to
     small terms.
 
-    Each program is lowered once per domain to a slot-addressed form:
-    variables become indices into one register file laid out as in
-    {!Slim.Exec} (inputs, then states, then locals, then outputs),
-    constants become pre-built symbolic values, and each decision's
-    guard, atoms and input/state-only flag are resolved up front. *)
+    The walk reads the {!Slim.Lower} form that {!Slim.Exec.handle}
+    builds.  Kept per domain, because hash-consed terms are per domain,
+    are only the constants as symbolic values and the register
+    template, with the input and state shapes beside them. *)
 
 type sval =
   | Scalar of Solver.Term.t
@@ -24,36 +23,6 @@ exception Sym_error of string
 
 val scalar : sval -> Solver.Term.t
 (** Raises {!Sym_error} on arrays. *)
-
-(** {1 Lowered programs} *)
-
-type expr
-(** A slot-addressed expression. *)
-
-type lvalue
-
-type stmt =
-  | Assign of lvalue * expr
-  | If of {
-      id : int;
-      cond : expr;
-      atoms : expr list;  (** {!Slim.Ir.atoms_of_condition} order *)
-      input_state_only : bool;
-          (** the guard reads no local or output, so it has the same
-              value on every path through the step *)
-      then_ : stmt list;
-      else_ : stmt list;
-    }
-  | Switch of {
-      id : int;
-      scrut : expr;
-      labels : int list;
-      input_state_only : bool;
-      cases : (int * stmt list) list;
-      default : stmt list;
-      outcomes : Slim.Branch.outcome list;
-          (** one [Case] per label in order, then [Default] *)
-    }
 
 (** {1 Environments} *)
 
@@ -70,9 +39,10 @@ val env_of_program :
   state:Slim.Exec.state ->
   input_var:(string -> Slim.Value.ty -> Solver.Term.t) ->
   env * (string * Slim.Value.ty) list
-(** The starting environment for one step.  The program is lowered on
-    its first use in the calling domain (memoized, newest first, keyed
-    on physical equality; each lowering counts [symexec.compiles]).
+(** The starting environment for one step.  The program's constants
+    and register template are built on its first use in the calling
+    domain (memoized, newest first, keyed on physical equality; each
+    build counts [symexec.compiles]).
     State slots hold snapshot constants (slot [i] of [state] is the
     [i]-th declared state variable, the {!Slim.Exec} positional
     contract; a short snapshot falls back to declared initial values),
@@ -84,22 +54,21 @@ val env_of_program :
     state slots hold variables [st$name] instead, appended to the
     list. *)
 
-val body : env -> stmt list
+val lowered : env -> Slim.Lower.t
+(** The program the environment runs: walk its [body]; its [decisions]
+    are indexed by {!Slim.Exec.decision_pos}. *)
 
-val decision : env -> int -> stmt option
-(** The [If] or [Switch] with this id (the last one in syntactic order
-    when an id repeats, as in {!Slim.Exec.find_decision}). *)
-
-val eval : env -> expr -> sval
+val eval : env -> Slim.Lower.expr -> sval
 (** Symbolic evaluation; array reads expand as described above.
-    Raises {!Sym_error} on a variable no declaration binds (unless an
-    assignment wrote it first) and on a constant out-of-bounds index,
-    and {!Slim.Value.Type_error} on type confusion. *)
+    Raises {!Sym_error} on a name no declaration binds and on a
+    constant out-of-bounds index, and {!Slim.Value.Type_error} on type
+    confusion. *)
 
-val assign : env -> lvalue -> sval -> unit
+val assign : env -> Slim.Lower.lvalue -> sval -> unit
 (** Assignment through the trail, copy-on-write through arrays.  A
     write at a symbolic index turns every element [e_k] into
-    [ite (idx = k) v e_k].  Raises {!Sym_error} on an input. *)
+    [ite (idx = k) v e_k].  Raises {!Sym_error} on an input and on a
+    name no declaration binds. *)
 
 type mark
 

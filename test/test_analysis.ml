@@ -188,6 +188,53 @@ let test_diag_index () =
   in
   check Alcotest.bool "A302 always-OOB" true (List.mem "A302" (codes prog))
 
+(* --- one resolution rule: the last declaration of a name --------------- *)
+
+let test_duplicate_declarations () =
+  (* the body reads the second [t] (default 5) and the second [s]
+     (snapshot 4), so both guards are always true; the first
+     declarations (0 and 3) would make both always false *)
+  let r = Analyzer.record_at Dup_decls.prog ~state:Dup_decls.state in
+  let always_true id =
+    match Analyzer.guard_fact r id with
+    | Some g -> g.Analyzer.g_val = Solver.Interval.b3_true
+    | None -> false
+  in
+  check Alcotest.bool "t reads the second local" true (always_true 0);
+  check Alcotest.bool "s reads the second state" true (always_true 1);
+  check Alcotest.(array bool) "only the second s is relevant" [| false; true |]
+    (Symexec.Explore.relevant_state_slots Dup_decls.prog)
+
+(* --- SOUND/int-cells: a real stored in an int-declared variable --------- *)
+
+(* Fuzz seed 1, cases 156 and 190 at max-steps 8, store a real into an
+   int-declared variable (case 190: [out:y := -1.24 + 0.5]).  The
+   octagon used to round such a cell to empty and call a branch that
+   the case's own inputs cover dead. *)
+let test_real_in_int_cell case key () =
+  let model, _, gen_inputs = Fuzzer.Campaign.case_gen ~seed:1 ~max_steps:8 case in
+  let prog = Fuzzer.Gen.program_of model in
+  let ex = Slim.Exec.handle prog in
+  let covered = ref [] in
+  let on_event = function
+    | Slim.Exec.Branch_hit k -> covered := k :: !covered
+    | Slim.Exec.Cond_vector _ -> ()
+  in
+  (try
+     ignore
+       (Slim.Exec.run_sequence ~on_event ex (Slim.Exec.initial_state ex)
+          (List.map (Slim.Exec.inputs_of_list ex) (gen_inputs prog)))
+   with Slim.Exec.Eval_error _ -> ());
+  check Alcotest.bool
+    (Fmt.str "%a covered" Branch.pp_key key)
+    true (has_branch key !covered);
+  let s = Verdict.of_program ~config:{ Analyzer.domain = `Octagon } prog in
+  List.iter
+    (fun k ->
+      if List.assoc_opt k s.Verdict.v_branches = Some Verdict.Dead then
+        Alcotest.failf "covered branch %a is octagon-dead" Branch.pp_key k)
+    !covered
+
 (* --- widening: unbounded-ish state must terminate soundly -------------- *)
 
 let test_widening_sound () =
@@ -1013,8 +1060,16 @@ let () =
           Alcotest.test_case "lint rendering" `Quick test_lint_lines;
         ] );
       ( "soundness",
-        [ Alcotest.test_case "widening terminates soundly" `Quick
-            test_widening_sound ] );
+        [
+          Alcotest.test_case "widening terminates soundly" `Quick
+            test_widening_sound;
+          Alcotest.test_case "duplicate declarations" `Quick
+            test_duplicate_declarations;
+          Alcotest.test_case "real in int cell (seed 1 case 156)" `Quick
+            (test_real_in_int_cell 156 (0, Branch.Case 0));
+          Alcotest.test_case "real in int cell (seed 1 case 190)" `Quick
+            (test_real_in_int_cell 190 (0, Branch.Case 1));
+        ] );
       ( "engine skip",
         [
           Alcotest.test_case "dead objective justified+skipped" `Quick

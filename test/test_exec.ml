@@ -435,6 +435,60 @@ let test_wide_guards_match_reference () =
     events_equal "wide-guards" step ev_ref ev_new
   done
 
+(* A write to a name no declaration binds raises when it is reached, in
+   the compiled path and in the reference interpreter alike (the read
+   after it is never reached).  [Ir.type_check] rejects the program, so
+   only a hand-built one gets here. *)
+let test_undeclared_write_raises () =
+  let open Ir in
+  let prog =
+    {
+      name = "ghost";
+      inputs = [ input "x" (V.tint_range 0 9) ];
+      outputs = [ output "y" (V.tint_range 0 9) ];
+      states = [];
+      locals = [];
+      body = [ assign "ghost" (iv "x"); assign_out "y" (lv "ghost") ];
+    }
+  in
+  let inputs = [ ("x", V.Int 3) ] in
+  let outcome f =
+    match f () with
+    | (_ : V.t Interp.Smap.t * V.t Interp.Smap.t) -> "ok"
+    | exception Interp.Eval_error msg -> msg
+  in
+  let expected = "unbound local variable ghost" in
+  check Alcotest.string "reference" expected
+    (outcome (fun () ->
+         Interp.run_step_reference prog Interp.Smap.empty
+           (Interp.inputs_of_list inputs)));
+  let ex = Exec.handle prog in
+  check Alcotest.string "exec" expected
+    (outcome (fun () ->
+         let out, st =
+           Exec.run_step ex (Exec.initial_state ex) (Exec.inputs_of_list ex inputs)
+         in
+         (Exec.smap_of_outputs ex out, Exec.smap_of_state ex st)))
+
+(* The lowering numbers decisions in the order [Exec.decisions] lists
+   them, which is what [Exec.decision_pos] indexes. *)
+let test_lowered_decision_order () =
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let ex = Exec.handle (e.Models.Registry.program ()) in
+      let lowered = (Exec.lowered ex).Slim.Lower.decisions in
+      check Alcotest.int "decision count" (List.length (Exec.decisions ex))
+        (Array.length lowered);
+      List.iteri
+        (fun p (id, _) ->
+          match lowered.(p) with
+          | Slim.Lower.If { id = id'; pos; _ } | Slim.Lower.Switch { id = id'; pos; _ } ->
+            check Alcotest.(pair int int) e.Models.Registry.name (id, p) (id', pos);
+            check Alcotest.int "decision_pos" p (Exec.decision_pos ex id)
+          | Slim.Lower.Assign _ -> Alcotest.fail "an assignment among the decisions")
+        (Exec.decisions ex))
+    Models.Registry.entries
+
 (* --- allocation ------------------------------------------------------
 
    In the style of the term front-cache test: telemetry off, the handle
@@ -538,5 +592,9 @@ let () =
             test_wide_guards_match_reference;
           Alcotest.test_case "warm paths allocate nothing" `Quick
             test_warm_paths_allocate_nothing;
+          Alcotest.test_case "undeclared write raises" `Quick
+            test_undeclared_write_raises;
+          Alcotest.test_case "lowered decision order" `Quick
+            test_lowered_decision_order;
         ] );
     ]

@@ -465,31 +465,39 @@ let test_duplicate_declarations_last_wins () =
   (* two locals named [t] with defaults 0 and 5, two states named [s]
      with snapshot values 3 and 4: the last declaration of each is the
      one the body reads, as in the concrete executor *)
-  let open Ir in
-  let prog =
-    renumber_decisions
-      {
-        name = "dups";
-        inputs = [ input "x" (V.tint_range 0 10) ];
-        outputs = [];
-        states =
-          [ state "s" (V.tint_range 0 9) (V.Int 1);
-            state "s" (V.tint_range 0 9) (V.Int 2) ];
-        locals = [ local "t" (V.tint_range 0 10); local "t" (V.tint_range 5 10) ];
-        body =
-          [
-            if_ (lv "t" =: ci 5) [] [];
-            if_ (sv "s" =: ci 4) [] [];
-          ];
-      }
-  in
-  let st = [| V.Int 3; V.Int 4 |] in
+  let prog = Dup_decls.prog and st = Dup_decls.state in
   let solve target = outcome_name (fst (Ex.solve_branch prog ~state:st ~target)) in
   check Alcotest.string "local t is the second one" "sat" (solve (0, Branch.Then));
   check Alcotest.string "local t is not the first one" "unsat" (solve (0, Branch.Else));
   check Alcotest.string "state s is slot 1" "sat" (solve (1, Branch.Then));
   check Alcotest.string "state s is not slot 0" "unsat" (solve (1, Branch.Else));
   check Alcotest.bool "concrete run agrees" true (hits prog st [ [| V.Int 0 |] ] (1, Branch.Then))
+
+let test_undeclared_write () =
+  (* the walk reaches a write to a name no declaration binds: it raises
+     there, like the concrete executor, and the solve ends [Unknown] *)
+  let open Ir in
+  let prog =
+    renumber_decisions
+      {
+        name = "ghost_write";
+        inputs = [ input "x" (V.tint_range 0 100) ];
+        outputs = [ output "y" V.tint ];
+        states = [];
+        locals = [];
+        body =
+          [
+            if_ (iv "x" >: ci 5) [ assign "ghost" (iv "x") ] [];
+            if_ (iv "x" =: ci 50) [ assign_out "y" (ci 1) ] [];
+          ];
+      }
+  in
+  let outcome, count =
+    with_counters (fun () ->
+        fst (Ex.solve_branch prog ~state:[||] ~target:(1, Branch.Then)))
+  in
+  check Alcotest.string "unknown" "unknown" (outcome_name outcome);
+  check Alcotest.int "counted as sym_error" 1 (count "symexec.unknown.sym_error")
 
 let test_vector_input_reassembles () =
   let open Ir in
@@ -535,9 +543,10 @@ let test_vector_input_reassembles () =
   | _ -> Alcotest.fail "inputs_of_assignment reassembly"
 
 let test_lowered_once () =
-  (* the slot-lowered form is memoized per program: many solves against
-     one program value lower it once, and a structurally equal but
-     distinct program value is lowered again *)
+  (* the per-domain symbolic constants and register template are
+     memoized per program: many solves against one program value build
+     them once, and a structurally equal but distinct program value
+     builds them again *)
   let fresh () = { simple_prog with Ir.name = "simple" } in
   let p1 = fresh () in
   let st = Exec.initial_state (Exec.handle p1) in
@@ -854,6 +863,7 @@ let () =
             test_vector_input_reassembles;
           Alcotest.test_case "lowered once per program" `Quick
             test_lowered_once;
+          Alcotest.test_case "undeclared write" `Quick test_undeclared_write;
         ] );
       ( "multi-step",
         [
