@@ -62,6 +62,13 @@ val or_ : t -> t -> t
 val not_ : t -> t
 val ite : t -> t -> t -> t
 
+val eval_unop : Slim.Ir.unop -> Slim.Value.t -> Slim.Value.t
+val eval_binop : Slim.Ir.binop -> Slim.Value.t -> Slim.Value.t -> Slim.Value.t
+val eval_cmp : Slim.Ir.cmpop -> Slim.Value.t -> Slim.Value.t -> bool
+(** The folds {!unop}, {!binop} and {!cmp} apply to constant operands:
+    each raises {!Slim.Value.Type_error} where the constructor keeps the
+    node unfolded instead. *)
+
 val is_const : t -> Slim.Value.t option
 val conj : t list -> t
 
