@@ -1,15 +1,19 @@
 (* Fingerprint goldens shared by the test executables: [check name
    observed] compares [observed] with the committed
    [goldens/NAME.txt].  On a mismatch it writes the observed text next
-   to the test binary as [NAME.observed.txt] and fails naming the first
-   differing line. *)
+   to the golden as [NAME.observed.txt] and fails naming the first
+   differing line.  The goldens are found from the test binary's own
+   directory, where the build copies them, so a suite binary runs from
+   any working directory. *)
+
+let dir = Filename.concat (Filename.dirname Sys.executable_name) "goldens"
 
 let check name observed =
   let expected =
-    In_channel.with_open_bin ("goldens/" ^ name ^ ".txt") In_channel.input_all
+    In_channel.with_open_bin (Filename.concat dir (name ^ ".txt")) In_channel.input_all
   in
   if observed <> expected then begin
-    Out_channel.with_open_bin (name ^ ".observed.txt") (fun oc ->
+    Out_channel.with_open_bin (Filename.concat dir (name ^ ".observed.txt")) (fun oc ->
         Out_channel.output_string oc observed);
     let lines s = String.split_on_char '\n' s in
     let rec first_diff k = function
