@@ -15,7 +15,8 @@
     - each decision carries its position in syntactic pre-order (the
       order of {!Ir.decisions_of_program}), its first atom id, its
       atoms ({!Ir.atoms_of_condition} order), whether its guard reads
-      only inputs and state, and, for a [Switch], its outcomes. *)
+      only inputs and state no earlier statement may write, and, for a
+      [Switch], its outcomes. *)
 
 type expr =
   | Const of int  (** index into {!t.consts} *)
@@ -43,8 +44,10 @@ type stmt =
       cond : expr;
       atoms : expr list;
       input_state_only : bool;
-          (** the guard reads no local or output, so it has the same
-              value on every path through the step *)
+          (** the guard reads no local, no output and no state slot that
+              a statement on some path from the start of the step to it
+              writes, so it has the value it has at the start of the
+              step on every path through the step *)
       then_ : stmt list;
       else_ : stmt list;
     }
