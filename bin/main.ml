@@ -241,7 +241,7 @@ let list_models_cmd =
         let prog = e.Models.Registry.program () in
         Fmt.pr "%-12s %-40s %4d branches@." e.Models.Registry.name
           e.Models.Registry.description
-          (Slim.Branch.count prog))
+          (Slim.Exec.n_branches (Slim.Exec.handle prog)))
       Models.Registry.entries
   in
   Cmd.v (Cmd.info "list-models" ~doc:"List the benchmark models (Table II).")

@@ -16,8 +16,9 @@ let () =
   let entry = Option.get (Models.Registry.find "CPUTask") in
   let prog = entry.Models.Registry.program () in
   Fmt.pr "== CPUTask walkthrough (paper Section III-C / Table I) ==@.@.";
-  Fmt.pr "branches: %d, decisions: %d@.@." (Slim.Branch.count prog)
-    (Slim.Ir.decision_count prog);
+  let exec = Slim.Exec.handle prog in
+  Fmt.pr "branches: %d, decisions: %d@.@." (Slim.Exec.n_branches exec)
+    (Slim.Exec.n_decisions exec);
 
   let config = { Engine.default_config with Engine.seed = 1; budget = 3600.0 } in
   let run = Engine.run ~config prog in

@@ -91,15 +91,16 @@ let () =
   let m = model () in
   Fmt.pr "diagram: %d blocks@." (Slim.Model.block_count m);
   let prog = Slim.Compile.to_program m in
-  Fmt.pr "compiled: %d branches, %d statements@.@." (Slim.Branch.count prog)
+  let exec = Slim.Exec.handle prog in
+  Fmt.pr "compiled: %d branches, %d statements@.@." (Slim.Exec.n_branches exec)
     (Slim.Ir.stmt_count prog);
 
   (* simulate a few steps by hand first *)
-  let st = ref (Slim.Interp.initial_state prog) in
+  let st = ref (Slim.Exec.initial_state exec) in
   let step start stop sensor =
     let out, st' =
-      Slim.Interp.run_step prog !st
-        (Slim.Interp.inputs_of_list
+      Slim.Exec.run_step exec !st
+        (Slim.Exec.inputs_of_list exec
            [
              ("start", V.Bool start); ("stop", V.Bool stop);
              ("sensor", V.Real sensor);
@@ -107,9 +108,9 @@ let () =
     in
     st := st';
     Fmt.pr "  mode=%a level=%a@." Slim.Value.pp
-      (Slim.Interp.Smap.find "mode" out)
+      (Slim.Exec.find_output exec out "mode")
       Slim.Value.pp
-      (Slim.Interp.Smap.find "level" out)
+      (Slim.Exec.find_output exec out "level")
   in
   Fmt.pr "manual simulation:@.";
   step true false 2.0;

@@ -57,9 +57,9 @@ let counter_model =
 
 let () =
   Fmt.pr "== STCG quickstart ==@.@.";
-  Fmt.pr "Model: %d branches, %d decisions@."
-    (Slim.Branch.count counter_model)
-    (Slim.Ir.decision_count counter_model);
+  let exec = Slim.Exec.handle counter_model in
+  Fmt.pr "Model: %d branches, %d decisions@." (Slim.Exec.n_branches exec)
+    (Slim.Exec.n_decisions exec);
 
   (* run the STCG engine with a small virtual budget *)
   let config =
@@ -76,7 +76,6 @@ let () =
   (* show the generated test cases (steps are slot arrays; the compiled
      handle maps slots back to input names for printing) *)
   Fmt.pr "@.Test cases (inputs per step):@.";
-  let exec = Slim.Exec.handle counter_model in
   List.iter
     (fun (tc : Stcg.Testcase.t) ->
       Fmt.pr "  %a@." Stcg.Testcase.pp tc;

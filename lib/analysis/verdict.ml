@@ -26,7 +26,7 @@ let b3_excludes (b : I.bool3) value = if value then not b.bt else not b.bf
 let b3_forced (b : I.bool3) value = if value then not b.bf else not b.bt
 
 let of_result (r : Analyzer.result) : summary =
-  let crit = Coverage.Criteria.of_program r.r_prog in
+  let ex = Slim.Exec.handle r.r_prog in
   let v_branches =
     List.map
       (fun (b : Branch.t) ->
@@ -37,19 +37,21 @@ let of_result (r : Analyzer.result) : summary =
           | Analyzer.May -> Unknown
         in
         (b.key, v))
-      crit.branches
+      (Slim.Exec.branches ex)
   in
   let v_conditions, v_mcdc =
     List.fold_left
-      (fun (conds, mcdc) (d : Coverage.Criteria.decision_info) ->
-        if d.d_atom_count = 0 then (conds, mcdc)
+      (fun (conds, mcdc) pos ->
+        let n_atoms = Slim.Exec.atom_count ex pos
+        and d_id = Slim.Exec.decision_id ex pos in
+        if n_atoms = 0 then (conds, mcdc)
         else
-          match Analyzer.guard_fact r d.d_id with
+          match Analyzer.guard_fact r d_id with
           | None -> (conds, mcdc)
           | Some gf ->
             let dead_decision = gf.g_reach = Analyzer.Never in
             let conds = ref conds and mcdc = ref mcdc in
-            for i = 0 to d.d_atom_count - 1 do
+            for i = 0 to n_atoms - 1 do
               let atom = gf.g_atoms.(i) in
               List.iter
                 (fun value ->
@@ -59,17 +61,17 @@ let of_result (r : Analyzer.result) : summary =
                     then Reachable
                     else Unknown
                   in
-                  conds := ((d.d_id, i, value), v) :: !conds)
+                  conds := ((d_id, i, value), v) :: !conds)
                 [ true; false ];
               let mv =
                 if dead_decision || b3_constant atom || b3_constant gf.g_val
                 then Dead
                 else Unknown
               in
-              mcdc := ((d.d_id, i), mv) :: !mcdc
+              mcdc := ((d_id, i), mv) :: !mcdc
             done;
             (!conds, !mcdc))
-      ([], []) crit.decisions
+      ([], []) (List.init (Slim.Exec.n_decisions ex) Fun.id)
   in
   let s =
     {

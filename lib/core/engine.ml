@@ -610,14 +610,13 @@ let run ?(config = default_config) prog =
       | Some b -> b.depth
       | None -> 0
     in
-    let criteria = Tracker.criteria tracker in
     List.concat_map
-      (fun (d : Coverage.Criteria.decision_info) ->
+      (fun pos ->
+        let decision = Exec.decision_id exec pos in
         List.concat_map
           (fun atom ->
             List.filter_map
               (fun value ->
-                let decision = d.Coverage.Criteria.d_id in
                 if dead_cond (decision, atom, value) then None
                 else
                   Some
@@ -628,8 +627,8 @@ let run ?(config = default_config) prog =
                       obj_depth = depth_of_decision decision;
                     })
               [ true; false ])
-          (List.init d.Coverage.Criteria.d_atom_count Fun.id))
-      criteria.Coverage.Criteria.decisions
+          (List.init (Exec.atom_count exec pos) Fun.id))
+      (List.init (Exec.n_decisions exec) Fun.id)
     |> List.stable_sort (fun a b -> Int.compare a.obj_depth b.obj_depth)
   in
   (* per-objective counters, indexed by id: the static objectives now,

@@ -69,9 +69,7 @@ type vectors = {
 let no_vectors = { seen = Vec_tbl.create 1; entries = []; count = 0 }
 
 type t = {
-  criteria : Criteria.t;
   ex : Exec.t;
-  decisions : Criteria.decision_info array;  (** by decision position *)
   keys : Branch.key array;  (** by branch id *)
   mutable branches : Branch.Key_set.t;
   b_bits : Bytes.t;
@@ -93,14 +91,11 @@ type t = {
 }
 
 let create prog =
-  let criteria = Criteria.of_program prog in
   let ex = Exec.handle prog in
   let nb = Exec.n_branches ex and na = Exec.n_atoms ex in
   {
-    criteria;
     ex;
-    decisions = Array.of_list criteria.decisions;
-    keys = Array.of_list (List.map (fun (b : Branch.t) -> b.key) criteria.branches);
+    keys = Array.of_list (List.map (fun (b : Branch.t) -> b.key) (Exec.branches ex));
     branches = Branch.Key_set.empty;
     b_bits = Bits.create nb;
     log = Array.make nb 0;
@@ -114,8 +109,6 @@ let create prog =
     jm_bits = Bits.create na;
     j_counts = (0, 0, 0);
   }
-
-let criteria t = t.criteria
 
 (* Ids of the objectives the program has; entries it does not have
    still count as justified in the denominators, as they always did. *)
@@ -143,6 +136,28 @@ let set_justified t ~branches ~conditions ~mcdc =
 
 let justified_counts t = t.j_counts
 
+(* Does the pair show the independent effect of atom [i]?  Unique-cause
+   MC/DC with masking: the outcomes differ, atom [i] differs, and every
+   other atom that differs is masked (flipping it alone changes neither
+   vector's outcome under the guard [fn]). *)
+let mcdc_pair_ok fn i (v1, o1) (v2, o2) =
+  Array.length v1 = Array.length v2
+  && o1 <> o2
+  && v1.(i) <> v2.(i)
+  &&
+  let masked vec j =
+    let flipped = Array.copy vec in
+    flipped.(j) <- not flipped.(j);
+    fn flipped = fn vec
+  in
+  let ok = ref true in
+  Array.iteri
+    (fun j x ->
+      if j <> i && x <> v2.(j) then
+        if not (masked v1 j && masked v2 j) then ok := false)
+    v1;
+  !ok
+
 let legacy_hash v =
   Hashtbl.hash (String.init (Array.length v) (fun i -> if v.(i) then 'T' else 'F'))
 
@@ -158,14 +173,12 @@ let add_vector t pos vector outcome =
     | vs -> vs
   in
   let vec = Array.copy vector in
-  let d = t.decisions.(pos) in
+  let fn = Exec.guard_fn t.ex pos in
   let base = Exec.atom_base t.ex pos in
   for i = 0 to Array.length vec - 1 do
     if
       (not (Bits.mem t.m_bits (base + i)))
-      && List.exists
-           (fun e -> Criteria.mcdc_pair_ok d.d_fn i (vec, outcome) (e.vec, e.out))
-           vs.entries
+      && List.exists (fun e -> mcdc_pair_ok fn i (vec, outcome) (e.vec, e.out)) vs.entries
     then Bits.add t.m_bits (base + i)
   done;
   Vec_tbl.replace vs.seen vec ();
@@ -194,7 +207,7 @@ let observe t = function
       | exception Not_found -> invalid_arg "Tracker.observe: unknown decision"
     in
     let base = Exec.atom_base t.ex pos in
-    if Array.length vector <> Exec.atom_base t.ex (pos + 1) - base then
+    if Array.length vector <> Exec.atom_count t.ex pos then
       invalid_arg "Tracker.observe: condition vector width";
     for i = 0 to Array.length vector - 1 do
       let c = (2 * (base + i)) + Bool.to_int vector.(i) in
@@ -230,20 +243,19 @@ type ratio = { covered : int; total : int }
 
 let pct r = if r.total = 0 then 100.0 else 100.0 *. float r.covered /. float r.total
 
+let ratio bits jbits n j = { covered = Bits.count_without bits jbits n; total = n - j }
+
 let decision t =
   let jb, _, _ = t.j_counts in
-  { covered = Bits.count_without t.b_bits t.jb_bits (Exec.n_branches t.ex);
-    total = t.criteria.decision_total - jb }
+  ratio t.b_bits t.jb_bits (Exec.n_branches t.ex) jb
 
 let condition t =
   let _, jc, _ = t.j_counts in
-  { covered = Bits.count_without t.c_bits t.jc_bits (2 * Exec.n_atoms t.ex);
-    total = t.criteria.condition_total - jc }
+  ratio t.c_bits t.jc_bits (2 * Exec.n_atoms t.ex) jc
 
 let mcdc t =
   let _, _, jm = t.j_counts in
-  { covered = Bits.count_without t.m_bits t.jm_bits (Exec.n_atoms t.ex);
-    total = t.criteria.mcdc_total - jm }
+  ratio t.m_bits t.jm_bits (Exec.n_atoms t.ex) jm
 
 let is_condition_covered t decision atom value =
   match Exec.condition_id t.ex decision atom value with
@@ -274,23 +286,21 @@ let observed_vectors t decision =
 
 let uncovered_mcdc t =
   List.concat
-    (List.mapi
-       (fun pos (d : Criteria.decision_info) ->
+    (List.init (Exec.n_decisions t.ex) (fun pos ->
          let base = Exec.atom_base t.ex pos in
          List.filter_map
            (fun i ->
              if Bits.mem t.m_bits (base + i) || Bits.mem t.jm_bits (base + i)
              then None
-             else Some (d.d_id, i))
-           (List.init d.d_atom_count Fun.id))
-       t.criteria.decisions)
+             else Some (Exec.decision_id t.ex pos, i))
+           (List.init (Exec.atom_count t.ex pos) Fun.id)))
 
 let uncovered_branches t =
   List.filter
     (fun (b : Branch.t) ->
       let i = Exec.branch_id t.ex b.key in
       not (Bits.mem t.b_bits i || Bits.mem t.jb_bits i))
-    t.criteria.branches
+    (Exec.branches t.ex)
 
 let fully_covered t =
   let d = decision t in

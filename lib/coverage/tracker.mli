@@ -1,18 +1,29 @@
 (** Runtime coverage accumulation.
 
     A tracker consumes {!Slim.Exec.event}s (feed {!observe} as the
-    [on_event] callback of {!Slim.Exec.run_step} or
-    {!Slim.Interp.run_step}) and accumulates the three criteria of
-    {!Criteria}.  It keeps its objectives by the program's objective
-    index ({!Slim.Exec.branch_id}): bitsets for branches, condition
-    outcomes and MC/DC pairs, and one table of condition vectors per
-    decision.  Observing an event that adds nothing allocates
-    nothing. *)
+    [on_event] callback of {!Slim.Exec.run_step}) and accumulates the
+    three criteria over the program's objectives:
+
+    - {b Decision coverage}: every branch (then/else of each [If], every
+      case and the default of each [Switch]) executes.
+    - {b Condition coverage}: every atomic condition of every [If] guard
+      evaluates to both true and false.
+    - {b MC/DC}: every atomic condition is shown to independently affect
+      its decision's outcome.  This is unique-cause MC/DC extended with
+      masking: a pair of observed condition vectors shows the
+      independence of condition [i] when the outcomes differ, [i]
+      differs, and every other differing condition is masked (flipping
+      it alone changes neither vector's outcome under
+      {!Slim.Exec.guard_fn}).
+
+    It keeps its objectives by the program's objective index
+    ({!Slim.Exec.branch_id}): bitsets for branches, condition outcomes
+    and MC/DC pairs, and one table of condition vectors per decision.
+    Observing an event that adds nothing allocates nothing. *)
 
 type t
 
 val create : Slim.Ir.program -> t
-val criteria : t -> Criteria.t
 
 val observe : t -> Slim.Exec.event -> unit
 (** Raises [Invalid_argument] on an event that does not belong to the

@@ -125,7 +125,7 @@ let run_case ?(oracles = Oracle.all) ?(shrink_checks = 400) ~seed ~max_steps i =
         c_chart = is_chart model;
         c_blocks = safe_size model;
         c_steps = steps;
-        c_decisions = List.length (Exec.decisions ex);
+        c_decisions = Exec.n_decisions ex;
         c_verdicts = verdicts;
       }
     in

@@ -322,14 +322,11 @@ let symexec ~seed ?(max_targets = 6) prog steps =
   let condition_targets =
     pick_at_most rng (max 1 (max_targets / 2))
       (List.filter_map
-         (fun (id, d) ->
-           match d with
-           | `If cond -> (
-             match List.length (Ir.atoms_of_condition cond) with
-             | 0 -> None
-             | n -> Some (id, n))
-           | `Switch _ -> None)
-         (Exec.decisions ex))
+         (fun pos ->
+           match Exec.atom_count ex pos with
+           | 0 -> None
+           | n -> Some (Exec.decision_id ex pos, n))
+         (List.init (Exec.n_decisions ex) Fun.id))
   in
   match
     List.find_map check_branch branch_targets

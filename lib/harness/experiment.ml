@@ -88,7 +88,7 @@ let tool_cost_weight = function
   | SLDV -> 1
 
 let entry_cost (e : Registry.entry) =
-  1 + Slim.Branch.count (e.Registry.program ())
+  1 + Slim.Exec.n_branches (Slim.Exec.handle (e.Registry.program ()))
 
 (* Deterministic shard stripe over an indexed job list: job [j] belongs
    to shard [j mod count].  Striping (rather than contiguous blocks)
@@ -112,10 +112,19 @@ let precompile entries =
     entries
 
 (* The registry entries a [?models] list names, all of them by default;
-   unknown names are dropped. *)
+   an unknown name raises rather than leaving its rows out silently. *)
 let entries_of = function
   | None -> Registry.entries
-  | Some names -> List.filter_map Registry.find names
+  | Some names ->
+    List.map
+      (fun name ->
+        match Registry.find name with
+        | Some e -> e
+        | None ->
+          invalid_arg
+            (Fmt.str "unknown model %s; known models: %s" name
+               (String.concat ", " Registry.names)))
+      names
 
 (* Execute (a stripe of) a job matrix over [entries]: precompile the
    models, keep the stripe's jobs, run them on the pool and pair each
@@ -221,7 +230,7 @@ let table2 () =
         [
           e.Registry.name;
           e.Registry.description;
-          string_of_int (Slim.Branch.count prog);
+          string_of_int (Slim.Exec.n_branches (Slim.Exec.handle prog));
           string_of_int e.Registry.paper_branches;
           string_of_int (Slim.Ir.stmt_count prog);
           string_of_int e.Registry.paper_blocks;
@@ -419,7 +428,7 @@ let table3 ?budget ?seeds ?models ?pool ?jobs () =
 let fig3 () =
   let entry = Option.get (Registry.find "CPUTask") in
   let prog = entry.Registry.program () in
-  let branches = Slim.Branch.of_program prog in
+  let branches = Slim.Exec.branches (Slim.Exec.handle prog) in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     "Figure 3(a) - CPUTask branch structure (first two levels)\n";

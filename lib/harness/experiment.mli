@@ -59,7 +59,11 @@ val average :
   ?budget:float -> ?pool:Pool.t -> ?jobs:int -> seeds:int list -> tool ->
   Models.Registry.entry -> averaged
 
-(** {1 Paper artifacts} *)
+(** {1 Paper artifacts}
+
+    Where an artifact takes [?models], each name must be a registry
+    model: an unknown one raises [Invalid_argument] with the list of
+    known models. *)
 
 val table1 : ?budget:float -> ?seed:int -> unit -> string
 (** The state-tree construction trace on CPUTask (paper Table I). *)

@@ -142,15 +142,28 @@ let spec_of_header json =
   (* an empty seed list averages over no runs: every cell would be NaN *)
   let seeds = List.map (J.int "seeds") (field J.list "seeds" json) in
   if seeds = [] then malformed "empty seed list";
+  (* likewise a campaign over no models, or over a model this binary
+     does not know, would render tables with no rows for it *)
+  let models =
+    match J.member "models" json with
+    | J.Null -> None
+    | v ->
+      let models = List.map (J.string "models") (J.list "models" v) in
+      if models = [] then malformed "empty model list";
+      List.iter
+        (fun m ->
+          if Registry.find m = None then
+            malformed "unknown model %S; known models: %s" m
+              (String.concat ", " Registry.names))
+        models;
+      Some models
+  in
   {
     sp_kind = kind;
     sp_budget = field J.float "budget" json;
     sp_seeds = seeds;
     sp_seed = field J.int "seed" json;
-    sp_models =
-      (match J.member "models" json with
-       | J.Null -> None
-       | v -> Some (List.map (J.string "models") (J.list "models" v)));
+    sp_models = models;
   }
 
 let t3_cell_of_json json =

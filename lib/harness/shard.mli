@@ -74,7 +74,9 @@ val render : merged -> string
 val merge_strings : string list -> merged
 (** Merge partial-result JSON strings (any order, e.g. shard [1/2]
     before [0/2]).  Raises {!Malformed} if the partials disagree on
-    any campaign parameter, overlap, or leave matrix jobs uncovered. *)
+    any campaign parameter, overlap, or leave matrix jobs uncovered,
+    or if their campaign has no seeds, an empty model list or a model
+    the registry does not know. *)
 
 val merge_files : string list -> merged
 (** {!merge_strings} over file contents. *)

@@ -38,39 +38,8 @@ let pp ppf b =
   Fmt.pf ppf "branch %a depth=%d guard=%a" pp_key b.key b.depth Ir.pp_expr
     b.guard
 
-let of_program (prog : Ir.program) =
-  let acc = ref [] in
-  let add ~parent ~depth ~decision ~outcome ~guard =
-    let b = { key = (decision, outcome); decision; outcome; guard; parent; depth } in
-    acc := b :: !acc;
-    b.key
-  in
-  let rec stmts parent depth ss = List.iter (stmt parent depth) ss
-  and stmt parent depth = function
-    | Ir.Assign _ -> ()
-    | Ir.If { id; cond; then_; else_ } ->
-      let kt = add ~parent ~depth ~decision:id ~outcome:Then ~guard:cond in
-      stmts (Some kt) (depth + 1) then_;
-      let ke = add ~parent ~depth ~decision:id ~outcome:Else ~guard:cond in
-      stmts (Some ke) (depth + 1) else_
-    | Ir.Switch { id; scrut; cases; default } ->
-      List.iter
-        (fun (k, ss) ->
-          let key =
-            add ~parent ~depth ~decision:id ~outcome:(Case k) ~guard:scrut
-          in
-          stmts (Some key) (depth + 1) ss)
-        cases;
-      let kd = add ~parent ~depth ~decision:id ~outcome:Default ~guard:scrut in
-      stmts (Some kd) (depth + 1) default
-  in
-  stmts None 0 prog.body;
-  List.rev !acc
-
 let sort_by_depth branches =
   List.stable_sort (fun a b -> Int.compare a.depth b.depth) branches
-
-let count prog = List.length (of_program prog)
 
 module Key_ord = struct
   type t = key

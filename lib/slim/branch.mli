@@ -4,7 +4,8 @@
     [If], or one case (or the default) of a [Switch].  Each branch knows
     its parent branch (the innermost enclosing branch) and its depth (the
     number of ancestor branches), which STCG uses to sort solving
-    targets shallow-first. *)
+    targets shallow-first.  A program's branch table is built by its
+    lowering ({!Lower.t.branches}) and read through {!Exec.branches}. *)
 
 type outcome = Then | Else | Case of int | Default
 
@@ -26,12 +27,7 @@ val pp_outcome : outcome Fmt.t
 val pp_key : key Fmt.t
 val pp : t Fmt.t
 
-val of_program : Ir.program -> t list
-(** All branches in syntactic order. *)
-
 val sort_by_depth : t list -> t list
 (** Stable sort, shallow branches first (paper Section III-A). *)
-
-val count : Ir.program -> int
 
 module Key_set : Set.S with type elt = key

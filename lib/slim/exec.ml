@@ -5,9 +5,10 @@
    compiles it to closures over four flat [Value.t array]s (register
    slot [s] is entry [s - base] of its scope's array, the positional
    contract Stcg.Testcase shares).  Switch dispatch becomes a table,
-   and the branch table, requirement chains and objective index are
-   computed up front, so [run_step] does no string hashing and builds
-   no per-step environment. *)
+   and the requirement chains, objective index and guards' atom
+   functions are computed up front from the lowering's branch and
+   decision tables, so [run_step] does no string hashing and builds no
+   per-step environment. *)
 
 module Smap = Map.Make (String)
 
@@ -40,8 +41,6 @@ type frame = {
   f_loc : Value.t array;
   f_emit : event -> unit;
 }
-
-type decision_shape = [ `If of Ir.expr | `Switch of Ir.expr * int list ]
 
 module Key_tbl = Hashtbl.Make (struct
   type t = Branch.key
@@ -77,13 +76,13 @@ type t = {
   branches : Branch.t list;
   branch_arr : Branch.t array;  (** by branch id *)
   req_chains : (int * Branch.outcome) list array;  (** by branch id *)
-  decisions : (int * decision_shape) list;
   (* objective index *)
   branch_ids : int Key_tbl.t;  (** key -> position in [branches] *)
-  decision_pos : int Int_tbl.t;  (** decision id -> position in [decisions] *)
+  decision_pos : int Int_tbl.t;  (** decision id -> position *)
   atom_bases : int array;
       (** per decision position, its first atom id; one extra final
           entry holds the atom total *)
+  guard_fns : (bool array -> bool) array;  (** by decision position *)
 }
 
 (* --- compilation ------------------------------------------------------- *)
@@ -313,6 +312,33 @@ let compile_guard ctx id cond atoms : frame -> bool =
       fr.f_emit (Cond_vector { id; vector; outcome });
       outcome
 
+(* A guard as a function of its atom vector, for the MC/DC masking
+   test: atoms are numbered left to right as [Lower.atoms_of] lists
+   them, and [Not]/[And]/[Or] above them are applied to the vector. *)
+let atom_fn (cond : Lower.expr) : bool array -> bool =
+  let next = ref 0 in
+  let rec build : Lower.expr -> bool array -> bool = function
+    | Lower.And (a, b) ->
+      let fa = build a in
+      let fb = build b in
+      fun v -> fa v && fb v
+    | Lower.Or (a, b) ->
+      let fa = build a in
+      let fb = build b in
+      fun v -> fa v || fb v
+    | Lower.Unop (Ir.Not, a) ->
+      let f = build a in
+      fun v -> not (f v)
+    | Lower.Const _ | Lower.Slot _ | Lower.Unbound _ | Lower.Unop _
+    | Lower.Binop _ | Lower.Cmp _ | Lower.Ite _ | Lower.Index _ ->
+      let i = !next in
+      incr next;
+      fun v -> v.(i)
+  in
+  build cond
+
+let no_atoms (_ : bool array) = false
+
 (* Switch label -> arm index.  Dense labels get a direct table; sparse ones
    fall back to a Hashtbl.  Either way dispatch is O(1), replacing the
    reference interpreter's List.assoc_opt scan. *)
@@ -409,7 +435,7 @@ let compile (prog : Ir.program) : t =
       }
       lp.body
   in
-  let branches = Branch.of_program prog in
+  let branches = lp.branches in
   let branch_arr = Array.of_list branches in
   (* On a repeated key or decision id (which [Ir.type_check] rejects)
      the last occurrence wins. *)
@@ -434,12 +460,14 @@ let compile (prog : Ir.program) : t =
   let n_decisions = Array.length lp.decisions in
   let decision_pos = Int_tbl.create n_decisions in
   let atom_bases = Array.make (n_decisions + 1) 0 in
+  let guard_fns = Array.make n_decisions no_atoms in
   Array.iteri
     (fun p (d : Lower.stmt) ->
       let atoms =
         match d with
-        | Lower.If { id; atoms; _ } ->
+        | Lower.If { id; cond; atoms; _ } ->
           Int_tbl.replace decision_pos id p;
+          guard_fns.(p) <- atom_fn cond;
           List.length atoms
         | Lower.Switch { id; _ } ->
           Int_tbl.replace decision_pos id p;
@@ -465,10 +493,10 @@ let compile (prog : Ir.program) : t =
     branches;
     branch_arr;
     req_chains;
-    decisions = (Ir.decisions_of_program prog :> (int * decision_shape) list);
     branch_ids;
     decision_pos;
     atom_bases;
+    guard_fns;
   }
 
 (* --- per-program handle memo ------------------------------------------- *)
@@ -545,7 +573,7 @@ let find_input t (a : inputs) name = find_in (input_slot t) a "input" name
 let find_output t (a : outputs) name = find_in (output_slot t) a "output" name
 let find_state t (a : state) name = find_in (state_slot t) a "state" name
 
-(* --- branch / decision metadata (memoized, satellite of the refactor) -- *)
+(* --- branch / decision metadata ------------------------------------------ *)
 
 let branches t = t.branches
 let find_branch t key =
@@ -568,8 +596,6 @@ let decision_chain t decision =
      | Some p -> branch_chain t p
      | None -> [])
 
-let decisions t = t.decisions
-
 (* --- objective index ---------------------------------------------------- *)
 
 let n_branches t = Array.length t.branch_arr
@@ -577,11 +603,19 @@ let branch_id t key = Key_tbl.find t.branch_ids key
 let n_decisions t = Array.length t.atom_bases - 1
 let decision_pos t id = Int_tbl.find t.decision_pos id
 let atom_base t pos = t.atom_bases.(pos)
+let atom_count t pos = t.atom_bases.(pos + 1) - t.atom_bases.(pos)
 let n_atoms t = t.atom_bases.(n_decisions t)
+
+let decision_id t pos =
+  match t.lowered.decisions.(pos) with
+  | Lower.If { id; _ } | Lower.Switch { id; _ } -> id
+  | Lower.Assign _ -> invalid_arg "Exec.decision_id"
+
+let guard_fn t pos = t.guard_fns.(pos)
 
 let mcdc_id t decision atom =
   let p = decision_pos t decision in
-  if atom < 0 || atom >= t.atom_bases.(p + 1) - t.atom_bases.(p) then
+  if atom < 0 || atom >= atom_count t p then
     invalid_arg "Exec.mcdc_id: atom out of range";
   t.atom_bases.(p) + atom
 
@@ -616,7 +650,7 @@ let of_list slot defaults l =
 let inputs_of_list t l : inputs = of_list (input_slot t) t.input_defaults l
 let state_of_list t l : state = of_list (state_slot t) t.state_init l
 
-(* --- Smap bridge (legacy Interp API, test-case text format) ------------ *)
+(* --- Smap bridge (the reference interpreter's maps) ---------------------- *)
 
 let state_of_smap t (m : Value.t Smap.t) : state =
   Array.mapi
@@ -625,14 +659,6 @@ let state_of_smap t (m : Value.t Smap.t) : state =
       | Some x -> x
       | None -> t.state_init.(i))
     t.state_vars
-
-let inputs_of_smap t (m : Value.t Smap.t) : inputs =
-  Array.mapi
-    (fun i (v : Ir.var) ->
-      match Smap.find_opt v.name m with
-      | Some x -> x
-      | None -> t.input_defaults.(i))
-    t.input_vars
 
 let smap_of_arr vars (a : Value.t array) =
   let m = ref Smap.empty in

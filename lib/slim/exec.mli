@@ -4,8 +4,9 @@
     {!Ir.program}: it builds the program's {!Lower.t}, the slot-resolved
     form that the symbolic executor and the static analyzer walk too,
     compiles that form to slot-addressed closures with O(1) [Switch]
-    dispatch, and precomputes the branch table, requirement chains and
-    objective index.  Steps then execute against flat [Value.t array]s —
+    dispatch, and precomputes from the lowering's branch and decision
+    tables the requirement chains, the objective index and each guard's
+    atom function.  Steps then execute against flat [Value.t array]s —
     no string hashing, no per-step environment — which is what lets the
     engine spend its virtual-clock budget on exploration instead of
     interpretation overhead.
@@ -94,14 +95,13 @@ val branch_chain : t -> Branch.key -> (int * Branch.outcome) list
 val decision_chain : t -> int -> (int * Branch.outcome) list
 (** Ancestor requirements of a decision (excluding the decision itself). *)
 
-val decisions : t -> (int * [ `If of Ir.expr | `Switch of Ir.expr * int list ]) list
-
 (** {1 Objective index}
 
     Every coverage objective of the program has a dense integer id,
     fixed once per handle:
     - branch [b] is its position in {!branches}, in [0, n_branches);
-    - decision [d] has a position in {!decisions} and a first atom id
+    - decision [d] has a position in the lowering's [decisions]
+      (syntactic pre-order), in [0, n_decisions), and a first atom id
       ([atom_base]); the atoms of [If] guards are numbered
       consecutively, [Switch] decisions have none;
     - MC/DC pair [(d, a)] is [atom_base d + a], in [0, n_atoms);
@@ -118,12 +118,24 @@ val branch_id : t -> Branch.key -> int
 val n_decisions : t -> int
 
 val decision_pos : t -> int -> int
-(** Position of a decision id in {!decisions} and in the lowering's
-    [decisions] (the last one when an id repeats); raises [Not_found]. *)
+(** Position of a decision id in the lowering's [decisions] (the last
+    one when an id repeats); raises [Not_found]. *)
+
+val decision_id : t -> int -> int
+(** Id of the decision at a position. *)
 
 val atom_base : t -> int -> int
 (** First atom id of the decision at a position; [atom_base t
     (n_decisions t)] is {!n_atoms}. *)
+
+val atom_count : t -> int -> int
+(** Number of atoms of the decision at a position (0 for a [Switch]). *)
+
+val guard_fn : t -> int -> bool array -> bool
+(** The guard of the decision at a position as a function of its atom
+    vector (atoms in {!Ir.atoms_of_condition} order), the masking
+    function of MC/DC; built once per handle.  Constantly false for a
+    [Switch]. *)
 
 val n_atoms : t -> int
 
@@ -153,7 +165,6 @@ val state_of_list : t -> (string * Value.t) list -> state
 (** {1 Name-keyed map bridge} *)
 
 val state_of_smap : t -> Value.t Smap.t -> state
-val inputs_of_smap : t -> Value.t Smap.t -> inputs
 val smap_of_state : t -> state -> Value.t Smap.t
 val smap_of_inputs : t -> inputs -> Value.t Smap.t
 val smap_of_outputs : t -> outputs -> Value.t Smap.t

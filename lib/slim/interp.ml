@@ -1,11 +1,7 @@
-(* Name-keyed facade over the slot-compiled execution core (Exec).
-
-   [run_step] compiles the program once (memoized per program value) and
-   executes through Exec's flat-array path, converting at the boundary.
-   The original map/Hashtbl interpreter is kept verbatim below as
-   [run_step_reference]: it is the oracle for the differential test
-   (test/test_exec.ml) and deliberately still uses List.assoc_opt Switch
-   dispatch so the two paths stay independent. *)
+(* The original map/Hashtbl interpreter, kept as [run_step_reference]:
+   it is the oracle for the differential tests (test/test_exec.ml, the
+   fuzz exec oracle) and deliberately still uses List.assoc_opt Switch
+   dispatch so it stays independent of the slot-compiled core (Exec). *)
 
 module Smap = Exec.Smap
 
@@ -230,39 +226,8 @@ let run_step_reference ?(on_event = fun _ -> ()) (prog : Ir.program) snapshot
   in
   (outputs, snapshot')
 
-(* --- production path: slot-compiled ------------------------------------- *)
-
-let run_step ?on_event (prog : Ir.program) snapshot inputs =
-  let ex = Exec.handle prog in
-  let out, st' =
-    Exec.run_step ?on_event ex
-      (Exec.state_of_smap ex snapshot)
-      (Exec.inputs_of_smap ex inputs)
-  in
-  (Exec.smap_of_outputs ex out, Exec.smap_of_state ex st')
-
-let run_sequence ?on_event prog snapshot inputs_list =
-  let outs, final =
-    List.fold_left
-      (fun (acc, st) inputs ->
-        let out, st' = run_step ?on_event prog st inputs in
-        (out :: acc, st'))
-      ([], snapshot) inputs_list
-  in
-  (List.rev outs, final)
-
 let inputs_of_list l =
   List.fold_left (fun acc (k, v) -> Smap.add k v acc) Smap.empty l
-
-let default_inputs (prog : Ir.program) =
-  List.fold_left
-    (fun acc (v : Ir.var) -> Smap.add v.name (Value.default_of_ty v.ty) acc)
-    Smap.empty prog.inputs
-
-let random_inputs rng (prog : Ir.program) =
-  List.fold_left
-    (fun acc (v : Ir.var) -> Smap.add v.name (Value.random rng v.ty) acc)
-    Smap.empty prog.inputs
 
 let snapshot_equal a b = Smap.equal Value.equal a b
 
@@ -270,5 +235,3 @@ let pp_binding ppf (k, v) = Fmt.pf ppf "%s=%a" k Value.pp v
 
 let pp_snapshot ppf s =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") pp_binding) (Smap.bindings s)
-
-let pp_inputs = pp_snapshot

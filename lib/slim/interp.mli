@@ -1,9 +1,11 @@
-(** Concrete one-step execution of SLIM programs with coverage tracing.
+(** The name-keyed reference interpreter of SLIM programs.
 
-    The interpreter is the paper's "dynamic execution" substrate: it runs
-    exactly one iteration of the model at a time, can snapshot and restore
-    the full internal state (Definition 2), and reports the decision and
-    condition outcomes needed by the coverage trackers. *)
+    It runs one iteration of a model over name-keyed maps and reports
+    the same events as {!Exec.run_step}.  It takes only its event
+    type, exception and map module from {!Exec}, none of its
+    evaluation, and serves as the independent oracle that the
+    differential tests and the fuzz [exec] oracle run {!Exec} against.
+    Production paths use {!Exec}. *)
 
 module Smap = Exec.Smap
 
@@ -29,20 +31,6 @@ exception Eval_error of string
 val initial_state : Ir.program -> snapshot
 (** The default state (root node of the state tree). *)
 
-val run_step :
-  ?on_event:(event -> unit) ->
-  Ir.program ->
-  snapshot ->
-  inputs ->
-  outputs * snapshot
-(** Execute one iteration from [snapshot] with the given inputs.  Missing
-    inputs default to their type's default value.  The input snapshot is
-    not mutated; a fresh one is returned.
-
-    Executes through the slot-compiled core ({!Exec}), converting the
-    name-keyed maps at the boundary; hot loops should hold an {!Exec.t}
-    and work with flat arrays directly. *)
-
 val run_step_reference :
   ?on_event:(event -> unit) ->
   Ir.program ->
@@ -52,17 +40,7 @@ val run_step_reference :
 (** The original map/Hashtbl interpreter, kept as an independent oracle for
     differential testing of {!Exec}.  Not used on any production path. *)
 
-val run_sequence :
-  ?on_event:(event -> unit) ->
-  Ir.program ->
-  snapshot ->
-  inputs list ->
-  outputs list * snapshot
-
 val inputs_of_list : (string * Value.t) list -> inputs
-val default_inputs : Ir.program -> inputs
-val random_inputs : Random.State.t -> Ir.program -> inputs
 
 val snapshot_equal : snapshot -> snapshot -> bool
 val pp_snapshot : snapshot Fmt.t
-val pp_inputs : inputs Fmt.t

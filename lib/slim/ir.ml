@@ -113,23 +113,6 @@ let atoms_of_condition cond =
   in
   List.rev (go [] cond)
 
-let decisions_of_program prog =
-  let acc = ref [] in
-  let rec stmts ss = List.iter stmt ss
-  and stmt = function
-    | Assign _ -> ()
-    | If { id; cond; then_; else_ } ->
-      acc := (id, `If cond) :: !acc;
-      stmts then_;
-      stmts else_
-    | Switch { id; scrut; cases; default } ->
-      acc := (id, `Switch (scrut, List.map fst cases)) :: !acc;
-      List.iter (fun (_, ss) -> stmts ss) cases;
-      stmts default
-  in
-  stmts prog.body;
-  List.rev !acc
-
 let renumber_decisions prog =
   let next = ref 0 in
   let fresh () =
@@ -311,8 +294,6 @@ let stmt_count prog =
       + stmts default
   in
   stmts prog.body
-
-let decision_count prog = List.length (decisions_of_program prog)
 
 (* Fragments *)
 

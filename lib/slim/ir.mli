@@ -119,10 +119,6 @@ val atoms_of_condition : expr -> expr list
 (** The atomic conditions of a decision guard: maximal subterms that are
     not built with [And]/[Or]/[Not].  Order is left-to-right and stable. *)
 
-val decisions_of_program : program -> (int * [ `If of expr | `Switch of expr * int list ]) list
-(** All decisions with their guard (or scrutinee and case labels),
-    in syntactic order. *)
-
 val renumber_decisions : program -> program
 (** Re-assign decision ids densely (0, 1, 2, …) in syntactic order. *)
 
@@ -140,7 +136,6 @@ val ty_of_value : Value.t -> Value.ty
     {!Value.tint} / {!Value.treal} domains). *)
 
 val stmt_count : program -> int
-val decision_count : program -> int
 
 (** {1 Fragments}
 

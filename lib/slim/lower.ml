@@ -56,6 +56,7 @@ type t = {
   consts : Value.t array;
   body : stmt list;
   decisions : stmt array;
+  branches : Branch.t list;
   names : names;
 }
 
@@ -168,18 +169,25 @@ let of_program (prog : Ir.program) =
       | exception Not_found -> Lunbound (scope, name))
     | Ir.Lindex (l, i) -> Lindex (lvalue l, expr i)
   in
-  (* a decision is numbered before its arms are lowered, so positions
-     and atom ids follow syntactic pre-order; [written] holds the state
-     slots some path from the start of the step to here may write *)
+  (* a decision is numbered, and its branches are listed, before its
+     arms are lowered, so positions, atom ids and branches follow
+     syntactic pre-order; [written] holds the state slots some path from
+     the start of the step to here may write *)
   let n_decisions = ref 0 and n_atoms = ref 0 and written = ref Iset.empty in
+  let decisions = ref [] and branches = ref [] in
+  let branch parent depth decision outcome guard =
+    let key = (decision, outcome) in
+    branches := { Branch.key; decision; outcome; guard; parent; depth } :: !branches;
+    Some key
+  in
   (* each arm from the same set; after the join, any of theirs *)
-  let rec arm w0 joined body =
+  let rec arm w0 joined parent depth body =
     written := w0;
-    let body = List.map stmt body in
+    let body = List.map (stmt parent (depth + 1)) body in
     if !written != w0 then
       joined := if !joined == w0 then !written else Iset.union !joined !written;
     body
-  and stmt (s : Ir.stmt) =
+  and stmt parent depth (s : Ir.stmt) =
     match s with
     | Ir.Assign (l, e) ->
       let e = expr e in
@@ -189,36 +197,52 @@ let of_program (prog : Ir.program) =
          written := Iset.add slot !written
        | Some _ | None -> ());
       Assign (l, e)
-    | Ir.If { id; cond; then_; else_ } ->
+    | Ir.If { id; cond = guard; then_; else_ } ->
       let pos = !n_decisions and atom_base = !n_atoms in
-      let cond = expr cond in
+      let cond = expr guard in
       let atoms = atoms_of cond in
       n_decisions := pos + 1;
       n_atoms := atom_base + List.length atoms;
       let w0 = !written and joined = ref !written in
       let input_state_only = input_state_only local_base w0 cond in
-      let then_ = arm w0 joined then_ in
-      let else_ = arm w0 joined else_ in
+      let then_ = arm w0 joined (branch parent depth id Branch.Then guard) depth then_ in
+      let else_ = arm w0 joined (branch parent depth id Branch.Else guard) depth else_ in
       written := !joined;
-      If { id; pos; atom_base; cond; atoms; input_state_only; then_; else_ }
-    | Ir.Switch { id; scrut; cases; default } ->
+      let s = If { id; pos; atom_base; cond; atoms; input_state_only; then_; else_ } in
+      decisions := (pos, s) :: !decisions;
+      s
+    | Ir.Switch { id; scrut = guard; cases; default } ->
       let pos = !n_decisions in
       n_decisions := pos + 1;
-      let scrut = expr scrut in
+      let scrut = expr guard in
       let labels = List.map fst cases in
       let outcomes = List.map (fun l -> Branch.Case l) labels @ [ Branch.Default ] in
       let w0 = !written and joined = ref !written in
       let input_state_only = input_state_only local_base w0 scrut in
-      let cases = List.map (fun (k, b) -> (k, arm w0 joined b)) cases in
-      let default = arm w0 joined default in
+      let cases =
+        List.map
+          (fun (k, b) ->
+            (k, arm w0 joined (branch parent depth id (Branch.Case k) guard) depth b))
+          cases
+      in
+      let default =
+        arm w0 joined (branch parent depth id Branch.Default guard) depth default
+      in
       written := !joined;
-      Switch { id; pos; scrut; labels; input_state_only; cases; default; outcomes }
+      let s =
+        Switch { id; pos; scrut; labels; input_state_only; cases; default; outcomes }
+      in
+      decisions := (pos, s) :: !decisions;
+      s
   in
-  let body = List.map stmt prog.body in
+  let body = List.map (stmt None 0) prog.body in
   let decisions =
-    fold
-      (fun acc s -> match s with Assign _ -> acc | If _ | Switch _ -> s :: acc)
-      [] body
+    match !decisions with
+    | [] -> [||]
+    | (_, s) :: _ as l ->
+      let a = Array.make !n_decisions s in
+      List.iter (fun (pos, s) -> a.(pos) <- s) l;
+      a
   in
   {
     vars;
@@ -229,6 +253,7 @@ let of_program (prog : Ir.program) =
     n_slots = Array.length vars;
     consts = Array.of_list (List.rev !consts);
     body;
-    decisions = Array.of_list (List.rev decisions);
+    decisions;
+    branches = List.rev !branches;
     names;
   }

@@ -12,11 +12,13 @@
     - constants are numbered into {!t.consts} (an integer once per
       distinct value, any other constant once per occurrence), so each
       interpreter converts a constant to its own value domain once;
-    - each decision carries its position in syntactic pre-order (the
-      order of {!Ir.decisions_of_program}), its first atom id, its
-      atoms ({!Ir.atoms_of_condition} order), whether its guard reads
-      only inputs and state no earlier statement may write, and, for a
-      [Switch], its outcomes. *)
+    - each decision carries its position in syntactic pre-order, its
+      first atom id, its atoms ({!Ir.atoms_of_condition} order), whether
+      its guard reads only inputs and state no earlier statement may
+      write, and, for a [Switch], its outcomes;
+    - the branch table of Definition 1 ({!t.branches}) comes from the
+      same walk, so it is the only code that reads a program's
+      structure. *)
 
 type expr =
   | Const of int  (** index into {!t.consts} *)
@@ -75,6 +77,10 @@ type t = private {
   consts : Value.t array;
   body : stmt list;
   decisions : stmt array;  (** the [If]s and [Switch]es by position *)
+  branches : Branch.t list;
+      (** every branch in syntactic order: an [If]'s [Then] and the
+          branches of its then-arm, then its [Else] and those of its
+          else-arm; a [Switch]'s cases in order, then its [Default] *)
   names : names;
 }
 

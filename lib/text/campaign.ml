@@ -142,7 +142,7 @@ let execute ~tool ~budget ~seed ~store (model, file) =
       let rr = E.run_tool ~budget ~seed tool (entry_of ~model prog) in
       {
         kind = Source.kind_name src;
-        branches = Slim.Branch.count prog;
+        branches = Slim.Exec.n_branches (Slim.Exec.handle prog);
         decision = Stcg.Run_result.decision_pct rr;
         condition = Stcg.Run_result.condition_pct rr;
         mcdc = Stcg.Run_result.mcdc_pct rr;

@@ -1,8 +1,10 @@
 (* The coverage tracker as it was before the objective index: name-keyed
-   sets and tables, and no mark.  Kept verbatim as an independent
-   reference for the differential property in test_coverage.ml. *)
+   sets and tables, and no mark.  Kept as an independent reference for
+   the differential property in test_coverage.ml; its branch and
+   decision tables come from [Ref_structure], not from the handle of
+   the tracker under test. *)
 
-module Criteria = Coverage.Criteria
+module Structure = Ref_structure
 
 module Exec = Slim.Exec
 module Branch = Slim.Branch
@@ -16,8 +18,8 @@ let vector_of_key s =
   Array.init (String.length s) (fun i -> s.[i] = 'T')
 
 type t = {
-  criteria : Criteria.t;
-  info : (int, Criteria.decision_info) Hashtbl.t;
+  criteria : Structure.t;
+  info : (int, Structure.decision_info) Hashtbl.t;
   mutable branches : Branch.Key_set.t;
   cond_seen : (int * int * bool, unit) Hashtbl.t;
   vectors : (int, (string, bool) Hashtbl.t) Hashtbl.t;
@@ -33,10 +35,10 @@ type t = {
 }
 
 let create prog =
-  let criteria = Criteria.of_program prog in
+  let criteria = Structure.of_program prog in
   let info = Hashtbl.create 64 in
   List.iter
-    (fun (d : Criteria.decision_info) -> Hashtbl.replace info d.d_id d)
+    (fun (d : Structure.decision_info) -> Hashtbl.replace info d.d_id d)
     criteria.decisions;
   {
     criteria;
@@ -114,7 +116,7 @@ let condition t =
 let mcdc t =
   let covered = ref 0 in
   List.iter
-    (fun (d : Criteria.decision_info) ->
+    (fun (d : Structure.decision_info) ->
       if d.d_atom_count > 0 then begin
         let observed =
           match Hashtbl.find_opt t.vectors d.d_id with
@@ -128,7 +130,7 @@ let mcdc t =
               List.exists
                 (fun p1 ->
                   List.exists
-                    (fun p2 -> Criteria.mcdc_pair_ok d.d_fn i p1 p2)
+                    (fun p2 -> Structure.mcdc_pair_ok d.d_fn i p1 p2)
                     observed)
                 observed
             in
@@ -151,7 +153,7 @@ let find_decision t id = Hashtbl.find_opt t.info id
 
 let uncovered_mcdc t =
   List.concat_map
-    (fun (d : Criteria.decision_info) ->
+    (fun (d : Structure.decision_info) ->
       if d.d_atom_count = 0 then []
       else begin
         let observed = observed_vectors t d.d_id in
@@ -163,7 +165,7 @@ let uncovered_mcdc t =
                 List.exists
                   (fun p1 ->
                     List.exists
-                      (fun p2 -> Criteria.mcdc_pair_ok d.d_fn i p1 p2)
+                      (fun p2 -> Structure.mcdc_pair_ok d.d_fn i p1 p2)
                       observed)
                   observed
               in

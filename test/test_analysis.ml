@@ -77,7 +77,7 @@ let test_registry_total () =
       let summary = Verdict.of_result r in
       check Alcotest.int
         (Fmt.str "%s verdict per branch" e.Models.Registry.name)
-        (Branch.count prog)
+        (Slim.Exec.n_branches (Slim.Exec.handle prog))
         (List.length summary.Verdict.v_branches))
     Models.Registry.entries
 

@@ -2,10 +2,9 @@
 
 module V = Slim.Value
 module Ir = Slim.Ir
-module Interp = Slim.Interp
+module Exec = Slim.Exec
 module Branch = Slim.Branch
 module Tracker = Coverage.Tracker
-module Criteria = Coverage.Criteria
 
 let check = Alcotest.check
 
@@ -29,22 +28,23 @@ let prog =
         ];
     }
 
-let run tracker a b s =
-  let ins =
-    Interp.inputs_of_list [ ("a", V.Bool a); ("b", V.Bool b); ("s", V.Int s) ]
-  in
+(* One step of [p] from its initial state, inputs by name. *)
+let run_from_initial tracker p ins =
+  let ex = Exec.handle p in
   ignore
-    (Interp.run_step ~on_event:(Tracker.observe tracker) prog
-       (Interp.initial_state prog) ins)
+    (Exec.run_step ~on_event:(Tracker.observe tracker) ex (Exec.initial_state ex)
+       (Exec.inputs_of_list ex ins))
+
+let run tracker a b s =
+  run_from_initial tracker prog [ ("a", V.Bool a); ("b", V.Bool b); ("s", V.Int s) ]
 
 let test_totals () =
   let t = Tracker.create prog in
-  let c = Tracker.criteria t in
   (* if: 2 branches; switch: 2 cases + default = 3 -> 5 decision points *)
-  check Alcotest.int "decision total" 5 c.Criteria.decision_total;
+  check Alcotest.int "decision total" 5 (Tracker.decision t).Tracker.total;
   (* 2 atoms, both polarities *)
-  check Alcotest.int "condition total" 4 c.Criteria.condition_total;
-  check Alcotest.int "mcdc total" 2 c.Criteria.mcdc_total
+  check Alcotest.int "condition total" 4 (Tracker.condition t).Tracker.total;
+  check Alcotest.int "mcdc total" 2 (Tracker.mcdc t).Tracker.total
 
 let test_decision_accumulates () =
   let t = Tracker.create prog in
@@ -110,13 +110,7 @@ let test_mcdc_masking_or_and () =
   in
   let t = Tracker.create p in
   let run a b c =
-    let ins =
-      Interp.inputs_of_list
-        [ ("a", V.Bool a); ("b", V.Bool b); ("c", V.Bool c) ]
-    in
-    ignore
-      (Interp.run_step ~on_event:(Tracker.observe t) p
-         (Interp.initial_state p) ins)
+    run_from_initial t p [ ("a", V.Bool a); ("b", V.Bool b); ("c", V.Bool c) ]
   in
   run true true true;
   run false false true;
@@ -131,8 +125,18 @@ let test_mcdc_masking_or_and () =
 
 let test_guard_fn () =
   let open Ir in
-  let guard = (iv "a" &&: not_ (iv "b")) ||: iv "c" in
-  let f = Criteria.guard_fn guard in
+  let p =
+    renumber_decisions
+      {
+        name = "guard";
+        inputs = [ input "a" V.Tbool; input "b" V.Tbool; input "c" V.Tbool ];
+        outputs = [];
+        states = [];
+        locals = [];
+        body = [ if_ ((iv "a" &&: not_ (iv "b")) ||: iv "c") [] [] ];
+      }
+  in
+  let f = Exec.guard_fn (Exec.handle p) 0 in
   check Alcotest.bool "TFT" true (f [| true; false; true |]);
   check Alcotest.bool "TTF" false (f [| true; true; false |]);
   check Alcotest.bool "FFF" false (f [| false; false; false |]);
@@ -172,19 +176,20 @@ let prop_pct_bounds =
    justifications and copies mixed in.  After every operation every
    query must agree.  [observed_vectors] is compared as a list, order
    included, because the engine's dynamic MC/DC sweep depends on the
-   order. *)
+   order.  The objectives queried come from the reference's own
+   structure walk ([Ref_structure]), not from the handle. *)
 
 module Ref = Ref_tracker
-module Exec = Slim.Exec
+module Structure = Ref_structure
 
 let same_ratio (a : Tracker.ratio) (b : Ref.ratio) =
   a.Tracker.covered = b.Ref.covered && a.Tracker.total = b.Ref.total
 
 (* The first query on which the trackers disagree, if any. *)
 let disagreement (r : Ref.t) (t : Tracker.t) =
-  let crit = Tracker.criteria t in
-  let decisions = crit.Criteria.decisions in
-  let vectors_agree (d : Criteria.decision_info) =
+  let crit = Ref.criteria r in
+  let decisions = crit.Structure.decisions in
+  let vectors_agree (d : Structure.decision_info) =
     let rv = Ref.observed_vectors r d.d_id in
     rv = Tracker.observed_vectors t d.d_id
     && List.for_all
@@ -195,7 +200,7 @@ let disagreement (r : Ref.t) (t : Tracker.t) =
               = List.exists (fun (w, _) -> w = flipped) rv)
          rv
   in
-  let conditions_agree (d : Criteria.decision_info) =
+  let conditions_agree (d : Structure.decision_info) =
     List.for_all
       (fun a ->
         List.for_all
@@ -225,23 +230,23 @@ let disagreement (r : Ref.t) (t : Tracker.t) =
         List.for_all
           (fun (b : Branch.t) ->
             Ref.is_branch_covered r b.key = Tracker.is_branch_covered t b.key)
-          crit.Criteria.branches );
+          crit.Structure.branches );
       ("observed_vectors", List.for_all vectors_agree decisions);
     ]
 
 (* A random justification over the program's objectives, with repeats. *)
-let random_justification rng (crit : Criteria.t) =
+let random_justification rng (crit : Structure.t) =
   let pick l =
     let l = List.filter (fun _ -> Random.State.int rng 4 = 0) l in
     l @ List.filter (fun _ -> Random.State.bool rng) l
   in
   let atoms =
     List.concat_map
-      (fun (d : Criteria.decision_info) ->
+      (fun (d : Structure.decision_info) ->
         List.init d.d_atom_count (fun a -> (d.d_id, a)))
-      crit.Criteria.decisions
+      crit.Structure.decisions
   in
-  ( pick (List.map (fun (b : Branch.t) -> b.key) crit.Criteria.branches),
+  ( pick (List.map (fun (b : Branch.t) -> b.key) crit.Structure.branches),
     pick (List.concat_map (fun (d, a) -> [ (d, a, true); (d, a, false) ]) atoms),
     pick atoms )
 
@@ -340,7 +345,7 @@ let differential_case (model, seed) =
         match Random.State.int rng 10 with
         | 0 ->
           let branches, conditions, mcdc =
-            random_justification rng (Tracker.criteria p.t)
+            random_justification rng (Ref.criteria p.r)
           in
           Ref.set_justified p.r ~branches ~conditions ~mcdc;
           Tracker.set_justified p.t ~branches ~conditions ~mcdc;

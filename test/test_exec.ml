@@ -287,21 +287,22 @@ let alias_prog =
         ];
     }
 
-(* Two steps, [u = 5] then [u = 7], through the compiled path, the
-   name-keyed facade and the reference interpreter: all three must give
-   the expected outputs and next state. *)
+(* Two steps, [u = 5] then [u = 7], through the compiled path and the
+   reference interpreter: both must give the expected outputs and next
+   state. *)
 let check_two_steps prog ~out ~state =
   Ir.type_check prog;
   let ex = Exec.handle prog in
   let u n = [ ("u", V.Int n) ] in
   let _, s1 = Exec.run_step ex (Exec.initial_state ex) (Exec.inputs_of_list ex (u 5)) in
   let o2, s2 = Exec.run_step ex s1 (Exec.inputs_of_list ex (u 7)) in
-  let run_map run =
-    let _, m1 = run prog (Interp.initial_state prog) (Interp.inputs_of_list (u 5)) in
-    run prog m1 (Interp.inputs_of_list (u 7))
+  let ref_out, ref_st =
+    let _, m1 =
+      Interp.run_step_reference prog (Interp.initial_state prog)
+        (Interp.inputs_of_list (u 5))
+    in
+    Interp.run_step_reference prog m1 (Interp.inputs_of_list (u 7))
   in
-  let ref_out, ref_st = run_map (fun p s i -> Interp.run_step_reference p s i) in
-  let map_out, map_st = run_map (fun p s i -> Interp.run_step p s i) in
   let name = prog.Ir.name in
   let expect sources (k, v) =
     List.iter
@@ -311,14 +312,12 @@ let check_two_steps prog ~out ~state =
   List.iter
     (expect
        [ ("exec", Exec.find_output ex o2);
-         ("reference", fun k -> Interp.Smap.find k ref_out);
-         ("facade", fun k -> Interp.Smap.find k map_out) ])
+         ("reference", fun k -> Interp.Smap.find k ref_out) ])
     out;
   List.iter
     (expect
        [ ("exec", Exec.find_state ex s2);
-         ("reference", fun k -> Interp.Smap.find k ref_st);
-         ("facade", fun k -> Interp.Smap.find k map_st) ])
+         ("reference", fun k -> Interp.Smap.find k ref_st) ])
     state
 
 let test_constant_not_mutated () =
@@ -336,9 +335,8 @@ let test_assignment_copies () =
     ~out:[ ("o", V.Int 0) ]
     ~state:[ ("a", V.Vec [| V.Int 0; V.Int 7 |]); ("b", V.Vec [| V.Int 7; V.Int 7 |]) ];
   let ex = Exec.handle alias_prog in
-  let decision =
-    match Exec.decisions ex with [ (id, _) ] -> id | _ -> Alcotest.fail "one decision"
-  in
+  check Alcotest.int "one decision" 1 (Exec.n_decisions ex);
+  let decision = Exec.decision_id ex 0 in
   (* no input reaches the Then branch concretely, and the explorer agrees *)
   for u = 0 to 10 do
     let hits = ref [] in
@@ -418,11 +416,9 @@ let test_wide_guards_match_reference () =
   let prog = wide_guards_prog in
   Ir.type_check prog;
   let ex = Exec.handle prog in
-  (match Exec.decisions ex with
-   | [ _; _ ] ->
-     check Alcotest.int "six atoms" 6 (Exec.atom_base ex 1 - Exec.atom_base ex 0);
-     check Alcotest.int "seven atoms" 7 (Exec.atom_base ex 2 - Exec.atom_base ex 1)
-   | _ -> Alcotest.fail "two decisions");
+  check Alcotest.int "two decisions" 2 (Exec.n_decisions ex);
+  check Alcotest.int "six atoms" 6 (Exec.atom_base ex 1 - Exec.atom_base ex 0);
+  check Alcotest.int "seven atoms" 7 (Exec.atom_base ex 2 - Exec.atom_base ex 1);
   let rng = Random.State.make [| 0x6A7 |] in
   for step = 1 to 600 do
     let inputs = Exec.random_inputs rng ex in
@@ -470,15 +466,16 @@ let test_undeclared_write_raises () =
          in
          (Exec.smap_of_outputs ex out, Exec.smap_of_state ex st)))
 
-(* The lowering numbers decisions in the order [Exec.decisions] lists
-   them, which is what [Exec.decision_pos] indexes. *)
+(* The lowering numbers decisions in syntactic pre-order, the order of
+   the reference walk, which is what [Exec.decision_pos] indexes. *)
 let test_lowered_decision_order () =
   List.iter
     (fun (e : Models.Registry.entry) ->
-      let ex = Exec.handle (e.Models.Registry.program ()) in
+      let prog = e.Models.Registry.program () in
+      let ex = Exec.handle prog in
       let lowered = (Exec.lowered ex).Slim.Lower.decisions in
-      check Alcotest.int "decision count" (List.length (Exec.decisions ex))
-        (Array.length lowered);
+      let expected = Ref_structure.decisions_of_program prog in
+      check Alcotest.int "decision count" (List.length expected) (Array.length lowered);
       List.iteri
         (fun p (id, _) ->
           match lowered.(p) with
@@ -486,8 +483,116 @@ let test_lowered_decision_order () =
             check Alcotest.(pair int int) e.Models.Registry.name (id, p) (id', pos);
             check Alcotest.int "decision_pos" p (Exec.decision_pos ex id)
           | Slim.Lower.Assign _ -> Alcotest.fail "an assignment among the decisions")
-        (Exec.decisions ex))
+        expected)
     Models.Registry.entries
+
+(* --- the structure tables against the reference walks ------------------
+
+   [Ref_structure] keeps the [Ir] walks the lowering replaced.  The
+   handle must agree with it: the branch list in order (key, parent,
+   depth, guard), the decision id and atom count at each position, the
+   atom bases (the handle's and each lowered [If]'s), the tracker's
+   condition and MC/DC totals, and each guard's atom function, on
+   every atom vector up to six atoms and on 64 sampled ones above. *)
+
+let structure_difference prog =
+  let ex = Exec.handle prog in
+  let r = Ref_structure.of_program prog in
+  let tracker = Coverage.Tracker.create prog in
+  let rng = Util.Splitmix.create 0 in
+  let pp_branch ppf (b : Branch.t) =
+    Fmt.pf ppf "%a parent=%a" Branch.pp b Fmt.(option ~none:(any "-") Branch.pp_key) b.parent
+  in
+  let first_some checks = List.find_map (fun f -> f ()) checks in
+  let branches () =
+    let hb = Exec.branches ex in
+    if List.length hb <> List.length r.branches then
+      Some (Fmt.str "%d branches, reference %d" (List.length hb) (List.length r.branches))
+    else
+      List.find_map
+        (fun ((a : Branch.t), (b : Branch.t)) ->
+          if compare a b = 0 then None
+          else Some (Fmt.str "%a, reference %a" pp_branch b pp_branch a))
+        (List.combine r.branches hb)
+  in
+  let vectors n =
+    if n <= 6 then List.init (1 lsl n) (fun m -> Array.init n (fun i -> m land (1 lsl i) <> 0))
+    else List.init 64 (fun _ -> Array.init n (fun _ -> Util.Splitmix.int rng 2 = 0))
+  in
+  let decision pos (d : Ref_structure.decision_info) base =
+    let lowered_base =
+      match (Exec.lowered ex).Slim.Lower.decisions.(pos) with
+      | Slim.Lower.If { atom_base; _ } -> atom_base
+      | Slim.Lower.Switch _ | Slim.Lower.Assign _ -> base
+    in
+    if Exec.decision_id ex pos <> d.d_id then
+      Some (Fmt.str "decision %d at position %d, reference %d" (Exec.decision_id ex pos) pos d.d_id)
+    else if Exec.atom_count ex pos <> d.d_atom_count then
+      Some (Fmt.str "decision %d: %d atoms, reference %d" d.d_id (Exec.atom_count ex pos) d.d_atom_count)
+    else if Exec.atom_base ex pos <> base || lowered_base <> base then
+      Some
+        (Fmt.str "decision %d: atom base %d (lowered %d), reference %d" d.d_id
+           (Exec.atom_base ex pos) lowered_base base)
+    else
+      List.find_map
+        (fun v ->
+          if Exec.guard_fn ex pos v = d.d_fn v then None
+          else
+            Some
+              (Fmt.str "decision %d: guard on %a" d.d_id
+                 Fmt.(array ~sep:nop (fun ppf b -> string ppf (if b then "T" else "F")))
+                 v))
+        (if d.d_atom_count = 0 then [] else vectors d.d_atom_count)
+  in
+  let decisions () =
+    if Exec.n_decisions ex <> List.length r.decisions then
+      Some (Fmt.str "%d decisions, reference %d" (Exec.n_decisions ex) (List.length r.decisions))
+    else
+      let rec go pos base = function
+        | [] ->
+          if Exec.atom_base ex pos = base then None
+          else Some (Fmt.str "atom total %d, reference %d" (Exec.atom_base ex pos) base)
+        | d :: rest -> (
+          match decision pos d base with
+          | Some _ as diff -> diff
+          | None -> go (pos + 1) (base + d.Ref_structure.d_atom_count) rest)
+      in
+      go 0 0 r.decisions
+  in
+  let totals () =
+    let total (x : Coverage.Tracker.ratio) = x.Coverage.Tracker.total in
+    let got =
+      ( total (Coverage.Tracker.decision tracker),
+        total (Coverage.Tracker.condition tracker),
+        total (Coverage.Tracker.mcdc tracker) )
+    and want = (r.decision_total, r.condition_total, r.mcdc_total) in
+    if got = want then None
+    else
+      let pp = Fmt.(parens (list ~sep:comma int)) in
+      let l (a, b, c) = [ a; b; c ] in
+      Some (Fmt.str "totals %a, reference %a" pp (l got) pp (l want))
+  in
+  first_some [ branches; decisions; totals ]
+
+let check_structure programs =
+  List.iter
+    (fun (name, prog) ->
+      match structure_difference prog with
+      | None -> ()
+      | Some diff -> Alcotest.failf "%s: %s" name diff)
+    programs
+
+let test_structure_registry () =
+  check_structure
+    (List.map
+       (fun (e : Models.Registry.entry) -> (e.Models.Registry.name, e.Models.Registry.program ()))
+       Models.Registry.entries)
+
+let test_structure_fuzz () =
+  check_structure
+    (List.init 500 (fun i ->
+         let model, _, _ = Fuzzer.Campaign.case_gen ~seed:0 ~max_steps:4 i in
+         (Fmt.str "fuzz case %d" i, Fuzzer.Gen.program_of model)))
 
 (* --- allocation ------------------------------------------------------
 
@@ -596,5 +701,10 @@ let () =
             test_undeclared_write_raises;
           Alcotest.test_case "lowered decision order" `Quick
             test_lowered_decision_order;
+        ] );
+      ( "structure = reference",
+        [
+          Alcotest.test_case "registry models" `Quick test_structure_registry;
+          Alcotest.test_case "fuzz programs (seed 0)" `Quick test_structure_fuzz;
         ] );
     ]

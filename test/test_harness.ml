@@ -105,6 +105,19 @@ let test_table1_fig3 () =
   check Alcotest.bool "fig3 panel (a)" true (contains "Figure 3(a)" f3);
   check Alcotest.bool "fig3 panel (b)" true (contains "Figure 3(b)" f3)
 
+(* The structure text users see, pinned: Table II's branch counts and
+   Figure 3(a)'s branches with their depths and guards, both read from
+   the branch table the lowering builds. *)
+let test_structure_text () =
+  let rec panel_a = function
+    | [] -> []
+    | line :: _ when String.starts_with ~prefix:"Figure 3(b)" line -> []
+    | line :: rest -> line :: panel_a rest
+  in
+  let fig3a = panel_a (String.split_on_char '\n' (Harness.Experiment.fig3 ())) in
+  Golden.check "structure_text"
+    (String.concat "\n" (Harness.Experiment.table2 () :: fig3a))
+
 let test_fig4_csv_format () =
   let _, csvs =
     Harness.Experiment.fig4 ~budget:20.0 ~seed:1 ~models:[ "AFC" ] ()
@@ -133,5 +146,6 @@ let () =
           Alcotest.test_case "registry" `Quick test_registry_lookup;
           Alcotest.test_case "fig4 csv" `Quick test_fig4_csv_format;
           Alcotest.test_case "table1 + fig3" `Quick test_table1_fig3;
+          Alcotest.test_case "table2 + fig3(a) golden" `Quick test_structure_text;
         ] );
     ]

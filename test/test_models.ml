@@ -3,7 +3,7 @@
    patterns the paper builds its argument on. *)
 
 module V = Slim.Value
-module Interp = Slim.Interp
+module Exec = Slim.Exec
 module Branch = Slim.Branch
 
 let check = Alcotest.check
@@ -11,11 +11,16 @@ let vi i = V.Int i
 let vb b = V.Bool b
 let vr r = V.Real r
 
-let step prog st ins =
-  let out, st' = Interp.run_step prog st (Interp.inputs_of_list ins) in
-  (out, st')
+let init prog = Exec.initial_state (Exec.handle prog)
 
-let get out name = Interp.Smap.find name out
+(* One step of [prog] through its handle; the outputs come back with
+   the handle, for [get] to look them up by name. *)
+let step prog st ins =
+  let ex = Exec.handle prog in
+  let out, st' = Exec.run_step ex st (Exec.inputs_of_list ex ins) in
+  ((ex, out), st')
+
+let get (ex, out) name = Exec.find_output ex out name
 
 (* --- structural sanity over the whole suite --------------------------- *)
 
@@ -25,13 +30,14 @@ let test_all_models_valid () =
       let prog = e.Models.Registry.program () in
       (* compiles, type checks (done at build), has sensible structure *)
       Slim.Ir.type_check prog;
-      let branches = Branch.count prog in
+      let ex = Exec.handle prog in
+      let branches = Exec.n_branches ex in
       check Alcotest.bool
         (e.Models.Registry.name ^ " has a real branch structure")
         true
         (branches >= 30);
       (* decision ids are dense and unique *)
-      let ids = List.map fst (Slim.Ir.decisions_of_program prog) in
+      let ids = List.init (Exec.n_decisions ex) (Exec.decision_id ex) in
       check Alcotest.bool (e.Models.Registry.name ^ " dense decision ids")
         true
         (List.sort compare ids = List.init (List.length ids) Fun.id))
@@ -42,10 +48,11 @@ let test_all_models_simulate () =
   List.iter
     (fun (e : Models.Registry.entry) ->
       let prog = e.Models.Registry.program () in
+      let ex = Exec.handle prog in
       let rng = Random.State.make [| 99 |] in
-      let st = ref (Interp.initial_state prog) in
+      let st = ref (Exec.initial_state ex) in
       for _ = 1 to 50 do
-        let _, st' = Interp.run_step prog !st (Interp.random_inputs rng prog) in
+        let _, st' = Exec.run_step ex !st (Exec.random_inputs rng ex) in
         st := st'
       done)
     Models.Registry.entries
@@ -55,13 +62,14 @@ let test_snapshot_determinism () =
   List.iter
     (fun (e : Models.Registry.entry) ->
       let prog = e.Models.Registry.program () in
+      let ex = Exec.handle prog in
       let rng = Random.State.make [| 3 |] in
-      let ins = Interp.random_inputs rng prog in
-      let st = Interp.initial_state prog in
-      let _, s1 = Interp.run_step prog st ins in
-      let _, s2 = Interp.run_step prog st ins in
+      let ins = Exec.random_inputs rng ex in
+      let st = Exec.initial_state ex in
+      let _, s1 = Exec.run_step ex st ins in
+      let _, s2 = Exec.run_step ex st ins in
       check Alcotest.bool (e.Models.Registry.name ^ " deterministic") true
-        (Interp.snapshot_equal s1 s2))
+        (Exec.state_equal s1 s2))
     Models.Registry.entries
 
 (* --- CPUTask ----------------------------------------------------------- *)
@@ -69,7 +77,7 @@ let test_snapshot_determinism () =
 let cputask = Models.Cputask.program ()
 
 let test_cputask_add_then_delete () =
-  let st0 = Interp.initial_state cputask in
+  let st0 = init cputask in
   let add id =
     [ ("op", vi 1); ("id", vi id); ("prio", vi 3); ("deadline", vi 10) ]
   in
@@ -88,7 +96,7 @@ let test_cputask_add_then_delete () =
   check Alcotest.int "delete misses" 4 (V.to_int (get out3 "status"))
 
 let test_cputask_duplicate_and_full () =
-  let st = ref (Interp.initial_state cputask) in
+  let st = ref (init cputask) in
   let add id =
     let out, st' =
       step cputask !st
@@ -106,7 +114,7 @@ let test_cputask_duplicate_and_full () =
   check Alcotest.int "queue full" 2 (add 15)
 
 let test_cputask_dispatch_preemption () =
-  let st = ref (Interp.initial_state cputask) in
+  let st = ref (init cputask) in
   let add id prio =
     let out, st' =
       step cputask !st
@@ -126,7 +134,7 @@ let test_cputask_dispatch_preemption () =
 let nic = Models.Nicprotocol.program ()
 
 let test_nic_session_token () =
-  let st = ref (Interp.initial_state nic) in
+  let st = ref (init nic) in
   let send frame crc seq token =
     let out, st' =
       step nic !st
@@ -153,7 +161,7 @@ let test_nic_session_token () =
   check Alcotest.int "up" 3 (V.to_int (get o "link"))
 
 let test_nic_sequence_window () =
-  let st = ref (Interp.initial_state nic) in
+  let st = ref (init nic) in
   let send frame crc seq token =
     let out, st' =
       step nic !st
@@ -190,7 +198,7 @@ let tcp_send st ?(syn = false) ?(ack = false) ?(fin = false) ?(rst = false)
     ]
 
 let test_tcp_handshake () =
-  let st0 = Interp.initial_state tcp in
+  let st0 = init tcp in
   let _, st1 = tcp_send st0 ~listen:true 0 in
   (* SYN with client seq 9: server ISN = (9*7+3) mod 64 = 2 *)
   let out, st2 = tcp_send st1 ~syn:true ~seq:9 0 in
@@ -207,19 +215,19 @@ let test_tcp_handshake () =
   check Alcotest.int "fin received" 1 (V.to_int (get out "fin_rx"))
 
 let test_tcp_slots_independent () =
-  let st0 = Interp.initial_state tcp in
+  let st0 = init tcp in
   let _, st1 = tcp_send st0 ~listen:true 0 in
   let _, st2 = tcp_send st1 ~listen:true 3 in
   let _, st3 = tcp_send st2 ~syn:true ~seq:5 0 in
   (* slot 3 is still LISTEN; slot 0 is SYN_RCVD *)
-  (match Interp.Smap.find "cstate" st3 with
+  (match Exec.find_state (Exec.handle tcp) st3 "cstate" with
    | V.Vec a ->
      check Alcotest.int "slot0 syn-rcvd" 2 (V.to_int a.(0));
      check Alcotest.int "slot3 listening" 1 (V.to_int a.(3))
    | _ -> Alcotest.fail "cstate not a vector")
 
 let test_tcp_syn_timeout () =
-  let st0 = Interp.initial_state tcp in
+  let st0 = init tcp in
   let _, st1 = tcp_send st0 ~listen:true 1 in
   let _, st = tcp_send st1 ~syn:true ~seq:0 1 in
   (* let the half-open handshake time out (timer = 8) *)
@@ -232,7 +240,7 @@ let test_tcp_syn_timeout () =
     timeouts := max !timeouts (V.to_int (get out "timeouts"))
   done;
   check Alcotest.int "half-open timed out" 1 !timeouts;
-  match Interp.Smap.find "cstate" !st with
+  match Exec.find_state (Exec.handle tcp) !st "cstate" with
   | V.Vec a -> check Alcotest.int "back to listen" 1 (V.to_int a.(1))
   | _ -> Alcotest.fail "cstate not a vector"
 
@@ -248,7 +256,7 @@ let lan_frame st ?(valid = true) ~src ~dst ~port ~vlan () =
     ]
 
 let test_lanswitch_learn_forward () =
-  let st0 = Interp.initial_state lan in
+  let st0 = init lan in
   (* unknown destination floods *)
   let out, st1 = lan_frame st0 ~src:100 ~dst:200 ~port:0 ~vlan:0 () in
   check Alcotest.int "flood unknown" 3 (V.to_int (get out "action"));
@@ -262,13 +270,13 @@ let test_lanswitch_learn_forward () =
   check Alcotest.int "egress 1" 1 (V.to_int (get out "egress"))
 
 let test_lanswitch_vlan_isolation () =
-  let st0 = Interp.initial_state lan in
+  let st0 = init lan in
   (* port 3 is only a member of vlan 0: vlan 2 traffic is dropped *)
   let out, _ = lan_frame st0 ~src:5 ~dst:6 ~port:3 ~vlan:2 () in
   check Alcotest.int "vlan violation dropped" 0 (V.to_int (get out "action"))
 
 let test_lanswitch_filter_same_port () =
-  let st0 = Interp.initial_state lan in
+  let st0 = init lan in
   let _, st1 = lan_frame st0 ~src:300 ~dst:0 ~port:2 ~vlan:1 () in
   (* destination on the ingress port: filtered *)
   let out, _ = lan_frame st1 ~src:301 ~dst:300 ~port:2 ~vlan:1 () in
@@ -287,7 +295,7 @@ let led_cmd st ?(enable = true) ~bank ~cmd ~level ~budget () =
     ]
 
 let test_ledlc_checksum_gate () =
-  let st0 = Interp.initial_state ledlc in
+  let st0 = init ledlc in
   (* correct checksum applies the command *)
   let out, _st1 = led_cmd st0 ~bank:1 ~cmd:3 ~level:3 ~budget:100 () in
   check Alcotest.int "bank 1 drawing current" 9
@@ -304,7 +312,7 @@ let test_ledlc_checksum_gate () =
     (V.to_int (get out "total_current"))
 
 let test_ledlc_overload_shedding () =
-  let st = ref (Interp.initial_state ledlc) in
+  let st = ref (init ledlc) in
   (* light all four banks to high with a generous budget *)
   for bank = 0 to 3 do
     let _, st' = led_cmd !st ~bank ~cmd:3 ~level:3 ~budget:120 () in
@@ -319,11 +327,12 @@ let test_ledlc_dead_default_never_fires () =
      must never be hit *)
   let tracker = Coverage.Tracker.create ledlc in
   let rng = Random.State.make [| 5 |] in
-  let st = ref (Interp.initial_state ledlc) in
+  let ex = Exec.handle ledlc in
+  let st = ref (Exec.initial_state ex) in
   for _ = 1 to 300 do
     let _, st' =
-      Interp.run_step ~on_event:(Coverage.Tracker.observe tracker) ledlc !st
-        (Interp.random_inputs rng ledlc)
+      Exec.run_step ~on_event:(Coverage.Tracker.observe tracker) ex !st
+        (Exec.random_inputs rng ex)
     in
     st := st'
   done;
@@ -354,7 +363,7 @@ let utpc_step st ?(power = true) ?(arm = false) ?(code = 0) ?(clear = false)
         [ 0; 1; 2; 3 ])
 
 let test_utpc_rolling_code_interlock () =
-  let st0 = Interp.initial_state utpc in
+  let st0 = init utpc in
   let out, st1 = utpc_step st0 () in
   check Alcotest.int "standby" 1 (V.to_int (get out "mode"));
   (* constant code cannot arm (needs pending+1) *)
@@ -367,7 +376,7 @@ let test_utpc_rolling_code_interlock () =
   check Alcotest.int "rolling code arms" 2 (V.to_int (get out "mode"))
 
 let test_utpc_duty_slew () =
-  let st0 = Interp.initial_state utpc in
+  let st0 = init utpc in
   let _, st1 = utpc_step st0 ~code:10 () in
   let _, st2 = utpc_step st1 ~arm:true ~code:11 () in
   (* one running step at full command: duty is slew-limited to 15 *)
@@ -379,7 +388,7 @@ let test_utpc_duty_slew () =
 
 let test_twc_emergency_needs_stop () =
   let twc = Models.Twc.program () in
-  let st = ref (Interp.initial_state twc) in
+  let st = ref (init twc) in
   let drive cmd target =
     let out, st' =
       step twc !st
@@ -406,7 +415,7 @@ let test_twc_emergency_needs_stop () =
 
 let test_afc_failsafe_latches () =
   let afc = Models.Afc.program () in
-  let st = ref (Interp.initial_state afc) in
+  let st = ref (init afc) in
   let drive ?(o2 = 0.5) ?(rpm = 2000.0) ?(coolant = 90.0) ?(reset = false) ()
       =
     let out, st' =

@@ -179,6 +179,36 @@ let test_empty_seeds_refused () =
         (fun () -> Shard.merge_strings [ part ]))
     [ Shard.Table3; Shard.Ablations ]
 
+(* A partial over an empty model list, or over a model the registry
+   does not know, is refused rather than rendered as a table with no
+   rows for it (and "+0%" average improvements). *)
+let test_bad_models_refused () =
+  let module J = Util.Json in
+  let empty =
+    Shard.run_partial ~jobs:1 ~shard:(0, 1)
+      (Shard.spec ~budget:30.0 ~seeds:[ 1 ] ~models:[] Shard.Table3)
+  in
+  let with_models models =
+    match J.of_string empty with
+    | Ok (J.Obj fields) ->
+      J.to_string
+        (J.Obj
+           (List.map
+              (fun (k, v) ->
+                if k = "models" then (k, J.List (List.map (fun m -> J.String m) models))
+                else (k, v))
+              fields))
+    | _ -> Alcotest.fail "partial is not a JSON object"
+  in
+  expect_malformed "empty model list" (fun () -> Shard.merge_strings [ empty ]);
+  expect_malformed "unknown model" (fun () ->
+      Shard.merge_strings [ with_models [ "nope" ] ]);
+  Alcotest.check_raises "library path"
+    (Invalid_argument
+       (Fmt.str "unknown model nope; known models: %s"
+          (String.concat ", " Models.Registry.names)))
+    (fun () -> ignore (Experiment.table3 ~budget:30.0 ~seeds:[ 1 ] ~models:[ "nope" ] ()))
+
 let test_run_partial_validation () =
   Alcotest.check_raises "shard index out of range"
     (Invalid_argument "Shard.run_partial: shard must satisfy 0 <= i < n")
@@ -215,6 +245,8 @@ let () =
         [
           Alcotest.test_case "merge refuses bad partial sets" `Quick
             test_merge_validation;
+          Alcotest.test_case "unknown or empty model list refused" `Quick
+            test_bad_models_refused;
           Alcotest.test_case "empty seed list refused" `Quick
             test_empty_seeds_refused;
           Alcotest.test_case "run_partial bounds" `Quick

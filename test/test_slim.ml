@@ -4,7 +4,7 @@
 module V = Slim.Value
 module Ir = Slim.Ir
 module B = Slim.Builder
-module Interp = Slim.Interp
+module Exec = Slim.Exec
 module Branch = Slim.Branch
 
 let check = Alcotest.check
@@ -284,7 +284,8 @@ let test_renumber () =
     }
   in
   let prog = renumber_decisions prog in
-  let ids = List.map fst (decisions_of_program prog) in
+  let ex = Exec.handle prog in
+  let ids = List.init (Exec.n_decisions ex) (Exec.decision_id ex) in
   check Alcotest.(list int) "dense ids" [ 0; 1; 2 ] ids
 
 (* --- Branch ----------------------------------------------------------- *)
@@ -307,7 +308,7 @@ let test_branches () =
           ];
       }
   in
-  let bs = Branch.of_program prog in
+  let bs = Exec.branches (Exec.handle prog) in
   (* if: 2 branches, inner if: 2, switch: 2 cases + default = 3 -> 7 *)
   check Alcotest.int "branch count" 7 (List.length bs);
   let depth_of key =
@@ -327,7 +328,19 @@ let test_branches () =
    | Some k -> check Alcotest.bool "parent is top-then" true (Branch.equal_key k (0, Branch.Then))
    | None -> Alcotest.fail "inner branch has no parent")
 
-(* --- Interp ----------------------------------------------------------- *)
+(* --- Exec ------------------------------------------------------------- *)
+
+let init prog = Exec.initial_state (Exec.handle prog)
+
+(* One step through [prog]'s handle, inputs by name; the outputs come
+   back with the handle, for [out_value] to look them up by name. *)
+let run_step ?on_event prog st ins =
+  let ex = Exec.handle prog in
+  let out, st' = Exec.run_step ?on_event ex st (Exec.inputs_of_list ex ins) in
+  ((ex, out), st')
+
+let out_value (ex, out) name = Exec.find_output ex out name
+let state_value prog st name = Exec.find_state (Exec.handle prog) st name
 
 let accumulator_prog =
   let open Ir in
@@ -348,36 +361,32 @@ let accumulator_prog =
     }
 
 let test_interp_state_threading () =
-  let st0 = Interp.initial_state accumulator_prog in
-  let run st x =
-    Interp.run_step accumulator_prog st (Interp.inputs_of_list [ ("x", vi x) ])
-  in
+  let st0 = init accumulator_prog in
+  let run st x = run_step accumulator_prog st [ ("x", vi x) ] in
   let out1, st1 = run st0 5 in
   let out2, st2 = run st1 7 in
   let out3, _ = run st2 (-1) in
-  check value_testable "first step output" (vi 5) (Interp.Smap.find "y" out1);
-  check value_testable "second accumulates" (vi 12) (Interp.Smap.find "y" out2);
-  check value_testable "negative ignored" (vi 12) (Interp.Smap.find "y" out3);
+  check value_testable "first step output" (vi 5) (out_value out1 "y");
+  check value_testable "second accumulates" (vi 12) (out_value out2 "y");
+  check value_testable "negative ignored" (vi 12) (out_value out3 "y");
   (* snapshots immutable: st1 unchanged by later runs *)
-  check value_testable "snapshot immutable" (vi 5) (Interp.Smap.find "acc" st1)
+  check value_testable "snapshot immutable" (vi 5) (state_value accumulator_prog st1 "acc")
 
 let test_interp_events () =
-  let st0 = Interp.initial_state accumulator_prog in
+  let st0 = init accumulator_prog in
   let events = ref [] in
   let on_event e = events := e :: !events in
-  ignore
-    (Interp.run_step ~on_event accumulator_prog st0
-       (Interp.inputs_of_list [ ("x", vi 3) ]));
+  ignore (run_step ~on_event accumulator_prog st0 [ ("x", vi 3) ]);
   let branch_hits =
     List.filter_map
-      (function Interp.Branch_hit k -> Some k | _ -> None)
+      (function Exec.Branch_hit k -> Some k | _ -> None)
       !events
   in
   check Alcotest.int "one branch hit" 1 (List.length branch_hits);
   let vectors =
     List.filter_map
       (function
-        | Interp.Cond_vector { vector; outcome; _ } -> Some (vector, outcome)
+        | Exec.Cond_vector { vector; outcome; _ } -> Some (vector, outcome)
         | _ -> None)
       !events
   in
@@ -405,17 +414,14 @@ let test_interp_vector_state () =
           ];
       }
   in
-  let st0 = Interp.initial_state prog in
-  let out, st1 =
-    Interp.run_step prog st0
-      (Interp.inputs_of_list [ ("i", vi 2); ("v", vi 99) ])
-  in
-  check value_testable "written cell read back" (vi 99) (Interp.Smap.find "o" out);
-  (match Interp.Smap.find "buf" st1 with
+  let st0 = init prog in
+  let out, st1 = run_step prog st0 [ ("i", vi 2); ("v", vi 99) ] in
+  check value_testable "written cell read back" (vi 99) (out_value out "o");
+  (match state_value prog st1 "buf" with
    | V.Vec a -> check value_testable "cell 2 set" (vi 99) a.(2)
    | _ -> Alcotest.fail "buf not a vector");
   (* st0 must not alias the new snapshot *)
-  (match Interp.Smap.find "buf" st0 with
+  (match state_value prog st0 "buf" with
    | V.Vec a -> check value_testable "original untouched" (vi 0) a.(2)
    | _ -> Alcotest.fail "buf not a vector")
 
@@ -435,20 +441,20 @@ let thermostat_model () =
 let test_compile_thermostat () =
   let m = thermostat_model () in
   let prog = Slim.Compile.to_program m in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   let run t =
-    fst (Interp.run_step prog st0 (Interp.inputs_of_list [ ("temp", vr t) ]))
+    fst (run_step prog st0 [ ("temp", vr t) ])
   in
   let cold = run 5.0 in
   check value_testable "cold -> heat on" (vb true)
-    (Interp.Smap.find "heat_on" cold);
+    (out_value cold "heat_on");
   check value_testable "cold -> level saturated" (vr 10.0)
-    (Interp.Smap.find "heat_level" cold);
+    (out_value cold "heat_level");
   let warm = run 25.0 in
   check value_testable "warm -> heat off" (vb false)
-    (Interp.Smap.find "heat_on" warm);
+    (out_value warm "heat_on");
   check value_testable "warm -> level clamped" (vr 0.0)
-    (Interp.Smap.find "heat_level" warm)
+    (out_value warm "heat_level")
 
 let test_compile_delay_counter () =
   let b = B.create "dc" in
@@ -459,15 +465,13 @@ let test_compile_delay_counter () =
   B.outport b "count" c;
   let m = B.finish b in
   let prog = Slim.Compile.to_program m in
-  let st = ref (Interp.initial_state prog) in
+  let st = ref (init prog) in
   let outs = ref [] in
   for i = 1 to 5 do
-    let out, st' =
-      Interp.run_step prog !st (Interp.inputs_of_list [ ("x", vi (10 * i)) ])
-    in
+    let out, st' = run_step prog !st [ ("x", vi (10 * i)) ] in
     st := st';
     outs :=
-      (Interp.Smap.find "delayed" out, Interp.Smap.find "count" out) :: !outs
+      (out_value out "delayed", out_value out "count") :: !outs
   done;
   let outs = List.rev !outs in
   let delayed = List.map fst outs and counts = List.map snd outs in
@@ -485,11 +489,10 @@ let test_compile_switch_decision () =
   B.outport b "y" y;
   let prog = Slim.Compile.to_program (B.finish b) in
   check Alcotest.int "switch compiles to one decision" 1
-    (Ir.decision_count prog);
-  let st0 = Interp.initial_state prog in
+    (Exec.n_decisions (Exec.handle prog));
+  let st0 = init prog in
   let run v =
-    Interp.Smap.find "y"
-      (fst (Interp.run_step prog st0 (Interp.inputs_of_list [ ("x", vr v) ])))
+    out_value (fst (run_step prog st0 [ ("x", vr v) ])) "y"
   in
   check value_testable "positive control" (vr 100.0) (run 1.0);
   check value_testable "zero takes else" (vr (-100.0)) (run 0.0)
@@ -503,10 +506,9 @@ let test_compile_multiport () =
   let y = B.multiport b ~selector:sel [ (1, a); (2, c) ] ~default:d in
   B.outport b "y" y;
   let prog = Slim.Compile.to_program (B.finish b) in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   let run v =
-    Interp.Smap.find "y"
-      (fst (Interp.run_step prog st0 (Interp.inputs_of_list [ ("sel", vi v) ])))
+    out_value (fst (run_step prog st0 [ ("sel", vi v) ])) "y"
   in
   check value_testable "case 1" (vi 10) (run 1);
   check value_testable "case 2" (vi 20) (run 2);
@@ -521,13 +523,13 @@ let test_compile_data_store () =
   B.ds_write b "total" next;
   B.outport b "y" cur;
   let prog = Slim.Compile.to_program (B.finish b) in
-  let st = Interp.initial_state prog in
-  let out1, st1 = Interp.run_step prog st (Interp.inputs_of_list [ ("x", vi 4) ]) in
-  let out2, _ = Interp.run_step prog st1 (Interp.inputs_of_list [ ("x", vi 2) ]) in
+  let st = init prog in
+  let out1, st1 = run_step prog st [ ("x", vi 4) ] in
+  let out2, _ = run_step prog st1 [ ("x", vi 2) ] in
   check value_testable "reads start-of-step value" (vi 0)
-    (Interp.Smap.find "y" out1);
+    (out_value out1 "y");
   check value_testable "write committed at end of step" (vi 4)
-    (Interp.Smap.find "y" out2)
+    (out_value out2 "y")
 
 let sub_double () =
   let b = B.create "double" in
@@ -555,10 +557,9 @@ let test_compile_if_else_subsystem () =
    | [ y ] -> B.outport b "y" y
    | _ -> Alcotest.fail "expected one output");
   let prog = Slim.Compile.to_program (B.finish b) in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   let run v =
-    Interp.Smap.find "y"
-      (fst (Interp.run_step prog st0 (Interp.inputs_of_list [ ("x", vi v) ])))
+    out_value (fst (run_step prog st0 [ ("x", vi v) ])) "y"
   in
   check value_testable "then arm doubles" (vi 6) (run 3);
   check value_testable "else arm negates" (vi 5) (run (-5))
@@ -581,14 +582,11 @@ let test_compile_enabled_held () =
    | [ y ] -> B.outport b "y" y
    | _ -> Alcotest.fail "expected one output");
   let prog = Slim.Compile.to_program (B.finish b) in
-  let st = ref (Interp.initial_state prog) in
+  let st = ref (init prog) in
   let run en =
-    let out, st' =
-      Interp.run_step prog !st
-        (Interp.inputs_of_list [ ("enable", vb en); ("u", vi 0) ])
-    in
+    let out, st' = run_step prog !st [ ("enable", vb en); ("u", vi 0) ] in
     st := st';
-    Interp.Smap.find "y" out
+    out_value out "y"
   in
   check value_testable "enabled step 1" (vi 0) (run true);
   check value_testable "enabled step 2" (vi 1) (run true);
@@ -657,12 +655,11 @@ let prop_interp_deterministic =
   QCheck.Test.make ~name:"interpreter is deterministic" ~count:100
     QCheck.(small_signed_int)
     (fun x ->
-      let st0 = Interp.initial_state accumulator_prog in
-      let ins = Interp.inputs_of_list [ ("x", vi x) ] in
-      let o1, s1 = Interp.run_step accumulator_prog st0 ins in
-      let o2, s2 = Interp.run_step accumulator_prog st0 ins in
-      Interp.snapshot_equal s1 s2
-      && V.equal (Interp.Smap.find "y" o1) (Interp.Smap.find "y" o2))
+      let st0 = init accumulator_prog in
+      let ins = [ ("x", vi x) ] in
+      let o1, s1 = run_step accumulator_prog st0 ins in
+      let o2, s2 = run_step accumulator_prog st0 ins in
+      Exec.state_equal s1 s2 && V.equal (out_value o1 "y") (out_value o2 "y"))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

@@ -2,7 +2,7 @@
 
 module V = Slim.Value
 module Ir = Slim.Ir
-module Interp = Slim.Interp
+module Exec = Slim.Exec
 module C = Stateflow.Chart
 module SF = Stateflow.Sf_compile
 
@@ -42,17 +42,26 @@ let light_chart () =
            ~entry:[ assign_out "walk" (cb false); assign_out "phase" (ci 2) ];
        ])
 
+let init prog = Exec.initial_state (Exec.handle prog)
+
+(* One step through the chart program's handle; the outputs come back
+   with the handle, for [out_value] to look them up by name. *)
 let run_chart prog st ins =
-  Interp.run_step prog st (Interp.inputs_of_list ins)
+  let ex = Exec.handle prog in
+  let out, st' = Exec.run_step ex st (Exec.inputs_of_list ex ins) in
+  ((ex, out), st')
+
+let out_value (ex, out) name = Exec.find_output ex out name
+let state prog st name = Exec.find_state (Exec.handle prog) st name
 
 let test_light_progression () =
   let prog = SF.to_program (light_chart ()) in
-  let st = ref (Interp.initial_state prog) in
+  let st = ref (init prog) in
   let step go =
     let out, st' = run_chart prog !st [ ("go", vb go) ] in
     st := st';
-    ( Interp.Smap.find "phase" out |> V.to_int,
-      Interp.Smap.find "walk" out |> V.to_bool )
+    ( out_value out "phase" |> V.to_int,
+      out_value out "walk" |> V.to_bool )
   in
   (* stays Red without go *)
   check Alcotest.(pair int bool) "stays red" (0, false) (step false);
@@ -68,22 +77,22 @@ let test_light_progression () =
 let test_output_persistence () =
   (* Outputs hold their value on steps where no action assigns them. *)
   let prog = SF.to_program (light_chart ()) in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   let out1, st1 = run_chart prog st0 [ ("go", vb true) ] in
   check value_testable "walk set on entry" (vb true)
-    (Interp.Smap.find "walk" out1);
+    (out_value out1 "walk");
   let out2, _ = run_chart prog st1 [ ("go", vb false) ] in
   check value_testable "walk persists without assignment" (vb true)
-    (Interp.Smap.find "walk" out2)
+    (out_value out2 "walk")
 
 let test_location_in_snapshot () =
   let prog = SF.to_program (light_chart ()) in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   check value_testable "initial location is Red" (vi 0)
-    (Interp.Smap.find "loc" st0);
+    (state prog st0 "loc");
   let _, st1 = run_chart prog st0 [ ("go", vb true) ] in
   check value_testable "location moved to Green" (vi 1)
-    (Interp.Smap.find "loc" st1)
+    (state prog st1 "loc")
 
 (* Hierarchical chart: Off / On, where On has child region {Low, High}.
    Entering On always resets the child to Low. *)
@@ -116,13 +125,13 @@ let hier_chart () =
 
 let test_hierarchy_reset_on_entry () =
   let prog = SF.to_program (hier_chart ()) in
-  let st = ref (Interp.initial_state prog) in
+  let st = ref (init prog) in
   let step power boost =
     let out, st' =
       run_chart prog !st [ ("power", vb power); ("boost", vb boost) ]
     in
     st := st';
-    V.to_int (Interp.Smap.find "level" out)
+    V.to_int (out_value out "level")
   in
   check Alcotest.int "off" 0 (step false false);
   check Alcotest.int "on enters Low" 1 (step true false);
@@ -142,10 +151,10 @@ let test_chart_fragment_in_diagram () =
      Slim.Builder.outport b "phase" phase
    | _ -> Alcotest.fail "expected two chart outputs");
   let prog = Slim.Compile.to_program (Slim.Builder.finish b) in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   let out, _ = run_chart prog st0 [ ("go", vb true) ] in
   check value_testable "chart works inside a diagram" (vi 1)
-    (Interp.Smap.find "phase" out)
+    (out_value out "phase")
 
 let test_validate_errors () =
   let bad_initial =
@@ -190,10 +199,10 @@ let test_transition_priority () =
          ])
   in
   let prog = SF.to_program c in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   let out, _ = run_chart prog st0 [ ("x", vi 5) ] in
   check value_testable "first transition wins" (vi 1)
-    (Interp.Smap.find "which" out)
+    (out_value out "which")
 
 let test_exit_actions_depth_first () =
   (* Exiting a composite state runs child exits before its own. *)
@@ -215,12 +224,12 @@ let test_exit_actions_depth_first () =
          ])
   in
   let prog = SF.to_program c in
-  let st0 = Interp.initial_state prog in
+  let st0 = init prog in
   let _, st1 = run_chart prog st0 [ ("quit", vb false) ] in
   let out, _ = run_chart prog st1 [ ("quit", vb true) ] in
   (* child exit first: (0 + 3) * 10 = 30; parent-first would give 3 *)
   check value_testable "child exit runs before parent" (vi 30)
-    (Interp.Smap.find "trace" out)
+    (out_value out "trace")
 
 let () =
   Alcotest.run "stateflow"

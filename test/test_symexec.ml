@@ -698,20 +698,15 @@ let prop_memo_differential memo_hits =
           Array.of_list
             (List.map (fun (b : Branch.t) -> Ex.Branch_target b.Branch.key)
                (Exec.branches ex)
-            @ List.concat_map
-                (fun (decision, d) ->
-                  match d with
-                  | `If cond ->
-                    List.concat
-                      (List.mapi
-                         (fun atom _ ->
-                           [
-                             Ex.Condition_target { decision; atom; value = true };
-                             Ex.Condition_target { decision; atom; value = false };
-                           ])
-                         (Ir.atoms_of_condition cond))
-                  | `Switch _ -> [])
-                (Exec.decisions ex))
+            @ List.concat
+                (List.init (Exec.n_decisions ex) (fun pos ->
+                     let decision = Exec.decision_id ex pos in
+                     List.concat
+                       (List.init (Exec.atom_count ex pos) (fun atom ->
+                            [
+                              Ex.Condition_target { decision; atom; value = true };
+                              Ex.Condition_target { decision; atom; value = false };
+                            ])))))
         in
         if Array.length targets = 0 then QCheck.assume_fail ();
         let pick a = a.(Util.Splitmix.int rng (Array.length a)) in
@@ -786,22 +781,22 @@ let visited_states ex rows =
 let walk_objectives rng ex =
   Array.of_list
     (List.map (fun (b : Branch.t) -> Ex.Branch_target b.Branch.key) (Exec.branches ex)
-    @ List.concat_map
-        (fun (decision, d) ->
-          match d with
-          | `If cond ->
-            let n = List.length (Ir.atoms_of_condition cond) in
-            let n' = if Util.Splitmix.int rng 8 = 0 then n + 1 else n in
-            Ex.Vector_target
-              { decision; vector = Array.init n' (fun _ -> Util.Splitmix.int rng 2 = 0) }
-            :: List.concat
-                 (List.init n (fun atom ->
-                      [
-                        Ex.Condition_target { decision; atom; value = true };
-                        Ex.Condition_target { decision; atom; value = false };
-                      ]))
-          | `Switch _ -> [])
-        (Exec.decisions ex))
+    @ List.concat
+        (List.init (Exec.n_decisions ex) (fun pos ->
+             (* an [If] has at least one atom, a [Switch] none *)
+             match Exec.atom_count ex pos with
+             | 0 -> []
+             | n ->
+               let decision = Exec.decision_id ex pos in
+               let n' = if Util.Splitmix.int rng 8 = 0 then n + 1 else n in
+               Ex.Vector_target
+                 { decision; vector = Array.init n' (fun _ -> Util.Splitmix.int rng 2 = 0) }
+               :: List.concat
+                    (List.init n (fun atom ->
+                         [
+                           Ex.Condition_target { decision; atom; value = true };
+                           Ex.Condition_target { decision; atom; value = false };
+                         ])))))
 
 (* [n] solves of random objectives from random visited states, state-
    aware and (one in four) with symbolic state, through one memo per
