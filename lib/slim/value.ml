@@ -97,6 +97,8 @@ let[@inline] int n =
   if i >= 0 && i < Array.length small_ints then Array.unsafe_get small_ints i
   else Int n
 
+let[@inline] bool b = if b then Bool true else Bool false
+
 let rec equal a b =
   match a, b with
   | Bool x, Bool y -> x = y
@@ -157,26 +159,30 @@ let mul a b =
     Real (to_real a *. to_real b)
   | Vec _, _ | _, Vec _ -> vector_operand "mul"
 
+(* Division and modulo by zero are the errors solver samples meet most
+   often, and the sampler reads them as [false]: their constant messages
+   are raised as they are, without the formatter [type_error] builds per
+   call. *)
 let div a b =
   match a, b with
-  | Int _, Int 0 -> type_error "div: integer division by zero"
+  | Int _, Int 0 -> raise (Type_error "div: integer division by zero")
   | Int x, Int y -> int (x / y)
   | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
     let d = to_real b in
-    if d = 0.0 then type_error "div: real division by zero"
+    if d = 0.0 then raise (Type_error "div: real division by zero")
     else Real (to_real a /. d)
   | Vec _, _ | _, Vec _ -> vector_operand "div"
 
 let modulo a b =
   match a, b with
-  | Int _, Int 0 -> type_error "mod: modulo by zero"
+  | Int _, Int 0 -> raise (Type_error "mod: modulo by zero")
   | Int x, Int y ->
     (* Euclidean-style: result has the sign of the divisor, like MATLAB. *)
     let r = x mod y in
     int (if (r < 0 && y > 0) || (r > 0 && y < 0) then r + y else r)
   | (Int _ | Real _ | Bool _), (Int _ | Real _ | Bool _) ->
     let x = to_real a and y = to_real b in
-    if y = 0.0 then type_error "mod: modulo by zero"
+    if y = 0.0 then raise (Type_error "mod: modulo by zero")
     else
       let r = Float.rem x y in
       Real (if (r < 0.0 && y > 0.0) || (r > 0.0 && y < 0.0) then r +. y else r)

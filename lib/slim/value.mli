@@ -66,6 +66,10 @@ val int : int -> t
     results with it.  Scalars are immutable, so sharing is not
     observable except through physical equality. *)
 
+val bool : bool -> t
+(** [bool b] is [Bool b], one of two static values: it allocates
+    nothing. *)
+
 val equal : t -> t -> bool
 val compare_num : t -> t -> int
 (** Numeric comparison of scalars (int/real mixed); raises on bool/vec. *)

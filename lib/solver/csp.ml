@@ -26,50 +26,103 @@ type outcome =
   | Exhausted  (** subtree fully refuted *)
   | Gave_up  (** real-valued leaf could not be decided *)
 
-let assignment_of_store (store : Hc4.store) vars pick =
-  List.fold_left
-    (fun acc (x, _) ->
-      let d = Hc4.get store x in
-      Smap.add x (pick d) acc)
-    Smap.empty vars
-
+(* [Value.bool] and [Value.int] share their results; a fresh block
+   would be equal. *)
 let pick_mid = function
-  | Dom.Dbool { can_true; _ } -> Value.Bool can_true
-  | Dom.Dint { lo; hi } -> Value.Int (Dom.int_mid lo hi)
+  | Dom.Dbool { can_true; _ } -> Value.bool can_true
+  | Dom.Dint { lo; hi } -> Value.int (Dom.int_mid lo hi)
   | Dom.Dreal { lo; hi } -> Value.Real (Dom.real_mid lo hi)
 
 let pick_lo = function
-  | Dom.Dbool { can_false; _ } -> Value.Bool (not can_false)
-  | Dom.Dint { lo; _ } -> Value.Int lo
+  | Dom.Dbool { can_false; _ } -> Value.bool (not can_false)
+  | Dom.Dint { lo; _ } -> Value.int lo
   | Dom.Dreal { lo; _ } -> Value.Real lo
 
 let pick_hi = function
-  | Dom.Dbool { can_true; _ } -> Value.Bool can_true
-  | Dom.Dint { hi; _ } -> Value.Int hi
+  | Dom.Dbool { can_true; _ } -> Value.bool can_true
+  | Dom.Dint { hi; _ } -> Value.int hi
   | Dom.Dreal { hi; _ } -> Value.Real hi
 
 let pick_zero d =
   let z =
     match d with
     | Dom.Dbool _ -> Value.Bool false
-    | Dom.Dint _ -> Value.Int 0
+    | Dom.Dint _ -> Value.int 0
     | Dom.Dreal _ -> Value.Real 0.0
   in
   if Dom.member d z then z else pick_mid d
 
 let pick_random rng = function
   | Dom.Dbool { can_true; can_false } ->
-    if can_true && can_false then Value.Bool (Random.State.bool rng)
-    else Value.Bool can_true
-  | Dom.Dint { lo; hi } -> Value.Int (Value.random_int rng lo hi)
+    if can_true && can_false then Value.bool (Random.State.bool rng)
+    else Value.bool can_true
+  | Dom.Dint { lo; hi } -> Value.int (Value.random_int rng lo hi)
   | Dom.Dreal { lo; hi } ->
     Value.Real (if hi > lo then Value.random_real rng lo hi else lo)
 
-let satisfied constraint_ assignment =
-  match Term.eval (fun x -> Smap.find x assignment) constraint_ with
+(* The sampling attempts at a leaf, in order: mid, lo, hi, zero, then
+   four random picks. *)
+let attempts = 8
+
+let pick rng attempt d =
+  match attempt with
+  | 0 -> pick_mid d
+  | 1 -> pick_lo d
+  | 2 -> pick_hi d
+  | 3 -> pick_zero d
+  | _ -> pick_random rng d
+
+module Stbl = Hashtbl.Make (String)
+
+(* A candidate lives in [buf], one slot per entry of [p_vars].  [lookup]
+   resolves a name to its last entry, as [Smap.add] in [p_vars] order
+   does, so it reads the binding the accepted map will hold; an unbound
+   name raises [Not_found].  A rejected candidate thus builds no map. *)
+type sampler = {
+  names : string array;
+  buf : Value.t array;
+  lookup : string -> Value.t;
+}
+
+let make_sampler vars =
+  let names = Array.of_list (List.map fst vars) in
+  let buf = Array.make (Array.length names) (Value.Bool false) in
+  let slot = Stbl.create (2 * Array.length names) in
+  Array.iteri (fun i x -> Stbl.replace slot x i) names;
+  { names; buf; lookup = (fun x -> buf.(Stbl.find slot x)) }
+
+let tel_samples = Telemetry.Counter.make "solver.samples"
+let tel_sample_errors = Telemetry.Counter.make "solver.sample_errors"
+
+let satisfied constraint_ lookup =
+  match Term.eval lookup constraint_ with
   | Value.Bool b -> b
   | _ -> false
-  | exception (Value.Type_error _ | Not_found) -> false
+  | exception (Value.Type_error _ | Not_found) ->
+    Telemetry.Counter.incr tel_sample_errors;
+    false
+
+let assignment s =
+  let a = ref Smap.empty in
+  for i = 0 to Array.length s.names - 1 do
+    a := Smap.add s.names.(i) s.buf.(i) !a
+  done;
+  !a
+
+(* The first satisfying candidate of the attempts, as a map.  Each
+   attempt picks every variable in [p_vars] order, duplicates included,
+   as building a map per candidate did, so the RNG draws are the same. *)
+let first_sample s rng stats constraint_ store =
+  let found = ref false and k = ref 0 in
+  while (not !found) && !k < attempts do
+    stats.samples_tried <- stats.samples_tried + 1;
+    for i = 0 to Array.length s.names - 1 do
+      s.buf.(i) <- pick rng !k (Hc4.get store s.names.(i))
+    done;
+    found := satisfied constraint_ s.lookup;
+    incr k
+  done;
+  if !found then Some (assignment s) else None
 
 let default_budget = 20_000
 
@@ -91,6 +144,7 @@ let tel_result (res, (stats : stats)) =
        | Unsat -> tel_unsat
        | Unknown -> tel_unknown);
     Telemetry.Counter.add tel_nodes stats.nodes;
+    Telemetry.Counter.add tel_samples stats.samples_tried;
     Telemetry.Histogram.observe tel_h_nodes stats.nodes;
     Telemetry.Histogram.observe tel_h_term stats.term_size
   end;
@@ -118,19 +172,18 @@ let solve ?(node_budget = default_budget) ?(hc4_memo = true) ?rng problem =
     tel_result (Sat assignment, stats)
   | Some _ -> tel_result (Unsat, stats)
   | None ->
+    (* made on the first sample: most calls end in propagation *)
+    let sampler = ref None in
     let try_samples store =
-      let attempts =
-        [ pick_mid; pick_lo; pick_hi; pick_zero ]
-        @ List.init 4 (fun _ -> pick_random rng)
+      let s =
+        match !sampler with
+        | Some s -> s
+        | None ->
+          let s = make_sampler vars in
+          sampler := Some s;
+          s
       in
-      let rec go = function
-        | [] -> None
-        | pick :: rest ->
-          stats.samples_tried <- stats.samples_tried + 1;
-          let a = assignment_of_store store vars pick in
-          if satisfied constraint_ a then Some a else go rest
-      in
-      go attempts
+      first_sample s rng stats constraint_ store
     in
     let choose_split store =
       (* widest unresolved domain first; booleans count as width 1 *)

@@ -305,7 +305,7 @@ let is_const t = match t.node with Cst v -> Some v | _ -> None
 let eval_unop (op : Ir.unop) v =
   match op with
   | Ir.Neg -> Value.neg v
-  | Ir.Not -> Value.Bool (not (Value.to_bool v))
+  | Ir.Not -> Value.bool (not (Value.to_bool v))
   | Ir.Abs_op -> Value.abs_v v
   | Ir.To_real -> Value.Real (Value.to_real v)
   | Ir.To_int -> Value.Int (Value.to_int v)
@@ -323,14 +323,13 @@ let eval_binop (op : Ir.binop) a b =
   | Ir.Max -> Value.max_v a b
 
 let eval_cmp (op : Ir.cmpop) a b =
-  let c () = Value.compare_num a b in
   match op with
   | Ir.Eq -> Value.equal a b
   | Ir.Ne -> not (Value.equal a b)
-  | Ir.Lt -> c () < 0
-  | Ir.Le -> c () <= 0
-  | Ir.Gt -> c () > 0
-  | Ir.Ge -> c () >= 0
+  | Ir.Lt -> Value.compare_num a b < 0
+  | Ir.Le -> Value.compare_num a b <= 0
+  | Ir.Gt -> Value.compare_num a b > 0
+  | Ir.Ge -> Value.compare_num a b >= 0
 
 (* [+] and [*] commute over every value combination the evaluator
    accepts, and the HC4 projections for them are symmetric, so the
@@ -360,7 +359,7 @@ let binop op a b =
 let cmp op a b =
   match a.node, b.node with
   | Cst va, Cst vb ->
-    (try cst (Value.Bool (eval_cmp op va vb))
+    (try cst (Value.bool (eval_cmp op va vb))
      with Value.Type_error _ -> canon_cmp op a b)
   | _ -> canon_cmp op a b
 
@@ -422,19 +421,17 @@ let eval_node recur env = function
   | Tvar x -> env x
   | Tunop (op, e) -> eval_unop op (recur e)
   | Tbinop (op, a, b) -> eval_binop op (recur a) (recur b)
-  | Tcmp (op, a, b) -> Value.Bool (eval_cmp op (recur a) (recur b))
-  | Tand (a, b) ->
-    Value.Bool (Value.to_bool (recur a) && Value.to_bool (recur b))
-  | Tor (a, b) ->
-    Value.Bool (Value.to_bool (recur a) || Value.to_bool (recur b))
-  | Tnot e -> Value.Bool (not (Value.to_bool (recur e)))
+  | Tcmp (op, a, b) -> Value.bool (eval_cmp op (recur a) (recur b))
+  | Tand (a, b) -> Value.bool (Value.to_bool (recur a) && Value.to_bool (recur b))
+  | Tor (a, b) -> Value.bool (Value.to_bool (recur a) || Value.to_bool (recur b))
+  | Tnot e -> Value.bool (not (Value.to_bool (recur e)))
   | Tite (c, a, b) -> if Value.to_bool (recur c) then recur a else recur b
 
 (* Small terms evaluate by plain recursion; large (shared) ones memoize
    per node so DAG evaluation is linear in unique nodes.  [env] must be
-   a pure function of its argument (every caller passes a map lookup);
-   failed evaluations are not cached, so a raising node raises again on
-   the next visit exactly as tree walking did. *)
+   a pure function of its argument (every caller passes a map or a slot
+   lookup); failed evaluations are not cached, so a raising node raises
+   again on the next visit exactly as tree walking did. *)
 let eval env t =
   if t.tsize <= 256 then
     let rec go t = eval_node go env t.node in

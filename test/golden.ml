@@ -4,9 +4,11 @@
    to the golden as [NAME.observed.txt] and fails naming the first
    differing line.  The goldens are found from the test binary's own
    directory, where the build copies them, so a suite binary runs from
-   any working directory. *)
+   any working directory.  [path] resolves the suites' other data files
+   the same way. *)
 
-let dir = Filename.concat (Filename.dirname Sys.executable_name) "goldens"
+let path rel = Filename.concat (Filename.dirname Sys.executable_name) rel
+let dir = path "goldens"
 
 let check name observed =
   let expected =

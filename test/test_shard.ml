@@ -98,7 +98,7 @@ let test_ablations_shards_byte_identical () =
    shard 0/2 of the specs above.  They must still merge, alone and mixed
    with partials from the current writer. *)
 let legacy_partials () =
-  In_channel.with_open_bin "legacy/shard_partials.jsonl" In_channel.input_lines
+  In_channel.with_open_bin (Golden.path "legacy/shard_partials.jsonl") In_channel.input_lines
 
 let test_legacy_partials_merge () =
   let t3_0, t3_1, f4_0, ab_0 =

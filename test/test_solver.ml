@@ -395,6 +395,165 @@ let prop_solver_sound =
         not !witness
       | Csp.Unknown -> true)
 
+(* --- the slot-buffer sampler against the map-based one ---------------- *)
+
+(* Problems in the manner of the fuzz [solver] oracle: Mod/Abs/Min/Max
+   around zero over int and real ranges that hold zero, real constants in
+   halves, bool variables.  The kind adds one twist: a duplicate name in
+   [p_vars] (possibly of another type), a constraint variable missing
+   from [p_vars], or a division whose divisor range holds zero, so the
+   mid sample raises. *)
+type kind = Plain | Duplicate | Missing | Div_zero
+
+let kind_name = function
+  | Plain -> "plain"
+  | Duplicate -> "duplicate"
+  | Missing -> "missing"
+  | Div_zero -> "div-zero"
+
+let gen_problem rng =
+  let int_in lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let choose l = List.nth l (Random.State.int rng (List.length l)) in
+  let num_ty () =
+    if Random.State.bool rng then i_ty (int_in (-8) 0) (int_in 0 8)
+    else r_ty (float_of_int (int_in (-8) 0) /. 2.) (float_of_int (int_in 0 8) /. 2.)
+  in
+  let nums = List.init (int_in 1 3) (fun i -> (Printf.sprintf "x%d" i, num_ty ())) in
+  let bools = List.init (int_in 0 2) (fun i -> (Printf.sprintf "b%d" i, V.Tbool)) in
+  let rec num depth =
+    let sub () = num (depth - 1) in
+    match if depth = 0 then int_in 0 1 else int_in 0 10 with
+    | 0 -> ivar (fst (choose nums))
+    | 1 ->
+      if Random.State.bool rng then T.cint (int_in (-8) 8)
+      else T.creal (float_of_int (int_in (-4) 4) /. 2.)
+    | 2 -> T.binop Ir.Add (sub ()) (sub ())
+    | 3 -> T.binop Ir.Sub (sub ()) (sub ())
+    | 4 -> T.binop Ir.Mul (sub ()) (sub ())
+    | 5 -> T.binop Ir.Div (sub ()) (sub ())
+    | 6 | 7 -> T.binop Ir.Mod (sub ()) (sub ())
+    | 8 -> T.binop (choose [ Ir.Min; Ir.Max ]) (sub ()) (sub ())
+    | 9 -> T.unop Ir.Abs_op (sub ())
+    | _ -> T.unop Ir.Neg (sub ())
+  in
+  let rec pred depth =
+    match int_in 0 (if depth = 0 then 1 else 4) with
+    | 1 when bools <> [] -> ivar (fst (choose bools))
+    | 0 | 1 -> T.cmp (choose [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ]) (num 2) (num 2)
+    | 2 -> T.and_ (pred (depth - 1)) (pred (depth - 1))
+    | 3 -> T.or_ (pred (depth - 1)) (pred (depth - 1))
+    | _ -> T.not_ (pred (depth - 1))
+  in
+  let vars = nums @ bools in
+  let kind = choose [ Plain; Duplicate; Missing; Div_zero ] in
+  let join a b = if Random.State.bool rng then T.and_ a b else T.or_ a b in
+  let vars, c =
+    match kind with
+    | Plain -> (vars, pred 2)
+    | Duplicate ->
+      (* Either another type under the name, or the same type under a
+         constraint that only a random pick meets ([|x| mod 3 = 1] fails
+         at mid, lo, hi and zero of a range symmetric about zero), so
+         the two entries' draws usually differ and the last must win. *)
+      let x, xty = choose nums in
+      let hard = Random.State.bool rng in
+      let ty = if hard then xty else if Random.State.bool rng then V.Tbool else num_ty () in
+      let at = Random.State.int rng (List.length vars + 1) in
+      let c =
+        if not hard then pred 2
+        else
+          match xty with
+          | V.Treal _ -> T.cmp Ir.Gt (T.binop Ir.Mod (T.unop Ir.Abs_op (ivar x)) (T.creal 1.)) (T.creal 0.5)
+          | _ -> T.cmp Ir.Eq (T.binop Ir.Mod (T.unop Ir.Abs_op (ivar x)) (T.cint 3)) (T.cint 1)
+      in
+      (List.filteri (fun i _ -> i < at) vars @ [ (x, ty) ]
+       @ List.filteri (fun i _ -> i >= at) vars, c)
+    | Missing ->
+      (vars, join (pred 1) (T.cmp Ir.Ge (ivar "ghost") (T.cint (int_in (-2) 2))))
+    | Div_zero ->
+      let x, _ = choose nums and y, _ = choose nums in
+      (vars, join (pred 1) (T.cmp (choose [ Ir.Ge; Ir.Le ]) (T.binop Ir.Div (ivar x) (ivar y)) (T.cint 0)))
+  in
+  (kind, { Csp.p_vars = vars; p_constraint = c }, int_in 0 1_000_000, choose [ 40; 3000 ])
+
+let print_problem (kind, (p : Csp.problem), seed, budget) =
+  Fmt.str "%s seed=%d budget=%d vars=[%a] %a" (kind_name kind) seed budget
+    Fmt.(list ~sep:comma (fun ppf (x, ty) -> Fmt.pf ppf "%s:%a" x V.pp_ty ty))
+    p.p_vars T.pp p.p_constraint
+
+(* Bit for bit: a real binding compares by its bits, so [-0.] and [0.]
+   differ and a NaN equals itself. *)
+let same_value a b =
+  match a, b with
+  | V.Real x, V.Real y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | V.Int x, V.Int y -> x = y
+  | V.Bool x, V.Bool y -> x = y
+  | _ -> false
+
+let prop_sampler_matches_reference =
+  QCheck.Test.make ~name:"solve matches the map-based reference" ~count:400
+    (QCheck.make ~print:print_problem gen_problem)
+    (fun (_, problem, seed, budget) ->
+      let run solve =
+        let rng = Random.State.make [| seed |] in
+        let r =
+          match solve ~node_budget:budget ~rng problem with
+          | (res : Csp.result), (st : Csp.stats) ->
+            Ok (res, (st.nodes, st.propagation_rounds, st.samples_tried, st.term_size))
+          | exception e -> Error (Printexc.to_string e)
+        in
+        (r, Random.State.bits rng)
+      in
+      let got, next = run (fun ~node_budget ~rng p -> Csp.solve ~node_budget ~rng p) in
+      let want, want_next = run (fun ~node_budget ~rng p -> Ref_csp.solve ~node_budget ~rng p) in
+      let same_result =
+        match got, want with
+        | Ok (Csp.Sat a, s), Ok (Csp.Sat b, t) -> Csp.Smap.equal same_value a b && s = t
+        | Ok (Csp.Unsat, s), Ok (Csp.Unsat, t) | Ok (Csp.Unknown, s), Ok (Csp.Unknown, t) -> s = t
+        | Error e, Error f -> String.equal e f
+        | _ -> false
+      in
+      same_result && next = want_next)
+
+(* --- allocation ------------------------------------------------------
+
+   As in test_exec: telemetry off, the code warmed, and each operation
+   measured with [Gc.minor_words]. *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_eval_allocation () =
+  Telemetry.disable ();
+  let baseline = minor_words_of (fun () -> ()) in
+  let words f =
+    ignore (f ());
+    minor_words_of f -. baseline
+  in
+  let three = V.Int 3 and half = V.Real 0.5 in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (a, b) ->
+          check (Alcotest.float 0.) "eval_cmp: minor words" 0.
+            (words (fun () -> T.eval_cmp op a b)))
+        [ (three, half); (half, three); (three, three); (half, half) ])
+    [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ];
+  (* x < 3 && x + y >= 1: the Bool nodes share their results, so one
+     evaluation allocates only the recursion's closure (4 words) *)
+  let guard =
+    T.and_
+      (T.cmp Ir.Lt (ivar "x") (T.cint 3))
+      (T.cmp Ir.Ge (T.binop Ir.Add (ivar "x") (ivar "y")) (T.cint 1))
+  in
+  let x = V.Int 1 and y = V.Int 2 in
+  let env = function "x" -> x | "y" -> y | _ -> raise Not_found in
+  check Alcotest.bool "guard holds" true (V.to_bool (T.eval env guard));
+  check (Alcotest.float 0.) "eval guard: minor words" 4.
+    (words (fun () -> T.eval env guard))
+
 (* --- Interval primitives: degenerate (point) operand exactness -------- *)
 
 module I = Solver.Interval
@@ -630,4 +789,10 @@ let () =
           Alcotest.test_case "huge real domains" `Quick test_huge_real_domains;
         ] );
       ("props", List.map QCheck_alcotest.to_alcotest [ prop_solver_sound ]);
+      ( "sampler",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+            prop_sampler_matches_reference;
+          Alcotest.test_case "eval allocation" `Quick test_eval_allocation;
+        ] );
     ]

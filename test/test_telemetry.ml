@@ -300,7 +300,7 @@ let test_json_accessors () =
 
 (* The committed regression corpus loads, and every entry re-serialises
    to the bytes on disk. *)
-let corpus_file = "corpus/corpus.jsonl"
+let corpus_file = Golden.path "corpus/corpus.jsonl"
 
 let test_corpus_file_roundtrip () =
   let lines =
