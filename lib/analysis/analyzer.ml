@@ -335,9 +335,12 @@ let env_join_into ~src ~dst =
   Array.iteri (fun i v -> if v <> dst.e_lw.(i) then dst.e_lw.(i) <- 1) src.e_lw;
   Array.iteri (fun i v -> if v <> dst.e_pend.(i) then dst.e_pend.(i) <- None) src.e_pend;
   dst.e_err <- src.e_err || dst.e_err;
+  (* [src] is discarded after the join, so its octagon takes the result *)
   dst.e_oct <-
     (match (src.e_oct, dst.e_oct) with
-     | Some a, Some b -> Some (Octagon.join a b)
+     | Some a, Some b ->
+       Octagon.join_inplace a b;
+       src.e_oct
      | (Some _ | None), _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -348,16 +351,27 @@ type ctx = {
   c_oct : Octvars.t option;  (* octagon universe; [None] = interval domain *)
   mutable c_final : bool;  (* recording pass over the stabilized state *)
   mutable c_live : bool;  (* current statement's reach <> Never *)
-  mutable c_loc : string;  (* current statement path, for eval-site diags *)
+  mutable c_loc : string;
+      (* current statement path, for eval-site diags; empty before the
+         recording pass *)
   mutable c_inchart : bool;  (* inside a chart state-dispatch arm *)
   mutable c_diags : Diag.t list;
   mutable c_branch : (Branch.key * reach) list;  (* reversed *)
   mutable c_guards : (int * guard_fact) list;  (* reversed *)
 }
 
-let diag ctx code msg =
+(* [diag ctx code fmt args]: the message is formatted only when the
+   diagnostic is recorded *)
+let diag ctx code fmt =
   if ctx.c_final && ctx.c_live then
-    ctx.c_diags <- Diag.make code ~loc:ctx.c_loc msg :: ctx.c_diags
+    Fmt.kstr
+      (fun msg -> ctx.c_diags <- Diag.make code ~loc:ctx.c_loc msg :: ctx.c_diags)
+      fmt
+  else Format.ikfprintf ignore Format.err_formatter fmt
+
+(* statement paths are read only by recorded diagnostics, so the
+   passes before the recording one leave them empty *)
+let sub_loc ctx loc suffix = if ctx.c_final then loc ^ suffix else ""
 
 (* ------------------------------------------------------------------ *)
 (* Scalar transfer functions                                           *)
@@ -553,7 +567,7 @@ let read_slot ctx env s =
     && env.e_lw.(s - lp.local_base) = 0
   then
     diag ctx Diag.Uninit_local_read
-      (Fmt.str "local %s read before any write (default value)" lp.vars.(s).name);
+      "local %s read before any write (default value)" lp.vars.(s).name;
   env.e_regs.(s)
 
 let eval_unop op a =
@@ -623,7 +637,7 @@ let rec eval ctx env (e : L.expr) : Absval.t =
        let lo, hi = index_range ai n in
        if hi < 0 || lo >= n then begin
          diag ctx Diag.Index_oob
-           (Fmt.str "index in [%d,%d] always outside [0,%d)" lo hi n);
+           "index in [%d,%d] always outside [0,%d)" lo hi n;
          env.e_err <- true;
          (* the access always raises; any value is a sound stand-in *)
          if n > 0 then Absval.top_like arr.(0) else sc Absval.int_top
@@ -631,7 +645,7 @@ let rec eval ctx env (e : L.expr) : Absval.t =
        else begin
          if lo < 0 || hi >= n then begin
            diag ctx Diag.Index_may_oob
-             (Fmt.str "index in [%d,%d] may leave [0,%d)" lo hi n);
+             "index in [%d,%d] may leave [0,%d)" lo hi n;
            env.e_err <- true
          end;
          let lo = max 0 lo and hi = min (n - 1) hi in
@@ -889,14 +903,14 @@ let rec update_lv ctx env (lv : L.lvalue) (f : Absval.t -> Absval.t) : unit =
           let lo, hi = index_range ai n in
           if hi < 0 || lo >= n then begin
             diag ctx Diag.Index_oob
-              (Fmt.str "write index in [%d,%d] always outside [0,%d)" lo hi n);
+              "write index in [%d,%d] always outside [0,%d)" lo hi n;
             env.e_err <- true;
             cur (* the write always raises; nothing is stored *)
           end
           else begin
             if lo < 0 || hi >= n then begin
               diag ctx Diag.Index_may_oob
-                (Fmt.str "write index in [%d,%d] may leave [0,%d)" lo hi n);
+                "write index in [%d,%d] may leave [0,%d)" lo hi n;
               env.e_err <- true
             end;
             let lo = max 0 lo and hi = min (n - 1) hi in
@@ -1030,7 +1044,9 @@ let oct_assign ctx env (lhs : L.lvalue) (rhs : L.expr) (v : Absval.t) =
 
 let rec exec_stmts ctx env reach prefix stmts =
   List.iteri
-    (fun i s -> exec_stmt ctx env reach (Fmt.str "%s[%d]" prefix i) s)
+    (fun i s ->
+      let loc = if ctx.c_final then Fmt.str "%s[%d]" prefix i else "" in
+      exec_stmt ctx env reach loc s)
     stmts
 
 and exec_stmt ctx env reach loc (s : L.stmt) =
@@ -1053,12 +1069,12 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
         diag ctx
           (if ctx.c_inchart then Diag.Dead_chart_transition
            else Diag.Const_true_guard)
-          (Fmt.str "decision %d guard is always true" id)
+          "decision %d guard is always true" id
       else if not gv.I.bt then
         diag ctx
           (if ctx.c_inchart then Diag.Dead_chart_transition
            else Diag.Const_false_guard)
-          (Fmt.str "decision %d guard is always false" id);
+          "decision %d guard is always false" id;
     let branch want possible forced =
       if reach = Never || not possible then (Never, env_copy env)
       else begin
@@ -1072,8 +1088,8 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
     let r_else, env_e = branch false gv.I.bf (not gv.I.bt) in
     record_branch ctx (id, Branch.Then) r_then;
     record_branch ctx (id, Branch.Else) r_else;
-    exec_stmts ctx env_t r_then (loc ^ ".then") then_;
-    exec_stmts ctx env_e r_else (loc ^ ".else") else_;
+    exec_stmts ctx env_t r_then (sub_loc ctx loc ".then") then_;
+    exec_stmts ctx env_e r_else (sub_loc ctx loc ".else") else_;
     ctx.c_loc <- loc;
     ctx.c_live <- ctx.c_final && reach <> Never;
     (match (r_then <> Never, r_else <> Never) with
@@ -1173,7 +1189,7 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
         (fun (k, body) ->
           let r, e' =
             arm
-              (Fmt.str "%s.case%d" loc k)
+              (if ctx.c_final then Fmt.str "%s.case%d" loc k else "")
               (in_scrut k)
               (slo = k && shi = k)
               (refine_case k) body
@@ -1184,12 +1200,12 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
           if r = Never && reach <> Never then
             diag ctx
               (if chart then Diag.Dead_chart_state else Diag.Dead_case)
-              (Fmt.str "decision %d case %d is unreachable" id k);
+              "decision %d case %d is unreachable" id k;
           (r, e'))
         cases
     in
     let r_def, env_def =
-      arm (loc ^ ".default") default_possible default_forced refine_default
+      arm (sub_loc ctx loc ".default") default_possible default_forced refine_default
         default
     in
     ctx.c_loc <- loc;
@@ -1197,7 +1213,7 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
     record_branch ctx (id, Branch.Default) r_def;
     if r_def = Never && reach <> Never then
       diag ctx Diag.Dead_default
-        (Fmt.str "decision %d default is unreachable" id);
+        "decision %d default is unreachable" id;
     ctx.c_inchart <- saved_chart;
     (match
        List.filter (fun (r, _) -> r <> Never) (results @ [ (r_def, env_def) ])

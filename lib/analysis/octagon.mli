@@ -8,12 +8,15 @@
     [m(i,j) <- min m(i,j) ((m(i,i') + m(j',j)) / 2)]; variables marked
     integer additionally tighten their unary edges to even values.
 
-    The matrix is kept {e strongly closed} by construction: a constraint
-    add re-runs the Floyd-Warshall pivots of the (up to four) touched
-    indices, then strengthens; [forget]/[assign]/[shift] preserve
-    closure, and join (pointwise max) of two strongly closed octagons is
-    strongly closed.  Only {!widen} leaves the matrix open — as required
-    for termination — and the caller re-closes via {!close}.
+    Closure: a constraint add re-runs the Floyd-Warshall pivots of the
+    (up to four) touched indices, strengthens, and then tightens the
+    unary edges of integer variables {e without} re-closing: after
+    [v1 - v0 <= 0] and [v0 <= 2.5] with [v0] integer, the matrix holds
+    [v0 <= 2] but still [v1 <= 2.5].  {!forget} and {!shift} preserve
+    closure, and join (pointwise max) of two closed octagons is
+    closed.  {!widen} leaves the matrix open, and the caller re-closes
+    via {!close}.  Since every entry is a sound upper bound, an
+    under-closed matrix is still sound, only less precise.
 
     The closure kernels only visit entries that can change, and the
     result is the same, bit for bit, as the full loops:
@@ -29,7 +32,21 @@
       The invariant breaks where an entry can rise, so {!create},
       {!forget} and {!shift} (on the touched variable's indices) and
       the results of {!join} and {!widen} (everywhere) invalidate the
-      snapshot; {!copy} copies it.
+      snapshot; {!copy} copies it;
+    - each octagon carries a {e fixpoint flag}: the matrix is closed in
+      exact arithmetic, so no pivot would lower any entry.  While it
+      holds, an add runs {e restricted pivots}: it marks every entry it
+      lowers, starting with the new edge and its mirror, and pivot [k]
+      updates [(i, j)] only when [m(i,k)] or [m(k,j)] is marked (every
+      row when [m(k,k) < 0]).  The skipped updates read the closed
+      matrix's own entries and lower nothing.  The flag is on at
+      {!create} and after a {!close}, and survives an add and a
+      {!shift}, when every sum involved was exact and integral
+      tightening lowered nothing; {!forget} keeps it, {!join} keeps it
+      when both sides hold it, and {!widen} and a lowering
+      {!constrain_raw} clear it.  Adds without it run the full pivots.
+      The counters [analysis.oct.restricted_adds] and
+      [analysis.oct.full_adds] split the effective adds by path.
 
     All bounds are floats; [infinity] means "no constraint".  Callers
     are responsible for only adding constraints that are {e exact} for
@@ -55,8 +72,9 @@ val is_bottom : t -> bool
 
     Each add runs incremental strong closure and records emptiness when
     a negative cycle appears; they never raise. Constants with
-    magnitude beyond the float-exact integer window are ignored (kept
-    as "no constraint") rather than trusted. *)
+    magnitude beyond [2e15] (twice the analyzer's window of [1e15], so
+    a doubled unary bound fits) are ignored (kept as "no constraint")
+    rather than trusted. *)
 
 val add_upper : t -> int -> float -> unit
 (** [add_upper t k c]: [v_k <= c]. *)
@@ -98,14 +116,18 @@ val join : t -> t -> t
 (** Pointwise max (both arguments closed => result strongly closed).
     If either side is bottom, returns a copy of the other. *)
 
+val join_inplace : t -> t -> unit
+(** [join_inplace a b] turns [a] into [join a b], bit for bit, without
+    copying the matrix. *)
+
 val widen : t -> t -> t
 (** [widen old next]: entries that grew go to [infinity].  The result
     is {e not} closed; call {!close} before querying it. *)
 
 val close : t -> unit
 (** Full strong closure (Floyd-Warshall + strengthening + integral
-    tightening).  Needed only after {!widen}; all other operations
-    maintain closure incrementally. *)
+    tightening).  Needed after {!widen}; the adds close incrementally,
+    except for what their integral tightening implies. *)
 
 val meet_interval : t -> int -> lo:float -> hi:float -> unit
 (** Constrain [v_k] to [\[lo, hi\]] (infinite bounds allowed). *)

@@ -51,6 +51,7 @@ let tel_stride_skips = Telemetry.Counter.make "engine.stride_skips"
 let tel_random_execs = Telemetry.Counter.make "engine.random_execs"
 let tel_testcases = Telemetry.Counter.make "engine.testcases"
 let tel_tree_nodes = Telemetry.Counter.make "engine.tree_nodes"
+let tel_tree_cap_drops = Telemetry.Counter.make "engine.tree_cap_drops"
 let tel_skipped_dead = Telemetry.Counter.make "engine.objectives_skipped_dead"
 let tel_pruned_static = Telemetry.Counter.make "engine.solves_pruned_static"
 let tel_h_solve_nodes = Telemetry.Histogram.make "engine.solve_nodes"
@@ -216,14 +217,18 @@ let objective_covered st obj =
 let emit st ev = st.events <- ev :: st.events
 
 (* Record the transition in the state tree unless the node cap is
-   reached — the cap bounds memory, never the run itself. *)
+   reached — the cap bounds memory, never the run itself.  A transition
+   dropped at the cap is counted. *)
 let maybe_record st (parent : State_tree.node option) input state' =
   match parent with
   | Some parent when State_tree.size st.tree < st.cfg.max_tree_nodes ->
     let child, is_new = State_tree.add_child st.tree ~parent ~input state' in
     if is_new then Telemetry.Counter.incr tel_tree_nodes;
     Some child
-  | Some _ | None -> None
+  | Some _ ->
+    Telemetry.Counter.incr tel_tree_cap_drops;
+    None
+  | None -> None
 
 (* [steps] is the actual executed sequence: the (replayable) tree path
    of the start node followed by the inputs executed in this episode.

@@ -752,7 +752,9 @@ module Oct = Analysis.Octagon
 (* One step of a random sequence over two octagons [x] and [y]; the
    target says which one a constraint or transfer acts on.  Acting on
    both keeps [x] and [y] close, so [Join] and [Widen] (which replace
-   [x] by [x op y] and re-close it) move single entries.  [Op_reseat]
+   [x] by [x op y] and re-close it) move single entries; [Op_join_into]
+   joins [y] into [x] in place and leaves it unclosed, as the analyzer
+   does when it merges branch environments.  [Op_reseat]
    forgets a variable and re-imposes its old bounds, the analyzer's
    forget-then-meet pattern: the unary edges come back unchanged while
    the rest of the variable's rows must be re-derived. *)
@@ -769,6 +771,7 @@ type oct_op =
   | Op_join
   | Op_widen
   | Op_raw of oct_target * int * float * float
+  | Op_join_into
 
 let pp_oct_op ppf op =
   let w = function To_x -> "x" | To_y -> "y" | To_both -> "xy" in
@@ -783,6 +786,7 @@ let pp_oct_op ppf op =
   | Op_join -> Fmt.pf ppf "join"
   | Op_widen -> Fmt.pf ppf "widen"
   | Op_raw (t, k, lo, hi) -> Fmt.pf ppf "raw(%s,%d,%h,%h)" (w t) k lo hi
+  | Op_join_into -> Fmt.pf ppf "join_into"
 
 (* Small integers make contradictions (negative cycles) common; the
    decimal reals take [add_up]'s round-up branch; 1e15 sits at the edge
@@ -827,6 +831,7 @@ let gen_oct_case =
               (pair tgt var)
               (oneof [ return neg_infinity; gen_oct_const ])
               (oneof [ return infinity; gen_oct_const ]) );
+          (2, return Op_join_into);
         ]
     in
     list_size (int_range 1 40) op >>= fun ops -> return (ints, ops))
@@ -917,6 +922,9 @@ let oct_first_mismatch (ints, ops) =
         (fun d ->
           Dense_oct.constrain_raw d k ~lo ~hi;
           Dense_oct.close d)
+    | Op_join_into ->
+      Oct.join_inplace !x !y;
+      dx := Dense_oct.join !dx !dy
   in
   let rec go step = function
     | [] -> None
@@ -960,13 +968,110 @@ let test_dense_reference_reach () =
                | Op_lower (_, k, c) -> Dense_oct.add_lower d k c
                | Op_diff (_, a, b, c) -> Dense_oct.add_diff d a b c
                | Op_forget _ | Op_reseat _ | Op_shift _ | Op_copy _ | Op_join
-               | Op_widen | Op_raw _ -> ())
+               | Op_widen | Op_raw _ | Op_join_into -> ())
              ops;
            d.Dense_oct.bot)
          cases)
   in
   check Alcotest.bool "some sequences reach a negative cycle" true (bottoms > 0);
   check Alcotest.bool "some sums round up" true (!Dense_oct.inexact > 0)
+
+let tel_restricted_adds = Telemetry.Counter.make "analysis.oct.restricted_adds"
+let tel_full_adds = Telemetry.Counter.make "analysis.oct.full_adds"
+
+(* [f ()] with telemetry on; returns its result and the effective adds
+   that ran restricted and full pivots meanwhile *)
+let count_oct_adds f =
+  Telemetry.enable ();
+  Telemetry.reset ();
+  let r = f () in
+  let restricted = Telemetry.Counter.total tel_restricted_adds
+  and full = Telemetry.Counter.total tel_full_adds in
+  Telemetry.reset ();
+  Telemetry.disable ();
+  (r, restricted, full)
+
+(* The property exercises both closure paths: adds on a matrix with the
+   fixpoint flag run restricted pivots, the others full ones. *)
+let test_dense_reference_paths () =
+  let rand = Random.State.make [| 11 |] in
+  let cases = QCheck.Gen.generate ~rand ~n:200 gen_oct_case in
+  let mismatches, restricted, full =
+    count_oct_adds (fun () ->
+        List.filter (fun c -> oct_first_mismatch c <> None) cases)
+  in
+  check Alcotest.int "no mismatch" 0 (List.length mismatches);
+  check Alcotest.bool "some adds run restricted pivots" true (restricted > 0);
+  check Alcotest.bool "some adds run full pivots" true (full > 0)
+
+(* A copy with offset 0 pins [v_src - v_dst <= -0.0]: the stored zero
+   is negative, and the restricted pivots must keep its sign wherever
+   the dense ones do. *)
+let test_oct_copy_signed_zero () =
+  let case =
+    ( [| false; true |],
+      [ Op_upper (To_y, 1, -6.0); Op_copy (To_both, 1, 0, 0.0) ] )
+  in
+  let mismatch, restricted, full =
+    count_oct_adds (fun () -> oct_first_mismatch case)
+  in
+  check Alcotest.bool "matches the dense reference" true (mismatch = None);
+  check Alcotest.(pair int int) "restricted, full adds" (5, 0) (restricted, full)
+
+(* The unary edge of [v0 <= 1/3] does not add exactly to the integer
+   ones, so the strengthening pass leaves a bound rounded up, and the
+   matrix is closed only up to that rounding: the flag must drop, or
+   the restricted pivots of the last add skip an update the dense ones
+   make. *)
+let test_oct_inexact_strengthening () =
+  let case =
+    ( [| false; false; false |],
+      [
+        Op_diff (To_both, 2, 1, -6.0);
+        Op_lower (To_x, 2, 3.0);
+        Op_upper (To_both, 0, 1. /. 3.);
+        Op_diff (To_x, 1, 2, -7.7);
+      ] )
+  in
+  let mismatch, restricted, full =
+    count_oct_adds (fun () -> oct_first_mismatch case)
+  in
+  check Alcotest.bool "matches the dense reference" true (mismatch = None);
+  check Alcotest.(pair int int) "restricted, full adds" (5, 1) (restricted, full)
+
+(* Integral tightening after an add lowers a unary edge without
+   re-closing: [v1 - v0 <= 0] and [v0 <= 2.5] with [v0] int leave
+   [v0 <= 2] but [v1 <= 2.5].  The flag is off, so the next add runs
+   full pivots, until a [close] derives [v1 <= 2] and turns it back on. *)
+let test_oct_tighten_reopens () =
+  let ints = [| true; false |] in
+  let o = Oct.create ~ints and d = Dense_oct.create ~ints in
+  let step name f g =
+    let (), restricted, full = count_oct_adds (fun () -> f o) in
+    g d;
+    check Alcotest.bool (name ^ " matches the dense reference") true
+      (oct_agrees o d);
+    (restricted, full)
+  in
+  let paths = Alcotest.(pair int int) in
+  let bounds = Alcotest.(pair (float 0.0) (float 0.0)) in
+  check paths "v1 - v0 <= 0 (restricted)" (1, 0)
+    (step "diff" (fun o -> Oct.add_diff o 1 0 0.0) (fun d ->
+         Dense_oct.add_diff d 1 0 0.0));
+  check paths "v0 <= 2.5 (restricted)" (1, 0)
+    (step "upper" (fun o -> Oct.add_upper o 0 2.5) (fun d ->
+         Dense_oct.add_upper d 0 2.5));
+  check bounds "v0 tightened" (neg_infinity, 2.0) (Oct.bounds o 0);
+  check bounds "v1 not re-closed" (neg_infinity, 2.5) (Oct.bounds o 1);
+  check paths "v1 >= -10 (full)" (0, 1)
+    (step "lower" (fun o -> Oct.add_lower o 1 (-10.0)) (fun d ->
+         Dense_oct.add_lower d 1 (-10.0)));
+  check bounds "v1 still 2.5" (-10.0, 2.5) (Oct.bounds o 1);
+  ignore (step "close" Oct.close Dense_oct.close);
+  check bounds "close derives v1 <= 2" (-10.0, 2.0) (Oct.bounds o 1);
+  check paths "v0 >= -3 (restricted)" (1, 0)
+    (step "lower" (fun o -> Oct.add_lower o 0 (-3.0)) (fun d ->
+         Dense_oct.add_lower d 0 (-3.0)))
 
 (* --- engine: verdict priority ------------------------------------------- *)
 
@@ -1092,6 +1197,14 @@ let () =
             prop_octagon_dense_reference;
           Alcotest.test_case "dense reference reaches bottom and round-up"
             `Quick test_dense_reference_reach;
+          Alcotest.test_case "dense reference reaches both pivot paths"
+            `Quick test_dense_reference_paths;
+          Alcotest.test_case "copy keeps the signed zero" `Quick
+            test_oct_copy_signed_zero;
+          Alcotest.test_case "tightening reopens the matrix" `Quick
+            test_oct_tighten_reopens;
+          Alcotest.test_case "inexact strengthening drops the flag" `Quick
+            test_oct_inexact_strengthening;
         ] );
       ( "engine verdicts",
         [
