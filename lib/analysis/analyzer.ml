@@ -312,37 +312,6 @@ let env_make info state =
     e_oct = None;
   }
 
-let env_copy e =
-  {
-    e_regs = Array.copy e.e_regs;
-    e_lw = Array.copy e.e_lw;
-    e_pend = Array.copy e.e_pend;
-    e_err = e.e_err;
-    e_oct = Option.map Octagon.copy e.e_oct;
-  }
-
-let env_blit ~src ~dst =
-  let b a b = Array.blit a 0 b 0 (Array.length a) in
-  b src.e_regs dst.e_regs;
-  b src.e_lw dst.e_lw;
-  b src.e_pend dst.e_pend;
-  dst.e_err <- src.e_err;
-  dst.e_oct <- src.e_oct
-
-(* join [src] into [dst] pointwise *)
-let env_join_into ~src ~dst =
-  Array.iteri (fun i v -> dst.e_regs.(i) <- Absval.join v dst.e_regs.(i)) src.e_regs;
-  Array.iteri (fun i v -> if v <> dst.e_lw.(i) then dst.e_lw.(i) <- 1) src.e_lw;
-  Array.iteri (fun i v -> if v <> dst.e_pend.(i) then dst.e_pend.(i) <- None) src.e_pend;
-  dst.e_err <- src.e_err || dst.e_err;
-  (* [src] is discarded after the join, so its octagon takes the result *)
-  dst.e_oct <-
-    (match (src.e_oct, dst.e_oct) with
-     | Some a, Some b ->
-       Octagon.join_inplace a b;
-       src.e_oct
-     | (Some _ | None), _ -> None)
-
 (* ------------------------------------------------------------------ *)
 (* Recording context                                                   *)
 
@@ -358,7 +327,66 @@ type ctx = {
   mutable c_diags : Diag.t list;
   mutable c_branch : (Branch.key * reach) list;  (* reversed *)
   mutable c_guards : (int * guard_fact) list;  (* reversed *)
+  mutable c_free : Octagon.t list;
+      (* matrices no environment holds any more, for [env_copy] *)
 }
+
+(* Matrix ownership: an environment's octagon belongs to it alone.
+   Where an environment drops its octagon, the matrix goes to
+   [c_free], and [env_copy] refills a free matrix before it allocates
+   one.  The list lives in the context, so it dies with the analysis. *)
+let oct_release ctx = function
+  | Some o -> ctx.c_free <- o :: ctx.c_free
+  | None -> ()
+
+let oct_clone ctx o =
+  match ctx.c_free with
+  | d :: rest ->
+    ctx.c_free <- rest;
+    Octagon.copy_into ~src:o ~dst:d;
+    d
+  | [] -> Octagon.copy o
+
+let env_drop_oct ctx e =
+  oct_release ctx e.e_oct;
+  e.e_oct <- None
+
+(* [~oct:false]: a copy without the octagon, for an arm known [Never] *)
+let env_copy ?(oct = true) ctx e =
+  {
+    e_regs = Array.copy e.e_regs;
+    e_lw = Array.copy e.e_lw;
+    e_pend = Array.copy e.e_pend;
+    e_err = e.e_err;
+    e_oct =
+      (match e.e_oct with
+       | Some o when oct -> Some (oct_clone ctx o)
+       | Some _ | None -> None);
+  }
+
+(* [dst] takes [src]'s contents and octagon; [src] is discarded *)
+let env_blit ctx ~src ~dst =
+  let b a b = Array.blit a 0 b 0 (Array.length a) in
+  b src.e_regs dst.e_regs;
+  b src.e_lw dst.e_lw;
+  b src.e_pend dst.e_pend;
+  dst.e_err <- src.e_err;
+  oct_release ctx dst.e_oct;
+  dst.e_oct <- src.e_oct;
+  src.e_oct <- None
+
+(* join [src] into [dst] pointwise; [src] is discarded.  The operand
+   order is [join dst src] throughout: on a [0.0]/[-0.0] tie the
+   octagon keeps [dst]'s entry. *)
+let env_join_into ctx ~src ~dst =
+  Array.iteri (fun i v -> dst.e_regs.(i) <- Absval.join dst.e_regs.(i) v) src.e_regs;
+  Array.iteri (fun i v -> if v <> dst.e_lw.(i) then dst.e_lw.(i) <- 1) src.e_lw;
+  Array.iteri (fun i v -> if v <> dst.e_pend.(i) then dst.e_pend.(i) <- None) src.e_pend;
+  dst.e_err <- src.e_err || dst.e_err;
+  (match (src.e_oct, dst.e_oct) with
+   | Some a, Some b -> ignore (Octagon.join_inplace b a : bool)
+   | (Some _ | None), _ -> env_drop_oct ctx dst);
+  env_drop_oct ctx src
 
 (* [diag ctx code fmt args]: the message is formatted only when the
    diagnostic is recorded *)
@@ -1075,17 +1103,31 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
           (if ctx.c_inchart then Diag.Dead_chart_transition
            else Diag.Const_false_guard)
           "decision %d guard is always false" id;
-    let branch want possible forced =
-      if reach = Never || not possible then (Never, env_copy env)
-      else begin
-        let e' = env_copy env in
-        match refine ctx e' cond want with
-        | () -> ((if dec_reach = Must && forced then Must else May), e')
-        | exception Dom.Empty -> (Never, e')
-      end
+    (* An arm [Never] before refinement is walked without the octagon
+       (ANALYSIS.md); a live arm is refined on [e'], which drops its
+       matrix when the refinement proves the arm infeasible. *)
+    let branch e' want forced =
+      match refine ctx e' cond want with
+      | () -> if dec_reach = Must && forced then Must else May
+      | exception Dom.Empty ->
+        env_drop_oct ctx e';
+        Never
     in
-    let r_then, env_t = branch true gv.I.bt (not gv.I.bf) in
-    let r_else, env_e = branch false gv.I.bf (not gv.I.bt) in
+    let r_then, env_t =
+      if reach = Never || not gv.I.bt then (Never, env_copy ~oct:false ctx env)
+      else
+        let e' = env_copy ctx env in
+        (branch e' true (not gv.I.bf), e')
+    in
+    let r_else, env_e =
+      if reach = Never || not gv.I.bf then (Never, env_copy ~oct:false ctx env)
+      else
+        (* with a live then arm the merge overwrites [env] anyway, so the
+           else arm refines it in place; otherwise [env] must survive
+           for the case where both arms fail *)
+        let e' = if r_then <> Never then env else env_copy ctx env in
+        (branch e' false (not gv.I.bt), e')
+    in
     record_branch ctx (id, Branch.Then) r_then;
     record_branch ctx (id, Branch.Else) r_else;
     exec_stmts ctx env_t r_then (sub_loc ctx loc ".then") then_;
@@ -1093,11 +1135,9 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
     ctx.c_loc <- loc;
     ctx.c_live <- ctx.c_final && reach <> Never;
     (match (r_then <> Never, r_else <> Never) with
-     | true, true ->
-       env_blit ~src:env_t ~dst:env;
-       env_join_into ~src:env_e ~dst:env
-     | true, false -> env_blit ~src:env_t ~dst:env
-     | false, true -> env_blit ~src:env_e ~dst:env
+     | true, true -> env_join_into ctx ~src:env_t ~dst:env (* [env_e == env] *)
+     | true, false -> env_blit ctx ~src:env_t ~dst:env
+     | false, true -> env_blit ctx ~src:env_e ~dst:env
      | false, false ->
        (* both sides infeasible: the decision cannot complete; keep the
           pre-state (a superset of nothing) *)
@@ -1170,41 +1210,47 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
             | Dom.Dbool _ | Dom.Dreal _ -> d)
       | _ -> ()
     in
+    (* the join of the live arms walked so far, into the latest one *)
+    let joined = ref None in
     let arm prefix possible forced refine_arm body =
-      let e' = env_copy env in
+      let live = reach <> Never && possible in
+      let e' = env_copy ~oct:live ctx env in
       let r =
-        if reach = Never || not possible then Never
+        if not live then Never
         else
           match refine_arm e' with
           | () -> if dec_reach = Must && forced then Must else May
-          | exception Dom.Empty -> Never
+          | exception Dom.Empty ->
+            env_drop_oct ctx e';
+            Never
       in
       exec_stmts ctx e' r prefix body;
-      (r, e')
+      if r <> Never then begin
+        Option.iter (fun acc -> env_join_into ctx ~src:acc ~dst:e') !joined;
+        joined := Some e'
+      end;
+      r
     in
     let saved_chart = ctx.c_inchart in
     if chart then ctx.c_inchart <- true;
-    let results =
-      List.map
-        (fun (k, body) ->
-          let r, e' =
-            arm
-              (if ctx.c_final then Fmt.str "%s.case%d" loc k else "")
-              (in_scrut k)
-              (slo = k && shi = k)
-              (refine_case k) body
-          in
-          ctx.c_loc <- loc;
-          ctx.c_live <- ctx.c_final && reach <> Never;
-          record_branch ctx (id, Branch.Case k) r;
-          if r = Never && reach <> Never then
-            diag ctx
-              (if chart then Diag.Dead_chart_state else Diag.Dead_case)
-              "decision %d case %d is unreachable" id k;
-          (r, e'))
-        cases
-    in
-    let r_def, env_def =
+    List.iter
+      (fun (k, body) ->
+        let r =
+          arm
+            (if ctx.c_final then Fmt.str "%s.case%d" loc k else "")
+            (in_scrut k)
+            (slo = k && shi = k)
+            (refine_case k) body
+        in
+        ctx.c_loc <- loc;
+        ctx.c_live <- ctx.c_final && reach <> Never;
+        record_branch ctx (id, Branch.Case k) r;
+        if r = Never && reach <> Never then
+          diag ctx
+            (if chart then Diag.Dead_chart_state else Diag.Dead_case)
+            "decision %d case %d is unreachable" id k)
+      cases;
+    let r_def =
       arm (sub_loc ctx loc ".default") default_possible default_forced refine_default
         default
     in
@@ -1215,13 +1261,8 @@ and exec_stmt ctx env reach loc (s : L.stmt) =
       diag ctx Diag.Dead_default
         "decision %d default is unreachable" id;
     ctx.c_inchart <- saved_chart;
-    (match
-       List.filter (fun (r, _) -> r <> Never) (results @ [ (r_def, env_def) ])
-     with
-     | [] -> () (* every arm infeasible: keep the pre-state *)
-     | (_, first) :: rest ->
-       env_blit ~src:first ~dst:env;
-       List.iter (fun (_, e') -> env_join_into ~src:e' ~dst:env) rest)
+    (* with every arm infeasible, [env] keeps the pre-state *)
+    Option.iter (fun e' -> env_blit ctx ~src:e' ~dst:env) !joined
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint driver                                                     *)
@@ -1247,6 +1288,7 @@ let fresh_ctx config info final =
     c_diags = [];
     c_branch = [];
     c_guards = [];
+    c_free = [];
   }
 
 (* the abstract value currently held by a tracked cell, if scalar *)
@@ -1327,7 +1369,7 @@ let analyze ?(config = default_config) (prog : Ir.program) :
     let env = env_make info state in
     (match (octvars, !oct_state) with
      | Some ov, Some os ->
-       let o = Octagon.copy os in
+       let o = oct_clone ctx os in
        (* meet in the current interval image of every cell; this also
           re-closes the matrix (open after widening) *)
        oct_seed ov o (cell_absval env.e_regs);
@@ -1357,19 +1399,19 @@ let analyze ?(config = default_config) (prog : Ir.program) :
       match (!oct_state, env.e_oct) with
       | Some os, Some o ->
         (* project the post-step octagon onto the persistent state
-           cells, then join/widen entrywise.  Entries only ever grow,
-           and widening sends a grown entry straight to infinity, so
-           this terminates alongside the interval iteration. *)
+           cells, then join/widen it entrywise into the state octagon.
+           Entries only ever grow, and widening sends a grown entry
+           straight to infinity, so this terminates alongside the
+           interval iteration. *)
         Array.iteri
           (fun idx (s, _) -> if not (is_state s) then Octagon.forget o idx)
           (Option.get octvars).Octvars.ov_keys;
-        let nxt =
+        let rose =
           if !iterations > join_iters then Octagon.widen os o
-          else Octagon.join os o
+          else Octagon.join_inplace os o
         in
-        let same = Octagon.equal os nxt in
-        oct_state := Some nxt;
-        same
+        env_drop_oct ctx env;
+        not rose
       | _ -> true
     in
     if Array.for_all2 Absval.equal state next && oct_stable then stable := true

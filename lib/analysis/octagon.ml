@@ -35,7 +35,7 @@
      skips was bounded by the same (exact) sum on an earlier pass;
    - a full [close] under the same conditions;
    - [shift] with exact sums is a change of variables;
-   - [forget] and pointwise max ([join]) preserve closedness.
+   - [forget] and pointwise max ([join_inplace]) preserve closedness.
    Integral tightening, [constrain_raw] (when they lower an entry) and
    [widen] break it. *)
 
@@ -65,6 +65,9 @@ let tel_strengthen_cells = Telemetry.Counter.make "analysis.oct.strengthen_cells
 let tel_restricted_adds = Telemetry.Counter.make "analysis.oct.restricted_adds"
 let tel_full_adds = Telemetry.Counter.make "analysis.oct.full_adds"
 
+(* Matrices allocated: by [create] and [copy], not by [copy_into]. *)
+let tel_matrices = Telemetry.Counter.make "analysis.oct.matrices"
+
 let big = 1e15  (* float-exact integer window; see Analyzer [legal_num] *)
 let bar i = i lxor 1
 
@@ -93,12 +96,20 @@ let create ~ints =
   for i = 0 to nn - 1 do
     m.(i * nn + i) <- 0.0
   done;
+  Telemetry.Counter.incr tel_matrices;
   { n; nn; m; ud = Array.make nn nan; ints; bot = false; fix = true }
 
-let copy t = { t with m = Array.copy t.m; ud = Array.copy t.ud }
+let copy t =
+  Telemetry.Counter.incr tel_matrices;
+  { t with m = Array.copy t.m; ud = Array.copy t.ud }
 
-let equal a b =
-  a.n = b.n && a.bot = b.bot && (a.bot || Array.for_all2 ( = ) a.m b.m)
+let copy_into ~src ~dst =
+  if dst.n <> src.n || (dst.ints != src.ints && dst.ints <> src.ints) then
+    invalid_arg "Octagon.copy_into: different variables";
+  Array.blit src.m 0 dst.m 0 (Array.length src.m);
+  Array.blit src.ud 0 dst.ud 0 src.nn;
+  dst.bot <- src.bot;
+  dst.fix <- src.fix
 
 let is_bottom t = t.bot
 
@@ -151,8 +162,9 @@ let check_diag t =
    the row's unary edge [u i = m(i, bar i)] and the column's
    [m(bar j, j) = u (bar j)].  After a pass every such pair satisfies
    [m(i,j) <= add_up (u i) (u (bar j)) / 2], and since every other
-   operation except [forget], [shift], [join] and [widen] only lowers
-   entries, the bound keeps holding until [u i] or [u (bar j)] moves.
+   operation except [forget], [shift], [join_inplace] and [widen] only
+   lowers entries, the bound keeps holding until [u i] or [u (bar j)]
+   moves.
    [ud] records the unary edges the last pass saw, so a pass only has
    to visit the rows [i] and the columns [bar i] whose unary edge
    differs from [ud.(i)], each against the finite unary edges; every
@@ -479,35 +491,42 @@ let sum_bounds t a b =
 (* ------------------------------------------------------------------ *)
 (* Lattice                                                             *)
 
+(* Both return whether [a] rose: an entry grew, or [a] stopped being
+   bottom. *)
 let join_inplace a b =
   if a.bot then begin
-    Array.blit b.m 0 a.m 0 (Array.length a.m);
-    Array.blit b.ud 0 a.ud 0 a.nn;
-    a.bot <- b.bot;
-    a.fix <- b.fix
+    copy_into ~src:b ~dst:a;
+    not b.bot
   end
-  else if not b.bot then begin
+  else if b.bot then false
+  else begin
+    let rose = ref false in
     for i = 0 to (a.nn * a.nn) - 1 do
-      if b.m.(i) > a.m.(i) then a.m.(i) <- b.m.(i)
+      if b.m.(i) > a.m.(i) then begin
+        a.m.(i) <- b.m.(i);
+        rose := true
+      end
     done;
     Array.fill a.ud 0 a.nn nan;
-    a.fix <- a.fix && b.fix
+    a.fix <- a.fix && b.fix;
+    !rose
   end
 
-let join a b =
-  let r = copy a in
-  join_inplace r b;
-  r
-
-let widen old next =
-  if old.bot then copy next
-  else if next.bot then copy old
+let widen a b =
+  if a.bot then begin
+    copy_into ~src:b ~dst:a;
+    not b.bot
+  end
+  else if b.bot then false
   else begin
-    let r = copy old in
-    for i = 0 to (old.nn * old.nn) - 1 do
-      if next.m.(i) > old.m.(i) then r.m.(i) <- infinity
+    let rose = ref false in
+    for i = 0 to (a.nn * a.nn) - 1 do
+      if b.m.(i) > a.m.(i) then begin
+        a.m.(i) <- infinity;
+        rose := true
+      end
     done;
-    Array.fill r.ud 0 r.nn nan;
-    r.fix <- false;
-    r
+    Array.fill a.ud 0 a.nn nan;
+    a.fix <- false;
+    !rose
   end

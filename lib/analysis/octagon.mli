@@ -13,7 +13,7 @@
     unary edges of integer variables {e without} re-closing: after
     [v1 - v0 <= 0] and [v0 <= 2.5] with [v0] integer, the matrix holds
     [v0 <= 2] but still [v1 <= 2.5].  {!forget} and {!shift} preserve
-    closure, and join (pointwise max) of two closed octagons is
+    closure, and the join (pointwise max) of two closed octagons is
     closed.  {!widen} leaves the matrix open, and the caller re-closes
     via {!close}.  Since every entry is a sound upper bound, an
     under-closed matrix is still sound, only less precise.
@@ -31,8 +31,8 @@
       strengthening bound, because between passes entries only fall.
       The invariant breaks where an entry can rise, so {!create},
       {!forget} and {!shift} (on the touched variable's indices) and
-      the results of {!join} and {!widen} (everywhere) invalidate the
-      snapshot; {!copy} copies it;
+      {!join_inplace} and {!widen} (everywhere) invalidate the
+      snapshot; {!copy} and {!copy_into} copy it;
     - each octagon carries a {e fixpoint flag}: the matrix is closed in
       exact arithmetic, so no pivot would lower any entry.  While it
       holds, an add runs {e restricted pivots}: it marks every entry it
@@ -42,8 +42,8 @@
       matrix's own entries and lower nothing.  The flag is on at
       {!create} and after a {!close}, and survives an add and a
       {!shift}, when every sum involved was exact and integral
-      tightening lowered nothing; {!forget} keeps it, {!join} keeps it
-      when both sides hold it, and {!widen} and a lowering
+      tightening lowered nothing; {!forget} keeps it, {!join_inplace}
+      keeps it when both sides hold it, and {!widen} and a lowering
       {!constrain_raw} clear it.  Adds without it run the full pivots.
       The counters [analysis.oct.restricted_adds] and
       [analysis.oct.full_adds] split the effective adds by path.
@@ -62,7 +62,16 @@ val create : ints:bool array -> t
     [v_k] integer-valued (enables integral tightening). *)
 
 val copy : t -> t
-val equal : t -> t -> bool
+(** A fresh matrix equal to the argument, bit for bit, with its
+    strengthening snapshot and fixpoint flag.  Counted in
+    [analysis.oct.matrices], as {!create} is. *)
+
+val copy_into : src:t -> dst:t -> unit
+(** [copy_into ~src ~dst] makes [dst] what [copy src] would return,
+    without allocating: a caller that keeps matrices it no longer needs
+    refills one instead of copying.  Whatever [dst] held before is
+    overwritten.  Raises [Invalid_argument] unless both octagons range
+    over the same variables ([ints]). *)
 
 val is_bottom : t -> bool
 (** The octagon has been proven empty (a negative cycle appeared during
@@ -112,17 +121,20 @@ val sum_bounds : t -> int -> int -> float * float
 
 (** {1 Lattice} *)
 
-val join : t -> t -> t
-(** Pointwise max (both arguments closed => result strongly closed).
-    If either side is bottom, returns a copy of the other. *)
+val join_inplace : t -> t -> bool
+(** [join_inplace a b] turns [a] into the pointwise max of [a] and [b]
+    (both closed => the result is strongly closed); if either side is
+    bottom, the result equals the other.  On a tie the entry of [a]
+    stays, so a [0.0]/[-0.0] pair keeps [a]'s sign.  Returns whether
+    [a] rose: an entry grew, or [a] was bottom and [b] is not.  [b] is
+    not changed. *)
 
-val join_inplace : t -> t -> unit
-(** [join_inplace a b] turns [a] into [join a b], bit for bit, without
-    copying the matrix. *)
-
-val widen : t -> t -> t
-(** [widen old next]: entries that grew go to [infinity].  The result
-    is {e not} closed; call {!close} before querying it. *)
+val widen : t -> t -> bool
+(** [widen a b]: every entry of [a] that [b] exceeds goes to
+    [infinity], in place; a bottom [a] becomes [b], and a bottom [b]
+    leaves [a] alone.  The result is {e not} closed: call {!close}
+    before querying it.  Returns whether [a] rose, as {!join_inplace}
+    does. *)
 
 val close : t -> unit
 (** Full strong closure (Floyd-Warshall + strengthening + integral

@@ -593,6 +593,9 @@ module Dense_oct = struct
 
   let copy t = { t with m = Array.copy t.m }
 
+  let equal a b =
+    a.n = b.n && a.bot = b.bot && (a.bot || Array.for_all2 ( = ) a.m b.m)
+
   let check_diag t =
     let nn = t.nn in
     (try
@@ -751,10 +754,12 @@ module Oct = Analysis.Octagon
 
 (* One step of a random sequence over two octagons [x] and [y]; the
    target says which one a constraint or transfer acts on.  Acting on
-   both keeps [x] and [y] close, so [Join] and [Widen] (which replace
-   [x] by [x op y] and re-close it) move single entries; [Op_join_into]
-   joins [y] into [x] in place and leaves it unclosed, as the analyzer
-   does when it merges branch environments.  [Op_reseat]
+   both keeps [x] and [y] close, so [Join] and [Widen] (which turn [x]
+   into [x op y] in place and re-close it) move single entries;
+   [Op_join] first moves [x] into a recycled matrix with [copy_into],
+   as the analyzer's free list does.  [Op_join_into] joins [y] into [x]
+   in place and leaves it unclosed, as the analyzer does when it merges
+   branch environments.  [Op_reseat]
    forgets a variable and re-imposes its old bounds, the analyzer's
    forget-then-meet pattern: the unary edges come back unchanged while
    the rest of the variable's rows must be re-derived. *)
@@ -863,10 +868,18 @@ let oct_agrees (o : Oct.t) (d : Dense_oct.t) =
   !ok
 
 (* Runs [ops] on both implementations; [Some (step, op)] names the first
-   operation after which they disagree. *)
+   operation after which they disagree, or after which a join or widen
+   said [x] rose although the reference did not change (or the other
+   way round). *)
 let oct_first_mismatch (ints, ops) =
   let x = ref (Oct.create ~ints) and y = ref (Oct.create ~ints) in
+  let spare = ref (Oct.create ~ints) in
   let dx = ref (Dense_oct.create ~ints) and dy = ref (Dense_oct.create ~ints) in
+  let flags_agree = ref true in
+  let lattice rose d' =
+    if rose = Dense_oct.equal !dx d' then flags_agree := false;
+    dx := d'
+  in
   let on t f g =
     if t <> To_y then begin
       f !x;
@@ -905,13 +918,15 @@ let oct_first_mismatch (ints, ops) =
         (fun o -> Oct.assign_copy o ~dst ~src ~offset)
         (fun d -> Dense_oct.assign_copy d ~dst ~src ~offset)
     | Op_join ->
-      x := Oct.join !x !y;
-      dx := Dense_oct.join !dx !dy;
+      let fresh = !spare in
+      Oct.copy_into ~src:!x ~dst:fresh;
+      spare := !x;
+      x := fresh;
+      lattice (Oct.join_inplace !x !y) (Dense_oct.join !dx !dy);
       Oct.close !x;
       Dense_oct.close !dx
     | Op_widen ->
-      x := Oct.widen !x !y;
-      dx := Dense_oct.widen !dx !dy;
+      lattice (Oct.widen !x !y) (Dense_oct.widen !dx !dy);
       Oct.close !x;
       Dense_oct.close !dx
     | Op_raw (t, k, lo, hi) ->
@@ -922,15 +937,14 @@ let oct_first_mismatch (ints, ops) =
         (fun d ->
           Dense_oct.constrain_raw d k ~lo ~hi;
           Dense_oct.close d)
-    | Op_join_into ->
-      Oct.join_inplace !x !y;
-      dx := Dense_oct.join !dx !dy
+    | Op_join_into -> lattice (Oct.join_inplace !x !y) (Dense_oct.join !dx !dy)
   in
   let rec go step = function
     | [] -> None
     | op :: rest ->
       apply op;
-      if oct_agrees !x !dx && oct_agrees !y !dy then go (step + 1) rest
+      if !flags_agree && oct_agrees !x !dx && oct_agrees !y !dy then
+        go (step + 1) rest
       else Some (step, op)
   in
   go 0 ops
@@ -1073,6 +1087,198 @@ let test_oct_tighten_reopens () =
     (step "lower" (fun o -> Oct.add_lower o 0 (-3.0)) (fun d ->
          Dense_oct.add_lower d 0 (-3.0)))
 
+(* --- octagon arms: refinement in place, matrices reused ------------------ *)
+
+(* The first three programs below refute an arm through a relation only
+   the octagon holds: the interval domain keeps the arm, so the two
+   domains' branch verdicts and state bounds differ exactly there.  [outcome] reads the
+   verdicts of [keys] and the state bounds (floats as [%h]). *)
+let outcome config prog keys =
+  let r = Analyzer.analyze ~config prog in
+  let s = Verdict.of_result r in
+  ( String.of_seq (List.to_seq (List.map (fun k -> verdict_char (Verdict.branch s k)) keys)),
+    List.map (fun (n, v) -> Fmt.str "%s %a" n pp_absval_exact v) r.Analyzer.r_state )
+
+let check_outcome prog keys ~interval ~octagon =
+  let o = Alcotest.(pair string (list string)) in
+  check o "interval" interval (outcome Analyzer.default_config prog keys);
+  check o "octagon" octagon (outcome oct_cfg prog keys)
+
+let b_c = [ Ir.input "b" (V.tint_range 0 10); Ir.input "c" (V.tint_range 0 10) ]
+let real_r = Ir.state "r" V.treal (V.Real 0.0)
+
+(* [a = b - 1]; decision 0 branches on [guard]; [sc := c] shows whether
+   the refuted arm's interval narrowing leaked into the merge, and
+   decision 1 ([a < b], true only relationally) whether the octagon
+   survived it. *)
+let refuted_arm_prog guard then_ else_ =
+  simple ~inputs:b_c
+    ~locals:[ Ir.local "a" V.tint ]
+    ~states:[ real_r; Ir.state "sc" V.tint (V.Int 0) ]
+    Ir.
+      [
+        assign "a" (iv "b" -: ci 1);
+        if_ guard then_ else_;
+        assign_state "sc" (iv "c");
+        if_ (lv "a" <: iv "b") [] [ assign_state "r" (cr 4.0) ];
+      ]
+
+let if_keys = Branch.[ (0, Then); (0, Else); (1, Then); (1, Else) ]
+
+(* The else arm needs [a < c] and [c < b], so [b - a >= 2] against
+   [b - a = 1]: it is refuted on [env] itself, after the then arm took
+   its copy, and the merge takes the then arm whole. *)
+let test_else_refuted_in_place () =
+  let prog =
+    refuted_arm_prog
+      Ir.((lv "a" >=: iv "c") ||: (iv "c" >=: iv "b"))
+      Ir.[ assign_state "r" (cr 0.25) ]
+      Ir.[ assign_state "r" (cr 8.0) ]
+  in
+  check_outcome prog if_keys
+    ~interval:("UUUU", [ "r r[0x0p+0,0x1p+3]"; "sc i[0,10]" ])
+    ~octagon:("UDRD", [ "r r[0x0p+0,0x1p-2]"; "sc i[0,10]" ])
+
+(* The same contradiction on the then side: the else arm keeps its copy
+   and the merge takes it. *)
+let test_then_refuted () =
+  let prog =
+    refuted_arm_prog
+      Ir.((lv "a" <: iv "c") &&: (iv "c" <: iv "b"))
+      Ir.[ assign_state "r" (cr 8.0) ]
+      Ir.[ assign_state "r" (cr 0.25) ]
+  in
+  check_outcome prog if_keys
+    ~interval:("UUUU", [ "r r[0x0p+0,0x1p+3]"; "sc i[0,10]" ])
+    ~octagon:("DURD", [ "r r[0x0p+0,0x1p-2]"; "sc i[0,10]" ])
+
+(* Under [c < b] with [a = b], the case [a = 0] needs [c < 0]; the
+   interval of [a] is still [0, 10]. *)
+let test_switch_case_refuted () =
+  let prog =
+    simple ~inputs:b_c
+      ~locals:[ Ir.local "a" V.tint ]
+      ~states:[ real_r ]
+      Ir.
+        [
+          assign "a" (iv "b");
+          if_ (iv "c" <: iv "b")
+            [
+              switch (lv "a")
+                [ (0, [ assign_state "r" (cr 8.0) ]); (1, [ assign_state "r" (cr 0.25) ]) ]
+                [ assign_state "r" (cr 0.5) ];
+            ]
+            [];
+        ]
+  in
+  check_outcome prog
+    Branch.[ (0, Then); (0, Else); (1, Case 0); (1, Case 1); (1, Default) ]
+    ~interval:("UUUUU", [ "r r[0x0p+0,0x1p+3]" ])
+    ~octagon:("UUDUU", [ "r r[0x0p+0,0x1p-1]" ])
+
+(* Decision 1 sits in an arm the intervals already rule out, so it is
+   walked without the octagon that alone could decide its guard: it is
+   still recorded [Never] with every objective dead, and reports no
+   constant guard.  Decision 2 is the same guard on a live path. *)
+let test_never_arm_without_octagon () =
+  let prog =
+    simple
+      ~inputs:[ Ir.input "b" (V.tint_range 0 10) ]
+      ~locals:[ Ir.local "a" V.tint ]
+      ~states:[ real_r ]
+      Ir.
+        [
+          assign "a" (iv "b");
+          if_ (iv "b" >: ci 20)
+            [
+              if_ (lv "a" <=: iv "b")
+                [ assign_state "r" (cr 0.25) ]
+                [ assign_state "r" (cr 8.0) ];
+            ]
+            [];
+          if_ (lv "a" <=: iv "b") [] [ assign_state "r" (cr 0.5) ];
+        ]
+  in
+  let keys = Branch.[ (0, Then); (0, Else); (1, Then); (1, Else); (2, Then); (2, Else) ] in
+  check_outcome prog keys
+    ~interval:("DRDDUU", [ "r r[0x0p+0,0x1p-1]" ])
+    ~octagon:("DRDDRD", [ "r r[0x0p+0,0x0p+0]" ]);
+  let r = Analyzer.analyze ~config:oct_cfg prog in
+  let s = Verdict.of_result r in
+  let vd = Alcotest.testable Verdict.pp ( = ) in
+  check (Alcotest.list vd) "decision 1 conditions and MC/DC dead"
+    Verdict.[ Dead; Dead; Dead ]
+    [ Verdict.condition s 1 0 true; Verdict.condition s 1 0 false; Verdict.mcdc s 1 0 ];
+  check Alcotest.bool "decision 1 recorded Never" true
+    (match Analyzer.guard_fact r 1 with
+     | Some g -> g.Analyzer.g_reach = Analyzer.Never
+     | None -> false);
+  check Alcotest.(list string) "constant guards of decisions 0 and 2 only"
+    [ "A102 decision 0 guard is always false"; "A101 decision 2 guard is always true" ]
+    (List.map
+       (fun (d : Diag.t) -> Fmt.str "%s %s" (Diag.code_id d.Diag.d_code) d.Diag.d_msg)
+       r.Analyzer.r_diags);
+  (* an unbound read in a [Never] arm still raises *)
+  let ghost =
+    Ir.renumber_decisions
+      {
+        Ir.name = "ghost";
+        inputs = [ Ir.input "b" (V.tint_range 0 10) ];
+        outputs = [ Ir.output "y" V.tint ];
+        states = [];
+        locals = [];
+        body = Ir.[ if_ (iv "b" >: ci 20) [ assign_out "y" (lv "ghost") ] [] ];
+      }
+  in
+  List.iter
+    (fun config ->
+      match Analyzer.analyze ~config ghost with
+      | _ -> Alcotest.fail "unbound read in a Never arm did not raise"
+      | exception V.Type_error _ -> ())
+    [ Analyzer.default_config; oct_cfg ]
+
+let tel_matrices = Telemetry.Counter.make "analysis.oct.matrices"
+
+(* A mode state cycling through a switch whose arms nest two ifs: the
+   analysis needs the state octagon, the pass environment, the join of
+   the arms walked so far, the current arm and one then-arm copy per
+   nested if -- nesting depth (3) + 3 matrices, over every pass. *)
+let test_matrices_bounded () =
+  let prog =
+    simple
+      ~inputs:[ Ir.input "x" (V.tint_range 0 10) ]
+      ~states:[ Ir.state "mode" V.tint (V.Int 0) ]
+      Ir.
+        [
+          switch (sv "mode")
+            [
+              ( 0,
+                [
+                  if_ (iv "x" >: ci 5)
+                    [ if_ (iv "x" >: ci 8) [ assign_state "mode" (ci 1) ] [ assign_state "mode" (ci 2) ] ]
+                    [];
+                ] );
+              ( 1,
+                [
+                  if_ (iv "x" <: ci 3)
+                    [ if_ (iv "x" <: ci 1) [ assign_state "mode" (ci 0) ] [ assign_state "mode" (ci 2) ] ]
+                    [];
+                ] );
+            ]
+            [ assign_state "mode" (ci 0) ];
+        ]
+  in
+  Telemetry.enable ();
+  Telemetry.reset ();
+  let r = Analyzer.analyze ~config:oct_cfg prog in
+  let matrices = Telemetry.Counter.total tel_matrices in
+  Telemetry.reset ();
+  Telemetry.disable ();
+  check Alcotest.int "iterations" 3 r.Analyzer.r_iterations;
+  check Alcotest.(list string) "state" [ "mode i[0,2]" ]
+    (snd (outcome oct_cfg prog []));
+  check Alcotest.bool (Fmt.str "%d matrices <= 3 + 3" matrices) true (matrices <= 6)
+
 (* --- engine: verdict priority ------------------------------------------- *)
 
 (* x drives a saturating counter; the interesting decision needs both
@@ -1205,6 +1411,17 @@ let () =
             test_oct_tighten_reopens;
           Alcotest.test_case "inexact strengthening drops the flag" `Quick
             test_oct_inexact_strengthening;
+        ] );
+      ( "octagon arms",
+        [
+          Alcotest.test_case "else refuted in place" `Quick
+            test_else_refuted_in_place;
+          Alcotest.test_case "then refuted" `Quick test_then_refuted;
+          Alcotest.test_case "switch case refuted" `Quick test_switch_case_refuted;
+          Alcotest.test_case "never arm walked without the octagon" `Quick
+            test_never_arm_without_octagon;
+          Alcotest.test_case "matrices bounded by nesting" `Quick
+            test_matrices_bounded;
         ] );
       ( "engine verdicts",
         [
