@@ -61,8 +61,9 @@ let pick_random rng = function
     Value.Real (if hi > lo then Value.random_real rng lo hi else lo)
 
 (* The sampling attempts at a leaf, in order: mid, lo, hi, zero, then
-   four random picks. *)
+   four random picks from [first_random] on. *)
 let attempts = 8
+let first_random = 4
 
 let pick rng attempt d =
   match attempt with
@@ -77,11 +78,15 @@ module Stbl = Hashtbl.Make (String)
 (* A candidate lives in [buf], one slot per entry of [p_vars].  [lookup]
    resolves a name to its last entry, as [Smap.add] in [p_vars] order
    does, so it reads the binding the accepted map will hold; an unbound
-   name raises [Not_found].  A rejected candidate thus builds no map. *)
+   name raises [Not_found].  A rejected candidate thus builds no map.
+   [errors] counts the candidates whose evaluation raised, and [drew]
+   tells whether an attempt picked at random, for the answer memo. *)
 type sampler = {
   names : string array;
   buf : Value.t array;
   lookup : string -> Value.t;
+  mutable errors : int;
+  mutable drew : bool;
 }
 
 let make_sampler vars =
@@ -89,16 +94,18 @@ let make_sampler vars =
   let buf = Array.make (Array.length names) (Value.Bool false) in
   let slot = Stbl.create (2 * Array.length names) in
   Array.iteri (fun i x -> Stbl.replace slot x i) names;
-  { names; buf; lookup = (fun x -> buf.(Stbl.find slot x)) }
+  { names; buf; lookup = (fun x -> buf.(Stbl.find slot x)); errors = 0;
+    drew = false }
 
 let tel_samples = Telemetry.Counter.make "solver.samples"
 let tel_sample_errors = Telemetry.Counter.make "solver.sample_errors"
 
-let satisfied constraint_ lookup =
-  match Term.eval lookup constraint_ with
+let satisfied s constraint_ =
+  match Term.eval s.lookup constraint_ with
   | Value.Bool b -> b
   | _ -> false
   | exception (Value.Type_error _ | Not_found) ->
+    s.errors <- s.errors + 1;
     Telemetry.Counter.incr tel_sample_errors;
     false
 
@@ -116,10 +123,11 @@ let first_sample s rng stats constraint_ store =
   let found = ref false and k = ref 0 in
   while (not !found) && !k < attempts do
     stats.samples_tried <- stats.samples_tried + 1;
+    if !k >= first_random then s.drew <- true;
     for i = 0 to Array.length s.names - 1 do
       s.buf.(i) <- pick rng !k (Hc4.get store s.names.(i))
     done;
-    found := satisfied constraint_ s.lookup;
+    found := satisfied s constraint_;
     incr k
   done;
   if !found then Some (assignment s) else None
@@ -134,6 +142,9 @@ let tel_nodes = Telemetry.Counter.make "solver.nodes"
 let tel_splits = Telemetry.Counter.make "solver.splits"
 let tel_h_nodes = Telemetry.Histogram.make "solver.nodes_per_call"
 let tel_h_term = Telemetry.Histogram.make "solver.term_size"
+
+let tel_memo_hits = Telemetry.Counter.make "solver.memo_hits"
+let tel_memo_clears = Telemetry.Counter.make "solver.memo_clears"
 
 let tel_result (res, (stats : stats)) =
   if Telemetry.enabled () then begin
@@ -150,7 +161,67 @@ let tel_result (res, (stats : stats)) =
   end;
   (res, stats)
 
-let solve ?(node_budget = default_budget) ?(hc4_memo = true) ?rng problem =
+(* A call as the memo records it: its answer and stats, and the one
+   counter it bumped outside [tel_result].  A recorded call made no
+   split ([solver.splits]): a split follows a sampling round that
+   failed, and so drew.  The constraint is kept so that its id stays in
+   use: a term the GC reclaimed would come back under a new id, and hits
+   would then depend on GC timing. *)
+type entry = {
+  term : Term.t;
+  answer : result;
+  e_stats : stats;  (** a copy: the caller may mutate the one returned *)
+  sample_errors : int;
+}
+
+(* Answers by constraint id, for one [p_vars] list (physically) and one
+   [hc4_memo] setting. *)
+type memo = {
+  answers : (int, entry) Hashtbl.t;
+  mutable vars_of : (string * Value.ty) list;
+  mutable hc4_memo_of : bool;
+}
+
+let create_memo () =
+  { answers = Hashtbl.create 64; vars_of = []; hc4_memo_of = true }
+
+(* Many times the answers an engine run records (a few hundred at most
+   on the registry models); a memo that reaches it starts over, and
+   counts the clear. *)
+let memo_cap = 4096
+
+let clear_memo m =
+  if Hashtbl.length m.answers > 0 then begin
+    Telemetry.Counter.incr tel_memo_clears;
+    Hashtbl.reset m.answers
+  end
+
+let copy_stats (s : stats) = { s with nodes = s.nodes }
+
+let recall m ?(node_budget = default_budget) ?(hc4_memo = true) problem =
+  if m.vars_of != problem.p_vars || m.hc4_memo_of <> hc4_memo then begin
+    clear_memo m;
+    m.vars_of <- problem.p_vars;
+    m.hc4_memo_of <- hc4_memo
+  end;
+  match Hashtbl.find m.answers (Term.id problem.p_constraint) with
+  | e when e.e_stats.nodes <= node_budget ->
+    Telemetry.Counter.incr tel_memo_hits;
+    Telemetry.Counter.add tel_sample_errors e.sample_errors;
+    Some (tel_result (e.answer, copy_stats e.e_stats))
+  | _ -> None
+  | exception Not_found -> None
+
+(* A call that drew nothing from the RNG and finished within its budget
+   is a function of the problem and the flag alone, up to the budget
+   cut: a later call whose budget covers its nodes would repeat it. *)
+let record m problem answer stats ~sample_errors =
+  if Hashtbl.length m.answers >= memo_cap then clear_memo m;
+  Hashtbl.replace m.answers (Term.id problem.p_constraint)
+    { term = problem.p_constraint; answer; e_stats = copy_stats stats;
+      sample_errors }
+
+let solve_fresh ~node_budget ~hc4_memo ?rng ?memo problem =
   let rng =
     match rng with Some r -> r | None -> Random.State.make [| 0x57C6 |]
   in
@@ -160,17 +231,28 @@ let solve ?(node_budget = default_budget) ?(hc4_memo = true) ?rng problem =
   in
   let vars = problem.p_vars in
   let constraint_ = problem.p_constraint in
+  let finish ?sampler res =
+    (match memo with
+     | Some m when stats.nodes <= node_budget -> (
+       match sampler with
+       | None -> record m problem res stats ~sample_errors:0
+       | Some s when not s.drew ->
+         record m problem res stats ~sample_errors:s.errors
+       | Some _ -> ())
+     | Some _ | None -> ());
+    (res, stats)
+  in
   (* trivial cases *)
   match Term.is_const constraint_ with
-  | Some (Value.Bool false) -> tel_result (Unsat, stats)
+  | Some (Value.Bool false) -> finish Unsat
   | Some (Value.Bool true) ->
     let assignment =
       List.fold_left
         (fun acc (x, ty) -> Smap.add x (Value.default_of_ty ty) acc)
         Smap.empty vars
     in
-    tel_result (Sat assignment, stats)
-  | Some _ -> tel_result (Unsat, stats)
+    finish (Sat assignment)
+  | Some _ -> finish Unsat
   | None ->
     (* made on the first sample: most calls end in propagation *)
     let sampler = ref None in
@@ -240,13 +322,21 @@ let solve ?(node_budget = default_budget) ?(hc4_memo = true) ?rng problem =
       Hc4.create_store ~memo:hc4_memo
         (List.map (fun (x, ty) -> (x, Dom.of_ty ty)) vars)
     in
-    tel_result
+    finish ?sampler:!sampler
       (match dfs store with
-       | Found a -> (Sat a, stats)
-       | Exhausted -> (Unsat, stats)
-       | Gave_up -> (Unknown, stats)
-       | exception Out_of_budget -> (Unknown, stats)
-       | exception Dom.Empty -> (Unsat, stats))
+       | Found a -> Sat a
+       | Exhausted -> Unsat
+       | Gave_up -> Unknown
+       | exception Out_of_budget -> Unknown
+       | exception Dom.Empty -> Unsat)
+
+let solve ?(node_budget = default_budget) ?(hc4_memo = true) ?rng ?memo problem =
+  match memo with
+  | None -> tel_result (solve_fresh ~node_budget ~hc4_memo ?rng problem)
+  | Some m -> (
+    match recall m ~node_budget ~hc4_memo problem with
+    | Some replayed -> replayed
+    | None -> tel_result (solve_fresh ~node_budget ~hc4_memo ?rng ?memo problem))
 
 let pp_result ppf = function
   | Sat a ->

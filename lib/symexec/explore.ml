@@ -142,13 +142,16 @@ type prefix =
    is kept, so its id stays in use).  A fresh store propagated once is a
    function of the initial bindings and the term alone, so the entries
    hold for every solve over the same variable list and [hc4_memo]
-   setting; a solve over others empties the table first.  One memo
-   serves one engine run: its boxes go to the GC with it. *)
+   setting; a solve over others empties the table first.  [answers] is
+   the CSP's own memo of the path conditions solved; it checks its
+   binding itself, so neither memo's clears move with the other's.  One
+   memo serves one engine run: its boxes go to the GC with it. *)
 type memo = {
   prefixes : (int, Term.t * prefix) Hashtbl.t;
   mutable vars_of : (string * Value.ty) list;  (* physically *)
   mutable bindings : (string * Solver.Dom.t) list;  (* built from [vars_of] *)
   mutable hc4_memo_of : bool;
+  answers : Csp.memo;
 }
 
 let create_memo () =
@@ -157,6 +160,7 @@ let create_memo () =
     vars_of = [];
     bindings = [];
     hc4_memo_of = default_config.hc4_memo;
+    answers = Csp.create_memo ();
   }
 
 type ctx = {
@@ -174,12 +178,14 @@ type ctx = {
       (** made by the first CSP call: most solves make none *)
   hc4_memo : bool;
   memo : memo;
-  mutable prefix_cache :
-    (Term.t list * (string * Value.ty) list * prefix) option;
+  mutable cached_pc : Term.t list;
+  mutable cached_vars : (string * Value.ty) list;
+  mutable cached_prefix : prefix;
       (** last propagated prefix, keyed by physical identity of the
           path-condition list and of the variable list — consecutive
           decisions that add no constraint (and no unrolled-step
-          variables) share one propagation *)
+          variables) share one propagation.  It starts as the empty
+          path condition's, which holds for any variables. *)
   mutable remaining_nodes : int;
   mutable paths_left : int;
   mutable unknown : unknown_cause;  (** the first cause seen *)
@@ -226,8 +232,17 @@ let required_outcome ctx id = List.assoc_opt id ctx.required
    from multi-step state threading are rejected in bounded time. *)
 let max_term_size = 60_000
 
+(* [Term.conj (List.rev pc)] without the reversed list: [conj] folds
+   from the left, so the oldest constraint is the innermost. *)
+let rec conj_rev = function
+  | [] -> Term.cbool true
+  | [ t ] -> t
+  | t :: rest -> Term.and_ (conj_rev rest) t
+
+(* A repeated path condition is answered from the run's CSP memo before
+   the solve's RNG is made, so a replay makes none. *)
 let try_solve ctx pc =
-  let constraint_ = Term.conj (List.rev pc) in
+  let constraint_ = conj_rev pc in
   ctx.cost.solver_calls <- ctx.cost.solver_calls + 1;
   let size = Term.size_capped max_term_size constraint_ in
   ctx.cost.term_nodes <- ctx.cost.term_nodes + size;
@@ -245,11 +260,15 @@ let try_solve ctx pc =
     let node_budget =
       min ctx.remaining_nodes (max 50 (4_000_000 / max 1 size))
     in
-    if Option.is_none ctx.rng then
-      ctx.rng <- Some (Random.State.make [| ctx.rng_seed; ctx.target_decision |]);
+    let problem = { Csp.p_vars = !(ctx.vars); p_constraint = constraint_ } in
+    let memo = ctx.memo.answers and hc4_memo = ctx.hc4_memo in
     let result, stats =
-      Csp.solve ~node_budget ~hc4_memo:ctx.hc4_memo ~rng:(Option.get ctx.rng)
-        { Csp.p_vars = !(ctx.vars); p_constraint = constraint_ }
+      match Csp.recall memo ~node_budget ~hc4_memo problem with
+      | Some replayed -> replayed
+      | None ->
+        if Option.is_none ctx.rng then
+          ctx.rng <- Some (Random.State.make [| ctx.rng_seed; ctx.target_decision |]);
+        Csp.solve ~node_budget ~hc4_memo ~rng:(Option.get ctx.rng) ~memo problem
     in
     ctx.remaining_nodes <- ctx.remaining_nodes - stats.Csp.nodes;
     ctx.cost.solver_nodes <- ctx.cost.solver_nodes + stats.Csp.nodes;
@@ -333,32 +352,38 @@ let memo_prefix ctx w =
     Hashtbl.replace memo.prefixes (Term.id w) (w, p);
     p
 
+(* Whether one of the first [k] constraints of a path condition is
+   oversize. *)
+let rec window_oversize k = function
+  | t :: rest when k > 0 ->
+    Term.size_capped 2_000 t >= 2_000 || window_oversize (k - 1) rest
+  | _ -> false
+
+(* [acc] and the first [k] constraints of a path condition, folded as
+   [Term.conj] folds a list. *)
+let rec window_conj acc k = function
+  | t :: rest when k > 0 -> window_conj (Term.and_ acc t) (k - 1) rest
+  | _ -> acc
+
 let fork_prefix ctx pc =
-  match ctx.prefix_cache with
-  | Some (cached_pc, cached_vars, p)
-    when cached_pc == pc && cached_vars == !(ctx.vars) ->
-    p
-  | _ ->
+  let vars = !(ctx.vars) in
+  if ctx.cached_pc == pc && ctx.cached_vars == vars then ctx.cached_prefix
+  else begin
     let p =
       match pc with
       | [] -> Pf_any
       | _ when infeasible pc -> Pf_unsat
-      | _ ->
-        let window =
-          let rec take k = function
-            | t :: rest when k > 0 -> t :: take (k - 1) rest
-            | _ -> []
-          in
-          take prefix_window pc
-        in
+      | t :: rest ->
         (* deep multi-step terms make even propagation expensive: treat
            oversize prefixes as unconstraining rather than walk them *)
-        if List.exists (fun t -> Term.size_capped 2_000 t >= 2_000) window
-        then Pf_any
-        else memo_prefix ctx (Term.conj window)
+        if window_oversize prefix_window pc then Pf_any
+        else memo_prefix ctx (window_conj t (prefix_window - 1) rest)
     in
-    ctx.prefix_cache <- Some (pc, !(ctx.vars), p);
+    ctx.cached_pc <- pc;
+    ctx.cached_vars <- vars;
+    ctx.cached_prefix <- p;
     p
+  end
 
 let prune () =
   Telemetry.Counter.incr tel_prunes;
@@ -544,7 +569,9 @@ let make_ctx (cfg : config) ex target ~memo ~vars ~multi =
     rng = None;
     hc4_memo = cfg.hc4_memo;
     memo;
-    prefix_cache = None;
+    cached_pc = [];
+    cached_vars = !vars;
+    cached_prefix = Pf_any;
     remaining_nodes = cfg.node_budget;
     paths_left = cfg.max_paths;
     unknown = No_unknown;

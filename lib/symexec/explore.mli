@@ -50,11 +50,17 @@ val pp_target : target Fmt.t
 
 type memo
 (** The propagated path-condition prefixes of the solves it is passed
-    to, kept across them.  A memo never changes an outcome, a cost or a
-    counter other than [solver.hc4_rounds], [solver.hc4_memo_hits] and
-    its own [symexec.prefix_memo_hits], [_misses] and [_clears]: it only
-    saves propagations.  Make one per engine run, on the domain that
-    runs it; it keeps its boxes alive until it is dropped. *)
+    to, and the CSP answers to their path conditions ({!Solver.Csp.memo}),
+    kept across them.  A memo never changes an outcome, a cost, an RNG
+    draw or a counter other than [solver.hc4_rounds],
+    [solver.hc4_memo_hits] and its own [symexec.prefix_memo_hits],
+    [_misses] and [_clears] and [solver.memo_hits] and [_clears]: it
+    only saves propagations and repeated CSP solves.  A repeated query
+    is looked up before the solve makes its RNG, so a replay makes
+    none.  The two halves check their variable list and [hc4_memo]
+    binding apart, so each clears only on its own account.  Make one
+    per engine run (or fuzz case), on the domain that runs it; it keeps
+    its boxes and answers alive until it is dropped. *)
 
 val create_memo : unit -> memo
 
@@ -91,7 +97,7 @@ val solve_branch_multi :
   target:Slim.Branch.key ->
   outcome * cost
 (** Multi-step from the initial model state.  [Unsat] means "not
-    coverable within [horizon] steps". *)
+    coverable within [horizon] steps".  Each call uses a fresh memo. *)
 
 val relevant_state_slots : Slim.Ir.program -> bool array
 (** One flag per declared state variable (positional, the

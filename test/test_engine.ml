@@ -179,6 +179,49 @@ let test_hc4_memo_identity () =
         on.Engine.r_testcases off.Engine.r_testcases)
     [ multi_prog; mini_cputask ]
 
+(* The memos key their entries on term ids and keep their terms alive,
+   so the deterministic telemetry, their own hit counters among it,
+   must not depend on when the GC runs.  LEDLC and UTPC runs under a
+   tight and a loose major-heap setting must count the same; at the
+   default budget they run long enough for major cycles to reclaim
+   terms that nothing holds, which a memo that dropped its constraints
+   shows as fewer hits under the tight setting. *)
+let test_gc_independence () =
+  let prog name =
+    (Option.get (Models.Registry.find name)).Models.Registry.program ()
+  in
+  let counters_under space_overhead =
+    let gc = Gc.get () in
+    Gc.compact ();
+    Gc.set { gc with Gc.space_overhead };
+    Telemetry.reset ();
+    Telemetry.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.disable ();
+        Telemetry.reset ();
+        Gc.set gc)
+      (fun () ->
+        List.iter
+          (fun name -> ignore (Engine.run ~config:(config ~seed:16 ()) (prog name)))
+          [ "LEDLC"; "UTPC" ];
+        Telemetry.snapshot ())
+  in
+  let tight = counters_under 80 in
+  let loose = counters_under 200 in
+  check
+    Alcotest.(list (pair string int))
+    "same deterministic counters" tight.Telemetry.sn_counters
+    loose.Telemetry.sn_counters;
+  check Alcotest.bool "same deterministic histograms" true
+    (tight.Telemetry.sn_histograms = loose.Telemetry.sn_histograms);
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " counted") true
+        (List.assoc_opt name tight.Telemetry.sn_counters
+         |> Option.value ~default:0 > 0))
+    [ "solver.memo_hits"; "solver.hc4_memo_hits"; "symexec.prefix_memo_hits" ]
+
 let test_unsorted_branches_still_work () =
   let run =
     Engine.run
@@ -571,6 +614,7 @@ let () =
           Alcotest.test_case "ablation: state-aware" `Quick test_state_aware_ablation;
           Alcotest.test_case "ablation: unsorted" `Quick test_unsorted_branches_still_work;
           Alcotest.test_case "hc4 memo identity" `Quick test_hc4_memo_identity;
+          Alcotest.test_case "memo counters GC-independent" `Quick test_gc_independence;
           Alcotest.test_case "timeline monotone" `Quick test_timeline_monotone;
           Alcotest.test_case "budget respected" `Quick test_budget_respected;
           Alcotest.test_case "vclock budget guard" `Quick test_vclock_budget_guard;

@@ -554,6 +554,205 @@ let test_eval_allocation () =
   check (Alcotest.float 0.) "eval guard: minor words" 4.
     (words (fun () -> T.eval env guard))
 
+(* --- the answer memo -----------------------------------------------------
+
+   A memo only skips repeats: solving a sequence of problems through one
+   memo must give the results, stats, counter deltas and RNG draws that
+   solving each without one gives.  Only the HC4 counters may fall. *)
+
+let total = Telemetry.Counter.total
+let c_memo_hits = Telemetry.Counter.make "solver.memo_hits"
+let c_memo_clears = Telemetry.Counter.make "solver.memo_clears"
+
+let solver_counters =
+  List.map Telemetry.Counter.make
+    [
+      "solver.solve_calls"; "solver.sat"; "solver.unsat"; "solver.unknown";
+      "solver.nodes"; "solver.splits"; "solver.samples"; "solver.sample_errors";
+    ]
+
+let with_telemetry f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    f
+
+let same_answer a b =
+  match a, b with
+  | Csp.Sat a, Csp.Sat b -> Csp.Smap.equal same_value a b
+  | Csp.Unsat, Csp.Unsat | Csp.Unknown, Csp.Unknown -> true
+  | _ -> false
+
+(* One call: its result and stats (or the exception it raised), its
+   deltas of [solver_counters], and the draw its RNG would make next. *)
+let observe_call ?memo rng (problem, node_budget, hc4_memo) =
+  let before = List.map total solver_counters in
+  let r =
+    match Csp.solve ~node_budget ~hc4_memo ~rng ?memo problem with
+    | res, (st : Csp.stats) ->
+      Ok (res, (st.nodes, st.propagation_rounds, st.samples_tried, st.term_size))
+    | exception e -> Error (Printexc.to_string e)
+  in
+  ( r,
+    List.map2 (fun c b -> total c - b) solver_counters before,
+    Random.State.bits (Random.State.copy rng) )
+
+let same_call (r, deltas, next) (r', deltas', next') =
+  (match r, r' with
+   | Ok (a, s), Ok (b, t) -> same_answer a b && s = t
+   | Error e, Error f -> String.equal e f
+   | _ -> false)
+  && deltas = deltas' && next = next'
+
+(* The histograms every call observes, as a snapshot shows them. *)
+let solver_histograms () =
+  List.filter
+    (fun (name, _) -> name = "solver.nodes_per_call" || name = "solver.term_size")
+    (Telemetry.snapshot ()).Telemetry.sn_histograms
+
+(* A sequence over a pool of three constraints and two variable lists,
+   so that queries repeat, under budgets from 0 to 3,000 and now and
+   then with the HC4 memo off. *)
+let gen_sequence rng =
+  let problems =
+    Array.init 3 (fun _ ->
+        let _, (p : Csp.problem), _, _ = gen_problem rng in
+        p)
+  in
+  let constraints = Array.map (fun (p : Csp.problem) -> p.p_constraint) problems in
+  let var_lists = [| problems.(0).p_vars; problems.(1).p_vars |] in
+  let calls =
+    List.init 16 (fun _ ->
+        let c = constraints.(Random.State.int rng 3) in
+        let vars = var_lists.(if Random.State.int rng 4 = 0 then 1 else 0) in
+        let budget = [| 0; 1; 2; 40; 3000 |].(Random.State.int rng 5) in
+        let hc4_memo = Random.State.int rng 4 > 0 in
+        ({ Csp.p_vars = vars; p_constraint = c }, budget, hc4_memo))
+  in
+  (calls, Random.State.bits rng)
+
+let print_sequence (calls, seed) =
+  Fmt.str "seed=%d@.%a" seed
+    Fmt.(list ~sep:cut (fun ppf ((p : Csp.problem), budget, hc4_memo) ->
+      Fmt.pf ppf "budget=%d hc4=%b vars=[%a] %a" budget hc4_memo
+        (list ~sep:comma (fun ppf (x, ty) -> Fmt.pf ppf "%s:%a" x V.pp_ty ty))
+        p.p_vars T.pp p.p_constraint))
+    calls
+
+let prop_memo_matches_fresh hits =
+  QCheck.Test.make ~name:"solve through a memo = solve without one" ~count:300
+    (QCheck.make ~print:print_sequence gen_sequence)
+    (fun (calls, seed) ->
+      with_telemetry (fun () ->
+          let run ?memo () =
+            Telemetry.reset ();
+            let rng = Random.State.make [| seed |] in
+            let observed = List.map (observe_call ?memo rng) calls in
+            (observed, solver_histograms ())
+          in
+          let memo = Csp.create_memo () in
+          let got, got_hists = run ~memo () in
+          hits := !hits + total c_memo_hits;
+          let want, want_hists = run () in
+          List.for_all2 same_call got want && got_hists = want_hists))
+
+let test_memo_matches_fresh () =
+  let hits = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 30 |])
+    (prop_memo_matches_fresh hits);
+  check Alcotest.bool "the memo was hit" true (!hits > 0)
+
+let x_vars = [ ("x", i_ty (-8) 8) ]
+
+(* [|x| mod 3 = 1] fails at mid, lo, hi and zero of [-8, 8], so only a
+   random pick can meet it. *)
+let random_only =
+  T.cmp Ir.Eq (T.binop Ir.Mod (T.unop Ir.Abs_op (ivar "x")) (T.cint 3)) (T.cint 1)
+
+let test_memo_skips_draws () =
+  with_telemetry (fun () ->
+      let memo = Csp.create_memo () and rng = Random.State.make [| 5 |] in
+      let call =
+        ({ Csp.p_vars = x_vars; p_constraint = random_only }, 3000, true)
+      in
+      let before = Random.State.bits (Random.State.copy rng) in
+      ignore (observe_call ~memo rng call);
+      check Alcotest.bool "the first call drew" true
+        (before <> Random.State.bits (Random.State.copy rng));
+      let fresh_rng = Random.State.copy rng in
+      let second = observe_call ~memo rng call in
+      check Alcotest.int "never replayed" 0 (total c_memo_hits);
+      check Alcotest.bool "solved afresh" true
+        (same_call second (observe_call fresh_rng call)))
+
+(* Refuted at the root without a sample: one node, no draw. *)
+let refuted_at_root =
+  T.and_ (T.cmp Ir.Gt (ivar "x") (T.cint 5)) (T.cmp Ir.Lt (ivar "x") (T.cint 3))
+
+let test_memo_budget_rule () =
+  with_telemetry (fun () ->
+      let memo = Csp.create_memo () and rng = Random.State.make [| 7 |] in
+      let problem = { Csp.p_vars = x_vars; p_constraint = refuted_at_root } in
+      let n =
+        match Csp.solve ~node_budget:3000 ~rng ~memo problem with
+        | Csp.Unsat, st -> st.Csp.nodes
+        | _ -> Alcotest.fail "expected unsat"
+      in
+      check Alcotest.bool "recorded with nodes" true (n >= 1);
+      let fresh budget = observe_call (Random.State.copy rng) (problem, budget, true) in
+      let replay = observe_call ~memo rng (problem, n, true) in
+      check Alcotest.int "replayed under budget n" 1 (total c_memo_hits);
+      check Alcotest.bool "replay = fresh" true (same_call replay (fresh n));
+      let cut = observe_call ~memo rng (problem, n - 1, true) in
+      check Alcotest.int "solved afresh under n - 1" 1 (total c_memo_hits);
+      (match cut with
+       | Ok (Csp.Unknown, _), _, _ -> ()
+       | _ -> Alcotest.fail "expected unknown under n - 1");
+      check Alcotest.bool "cut = fresh" true (same_call cut (fresh (n - 1))))
+
+let test_memo_binding () =
+  with_telemetry (fun () ->
+      let memo = Csp.create_memo () and rng = Random.State.make [| 9 |] in
+      let solve ?(hc4_memo = true) vars =
+        ignore
+          (Csp.solve ~hc4_memo ~rng ~memo
+             { Csp.p_vars = vars; p_constraint = refuted_at_root })
+      in
+      solve x_vars;
+      solve x_vars;
+      check Alcotest.int "hit on the same list" 1 (total c_memo_hits);
+      solve (List.map Fun.id x_vars);
+      check Alcotest.int "an equal new list clears" 1 (total c_memo_clears);
+      check Alcotest.int "and solves afresh" 1 (total c_memo_hits);
+      solve ~hc4_memo:false x_vars;
+      check Alcotest.int "a flipped flag clears" 2 (total c_memo_clears);
+      solve ~hc4_memo:false x_vars;
+      check Alcotest.int "hit under the new binding" 2 (total c_memo_hits))
+
+let test_memo_cap () =
+  with_telemetry (fun () ->
+      let memo = Csp.create_memo () and rng = Random.State.make [| 11 |] in
+      let vars = [ ("x", i_ty 0 10_000) ] in
+      let solve k =
+        match
+          Csp.solve ~rng ~memo
+            { Csp.p_vars = vars; p_constraint = T.cmp Ir.Eq (ivar "x") (T.cint k) }
+        with
+        | Csp.Sat _, _ -> ()
+        | _ -> Alcotest.fail "expected sat"
+      in
+      for k = 0 to 4095 do solve k done;
+      check Alcotest.int "4,096 answers fit" 0 (total c_memo_clears);
+      solve 4096;
+      check Alcotest.int "the next one clears" 1 (total c_memo_clears);
+      solve 4096;
+      check Alcotest.int "the newest is kept" 1 (total c_memo_hits);
+      solve 0;
+      check Alcotest.int "the oldest is gone" 1 (total c_memo_hits))
+
 (* --- Interval primitives: degenerate (point) operand exactness -------- *)
 
 module I = Solver.Interval
@@ -794,5 +993,15 @@ let () =
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
             prop_sampler_matches_reference;
           Alcotest.test_case "eval allocation" `Quick test_eval_allocation;
+        ] );
+      ( "answer memo",
+        [
+          Alcotest.test_case "memo = fresh (random sequences)" `Quick
+            test_memo_matches_fresh;
+          Alcotest.test_case "a call that drew is not replayed" `Quick
+            test_memo_skips_draws;
+          Alcotest.test_case "budget rule" `Quick test_memo_budget_rule;
+          Alcotest.test_case "new list or flag clears" `Quick test_memo_binding;
+          Alcotest.test_case "cleared at the cap" `Quick test_memo_cap;
         ] );
     ]
