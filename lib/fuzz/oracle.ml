@@ -417,7 +417,7 @@ let solver ~seed ?(max_problems = 5) prog steps =
       | `Not -> T.not_ (gen_pred (depth - 1))
     in
     let eval_with lookup t =
-      match T.eval lookup t with
+      match Term_eval.eval lookup t with
       | Value.Bool b -> b
       | _ -> false
       | exception Value.Type_error _ -> false

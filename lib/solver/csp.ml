@@ -26,111 +26,101 @@ type outcome =
   | Exhausted  (** subtree fully refuted *)
   | Gave_up  (** real-valued leaf could not be decided *)
 
-(* [Value.bool] and [Value.int] share their results; a fresh block
-   would be equal. *)
-let pick_mid = function
-  | Dom.Dbool { can_true; _ } -> Value.bool can_true
-  | Dom.Dint { lo; hi } -> Value.int (Dom.int_mid lo hi)
-  | Dom.Dreal { lo; hi } -> Value.Real (Dom.real_mid lo hi)
-
-let pick_lo = function
-  | Dom.Dbool { can_false; _ } -> Value.bool (not can_false)
-  | Dom.Dint { lo; _ } -> Value.int lo
-  | Dom.Dreal { lo; _ } -> Value.Real lo
-
-let pick_hi = function
-  | Dom.Dbool { can_true; _ } -> Value.bool can_true
-  | Dom.Dint { hi; _ } -> Value.int hi
-  | Dom.Dreal { hi; _ } -> Value.Real hi
-
-let pick_zero d =
-  let z =
-    match d with
-    | Dom.Dbool _ -> Value.Bool false
-    | Dom.Dint _ -> Value.int 0
-    | Dom.Dreal _ -> Value.Real 0.0
-  in
-  if Dom.member d z then z else pick_mid d
-
-let pick_random rng = function
-  | Dom.Dbool { can_true; can_false } ->
-    if can_true && can_false then Value.bool (Random.State.bool rng)
-    else Value.bool can_true
-  | Dom.Dint { lo; hi } -> Value.int (Value.random_int rng lo hi)
-  | Dom.Dreal { lo; hi } ->
-    Value.Real (if hi > lo then Value.random_real rng lo hi else lo)
-
 (* The sampling attempts at a leaf, in order: mid, lo, hi, zero, then
    four random picks from [first_random] on. *)
 let attempts = 8
 let first_random = 4
 
-let pick rng attempt d =
-  match attempt with
-  | 0 -> pick_mid d
-  | 1 -> pick_lo d
-  | 2 -> pick_hi d
-  | 3 -> pick_zero d
-  | _ -> pick_random rng d
+(* Input [i] of the candidate: attempt [attempt]'s pick from [d] (mid,
+   lo, hi, zero when [d] holds it and mid otherwise, then random). *)
+let pick p i rng attempt d =
+  match d with
+  | Dom.Dbool { can_true; can_false } ->
+    Compiled.set_bool p i
+      (match attempt with
+       | 0 | 2 -> can_true
+       | 1 -> not can_false
+       | 3 -> (not can_false) && can_true
+       | _ -> if can_true && can_false then Random.State.bool rng else can_true)
+  | Dom.Dint { lo; hi } ->
+    Compiled.set_int p i
+      (match attempt with
+       | 0 -> Dom.int_mid lo hi
+       | 1 -> lo
+       | 2 -> hi
+       | 3 -> if lo <= 0 && 0 <= hi then 0 else Dom.int_mid lo hi
+       | _ -> Value.random_int rng lo hi)
+  | Dom.Dreal { lo; hi } ->
+    Compiled.set_real p i
+      (match attempt with
+       | 0 -> Dom.real_mid lo hi
+       | 1 -> lo
+       | 2 -> hi
+       | 3 -> if lo <= 0.0 && 0.0 <= hi then 0.0 else Dom.real_mid lo hi
+       | _ -> if hi > lo then Value.random_real rng lo hi else lo)
 
-module Stbl = Hashtbl.Make (String)
-
-(* A candidate lives in [buf], one slot per entry of [p_vars].  [lookup]
-   resolves a name to its last entry, as [Smap.add] in [p_vars] order
-   does, so it reads the binding the accepted map will hold; an unbound
-   name raises [Not_found].  A rejected candidate thus builds no map.
-   [errors] counts the candidates whose evaluation raised, and [drew]
-   tells whether an attempt picked at random, for the answer memo. *)
+(* The sampler.  The constraint is compiled once per call, at the first
+   sample ({!Compiled}), so a candidate is evaluated on unboxed
+   registers without a name lookup, a closure or a table per
+   evaluation.  A candidate is the compiled constraint's input
+   registers, one per entry of [p_vars]; an entry picks from the domain
+   of the slot its name resolves to, and a name reads its last entry,
+   as [Smap.add] in [p_vars] order does, so it reads the binding the
+   accepted map will hold.  A rejected candidate thus builds no map
+   and, on booleans and ints, allocates nothing.  [errors] counts the
+   candidates whose evaluation raised, and [drew] tells whether an
+   attempt picked at random, for the answer memo. *)
 type sampler = {
-  names : string array;
-  buf : Value.t array;
-  lookup : string -> Value.t;
+  layout : Hc4.layout;
+  prog : Compiled.t;
   mutable errors : int;
   mutable drew : bool;
 }
 
-let make_sampler vars =
-  let names = Array.of_list (List.map fst vars) in
-  let buf = Array.make (Array.length names) (Value.Bool false) in
-  let slot = Stbl.create (2 * Array.length names) in
-  Array.iteri (fun i x -> Stbl.replace slot x i) names;
-  { names; buf; lookup = (fun x -> buf.(Stbl.find slot x)); errors = 0;
+let make_sampler layout constraint_ =
+  { layout; prog = Compiled.compile layout constraint_; errors = 0;
     drew = false }
 
 let tel_samples = Telemetry.Counter.make "solver.samples"
 let tel_sample_errors = Telemetry.Counter.make "solver.sample_errors"
 
-let satisfied s constraint_ =
-  match Term.eval s.lookup constraint_ with
-  | Value.Bool b -> b
-  | _ -> false
+let satisfied s =
+  match Compiled.holds s.prog with
+  | b -> b
   | exception (Value.Type_error _ | Not_found) ->
     s.errors <- s.errors + 1;
     Telemetry.Counter.incr tel_sample_errors;
     false
 
 let assignment s =
+  let names = s.layout.Hc4.names in
   let a = ref Smap.empty in
-  for i = 0 to Array.length s.names - 1 do
-    a := Smap.add s.names.(i) s.buf.(i) !a
+  for i = 0 to Array.length names - 1 do
+    a := Smap.add names.(i) (Compiled.input s.prog i) !a
   done;
   !a
 
 (* The first satisfying candidate of the attempts, as a map.  Each
    attempt picks every variable in [p_vars] order, duplicates included,
-   as building a map per candidate did, so the RNG draws are the same. *)
-let first_sample s rng stats constraint_ store =
+   as building a map per candidate did, so the RNG draws are the same.
+   An entry picks from the domain of the slot its name resolves to. *)
+let first_sample s rng stats store =
+  let live = s.layout.Hc4.live in
   let found = ref false and k = ref 0 in
   while (not !found) && !k < attempts do
     stats.samples_tried <- stats.samples_tried + 1;
     if !k >= first_random then s.drew <- true;
-    for i = 0 to Array.length s.names - 1 do
-      s.buf.(i) <- pick rng !k (Hc4.get store s.names.(i))
+    for i = 0 to Array.length live - 1 do
+      pick s.prog i rng !k (Hc4.get_slot store live.(i))
     done;
-    found := satisfied s constraint_;
+    found := satisfied s;
     incr k
   done;
   if !found then Some (assignment s) else None
+
+(* The entry whose domain the search splits: the widest splittable one,
+   the first of equals; booleans count as width 1.  -1 when none is. *)
+let choose_split layout store = Dom.widest store.Hc4.doms layout.Hc4.live
 
 let default_budget = 20_000
 
@@ -254,6 +244,7 @@ let solve_fresh ~node_budget ~hc4_memo ?rng ?memo problem =
     finish (Sat assignment)
   | Some _ -> finish Unsat
   | None ->
+    let layout = Hc4.layout vars in
     (* made on the first sample: most calls end in propagation *)
     let sampler = ref None in
     let try_samples store =
@@ -261,28 +252,11 @@ let solve_fresh ~node_budget ~hc4_memo ?rng ?memo problem =
         match !sampler with
         | Some s -> s
         | None ->
-          let s = make_sampler vars in
+          let s = make_sampler layout constraint_ in
           sampler := Some s;
           s
       in
-      first_sample s rng stats constraint_ store
-    in
-    let choose_split store =
-      (* widest unresolved domain first; booleans count as width 1 *)
-      let best = ref None in
-      List.iter
-        (fun (x, _) ->
-          let d = Hc4.get store x in
-          let w = Dom.width d in
-          if w > 0.0 then
-            match !best with
-            | Some (_, _, bw) when bw >= w -> ()
-            | _ -> (
-              match Dom.split d with
-              | Some (l, r) -> best := Some (x, (l, r), w)
-              | None -> ()))
-        vars;
-      !best
+      first_sample s rng stats store
     in
     let rec dfs store =
       stats.nodes <- stats.nodes + 1;
@@ -293,34 +267,37 @@ let solve_fresh ~node_budget ~hc4_memo ?rng ?memo problem =
         stats.propagation_rounds <- stats.propagation_rounds + 1;
         match try_samples store with
         | Some a -> Found a
-        | None -> (
-          match choose_split store with
-          | None ->
+        | None ->
+          let i = choose_split layout store in
+          if i < 0 then
             (* all domains are points (or below the real width floor)
                and sampling failed: cannot decide this leaf *)
             let all_exact =
-              List.for_all
-                (fun (x, _) ->
-                  match Hc4.get store x with
+              Array.for_all
+                (fun slot ->
+                  match Hc4.get_slot store slot with
                   | Dom.Dreal _ -> false
                   | _ -> true)
-                vars
+                layout.Hc4.live
             in
             if all_exact then Exhausted else Gave_up
-          | Some (x, (l, r), _) -> (
+          else begin
             Telemetry.Counter.incr tel_splits;
-            match dfs (Hc4.split_store store x l) with
+            let slot = layout.Hc4.live.(i) in
+            let d = Hc4.get_slot store slot in
+            match dfs (Hc4.split_slot store slot (Dom.lower d)) with
             | Found a -> Found a
             | left_out -> (
-              match dfs (Hc4.split_store store x r) with
+              match dfs (Hc4.split_slot store slot (Dom.upper d)) with
               | Found a -> Found a
               | Exhausted ->
                 if left_out = Gave_up then Gave_up else Exhausted
-              | Gave_up -> Gave_up))))
+              | Gave_up -> Gave_up)
+          end)
     in
     let store =
-      Hc4.create_store ~memo:hc4_memo
-        (List.map (fun (x, ty) -> (x, Dom.of_ty ty)) vars)
+      Hc4.create ~memo:hc4_memo layout
+        (Array.of_list (List.map (fun (_, ty) -> Dom.of_ty ty) vars))
     in
     finish ?sampler:!sampler
       (match dfs store with

@@ -69,4 +69,10 @@ val recall :
     as [solve] does.  A caller that makes its RNG only for a fresh solve
     asks this first, then calls [solve ~memo]. *)
 
+val choose_split : Hc4.layout -> Hc4.store -> int
+(** The entry of [p_vars] (by its position in the layout) whose domain
+    the search splits when sampling fails: the widest splittable one,
+    the first of equals, booleans counting as width 1; -1 when none is
+    splittable.  It allocates nothing. *)
+
 val pp_result : result Fmt.t

@@ -104,7 +104,7 @@ let hull a b =
   | (Dbool _ | Dint _ | Dreal _), (Dbool _ | Dint _ | Dreal _) ->
     Value.type_error "Dom.hull: incompatible domains"
 
-let width = function
+let[@inline] width = function
   | Dbool { can_true; can_false } -> if can_true && can_false then 1.0 else 0.0
   | Dint { lo; hi } ->
     (* [hi - lo] wraps past [max_int]: a full-range domain would read
@@ -140,18 +140,37 @@ let real_mid lo hi =
     in
     Float.min hi (Float.max lo mid)
 
-let split = function
-  | Dbool { can_true = true; can_false = true } ->
-    Some (bool_true, bool_false)
-  | Dbool _ -> None
-  | Dint { lo; hi } when lo < hi ->
-    let mid = int_mid lo hi in
-    Some (Dint { lo; hi = mid }, Dint { lo = mid + 1; hi })
-  | Dint _ -> None
-  | Dreal { lo; hi } when hi -. lo > real_width_floor ->
-    let mid = real_mid lo hi in
-    Some (Dreal { lo; hi = mid }, Dreal { lo = mid; hi })
-  | Dreal _ -> None
+let[@inline] splittable = function
+  | Dbool { can_true; can_false } -> can_true && can_false
+  | Dint { lo; hi } -> lo < hi
+  | Dreal { lo; hi } -> hi -. lo > real_width_floor
+
+(* The halves of a [splittable] domain. *)
+let lower = function
+  | Dbool _ -> bool_true
+  | Dint { lo; hi } -> Dint { lo; hi = int_mid lo hi }
+  | Dreal { lo; hi } -> Dreal { lo; hi = real_mid lo hi }
+
+let upper = function
+  | Dbool _ -> bool_false
+  | Dint { lo; hi } -> Dint { lo = int_mid lo hi + 1; hi }
+  | Dreal { lo; hi } -> Dreal { lo = real_mid lo hi; hi }
+
+let split d = if splittable d then Some (lower d, upper d) else None
+
+(* Widths stay in this module: a float crossing a module boundary is
+   boxed. *)
+let widest doms slots =
+  let best = ref (-1) and best_w = ref 0.0 in
+  for i = 0 to Array.length slots - 1 do
+    let d = doms.(slots.(i)) in
+    let w = width d in
+    if w > 0.0 && (!best < 0 || !best_w < w) && splittable d then begin
+      best := i;
+      best_w := w
+    end
+  done;
+  !best
 
 let sample = function
   | Dbool { can_true; can_false } ->

@@ -62,6 +62,18 @@ val split : t -> (t * t) option
     constants; real domains bisect at {!real_mid} (down to a width
     floor), so no child is inverted or leaves its parent. *)
 
+val splittable : t -> bool
+(** [split d <> None], without allocating. *)
+
+val lower : t -> t
+val upper : t -> t
+(** The halves {!split} returns, for a [splittable] domain. *)
+
+val widest : t array -> int array -> int
+(** [widest doms slots]: the first [i] whose [doms.(slots.(i))] is
+    [splittable] and of the greatest {!width} above 0 among those, or
+    -1 when there is none.  It allocates nothing. *)
+
 val sample : t -> Slim.Value.t list
 (** Candidate concrete values to try, most promising first (bounds,
     midpoint, zero when contained). *)

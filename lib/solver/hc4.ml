@@ -3,6 +3,16 @@
    (over-approximating), so propagation never loses solutions; final
    answers are confirmed by concrete evaluation in [Csp].
 
+   Stores.  A store holds one domain per slot in a [Dom.t array]; a
+   variable list gets one slot per entry, and a name resolves to its
+   last entry ([layout]).  The layout is built once per list and shared
+   by every store over it: a CSP call's root store and all its split
+   halves, and every prefix box of one symbolic-execution memo binding.
+   A [Tvar] finds its slot through the layout's table keyed by term id,
+   so a visit hashes no string.  The name-keyed entry points ([get],
+   [set_dom], [split_store], [create_store]) resolve the name and go
+   through the same slots.
+
    Terms are hash-consed DAGs, so the same subterm reaches [fwd]/[bwd]
    many times per round through different parents.  Both directions are
    memoized per store, keyed on the term id and stamped with the store's
@@ -27,22 +37,23 @@
    slot carries -1 too.  Hits and overwrites therefore allocate
    nothing, and undoing an insertion is a write of -1.  Each table
    also keeps the largest generation ever bound in it ([top]): a
-   search split ([split_store]) shares its parent's tables and starts
+   search split ([split_slot]) shares its parent's tables and starts
    its generation past [top], so no entry of the parent or of the
    sibling subtree can match, exactly as in a copy whose generation
-   [set_dom] has moved past every copied stamp.
+   [set_dom] has moved past every copied stamp.  So a split copies only
+   the domain array.
 
    The symbolic executor checks each fork arm against one propagated
    prefix box and must leave the box as it found it for the next arm.
    [propagate_and_restore] does that without copying: while it runs,
    every write propagation makes to the store is pushed on an undo
-   trail (a domain narrowing with the old domain, a memo write with the
-   key, the old generation and the old value), and afterwards, normally
-   or by an exception, the trail is replayed newest first and
-   [generation] and [changed] are reset.  The store then holds exactly
-   the bindings it held before, so the answer, and every later
-   propagation on the box (answers, domains, memo hits, rounds), is
-   what a copy of the box would have given.
+   trail (a domain narrowing with its slot and the old domain, a memo
+   write with the key, the old generation and the old value), and
+   afterwards, normally or by an exception, the trail is replayed
+   newest first and [generation] and [changed] are reset.  The store
+   then holds exactly the bindings it held before, so the answer, and
+   every later propagation on the box (answers, domains, memo hits,
+   rounds), is what a copy of the box would have given.
 
    Kept boxes.  A fresh store propagated once depends only on its
    initial bindings and the term, and a check through
@@ -152,17 +163,93 @@ and bind t id req g v =
     if 2 * t.used > Array.length t.keys then grow t
   end
 
+(* --- layouts ----------------------------------------------------------- *)
+
+(* The slots of one variable list: one per entry, a name resolving to
+   its last entry as [Hashtbl.replace] in list order does.  [Tvar] terms
+   resolve through [var_ids], an open-addressed table keyed by term id
+   and filled on first sight, so propagation hashes a name once per
+   variable term rather than on every visit.  Term ids are never reused,
+   so an entry stays right for the layout's lifetime.  Every store over
+   the list shares its layout. *)
+type layout = {
+  names : string array;  (* slot -> name *)
+  slot_of_name : (string, int) Hashtbl.t;
+  live : int array;  (* entry -> the slot its name resolves to *)
+  mutable var_ids : int array;  (* term id; -1 marks a free cell *)
+  mutable var_slots : int array;  (* the id's slot; -1: unbound name *)
+  mutable var_used : int;
+}
+
+let layout (vars : (string * _) list) =
+  let names = Array.of_list (List.map fst vars) in
+  let slot_of_name = Hashtbl.create (2 * Array.length names) in
+  Array.iteri (fun i x -> Hashtbl.replace slot_of_name x i) names;
+  {
+    names;
+    slot_of_name;
+    live = Array.map (Hashtbl.find slot_of_name) names;
+    var_ids = Array.make table_slots (-1);
+    var_slots = Array.make table_slots (-1);
+    var_used = 0;
+  }
+
+let unknown_var x = Value.type_error "unknown solver variable %s" x
+
+let slot_of_name l x =
+  match Hashtbl.find l.slot_of_name x with
+  | i -> i
+  | exception Not_found -> unknown_var x
+
+(* The cell holding term id [id], or the free cell where it would go. *)
+let var_cell l id =
+  let ids = l.var_ids in
+  let mask = Array.length ids - 1 in
+  let i = ref (id land mask) in
+  while ids.(!i) <> -1 && ids.(!i) <> id do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let rec add_var l id slot =
+  let i = var_cell l id in
+  l.var_ids.(i) <- id;
+  l.var_slots.(i) <- slot;
+  l.var_used <- l.var_used + 1;
+  if 2 * l.var_used > Array.length l.var_ids then begin
+    let ids = l.var_ids and slots = l.var_slots in
+    let n = 2 * Array.length ids in
+    l.var_ids <- Array.make n (-1);
+    l.var_slots <- Array.make n (-1);
+    l.var_used <- 0;
+    Array.iteri (fun i id -> if id <> -1 then add_var l id slots.(i)) ids
+  end
+
+(* The slot of variable term [t] named [x]. *)
+let var_slot l (t : Term.t) x =
+  let i = var_cell l t.Term.id in
+  let slot =
+    if l.var_ids.(i) = t.Term.id then l.var_slots.(i)
+    else begin
+      let slot = try Hashtbl.find l.slot_of_name x with Not_found -> -1 in
+      add_var l t.Term.id slot;
+      slot
+    end
+  in
+  if slot < 0 then unknown_var x else slot
+
 (* --- stores ------------------------------------------------------------ *)
 
 (* A write to undo: the key and what it was bound to before (generation
    -1 when absent). *)
 type undo =
-  | Undo_dom of string * Dom.t
+  | Undo_dom of int * Dom.t  (* slot, domain *)
   | Undo_fwd of int * int * Dom.t  (* term id, generation, domain *)
   | Undo_bwd of int * Dom.t * int  (* term id, requirement, generation *)
 
 type store = {
-  doms : (string, Dom.t) Hashtbl.t;
+  layout : layout;
+  doms : Dom.t array;  (* by slot *)
   mutable changed : bool;
   memo : bool;
   mutable generation : int;  (* bumped on every narrowing *)
@@ -175,10 +262,10 @@ type store = {
   mutable trail : undo list;  (* newest first *)
 }
 
-let create_store ?(memo = true) bindings =
-  let doms = Hashtbl.create 16 in
-  List.iter (fun (x, d) -> Hashtbl.replace doms x d) bindings;
+(* A store over [layout] whose domains are [doms], which it owns. *)
+let create ?(memo = true) layout doms =
   {
+    layout;
     doms;
     changed = false;
     memo;
@@ -188,6 +275,9 @@ let create_store ?(memo = true) bindings =
     trailing = false;
     trail = [];
   }
+
+let create_store ?memo bindings =
+  create ?memo (layout bindings) (Array.of_list (List.map snd bindings))
 
 (* Memo entries are only valid for the exact box they were computed
    against, so a copy may keep them — but the copy gets fresh tables:
@@ -199,26 +289,27 @@ let create_store ?(memo = true) bindings =
 let copy_store store =
   {
     store with
-    doms = Hashtbl.copy store.doms;
+    doms = Array.copy store.doms;
     fwd_memo = copy_table store.fwd_memo;
     bwd_memo = copy_table store.bwd_memo;
     trailing = false;
     trail = [];
   }
 
-(* The store for one half of a search split: [store]'s domains with [x]
-   set to [d].  A copy followed by [set_dom] would copy the memo tables
-   only never to hit them: [set_dom] moves the generation past every
-   stamp they hold, and a store's generation only grows.  So the half
-   shares [store]'s tables and starts past every stamp any store wrote
-   into them, which gives the same hits without the copy.  This needs
-   the depth-first discipline of [Csp]: [store] never propagates again,
-   and one half's subtree is done before the other half is made, so no
-   two live stores write the same tables. *)
-let split_store store x d =
+(* The store for one half of a search split: [store]'s domains with slot
+   [i] set to [d].  A copy followed by [set_dom] would copy the memo
+   tables only never to hit them: [set_dom] moves the generation past
+   every stamp they hold, and a store's generation only grows.  So the
+   half shares [store]'s tables and starts past every stamp any store
+   wrote into them, which gives the same hits without the copy.  This
+   needs the depth-first discipline of [Csp]: [store] never propagates
+   again, and one half's subtree is done before the other half is made,
+   so no two live stores write the same tables.  The half copies only
+   the domain array. *)
+let split_slot store i d =
   let top = max store.fwd_memo.top store.bwd_memo.top in
-  let doms = Hashtbl.copy store.doms in
-  Hashtbl.replace doms x d;
+  let doms = Array.copy store.doms in
+  doms.(i) <- d;
   {
     store with
     doms;
@@ -227,23 +318,23 @@ let split_store store x d =
     trail = [];
   }
 
-let get store x =
-  match Hashtbl.find store.doms x with
-  | d -> d
-  | exception Not_found -> Value.type_error "unknown solver variable %s" x
+let split_store store x d = split_slot store (slot_of_name store.layout x) d
+
+let get_slot store i = store.doms.(i)
+let get store x = store.doms.(slot_of_name store.layout x)
 
 (* Unconditional domain replacement: invalidates memos.  A copy
    followed by [set_dom] is what [split_store] must match. *)
 let set_dom store x d =
-  Hashtbl.replace store.doms x d;
+  store.doms.(slot_of_name store.layout x) <- d;
   store.generation <- store.generation + 1
 
-let narrow store x d =
-  let old = get store x in
+let narrow store i d =
+  let old = store.doms.(i) in
   let d' = Dom.meet old d in
   if not (Dom.equal d' old) then begin
-    if store.trailing then store.trail <- Undo_dom (x, old) :: store.trail;
-    Hashtbl.replace store.doms x d';
+    if store.trailing then store.trail <- Undo_dom (i, old) :: store.trail;
+    store.doms.(i) <- d';
     store.changed <- true;
     store.generation <- store.generation + 1
   end
@@ -319,7 +410,7 @@ let rec fwd store (t : Term.t) : Dom.t =
 and fwd_node store (t : Term.t) : Dom.t =
   match t.Term.node with
   | Term.Cst v -> cst_dom t v
-  | Term.Tvar x -> get store x
+  | Term.Tvar x -> store.doms.(var_slot store.layout t x)
   | Term.Tunop (op, e) ->
     let d = fwd store e in
     (match op with
@@ -463,7 +554,7 @@ let rec bwd store (t : Term.t) (req : Dom.t) : unit =
 and bwd_node store (t : Term.t) (req : Dom.t) : unit =
   match t.Term.node with
   | Term.Cst v -> if not (can_meet req (fwd store t)) then raise Dom.Empty else ignore v
-  | Term.Tvar x -> narrow store x req
+  | Term.Tvar x -> narrow store (var_slot store.layout t x) req
   | Term.Tnot e -> bwd store e (dom_of_b3 (b3_not (b3_of_dom req)))
   | Term.Tand (a, b) ->
     let r = b3_of_dom req in
@@ -689,7 +780,7 @@ let rec undo store = function
   | [] -> ()
   | u :: rest ->
     (match u with
-     | Undo_dom (x, d) -> Hashtbl.replace store.doms x d
+     | Undo_dom (i, d) -> store.doms.(i) <- d
      | Undo_fwd (id, g, d) -> bind store.fwd_memo id no_req g d
      | Undo_bwd (id, req, g) ->
        bind store.bwd_memo id req g no_req);

@@ -416,43 +416,6 @@ let vars t =
 let size t = t.tsize
 let size_capped cap t = if t.tsize < cap then t.tsize else cap
 
-let eval_node recur env = function
-  | Cst v -> v
-  | Tvar x -> env x
-  | Tunop (op, e) -> eval_unop op (recur e)
-  | Tbinop (op, a, b) -> eval_binop op (recur a) (recur b)
-  | Tcmp (op, a, b) -> Value.bool (eval_cmp op (recur a) (recur b))
-  | Tand (a, b) -> Value.bool (Value.to_bool (recur a) && Value.to_bool (recur b))
-  | Tor (a, b) -> Value.bool (Value.to_bool (recur a) || Value.to_bool (recur b))
-  | Tnot e -> Value.bool (not (Value.to_bool (recur e)))
-  | Tite (c, a, b) -> if Value.to_bool (recur c) then recur a else recur b
-
-(* Small terms evaluate by plain recursion; large (shared) ones memoize
-   per node so DAG evaluation is linear in unique nodes.  [env] must be
-   a pure function of its argument (every caller passes a map or a slot
-   lookup); failed evaluations are not cached, so a raising node raises
-   again on the next visit exactly as tree walking did. *)
-let eval env t =
-  if t.tsize <= 256 then
-    let rec go t = eval_node go env t.node in
-    go t
-  else begin
-    let tbl = Hashtbl.create 1024 in
-    let rec go t =
-      match t.node with
-      | Cst v -> v
-      | Tvar x -> env x
-      | _ -> (
-        match Hashtbl.find_opt tbl t.id with
-        | Some v -> v
-        | None ->
-          let v = eval_node go env t.node in
-          Hashtbl.add tbl t.id v;
-          v)
-    in
-    go t
-  end
-
 let rec pp ppf t =
   match t.node with
   | Cst v -> Value.pp ppf v

@@ -84,12 +84,6 @@ val size_capped : int -> t -> int
 (** [min cap (size t)], exactly what the pre-DAG streaming counter
     returned.  O(1). *)
 
-val eval : (string -> Slim.Value.t) -> t -> Slim.Value.t
-(** Concrete evaluation under a full assignment.  Raises
-    {!Slim.Value.Type_error} on ill-typed terms.  Large shared terms
-    evaluate once per unique node; the environment must be a pure
-    function of the variable name. *)
-
 val pp : t Fmt.t
 
 val equal : t -> t -> bool

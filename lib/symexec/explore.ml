@@ -149,7 +149,8 @@ type prefix =
 type memo = {
   prefixes : (int, Term.t * prefix) Hashtbl.t;
   mutable vars_of : (string * Value.ty) list;  (* physically *)
-  mutable bindings : (string * Solver.Dom.t) list;  (* built from [vars_of] *)
+  mutable layout : Solver.Hc4.layout;  (* of [vars_of], shared by its boxes *)
+  mutable init : Solver.Dom.t array;  (* the domains of [vars_of]'s types *)
   mutable hc4_memo_of : bool;
   answers : Csp.memo;
 }
@@ -158,7 +159,8 @@ let create_memo () =
   {
     prefixes = Hashtbl.create 64;
     vars_of = [];
-    bindings = [];
+    layout = Solver.Hc4.layout [];
+    init = [||];
     hc4_memo_of = default_config.hc4_memo;
     answers = Csp.create_memo ();
   }
@@ -333,7 +335,9 @@ let memo_prefix ctx w =
   if memo.vars_of != vars || memo.hc4_memo_of <> ctx.hc4_memo then begin
     clear_memo memo;
     memo.vars_of <- vars;
-    memo.bindings <- List.map (fun (x, ty) -> (x, Solver.Dom.of_ty ty)) vars;
+    let init = Array.of_list (List.map (fun (_, ty) -> Solver.Dom.of_ty ty) vars) in
+    memo.layout <- Solver.Hc4.layout vars;
+    memo.init <- init;
     memo.hc4_memo_of <- ctx.hc4_memo
   end;
   match Hashtbl.find memo.prefixes (Term.id w) with
@@ -342,7 +346,9 @@ let memo_prefix ctx w =
     p
   | exception Not_found ->
     Telemetry.Counter.incr tel_memo_misses;
-    let store = Solver.Hc4.create_store ~memo:ctx.hc4_memo memo.bindings in
+    let store =
+      Solver.Hc4.create ~memo:ctx.hc4_memo memo.layout (Array.copy memo.init)
+    in
     let p =
       match Solver.Hc4.propagate ~max_rounds:3 store w with
       | `Ok -> Pf_box { store; arms = Hashtbl.create 8 }

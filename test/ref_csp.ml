@@ -1,8 +1,9 @@
 (* [Csp.solve] as it was before the slot buffer: each sampling attempt
    a closure in a list, each candidate a fresh [Smap] built in [p_vars]
-   order and read through [Smap.find].  Kept verbatim, apart from the
-   telemetry, as an independent reference for the differential property
-   in test_solver.ml. *)
+   order and read through [Smap.find], evaluated by the tree walk
+   ([Fuzzer.Term_eval], formerly [Term.eval]).  Kept verbatim, apart
+   from the telemetry and that call, as an independent reference for the
+   differential property in test_solver.ml. *)
 
 module Value = Slim.Value
 module Csp = Solver.Csp
@@ -59,7 +60,7 @@ let pick_random rng = function
     Value.Real (if hi > lo then Value.random_real rng lo hi else lo)
 
 let satisfied constraint_ assignment =
-  match Term.eval (fun x -> Smap.find x assignment) constraint_ with
+  match Fuzzer.Term_eval.eval (fun x -> Smap.find x assignment) constraint_ with
   | Value.Bool b -> b
   | _ -> false
   | exception (Value.Type_error _ | Not_found) -> false

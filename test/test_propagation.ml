@@ -97,7 +97,7 @@ let gen_constraint =
 
 let sat_at c x y =
   match
-    T.eval
+    Fuzzer.Term_eval.eval
       (function
         | "x" -> V.Int x
         | "y" -> V.Int y
@@ -586,9 +586,36 @@ let test_hits_allocate_nothing () =
       ("a forward memo hit", fun () -> ignore (Hc4.fwd store sum));
       ("a backward memo hit", fun () -> Hc4.bwd store c Dom.bool_true);
       ("Hc4.get", fun () -> ignore (Hc4.get store name));
+      ("Hc4.get_slot", fun () -> ignore (Hc4.get_slot store 1));
       ("Dom.booln", fun () -> ignore (Dom.booln true));
       ("Interval.dom_of_b3", fun () -> ignore (I.dom_of_b3 yes));
     ]
+
+(* A search split: [Csp.choose_split] scans the slots without
+   allocating, and the split allocates only the two halves (an int
+   domain is 3 words), the new store (9 fields) and its domain array. *)
+let test_split_allocates_halves_and_store () =
+  Telemetry.disable ();
+  let bindings =
+    [ ("sa", Dom.intn 0 10); ("sb", Dom.intn (-50) 50); ("sc", Dom.top_bool) ]
+  in
+  let layout = Hc4.layout bindings in
+  let store = Hc4.create layout (Array.of_list (List.map snd bindings)) in
+  check Alcotest.int "the widest domain" 1 (Solver.Csp.choose_split layout store);
+  let split () =
+    let slot = layout.Hc4.live.(Solver.Csp.choose_split layout store) in
+    let d = Hc4.get_slot store slot in
+    ignore (Sys.opaque_identity (Dom.upper d));
+    Hc4.split_slot store slot (Dom.lower d)
+  in
+  let baseline = minor_words_of (fun () -> ()) in
+  ignore (split ());
+  check (Alcotest.float 0.) "choose_split allocates nothing" 0.
+    (minor_words_of (fun () -> Solver.Csp.choose_split layout store) -. baseline);
+  check (Alcotest.float 0.) "a split: two halves and a store" (6. +. 10. +. 4.)
+    (minor_words_of split -. baseline);
+  check Alcotest.bool "the lower half" true
+    (Dom.equal (Hc4.get (split ()) "sb") (Dom.intn (-50) 0))
 
 (* --- explicit regression cases ---------------------------------------- *)
 
@@ -676,6 +703,8 @@ let () =
         [
           Alcotest.test_case "hits allocate nothing" `Quick
             test_hits_allocate_nothing;
+          Alcotest.test_case "a split allocates its halves and store" `Quick
+            test_split_allocates_halves_and_store;
         ] );
       ( "regressions",
         [

@@ -179,7 +179,7 @@ let test_array_fold_via_ite_chain () =
 
 let verify vars c a =
   match
-    T.eval
+    Fuzzer.Term_eval.eval
       (fun x ->
         match Csp.Smap.find_opt x a with
         | Some v -> v
@@ -372,7 +372,7 @@ let prop_solver_sound =
       let result = solve ~budget:50_000 vars c in
       let sat_at x y =
         match
-          T.eval
+          Fuzzer.Term_eval.eval
             (function
               | "x" -> V.Int x
               | "y" -> V.Int y
@@ -515,6 +515,183 @@ let prop_sampler_matches_reference =
       in
       same_result && next = want_next)
 
+(* --- the compiled evaluator against the tree walk ---------------------
+
+   Constraints in the manner of [gen_problem] are compiled once and
+   evaluated on random candidates by [Compiled] and by the reference
+   tree walk ([Fuzzer.Term_eval]): the value must be the same bit for
+   bit, or both must raise the same exception.  Operands that raise (a
+   vector constant in arithmetic, a division by a range holding zero,
+   a name no entry binds) sit under either arm of [&&], [||] and [Ite],
+   so an arm not taken must stay unevaluated; [p_vars] holds duplicate
+   names, possibly of another type, and the last entry must win; one
+   constraint in four is a DAG of shared subterms above 256 nodes, which
+   the reference walks with its memo table. *)
+
+module Compiled = Solver.Compiled
+
+let vec_cst = T.cst (V.Vec [| V.Int 1; V.Int 2 |])
+
+let gen_eval_case rng =
+  let int_in lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let choose l = List.nth l (Random.State.int rng (List.length l)) in
+  let num_ty () =
+    if Random.State.bool rng then i_ty (int_in (-4) 0) (int_in 0 4)
+    else r_ty (float_of_int (int_in (-4) 0) /. 2.) (float_of_int (int_in 0 4) /. 2.)
+  in
+  let nums = List.init (int_in 1 3) (fun i -> (Printf.sprintf "x%d" i, num_ty ())) in
+  let bools = List.init (int_in 0 2) (fun i -> (Printf.sprintf "b%d" i, V.Tbool)) in
+  let vars = nums @ bools in
+  let vars =
+    if Random.State.bool rng then vars
+    else
+      let x, _ = choose vars in
+      let ty = choose [ V.Tbool; num_ty () ] in
+      let at = Random.State.int rng (List.length vars + 1) in
+      List.filteri (fun i _ -> i < at) vars @ [ (x, ty) ]
+      @ List.filteri (fun i _ -> i >= at) vars
+  in
+  let names = List.map fst vars in
+  let rec num depth =
+    let sub () = num (depth - 1) in
+    match if depth = 0 then int_in 0 3 else int_in 0 13 with
+    | 0 | 1 -> ivar (choose names)
+    | 2 ->
+      if Random.State.bool rng then T.cint (int_in (-4) 4)
+      else T.creal (choose [ 0.; -0.; 0.5; -1.5; 2. ])
+    | 3 -> choose [ vec_cst; ivar "ghost"; T.cbool (Random.State.bool rng) ]
+    | 4 -> T.binop (choose [ Ir.Add; Ir.Sub; Ir.Mul ]) (sub ()) (sub ())
+    | 5 | 6 -> T.binop (choose [ Ir.Div; Ir.Mod ]) (sub ()) (sub ())
+    | 7 -> T.binop (choose [ Ir.Min; Ir.Max ]) (sub ()) (sub ())
+    | 8 ->
+      T.unop
+        (choose [ Ir.Neg; Ir.Abs_op; Ir.To_real; Ir.To_int; Ir.Floor; Ir.Ceil; Ir.Not ])
+        (sub ())
+    | 9 | 10 -> T.ite (pred (depth - 1)) (sub ()) (sub ())
+    | _ -> ivar (choose names)
+  and pred depth =
+    let sub () = pred (depth - 1) in
+    match if depth = 0 then int_in 0 1 else int_in 0 6 with
+    | 0 -> T.cmp (choose [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ]) (num 2) (num 2)
+    | 1 -> num 1
+    | 2 -> T.and_ (sub ()) (sub ())
+    | 3 -> T.or_ (sub ()) (sub ())
+    | 4 -> T.not_ (sub ())
+    | 5 -> T.ite (sub ()) (sub ()) (sub ())
+    | _ -> T.cmp (choose [ Ir.Eq; Ir.Lt ]) (num 1) (num 1)
+  in
+  let c =
+    if Random.State.int rng 4 > 0 then pred 3
+    else begin
+      (* each level uses the one below twice *)
+      let t = ref (pred 1) in
+      while T.size !t <= 256 do
+        let p = pred 1 and q = pred 1 in
+        t :=
+          match int_in 0 2 with
+          | 0 -> T.or_ (T.and_ !t p) (T.and_ (T.not_ !t) q)
+          | 1 -> T.ite p !t (T.and_ q !t)
+          | _ -> T.cmp Ir.Eq (T.ite !t (num 1) (num 0)) (T.ite q (num 0) (T.ite !t (num 1) (num 1)))
+      done;
+      !t
+    end
+  in
+  let value ty =
+    match ty with
+    | V.Tbool -> V.Bool (Random.State.bool rng)
+    | V.Tint { lo; hi } -> V.Int (int_in lo hi)
+    | V.Treal { lo; hi } ->
+      (* [nan] and the infinities are never picked, but the evaluator
+         takes them as [Value] does *)
+      choose
+        [ V.Real lo; V.Real hi; V.Real 0.; V.Real (-0.); V.Real ((lo +. hi) /. 2.);
+          V.Real Float.nan; V.Real Float.infinity; V.Real Float.neg_infinity ]
+    | V.Tvec _ -> assert false
+  in
+  let candidates = List.init 8 (fun _ -> List.map (fun (_, ty) -> value ty) vars) in
+  (vars, c, candidates)
+
+let print_eval_case (vars, c, _) =
+  Fmt.str "vars=[%a] %a"
+    Fmt.(list ~sep:comma (fun ppf (x, ty) -> Fmt.pf ppf "%s:%a" x V.pp_ty ty))
+    vars T.pp c
+
+let rec same_eval_value a b =
+  match a, b with
+  | V.Vec x, V.Vec y ->
+    Array.length x = Array.length y && Array.for_all2 same_eval_value x y
+  | _ -> same_value a b
+
+let eval_outcome f =
+  match f () with
+  | v -> Ok v
+  | exception V.Type_error _ -> Error "Type_error"
+  | exception Not_found -> Error "Not_found"
+
+(* how often each outcome came up, to check the generator's reach *)
+let eval_seen = Hashtbl.create 8
+
+let compiled_matches_reference (vars, c, candidates) =
+  let prog = Compiled.compile (Solver.Hc4.layout vars) c in
+  List.for_all
+    (fun values ->
+      List.iteri (Compiled.set_input prog) values;
+      let env =
+        let last = Hashtbl.create 8 in
+        List.iter2 (fun (x, _) v -> Hashtbl.replace last x v) vars values;
+        Hashtbl.find last
+      in
+      let got = eval_outcome (fun () -> Compiled.result prog) in
+      let want = eval_outcome (fun () -> Fuzzer.Term_eval.eval env c) in
+      let seen key =
+        Hashtbl.replace eval_seen key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt eval_seen key))
+      in
+      (match want with
+       | Ok _ ->
+         seen "value";
+         if List.mem "ghost" (T.vars c) then seen "value despite an unbound name";
+         if T.size c > 256 then seen "value of a large DAG"
+       | Error e -> seen e);
+      match got, want with
+      | Ok a, Ok b -> same_eval_value a b
+      | Error e, Error f -> e = f
+      | _ -> false)
+    candidates
+
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~name:"compiled evaluator = tree walk" ~count:600
+    (QCheck.make ~print:print_eval_case gen_eval_case)
+    compiled_matches_reference
+
+let test_compiled_matches_reference () =
+  Hashtbl.reset eval_seen;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 31 |])
+    prop_compiled_matches_reference;
+  List.iter
+    (fun key ->
+      check Alcotest.bool ("reached: " ^ key) true
+        (Option.value ~default:0 (Hashtbl.find_opt eval_seen key) > 0))
+    [ "value"; "value despite an unbound name"; "value of a large DAG";
+      "Type_error"; "Not_found" ]
+
+(* The operands of an arithmetic operation or a comparison evaluate
+   right to left in the reference, so when both raise, the second one's
+   exception wins; the compiled evaluator keeps that order. *)
+let test_compiled_operand_order () =
+  let vars = [ ("x", i_ty 0 3) ] in
+  let raises_type = T.unop Ir.Neg vec_cst and raises_unbound = ivar "ghost" in
+  List.iter
+    (fun c ->
+      check Alcotest.bool (Fmt.str "%a" T.pp c) true
+        (compiled_matches_reference (vars, c, [ [ V.Int 1 ] ])))
+    [
+      T.cmp Ir.Lt (T.binop Ir.Sub raises_unbound raises_type) (ivar "x");
+      T.cmp Ir.Lt (T.binop Ir.Sub raises_type raises_unbound) (ivar "x");
+      T.cmp Ir.Le raises_unbound raises_type;
+      T.cmp Ir.Le raises_type raises_unbound;
+    ]
+
 (* --- allocation ------------------------------------------------------
 
    As in test_exec: telemetry off, the code warmed, and each operation
@@ -541,18 +718,36 @@ let test_eval_allocation () =
             (words (fun () -> T.eval_cmp op a b)))
         [ (three, half); (half, three); (three, three); (half, half) ])
     [ Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ];
-  (* x < 3 && x + y >= 1: the Bool nodes share their results, so one
-     evaluation allocates only the recursion's closure (4 words) *)
+  (* x < 3 && x + y >= 1, compiled: one evaluation allocates nothing,
+     and neither does arithmetic on reals *)
   let guard =
     T.and_
       (T.cmp Ir.Lt (ivar "x") (T.cint 3))
       (T.cmp Ir.Ge (T.binop Ir.Add (ivar "x") (ivar "y")) (T.cint 1))
   in
-  let x = V.Int 1 and y = V.Int 2 in
-  let env = function "x" -> x | "y" -> y | _ -> raise Not_found in
-  check Alcotest.bool "guard holds" true (V.to_bool (T.eval env guard));
-  check (Alcotest.float 0.) "eval guard: minor words" 4.
-    (words (fun () -> T.eval env guard))
+  let prog =
+    Solver.Compiled.compile (Solver.Hc4.layout [ ("x", ()); ("y", ()) ]) guard
+  in
+  Solver.Compiled.set_int prog 0 1;
+  Solver.Compiled.set_int prog 1 2;
+  check Alcotest.bool "guard holds" true (Solver.Compiled.holds prog);
+  check (Alcotest.float 0.) "compiled guard: minor words" 0.
+    (words (fun () -> Solver.Compiled.holds prog));
+  let r = ivar "r" in
+  let real_guard =
+    T.and_
+      (T.cmp Ir.Lt (T.binop Ir.Mul r (T.creal 2.5)) (T.creal 3.0))
+      (T.cmp Ir.Ge
+         (T.binop Ir.Min (T.binop Ir.Mod r (T.creal 0.75)) (T.unop Ir.Abs_op r))
+         (T.creal (-1.0)))
+  in
+  let prog =
+    Solver.Compiled.compile (Solver.Hc4.layout [ ("r", ()) ]) real_guard
+  in
+  Solver.Compiled.set_real prog 0 1.125;
+  check Alcotest.bool "real guard holds" true (Solver.Compiled.holds prog);
+  check (Alcotest.float 0.) "compiled real guard: minor words" 0.
+    (words (fun () -> Solver.Compiled.holds prog))
 
 (* --- the answer memo -----------------------------------------------------
 
@@ -993,6 +1188,10 @@ let () =
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
             prop_sampler_matches_reference;
           Alcotest.test_case "eval allocation" `Quick test_eval_allocation;
+          Alcotest.test_case "compiled = tree walk" `Quick
+            test_compiled_matches_reference;
+          Alcotest.test_case "compiled operand order" `Quick
+            test_compiled_operand_order;
         ] );
       ( "answer memo",
         [

@@ -1,6 +1,7 @@
 (* Differential tests for the hash-consed term core: the DAG smart
-   constructors and their memoized queries ([eval], [vars], [size],
-   [pp]) must agree with plain reference-tree recursion, and the
+   constructors and their memoized queries ([vars], [size], [pp]), and
+   the fuzz library's memoized DAG evaluation ([Fuzzer.Term_eval]),
+   must agree with plain reference-tree recursion, and the
    normalization rules (constant folding, commutative operand order,
    double-negation / ite collapse) must behave as documented. *)
 
@@ -186,7 +187,7 @@ let prop_differential =
       List.iter
         (fun point ->
           let env = env_of point in
-          if not (V.equal (T.eval env t) (R.eval env r)) then
+          if not (V.equal (Fuzzer.Term_eval.eval env t) (R.eval env r)) then
             QCheck.Test.fail_reportf "eval mismatch on %a" T.pp t)
         envs;
       (* vars: DAG traversal vs tree collection *)
@@ -295,7 +296,7 @@ let test_memoized_eval_on_shared_dag () =
     (fun point ->
       let env = env_of point in
       check Alcotest.bool "memoized eval = tree eval" true
-        (V.equal (T.eval env !t) (R.eval env r)))
+        (V.equal (Fuzzer.Term_eval.eval env !t) (R.eval env r)))
     envs
 
 let test_vars_sorted_dedup () =
