@@ -356,11 +356,18 @@ let binop op a b =
     (try cst (eval_binop op va vb) with Value.Type_error _ -> canon_binop op a b)
   | _ -> canon_binop op a b
 
+(* A variable compared with itself is decided: an input is drawn from a
+   finite domain and is never NaN.  A compound operand can raise or be
+   NaN, so its comparison with itself stays a node. *)
 let cmp op a b =
   match a.node, b.node with
   | Cst va, Cst vb ->
     (try cst (Value.bool (eval_cmp op va vb))
      with Value.Type_error _ -> canon_cmp op a b)
+  | Tvar _, Tvar _ when a == b -> (
+    match op with
+    | Ir.Eq | Ir.Le | Ir.Ge -> cbool true
+    | Ir.Ne | Ir.Lt | Ir.Gt -> cbool false)
   | _ -> canon_cmp op a b
 
 let and_ a b =

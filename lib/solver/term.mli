@@ -52,7 +52,11 @@ val cint : int -> t
 val creal : float -> t
 val var : string -> t
 
-(** Folding constructors: constant subterms are evaluated away. *)
+(** Folding constructors: constant subterms are evaluated away, and
+    {!cmp} decides a variable compared with itself ([x = x], [x <= x],
+    [x >= x] are true; [x <> x], [x < x], [x > x] false): a variable
+    ranges over a finite domain and is never NaN.  A compound operand
+    compared with itself keeps its node, since it can raise or be NaN. *)
 
 val unop : Slim.Ir.unop -> t -> t
 val binop : Slim.Ir.binop -> t -> t -> t

@@ -209,7 +209,7 @@ let cmp op a b =
   | Const x, Const y -> (
     try const_bool (Term.eval_cmp op x y)
     with Value.Type_error _ -> Scalar (Term.cmp op (Term.cst x) (Term.cst y)))
-  | _ -> Scalar (Term.cmp op (scalar a) (scalar b))
+  | _ -> of_term (Term.cmp op (scalar a) (scalar b))
 
 let and_ a b =
   match a, b with

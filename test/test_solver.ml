@@ -122,6 +122,42 @@ let test_constant_fold () =
   | Csp.Sat _ -> ()
   | _ -> Alcotest.fail "trivially sat"
 
+(* A variable compared with itself folds when the term is built; a
+   compound operand, which can raise or be NaN, keeps its node. *)
+let test_self_comparison () =
+  let x = ivar "x" in
+  List.iter
+    (fun (op, want) ->
+      check Alcotest.bool
+        (Fmt.str "x %a x" Ir.pp_cmpop op)
+        true
+        (T.is_const (T.cmp op x x) = Some (V.Bool want)))
+    [ (Ir.Eq, true); (Ir.Le, true); (Ir.Ge, true); (Ir.Ne, false); (Ir.Lt, false); (Ir.Gt, false) ];
+  let q = T.binop Ir.Div x (ivar "y") in
+  check Alcotest.bool "x / y = x / y stays a node" true (T.is_const (T.cmp Ir.Eq q q) = None)
+
+(* The shape of LANSwitch's learn-then-lookup queries: a table cell
+   written with [vlan] and compared with [vlan] in the same step, next
+   to a constraint on two 16-bit inputs.  Interval propagation cannot
+   refute [!(v == v)] while [v] is not a point, so unfolded it spent
+   the whole node budget splitting [src] and [dst]; folded, the
+   conjunction is [false] and the search never starts. *)
+let test_self_comparison_lanswitch () =
+  let w = i_ty 0 65535 in
+  let c =
+    T.and_
+      (T.not_ (T.cmp Ir.Eq (ivar "vlan") (ivar "vlan")))
+      (T.cmp Ir.Eq (ivar "src") (ivar "dst"))
+  in
+  let result, stats =
+    Csp.solve { Csp.p_vars = [ ("src", w); ("dst", w); ("vlan", w) ]; p_constraint = c }
+  in
+  (match result with
+   | Csp.Unsat -> ()
+   | Csp.Sat _ | Csp.Unknown -> Alcotest.fail "expected unsat");
+  check Alcotest.bool "folded to false" true (T.is_const c = Some (V.Bool false));
+  check Alcotest.bool "at most one node" true (stats.Csp.nodes <= 1)
+
 let test_mod_via_sampling () =
   let c =
     T.cmp Ir.Eq (T.binop Ir.Mod (ivar "x") (T.cint 2)) (T.cint 0)
@@ -1129,6 +1165,9 @@ let () =
           Alcotest.test_case "two-var relation" `Quick test_two_vars_relation;
           Alcotest.test_case "real band" `Quick test_real_band;
           Alcotest.test_case "constant fold" `Quick test_constant_fold;
+          Alcotest.test_case "self comparison folds" `Quick test_self_comparison;
+          Alcotest.test_case "self comparison: LANSwitch shape" `Quick
+            test_self_comparison_lanswitch;
         ] );
       ( "operators",
         [

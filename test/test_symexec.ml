@@ -601,6 +601,38 @@ let test_vector_input_reassembles () =
   | [| V.Int 2; V.Vec [| V.Int 1; V.Int 0; V.Int 3 |] |] -> ()
   | _ -> Alcotest.fail "inputs_of_assignment reassembly"
 
+(* A guard that compares an input with itself folds to a constant when
+   it is evaluated: [cmp] hands the folded term back as a [Const], so no
+   [Scalar] holds a constant term. *)
+let test_self_comparison_const () =
+  let prog =
+    let open Ir in
+    renumber_decisions
+      {
+        name = "selfcmp";
+        inputs = [ input "x" (V.tint_range 0 65535) ];
+        outputs = [ output "y" V.tint ];
+        states = [];
+        locals = [];
+        body =
+          [
+            if_ (iv "x" =: iv "x") [ assign_out "y" (ci 1) ] [];
+            if_ (iv "x" <>: iv "x") [ assign_out "y" (ci 2) ] [];
+          ];
+      }
+  in
+  let env, _ =
+    SV.env_of_program prog ~state:[||] ~input_var:(fun name _ -> T.var name)
+  in
+  let guard pos =
+    match (SV.lowered env).Slim.Lower.decisions.(pos) with
+    | Slim.Lower.If { cond; _ } -> SV.eval env cond
+    | _ -> Alcotest.fail "expected an If"
+  in
+  let is_const b = function SV.Const (V.Bool b') -> b = b' | _ -> false in
+  check Alcotest.bool "x = x is Const true" true (is_const true (guard 0));
+  check Alcotest.bool "x <> x is Const false" true (is_const false (guard 1))
+
 let test_lowered_once () =
   (* the per-domain symbolic constants and register template are
      memoized per program: many solves against one program value build
@@ -1068,6 +1100,8 @@ let () =
           Alcotest.test_case "lowered once per program" `Quick
             test_lowered_once;
           Alcotest.test_case "undeclared write" `Quick test_undeclared_write;
+          Alcotest.test_case "self comparison is a constant" `Quick
+            test_self_comparison_const;
         ] );
       ( "multi-step",
         [
