@@ -102,26 +102,6 @@ let tel_unknown_path_budget =
   Telemetry.Counter.make "symexec.unknown.path_budget"
 let tel_unknown_sym_error = Telemetry.Counter.make "symexec.unknown.sym_error"
 
-(* Constraint for taking [outcome] of a decision whose guard/scrutinee
-   symbolically evaluates to [t]. *)
-let outcome_constraint (outcome : Branch.outcome) (t : Term.t) ~case_labels =
-  let term =
-    match outcome with
-    | Branch.Then -> t
-    | Branch.Else -> Term.not_ t
-    | Branch.Case k -> Term.cmp Ir.Eq (Term.unop Ir.To_int t) (Term.cint k)
-    | Branch.Default ->
-      Term.conj
-        (List.map
-           (fun k ->
-             Term.not_ (Term.cmp Ir.Eq (Term.unop Ir.To_int t) (Term.cint k)))
-           case_labels)
-  in
-  match Term.is_const term with
-  | Some (Value.Bool true) -> `Taken
-  | Some _ -> `Not_taken
-  | None -> `Constraint term
-
 (* A propagated prefix box, and the answers of the arm checks already
    made on it, by arm constraint id.  [Hc4.propagate_and_restore] leaves
    the box as it found it, so a recorded answer is the one a new check
@@ -227,7 +207,24 @@ let sym_error ctx =
   note_unknown ctx Sym_error;
   Unknown
 
-let required_outcome ctx id = List.assoc_opt id ctx.required
+(* The arm outcome [o] selects at [d]: its position among [d]'s
+   outcomes.  Every requirement and branch target names an outcome of
+   its decision (they come from the branch table); [body] would send
+   any other to the else or default arm, the last. *)
+let rec index_from (outcomes : Branch.outcome array) o i =
+  if i = Array.length outcomes then -1
+  else if outcomes.(i) = o then i
+  else index_from outcomes o (i + 1)
+
+let arm_index (d : SV.decision) o =
+  match index_from d.outcomes o 0 with
+  | -1 -> Array.length d.outcomes - 1
+  | k -> k
+
+(* The arm the first requirement on [d] selects, or -1. *)
+let rec required_arm (d : SV.decision) = function
+  | [] -> -1
+  | (id, o) :: rest -> if id = d.id then arm_index d o else required_arm d rest
 
 (* Constraints bigger than this would time out in any real solver; the
    size check itself is capped so oversize (exponentially-deep) terms
@@ -241,10 +238,26 @@ let rec conj_rev = function
   | [ t ] -> t
   | t :: rest -> Term.and_ (conj_rev rest) t
 
+(* Whether [terms], from position [i], are the elements of [l]. *)
+let rec same_terms (terms : Term.t array) i = function
+  | [] -> i = Array.length terms
+  | t :: rest -> i < Array.length terms && terms.(i) == t && same_terms terms (i + 1) rest
+
+(* [conj_rev pc], from [d]'s cache when [pc] holds the very terms of the
+   last path condition solved at [d]. *)
+let path_conj (d : SV.decision) pc =
+  match d.path_conj with
+  | Some c when same_terms d.path 0 pc -> c
+  | Some _ | None ->
+    let c = conj_rev pc in
+    d.path <- Array.of_list pc;
+    d.path_conj <- Some c;
+    c
+
 (* A repeated path condition is answered from the run's CSP memo before
    the solve's RNG is made, so a replay makes none. *)
-let try_solve ctx pc =
-  let constraint_ = conj_rev pc in
+let try_solve ctx d pc =
+  let constraint_ = path_conj d pc in
   ctx.cost.solver_calls <- ctx.cost.solver_calls + 1;
   let size = Term.size_capped max_term_size constraint_ in
   ctx.cost.term_nodes <- ctx.cost.term_nodes + size;
@@ -282,8 +295,8 @@ let try_solve ctx pc =
       None
   end
 
-let hit_target ctx pc =
-  match try_solve ctx pc with
+let hit_target ctx d pc =
+  match try_solve ctx d pc with
   | Some a -> raise (Found a)
   | None -> ()
 
@@ -294,9 +307,6 @@ let spend_path ctx =
   end;
   ctx.paths_left <- ctx.paths_left - 1;
   ctx.cost.paths_explored <- ctx.cost.paths_explored + 1
-
-let infeasible pc =
-  List.exists (fun t -> Term.is_const t = Some (Value.Bool false)) pc
 
 (* Cheap interval-propagation feasibility for fork arms: prunes arms
    whose path condition is already contradictory (e.g. [bank = 0] from
@@ -371,19 +381,39 @@ let rec window_conj acc k = function
   | t :: rest when k > 0 -> window_conj (Term.and_ acc t) (k - 1) rest
   | _ -> acc
 
-let fork_prefix ctx pc =
+(* Whether [window], from position [i], is the window of [pc]. *)
+let rec same_window (window : Term.t array) i = function
+  | t :: rest when i < prefix_window ->
+    i < Array.length window && window.(i) == t && same_window window (i + 1) rest
+  | _ -> i = Array.length window
+
+(* The window conjunction of a non-empty, not oversize [pc], from [d]'s
+   cache when [pc]'s window holds the very terms of the last one
+   forked on at [d]. *)
+let fork_window (d : SV.decision) pc =
+  match d.window_conj, pc with
+  | Some w, _ when same_window d.window 0 pc -> w
+  | _, [] -> invalid_arg "fork_window"
+  | _, t :: rest ->
+    let w = window_conj t (prefix_window - 1) rest in
+    d.window <- Array.of_list (List.filteri (fun i _ -> i < prefix_window) pc);
+    d.window_conj <- Some w;
+    w
+
+(* No path condition holds a constant: an arm adds its constraint only
+   when it does not fold, and so does a fired objective. *)
+let fork_prefix ctx d pc =
   let vars = !(ctx.vars) in
   if ctx.cached_pc == pc && ctx.cached_vars == vars then ctx.cached_prefix
   else begin
     let p =
       match pc with
       | [] -> Pf_any
-      | _ when infeasible pc -> Pf_unsat
-      | t :: rest ->
+      | _ :: _ ->
         (* deep multi-step terms make even propagation expensive: treat
            oversize prefixes as unconstraining rather than walk them *)
         if window_oversize prefix_window pc then Pf_any
-        else memo_prefix ctx (window_conj t (prefix_window - 1) rest)
+        else memo_prefix ctx (fork_window d pc)
     in
     ctx.cached_pc <- pc;
     ctx.cached_vars <- vars;
@@ -418,149 +448,117 @@ let arm_feasible prefix c =
         Hashtbl.replace box.arms (Term.id c) (c, feasible);
         feasible || prune ())
 
-(* Whether [outcome] of decision [d] is taken when its guard or
-   scrutinee evaluates to [g]: a constant guard answers without building
-   a term, exactly as [outcome_constraint] folds the one it would build;
-   any other guard gets its outcome constraint. *)
-let arm_outcome (d : Lower.stmt) (g : SV.sval) (outcome : Branch.outcome) =
-  let labels = match d with Lower.Switch { labels; _ } -> labels | _ -> [] in
-  match g, outcome with
-  | SV.Const (Value.Bool b), Branch.Then -> if b then `Taken else `Not_taken
-  | SV.Const (Value.Bool b), Branch.Else -> if b then `Not_taken else `Taken
-  | SV.Const v, Branch.Case k -> if Value.to_int v = k then `Taken else `Not_taken
-  | SV.Const v, Branch.Default ->
-    if List.mem (Value.to_int v) labels then `Not_taken else `Taken
-  | _ -> outcome_constraint outcome (SV.scalar g) ~case_labels:labels
+(* The arm a fork visits first: the target's own, else the one its
+   ancestor chain prefers, if the decision has it; -1 for none. *)
+let rec preferred_arm (d : SV.decision) = function
+  | [] -> -1
+  | (id, o) :: rest -> if id = d.id then index_from d.outcomes o 0 else preferred_arm d rest
 
-(* The arm of decision [d] that [outcome] selects. *)
-let body (d : Lower.stmt) (outcome : Branch.outcome) =
-  match d, outcome with
-  | Lower.If { then_; _ }, Branch.Then -> then_
-  | Lower.If { else_; _ }, (Branch.Else | Branch.Case _ | Branch.Default) -> else_
-  | Lower.Switch { cases; default; _ }, Branch.Case c ->
-    Option.value ~default (List.assoc_opt c cases)
-  | Lower.Switch { default; _ }, (Branch.Default | Branch.Then | Branch.Else) ->
-    default
-  | Lower.Assign _, _ -> []
-
-let if_outcomes = [ Branch.Then; Branch.Else ]
-
-(* The outcome a fork visits first: the target's own, else the one its
-   ancestor chain prefers, if the decision has it. *)
-let first_outcome ctx id outcomes =
+let first_arm ctx (d : SV.decision) =
   match ctx.target with
-  | Branch_target (d, o) when d = id -> Some o
-  | Branch_target _ | Condition_target _ | Vector_target _ -> (
-    match List.assoc_opt id ctx.preferred with
-    | Some o as first when List.mem o outcomes -> first
-    | Some _ | None -> None)
+  | Branch_target (t, o) when t = d.id -> arm_index d o
+  | Branch_target _ | Condition_target _ | Vector_target _ -> preferred_arm d ctx.preferred
 
 (* A condition or vector objective fires as soon as the guard of its
    decision is about to be evaluated; the rest of the step is not
-   walked. *)
-let fire ctx env atoms pc =
-  let terms = List.map (fun a -> SV.scalar (SV.eval env a)) atoms in
+   walked.  Every atom is evaluated first, left to right. *)
+let fire ctx env (d : SV.decision) pc =
+  let terms = SV.atom_terms env d in
+  let n = Array.length terms in
   let c =
     match ctx.target with
-    | Condition_target { atom; value; _ } -> (
-      match List.nth_opt terms atom with
-      | Some t -> if value then t else Term.not_ t
-      | None -> Term.cbool false)
+    | Condition_target { atom; value; _ } ->
+      if atom < 0 then invalid_arg "List.nth"
+      else if atom >= n then Term.cbool false
+      else if value then terms.(atom)
+      else Term.not_ terms.(atom)
     | Vector_target { vector; _ } ->
-      if List.length terms <> Array.length vector then Term.cbool false
-      else
-        Term.conj
-          (List.mapi (fun i t -> if vector.(i) then t else Term.not_ t) terms)
+      if n <> Array.length vector then Term.cbool false
+      else if n = 0 then Term.cbool true
+      else begin
+        (* [Term.conj] of the literals: all of them first, then the fold *)
+        for k = 0 to n - 1 do
+          if not vector.(k) then terms.(k) <- Term.not_ terms.(k)
+        done;
+        let c = ref terms.(0) in
+        for k = 1 to n - 1 do
+          c := Term.and_ !c terms.(k)
+        done;
+        !c
+      end
     | Branch_target _ -> Term.cbool false
   in
-  match Term.is_const c with
-  | Some (Value.Bool true) -> hit_target ctx pc
-  | Some _ -> ()
-  | None -> hit_target ctx (c :: pc)
+  match Term.view c with
+  | Term.Cst (Value.Bool true) -> hit_target ctx d pc
+  | Term.Cst _ -> ()
+  | _ -> hit_target ctx d (c :: pc)
 
-let push rest pending = match rest with [] -> pending | _ -> rest :: pending
+(* Walk the mirror from [node] to the end of the step, then call
+   [at_end] with the path condition there.  A decision on the target's
+   ancestor chain takes its required arm ([take]); any other forks
+   ([fork]), the preferred arm first, each arm a direct call that runs
+   to the end of the step and then rolls the undo trail back to the
+   fork's mark.  Guards, assignments and arm constraints come from the
+   mirror's memos, the prefix window's conjunction and the solved path
+   condition's from the decision's caches.  Entering the target branch
+   solves the path condition; success raises [Found].  [Found],
+   [Path_budget] and [Sym_error] end the whole search, so they need no
+   roll-back. *)
+let rec walk ctx env at_end (node : SV.node) pc =
+  match node with
+  | SV.End_of_step -> at_end pc
+  | SV.Copy { next; _ } | SV.Assign { next; _ } ->
+    SV.assign env node;
+    walk ctx env at_end next pc
+  | SV.Decide d -> (
+    match d.stmt, ctx.target with
+    | Lower.If _, (Condition_target _ | Vector_target _) when d.id = ctx.target_decision ->
+      fire ctx env d pc
+    | _, _ ->
+      let g = SV.guard env d in
+      let req = required_arm d ctx.required in
+      if req >= 0 then take ctx env at_end d g req pc
+      else begin
+        let first = first_arm ctx d in
+        let prefix = fork_prefix ctx d pc and mark = SV.mark env in
+        if first >= 0 then fork ctx env at_end d g prefix mark first pc;
+        for k = 0 to Array.length d.outcomes - 1 do
+          if first < 0 || d.outcomes.(k) <> d.outcomes.(first) then
+            fork ctx env at_end d g prefix mark k pc
+        done
+      end)
 
-(* Walk a statement list, then the lists on [pending] (the rest of each
-   enclosing list, innermost first), then call [at_end] with the path
-   condition at the end of the step.  A decision on the target's
-   ancestor chain takes its required outcome ([take]); any other forks
-   ([fork]), the preferred outcome first, each arm a direct call that
-   runs to the end of the step and then rolls the undo trail back to the
-   fork's mark.  Entering the target branch solves the path condition;
-   success raises [Found].  [Found], [Path_budget] and [Sym_error] end
-   the whole search, so they need no roll-back. *)
-let rec walk ctx env at_end (stmts : Lower.stmt list) pending pc =
-  match stmts with
-  | [] -> (
-    match pending with
-    | [] -> at_end pc
-    | next :: pending -> walk ctx env at_end next pending pc)
-  | Lower.Assign (lhs, e) :: rest ->
-    SV.assign env lhs (SV.eval env e);
-    walk ctx env at_end rest pending pc
-  | Lower.If { id; atoms; _ } :: _
-    when id = ctx.target_decision
-         && match ctx.target with Branch_target _ -> false | _ -> true ->
-    fire ctx env atoms pc
-  | ((Lower.If { id; cond = guard; _ } | Lower.Switch { id; scrut = guard; _ }) as d)
-    :: rest -> (
-    let g = SV.eval_scalar env guard and pending = push rest pending in
-    match required_outcome ctx id with
-    | Some req -> take ctx env at_end d id g req pending pc
-    | None ->
-      let outcomes =
-        match d with Lower.Switch { outcomes; _ } -> outcomes | _ -> if_outcomes
-      in
-      let first = first_outcome ctx id outcomes in
-      let prefix = fork_prefix ctx pc and mark = SV.mark env in
-      (match first with
-       | Some o -> fork ctx env at_end d id g prefix mark o pending pc
-       | None -> ());
-      fork_rest ctx env at_end d id g prefix mark first outcomes pending pc)
-
-(* The required outcome: no fork, no path spent, and the prefix is
+(* The required arm: no fork, no path spent, and the prefix is
    propagated only when the arm is not constantly false. *)
-and take ctx env at_end d id g outcome pending pc =
-  match arm_outcome d g outcome with
-  | `Not_taken -> ()
-  | `Taken ->
-    if arm_open (fork_prefix ctx pc) then enter ctx env at_end d id outcome pending pc
-  | `Constraint c ->
-    if arm_feasible (fork_prefix ctx pc) c then
-      enter ctx env at_end d id outcome pending (c :: pc)
+and take ctx env at_end d g k pc =
+  match SV.arm d g k with
+  | SV.Not_taken -> ()
+  | SV.Taken -> if arm_open (fork_prefix ctx d pc) then enter ctx env at_end d k pc
+  | SV.Constraint c ->
+    if arm_feasible (fork_prefix ctx d pc) c then enter ctx env at_end d k (c :: pc)
 
-(* One arm of a fork, rolled back to [mark] when it returns. *)
-and fork ctx env at_end d id g prefix mark outcome pending pc =
-  match arm_outcome d g outcome with
-  | `Not_taken -> ()
-  | `Taken ->
+(* Arm [k] of a fork, rolled back to [mark] when it returns. *)
+and fork ctx env at_end d g prefix mark k pc =
+  match SV.arm d g k with
+  | SV.Not_taken -> ()
+  | SV.Taken ->
     if arm_open prefix then begin
       spend_path ctx;
-      enter ctx env at_end d id outcome pending pc;
+      enter ctx env at_end d k pc;
       SV.undo env mark
     end
-  | `Constraint c ->
+  | SV.Constraint c ->
     if arm_feasible prefix c then begin
       spend_path ctx;
-      enter ctx env at_end d id outcome pending (c :: pc);
+      enter ctx env at_end d k (c :: pc);
       SV.undo env mark
     end
 
-(* The outcomes of a fork after [first], in order. *)
-and fork_rest ctx env at_end d id g prefix mark first outcomes pending pc =
-  match outcomes with
-  | [] -> ()
-  | o :: rest ->
-    (match first with
-     | Some f when f = o -> ()
-     | Some _ | None -> fork ctx env at_end d id g prefix mark o pending pc);
-    fork_rest ctx env at_end d id g prefix mark first rest pending pc
-
-and enter ctx env at_end d id outcome pending pc =
+and enter ctx env at_end (d : SV.decision) k pc =
   match ctx.target with
-  | Branch_target (t, o) when t = id && o = outcome -> hit_target ctx pc
+  | Branch_target (t, o) when t = d.id && o = d.outcomes.(k) -> hit_target ctx d pc
   | Branch_target _ | Condition_target _ | Vector_target _ ->
-    walk ctx env at_end (body d outcome) pending pc
+    walk ctx env at_end d.arms.(k) pc
 
 let make_ctx (cfg : config) ex target ~memo ~vars ~multi =
   let reqs = requirements ex target in
@@ -591,18 +589,18 @@ let seed_constraint ex env (target : target) =
   match Exec.decision_pos ex (target_decision_of target) with
   | exception Not_found -> None
   | pos -> (
-    match target, (SV.lowered env).decisions.(pos) with
-    | Branch_target (_, outcome), Lower.If { cond; input_state_only = true; _ } -> (
-      let t = SV.scalar (SV.eval env cond) in
-      match outcome_constraint outcome t ~case_labels:[] with
-      | `Constraint c -> Some c
-      | `Taken | `Not_taken -> None)
-    | ( Branch_target (_, outcome),
-        Lower.Switch { scrut; labels; input_state_only = true; _ } ) -> (
-      let t = SV.scalar (SV.eval env scrut) in
-      match outcome_constraint outcome t ~case_labels:labels with
-      | `Constraint c -> Some c
-      | `Taken | `Not_taken -> None)
+    let d = SV.decision env pos in
+    match target, d.stmt with
+    | Branch_target (_, outcome), Lower.If { input_state_only = true; _ } -> (
+      let t = SV.scalar (SV.guard env d) in
+      match SV.outcome_arm outcome t ~case_labels:[] with
+      | SV.Constraint c -> Some c
+      | SV.Taken | SV.Not_taken -> None)
+    | Branch_target (_, outcome), Lower.Switch { labels; input_state_only = true; _ } -> (
+      let t = SV.scalar (SV.guard env d) in
+      match SV.outcome_arm outcome t ~case_labels:labels with
+      | SV.Constraint c -> Some c
+      | SV.Taken | SV.Not_taken -> None)
     | ( Condition_target { atom; value; _ },
         Lower.If { atoms; input_state_only = true; _ } ) -> (
       match List.nth_opt atoms atom with
@@ -630,7 +628,7 @@ let solve_target ?(config = default_config) ?(symbolic_state = false)
       []
   in
   let outcome =
-    match walk ctx env ignore (SV.lowered env).body [] pc0 with
+    match walk ctx env ignore (SV.entry env) pc0 with
     | () -> exhausted ctx
     | exception Found a -> Sat [ SV.inputs_of_assignment prog a ]
     | exception Path_budget -> Unknown
@@ -676,10 +674,10 @@ let solve_branch_multi ?(config = default_config) prog ~horizon ~target =
     in
     SV.start_step env inputs
   in
-  let body = (SV.lowered env).body in
+  let entry = SV.entry env in
   let rec run_step step pc =
     if step < horizon then begin
-      try walk ctx env (end_of_step step) body [] pc
+      try walk ctx env (end_of_step step) entry pc
       with Found a ->
         (* the innermost handler fires first and pins the hit step *)
         if !depth_of_found = None then depth_of_found := Some step;

@@ -1,6 +1,7 @@
 module Value = Slim.Value
 module Ir = Slim.Ir
 module L = Slim.Lower
+module Branch = Slim.Branch
 module Term = Solver.Term
 
 type sval =
@@ -44,12 +45,65 @@ type shape =
   | Leaf of string * Value.ty
   | Node of shape array
 
+(* --- the walkable mirror ------------------------------------------------ *)
+
+(* What taking one arm of a decision adds to the path condition. *)
+type arm =
+  | Taken
+  | Not_taken
+  | Constraint of Term.t
+
+(* An expression at one program point.  A constant or a slot read is
+   evaluated as it is: that allocates nothing.  Any other has a
+   one-entry memo: [keys.(i)] is the value slot [reads.(i)] held when
+   the value [keys.(n)] was computed ([unset] before), [n] the number of
+   slots read.  Constants are fixed per register file, so the slots are
+   the whole key. *)
+type point =
+  | Direct of L.expr
+  | Memo of { expr : L.expr; reads : int array; keys : sval array }
+
+(* [root] is the slot [lhs] writes ([-1] when unbound).  A [Copy]
+   writes a constant or a slot read into a slot; an [Assign] memoizes,
+   as a [Memo] point does, the value [root] holds after the write. *)
+type node =
+  | End_of_step
+  | Copy of { lhs : L.lvalue; root : int; src : L.expr; next : node }
+  | Assign of {
+      lhs : L.lvalue;
+      root : int;
+      expr : L.expr;
+      reads : int array;
+      keys : sval array;
+      next : node;
+    }
+  | Decide of decision
+
+and decision = {
+  stmt : L.stmt;
+  id : int;
+  guard : point;
+  mutable atoms : point array;  (** built by the first [atom_terms] *)
+  mutable atom_terms : Term.t array;
+  outcomes : Branch.outcome array;
+  labels : int list;
+  arms : node array;
+  mutable arms_of : Term.t option;
+  arm_cache : arm option array;
+  mutable window : Term.t array;
+  mutable window_conj : Term.t option;
+  mutable path : Term.t array;
+  mutable path_conj : Term.t option;
+}
+
 (* A program's one register file on a domain, with its undo trail and
    what the walk reads of the program.  [input_regs] are the input slots
    as [input_var] with [input_prefix] made them, kept for the next
    environment that asks for the same. *)
 type env = {
   lowered : L.t;
+  entry : node;  (** the mirror of [lowered.body] *)
+  decision_nodes : decision array;  (** by position, as [lowered.decisions] *)
   consts : sval array;  (** [lowered.consts] as symbolic values *)
   template : sval array;
       (** the register file before a step: declared state inits, type
@@ -91,6 +145,140 @@ let tel_compile_span = Telemetry.Span.make "symexec.compile"
 
 let no_input_var _ _ = invalid_arg "Sym_value: no input variables made yet"
 
+(* A fresh block: no evaluation returns it. *)
+let unset = Arr (Array.make 0 c_false)
+
+(* What building a mirror needs: the decisions by position, and a
+   buffer collecting the distinct slots one point reads ([seen.(s)] is
+   the stamp of the last point that read [s]). *)
+type builder = {
+  decisions : decision option array;
+  seen : int array;
+  reads : int array;
+  mutable n_reads : int;
+  mutable stamp : int;
+}
+
+let builder (lowered : L.t) =
+  {
+    decisions = Array.make (Array.length lowered.decisions) None;
+    seen = Array.make lowered.n_slots 0;
+    reads = Array.make lowered.n_slots 0;
+    n_reads = 0;
+    stamp = 0;
+  }
+
+let start b =
+  b.stamp <- b.stamp + 1;
+  b.n_reads <- 0
+
+let add_slot b s =
+  if b.seen.(s) <> b.stamp then begin
+    b.seen.(s) <- b.stamp;
+    b.reads.(b.n_reads) <- s;
+    b.n_reads <- b.n_reads + 1
+  end
+
+let rec add_reads b (e : L.expr) =
+  match e with
+  | L.Const _ | L.Unbound _ -> ()
+  | L.Slot s -> add_slot b s
+  | L.Unop (_, x) -> add_reads b x
+  | L.Binop (_, x, y) | L.Cmp (_, x, y) | L.And (x, y) | L.Or (x, y) | L.Index (x, y) ->
+    add_reads b x;
+    add_reads b y
+  | L.Ite (c, x, y) ->
+    add_reads b c;
+    add_reads b x;
+    add_reads b y
+
+(* An indexed write reads its root and its indices too. *)
+let rec add_lvalue_reads b = function
+  | L.Lslot s -> add_slot b s
+  | L.Lunbound _ -> ()
+  | L.Lindex (l, i) ->
+    add_reads b i;
+    add_lvalue_reads b l
+
+let point b (e : L.expr) =
+  match e with
+  | L.Const _ | L.Slot _ | L.Unbound _ -> Direct e
+  | _ ->
+    start b;
+    add_reads b e;
+    Memo { expr = e; reads = Array.sub b.reads 0 b.n_reads; keys = Array.make (b.n_reads + 1) unset }
+
+(* The slot an lvalue writes into; [-1] for an unbound root. *)
+let rec root_slot = function
+  | L.Lslot s -> s
+  | L.Lunbound _ -> -1
+  | L.Lindex (l, _) -> root_slot l
+
+let if_outcomes = [| Branch.Then; Branch.Else |]
+
+(* The arm of decision [d] that [outcome] selects. *)
+let body (d : L.stmt) (outcome : Branch.outcome) =
+  match d, outcome with
+  | L.If { then_; _ }, Branch.Then -> then_
+  | L.If { else_; _ }, (Branch.Else | Branch.Case _ | Branch.Default) -> else_
+  | L.Switch { cases; default; _ }, Branch.Case c ->
+    Option.value ~default (List.assoc_opt c cases)
+  | L.Switch { default; _ }, (Branch.Default | Branch.Then | Branch.Else) -> default
+  | L.Assign _, _ -> []
+
+(* The mirror of a statement list that continues with [next]: every
+   arm of a decision ends in the node after the decision, so the walk
+   needs no stack of pending lists. *)
+let rec mirror b (stmts : L.stmt list) next =
+  match stmts with
+  | [] -> next
+  | s :: rest -> mirror_stmt b s (mirror b rest next)
+
+and mirror_stmt b (s : L.stmt) next =
+  match s with
+  | L.Assign (lhs, e) -> (
+    let root = root_slot lhs in
+    match lhs, e with
+    | (L.Lslot _ | L.Lunbound _), (L.Const _ | L.Slot _ | L.Unbound _) ->
+      Copy { lhs; root; src = e; next }
+    | _ ->
+      start b;
+      add_reads b e;
+      add_lvalue_reads b lhs;
+      let reads = Array.sub b.reads 0 b.n_reads in
+      Assign { lhs; root; expr = e; reads; keys = Array.make (b.n_reads + 1) unset; next })
+  | L.If { id; pos; cond; _ } ->
+    decide b s ~id ~pos ~guard:cond ~labels:[] if_outcomes next
+  | L.Switch { id; pos; scrut; labels; outcomes; _ } ->
+    decide b s ~id ~pos ~guard:scrut ~labels (Array.of_list outcomes) next
+
+and decide b s ~id ~pos ~guard ~labels outcomes next =
+  let n = Array.length outcomes in
+  let arms = Array.make n next in
+  for k = 0 to n - 1 do
+    arms.(k) <- mirror b (body s outcomes.(k)) next
+  done;
+  let d =
+    {
+      stmt = s;
+      id;
+      guard = point b guard;
+      atoms = [||];
+      atom_terms = [||];
+      outcomes;
+      labels;
+      arms;
+      arms_of = None;
+      arm_cache = Array.make n None;
+      window = [||];
+      window_conj = None;
+      path = [||];
+      path_conj = None;
+    }
+  in
+  b.decisions.(pos) <- Some d;
+  Decide d
+
 let build (prog : Ir.program) =
   Telemetry.Counter.incr tel_compiles;
   Telemetry.Span.with_ tel_compile_span @@ fun () ->
@@ -112,8 +300,17 @@ let build (prog : Ir.program) =
   in
   let input_leaves = leaves_of inputs in
   let state_leaves = leaves_of states in
+  let b = builder lowered in
+  let entry = mirror b lowered.body End_of_step in
+  (* a decision only a duplicate [Switch] label holds is never walked,
+     but the target's guard may still seed a solve *)
+  Array.iteri
+    (fun pos d -> if Option.is_none b.decisions.(pos) then ignore (mirror_stmt b d End_of_step))
+    lowered.decisions;
   {
     lowered;
+    entry;
+    decision_nodes = Array.map Option.get b.decisions;
     consts;
     template;
     inputs;
@@ -157,6 +354,8 @@ let compile (prog : Ir.program) =
 (* --- environments ----------------------------------------------------- *)
 
 let lowered env = env.lowered
+let entry env = env.entry
+let decision env pos = env.decision_nodes.(pos)
 
 type mark = int
 
@@ -304,25 +503,142 @@ let rec eval env (e : L.expr) : sval =
 
 and eval_scalar env e = check_scalar (eval env e)
 
-let rec assign env (lhs : L.lvalue) v =
+(* The value the root slot of [lhs] holds once [v] is written through
+   it: a write's errors in a write's order, without the write. *)
+let rec written env (lhs : L.lvalue) v =
   match lhs with
   | L.Lslot slot ->
     let lp = env.lowered in
     if slot < lp.n_inputs then sym_error "assignment to input %s" lp.vars.(slot).name
-    else write env slot v
+    else v
   | L.Lunbound (Ir.Input, name) -> sym_error "assignment to input %s" name
   | L.Lunbound (scope, name) -> unbound scope name
   | L.Lindex (inner, idx_expr) ->
-    let rec resolve = function
-      | L.Lslot slot -> env.regs.(slot)
-      | L.Lunbound (scope, name) -> unbound scope name
-      | L.Lindex (l, i) ->
-        let i = eval_scalar env i in
-        read_index (resolve l) i
-    in
-    let container = resolve inner in
+    let container = resolve env inner in
     let idx = eval_scalar env idx_expr in
-    assign env inner (write_index container idx v)
+    written env inner (write_index container idx v)
+
+and resolve env = function
+  | L.Lslot slot -> env.regs.(slot)
+  | L.Lunbound (scope, name) -> unbound scope name
+  | L.Lindex (l, i) ->
+    let i = eval_scalar env i in
+    read_index (resolve env l) i
+
+(* --- the per-point memos ------------------------------------------------ *)
+
+(* A key matches when the slot holds the same term or array physically,
+   or a constant with the same bits: [0.0] and [-0.0] fold differently,
+   and so may two NaNs. *)
+let same_key a b =
+  a == b
+  ||
+  match a, b with
+  | Scalar x, Scalar y -> x == y
+  | Const (Value.Bool x), Const (Value.Bool y) -> (x : bool) = y
+  | Const (Value.Int x), Const (Value.Int y) -> (x : int) = y
+  | Const (Value.Real x), Const (Value.Real y) ->
+    Int64.bits_of_float x = Int64.bits_of_float y
+  | _, _ -> false
+
+let rec keys_hold regs reads keys i =
+  i < 0 || (same_key regs.(reads.(i)) keys.(i) && keys_hold regs reads keys (i - 1))
+
+(* The memoized value when the slots still hold its keys, else [unset]. *)
+let recall env reads keys =
+  let n = Array.length reads in
+  let v = keys.(n) in
+  if v != unset && keys_hold env.regs reads keys (n - 1) then v else unset
+
+(* Called before anything is written, so the keys are the slots the
+   value was computed from.  An evaluation that raised never gets
+   here: the memo keeps its last entry. *)
+let remember env reads keys v =
+  let n = Array.length reads in
+  for i = 0 to n - 1 do
+    keys.(i) <- env.regs.(reads.(i))
+  done;
+  keys.(n) <- v
+
+let point_value env = function
+  | Direct e -> eval env e
+  | Memo { expr; reads; keys } ->
+    let v = recall env reads keys in
+    if v != unset then v
+    else begin
+      let v = eval env expr in
+      remember env reads keys v;
+      v
+    end
+
+let guard env d = check_scalar (point_value env d.guard)
+let atom_terms env d =
+  (match d.stmt with
+   | L.If { cond; atoms; _ } when Array.length d.atoms = 0 ->
+     (* a single atom is the guard itself *)
+     let b = builder env.lowered in
+     d.atoms <- Array.of_list (List.map (fun a -> if a == cond then d.guard else point b a) atoms);
+     d.atom_terms <- Array.make (Array.length d.atoms) (Term.cbool false)
+   | L.If _ | L.Switch _ | L.Assign _ -> ());
+  for k = 0 to Array.length d.atoms - 1 do
+    d.atom_terms.(k) <- scalar (point_value env d.atoms.(k))
+  done;
+  d.atom_terms
+
+let assign env = function
+  | Copy { lhs; root; src; _ } -> write env root (written env lhs (eval env src))
+  | Assign { lhs; root; expr; reads; keys; _ } ->
+    let v = recall env reads keys in
+    if v != unset then write env root v
+    else begin
+      let v = written env lhs (eval env expr) in
+      remember env reads keys v;
+      write env root v
+    end
+  | End_of_step | Decide _ -> ()
+
+(* --- arms ----------------------------------------------------------------- *)
+
+let outcome_arm (outcome : Branch.outcome) t ~case_labels =
+  let term =
+    match outcome with
+    | Branch.Then -> t
+    | Branch.Else -> Term.not_ t
+    | Branch.Case k -> Term.cmp Ir.Eq (Term.unop Ir.To_int t) (Term.cint k)
+    | Branch.Default ->
+      Term.conj
+        (List.map
+           (fun k -> Term.not_ (Term.cmp Ir.Eq (Term.unop Ir.To_int t) (Term.cint k)))
+           case_labels)
+  in
+  match Term.view term with
+  | Term.Cst (Value.Bool true) -> Taken
+  | Term.Cst _ -> Not_taken
+  | _ -> Constraint term
+
+(* A constant guard answers without building a term, exactly as
+   [outcome_arm] folds the one it would build. *)
+let arm d g k =
+  let outcome = d.outcomes.(k) in
+  match g, outcome with
+  | Const (Value.Bool b), Branch.Then -> if b then Taken else Not_taken
+  | Const (Value.Bool b), Branch.Else -> if b then Not_taken else Taken
+  | Const v, Branch.Case c -> if Value.to_int v = c then Taken else Not_taken
+  | Const v, Branch.Default ->
+    if List.mem (Value.to_int v) d.labels then Not_taken else Taken
+  | _ -> (
+    let t = scalar g in
+    (match d.arms_of with
+     | Some t' when t' == t -> ()
+     | Some _ | None ->
+       d.arms_of <- Some t;
+       Array.fill d.arm_cache 0 (Array.length d.arm_cache) None);
+    match d.arm_cache.(k) with
+    | Some a -> a
+    | None ->
+      let a = outcome_arm outcome t ~case_labels:d.labels in
+      d.arm_cache.(k) <- Some a;
+      a)
 
 let leaf_name prefix name = if prefix = "" then name else prefix ^ name
 

@@ -63,8 +63,109 @@ val env_of_program :
     list. *)
 
 val lowered : env -> Slim.Lower.t
-(** The program the environment runs: walk its [body]; its [decisions]
-    are indexed by {!Slim.Exec.decision_pos}. *)
+(** The program the environment runs; its [decisions] are indexed by
+    {!Slim.Exec.decision_pos}. *)
+
+(** {1 The walkable mirror}
+
+    {!build} compiles the lowered body once per program and domain into
+    a mirror that the walk runs on.  Every guard, atom and assignment
+    is a {!point} with a one-entry memo keyed on the values of the
+    slots it reads: a [Scalar] by physical term, a [Const] by its bits
+    ([0.0] and [-0.0] differ, and so do NaN payloads), an [Arr]
+    physically.  A hit returns the stored value without calling
+    {!Solver.Term}; an evaluation that raises stores nothing.  Terms are
+    hash-consed and the memo holds its value alive, so a hit is the
+    very value an evaluation would have built. *)
+
+type point
+
+(** What taking one arm of a decision adds to the path condition. *)
+type arm =
+  | Taken
+  | Not_taken
+  | Constraint of Solver.Term.t  (** never a constant *)
+
+(** A node of the mirror.  [root] is the slot [lhs] writes ([-1] when
+    its name is unbound).  A [Copy] writes a constant or a slot read
+    into a slot, which allocates nothing; an [Assign] memoizes, as a
+    point does, the value [root] holds after the write: [keys.(i)] is
+    what slot [reads.(i)] held, the last key the value. *)
+type node = private
+  | End_of_step
+  | Copy of {
+      lhs : Slim.Lower.lvalue;
+      root : int;
+      src : Slim.Lower.expr;
+      next : node;
+    }
+  | Assign of {
+      lhs : Slim.Lower.lvalue;
+      root : int;
+      expr : Slim.Lower.expr;
+      reads : int array;
+      keys : sval array;
+      next : node;
+    }
+  | Decide of decision
+
+(** A decision.  Each arm's mirror ends in the node after the decision,
+    so no walk keeps a stack of pending statement lists.  The mutable
+    fields are caches the explorer keeps at this decision, each for
+    one entry: the arm constraints of the last guard term ([arms_of],
+    {!arm}), the last prefix window forked on and its conjunction, and
+    the last path condition solved here and its conjunction. *)
+and decision = {
+  stmt : Slim.Lower.stmt;  (** the lowered [If] or [Switch] *)
+  id : int;
+  guard : point;
+  mutable atoms : point array;
+      (** an [If]'s atoms, built by the first {!atom_terms}; none for a
+          [Switch] *)
+  mutable atom_terms : Solver.Term.t array;  (** {!atom_terms}' result *)
+  outcomes : Slim.Branch.outcome array;
+      (** [Then; Else], or a [Switch]'s outcomes *)
+  labels : int list;  (** a [Switch]'s case labels *)
+  arms : node array;  (** the arm each outcome selects *)
+  mutable arms_of : Solver.Term.t option;
+  arm_cache : arm option array;  (** by outcome, for [arms_of] *)
+  mutable window : Solver.Term.t array;
+  mutable window_conj : Solver.Term.t option;
+  mutable path : Solver.Term.t array;
+  mutable path_conj : Solver.Term.t option;
+}
+
+val entry : env -> node
+(** The mirror of the program's body. *)
+
+val decision : env -> int -> decision
+(** The mirror of the decision at a position of [decisions]. *)
+
+val guard : env -> decision -> sval
+(** The decision's guard or scrutinee, through its memo.  Raises as
+    {!eval_scalar} does. *)
+
+val atom_terms : env -> decision -> Solver.Term.t array
+(** The atoms of an [If]'s guard as terms, evaluated left to right
+    through their memos into the decision's scratch array, which is
+    returned (valid until the next call on the decision); empty for a
+    [Switch]. *)
+
+val assign : env -> node -> unit
+(** A [Copy] or an [Assign] through the trail, copy-on-write through
+    arrays, an [Assign]'s new root value through its memo; any other
+    node does nothing.  A write at a symbolic index turns
+    every element [e_k] into [ite (idx = k) v e_k].  Raises {!Sym_error}
+    on an input and on a name no declaration binds. *)
+
+val outcome_arm :
+  Slim.Branch.outcome -> Solver.Term.t -> case_labels:int list -> arm
+(** The arm constraint of an outcome for a guard term, built afresh. *)
+
+val arm : decision -> sval -> int -> arm
+(** The arm of outcome [k] for guard value [g]: a constant guard answers
+    without building a term; any other goes through [arm_cache]. *)
+
 
 val eval : env -> Slim.Lower.expr -> sval
 (** Symbolic evaluation; array reads expand as described above.
@@ -74,12 +175,6 @@ val eval : env -> Slim.Lower.expr -> sval
 
 val eval_scalar : env -> Slim.Lower.expr -> sval
 (** {!eval}, raising {!Sym_error} when the value is an array. *)
-
-val assign : env -> Slim.Lower.lvalue -> sval -> unit
-(** Assignment through the trail, copy-on-write through arrays.  A
-    write at a symbolic index turns every element [e_k] into
-    [ite (idx = k) v e_k].  Raises {!Sym_error} on an input and on a
-    name no declaration binds. *)
 
 type mark
 

@@ -830,11 +830,54 @@ let walk_objectives rng ex =
                            Ex.Condition_target { decision; atom; value = false };
                          ])))))
 
+(* A NaN with a payload other than [Float.nan]'s. *)
+let other_nan = Int64.float_of_bits 0x7FF8_0000_0000_0123L
+
+(* [st] with one value changed at a time: its first real state set to
+   [0.0], to [-0.0] and to two NaNs of different payloads, and the first
+   element of its first vector state moved.  Nothing folds the same for
+   all of them unless it keys on bits and on arrays physically. *)
+let state_variants (st : Exec.state) =
+  let set k v =
+    let a = Array.copy st in
+    a.(k) <- v;
+    a
+  in
+  let find p =
+    let rec go k = if k = Array.length st then None else if p st.(k) then Some k else go (k + 1) in
+    go 0
+  in
+  let reals =
+    match find (function V.Real _ -> true | _ -> false) with
+    | Some k -> List.map (fun r -> set k (V.Real r)) [ 0.0; -0.0; Float.nan; other_nan ]
+    | None -> []
+  in
+  let moved =
+    match find (function V.Vec a -> Array.length a > 0 | _ -> false) with
+    | Some k -> (
+      match st.(k) with
+      | V.Vec a ->
+        let a = Array.copy a in
+        (a.(0) <-
+           match a.(0) with
+           | V.Int i -> V.Int (i + 1)
+           | V.Real r -> V.Real (r +. 1.)
+           | V.Bool b -> V.Bool (not b)
+           | V.Vec _ as v -> v);
+        [ set k (V.Vec a) ]
+      | _ -> [])
+    | None -> []
+  in
+  st :: (reals @ moved)
+
 (* [n] solves of random objectives from random visited states, state-
    aware and (one in four) with symbolic state, through one memo per
-   side; and two multi-step solves.  Budgets are small so that every
-   way a search ends turns up. *)
-let walk_agrees rng prog ~states ~n =
+   side; two multi-step solves; then [repeats] solves drawn, with
+   repeats, from a pool of a few (objective, state) pairs, one state
+   and its {!state_variants} among them, each side with a fresh memo
+   so that only the walk's own memos carry over between solves.
+   Budgets are small so that every way a search ends turns up. *)
+let walk_agrees ?(repeats = 12) rng prog ~states ~n =
   let ex = Exec.handle prog in
   let objectives = walk_objectives rng ex in
   if Array.length objectives = 0 || Array.length states = 0 then true
@@ -867,11 +910,26 @@ let walk_agrees rng prog ~states ~n =
           ( (fun () -> Ex.solve_branch_multi ~config prog ~horizon ~target),
             fun () -> Ref.solve_branch_multi ~config prog ~horizon ~target ))
     in
+    let pool =
+      let base = config () and target = pick objectives in
+      Array.of_list
+        (List.map
+           (fun state -> (base, false, state, target))
+           (state_variants (pick states))
+        @ List.init 2 (fun _ ->
+              (config (), Util.Splitmix.int rng 4 = 0, pick states, pick objectives)))
+    in
+    let again =
+      List.init repeats (fun _ ->
+          let config, symbolic_state, state, target = pick pool in
+          ( (fun () -> Ex.solve_target ~config ~symbolic_state prog ~state ~target),
+            fun () -> Ref.solve_target ~config ~symbolic_state prog ~state ~target ))
+    in
     List.for_all
       (fun (solve, reference) ->
         let got = observe_walk solve and want = observe_walk reference in
         compare got want = 0)
-      (one_step @ multi)
+      (one_step @ multi @ again)
   end
 
 let prop_walk_reference =
@@ -911,6 +969,76 @@ let test_walk_reference_registry () =
             true
             (walk_agrees rng prog ~states:(visited_states ex rows) ~n:24)))
     Models.Registry.entries
+
+(* --- the per-point memos ----------------------------------------------- *)
+
+let memo_prog =
+  let open Ir in
+  renumber_decisions
+    {
+      name = "memo";
+      inputs = [ input "x" (V.treal_range (-10.) 10.) ];
+      outputs = [ output "y" V.treal ];
+      states = [ state "s" (V.treal_range (-10.) 10.) (V.Real 0.5) ];
+      locals = [];
+      body =
+        [
+          assign_out "y" ((iv "x" *: cr 2.) +: sv "s");
+          if_ ((iv "x" +: sv "s") >: cr 3.) [ assign_out "y" (cr 1.) ] [];
+        ];
+    }
+
+let memo_env s =
+  fst (SV.env_of_program memo_prog ~state:[| V.Real s |] ~input_var:(fun name _ -> T.var name))
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Telemetry off, each operation warmed first. *)
+let test_memo_hits_allocate_nothing () =
+  Telemetry.disable ();
+  let env = memo_env 0.5 in
+  let d = SV.decision env 0 in
+  let assignment =
+    match SV.entry env with
+    | SV.Assign _ as node -> node
+    | _ -> Alcotest.fail "expected a memoized assignment first"
+  in
+  let m = SV.mark env in
+  let assign () =
+    SV.assign env assignment;
+    SV.undo env m
+  in
+  let baseline = minor_words_of (fun () -> ()) in
+  List.iter
+    (fun (what, f) ->
+      ignore (f ());
+      check (Alcotest.float 0.) (what ^ " allocates nothing") 0. (minor_words_of f -. baseline))
+    [ ("a warm guard hit", fun () -> ignore (SV.guard env d)); ("a warm assignment hit", assign) ];
+  check Alcotest.bool "a hit is the stored value" true (SV.guard env d == SV.guard env d)
+
+(* The guard [x + s > 3] from a fresh environment per state: a hit
+   returns the value stored, physically; a miss builds a new one.  [0.0]
+   and [-0.0], or two NaN payloads, are different keys, although the
+   term layer interns them as one constant. *)
+let test_memo_keys_are_bits () =
+  let guard s =
+    let env = memo_env s in
+    SV.guard env (SV.decision env 0)
+  in
+  let hit what a b = check Alcotest.bool what true (guard a == guard b) in
+  let miss what a b =
+    let g = guard a in
+    check Alcotest.bool what false (g == guard b)
+  in
+  hit "the same state hits" 0.5 0.5;
+  miss "0.0 then -0.0 misses" 0.0 (-0.0);
+  miss "-0.0 then 0.0 misses" (-0.0) 0.0;
+  hit "0.0 again hits" 0.0 0.0;
+  miss "two NaN payloads miss" Float.nan other_nan;
+  hit "one NaN payload hits" other_nan other_nan
 
 (* Solving across unrolled steps grows the variable list, which empties
    the memo: a box without the new step's variables cannot check its
@@ -1122,6 +1250,12 @@ let () =
             test_memo_after_found_and_budget;
           Alcotest.test_case "arm answers per window" `Quick
             test_arm_answers_per_window;
+        ] );
+      ( "point memos",
+        [
+          Alcotest.test_case "warm hits allocate nothing" `Quick
+            test_memo_hits_allocate_nothing;
+          Alcotest.test_case "keys are bits" `Quick test_memo_keys_are_bits;
         ] );
       ( "reference walk",
         [
