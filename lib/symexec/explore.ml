@@ -124,8 +124,11 @@ type prefix =
    hold for every solve over the same variable list and [hc4_memo]
    setting; a solve over others empties the table first.  [answers] is
    the CSP's own memo of the path conditions solved; it checks its
-   binding itself, so neither memo's clears move with the other's.  One
-   memo serves one engine run: its boxes go to the GC with it. *)
+   binding itself, so neither memo's clears move with the other's.
+   [windows] and [paths] hold the conjunctions the walk built, keyed on
+   the terms they were built from: a window's and a solved path
+   condition's.  They hold for any binding.  One memo serves one engine
+   run: its boxes and conjunctions go to the GC with it. *)
 type memo = {
   prefixes : (int, Term.t * prefix) Hashtbl.t;
   mutable vars_of : (string * Value.ty) list;  (* physically *)
@@ -133,6 +136,8 @@ type memo = {
   mutable init : Solver.Dom.t array;  (* the domains of [vars_of]'s types *)
   mutable hc4_memo_of : bool;
   answers : Csp.memo;
+  mutable windows : Term.t array array;  (* [[||]] until the first fork *)
+  mutable paths : Term.t array array;  (* [[||]] until the first solve *)
 }
 
 let create_memo () =
@@ -143,6 +148,8 @@ let create_memo () =
     init = [||];
     hc4_memo_of = default_config.hc4_memo;
     answers = Csp.create_memo ();
+    windows = [||];
+    paths = [||];
   }
 
 type ctx = {
@@ -238,26 +245,64 @@ let rec conj_rev = function
   | [ t ] -> t
   | t :: rest -> Term.and_ (conj_rev rest) t
 
-(* Whether [terms], from position [i], are the elements of [l]. *)
-let rec same_terms (terms : Term.t array) i = function
-  | [] -> i = Array.length terms
-  | t :: rest -> i < Array.length terms && terms.(i) == t && same_terms terms (i + 1) rest
+(* Conjunctions keyed on the terms they were built from, in a
+   direct-mapped table of [conj_slots] entries: an entry holds the first
+   [limit] terms of a path condition (all of them if fewer), then their
+   conjunction; [[||]] is empty.  A window conjunction and a path
+   condition's are built in different orders, so each has its table.
+   An LEDLC run at seed 16 forks on 169 distinct windows and solves 82
+   distinct path conditions; 256 slots allocated 0.9% fewer words than
+   64 on the stcg-solve benchmark, for four times the table per memo. *)
+let conj_slots = 64
 
-(* [conj_rev pc], from [d]'s cache when [pc] holds the very terms of the
-   last path condition solved at [d]. *)
-let path_conj (d : SV.decision) pc =
-  match d.path_conj with
-  | Some c when same_terms d.path 0 pc -> c
-  | Some _ | None ->
-    let c = conj_rev pc in
-    d.path <- Array.of_list pc;
-    d.path_conj <- Some c;
-    c
+let rec terms_hash h i limit = function
+  | t :: rest when i < limit -> terms_hash (((h * 31) + Term.hash t) land max_int) (i + 1) limit rest
+  | _ -> h
+
+(* Whether entry [c] was built from [l]. *)
+let rec cached (c : Term.t array) i limit = function
+  | t :: rest when i < limit ->
+    i < Array.length c - 1 && c.(i) == t && cached c (i + 1) limit rest
+  | _ -> i = Array.length c - 1
+
+let rec fill (c : Term.t array) i limit = function
+  | t :: rest when i < limit ->
+    c.(i) <- t;
+    fill c (i + 1) limit rest
+  | _ -> i
+
+let rec length_upto limit n = function
+  | _ :: rest when n < limit -> length_upto limit (n + 1) rest
+  | _ -> n
+
+let slot limit l = terms_hash 0 0 limit l land (conj_slots - 1)
+
+(* Entry [c] refilled from [l] and [conj], or a new entry when the
+   length differs. *)
+let recache (c : Term.t array) limit l conj =
+  let k = length_upto limit 0 l in
+  let c = if Array.length c = k + 1 then c else Array.make (k + 1) conj in
+  c.(fill c 0 limit l) <- conj;
+  c
+
+let last (c : Term.t array) = c.(Array.length c - 1)
+
+(* [conj_rev pc], from the memo when it holds [pc]'s very terms. *)
+let path_conj memo pc =
+  if Array.length memo.paths = 0 then memo.paths <- Array.make conj_slots [||];
+  let k = slot max_int pc in
+  let c = memo.paths.(k) in
+  if cached c 0 max_int pc then last c
+  else begin
+    let conj = conj_rev pc in
+    memo.paths.(k) <- recache c max_int pc conj;
+    conj
+  end
 
 (* A repeated path condition is answered from the run's CSP memo before
    the solve's RNG is made, so a replay makes none. *)
-let try_solve ctx d pc =
-  let constraint_ = path_conj d pc in
+let try_solve ctx pc =
+  let constraint_ = path_conj ctx.memo pc in
   ctx.cost.solver_calls <- ctx.cost.solver_calls + 1;
   let size = Term.size_capped max_term_size constraint_ in
   ctx.cost.term_nodes <- ctx.cost.term_nodes + size;
@@ -295,8 +340,8 @@ let try_solve ctx d pc =
       None
   end
 
-let hit_target ctx d pc =
-  match try_solve ctx d pc with
+let hit_target ctx pc =
+  match try_solve ctx pc with
   | Some a -> raise (Found a)
   | None -> ()
 
@@ -381,28 +426,24 @@ let rec window_conj acc k = function
   | t :: rest when k > 0 -> window_conj (Term.and_ acc t) (k - 1) rest
   | _ -> acc
 
-(* Whether [window], from position [i], is the window of [pc]. *)
-let rec same_window (window : Term.t array) i = function
-  | t :: rest when i < prefix_window ->
-    i < Array.length window && window.(i) == t && same_window window (i + 1) rest
-  | _ -> i = Array.length window
-
-(* The window conjunction of a non-empty, not oversize [pc], from [d]'s
-   cache when [pc]'s window holds the very terms of the last one
-   forked on at [d]. *)
-let fork_window (d : SV.decision) pc =
-  match d.window_conj, pc with
-  | Some w, _ when same_window d.window 0 pc -> w
-  | _, [] -> invalid_arg "fork_window"
-  | _, t :: rest ->
-    let w = window_conj t (prefix_window - 1) rest in
-    d.window <- Array.of_list (List.filteri (fun i _ -> i < prefix_window) pc);
-    d.window_conj <- Some w;
-    w
+(* The window conjunction of a non-empty, not oversize [pc], from the
+   memo when it holds the very terms of [pc]'s window. *)
+let fork_window memo pc =
+  if Array.length memo.windows = 0 then memo.windows <- Array.make conj_slots [||];
+  let k = slot prefix_window pc in
+  let c = memo.windows.(k) in
+  if cached c 0 prefix_window pc then last c
+  else
+    match pc with
+    | [] -> invalid_arg "fork_window"
+    | t :: rest ->
+      let w = window_conj t (prefix_window - 1) rest in
+      memo.windows.(k) <- recache c prefix_window pc w;
+      w
 
 (* No path condition holds a constant: an arm adds its constraint only
    when it does not fold, and so does a fired objective. *)
-let fork_prefix ctx d pc =
+let fork_prefix ctx pc =
   let vars = !(ctx.vars) in
   if ctx.cached_pc == pc && ctx.cached_vars == vars then ctx.cached_prefix
   else begin
@@ -413,7 +454,7 @@ let fork_prefix ctx d pc =
         (* deep multi-step terms make even propagation expensive: treat
            oversize prefixes as unconstraining rather than walk them *)
         if window_oversize prefix_window pc then Pf_any
-        else memo_prefix ctx (fork_window d pc)
+        else memo_prefix ctx (fork_window ctx.memo pc)
     in
     ctx.cached_pc <- pc;
     ctx.cached_vars <- vars;
@@ -489,9 +530,9 @@ let fire ctx env (d : SV.decision) pc =
     | Branch_target _ -> Term.cbool false
   in
   match Term.view c with
-  | Term.Cst (Value.Bool true) -> hit_target ctx d pc
+  | Term.Cst (Value.Bool true) -> hit_target ctx pc
   | Term.Cst _ -> ()
-  | _ -> hit_target ctx d (c :: pc)
+  | _ -> hit_target ctx (c :: pc)
 
 (* Walk the mirror from [node] to the end of the step, then call
    [at_end] with the path condition there.  A decision on the target's
@@ -520,7 +561,7 @@ let rec walk ctx env at_end (node : SV.node) pc =
       if req >= 0 then take ctx env at_end d g req pc
       else begin
         let first = first_arm ctx d in
-        let prefix = fork_prefix ctx d pc and mark = SV.mark env in
+        let prefix = fork_prefix ctx pc and mark = SV.mark env in
         if first >= 0 then fork ctx env at_end d g prefix mark first pc;
         for k = 0 to Array.length d.outcomes - 1 do
           if first < 0 || d.outcomes.(k) <> d.outcomes.(first) then
@@ -533,9 +574,9 @@ let rec walk ctx env at_end (node : SV.node) pc =
 and take ctx env at_end d g k pc =
   match SV.arm d g k with
   | SV.Not_taken -> ()
-  | SV.Taken -> if arm_open (fork_prefix ctx d pc) then enter ctx env at_end d k pc
+  | SV.Taken -> if arm_open (fork_prefix ctx pc) then enter ctx env at_end d k pc
   | SV.Constraint c ->
-    if arm_feasible (fork_prefix ctx d pc) c then enter ctx env at_end d k (c :: pc)
+    if arm_feasible (fork_prefix ctx pc) c then enter ctx env at_end d k (c :: pc)
 
 (* Arm [k] of a fork, rolled back to [mark] when it returns. *)
 and fork ctx env at_end d g prefix mark k pc =
@@ -556,7 +597,7 @@ and fork ctx env at_end d g prefix mark k pc =
 
 and enter ctx env at_end (d : SV.decision) k pc =
   match ctx.target with
-  | Branch_target (t, o) when t = d.id && o = d.outcomes.(k) -> hit_target ctx d pc
+  | Branch_target (t, o) when t = d.id && o = d.outcomes.(k) -> hit_target ctx pc
   | Branch_target _ | Condition_target _ | Vector_target _ ->
     walk ctx env at_end d.arms.(k) pc
 

@@ -21,6 +21,20 @@ let rec sval_of_value = function
   | (Value.Bool _ | Value.Int _ | Value.Real _) as v -> Const v
   | Value.Vec a -> Arr (Array.map sval_of_value a)
 
+(* Bit-exact equality of values: [0.0] and [-0.0] differ, and so do NaN
+   payloads. *)
+let rec same_value (a : Value.t) (b : Value.t) =
+  a == b
+  ||
+  match a, b with
+  | Value.Bool x, Value.Bool y -> (x : bool) = y
+  | Value.Int x, Value.Int y -> (x : int) = y
+  | Value.Real x, Value.Real y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Value.Vec x, Value.Vec y -> Array.length x = Array.length y && same_elements x y 0
+  | _, _ -> false
+
+and same_elements x y i = i = Array.length x || (same_value x.(i) y.(i) && same_elements x y (i + 1))
+
 (* A term as a symbolic value: a folded constant stays uninterned, so no
    [Scalar] ever holds a [Cst]. *)
 let of_term t =
@@ -90,10 +104,6 @@ and decision = {
   arms : node array;
   mutable arms_of : Term.t option;
   arm_cache : arm option array;
-  mutable window : Term.t array;
-  mutable window_conj : Term.t option;
-  mutable path : Term.t array;
-  mutable path_conj : Term.t option;
 }
 
 (* A program's one register file on a domain, with its undo trail and
@@ -119,6 +129,11 @@ type env = {
   step_leaves : (string * Value.ty) list;
       (** [input_leaves] without repeats (first occurrence kept) *)
   regs : sval array;
+  last_state : Value.t array;
+  state_regs : sval array;
+      (** the state slots as the last snapshot made them, from its
+          values [last_state]: a snapshot with the same bits gets the
+          very same svals, so the memos keyed on them hit *)
   mutable trail_slots : int array;
   mutable trail_old : sval array;
   mutable trail_len : int;
@@ -270,10 +285,6 @@ and decide b s ~id ~pos ~guard ~labels outcomes next =
       arms;
       arms_of = None;
       arm_cache = Array.make n None;
-      window = [||];
-      window_conj = None;
-      path = [||];
-      path_conj = None;
     }
   in
   b.decisions.(pos) <- Some d;
@@ -324,6 +335,8 @@ let build (prog : Ir.program) =
            (fun acc leaf -> if List.mem leaf acc then acc else leaf :: acc)
            [] input_leaves);
     regs = Array.copy template;
+    last_state = Array.map Value.copy inits;
+    state_regs = Array.sub template lowered.n_inputs lowered.n_states;
     trail_slots = [||];
     trail_old = [||];
     trail_len = 0;
@@ -535,10 +548,7 @@ let same_key a b =
   ||
   match a, b with
   | Scalar x, Scalar y -> x == y
-  | Const (Value.Bool x), Const (Value.Bool y) -> (x : bool) = y
-  | Const (Value.Int x), Const (Value.Int y) -> (x : int) = y
-  | Const (Value.Real x), Const (Value.Real y) ->
-    Int64.bits_of_float x = Int64.bits_of_float y
+  | Const x, Const y -> same_value x y
   | _, _ -> false
 
 let rec keys_hold regs reads keys i =
@@ -680,7 +690,13 @@ let env_of_program ?(prefix = "") ?(symbolic_state = false)
          [k]-th declared state variable; a short snapshot keeps the
          declared initial values of the template *)
       for k = 0 to min env.lowered.n_states (Array.length state) - 1 do
-        regs.(n_in + k) <- sval_of_value state.(k)
+        let v = state.(k) in
+        if not (same_value env.last_state.(k) v) then begin
+          (* a vector is mutable in place: keep a copy to compare with *)
+          env.last_state.(k) <- Value.copy v;
+          env.state_regs.(k) <- sval_of_value v
+        end;
+        regs.(n_in + k) <- env.state_regs.(k)
       done;
       prefixed prefix env.input_leaves
     end

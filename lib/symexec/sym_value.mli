@@ -110,11 +110,9 @@ type node = private
   | Decide of decision
 
 (** A decision.  Each arm's mirror ends in the node after the decision,
-    so no walk keeps a stack of pending statement lists.  The mutable
-    fields are caches the explorer keeps at this decision, each for
-    one entry: the arm constraints of the last guard term ([arms_of],
-    {!arm}), the last prefix window forked on and its conjunction, and
-    the last path condition solved here and its conjunction. *)
+    so no walk keeps a stack of pending statement lists.  [arms_of]
+    and [arm_cache] hold the arms {!arm} built for the last guard term;
+    [atoms] and [atom_terms] are filled by {!atom_terms}. *)
 and decision = {
   stmt : Slim.Lower.stmt;  (** the lowered [If] or [Switch] *)
   id : int;
@@ -129,10 +127,6 @@ and decision = {
   arms : node array;  (** the arm each outcome selects *)
   mutable arms_of : Solver.Term.t option;
   arm_cache : arm option array;  (** by outcome, for [arms_of] *)
-  mutable window : Solver.Term.t array;
-  mutable window_conj : Solver.Term.t option;
-  mutable path : Solver.Term.t array;
-  mutable path_conj : Solver.Term.t option;
 }
 
 val entry : env -> node
