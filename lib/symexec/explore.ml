@@ -364,7 +364,7 @@ let spend_path ctx =
 
    The window over the shared path condition is propagated once per
    run ([fork_prefix] through the [memo]; consecutive constraint-free
-   decisions share it via [prefix_cache] without a lookup).  Every
+   decisions share it via [cached_prefix] without a lookup).  Every
    sibling arm then propagates only its own branch constraint on the
    prefix box, which [Hc4.propagate_and_restore] leaves as it found it
    ([arm_feasible]), and the box records the answer for later solves
@@ -540,11 +540,13 @@ let fire ctx env (d : SV.decision) pc =
    ([fork]), the preferred arm first, each arm a direct call that runs
    to the end of the step and then rolls the undo trail back to the
    fork's mark.  Guards, assignments and arm constraints come from the
-   mirror's memos, the prefix window's conjunction and the solved path
-   condition's from the decision's caches.  Entering the target branch
-   solves the path condition; success raises [Found].  [Found],
-   [Path_budget] and [Sym_error] end the whole search, so they need no
-   roll-back. *)
+   mirror's memos, and the conjunctions of prefix windows and solved
+   path conditions from the run's memo, so a walk that meets the values
+   of an earlier one builds no term: every term it hands HC4 and the
+   CSP, and every charge, are the ones a fresh evaluation would give.
+   Entering the target branch solves the path condition; success raises
+   [Found].  [Found], [Path_budget] and [Sym_error] end the whole
+   search, so they need no roll-back. *)
 let rec walk ctx env at_end (node : SV.node) pc =
   match node with
   | SV.End_of_step -> at_end pc

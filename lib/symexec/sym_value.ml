@@ -366,7 +366,6 @@ let compile (prog : Ir.program) =
 
 (* --- environments ----------------------------------------------------- *)
 
-let lowered env = env.lowered
 let entry env = env.entry
 let decision env pos = env.decision_nodes.(pos)
 

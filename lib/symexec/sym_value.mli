@@ -13,10 +13,12 @@
     indices blend every element with a guarded [Tite].  Because state
     arrays are constants, those chains fold to small terms.
 
-    The walk reads the {!Slim.Lower} form that {!Slim.Exec.handle}
-    builds.  Kept per domain, because hash-consed terms are per domain,
-    is one register file per program, with its undo trail, its
-    template, its input variables and the input and state shapes. *)
+    The walk runs on a mirror of the {!Slim.Lower} form that
+    {!Slim.Exec.handle} builds, whose program points remember what they
+    last derived.  Kept per domain, because hash-consed terms are per
+    domain, are one register file per program, with its undo trail, its
+    template, its input variables, the input and state shapes, and the
+    mirror with its memos. *)
 
 type sval =
   | Const of Slim.Value.t  (** a scalar: [Bool], [Int] or [Real] *)
@@ -62,23 +64,27 @@ val env_of_program :
     state slots hold variables [st$name] instead, appended to the
     list. *)
 
-val lowered : env -> Slim.Lower.t
-(** The program the environment runs; its [decisions] are indexed by
-    {!Slim.Exec.decision_pos}. *)
-
 (** {1 The walkable mirror}
 
-    {!build} compiles the lowered body once per program and domain into
-    a mirror that the walk runs on.  Every guard, atom and assignment
-    is a {!point} with a one-entry memo keyed on the values of the
+    The first {!env_of_program} of a program on a domain compiles its
+    lowered body into a mirror that the walk runs on.  Each arm of a
+    decision ends in the node after the decision, so a walk keeps no
+    stack of pending statement lists.  A guard, atom or assignment that
+    is a constant or a slot read is evaluated as it is, which allocates
+    nothing.  Any other has a one-entry memo keyed on the values of the
     slots it reads: a [Scalar] by physical term, a [Const] by its bits
     ([0.0] and [-0.0] differ, and so do NaN payloads), an [Arr]
     physically.  A hit returns the stored value without calling
-    {!Solver.Term}; an evaluation that raises stores nothing.  Terms are
-    hash-consed and the memo holds its value alive, so a hit is the
-    very value an evaluation would have built. *)
+    {!Solver.Term}; an evaluation that raises stores nothing, so the
+    next one raises again.  Terms are hash-consed and a memo keeps its
+    value alive, so a hit is the very value, down to the term node, an
+    evaluation would have built.  A state snapshot with the same bits as
+    the environment's last one gets the same values, so memos keyed on
+    a state array hit across solves. *)
 
 type point
+(** A guard or an atom: a constant or a slot read, or an expression
+    with its memo. *)
 
 (** What taking one arm of a decision adds to the path condition. *)
 type arm =
@@ -109,11 +115,10 @@ type node = private
     }
   | Decide of decision
 
-(** A decision.  Each arm's mirror ends in the node after the decision,
-    so no walk keeps a stack of pending statement lists.  [arms_of]
-    and [arm_cache] hold the arms {!arm} built for the last guard term;
-    [atoms] and [atom_terms] are filled by {!atom_terms}. *)
-and decision = {
+(** A decision.  [arms_of] and [arm_cache] hold the arms {!arm} built
+    for the last guard term; [atoms] and [atom_terms] are filled by
+    {!atom_terms}. *)
+and decision = private {
   stmt : Slim.Lower.stmt;  (** the lowered [If] or [Switch] *)
   id : int;
   guard : point;
@@ -133,11 +138,11 @@ val entry : env -> node
 (** The mirror of the program's body. *)
 
 val decision : env -> int -> decision
-(** The mirror of the decision at a position of [decisions]. *)
+(** The mirror of the decision at a position ({!Slim.Exec.decision_pos}). *)
 
 val guard : env -> decision -> sval
 (** The decision's guard or scrutinee, through its memo.  Raises as
-    {!eval_scalar} does. *)
+    {!eval} does, and {!Sym_error} when the value is an array. *)
 
 val atom_terms : env -> decision -> Solver.Term.t array
 (** The atoms of an [If]'s guard as terms, evaluated left to right
@@ -148,9 +153,9 @@ val atom_terms : env -> decision -> Solver.Term.t array
 val assign : env -> node -> unit
 (** A [Copy] or an [Assign] through the trail, copy-on-write through
     arrays, an [Assign]'s new root value through its memo; any other
-    node does nothing.  A write at a symbolic index turns
-    every element [e_k] into [ite (idx = k) v e_k].  Raises {!Sym_error}
-    on an input and on a name no declaration binds. *)
+    node does nothing.  A write at a symbolic index turns every
+    element [e_k] into [ite (idx = k) v e_k].  Raises {!Sym_error} on an
+    input and on a name no declaration binds. *)
 
 val outcome_arm :
   Slim.Branch.outcome -> Solver.Term.t -> case_labels:int list -> arm
@@ -160,15 +165,11 @@ val arm : decision -> sval -> int -> arm
 (** The arm of outcome [k] for guard value [g]: a constant guard answers
     without building a term; any other goes through [arm_cache]. *)
 
-
 val eval : env -> Slim.Lower.expr -> sval
 (** Symbolic evaluation; array reads expand as described above.
     Raises {!Sym_error} on a name no declaration binds and on a
     constant out-of-bounds index, and {!Slim.Value.Type_error} on type
     confusion. *)
-
-val eval_scalar : env -> Slim.Lower.expr -> sval
-(** {!eval}, raising {!Sym_error} when the value is an array. *)
 
 type mark
 

@@ -624,11 +624,7 @@ let test_self_comparison_const () =
   let env, _ =
     SV.env_of_program prog ~state:[||] ~input_var:(fun name _ -> T.var name)
   in
-  let guard pos =
-    match (SV.lowered env).Slim.Lower.decisions.(pos) with
-    | Slim.Lower.If { cond; _ } -> SV.eval env cond
-    | _ -> Alcotest.fail "expected an If"
-  in
+  let guard pos = SV.guard env (SV.decision env pos) in
   let is_const b = function SV.Const (V.Bool b') -> b = b' | _ -> false in
   check Alcotest.bool "x = x is Const true" true (is_const true (guard 0));
   check Alcotest.bool "x <> x is Const false" true (is_const false (guard 1))
