@@ -256,7 +256,8 @@ let rec conj_rev = function
 let conj_slots = 64
 
 let rec terms_hash h i limit = function
-  | t :: rest when i < limit -> terms_hash (((h * 31) + Term.hash t) land max_int) (i + 1) limit rest
+  | t :: rest when i < limit ->
+    terms_hash (((h * 31) + Term.hash t) land max_int) (i + 1) limit rest
   | _ -> h
 
 (* Whether entry [c] was built from [l]. *)
@@ -509,7 +510,7 @@ let fire ctx env (d : SV.decision) pc =
   let c =
     match ctx.target with
     | Condition_target { atom; value; _ } ->
-      if atom < 0 then invalid_arg "List.nth"
+      if atom < 0 then invalid_arg "Explore: negative atom"
       else if atom >= n then Term.cbool false
       else if value then terms.(atom)
       else Term.not_ terms.(atom)

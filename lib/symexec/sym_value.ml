@@ -33,7 +33,8 @@ let rec same_value (a : Value.t) (b : Value.t) =
   | Value.Vec x, Value.Vec y -> Array.length x = Array.length y && same_elements x y 0
   | _, _ -> false
 
-and same_elements x y i = i = Array.length x || (same_value x.(i) y.(i) && same_elements x y (i + 1))
+and same_elements x y i =
+  i = Array.length x || (same_value x.(i) y.(i) && same_elements x y (i + 1))
 
 (* A term as a symbolic value: a folded constant stays uninterned, so no
    [Scalar] ever holds a [Cst]. *)
@@ -215,13 +216,17 @@ let rec add_lvalue_reads b = function
     add_reads b i;
     add_lvalue_reads b l
 
+(* The slots read since [start], and the keys of a memo on them. *)
+let collected b = Array.sub b.reads 0 b.n_reads
+let fresh_keys b = Array.make (b.n_reads + 1) unset
+
 let point b (e : L.expr) =
   match e with
   | L.Const _ | L.Slot _ | L.Unbound _ -> Direct e
   | _ ->
     start b;
     add_reads b e;
-    Memo { expr = e; reads = Array.sub b.reads 0 b.n_reads; keys = Array.make (b.n_reads + 1) unset }
+    Memo { expr = e; reads = collected b; keys = fresh_keys b }
 
 (* The slot an lvalue writes into; [-1] for an unbound root. *)
 let rec root_slot = function
@@ -260,8 +265,7 @@ and mirror_stmt b (s : L.stmt) next =
       start b;
       add_reads b e;
       add_lvalue_reads b lhs;
-      let reads = Array.sub b.reads 0 b.n_reads in
-      Assign { lhs; root; expr = e; reads; keys = Array.make (b.n_reads + 1) unset; next })
+      Assign { lhs; root; expr = e; reads = collected b; keys = fresh_keys b; next })
   | L.If { id; pos; cond; _ } ->
     decide b s ~id ~pos ~guard:cond ~labels:[] if_outcomes next
   | L.Switch { id; pos; scrut; labels; outcomes; _ } ->
@@ -316,7 +320,8 @@ let build (prog : Ir.program) =
   (* a decision only a duplicate [Switch] label holds is never walked,
      but the target's guard may still seed a solve *)
   Array.iteri
-    (fun pos d -> if Option.is_none b.decisions.(pos) then ignore (mirror_stmt b d End_of_step))
+    (fun pos d ->
+      if Option.is_none b.decisions.(pos) then ignore (mirror_stmt b d End_of_step))
     lowered.decisions;
   {
     lowered;
@@ -581,12 +586,14 @@ let point_value env = function
     end
 
 let guard env d = check_scalar (point_value env d.guard)
+
 let atom_terms env d =
   (match d.stmt with
    | L.If { cond; atoms; _ } when Array.length d.atoms = 0 ->
      (* a single atom is the guard itself *)
      let b = builder env.lowered in
-     d.atoms <- Array.of_list (List.map (fun a -> if a == cond then d.guard else point b a) atoms);
+     d.atoms <-
+       Array.of_list (List.map (fun a -> if a == cond then d.guard else point b a) atoms);
      d.atom_terms <- Array.make (Array.length d.atoms) (Term.cbool false)
    | L.If _ | L.Switch _ | L.Assign _ -> ());
   for k = 0 to Array.length d.atoms - 1 do

@@ -132,9 +132,13 @@ let test_self_comparison () =
         (Fmt.str "x %a x" Ir.pp_cmpop op)
         true
         (T.is_const (T.cmp op x x) = Some (V.Bool want)))
-    [ (Ir.Eq, true); (Ir.Le, true); (Ir.Ge, true); (Ir.Ne, false); (Ir.Lt, false); (Ir.Gt, false) ];
+    [
+      (Ir.Eq, true); (Ir.Le, true); (Ir.Ge, true);
+      (Ir.Ne, false); (Ir.Lt, false); (Ir.Gt, false);
+    ];
   let q = T.binop Ir.Div x (ivar "y") in
-  check Alcotest.bool "x / y = x / y stays a node" true (T.is_const (T.cmp Ir.Eq q q) = None)
+  check Alcotest.bool "x / y = x / y stays a node" true
+    (T.is_const (T.cmp Ir.Eq q q) = None)
 
 (* The shape of LANSwitch's learn-then-lookup queries: a table cell
    written with [vlan] and compared with [vlan] in the same step, next

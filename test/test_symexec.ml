@@ -840,7 +840,9 @@ let state_variants (st : Exec.state) =
     a
   in
   let find p =
-    let rec go k = if k = Array.length st then None else if p st.(k) then Some k else go (k + 1) in
+    let rec go k =
+      if k = Array.length st then None else if p st.(k) then Some k else go (k + 1)
+    in
     go 0
   in
   let reals =
@@ -985,7 +987,9 @@ let memo_prog =
     }
 
 let memo_env s =
-  fst (SV.env_of_program memo_prog ~state:[| V.Real s |] ~input_var:(fun name _ -> T.var name))
+  fst
+    (SV.env_of_program memo_prog ~state:[| V.Real s |] ~input_var:(fun name _ ->
+         T.var name))
 
 let minor_words_of f =
   let before = Gc.minor_words () in
@@ -1011,8 +1015,12 @@ let test_memo_hits_allocate_nothing () =
   List.iter
     (fun (what, f) ->
       ignore (f ());
-      check (Alcotest.float 0.) (what ^ " allocates nothing") 0. (minor_words_of f -. baseline))
-    [ ("a warm guard hit", fun () -> ignore (SV.guard env d)); ("a warm assignment hit", assign) ];
+      check (Alcotest.float 0.) (what ^ " allocates nothing") 0.
+        (minor_words_of f -. baseline))
+    [
+      ("a warm guard hit", fun () -> ignore (SV.guard env d));
+      ("a warm assignment hit", assign);
+    ];
   check Alcotest.bool "a hit is the stored value" true (SV.guard env d == SV.guard env d)
 
 (* The guard [x + s > 3] from a fresh environment per state: a hit
