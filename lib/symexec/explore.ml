@@ -494,12 +494,14 @@ let arm_feasible prefix c =
    ancestor chain prefers, if the decision has it; -1 for none. *)
 let rec preferred_arm (d : SV.decision) = function
   | [] -> -1
-  | (id, o) :: rest -> if id = d.id then index_from d.outcomes o 0 else preferred_arm d rest
+  | (id, o) :: rest ->
+    if id = d.id then index_from d.outcomes o 0 else preferred_arm d rest
 
 let first_arm ctx (d : SV.decision) =
   match ctx.target with
   | Branch_target (t, o) when t = d.id -> arm_index d o
-  | Branch_target _ | Condition_target _ | Vector_target _ -> preferred_arm d ctx.preferred
+  | Branch_target _ | Condition_target _ | Vector_target _ ->
+    preferred_arm d ctx.preferred
 
 (* A condition or vector objective fires as soon as the guard of its
    decision is about to be evaluated; the rest of the step is not
@@ -556,7 +558,8 @@ let rec walk ctx env at_end (node : SV.node) pc =
     walk ctx env at_end next pc
   | SV.Decide d -> (
     match d.stmt, ctx.target with
-    | Lower.If _, (Condition_target _ | Vector_target _) when d.id = ctx.target_decision ->
+    | Lower.If _, (Condition_target _ | Vector_target _)
+      when d.id = ctx.target_decision ->
       fire ctx env d pc
     | _, _ ->
       let g = SV.guard env d in
@@ -640,7 +643,8 @@ let seed_constraint ex env (target : target) =
       match SV.outcome_arm outcome t ~case_labels:[] with
       | SV.Constraint c -> Some c
       | SV.Taken | SV.Not_taken -> None)
-    | Branch_target (_, outcome), Lower.Switch { labels; input_state_only = true; _ } -> (
+    | ( Branch_target (_, outcome),
+        Lower.Switch { labels; input_state_only = true; _ } ) -> (
       let t = SV.scalar (SV.guard env d) in
       match SV.outcome_arm outcome t ~case_labels:labels with
       | SV.Constraint c -> Some c

@@ -592,8 +592,8 @@ let atom_terms env d =
    | L.If { cond; atoms; _ } when Array.length d.atoms = 0 ->
      (* a single atom is the guard itself *)
      let b = builder env.lowered in
-     d.atoms <-
-       Array.of_list (List.map (fun a -> if a == cond then d.guard else point b a) atoms);
+     let atom a = if a == cond then d.guard else point b a in
+     d.atoms <- Array.of_list (List.map atom atoms);
      d.atom_terms <- Array.make (Array.length d.atoms) (Term.cbool false)
    | L.If _ | L.Switch _ | L.Assign _ -> ());
   for k = 0 to Array.length d.atoms - 1 do
