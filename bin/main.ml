@@ -6,16 +6,11 @@
      table1 table2 table3 the paper's tables
      fig3 fig4            the paper's figures (fig4 can dump CSV)
      ablations            design-choice ablations
-     merge                combine --shard partial-result files
      replay               re-measure coverage of an exported test suite
 
-   The campaign commands (table3, fig4, ablations) also run sharded:
-   --shard I/N executes one deterministic stripe of the job matrix and
-   writes a partial-results JSON; `stcg merge` rebuilds the exact
-   artifact from a full set of partials; --shards N orchestrates both
-   steps locally by spawning this binary once per shard — separate
-   processes share no OCaml heap, so shards scale past the
-   stop-the-world minor-GC ceiling that caps worker domains. *)
+   The campaign commands (table3, fig4, ablations) run their job matrix
+   on --jobs worker domains; the output is byte-identical for any
+   worker count. *)
 
 open Cmdliner
 
@@ -105,113 +100,6 @@ let telemetry_setup (stats, trace, force) =
        Fmt.pr "wrote Chrome trace to %s@." path
      | None -> ());
     if stats then print_string (Telemetry.render_summary ())
-
-(* --- sharding ---------------------------------------------------------- *)
-
-let shard_conv =
-  let parse s =
-    let bad () =
-      Error (`Msg (Fmt.str "expected I/N with 0 <= I < N, got %S" s))
-    in
-    match String.index_opt s '/' with
-    | None -> bad ()
-    | Some k -> (
-      match
-        ( int_of_string_opt (String.sub s 0 k),
-          int_of_string_opt (String.sub s (k + 1) (String.length s - k - 1)) )
-      with
-      | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (i, n)
-      | _ -> bad ())
-  in
-  let print ppf (i, n) = Fmt.pf ppf "%d/%d" i n in
-  Arg.conv (parse, print)
-
-let shard_arg =
-  let doc =
-    "Execute only shard $(docv) (0-based) of the campaign's canonical job \
-     matrix — job $(i,j) belongs to shard $(i,j) mod N — and write a \
-     partial-results JSON (see $(b,--out)) instead of the artifact.  \
-     Combine the partials with $(b,stcg merge)."
-  in
-  Arg.(value & opt (some shard_conv) None & info [ "shard" ] ~docv:"I/N" ~doc)
-
-let shards_arg =
-  let doc =
-    "Orchestrate a sharded run: spawn $(docv) copies of this binary (one per \
-     shard), merge their partials and print the artifact.  Output is \
-     byte-identical to the unsharded run; separate processes share no OCaml \
-     heap, so this scales past the worker-domain ceiling."
-  in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
-
-let out_arg =
-  let doc = "Destination for the $(b,--shard) partial JSON (- is stdout)." in
-  Arg.(value & opt string "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-
-let write_output path text =
-  if path = "-" then print_string text
-  else begin
-    let oc = open_out_bin path in
-    output_string oc text;
-    close_out oc;
-    Fmt.epr "stcg: wrote %s@." path
-  end
-
-(* Spawn one child per shard ([argv_of_shard i partial_file] names the
-   child command line), wait for all of them, merge their partials. *)
-let orchestrate ~shards argv_of_shard =
-  if shards < 1 then begin
-    Fmt.epr "stcg: --shards must be >= 1@.";
-    exit 2
-  end;
-  let tmps =
-    List.init shards (fun i ->
-        Filename.temp_file (Fmt.str "stcg-shard%d-" i) ".json")
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun t -> try Sys.remove t with Sys_error _ -> ()) tmps)
-    (fun () ->
-      let pids =
-        List.mapi
-          (fun i tmp ->
-            let argv = Sys.executable_name :: argv_of_shard i tmp in
-            Unix.create_process Sys.executable_name (Array.of_list argv)
-              Unix.stdin Unix.stdout Unix.stderr)
-          tmps
-      in
-      let failed = ref 0 in
-      List.iteri
-        (fun i pid ->
-          match snd (Unix.waitpid [] pid) with
-          | Unix.WEXITED 0 -> ()
-          | Unix.WEXITED c ->
-            incr failed;
-            Fmt.epr "stcg: shard %d/%d exited with %d@." i shards c
-          | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-            incr failed;
-            Fmt.epr "stcg: shard %d/%d killed by signal %d@." i shards s)
-        pids;
-      if !failed > 0 then exit 1;
-      try Harness.Shard.merge_files tmps
-      with Harness.Shard.Malformed msg ->
-        Fmt.epr "stcg: merge failed: %s@." msg;
-        exit 1)
-
-(* Shared driver for the campaign commands: plain, --shard, --shards. *)
-let campaign ~spec ~argv_of_shard ~print_merged ~plain ?jobs ~shard ~shards
-    ~out () =
-  match (shard, shards) with
-  | Some _, Some _ ->
-    Fmt.epr "stcg: --shard and --shards are mutually exclusive@.";
-    exit 2
-  | Some s, None ->
-    write_output out (Harness.Shard.run_partial ?jobs ~shard:s spec)
-  | None, Some n ->
-    print_merged (orchestrate ~shards:n (fun i tmp -> argv_of_shard i n tmp))
-  | None, None -> plain ()
-
-let float_str f = Fmt.str "%.17g" f
 
 let tool_arg =
   let doc = "Tool: stcg, stcg-hybrid, sldv or simcotest." in
@@ -323,26 +211,16 @@ let table2_cmd =
     Term.(const run $ const ())
 
 let table3_cmd =
-  let run budget nseeds jobs shard shards out tel =
+  let run budget nseeds jobs tel =
     let finish = telemetry_setup tel in
     let seeds = List.init nseeds (fun i -> i + 1) in
-    let spec = Harness.Shard.spec ~budget ~seeds Harness.Shard.Table3 in
-    campaign ~spec
-      ~argv_of_shard:(fun i n tmp ->
-        [
-          "table3"; "--budget"; float_str budget; "--seeds";
-          string_of_int nseeds; "--shard"; Fmt.str "%d/%d" i n; "--out"; tmp;
-        ])
-      ~print_merged:(fun m -> print_string (Harness.Shard.render m))
-      ~plain:(fun () ->
-        let _, text = Harness.Experiment.table3 ~budget ~seeds ?jobs () in
-        print_string text)
-      ?jobs ~shard ~shards ~out ();
+    let _, text = Harness.Experiment.table3 ~budget ~seeds ?jobs () in
+    print_string text;
     finish ()
   in
   Cmd.v (Cmd.info "table3" ~doc:"Coverage comparison (Table III).")
-    Term.(const run $ budget_arg $ seeds_arg ~default:5 $ jobs_arg $ shard_arg
-          $ shards_arg $ out_arg $ telemetry_term)
+    Term.(const run $ budget_arg $ seeds_arg ~default:5 $ jobs_arg
+          $ telemetry_term)
 
 let fig3_cmd =
   let run () = print_string (Harness.Experiment.fig3 ()) in
@@ -350,7 +228,7 @@ let fig3_cmd =
     Term.(const run $ const ())
 
 let write_csvs dir csvs =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, csv) ->
       let path = Filename.concat dir (Fmt.str "fig4_%s.csv" name) in
@@ -361,28 +239,13 @@ let write_csvs dir csvs =
     csvs
 
 let fig4_cmd =
-  let run budget seed models csv_dir jobs shard shards out tel =
+  let run budget seed models csv_dir jobs tel =
     List.iter (fun m -> ignore (find_model m)) models;
     let finish = telemetry_setup tel in
-    let models_opt = match models with [] -> None | l -> Some l in
-    let spec =
-      Harness.Shard.spec ~budget ~seed ?models:models_opt Harness.Shard.Fig4
-    in
-    let emit (panels, csvs) =
-      print_string panels;
-      match csv_dir with None -> () | Some dir -> write_csvs dir csvs
-    in
-    campaign ~spec
-      ~argv_of_shard:(fun i n tmp ->
-        [ "fig4"; "--budget"; float_str budget; "--seed"; string_of_int seed ]
-        @ List.concat_map (fun m -> [ "--only"; m ]) models
-        @ [ "--shard"; Fmt.str "%d/%d" i n; "--out"; tmp ])
-      ~print_merged:(function
-        | Harness.Shard.M_fig4 (panels, csvs) -> emit (panels, csvs)
-        | m -> print_string (Harness.Shard.render m))
-      ~plain:(fun () ->
-        emit (Harness.Experiment.fig4 ~budget ~seed ?models:models_opt ?jobs ()))
-      ?jobs ~shard ~shards ~out ();
+    let models = match models with [] -> None | l -> Some l in
+    let panels, csvs = Harness.Experiment.fig4 ~budget ~seed ?models ?jobs () in
+    print_string panels;
+    (match csv_dir with None -> () | Some dir -> write_csvs dir csvs);
     finish ()
   in
   let models_arg =
@@ -395,74 +258,20 @@ let fig4_cmd =
   in
   Cmd.v (Cmd.info "fig4" ~doc:"Coverage versus time, all tools (Figure 4).")
     Term.(const run $ budget_arg $ seed_arg $ models_arg $ csv_arg $ jobs_arg
-          $ shard_arg $ shards_arg $ out_arg $ telemetry_term)
+          $ telemetry_term)
 
 let ablations_cmd =
-  let run budget nseeds jobs shard shards out tel =
+  let run budget nseeds jobs tel =
     let finish = telemetry_setup tel in
     let seeds = List.init nseeds (fun i -> i + 1) in
-    let spec = Harness.Shard.spec ~budget ~seeds Harness.Shard.Ablations in
-    campaign ~spec
-      ~argv_of_shard:(fun i n tmp ->
-        [
-          "ablations"; "--budget"; float_str budget; "--seeds";
-          string_of_int nseeds; "--shard"; Fmt.str "%d/%d" i n; "--out"; tmp;
-        ])
-      ~print_merged:(fun m -> print_string (Harness.Shard.render m))
-      ~plain:(fun () ->
-        print_string (Harness.Experiment.ablations ~budget ~seeds ?jobs ()))
-      ?jobs ~shard ~shards ~out ();
+    print_string (Harness.Experiment.ablations ~budget ~seeds ?jobs ());
     finish ()
   in
   Cmd.v
     (Cmd.info "ablations"
        ~doc:"Ablate STCG's design choices (depth sort, state constants, random fallback, hybrid).")
-    Term.(const run $ budget_arg $ seeds_arg ~default:3 $ jobs_arg $ shard_arg
-          $ shards_arg $ out_arg $ telemetry_term)
-
-let merge_cmd =
-  let run output parts csv_dir =
-    match Harness.Shard.merge_files parts with
-    | merged ->
-      let text = Harness.Shard.render merged in
-      if output = "-" then print_string text
-      else begin
-        let oc = open_out_bin output in
-        output_string oc text;
-        close_out oc;
-        Fmt.pr "wrote %s@." output
-      end;
-      (match (merged, csv_dir) with
-       | Harness.Shard.M_fig4 (_, csvs), Some dir -> write_csvs dir csvs
-       | _ -> ())
-    | exception Harness.Shard.Malformed msg ->
-      Fmt.epr "stcg merge: %s@." msg;
-      exit 2
-    | exception Sys_error msg ->
-      Fmt.epr "stcg merge: %s@." msg;
-      exit 2
-  in
-  let output_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OUT"
-         ~doc:"Destination for the merged artifact (- is stdout).")
-  in
-  let parts_arg =
-    Arg.(non_empty & pos_right 0 string [] & info [] ~docv:"PART"
-         ~doc:"Partial-results files written by --shard runs.")
-  in
-  let csv_arg =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"DIR"
-             ~doc:"For fig4 campaigns, also dump per-model CSV series to \
-                   $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "merge"
-       ~doc:"Merge --shard partial-results files into the exact artifact a \
-             single-process run prints.  The partials carry their campaign \
-             parameters; merging refuses mismatched campaigns, overlaps and \
-             gaps.")
-    Term.(const run $ output_arg $ parts_arg $ csv_arg)
+    Term.(const run $ budget_arg $ seeds_arg ~default:3 $ jobs_arg
+          $ telemetry_term)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -859,6 +668,6 @@ let () =
        (Cmd.group info
           [
             list_models_cmd; run_cmd; table1_cmd; table2_cmd; table3_cmd;
-            fig3_cmd; fig4_cmd; ablations_cmd; merge_cmd; lint_cmd; replay_cmd;
+            fig3_cmd; fig4_cmd; ablations_cmd; lint_cmd; replay_cmd;
             dump_cmd; parse_cmd; fmt_cmd; campaign_cmd; falsify_cmd;
           ]))

@@ -69,13 +69,6 @@ type averaged = {
 (* SLDV is deterministic: one run regardless of the seed list. *)
 let seeds_for tool seeds = match tool with SLDV -> [ 1 ] | _ -> seeds
 
-(* Run on the caller's pool when given one; otherwise spin up a private
-   pool for this experiment ([?jobs] workers). *)
-let pmap ?pool ?jobs ?cost f items =
-  match pool with
-  | Some p -> Pool.map p ?cost f items
-  | None -> Pool.with_pool ?jobs (fun p -> Pool.map p ?cost f items)
-
 (* Deterministic relative cost of one job, for the pool's
    longest-expected-first scheduling: branch count is the best static
    proxy for how much exploring/solving a run does, and the STCG
@@ -89,27 +82,6 @@ let tool_cost_weight = function
 
 let entry_cost (e : Registry.entry) =
   1 + Slim.Exec.n_branches (Slim.Exec.handle (e.Registry.program ()))
-
-(* Deterministic shard stripe over an indexed job list: job [j] belongs
-   to shard [j mod count].  Striping (rather than contiguous blocks)
-   spreads every model's heavyweight cells across the shards. *)
-let stripe_filter stripe indexed =
-  match stripe with
-  | None -> indexed
-  | Some (index, count) ->
-    if count < 1 || index < 0 || index >= count then
-      invalid_arg "Experiment: shard stripe must satisfy 0 <= i < n";
-    List.filter (fun (i, _) -> i mod count = index) indexed
-
-(* Hoist the per-model lazy construction + slot compilation out of the
-   workers: force each program and its compiled handle once on the
-   submitting domain, so workers share the precomputed handles
-   read-only instead of racing on the model lazies. *)
-let precompile entries =
-  List.iter
-    (fun (e : Registry.entry) ->
-      ignore (Slim.Exec.handle (e.Registry.program ())))
-    entries
 
 (* The registry entries a [?models] list names, all of them by default;
    an unknown name raises rather than leaving its rows out silently. *)
@@ -126,39 +98,54 @@ let entries_of = function
                (String.concat ", " Registry.names)))
       names
 
-(* Execute (a stripe of) a job matrix over [entries]: precompile the
-   models, keep the stripe's jobs, run them on the pool and pair each
-   result with its job index. *)
-let run_matrix ?pool ?jobs ?stripe ~cost entries matrix f =
-  precompile entries;
-  let indexed = stripe_filter stripe (List.mapi (fun i j -> (i, j)) matrix) in
-  let results =
-    pmap ?pool ?jobs ~cost:(fun (_, j) -> cost j) (fun (_, j) -> f j) indexed
-  in
-  List.map2 (fun (i, _) r -> (i, r)) indexed results
+(* Execute a job matrix over [entries] and return its results in matrix
+   order.  The per-model lazy construction and slot compilation are
+   forced once on the submitting domain first, so workers share the
+   precomputed handles read-only instead of racing on the model lazies.
+   The matrix runs on the caller's pool when given one, otherwise on a
+   private pool of [?jobs] workers. *)
+let run_matrix ?pool ?jobs ?cost entries matrix f =
+  List.iter
+    (fun (e : Registry.entry) ->
+      ignore (Slim.Exec.handle (e.Registry.program ())))
+    entries;
+  match pool with
+  | Some p -> Pool.map p ?cost f matrix
+  | None -> Pool.with_pool ?jobs (fun p -> Pool.map p ?cost f matrix)
 
-let average_of_runs ~tool (entry : Registry.entry) results =
-  let n = float (List.length results) in
-  let mean f = List.fold_left (fun acc r -> acc +. f r) 0.0 results /. n in
+(* The outcome of one (model, tool, seed) run that the averages read. *)
+type t3_cell = {
+  t3_decision : float;
+  t3_condition : float;
+  t3_mcdc : float;
+  t3_tests : int;
+}
+
+let t3_cell_of_run (r : Run_result.t) =
+  {
+    t3_decision = Run_result.decision_pct r;
+    t3_condition = Run_result.condition_pct r;
+    t3_mcdc = Run_result.mcdc_pct r;
+    t3_tests = List.length r.Run_result.testcases;
+  }
+
+let average_of_cells ~tool (entry : Registry.entry) cells =
+  let n = float (List.length cells) in
+  let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. n in
   {
     a_model = entry.Registry.name;
     a_tool = tool;
-    a_decision = mean Run_result.decision_pct;
-    a_condition = mean Run_result.condition_pct;
-    a_mcdc = mean Run_result.mcdc_pct;
-    a_tests =
-      mean (fun r -> float (List.length r.Run_result.testcases));
-    a_runs = List.length results;
+    a_decision = mean (fun c -> c.t3_decision);
+    a_condition = mean (fun c -> c.t3_condition);
+    a_mcdc = mean (fun c -> c.t3_mcdc);
+    a_tests = mean (fun c -> float c.t3_tests);
+    a_runs = List.length cells;
   }
 
 let average ?budget ?pool ?jobs ~seeds tool entry =
-  precompile [ entry ];
-  let results =
-    pmap ?pool ?jobs
-      (fun seed -> run_tool ?budget ~seed tool entry)
-      (seeds_for tool seeds)
-  in
-  average_of_runs ~tool entry results
+  run_matrix ?pool ?jobs [ entry ] (seeds_for tool seeds) (fun seed ->
+      t3_cell_of_run (run_tool ?budget ~seed tool entry))
+  |> average_of_cells ~tool entry
 
 (* --- Table I ---------------------------------------------------------- *)
 
@@ -249,25 +236,9 @@ let table2 () =
 
 let pct_str x = Fmt.str "%.0f%%" x
 
-(* The canonical (model, tool, seed) job matrix and the per-job outcome
-   record are first-class so that a sharded run can execute any stripe
-   of the matrix and a later merge can rebuild the exact table: the
-   renderer only ever sees [t3_cell]s in matrix order, whether they
-   came from this process, another worker domain, or a partial-results
-   file written by another machine. *)
-
-let t3_tools = [ SLDV; SimCoTest; STCG ]
-let t3_default_seeds = [ 1; 2; 3; 4; 5 ]
-
-type t3_cell = {
-  t3_decision : float;
-  t3_condition : float;
-  t3_mcdc : float;
-  t3_tests : int;
-}
-
-let table3_matrix ?(seeds = t3_default_seeds) ?models () =
+let table3 ?budget ?(seeds = [ 1; 2; 3; 4; 5 ]) ?models ?pool ?jobs () =
   let entries = entries_of models in
+  let tools = [ SLDV; SimCoTest; STCG ] in
   (* the full (model, tool, seed) matrix, in canonical row order *)
   let matrix =
     List.concat_map
@@ -275,50 +246,15 @@ let table3_matrix ?(seeds = t3_default_seeds) ?models () =
         List.concat_map
           (fun tool ->
             List.map (fun seed -> (entry, tool, seed)) (seeds_for tool seeds))
-          t3_tools)
+          tools)
       entries
   in
-  (entries, matrix)
-
-let table3_njobs ?seeds ?models () =
-  List.length (snd (table3_matrix ?seeds ?models ()))
-
-let t3_cell_of_run (r : Run_result.t) =
-  {
-    t3_decision = Run_result.decision_pct r;
-    t3_condition = Run_result.condition_pct r;
-    t3_mcdc = Run_result.mcdc_pct r;
-    t3_tests = List.length r.Run_result.testcases;
-  }
-
-let table3_cells ?budget ?seeds ?models ?pool ?jobs ?stripe () =
-  let entries, matrix = table3_matrix ?seeds ?models () in
-  run_matrix ?pool ?jobs ?stripe entries matrix
-    ~cost:(fun (e, t, _) -> tool_cost_weight t * entry_cost e)
-    (fun (entry, tool, seed) ->
-      t3_cell_of_run (run_tool ?budget ~seed tool entry))
-
-let average_of_cells ~tool (entry : Registry.entry) cells =
-  let n = float (List.length cells) in
-  let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. n in
-  {
-    a_model = entry.Registry.name;
-    a_tool = tool;
-    a_decision = mean (fun c -> c.t3_decision);
-    a_condition = mean (fun c -> c.t3_condition);
-    a_mcdc = mean (fun c -> c.t3_mcdc);
-    a_tests = mean (fun c -> float c.t3_tests);
-    a_runs = List.length cells;
-  }
-
-let table3_of_cells ?budget ?seeds ?models cells =
-  let entries, matrix = table3_matrix ?seeds ?models () in
-  if List.length cells <> List.length matrix then
-    invalid_arg
-      (Fmt.str "Experiment.table3_of_cells: %d cells for a %d-job matrix"
-         (List.length cells) (List.length matrix));
-  let tools = t3_tools in
-  let seeds = Option.value seeds ~default:t3_default_seeds in
+  let cells =
+    run_matrix ?pool ?jobs entries matrix
+      ~cost:(fun (e, t, _) -> tool_cost_weight t * entry_cost e)
+      (fun (entry, tool, seed) ->
+        t3_cell_of_run (run_tool ?budget ~seed tool entry))
+  in
   (* deterministic merge: cells are in matrix order, so grouping by
      (model, tool) consumes each cell's seeds in seed order *)
   let tagged = List.combine matrix cells in
@@ -419,10 +355,6 @@ let table3_of_cells ?budget ?seeds ?models cells =
       (match budget with Some b -> Fmt.str "%.0fs" b | None -> "3600s")
       table )
 
-let table3 ?budget ?seeds ?models ?pool ?jobs () =
-  let cells = table3_cells ?budget ?seeds ?models ?pool ?jobs () in
-  table3_of_cells ?budget ?seeds ?models (List.map snd cells)
-
 (* --- Figure 3 --------------------------------------------------------- *)
 
 let fig3 () =
@@ -461,40 +393,14 @@ let fig3 () =
 
 (* --- Figure 4 --------------------------------------------------------- *)
 
-(* Same shard-friendly split as Table III: one (model, tool) job per
-   panel curve, a slim per-job outcome record, and a renderer that only
-   consumes outcomes in matrix order. *)
-
 let f4_tools = [ STCG; SLDV; SimCoTest ]
 
+(* What a Figure 4 panel keeps of one (model, tool) run. *)
 type f4_curve = {
   f4_tool : string;  (* the tool's self-reported name, for the CSV dump *)
   f4_timeline : (float * float) list;
   f4_markers : (float * Testcase.origin) list;
 }
-
-let fig4_matrix ?models () =
-  let entries = entries_of models in
-  let matrix =
-    List.concat_map
-      (fun entry -> List.map (fun tool -> (entry, tool)) f4_tools)
-      entries
-  in
-  (entries, matrix)
-
-let fig4_njobs ?models () = List.length (snd (fig4_matrix ?models ()))
-
-let fig4_curves ?(budget = 3600.0) ?(seed = 1) ?models ?pool ?jobs ?stripe () =
-  let entries, matrix = fig4_matrix ?models () in
-  run_matrix ?pool ?jobs ?stripe entries matrix
-    ~cost:(fun (e, t) -> tool_cost_weight t * entry_cost e)
-    (fun (entry, tool) ->
-      let r = run_tool ~budget ~seed tool entry in
-      {
-        f4_tool = r.Run_result.tool;
-        f4_timeline = r.Run_result.timeline;
-        f4_markers = r.Run_result.markers;
-      })
 
 let csv_of_curve (c : f4_curve) =
   let buf = Buffer.create 512 in
@@ -505,12 +411,24 @@ let csv_of_curve (c : f4_curve) =
     c.f4_timeline;
   Buffer.contents buf
 
-let fig4_of_curves ?(budget = 3600.0) ?models curves =
-  let entries, matrix = fig4_matrix ?models () in
-  if List.length curves <> List.length matrix then
-    invalid_arg
-      (Fmt.str "Experiment.fig4_of_curves: %d curves for a %d-job matrix"
-         (List.length curves) (List.length matrix));
+let fig4 ?(budget = 3600.0) ?(seed = 1) ?models ?pool ?jobs () =
+  let entries = entries_of models in
+  let matrix =
+    List.concat_map
+      (fun entry -> List.map (fun tool -> (entry, tool)) f4_tools)
+      entries
+  in
+  let curves =
+    run_matrix ?pool ?jobs entries matrix
+      ~cost:(fun (e, t) -> tool_cost_weight t * entry_cost e)
+      (fun (entry, tool) ->
+        let r = run_tool ~budget ~seed tool entry in
+        {
+          f4_tool = r.Run_result.tool;
+          f4_timeline = r.Run_result.timeline;
+          f4_markers = r.Run_result.markers;
+        })
+  in
   let curve_of (entry : Registry.entry) tool =
     let rec find = function
       | [] -> assert false
@@ -567,10 +485,6 @@ let fig4_of_curves ?(budget = 3600.0) ?models curves =
     entries;
   (Buffer.contents panels, List.rev !csvs)
 
-let fig4 ?budget ?seed ?models ?pool ?jobs () =
-  let curves = fig4_curves ?budget ?seed ?models ?pool ?jobs () in
-  fig4_of_curves ?budget ?models (List.map snd curves)
-
 (* --- Ablations --------------------------------------------------------- *)
 
 let ab_variants : (string * (Engine.config -> Engine.config)) list =
@@ -584,12 +498,12 @@ let ab_variants : (string * (Engine.config -> Engine.config)) list =
     ("random-first hybrid", fun c -> { c with Engine.random_first = true });
   ]
 
-let ab_default_seeds = [ 1; 2; 3 ]
 let ab_default_models = [ "CPUTask"; "TCP" ]
 
-type ab_cell = { ab_decision : float; ab_time : float }
-
-let ablations_matrix ?(seeds = ab_default_seeds) ?models () =
+(* one job per (model, variant, seed); both reported metrics, decision
+   coverage and virtual time to full coverage, come from the same run *)
+let ablations ?(budget = 3600.0) ?(seeds = [ 1; 2; 3 ]) ?models ?pool ?jobs
+    () =
   let entries =
     entries_of (Some (Option.value models ~default:ab_default_models))
   in
@@ -601,36 +515,22 @@ let ablations_matrix ?(seeds = ab_default_seeds) ?models () =
           ab_variants)
       entries
   in
-  (entries, matrix)
-
-let ablations_njobs ?seeds ?models () =
-  List.length (snd (ablations_matrix ?seeds ?models ()))
-
-(* one job per (model, variant, seed); both reported metrics come from
-   the same run (runs are deterministic, so this also halves the work
-   the old per-metric re-execution did) *)
-let ablations_cells ?(budget = 3600.0) ?seeds ?models ?pool ?jobs ?stripe () =
-  let entries, matrix = ablations_matrix ?seeds ?models () in
-  run_matrix ?pool ?jobs ?stripe entries matrix
-    ~cost:(fun (e, _, _) -> tool_cost_weight STCG * entry_cost e)
-    (fun (entry, (_, tweak), seed) ->
-      let config = tweak { Engine.default_config with Engine.seed; budget } in
-      let run = Engine.run ~config (entry.Registry.program ()) in
-      let decision = Tracker.pct (Tracker.decision run.Engine.r_tracker) in
-      let time_to_full =
-        match run.Engine.r_stop with
-        | Engine.Full_coverage -> Stcg.Vclock.now run.Engine.r_clock
-        | Engine.Budget_exhausted -> budget
-      in
-      { ab_decision = decision; ab_time = time_to_full })
-
-let ablations_of_cells ?(budget = 3600.0) ?(seeds = ab_default_seeds) ?models
-    cells =
-  let entries, matrix = ablations_matrix ~seeds ?models () in
-  if List.length cells <> List.length matrix then
-    invalid_arg
-      (Fmt.str "Experiment.ablations_of_cells: %d cells for a %d-job matrix"
-         (List.length cells) (List.length matrix));
+  let cells =
+    run_matrix ?pool ?jobs entries matrix
+      ~cost:(fun (e, _, _) -> tool_cost_weight STCG * entry_cost e)
+      (fun (entry, (_, tweak), seed) ->
+        let config =
+          tweak { Engine.default_config with Engine.seed; budget }
+        in
+        let run = Engine.run ~config (entry.Registry.program ()) in
+        let decision = Tracker.pct (Tracker.decision run.Engine.r_tracker) in
+        let time_to_full =
+          match run.Engine.r_stop with
+          | Engine.Full_coverage -> Stcg.Vclock.now run.Engine.r_clock
+          | Engine.Budget_exhausted -> budget
+        in
+        (decision, time_to_full))
+  in
   let tagged = List.combine matrix cells in
   let rows =
     List.concat_map
@@ -652,8 +552,8 @@ let ablations_of_cells ?(budget = 3600.0) ?(seeds = ab_default_seeds) ?models
             [
               mname;
               label;
-              Fmt.str "%.1f%%" (mean (fun c -> c.ab_decision));
-              Fmt.str "%.0fs" (mean (fun c -> c.ab_time));
+              Fmt.str "%.1f%%" (mean fst);
+              Fmt.str "%.0fs" (mean snd);
             ])
           ab_variants)
       entries
@@ -663,7 +563,3 @@ let ablations_of_cells ?(budget = 3600.0) ?(seeds = ab_default_seeds) ?models
     (Telemetry.Text_table.render
        ~header:[ "Model"; "Variant"; "Decision"; "Time-to-done" ]
        rows)
-
-let ablations ?budget ?seeds ?models ?pool ?jobs () =
-  let cells = ablations_cells ?budget ?seeds ?models ?pool ?jobs () in
-  ablations_of_cells ?budget ?seeds ?models (List.map snd cells)

@@ -42,25 +42,6 @@ let effective_jobs ?(oversubscribe = false) requested =
   if oversubscribe || oversubscribe_env () then requested
   else min requested (max 1 (Domain.recommended_domain_count ()))
 
-let default_minor_heap_mb () =
-  match Sys.getenv_opt "STCG_MINOR_HEAP_MB" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> Some n
-     | Some _ | None -> None)
-  | None -> None
-
-(* Larger per-domain minor heaps make minor collections — and with them
-   the cross-domain stop-the-world handshakes — proportionally rarer.
-   Best effort: a runtime that cannot resize simply keeps its current
-   size. *)
-let apply_minor_heap = function
-  | None -> ()
-  | Some mb ->
-    let words = mb * (1024 * 1024 / (Sys.word_size / 8)) in
-    (try Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
-     with _ -> ())
-
 (* One worker's slice of a batch: a deque of job indices.  The owner
    pops at [lo]; thieves pop at [hi - 1].  A plain mutex per deque is
    plenty — jobs here are whole engine runs (milliseconds to seconds),
@@ -82,7 +63,6 @@ type batch = {
 type t = {
   requested : int;  (* the parallelism the caller asked for *)
   workers : int;  (* domains actually used, incl. the caller; clamped *)
-  minor_heap_mb : int option;
   lock : Mutex.t;  (* protects every mutable field below *)
   work : Condition.t;  (* a batch was submitted, or shutdown *)
   finished : Condition.t;  (* b_remaining hit 0 *)
@@ -165,7 +145,6 @@ let drain t b w =
 
 let worker t w () =
   Domain.DLS.set in_worker true;
-  apply_minor_heap t.minor_heap_mb;
   let last = ref 0 in
   let running = ref true in
   while !running do
@@ -187,19 +166,13 @@ let worker t w () =
     end
   done
 
-let create ?jobs ?oversubscribe ?minor_heap_mb () =
+let create ?jobs ?oversubscribe () =
   let requested = max 1 (Option.value jobs ~default:(default_jobs ())) in
   let workers = effective_jobs ?oversubscribe requested in
-  let minor_heap_mb =
-    match minor_heap_mb with
-    | Some _ as m -> m
-    | None -> default_minor_heap_mb ()
-  in
   let t =
     {
       requested;
       workers;
-      minor_heap_mb;
       lock = Mutex.create ();
       work = Condition.create ();
       finished = Condition.create ();
@@ -209,8 +182,6 @@ let create ?jobs ?oversubscribe ?minor_heap_mb () =
       domains = [];
     }
   in
-  (* worker domains only matter when a parallel batch can run at all *)
-  if workers > 1 then apply_minor_heap minor_heap_mb;
   (* the caller is worker 0; spawn the rest *)
   t.domains <- List.init (workers - 1) (fun i -> Domain.spawn (worker t (i + 1)));
   t
@@ -224,8 +195,8 @@ let shutdown t =
   t.domains <- [];
   List.iter Domain.join ds
 
-let with_pool ?jobs ?oversubscribe ?minor_heap_mb f =
-  let t = create ?jobs ?oversubscribe ?minor_heap_mb () in
+let with_pool ?jobs ?oversubscribe f =
+  let t = create ?jobs ?oversubscribe () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let mk_deque idx =

@@ -55,18 +55,10 @@ type t
     {!map} calls on the same pool are a programming error
     ([Invalid_argument]). *)
 
-val create : ?jobs:int -> ?oversubscribe:bool -> ?minor_heap_mb:int -> unit -> t
+val create : ?jobs:int -> ?oversubscribe:bool -> unit -> t
 (** [create ?jobs ()] spawns [effective_jobs jobs - 1] worker domains
     ([jobs] defaults to {!default_jobs}; values < 1 are clamped to 1).
-    A single effective worker spawns nothing.
-
-    [minor_heap_mb] (default: the [STCG_MINOR_HEAP_MB] environment
-    variable, else the runtime default) resizes the minor heap of the
-    caller and of every worker domain.  Larger minor heaps make minor
-    collections — and with them OCaml 5's cross-domain stop-the-world
-    handshakes — proportionally rarer, which is the main scaling tax of
-    allocation-heavy jobs.  Best effort; ignored by runtimes that
-    cannot resize. *)
+    A single effective worker spawns nothing. *)
 
 val size : t -> int
 (** The worker count [jobs] the pool was requested with (including the
@@ -81,8 +73,7 @@ val shutdown : t -> unit
 (** Signal and join all worker domains.  Idempotent.  Must not be
     called while a {!map} is in flight. *)
 
-val with_pool :
-  ?jobs:int -> ?oversubscribe:bool -> ?minor_heap_mb:int -> (t -> 'a) -> 'a
+val with_pool : ?jobs:int -> ?oversubscribe:bool -> (t -> 'a) -> 'a
 (** [with_pool ?jobs f] runs [f] on a fresh pool and guarantees
     {!shutdown}, also on exception. *)
 

@@ -33,7 +33,7 @@ let tel_compiles = Telemetry.Counter.make ~nondet:true "exec.compiles"
 let tel_compile_span = Telemetry.Span.make "exec.compile"
 
 (* Mutable per-step register file.  A fresh frame is built for every step, so
-   a handle is freely shareable across engines and (later) worker shards. *)
+   a handle is freely shareable across engines and (later) worker domains. *)
 type frame = {
   f_inp : Value.t array;
   f_out : Value.t array;

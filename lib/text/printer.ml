@@ -8,8 +8,7 @@
    byte-stable for any canonical [s], and goldens diff cleanly.
 
    Floats print with %.17g, which round-trips every IEEE double
-   exactly (including inf/-inf/nan and -0), matching the convention of
-   {!Harness.Shard}. *)
+   exactly (including inf/-inf/nan and -0). *)
 
 module M = Slim.Model
 module Ir = Slim.Ir

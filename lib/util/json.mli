@@ -1,6 +1,6 @@
 (** The JSON codec behind every JSON document the project reads or
-    writes: shard partials, the fuzz regression corpus, corpus-campaign
-    result files, telemetry summaries, Chrome traces and [lint --json].
+    writes: the fuzz regression corpus, corpus-campaign result files,
+    telemetry summaries, Chrome traces and [lint --json].
 
     Floats round-trip exactly: {!to_string} prints the shortest of
     [%.15g], [%.16g] and [%.17g] that reads back to the same bits, and

@@ -129,6 +129,18 @@ let test_fig4_csv_format () =
       (contains "tool,time_s,decision_pct" csv)
   | _ -> Alcotest.fail "expected one csv"
 
+(* An unknown model is refused with the list of known ones rather than
+   left out of the table. *)
+let test_unknown_model_refused () =
+  Alcotest.check_raises "table3 ~models:[\"nope\"]"
+    (Invalid_argument
+       (Fmt.str "unknown model nope; known models: %s"
+          (String.concat ", " Models.Registry.names)))
+    (fun () ->
+      ignore
+        (Harness.Experiment.table3 ~budget:30.0 ~seeds:[ 1 ] ~models:[ "nope" ]
+           ()))
+
 let () =
   Alcotest.run "harness"
     [
@@ -147,5 +159,7 @@ let () =
           Alcotest.test_case "fig4 csv" `Quick test_fig4_csv_format;
           Alcotest.test_case "table1 + fig3" `Quick test_table1_fig3;
           Alcotest.test_case "table2 + fig3(a) golden" `Quick test_structure_text;
+          Alcotest.test_case "unknown model refused" `Quick
+            test_unknown_model_refused;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Tests for the domain-parallel run pool: result ordering, the
    sequential jobs=1 contract, exception propagation, nested-use
    rejection, pool reuse — and the end-to-end determinism guarantee the
-   harness builds on (table3 byte-identical for any worker count). *)
+   harness builds on (Table III, Figure 4 and the ablations
+   byte-identical for any worker count). *)
 
 module Pool = Harness.Pool
 
@@ -207,19 +208,22 @@ let test_stress_oversubscribed_uneven () =
         Alcotest.(list (pair int int))
         "stress without cost model" expected (Pool.map p f items))
 
-(* The harness-level guarantee the whole refactor exists for: the same
-   job matrix merged in job-index order gives byte-identical artifacts
-   whatever the worker count. *)
+(* The harness-level guarantee the pool exists for: the same job matrix
+   merged in job-index order gives byte-identical artifacts whatever the
+   worker count.  [at_jobs experiment] runs [experiment] at jobs=1 and
+   at jobs=4 on an oversubscribed pool, so jobs=4 runs four real
+   domains even on a smaller machine — the clamp must never be what
+   makes these pass. *)
+let at_jobs experiment =
+  let run jobs = Pool.with_pool ~jobs ~oversubscribe:true experiment in
+  (run 1, run 4)
+
 let test_table3_determinism () =
-  let run jobs =
-    (* oversubscribed pool so jobs=4 runs four real domains even on a
-       smaller machine — the clamp must never be what makes this pass *)
-    Pool.with_pool ~jobs ~oversubscribe:true (fun pool ->
+  let (rows1, text1), (rows4, text4) =
+    at_jobs (fun pool ->
         Harness.Experiment.table3 ~budget:30.0 ~seeds:[ 1; 2 ]
           ~models:[ "CPUTask"; "AFC" ] ~pool ())
   in
-  let rows1, text1 = run 1 in
-  let rows4, text4 = run 4 in
   check Alcotest.string "rendered table identical (jobs=4 vs jobs=1)" text1
     text4;
   check Alcotest.int "row count" (List.length rows1) (List.length rows4);
@@ -232,6 +236,24 @@ let test_table3_determinism () =
            (Harness.Experiment.tool_name a.Harness.Experiment.a_tool))
         true (a = b))
     rows1 rows4
+
+let test_fig4_determinism () =
+  let (panels1, csvs1), (panels4, csvs4) =
+    at_jobs (fun pool ->
+        Harness.Experiment.fig4 ~budget:30.0 ~models:[ "CPUTask" ] ~pool ())
+  in
+  check Alcotest.string "panels identical (jobs=4 vs jobs=1)" panels1 panels4;
+  check
+    Alcotest.(list (pair string string))
+    "CSVs identical (jobs=4 vs jobs=1)" csvs1 csvs4
+
+let test_ablations_determinism () =
+  let text1, text4 =
+    at_jobs (fun pool ->
+        Harness.Experiment.ablations ~budget:30.0 ~seeds:[ 1 ]
+          ~models:[ "CPUTask" ] ~pool ())
+  in
+  check Alcotest.string "ablations identical (jobs=4 vs jobs=1)" text1 text4
 
 let () =
   Alcotest.run "pool"
@@ -263,5 +285,9 @@ let () =
         [
           Alcotest.test_case "table3 jobs=4 = jobs=1" `Quick
             test_table3_determinism;
+          Alcotest.test_case "fig4 jobs=4 = jobs=1" `Quick
+            test_fig4_determinism;
+          Alcotest.test_case "ablations jobs=4 = jobs=1" `Quick
+            test_ablations_determinism;
         ] );
     ]
