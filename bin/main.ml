@@ -227,8 +227,21 @@ let fig3_cmd =
   Cmd.v (Cmd.info "fig3" ~doc:"CPUTask branch structure and state tree (Figure 3).")
     Term.(const run $ const ())
 
+(* Create the CSV directory before the campaign runs, so a bad path
+   fails in milliseconds rather than after every run. *)
+let prepare_csv_dir dir =
+  match Sys.is_directory dir with
+  | true -> ()
+  | false ->
+    Fmt.epr "fig4: --csv %s: Not a directory@." dir;
+    exit 2
+  | exception Sys_error _ -> (
+    try Sys.mkdir dir 0o755
+    with Sys_error msg ->
+      Fmt.epr "fig4: --csv %s@." msg;
+      exit 2)
+
 let write_csvs dir csvs =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, csv) ->
       let path = Filename.concat dir (Fmt.str "fig4_%s.csv" name) in
@@ -241,6 +254,7 @@ let write_csvs dir csvs =
 let fig4_cmd =
   let run budget seed models csv_dir jobs tel =
     List.iter (fun m -> ignore (find_model m)) models;
+    Option.iter prepare_csv_dir csv_dir;
     let finish = telemetry_setup tel in
     let models = match models with [] -> None | l -> Some l in
     let panels, csvs = Harness.Experiment.fig4 ~budget ~seed ?models ?jobs () in
@@ -280,25 +294,21 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let lint_cmd =
-  (* Per-target lint result: the A-diags of the compiled program, the
-     S-findings of the spec section (files only), or the parse error
-     that stopped everything. *)
+  (* Per-target lint result: the A-diags of the compiled program, or
+     the parse error that stopped everything. *)
   let lint_model (e : Models.Registry.entry) =
     (e.Models.Registry.name, Analysis.Lint.run (e.Models.Registry.program ()),
-     [], None)
+     None)
   in
   let lint_file f =
-    match Text.Parser.parse_document_file f with
-    | Error e -> (f, [], [], Some e)
-    | Ok doc ->
-      let prog = Text.Source.program_of doc.Text.Document.source in
-      let text = try read_file f with Sys_error _ -> "" in
-      (f, Analysis.Lint.run prog, Text.Doclint.run ~text doc, None)
+    match Text.Parser.parse_file f with
+    | Error e -> (f, [], Some e)
+    | Ok src -> (f, Analysis.Lint.run (Text.Source.program_of src), None)
   in
   let print_json results issues =
     let module J = Util.Json in
     let str x = J.String x in
-    let target (name, diags, sfindings, err) =
+    let target (name, diags, err) =
       let findings =
         (match err with
          | Some (e : Text.Syntax.error) ->
@@ -321,17 +331,6 @@ let lint_cmd =
                   ("msg", str d.Analysis.Diag.d_msg);
                 ])
             diags
-        @ List.map
-            (fun (f : Text.Doclint.finding) ->
-              J.Obj
-                [
-                  ("code", str (Text.Doclint.code_id f.Text.Doclint.s_code));
-                  ("line", J.Int f.Text.Doclint.s_pos.line);
-                  ("col", J.Int f.Text.Doclint.s_pos.col);
-                  ("req", str f.Text.Doclint.s_req);
-                  ("msg", str f.Text.Doclint.s_msg);
-                ])
-            sfindings
       in
       J.Obj [ ("target", str name); ("findings", J.List findings) ]
     in
@@ -356,26 +355,20 @@ let lint_cmd =
     let results = List.map lint_model entries @ List.map lint_file files in
     let issues =
       List.fold_left
-        (fun acc (_, diags, sfindings, err) ->
-          acc + List.length diags + List.length sfindings
-          + match err with Some _ -> 1 | None -> 0)
+        (fun acc (_, diags, err) ->
+          acc + List.length diags + match err with Some _ -> 1 | None -> 0)
         0 results
     in
     if json then print_json results issues
     else
       List.iter
-        (fun (target, diags, sfindings, err) ->
+        (fun (target, diags, err) ->
           match err with
           | Some e ->
             print_endline (Text.Syntax.error_to_string ~file:target e)
           | None ->
-            (* suppress the A-lint "clean" line when S-findings exist:
-               the target is not clean *)
-            if not (diags = [] && sfindings <> []) then
-              List.iter print_endline
-                (Analysis.Lint.to_lines ~model:target diags);
             List.iter print_endline
-              (Text.Doclint.to_lines ~file:target sfindings))
+              (Analysis.Lint.to_lines ~model:target diags))
         results;
     finish ();
     if issues > 0 then exit 1
@@ -392,10 +385,8 @@ let lint_cmd =
   let files_arg =
     Arg.(value & pos_all file []
          & info [] ~docv:"FILE"
-             ~doc:"Textual .stcg file(s): parse and validate, lint the \
-                   compiled program (A-codes), and lint the spec section \
-                   against the analyzer's output bounds (S-codes, \
-                   file:line:col positions).")
+             ~doc:"Textual .stcg file(s): parse and validate, then lint \
+                   the compiled program (A-codes).")
   in
   let json_arg =
     Arg.(value & flag
@@ -408,10 +399,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Statically lint models and .stcg files: uninitialized reads, \
              dead stores, constant guards, unreachable states, index range \
-             errors (A-codes), and spec-aware requirement checks — \
-             statically decided or vacuous requirements, windows past the \
-             falsification horizon, constant signals (S-codes).  Exit 1 \
-             when any finding fires.")
+             errors (A-codes).  Exit 1 when any finding fires.")
     Term.(const run $ model_opt_arg $ all_arg $ files_arg $ json_arg
           $ telemetry_term)
 
@@ -444,23 +432,12 @@ let stcg_files_arg =
 let dump_cmd =
   let run model =
     let entry = find_model model in
-    let doc =
-      {
-        Text.Document.source =
-          Text.Source.of_registry entry.Models.Registry.source;
-        spec =
-          List.map
-            (fun (r : Spec.Requirements.req) ->
-              (r.Spec.Requirements.r_name, r.Spec.Requirements.r_formula))
-            (Spec.Requirements.for_model entry.Models.Registry.name);
-      }
-    in
-    print_string (Text.Printer.print_document doc)
+    print_string
+      (Text.Printer.print (Text.Source.of_registry entry.Models.Registry.source))
   in
   Cmd.v
     (Cmd.info "dump"
-       ~doc:"Print a benchmark model in the textual .stcg format, including \
-             its built-in requirement table as a (spec ...) section (the \
+       ~doc:"Print a benchmark model in the textual .stcg format (the \
              golden files under test/goldens are this command's output).")
     Term.(const run $ model_arg)
 
@@ -469,17 +446,10 @@ let parse_cmd =
     let failed = ref false in
     List.iter
       (fun f ->
-        match Text.Parser.parse_document_file f with
-        | Ok doc ->
-          let src = doc.Text.Document.source in
-          let reqs = List.length doc.Text.Document.spec in
-          if reqs = 0 then
-            Fmt.pr "%s: %s %s@." f (Text.Source.kind_name src)
-              (Text.Source.name src)
-          else
-            Fmt.pr "%s: %s %s (%d requirement%s)@." f
-              (Text.Source.kind_name src) (Text.Source.name src) reqs
-              (if reqs = 1 then "" else "s")
+        match Text.Parser.parse_file f with
+        | Ok src ->
+          Fmt.pr "%s: %s %s@." f (Text.Source.kind_name src)
+            (Text.Source.name src)
         | Error e ->
           failed := true;
           Fmt.epr "%s@." (Text.Syntax.error_to_string ~file:f e))
@@ -488,10 +458,9 @@ let parse_cmd =
   in
   Cmd.v
     (Cmd.info "parse"
-       ~doc:"Parse .stcg files (including any (spec ...) requirement \
-             section) and report their kind, or diagnostics with stable \
-             error codes and line:column positions.  Exit 1 on any parse \
-             failure.")
+       ~doc:"Parse .stcg files and report their kind, or diagnostics with \
+             stable error codes and line:column positions.  Exit 1 on any \
+             parse failure.")
     Term.(const run $ stcg_files_arg)
 
 let fmt_cmd =
@@ -500,12 +469,12 @@ let fmt_cmd =
     let dirty = ref false in
     List.iter
       (fun f ->
-        match Text.Parser.parse_document_file f with
+        match Text.Parser.parse_file f with
         | Error e ->
           failed := true;
           Fmt.epr "%s@." (Text.Syntax.error_to_string ~file:f e)
-        | Ok doc ->
-          let canon = Text.Printer.print_document doc in
+        | Ok src ->
+          let canon = Text.Printer.print src in
           if write || check then begin
             let same = read_file f = canon in
             if not same then begin
@@ -538,128 +507,6 @@ let fmt_cmd =
        ~doc:"Reprint .stcg files in canonical form (to stdout by default).")
     Term.(const run $ write_arg $ check_arg $ stcg_files_arg)
 
-let falsify_cmd =
-  let run model seed jobs steps segments shape samples descent tel =
-    let finish = telemetry_setup tel in
-    let shape =
-      match Spec.Signal.shape_of_name shape with
-      | Some s -> s
-      | None ->
-        Fmt.epr "falsify: unknown shape %S (expected pwc or pwl)@." shape;
-        exit 2
-    in
-    let cfg =
-      {
-        (Spec.Falsify.default_config ~seed) with
-        steps;
-        segments;
-        shape;
-        samples;
-        descent;
-      }
-    in
-    let reqs =
-      match model with
-      | None -> Spec.Requirements.table
-      | Some m -> (
-        let entry = find_model m in
-        match Spec.Requirements.for_model entry.Models.Registry.name with
-        | [] ->
-          Fmt.epr "falsify: no requirements for model %s@."
-            entry.Models.Registry.name;
-          exit 2
-        | reqs -> reqs)
-    in
-    let rows = Spec.Falsify.campaign ?jobs cfg reqs in
-    print_string (Spec.Falsify.render cfg rows);
-    finish ();
-    let real_violation =
-      List.exists
-        (fun (r : Spec.Falsify.row) ->
-          r.Spec.Falsify.f_falsified && not r.Spec.Falsify.f_fault)
-        rows
-    in
-    if real_violation then exit 1
-  in
-  let model_opt_arg =
-    Arg.(value & opt (some string) None
-         & info [ "model"; "m" ] ~docv:"MODEL"
-             ~doc:"Restrict the campaign to one model's requirements \
-                   (default: the whole built-in table).")
-  in
-  let steps_arg =
-    Arg.(value & opt int 48
-         & info [ "steps" ] ~docv:"N" ~doc:"Trace length per search.")
-  in
-  let segments_arg =
-    Arg.(value & opt int 6
-         & info [ "segments" ] ~docv:"N"
-             ~doc:"Signal-generator segments per input variable.")
-  in
-  let shape_arg =
-    Arg.(value & opt string "pwc"
-         & info [ "shape" ] ~docv:"SHAPE"
-             ~doc:"Input signal shape: pwc (piecewise-constant) or pwl \
-                   (piecewise-linear).")
-  in
-  let samples_arg =
-    Arg.(value & opt int 32
-         & info [ "samples" ] ~docv:"N"
-             ~doc:"Random samples per requirement before local descent.")
-  in
-  let descent_arg =
-    Arg.(value & opt int 64
-         & info [ "descent" ] ~docv:"N"
-             ~doc:"Local-descent proposals per requirement.")
-  in
-  Cmd.v
-    (Cmd.info "falsify"
-       ~doc:"Robustness-guided falsification: search input signals that \
-             violate the built-in STL requirement table.  Output is \
-             byte-identical for any --jobs value at a fixed seed.  Exit 1 \
-             when a non-seeded requirement is falsified.")
-    Term.(const run $ model_opt_arg $ seed_arg $ jobs_arg $ steps_arg
-          $ segments_arg $ shape_arg $ samples_arg $ descent_arg
-          $ telemetry_term)
-
-let campaign_cmd =
-  let run dir tool budget seed jobs results tel =
-    let finish = telemetry_setup tel in
-    let tool = parse_tool tool in
-    let r =
-      Text.Campaign.run ~tool ~budget ~seed ?jobs ?results_dir:results
-        ~log:(fun s -> Fmt.epr "%s@." s)
-        dir
-    in
-    Fmt.epr "stcg campaign: %d executed, %d cached@." r.Text.Campaign.executed
-      r.Text.Campaign.cached;
-    print_string r.Text.Campaign.summary;
-    finish ();
-    if r.Text.Campaign.failed > 0 then exit 1
-  in
-  let dir_arg =
-    Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR"
-         ~doc:"Directory of .stcg model files.")
-  in
-  let results_arg =
-    Arg.(value & opt (some string) None
-         & info [ "results" ] ~docv:"DIR"
-             ~doc:"Result-store directory (default: $(i,DIR)/results).  One \
-                   self-describing JSON file per model; re-invoking the \
-                   campaign skips models whose stored result matches the \
-                   configuration, so an interrupted campaign resumes where \
-                   it stopped.")
-  in
-  Cmd.v
-    (Cmd.info "campaign"
-       ~doc:"Run one tool over every .stcg model in a directory, with a \
-             resumable per-model result store.  The summary is \
-             byte-identical whether the campaign ran in one go or was \
-             interrupted and resumed.  Exit 1 if any model fails to parse \
-             or run.")
-    Term.(const run $ dir_arg $ tool_arg $ budget_arg $ seed_arg $ jobs_arg
-          $ results_arg $ telemetry_term)
-
 let () =
   let doc = "STCG: state-aware test case generation (DAC'23 reproduction)" in
   let info = Cmd.info "stcg" ~version:"1.0.0" ~doc in
@@ -669,5 +516,5 @@ let () =
           [
             list_models_cmd; run_cmd; table1_cmd; table2_cmd; table3_cmd;
             fig3_cmd; fig4_cmd; ablations_cmd; lint_cmd; replay_cmd;
-            dump_cmd; parse_cmd; fmt_cmd; campaign_cmd; falsify_cmd;
+            dump_cmd; parse_cmd; fmt_cmd;
           ]))

@@ -32,14 +32,11 @@ let default_jobs () =
    into an OS scheduling round-trip.  (Measured on a 1-core container:
    jobs=2 ran the table3 matrix 2.3x *slower* than jobs=1.)  Requested
    parallelism is therefore clamped to the hardware by default;
-   [~oversubscribe:true] (or STCG_OVERSUBSCRIBE=1) keeps the requested
-   count — tests use it to exercise real cross-domain scheduling on any
-   machine. *)
-let oversubscribe_env () = Sys.getenv_opt "STCG_OVERSUBSCRIBE" = Some "1"
-
+   [~oversubscribe:true] keeps the requested count — tests use it to
+   exercise real cross-domain scheduling on any machine. *)
 let effective_jobs ?(oversubscribe = false) requested =
   let requested = max 1 requested in
-  if oversubscribe || oversubscribe_env () then requested
+  if oversubscribe then requested
   else min requested (max 1 (Domain.recommended_domain_count ()))
 
 (* One worker's slice of a batch: a deque of job indices.  The owner
@@ -335,6 +332,3 @@ let map_chunked t ~chunk f items =
     in
     List.concat (map t (List.map f) (chunks [] [] 0 items))
   end
-
-let parallel_map ?jobs ?oversubscribe ?cost f items =
-  with_pool ?jobs ?oversubscribe (fun t -> map t ?cost f items)

@@ -23,9 +23,8 @@
     domain beyond the core count turns each minor GC into an OS
     scheduling round-trip — on a 1-core container, jobs=2 measured
     2.3x {e slower} than jobs=1 before the clamp.  Pass
-    [~oversubscribe:true] (or set STCG_OVERSUBSCRIBE=1) to force the
-    requested count anyway, e.g. to exercise real cross-domain
-    scheduling in tests on any machine.
+    [~oversubscribe:true] to force the requested count anyway, e.g. to
+    exercise real cross-domain scheduling in tests on any machine.
 
     The submitting domain participates as a worker during {!map}, so a
     pool of [n] effective workers uses [n - 1] spawned domains plus the
@@ -47,7 +46,7 @@ val default_jobs : unit -> int
 val effective_jobs : ?oversubscribe:bool -> int -> int
 (** The worker count a pool created with [jobs = n] actually uses:
     [min n (Domain.recommended_domain_count ())], at least 1 — unless
-    [oversubscribe] (or STCG_OVERSUBSCRIBE=1), which keeps [n]. *)
+    [oversubscribe], which keeps [n]. *)
 
 type t
 (** A pool handle.  Workers idle on a condition variable between
@@ -101,8 +100,3 @@ val map_chunked : t -> chunk:int -> ('a -> 'b) -> 'a list -> 'b list
     [chunk]; [chunk <= 1] is exactly {!map}.  On failure the exception
     of the lowest-indexed failed chunk is re-raised (items within a
     chunk run left to right, stopping at the first raise). *)
-
-val parallel_map :
-  ?jobs:int -> ?oversubscribe:bool -> ?cost:('a -> int) -> ('a -> 'b) ->
-  'a list -> 'b list
-(** One-shot convenience: {!with_pool} around {!map}. *)

@@ -1,7 +1,7 @@
 (* STL-style requirement AST with quantitative (robustness) semantics.
    The numeric evaluation lives in {!Monitor}; this module is the pure
    syntax: structure, validation against a model's output interface,
-   and the canonical one-line text the .stcg [spec] block stores. *)
+   and a canonical one-line text for diagnostics. *)
 
 type sig_expr =
   | Sig of string
@@ -51,8 +51,6 @@ let rec collect_signals acc = function
 
 let signals f = List.sort_uniq compare (collect_signals [] f)
 
-let bounds_ok a b = 0 <= a && a <= b
-
 let scalar_ty = function
   | Slim.Value.Tbool | Slim.Value.Tint _ | Slim.Value.Treal _ -> true
   | Slim.Value.Tvec _ -> false
@@ -60,7 +58,7 @@ let scalar_ty = function
 let validate ~outputs f =
   let exception Bad of string in
   let check_bounds op a b =
-    if not (bounds_ok a b) then
+    if not (0 <= a && a <= b) then
       raise (Bad (Printf.sprintf "%s[%d,%d]: malformed bounds (need 0 <= a <= b)" op a b))
   in
   let rec go = function
@@ -117,5 +115,3 @@ let rec to_string = function
   | Eventually (a, b, f) -> Printf.sprintf "(eventually %d %d %s)" a b (to_string f)
   | Until (a, b, f, g) ->
     Printf.sprintf "(until %d %d %s %s)" a b (to_string f) (to_string g)
-
-let pp ppf f = Fmt.string ppf (to_string f)

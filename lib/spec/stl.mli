@@ -10,9 +10,7 @@
     formula denotes a real number whose {e sign} decides boolean
     satisfaction — positive robustness implies the trace satisfies the
     formula, negative implies it violates it (zero is the boundary and
-    decides neither).  Falsification searches for inputs that drive the
-    robustness of a requirement below zero; the margin doubles as the
-    search gradient.
+    decides neither).
 
     Finite traces use clamped-window semantics: at evaluation time [t]
     over a trace of [n] steps, a temporal window [\[a,b\]] denotes the
@@ -66,15 +64,9 @@ val validate :
     outputs are not addressable).  The error message names the first
     offending bound or signal. *)
 
-val bounds_ok : int -> int -> bool
-(** [0 <= a && a <= b] — the well-formedness the parser enforces. *)
-
 (** {1 Canonical text}
 
-    The one-line s-expression syntax of the [.stcg] [spec] block; see
-    {!Text.Parser} for the reader.  [to_string] output reparses to a
-    structurally equal formula, with floats printed [%.17g]. *)
+    A one-line s-expression rendering for diagnostics, with floats
+    printed [%.17g]. *)
 
-val sig_to_string : sig_expr -> string
 val to_string : formula -> string
-val pp : formula Fmt.t

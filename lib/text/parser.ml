@@ -425,101 +425,6 @@ let chart_of x : C.t =
     err ~code:"T202" ~pos
       "expected (chart \"name\" (inputs ...) (outputs ...) (data ...) (region ...))"
 
-(* --- spec section -------------------------------------------------------- *)
-
-(* The requirement grammar of the optional (spec ...) section — the
-   reader of {!Spec.Stl.to_string}.  Signal references are resolved
-   against the model's output interface while parsing, so T402 lands on
-   the exact (sig ...) form; temporal bounds are checked on the operator
-   form (T401). *)
-
-let scalar_output ~outputs pos name =
-  match List.assoc_opt name outputs with
-  | None -> err ~code:"T402" ~pos "unknown output signal %S" name
-  | Some (V.Tvec _) ->
-    err ~code:"T402" ~pos "output signal %S is a vector (not addressable)" name
-  | Some _ -> ()
-
-let rec spec_sig ~outputs x : Spec.Stl.sig_expr =
-  let pos, head, args = headed x in
-  match (head, args) with
-  | "sig", [ n ] ->
-    let npos, name = as_str n in
-    scalar_output ~outputs npos name;
-    Spec.Stl.Sig name
-  | "c", [ f ] -> Spec.Stl.Const (as_float f)
-  | "+", [ a; b ] -> Spec.Stl.Add (spec_sig ~outputs a, spec_sig ~outputs b)
-  | "-", [ a; b ] -> Spec.Stl.Sub (spec_sig ~outputs a, spec_sig ~outputs b)
-  | "*", [ a; b ] -> Spec.Stl.Mul (spec_sig ~outputs a, spec_sig ~outputs b)
-  | "neg", [ e ] -> Spec.Stl.Neg (spec_sig ~outputs e)
-  | "abs", [ e ] -> Spec.Stl.Abs (spec_sig ~outputs e)
-  | "min", [ a; b ] -> Spec.Stl.Min (spec_sig ~outputs a, spec_sig ~outputs b)
-  | "max", [ a; b ] -> Spec.Stl.Max (spec_sig ~outputs a, spec_sig ~outputs b)
-  | ("sig" | "c" | "+" | "-" | "*" | "neg" | "abs" | "min" | "max"), _ ->
-    shape_err pos head
-  | _ -> err ~code:"T201" ~pos "unknown signal expression form (%s ...)" head
-
-let spec_cmp_of = function
-  | "<=" -> Some Spec.Stl.Le
-  | "<" -> Some Spec.Stl.Lt
-  | ">=" -> Some Spec.Stl.Ge
-  | ">" -> Some Spec.Stl.Gt
-  | "=" -> Some Spec.Stl.Eq
-  | _ -> None
-
-let spec_bounds pos op a b =
-  let a = as_int a and b = as_int b in
-  if not (Spec.Stl.bounds_ok a b) then
-    err ~code:"T401" ~pos "%s[%d,%d]: malformed temporal bounds (need 0 <= a <= b)"
-      op a b;
-  (a, b)
-
-let rec spec_formula ~outputs x : Spec.Stl.formula =
-  let pos, head, args = headed x in
-  match (head, args, spec_cmp_of head) with
-  | _, [ l; r ], Some op ->
-    Spec.Stl.Atom (op, spec_sig ~outputs l, spec_sig ~outputs r)
-  | "not", [ f ], _ -> Spec.Stl.Not (spec_formula ~outputs f)
-  | "and", [ f; g ], _ ->
-    Spec.Stl.And (spec_formula ~outputs f, spec_formula ~outputs g)
-  | "or", [ f; g ], _ ->
-    Spec.Stl.Or (spec_formula ~outputs f, spec_formula ~outputs g)
-  | "implies", [ f; g ], _ ->
-    Spec.Stl.Implies (spec_formula ~outputs f, spec_formula ~outputs g)
-  | "always", [ a; b; f ], _ ->
-    let a, b = spec_bounds pos head a b in
-    Spec.Stl.Always (a, b, spec_formula ~outputs f)
-  | "eventually", [ a; b; f ], _ ->
-    let a, b = spec_bounds pos head a b in
-    Spec.Stl.Eventually (a, b, spec_formula ~outputs f)
-  | "until", [ a; b; f; g ], _ ->
-    let a, b = spec_bounds pos head a b in
-    Spec.Stl.Until (a, b, spec_formula ~outputs f, spec_formula ~outputs g)
-  | _, _, Some _ -> shape_err pos head
-  | ("not" | "and" | "or" | "implies" | "always" | "eventually" | "until"), _, _
-    ->
-    shape_err pos head
-  | _ -> err ~code:"T201" ~pos "unknown formula form (%s ...)" head
-
-let spec_req ~outputs x =
-  let pos, head, args = headed x in
-  match (head, args) with
-  | "req", [ name; f ] ->
-    (pos, snd (as_str name), spec_formula ~outputs f)
-  | "req", _ -> shape_err pos head
-  | _ -> err ~code:"T201" ~pos "expected a (req ...) form, got (%s ...)" head
-
-let spec_block ~outputs x =
-  let reqs = List.map (spec_req ~outputs) (named_section "spec" x) in
-  let seen = Hashtbl.create 8 in
-  List.map
-    (fun (pos, name, f) ->
-      if Hashtbl.mem seen name then
-        err ~code:"T203" ~pos "duplicate requirement name %S" name;
-      Hashtbl.add seen name ();
-      (name, f))
-    reqs
-
 (* --- top level ---------------------------------------------------------- *)
 
 let validated pos src =
@@ -564,41 +469,6 @@ let parse_string s =
         msg = "internal error: " ^ Printexc.to_string exn;
       }
 
-(* A document is one source form optionally followed by one (spec ...)
-   section.  The source is parsed and validated first so the spec's
-   signal references can be resolved against the compiled program's
-   output interface. *)
-let document_of_forms = function
-  | [] -> assert false (* read_many errors on empty input *)
-  | src :: rest ->
-    let source = source_of_sexp src in
-    let spec =
-      match rest with
-      | [] -> []
-      | [ sp ] ->
-        let prog = Source.program_of source in
-        let outputs =
-          List.map (fun (v : Ir.var) -> (v.Ir.name, v.Ir.ty)) prog.Ir.outputs
-        in
-        spec_block ~outputs sp
-      | _ :: extra :: _ ->
-        err ~code:"T106" ~pos:(pos_of extra)
-          "trailing input after (spec ...) section"
-    in
-    { Document.source; spec }
-
-let parse_document_string s =
-  match document_of_forms (Syntax.read_many s) with
-  | doc -> Ok doc
-  | exception Syntax.Error e -> Error e
-  | exception exn ->
-    Error
-      {
-        code = "T900";
-        pos = { line = 1; col = 1 };
-        msg = "internal error: " ^ Printexc.to_string exn;
-      }
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -611,8 +481,3 @@ let parse_file path =
   | exception Sys_error msg ->
     Error { code = "T101"; pos = { line = 1; col = 1 }; msg }
 
-let parse_document_file path =
-  match read_file path with
-  | s -> parse_document_string s
-  | exception Sys_error msg ->
-    Error { code = "T101"; pos = { line = 1; col = 1 }; msg }

@@ -13,18 +13,7 @@
     exception is reported as [T900]. *)
 
 val parse_string : string -> (Source.t, Syntax.error) result
-(** Exactly one source form; a trailing [(spec ...)] section is a
-    [T106] here — use {!parse_document_string} for full files. *)
+(** Exactly one source form; any trailing form is a [T106]. *)
 
 val parse_file : string -> (Source.t, Syntax.error) result
 (** Read a file and parse it.  Unreadable files report [T101] at 1:1. *)
-
-val parse_document_string : string -> (Document.t, Syntax.error) result
-(** A full [.stcg] document: one source form, optionally followed by a
-    [(spec (req "name" FORMULA) ...)] section.  Spec diagnostics:
-    [T401] malformed temporal bounds ([always]/[eventually]/[until]
-    windows need [0 <= a <= b]), [T402] unknown or vector-typed output
-    signal in a [(sig ...)] reference, [T203] duplicate requirement
-    name.  The source must validate before the spec is checked. *)
-
-val parse_document_file : string -> (Document.t, Syntax.error) result

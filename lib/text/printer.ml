@@ -372,14 +372,3 @@ let print (src : Source.t) =
    | Source.Chart c -> chart buf 0 c
    | Source.Program p -> program buf 0 p);
   Buffer.contents buf
-
-let print_document (d : Document.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (print d.Document.source);
-  if d.Document.spec <> [] then
-    section buf 0 "spec"
-      (List.map
-         (fun (name, f) ->
-           Printf.sprintf "(req %s %s)" (qstr name) (Spec.Stl.to_string f))
-         d.Document.spec);
-  Buffer.contents buf

@@ -14,12 +14,6 @@ val print : Source.t -> string
 (** Render a source as canonical [.stcg] text ({!Parser.parse_string}
     inverts it structurally). *)
 
-val print_document : Document.t -> string
-(** {!print} of the source, then — when the requirement list is
-    non-empty — a [(spec ...)] section of one [(req "name" FORMULA)]
-    line per requirement ({!Parser.parse_document_string} inverts it).
-    A document without requirements prints exactly like its source. *)
-
 (** {1 Leaf-form printers} (single-line, shared with diagnostics) *)
 
 val value_str : Slim.Value.t -> string

@@ -24,8 +24,6 @@ exception Error of error
                         shape or arity, T203 duplicate block id
      T3xx  semantic     T301 invalid model, T302 invalid chart,
                         T303 ill-typed program
-     T4xx  spec         T401 malformed temporal bounds, T402 unknown
-                        or non-scalar output signal
      T900  internal     unexpected exception, reported not raised *)
 
 let err ~code ~pos fmt =
@@ -191,19 +189,6 @@ let read_one s =
   if not (at_end r) then
     err ~code:"T106" ~pos:(rpos r) "trailing input after top-level form";
   x
-
-(* [read_many s] reads toplevel forms to end of input — the document
-   reader's entry point (a source form optionally followed by a spec
-   section). *)
-let read_many s =
-  let r = reader s in
-  skip_blanks r;
-  if at_end r then err ~code:"T106" ~pos:(rpos r) "empty input";
-  let rec loop acc =
-    skip_blanks r;
-    if at_end r then List.rev acc else loop (read_sexp r :: acc)
-  in
-  loop []
 
 (* --- typed accessors used by the structural parser ---------------------- *)
 

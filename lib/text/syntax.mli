@@ -16,8 +16,6 @@
       [T203] duplicate block id;
     - [T301] invalid model, [T302] invalid chart, [T303] ill-typed
       program;
-    - [T401] malformed temporal bounds in a spec formula, [T402]
-      unknown (or non-scalar) output signal in a spec formula;
     - [T900] internal error (an unexpected exception, reported, never
       re-raised). *)
 
@@ -47,10 +45,6 @@ val escape_string : string -> string
 val read_one : string -> sexp
 (** Read exactly one toplevel form; trailing non-blank input is a
     [T106].  Raises {!Error}. *)
-
-val read_many : string -> sexp list
-(** Read every toplevel form to end of input (at least one; empty input
-    is a [T106]).  Raises {!Error}. *)
 
 (** {1 Typed accessors} (raise {!Error} with the node's position) *)
 

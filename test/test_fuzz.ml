@@ -199,6 +199,36 @@ let test_campaign_summary_deterministic () =
   check Alcotest.string "jobs=3 chunk=1 summary byte-identical" sequential
     (run ~jobs:3 ~chunk:1)
 
+(* --- the benchmark's traced metric names ------------------------------ *)
+
+(* perfbench derives one [fuzz.oracle.<o>_ms] metric per name in
+   [Oracle.all] and prints that set on every workload.  BENCHMARK.json
+   declares the metrics a traced result must carry, so the two lists
+   must name the same oracles: a changed oracle list otherwise shows up
+   only as a malformed traced benchmark result. *)
+let test_benchmark_oracle_metrics () =
+  let json =
+    match
+      Util.Json.of_string
+        (In_channel.with_open_bin (Golden.path "../BENCHMARK.json")
+           In_channel.input_all)
+    with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "BENCHMARK.json: %s" m
+  in
+  let field conv key json = conv key (Util.Json.member key json) in
+  let declared =
+    List.filter
+      (String.starts_with ~prefix:"fuzz.oracle.")
+      (List.map (field Util.Json.string "name")
+         (field Util.Json.list "per_layer" json))
+  in
+  check
+    Alcotest.(slist string compare)
+    "fuzz.oracle.*_ms in BENCHMARK.json = Oracle.all"
+    (List.map (Fmt.str "fuzz.oracle.%s_ms") Oracle.all)
+    declared
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -227,4 +257,9 @@ let () =
               (Fmt.str "seed %d clean under all oracles" seed)
               `Quick (test_corpus_clean seed))
           corpus_seeds );
+      ( "benchmark",
+        [
+          Alcotest.test_case "traced oracle metrics = Oracle.all" `Quick
+            test_benchmark_oracle_metrics;
+        ] );
     ]

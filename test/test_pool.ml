@@ -31,24 +31,25 @@ let test_map_ordering () =
         Alcotest.(list int)
         (Fmt.str "map order, jobs=%d" jobs)
         expected
-        (Pool.parallel_map ~jobs ~oversubscribe:true f items))
+        (Pool.with_pool ~jobs ~oversubscribe:true (fun p -> Pool.map p f items)))
     [ 1; 2; 4; 7 ]
 
 let test_empty_and_singleton () =
-  check Alcotest.(list int) "empty" [] (Pool.parallel_map ~jobs:4 Fun.id []);
-  check Alcotest.(list int) "singleton" [ 42 ]
-    (Pool.parallel_map ~jobs:4 (fun x -> x) [ 42 ])
+  Pool.with_pool ~jobs:4 (fun p ->
+      check Alcotest.(list int) "empty" [] (Pool.map p Fun.id []);
+      check Alcotest.(list int) "singleton" [ 42 ] (Pool.map p Fun.id [ 42 ]))
 
 let test_jobs1_is_sequential () =
   (* jobs=1 must be the plain List.map path: same domain, same order of
      side effects *)
   let trace = ref [] in
   let out =
-    Pool.parallel_map ~jobs:1
-      (fun i ->
-        trace := i :: !trace;
-        i + 1)
-      [ 1; 2; 3 ]
+    Pool.with_pool ~jobs:1 (fun p ->
+        Pool.map p
+          (fun i ->
+            trace := i :: !trace;
+            i + 1)
+          [ 1; 2; 3 ])
   in
   check Alcotest.(list int) "results" [ 2; 3; 4 ] out;
   check Alcotest.(list int) "effect order" [ 3; 2; 1 ] !trace
@@ -60,10 +61,11 @@ let test_exception_propagation () =
         (Fmt.str "failure surfaces, jobs=%d" jobs)
         (Failure "boom")
         (fun () ->
-          ignore
-            (Pool.parallel_map ~jobs ~oversubscribe:true
-               (fun i -> if i = 5 then failwith "boom" else i)
-               (List.init 10 Fun.id))))
+          Pool.with_pool ~jobs ~oversubscribe:true (fun p ->
+              ignore
+                (Pool.map p
+                   (fun i -> if i = 5 then failwith "boom" else i)
+                   (List.init 10 Fun.id)))))
     [ 1; 4 ];
   (* the pool survives a failed batch: same pool usable afterwards *)
   Pool.with_pool ~jobs:2 ~oversubscribe:true (fun p ->
@@ -76,19 +78,18 @@ let test_exception_propagation () =
 
 let test_nested_use_rejected () =
   (* rejected on the (possibly clamped) default path... *)
-  Alcotest.check_raises "nested parallel_map is an error" Pool.Nested_pool
+  let nested () =
+    Pool.with_pool ~jobs:2 (fun q -> Pool.map q Fun.id [ 1; 2 ])
+  in
+  Alcotest.check_raises "nested map is an error" Pool.Nested_pool
     (fun () ->
-      ignore
-        (Pool.parallel_map ~jobs:2
-           (fun _ -> Pool.parallel_map ~jobs:2 Fun.id [ 1; 2 ])
-           [ 1; 2; 3; 4 ]));
+      Pool.with_pool ~jobs:2 (fun p ->
+          ignore (Pool.map p (fun _ -> nested ()) [ 1; 2; 3; 4 ])));
   (* ...and from a genuine worker domain *)
   Alcotest.check_raises "nested under real domains too" Pool.Nested_pool
     (fun () ->
-      ignore
-        (Pool.parallel_map ~jobs:2 ~oversubscribe:true
-           (fun _ -> Pool.parallel_map ~jobs:2 Fun.id [ 1; 2 ])
-           [ 1; 2; 3; 4 ]))
+      Pool.with_pool ~jobs:2 ~oversubscribe:true (fun p ->
+          ignore (Pool.map p (fun _ -> nested ()) [ 1; 2; 3; 4 ])))
 
 let test_pool_reuse () =
   Pool.with_pool ~jobs:3 ~oversubscribe:true (fun p ->

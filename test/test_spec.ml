@@ -1,16 +1,11 @@
-(* Tests for the temporal-spec falsification subsystem (lib/spec):
-   directed robustness cases against hand-computed values, a 500+-trace
-   differential between the sliding-window monitor and the naive
-   reference (bit-for-bit at every step, plus robustness-sign vs
-   boolean-satisfaction agreement), falsification campaign gates (every
-   seeded-faulty requirement must falsify at trace 1; campaign
-   summaries byte-identical for any worker count), and the textual
-   (spec ...) section round-trip with its stable diagnostics. *)
+(* Tests for the robustness monitor (lib/spec) that the fuzz [spec]
+   oracle checks: directed robustness cases against hand-computed
+   values, and a 500+-trace differential between the sliding-window
+   monitor and the naive reference (bit-for-bit at every step, plus
+   robustness-sign vs boolean-satisfaction agreement). *)
 
 module Stl = Spec.Stl
 module Monitor = Spec.Monitor
-module Requirements = Spec.Requirements
-module Falsify = Spec.Falsify
 
 let check = Alcotest.check
 let exact = Alcotest.float 0.0
@@ -198,192 +193,6 @@ let test_monitor_differential () =
     done
   done
 
-(* --- requirement table and falsification campaigns ---------------------- *)
-
-let outputs_of_model model =
-  match Models.Registry.find model with
-  | None -> Alcotest.failf "unknown registry model %s" model
-  | Some e ->
-    let prog = e.Models.Registry.program () in
-    List.map (fun (v : Slim.Ir.var) -> (v.Slim.Ir.name, v.Slim.Ir.ty))
-      prog.Slim.Ir.outputs
-
-let test_table_validates () =
-  check Alcotest.bool "table nonempty" true
-    (List.length Requirements.table >= 10);
-  check Alcotest.bool "spans models" true
-    (List.length (Requirements.models ()) >= 2);
-  List.iter
-    (fun (r : Requirements.req) ->
-      match
-        Stl.validate ~outputs:(outputs_of_model r.Requirements.r_model)
-          r.Requirements.r_formula
-      with
-      | Ok () -> ()
-      | Error msg ->
-        Alcotest.failf "%s/%s does not validate: %s" r.Requirements.r_model
-          r.Requirements.r_name msg)
-    Requirements.table
-
-let small_cfg seed =
-  { (Falsify.default_config ~seed) with samples = 8; descent = 8 }
-
-(* Every seeded-faulty requirement demands an output level outside its
-   declared range, so the very first trace falsifies it — and the
-   acceptance gate needs at least 3 falsifications at a fixed seed. *)
-let test_seeded_faults_falsified () =
-  let cfg = small_cfg 1 in
-  let rows =
-    Falsify.campaign ~jobs:2 ~oversubscribe:true cfg Requirements.table
-  in
-  List.iter
-    (fun (r : Falsify.row) ->
-      if r.Falsify.f_fault then begin
-        check Alcotest.bool
-          (Fmt.str "%s/%s falsified" r.Falsify.f_model r.Falsify.f_req)
-          true r.Falsify.f_falsified;
-        check
-          Alcotest.(option int)
-          (Fmt.str "%s/%s at trace 1" r.Falsify.f_model r.Falsify.f_req)
-          (Some 1) r.Falsify.f_at_trace
-      end)
-    rows;
-  let falsified =
-    List.length (List.filter (fun r -> r.Falsify.f_falsified) rows)
-  in
-  check Alcotest.bool "at least 3 falsified" true (falsified >= 3)
-
-(* Determinism gate: same seed, any worker count -> byte-identical
-   campaign summary (the render string the CLI prints). *)
-let test_campaign_determinism () =
-  let cfg = small_cfg 42 in
-  let reqs = Requirements.table in
-  let base = Falsify.render cfg (Falsify.campaign ~jobs:1 cfg reqs) in
-  List.iter
-    (fun jobs ->
-      let out =
-        Falsify.render cfg
-          (Falsify.campaign ~jobs ~oversubscribe:true cfg reqs)
-      in
-      check Alcotest.string (Fmt.str "jobs 1 vs %d" jobs) base out)
-    [ 2; 3; 5 ]
-
-(* A search is a pure function of (plan, formula, seed, budgets):
-   re-running a single requirement must reproduce the campaign row. *)
-let test_search_replayable () =
-  let cfg = small_cfg 7 in
-  let rows = Falsify.campaign ~jobs:2 ~oversubscribe:true cfg Requirements.table in
-  let row0 = List.hd rows in
-  let replay = Falsify.run_req cfg (List.hd Requirements.table) in
-  check Alcotest.string "row replays" (Falsify.render cfg [ row0 ])
-    (Falsify.render cfg [ replay ])
-
-(* --- textual (spec ...) section ------------------------------------------ *)
-
-let doc_of_model model =
-  match Models.Registry.find model with
-  | None -> Alcotest.failf "unknown registry model %s" model
-  | Some e ->
-    {
-      Text.Document.source = Text.Source.of_registry e.Models.Registry.source;
-      spec =
-        List.map
-          (fun (r : Requirements.req) ->
-            (r.Requirements.r_name, r.Requirements.r_formula))
-          (Requirements.for_model model);
-    }
-
-let reparse_doc name text =
-  match Text.Parser.parse_document_string text with
-  | Ok doc -> doc
-  | Error e ->
-    Alcotest.failf "%s: reparse failed: %s" name
-      (Text.Syntax.error_to_string ~file:name e)
-
-let test_spec_roundtrip () =
-  let models = Requirements.models () in
-  check Alcotest.bool "at least 2 models carry specs" true
-    (List.length models >= 2);
-  List.iter
-    (fun model ->
-      let doc = doc_of_model model in
-      check Alcotest.bool (Fmt.str "%s has requirements" model) true
-        (doc.Text.Document.spec <> []);
-      let text = Text.Printer.print_document doc in
-      let doc' = reparse_doc model text in
-      check Alcotest.bool
-        (Fmt.str "%s: parse (print d) equal to d" model)
-        true
-        (Text.Document.equal doc doc');
-      check Alcotest.string
-        (Fmt.str "%s: print (parse s) byte-identical" model)
-        text
-        (Text.Printer.print_document doc'))
-    models;
-  (* a document without requirements prints exactly like its source,
-     and plain sources parse as empty-spec documents *)
-  let source = Text.Source.of_registry
-      (match Models.Registry.find "AFC" with
-       | Some e -> e.Models.Registry.source
-       | None -> Alcotest.fail "AFC missing") in
-  let doc = Text.Document.of_source source in
-  check Alcotest.string "empty spec prints as source"
-    (Text.Printer.print source)
-    (Text.Printer.print_document doc);
-  let doc' = reparse_doc "AFC" (Text.Printer.print source) in
-  check Alcotest.bool "plain source parses as empty-spec document" true
-    (doc'.Text.Document.spec = [])
-
-let minimal_program =
-  "(program \"p\"\n\
-  \  (inputs (\"u\" (real 0 1)))\n\
-  \  (outputs (\"y\" (real 0 10)))\n\
-  \  (states)\n\
-  \  (locals)\n\
-  \  (body))\n"
-
-let expect_doc_error name text ~code =
-  match Text.Parser.parse_document_string text with
-  | Ok _ -> Alcotest.failf "%s: expected %s, parse succeeded" name code
-  | Error e ->
-    check Alcotest.string (Fmt.str "%s: error code" name) code
-      e.Text.Syntax.code
-
-let test_spec_diagnostics () =
-  (* the minimal source must itself parse before the error cases mean
-     anything *)
-  (match Text.Parser.parse_document_string minimal_program with
-   | Ok _ -> ()
-   | Error e ->
-     Alcotest.failf "minimal program: %s"
-       (Text.Syntax.error_to_string e));
-  expect_doc_error "malformed bounds" ~code:"T401"
-    (minimal_program
-    ^ "(spec (req \"r\" (always 3 1 (<= (sig \"y\") (c 5)))))\n");
-  expect_doc_error "negative bound" ~code:"T401"
-    (minimal_program
-    ^ "(spec (req \"r\" (eventually -1 4 (<= (sig \"y\") (c 5)))))\n");
-  expect_doc_error "unknown signal" ~code:"T402"
-    (minimal_program
-    ^ "(spec (req \"r\" (<= (sig \"nope\") (c 5))))\n");
-  expect_doc_error "duplicate requirement" ~code:"T203"
-    (minimal_program
-    ^ "(spec (req \"r\" (<= (sig \"y\") (c 5)))\n\
-      \      (req \"r\" (>= (sig \"y\") (c 0))))\n");
-  expect_doc_error "trailing garbage" ~code:"T106"
-    (minimal_program ^ "(spec)\n(spec)\n");
-  (* the plain-source parser rejects a spec section with the stable
-     trailing-input diagnostic rather than silently dropping it *)
-  (match
-     Text.Parser.parse_string
-       (minimal_program
-       ^ "(spec (req \"r\" (<= (sig \"y\") (c 5))))\n")
-   with
-   | Ok _ -> Alcotest.fail "parse_string accepted a spec section"
-   | Error e ->
-     check Alcotest.string "parse_string spec = T106" "T106"
-       e.Text.Syntax.code)
-
 let () =
   Alcotest.run "spec"
     [
@@ -400,19 +209,5 @@ let () =
         [
           Alcotest.test_case "deque vs naive differential" `Quick
             test_monitor_differential;
-        ] );
-      ( "falsify",
-        [
-          Alcotest.test_case "table validates" `Quick test_table_validates;
-          Alcotest.test_case "seeded faults falsified" `Quick
-            test_seeded_faults_falsified;
-          Alcotest.test_case "campaign determinism" `Quick
-            test_campaign_determinism;
-          Alcotest.test_case "search replayable" `Quick test_search_replayable;
-        ] );
-      ( "text",
-        [
-          Alcotest.test_case "spec round-trip" `Quick test_spec_roundtrip;
-          Alcotest.test_case "diagnostics" `Quick test_spec_diagnostics;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the textual model format (lib/text): exact round-trips of
    every registry model and a large fuzz corpus, golden-stable parser
-   diagnostics with positions, crash-freedom of the parser under
-   mutation, and byte-identical resumable corpus campaigns.
+   diagnostics with positions, and crash-freedom of the parser under
+   mutation.
 
    The round-trip oracle is two-sided: [parse (print m)] must be
    structurally equal to [m] AND differentially equal under lockstep
@@ -178,6 +178,32 @@ let test_error_wire_arity () =
     \    (block 0 \"a\" (abs) (wires))))\n"
     ~code:"T202" ~line:4 ~col:5
 
+(* A file is exactly one source form: a trailing form, such as the
+   (spec ...) requirement section older files carried, is refused with
+   the trailing-input diagnostic rather than silently dropped. *)
+let test_error_trailing_spec () =
+  let text =
+    "(program \"p\"\n\
+    \  (inputs (\"u\" (real 0 1)))\n\
+    \  (outputs (\"y\" (real 0 10)))\n\
+    \  (states)\n\
+    \  (locals)\n\
+    \  (body))\n\
+     (spec (req \"r\" (<= (sig \"y\") (c 5))))\n"
+  in
+  expect_error "trailing (spec ...) section" text ~code:"T106" ~line:7 ~col:1;
+  let path = Filename.temp_file "stcg-text-spec" ".stcg" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      match Parser.parse_file path with
+      | Ok _ -> Alcotest.fail "parse_file accepted a (spec ...) section"
+      | Error e ->
+        check Alcotest.string "parse_file: error code" "T106" e.Syntax.code)
+
 (* --- parser crash-freedom under mutation --------------------------------- *)
 
 (* Truncations and random byte edits of valid model texts: the parser
@@ -213,168 +239,6 @@ let test_parser_fuzz () =
   done;
   check Alcotest.bool "exercised mutations" true (!tortured > 800)
 
-(* --- campaign resumability ----------------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let fresh_dir name =
-  let d = Filename.concat (Filename.get_temp_dir_name ()) name in
-  if Sys.file_exists d then rm_rf d;
-  Sys.mkdir d 0o755;
-  d
-
-(* Six tiny distinct programs, printed as the campaign corpus. *)
-let tiny k : Source.t =
-  let open Slim.Ir in
-  Source.Program
-    (renumber_decisions
-       {
-         name = Fmt.str "m%d" k;
-         inputs = [ input "u" Slim.Value.tint ];
-         outputs = [ output "y" Slim.Value.tint ];
-         states = [ state "acc" Slim.Value.tint (Slim.Value.Int 0) ];
-         locals = [];
-         body =
-           [
-             if_ (iv "u" >: ci (3 * k))
-               [ assign_state "acc" (sv "acc" +: ci 1) ]
-               [ assign_state "acc" (ci 0) ];
-             assign_out "y" (sv "acc");
-           ];
-       })
-
-let populate dir =
-  for k = 0 to 5 do
-    write_file
-      (Filename.concat dir (Fmt.str "m%d.stcg" k))
-      (Printer.print (tiny k))
-  done
-
-let run_campaign dir =
-  Text.Campaign.run ~tool:Harness.Experiment.STCG ~budget:10.0 ~seed:1 ~jobs:1
-    dir
-
-let test_campaign_resume () =
-  let dir_a = fresh_dir "stcg-text-campaign-a" in
-  let dir_b = fresh_dir "stcg-text-campaign-b" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir_a; rm_rf dir_b)
-    (fun () ->
-      populate dir_a;
-      populate dir_b;
-      (* uninterrupted reference run *)
-      let full = run_campaign dir_a in
-      check Alcotest.int "reference: all executed" 6 full.Text.Campaign.executed;
-      check Alcotest.int "reference: nothing cached" 0 full.Text.Campaign.cached;
-      check Alcotest.int "reference: no failures" 0 full.Text.Campaign.failed;
-      (* simulate a campaign killed after three models: copy the first
-         three result files, leave a half-written (poison) file for the
-         fourth — exactly what an interrupt mid-write leaves behind *)
-      let results_b = Filename.concat dir_b "results" in
-      Sys.mkdir results_b 0o755;
-      for k = 0 to 2 do
-        let f = Fmt.str "m%d.json" k in
-        write_file
-          (Filename.concat results_b f)
-          (read_file (Filename.concat dir_a (Filename.concat "results" f)))
-      done;
-      write_file
-        (Filename.concat results_b "m3.json")
-        "{\"stcg-campaign-result\":1,\"model\":\"m3\",\"tool\":\"STC";
-      (* the resumed run must execute only the three missing models
-         (the poison entry does not parse, so m3 re-runs) *)
-      let resumed = run_campaign dir_b in
-      check Alcotest.int "resume: only remaining executed" 3
-        resumed.Text.Campaign.executed;
-      check Alcotest.int "resume: three cached" 3 resumed.Text.Campaign.cached;
-      List.iter
-        (fun (o : Text.Campaign.outcome) ->
-          let expect_cached = List.mem o.o_model [ "m0"; "m1"; "m2" ] in
-          check Alcotest.bool
-            (Fmt.str "resume: %s cached=%b" o.o_model expect_cached)
-            expect_cached o.o_cached)
-        resumed.Text.Campaign.outcomes;
-      check Alcotest.string "resume: summary byte-identical"
-        full.Text.Campaign.summary resumed.Text.Campaign.summary;
-      (* a third invocation runs nothing and still renders identically *)
-      let again = run_campaign dir_b in
-      check Alcotest.int "settled: nothing executed" 0
-        again.Text.Campaign.executed;
-      check Alcotest.int "settled: all cached" 6 again.Text.Campaign.cached;
-      check Alcotest.string "settled: summary byte-identical"
-        full.Text.Campaign.summary again.Text.Campaign.summary)
-
-(* --- result files from the previous writer ------------------------------ *)
-
-(* The previous writer's compact layout: no spaces, floats as %.17g (the
-   budget 10.0 printed as "10"). *)
-let legacy_result_line json =
-  let module J = Util.Json in
-  let get conv key = conv key (J.member key json) in
-  let num key = Printf.sprintf "%.17g" (get J.float key) in
-  Printf.sprintf
-    "{\"stcg-campaign-result\":1,\"model\":\"%s\",\"tool\":\"%s\",\"budget\":%s,\"seed\":%d,\"kind\":\"%s\",\"branches\":%d,\"decision\":%s,\"condition\":%s,\"mcdc\":%s,\"tests\":%d}\n"
-    (get J.string "model") (get J.string "tool") (num "budget")
-    (get J.int "seed") (get J.string "kind") (get J.int "branches")
-    (num "decision") (num "condition") (num "mcdc") (get J.int "tests")
-
-let test_campaign_legacy_results () =
-  let dir = fresh_dir "stcg-text-campaign-legacy" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      populate dir;
-      let full = run_campaign dir in
-      for k = 0 to 5 do
-        let path = Filename.concat dir (Fmt.str "results/m%d.json" k) in
-        let current = read_file path in
-        match Util.Json.of_string current with
-        | Ok json ->
-          let legacy = legacy_result_line json in
-          check Alcotest.bool "legacy layout differs" true (legacy <> current);
-          write_file path legacy
-        | Error m -> Alcotest.fail m
-      done;
-      let resumed = run_campaign dir in
-      check Alcotest.int "legacy: nothing executed" 0
-        resumed.Text.Campaign.executed;
-      check Alcotest.int "legacy: all cached" 6 resumed.Text.Campaign.cached;
-      check Alcotest.string "legacy: summary byte-identical"
-        full.Text.Campaign.summary resumed.Text.Campaign.summary)
-
-(* --- config mismatches invalidate the store ------------------------------ *)
-
-let test_campaign_config_mismatch () =
-  let dir = fresh_dir "stcg-text-campaign-c" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      populate dir;
-      let r1 = run_campaign dir in
-      check Alcotest.int "first run executes" 6 r1.Text.Campaign.executed;
-      (* a different seed must not reuse the stored results *)
-      let r2 =
-        Text.Campaign.run ~tool:Harness.Experiment.STCG ~budget:10.0 ~seed:2
-          ~jobs:1 dir
-      in
-      check Alcotest.int "changed seed re-executes" 6 r2.Text.Campaign.executed)
-
 let () =
   Alcotest.run "text"
     [
@@ -397,15 +261,8 @@ let () =
           Alcotest.test_case "invalid wiring" `Quick test_error_invalid_wiring;
           Alcotest.test_case "bad number" `Quick test_error_bad_number;
           Alcotest.test_case "wire arity" `Quick test_error_wire_arity;
+          Alcotest.test_case "trailing spec section" `Quick
+            test_error_trailing_spec;
           Alcotest.test_case "mutation fuzz" `Quick test_parser_fuzz;
-        ] );
-      ( "campaign",
-        [
-          Alcotest.test_case "resume after interrupt" `Quick
-            test_campaign_resume;
-          Alcotest.test_case "config mismatch re-runs" `Quick
-            test_campaign_config_mismatch;
-          Alcotest.test_case "legacy result files resume" `Quick
-            test_campaign_legacy_results;
         ] );
     ]
